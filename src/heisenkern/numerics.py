@@ -5,11 +5,14 @@ exponentially decaying integrands on [0, inf), monotone root finding, a
 from-scratch Gaussian cdf/quantile pair, the Gaussian isoperimetric
 profile, and a restart-based Nelder-Mead minimizer.
 
-No special-function library is used: the Gaussian cdf is built from an
+This module needs numpy only: its Gaussian cdf is built from an
 error-function series (small argument) and continued fraction (tail), and
-the quantile is always obtained by root-finding against that cdf.  This
-keeps every downstream quantity reproducible to near machine precision
-with no external dependency beyond numpy.
+its quantile is obtained by root-finding against that cdf.  The rest of
+the library does use scipy: :mod:`.kernel` (``i0e`` and spline tables),
+:mod:`.mc` (the chi-squared distribution) and :mod:`.harness`
+(``ndtri``, Nelder-Mead, linear algebra and spline tables).  The library
+itself calls none of the Gaussian, isoperimetric, root-finding or
+minimizer helpers here; only their tests do.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 P_t f(x) = int f(x.y) p_t(y) dy, truncated to the CC ball
 d(y) <= domain_radius in the geodesic polar chart; the Gaussian decay
-of the kernel keeps the discarded mass small, and every config
-certifies 1 - int_{d<=R} p_t <= MASS_DEFICIT_TOL once, at measure
-build time.  Points x != 0 reduce to the origin by left-translating f,
-so there is a single kernel center.
+of the kernel keeps the discarded mass small.  The measure at time t is
+the t = 1 measure of the same dimensionless radius domain_radius/sqrt(t)
+and node tier, dilated, so the kernel is evaluated and the mass deficit
+1 - int_{d<=R} p_t <= MASS_DEFICIT_TOL certified once per (radius,
+tier).  Points x != 0 reduce to the origin by left-translating f, so
+there is a single kernel center.
 
 Everything is pure given a config.  Nested quadratures hand f whole
 node arrays (and are free to do so concurrently), so a field's eval
@@ -80,48 +82,107 @@ class HeatOpConfig:
             raise ValueError("domain_radius must be > 0")
 
 
-def _node_counts(cfg: HeatOpConfig):
-    r1 = cfg.domain_radius / math.sqrt(cfg.t)
-    if cfg.quad.abs_tol >= _NESTED_ABS_TOL:
+def _node_counts(r1: float, abs_tol: float):
+    """(n_s, n_phi, n_alpha) for dimensionless radius ``r1`` and a tier's abs_tol."""
+    if abs_tol >= _NESTED_ABS_TOL:
         return max(12, math.ceil(1.6 * r1)), 12, 8
-    if cfg.quad.abs_tol >= _COARSE_ABS_TOL:
+    if abs_tol >= _COARSE_ABS_TOL:
         return max(16, math.ceil(2.2 * r1)), 16, 10
     return max(24, math.ceil(3.2 * r1)), 24, 16
 
 
+def _spread(v: np.ndarray, size: int, odd: bool = False) -> np.ndarray:
+    """Radial-node values copied to every alpha rotation, then to the z < 0 mirror."""
+    half = np.tile(v, size // (2 * v.size))
+    return np.concatenate([half, -half if odd else half])
+
+
+@dataclass
+class _BaseMeasure:
+    """The t = 1 heat measure of one (dimensionless radius, node tier).
+
+    The kernel depends on (r, |z|) only, so it is evaluated on the
+    n_s x n_phi radial nodes of the chart and copied to every alpha
+    rotation and to the z < 0 mirror: the value is the same bits on
+    every symmetric copy.
+    """
+
+    R: float
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    mu: np.ndarray
+    deficit: float
+    radial: tuple          # (r, z) at the radial nodes, z > 0 half
+    _hat_grad: Optional[tuple] = None
+
+    def hat_log_grad(self):
+        if self._hat_grad is None:
+            alpha, b = log_grad_many(*self.radial)
+            alpha = _spread(alpha, self.x.size)
+            b = _spread(b, self.x.size, odd=True)  # d_z log p1 is odd in z
+            self._hat_grad = (self.x * alpha + 0.5 * self.y * b,
+                              self.y * alpha - 0.5 * self.x * b)
+        return self._hat_grad
+
+    def at(self, cfg: HeatOpConfig) -> "HeatMeasure":
+        """The measure at time cfg.t: nodes dilated, ``mu`` shared."""
+        st = math.sqrt(cfg.t)
+        return HeatMeasure(cfg, self.x * st, self.y * st, self.z * cfg.t, self.mu,
+                           self.deficit, self)
+
+
 @dataclass
 class HeatMeasure:
-    """Chart nodes carrying Lebesgue weights and kernel values.
+    """Chart nodes carrying the discrete heat measure of one config.
 
-    ``mu`` = leb_w * kernel is the discrete heat measure; sums against
-    it approximate integrals over d <= domain_radius.  The hat-field
-    log-gradient arrays used by the integration-by-parts route are
-    built lazily on first request and kept.
+    ``mu`` (Lebesgue weight times kernel value) sums against node values
+    to approximate integrals over d <= domain_radius.  By the parabolic
+    scaling p_t(x, y, z) = t^-2 p_1(x/sqrt t, y/sqrt t, z/t), every
+    measure is a view of the t = 1 measure at the same dimensionless
+    radius and tier: x and y scaled by sqrt(t), z by t, ``mu`` and the
+    mass deficit unchanged.
     """
 
     cfg: HeatOpConfig
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    leb_w: np.ndarray
-    kernel: np.ndarray
     mu: np.ndarray
     deficit: float
-    _hat_grad: Optional[tuple] = None
+    base: _BaseMeasure = dataclass_field(repr=False)
 
     def hat_log_grad(self):
-        """(Xhat log p_t, Yhat log p_t) at the nodes."""
-        if self._hat_grad is None:
-            st = math.sqrt(self.cfg.t)
-            r = np.hypot(self.x, self.y)
-            alpha, b = log_grad_many(r / st, self.z / self.cfg.t)
-            gx = (self.x * alpha + 0.5 * self.y * b) / self.cfg.t
-            gy = (self.y * alpha - 0.5 * self.x * b) / self.cfg.t
-            self._hat_grad = (gx, gy)
-        return self._hat_grad
+        """(Xhat log p_t, Yhat log p_t) at the nodes; the t = 1 pair over sqrt(t)."""
+        gx, gy = self.base.hat_log_grad()
+        st = math.sqrt(self.cfg.t)
+        return gx / st, gy / st
 
 
+_base_cache: dict = {}
 _measure_cache: dict = {}
+
+
+def _base_measure(r1: float, abs_tol: float) -> _BaseMeasure:
+    """Build (or fetch) the t = 1 measure over d <= r1, checking its mass."""
+    n_s, n_phi, n_alpha = _node_counts(r1, abs_tol)
+    key = (r1, n_s, n_phi, n_alpha)
+    got = _base_cache.get(key)
+    if got is not None:
+        return got
+    x, y, z, w = chart_ball_nodes(r1, n_s=n_s, n_phi=n_phi, n_alpha=n_alpha)
+    n = n_s * n_phi
+    radial = (np.hypot(x[:n], y[:n]), z[:n])
+    mu = w * _spread(p1_many(*radial), w.size)
+    deficit = abs(1.0 - float(np.sum(mu)))
+    if deficit > MASS_DEFICIT_TOL:
+        raise MassDeficitError(
+            f"kernel mass deficit {deficit:.3e} over d <= {r1:g} sqrt(t) "
+            f"exceeds {MASS_DEFICIT_TOL:g}"
+        )
+    base = _BaseMeasure(r1, x, y, z, mu, deficit, radial)
+    _base_cache[key] = base
+    return base
 
 
 def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
@@ -129,25 +190,15 @@ def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
 
     Raises :class:`MassDeficitError` when |1 - sum mu| exceeds
     MASS_DEFICIT_TOL; that covers both truncation loss and rule error.
+    The check runs once per (dimensionless radius, tier), on the t = 1
+    measure, since the dilation leaves ``mu`` unchanged.
     """
-    n_s, n_phi, n_alpha = _node_counts(cfg)
-    key = (cfg.t, cfg.domain_radius, n_s, n_phi, n_alpha)
+    r1 = cfg.domain_radius / math.sqrt(cfg.t)
+    key = (cfg.t, cfg.domain_radius, _node_counts(r1, cfg.quad.abs_tol))
     got = _measure_cache.get(key)
-    if got is not None:
-        return got
-    x, y, z, w = chart_ball_nodes(cfg.domain_radius, n_s=n_s, n_phi=n_phi, n_alpha=n_alpha)
-    st = math.sqrt(cfg.t)
-    kern = p1_many(np.hypot(x, y) / st, z / cfg.t) / (cfg.t * cfg.t)
-    mu = w * kern
-    deficit = abs(1.0 - float(np.sum(mu)))
-    if deficit > MASS_DEFICIT_TOL:
-        raise MassDeficitError(
-            f"kernel mass deficit {deficit:.3e} over d <= {cfg.domain_radius:g} "
-            f"at t = {cfg.t:g} exceeds {MASS_DEFICIT_TOL:g}"
-        )
-    measure = HeatMeasure(cfg, x, y, z, w, kern, mu, deficit)
-    _measure_cache[key] = measure
-    return measure
+    if got is None:
+        got = _measure_cache[key] = _base_measure(r1, cfg.quad.abs_tol).at(cfg)
+    return got
 
 
 def _values_at(f: ScalarField, measure: HeatMeasure, x: GroupElement) -> np.ndarray:
@@ -275,8 +326,8 @@ def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str = "hat-transfer
     raise ValueError(f"unknown route {route!r}; expected one of {GRAD_ROUTES}")
 
 
-def _grad_inner_at(f: ScalarField, cfg_in: HeatOpConfig, outer: HeatMeasure, chunk: int = 512):
-    """X and Y frame components of grad P_{cfg_in.t} f at the outer nodes.
+def _grad_inner_at(f: ScalarField, inner: HeatMeasure, outer: HeatMeasure, chunk: int = 512):
+    """X and Y frame components of grad P_{inner.cfg.t} f at the outer nodes.
 
     Differentiating P f(w) = sum mu_k f(w . y_k) in w along the
     left-invariant frame lands on hat-fields of f at the product point:
@@ -284,7 +335,6 @@ def _grad_inner_at(f: ScalarField, cfg_in: HeatOpConfig, outer: HeatMeasure, chu
         X P f(w) = sum mu_k (Xhat f - w_2 Zf)(w . y_k)
         Y P f(w) = sum mu_k (Yhat f + w_1 Zf)(w . y_k)
     """
-    inner = heat_measure(cfg_in)
     parts = _hat_parts(f)
     n = outer.x.size
     outx = np.empty(n)
@@ -315,13 +365,16 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     accuracy check.
     """
     t = cfg.t
-    r1 = cfg.domain_radius / math.sqrt(t)
     coarse = QuadratureSpec(abs_tol=max(cfg.quad.abs_tol, _COARSE_ABS_TOL))
+    # every leg is a view of this measure's t = 1 base: recomputing the
+    # radius as r1 sqrt(s) / sqrt(s) could miss r1 by an ulp and build another
+    base = heat_measure(HeatOpConfig(t=t, domain_radius=cfg.domain_radius, quad=coarse)).base
     total = 0.0
     for sn, sw in zip(_S_NODES, _S_WEIGHTS):
         s = 0.5 * t * (sn + 1.0)
         tau = t - s
-        outer = heat_measure(HeatOpConfig(t=s, domain_radius=r1 * math.sqrt(s), quad=coarse))
-        gx, gy = _grad_inner_at(f, HeatOpConfig(t=tau, domain_radius=r1 * math.sqrt(tau), quad=coarse), outer)
+        outer = base.at(HeatOpConfig(t=s, domain_radius=base.R * math.sqrt(s), quad=coarse))
+        inner = base.at(HeatOpConfig(t=tau, domain_radius=base.R * math.sqrt(tau), quad=coarse))
+        gx, gy = _grad_inner_at(f, inner, outer)
         total += 0.5 * t * sw * float(np.dot(outer.mu, gx * gx + gy * gy))
     return 2.0 * total

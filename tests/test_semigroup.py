@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heisenkern import semigroup
+from heisenkern.geometry import chart_ball_nodes
 from heisenkern.group import GroupElement, ScalarField, poly_field
 from heisenkern.kernel import xhat_log_h_field
 from heisenkern.numerics import QuadratureSpec
@@ -219,6 +221,88 @@ def test_truncation_too_tight_is_a_config_error():
 
 def test_measure_is_cached_per_config():
     assert heat_measure(CFG1_COARSE) is heat_measure(HeatOpConfig(t=1.0, quad=COARSE))
+
+
+# ------------------------------------------------ dilation of the t = 1 measure
+
+# (spec, (n_s, n_phi, n_alpha)) per node tier at the default radius 10 sqrt(t)
+TIERS = {
+    "fine": (QuadratureSpec(), (32, 24, 16)),
+    "coarse": (COARSE, (22, 16, 10)),
+    "nested": (NESTED, (16, 12, 8)),
+}
+DILATION_TIMES = (0.05, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("t", DILATION_TIMES)
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_dilated_measure_closed_form_variances(tier, t):
+    # Var(xz) = 10 t^3/3 and Var(x^2+y^2) = 16 t^2 from the generator
+    cfg = HeatOpConfig(t=t, quad=TIERS[tier][0])
+    xz = poly_field({(1, 0, 1): 1.0}, "xz")
+    r2 = poly_field({(2, 0, 0): 1.0, (0, 2, 0): 1.0}, "x^2+y^2")
+    assert variance(xz, cfg) == pytest.approx(10.0 * t**3 / 3.0, rel=1e-5)
+    assert variance(r2, cfg) == pytest.approx(16.0 * t * t, rel=1e-5)
+    assert heat_measure(cfg).deficit <= MASS_DEFICIT_TOL
+
+
+@pytest.mark.parametrize("t", DILATION_TIMES)
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_dilated_nodes_match_direct_chart(tier, t):
+    """Nodes at t are the chart nodes of radius 10 sqrt(t), and also the
+    t = 1 nodes scaled by sqrt(t) horizontally and t vertically."""
+    spec, counts = TIERS[tier]
+    m = heat_measure(HeatOpConfig(t=t, quad=spec))
+    m1 = heat_measure(HeatOpConfig(t=1.0, quad=spec))
+    x, y, z, _ = chart_ball_nodes(10.0 * math.sqrt(t), *counts)
+    st_ = math.sqrt(t)
+    for got, direct, base, scale in ((m.x, x, m1.x, st_), (m.y, y, m1.y, st_), (m.z, z, m1.z, t)):
+        tol = 1e-14 * float(np.max(np.abs(direct)))
+        np.testing.assert_allclose(got, direct, rtol=1e-14, atol=tol)
+        np.testing.assert_allclose(got, base * scale, rtol=1e-14, atol=tol)
+    np.testing.assert_array_equal(m.mu, m1.mu)
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_kernel_identical_on_symmetric_copies(tier):
+    """The chart weights are equal on every alpha rotation and on the z
+    mirror, so equal mu rows mean the kernel value is the same bits too."""
+    spec, (n_s, n_phi, n_alpha) = TIERS[tier]
+    _, _, _, w = chart_ball_nodes(10.0, n_s, n_phi, n_alpha)
+    w_rows = w.reshape(2 * n_alpha, n_s * n_phi)
+    np.testing.assert_array_equal(w_rows, np.broadcast_to(w_rows[0], w_rows.shape))
+    for t in DILATION_TIMES:
+        rows = heat_measure(HeatOpConfig(t=t, quad=spec)).mu.reshape(2 * n_alpha, -1)
+        np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+
+
+@pytest.mark.parametrize("t", DILATION_TIMES)
+def test_ibp_route_scales_log_gradient(t):
+    # X P_t x (0) = 1 at every t: the t = 1 log-gradient over sqrt(t)
+    g = grad_Pt_origin(poly_field({(1, 0, 0): 1.0}, "x"), HeatOpConfig(t=t, quad=COARSE),
+                       route="ibp")
+    assert g[0] == pytest.approx(1.0, abs=1e-6)
+    assert g[1] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_interpolation_variance_builds_one_kernel_grid(monkeypatch):
+    """variance and all 32 legs of interpolation_variance evaluate the
+    kernel once, on the 16 x 12 radial nodes of the nested tier."""
+    calls = []
+    p1_many = semigroup.p1_many
+
+    def counting_p1_many(r, z):
+        calls.append(np.size(r))
+        return p1_many(r, z)
+
+    monkeypatch.setattr(semigroup, "p1_many", counting_p1_many)
+    monkeypatch.setattr(semigroup, "_base_cache", {})
+    monkeypatch.setattr(semigroup, "_measure_cache", {})
+    cfg = HeatOpConfig(t=0.7, quad=NESTED)
+    x = poly_field({(1, 0, 0): 1.0}, "x")
+    assert variance(x, cfg) == pytest.approx(1.4, rel=1e-6)
+    assert interpolation_variance(x, cfg) == pytest.approx(1.4, rel=1e-5)
+    assert calls == [16 * 12]
 
 
 # ---------------------------------------------------------------- variance
