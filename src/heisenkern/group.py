@@ -351,41 +351,69 @@ def left_translate(f: ScalarField, a: GroupElement) -> ScalarField:
 
 # --- polynomial fields -----------------------------------------------------
 
+def _monomial(c: float, x, i: int, y, j: int, z, k: int):
+    """c * x**i * y**j * z**k, multiplied left to right without its factors equal to 1.
+
+    Multiplying by exactly 1.0 is exact, so the result has the bits of
+    the full product.
+    """
+    out = None if c == 1.0 else c
+    for v, e in ((x, i), (y, j), (z, k)):
+        if e:
+            p = v if e == 1 else v**e
+            out = p if out is None else out * p
+    return 1.0 if out is None else out
+
+
+def _add(total, term):
+    return term if total is None else total + term
+
+
+def _fresh(v, shape, inputs):
+    """``v`` as a new array of ``shape``; None is the empty sum."""
+    if v is None:
+        return np.zeros(shape)
+    if isinstance(v, np.ndarray) and v.shape == shape and not any(v is a for a in inputs):
+        return v
+    return np.array(np.broadcast_to(v, shape))
+
+
 def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
-    """Polynomial sum c * x^i y^j z^k from ``{(i, j, k): c}`` with exact frame gradient."""
+    """Polynomial sum c * x^i y^j z^k from ``{(i, j, k): c}`` with exact frame gradient.
+
+    Terms are summed in the order of ``coeffs``, with no zero accumulator.
+    """
     items = [((int(i), int(j), int(k)), float(c)) for (i, j, k), c in coeffs.items()]
 
     def ev(x, y, z):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         z = np.asarray(z, float)
-        total = np.zeros(np.broadcast(x, y, z).shape)
+        total = None
         for (i, j, k), c in items:
-            total += c * x**i * y**j * z**k
-        return total
-
-    def partials(x, y, z):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        shape = np.broadcast(x, y, z).shape
-        px = np.zeros(shape)
-        py = np.zeros(shape)
-        pz = np.zeros(shape)
-        for (i, j, k), c in items:
-            if i:
-                px += c * i * x ** (i - 1) * y**j * z**k
-            if j:
-                py += c * j * x**i * y ** (j - 1) * z**k
-            if k:
-                pz += c * k * x**i * y**j * z ** (k - 1)
-        return px, py, pz
+            total = _add(total, _monomial(c, x, i, y, j, z, k))
+        return _fresh(total, np.broadcast(x, y, z).shape, (x, y, z))
 
     def grad(x, y, z):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        px, py, pz = partials(x, y, z)
-        return px - 0.5 * y * pz, py + 0.5 * x * pz, pz
+        z = np.asarray(z, float)
+        px = py = pz = None
+        for (i, j, k), c in items:
+            if i:
+                px = _add(px, _monomial(c * i, x, i - 1, y, j, z, k))
+            if j:
+                py = _add(py, _monomial(c * j, x, i, y, j - 1, z, k))
+            if k:
+                pz = _add(pz, _monomial(c * k, x, i, y, j, z, k - 1))
+        # X = d_x - (y/2) d_z, Y = d_y + (x/2) d_z; an absent partial is zero
+        if pz is not None:
+            hx = 0.5 * y * pz
+            hy = 0.5 * x * pz
+            px = -hx if px is None else px - hx
+            py = hy if py is None else py + hy
+        shape = np.broadcast(x, y, z).shape
+        return tuple(_fresh(g, shape, (x, y, z)) for g in (px, py, pz))
 
     return ScalarField(eval=ev, analytic_gradient=grad, name=name)
 

@@ -706,7 +706,8 @@ def _gauss_isop(u):
 
 def _squash(vals, gam):
     """f -> 0.1 + 0.8 sigma(f) with the matching Gamma factor."""
-    s = 1.0 / (1.0 + np.exp(-vals))
+    with np.errstate(over="ignore"):  # exp(-vals) = inf gives the exact limit s = 0
+        s = 1.0 / (1.0 + np.exp(-vals))
     der = 0.8 * s * (1.0 - s)
     return 0.1 + 0.8 * s, der * der * gam
 

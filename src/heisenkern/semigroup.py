@@ -52,6 +52,11 @@ _NESTED_ABS_TOL = 1e-4
 
 _ORIGIN = GroupElement(0.0, 0.0, 0.0)
 
+# bytes of one (outer rows x inner nodes) array in _grad_inner_at: 16 rows
+# of the 3,072-node nested tier.  About ten such temporaries are live per
+# block, which keeps them inside a 4 MiB L2 cache.
+_BLOCK_BYTES = 384 << 10
+
 
 class MassDeficitError(ValueError):
     """Truncated-domain kernel mass check failed for a config."""
@@ -275,26 +280,6 @@ def entropy_phi(f: ScalarField, cfg: HeatOpConfig, x: GroupElement, phi) -> floa
     return float(np.dot(w, phiv)) - phim
 
 
-def _hat_parts(f: ScalarField):
-    """Evaluator for (Xhat f, Yhat f, Zf) on coordinate arrays."""
-    if f.analytic_gradient is not None:
-
-        def parts(qx, qy, qz):
-            gx, gy, gz = f.analytic_gradient(qx, qy, qz)
-            return gx + qy * gz, gy - qx * gz, gz
-
-        return parts
-
-    fxh = derived_field("Xhat", f)
-    fyh = derived_field("Yhat", f)
-    fzz = derived_field("Z", f)
-
-    def parts(qx, qy, qz):
-        return fxh.eval(qx, qy, qz), fyh.eval(qx, qy, qz), fzz.eval(qx, qy, qz)
-
-    return parts
-
-
 def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str = "hat-transfer"):
     """(X P_t f, Y P_t f) at the origin by one of three routes.
 
@@ -326,28 +311,43 @@ def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str = "hat-transfer
     raise ValueError(f"unknown route {route!r}; expected one of {GRAD_ROUTES}")
 
 
-def _grad_inner_at(f: ScalarField, inner: HeatMeasure, outer: HeatMeasure, chunk: int = 512):
+def _frame_gradient(f: ScalarField):
+    """Evaluator for (Xf, Yf, Zf): the analytic gradient, else centered differences."""
+    if f.analytic_gradient is not None:
+        return f.analytic_gradient
+    fx, fy, fz = (derived_field(op, f) for op in ("X", "Y", "Z"))
+    return lambda x, y, z: (fx.eval(x, y, z), fy.eval(x, y, z), fz.eval(x, y, z))
+
+
+def _grad_inner_at(f: ScalarField, inner: HeatMeasure, outer: HeatMeasure):
     """X and Y frame components of grad P_{inner.cfg.t} f at the outer nodes.
 
     Differentiating P f(w) = sum mu_k f(w . y_k) in w along the
-    left-invariant frame lands on hat-fields of f at the product point:
+    left-invariant frame gives (Xhat f - w_2 Zf) and (Yhat f + w_1 Zf)
+    at q = w . y_k.  As Xhat = X + q_2 Z, Yhat = Y - q_1 Z and
+    q_i = w_i + y_k,i for i = 1, 2, the w terms cancel:
 
-        X P f(w) = sum mu_k (Xhat f - w_2 Zf)(w . y_k)
-        Y P f(w) = sum mu_k (Yhat f + w_1 Zf)(w . y_k)
+        X P f(w) = sum mu_k (Xf + y_k,2 Zf)(w . y_k)
+        Y P f(w) = sum mu_k (Yf - y_k,1 Zf)(w . y_k)
+
+    Fields without an analytic gradient use centered differences.  Outer
+    rows go in blocks of _BLOCK_BYTES per array, so the temporaries stay
+    in cache.  einsum reduces each row in an order fixed by the row
+    alone (BLAS gemv does not), so the result does not depend on the
+    block size.
     """
-    parts = _hat_parts(f)
+    grad = _frame_gradient(f)
     n = outer.x.size
+    rows = max(1, _BLOCK_BYTES // (8 * inner.x.size))
     outx = np.empty(n)
     outy = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        wx = outer.x[lo:hi][:, None]
-        wy = outer.y[lo:hi][:, None]
-        wz = outer.z[lo:hi][:, None]
-        qx, qy, qz = _mul_arrays(wx, wy, wz, inner.x[None, :], inner.y[None, :], inner.z[None, :])
-        hx, hy, hz = parts(qx, qy, qz)
-        outx[lo:hi] = (hx - wy * hz) @ inner.mu
-        outy[lo:hi] = (hy + wx * hz) @ inner.mu
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        qx, qy, qz = _mul_arrays(outer.x[lo:hi, None], outer.y[lo:hi, None], outer.z[lo:hi, None],
+                                 inner.x, inner.y, inner.z)
+        gx, gy, gz = grad(qx, qy, qz)
+        outx[lo:hi] = np.einsum("ij,j->i", gx + inner.y * gz, inner.mu)
+        outy[lo:hi] = np.einsum("ij,j->i", gy - inner.x * gz, inner.mu)
     return outx, outy
 
 

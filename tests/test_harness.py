@@ -7,9 +7,12 @@ change to the measure or to the log-gradient routes to the values
 measured before them.
 """
 
+import warnings
+
+import numpy as np
 import pytest
 
-from heisenkern.harness import check_kernel_identities, estimate_A
+from heisenkern.harness import _squash, check_kernel_identities, estimate_A
 
 A_PINNED = 4.740675880
 IDENTITY_TARGETS = {
@@ -31,3 +34,12 @@ def test_kernel_identities_pinned():
         assert r.constant == IDENTITY_TARGETS[r.check]
         assert r.lhs <= 1e-8, r.check
         assert r.passed, r.check
+
+
+def test_squash_saturates_without_warnings():
+    """The sigmoid squash reaches its exact limits at +-1000 silently."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, gam = _squash(np.array([-1000.0, 1000.0]), np.ones(2))
+    assert vals.tolist() == [0.1, 0.9]
+    assert gam.tolist() == [0.0, 0.0]

@@ -450,6 +450,47 @@ def test_interpolation_variance_linear():
     assert v == pytest.approx(2.0, rel=1e-5)
 
 
+def _nested_pair(k: int = 5):
+    """(outer, inner) measures of interpolation_variance's k-th s-node at t = 1."""
+    base = heat_measure(CFG1_NESTED).base
+    s = 0.5 * (1.0 + semigroup._S_NODES[k])
+    outer, inner = (base.at(HeatOpConfig(t=u, domain_radius=base.R * math.sqrt(u), quad=NESTED))
+                    for u in (s, 1.0 - s))
+    return outer, inner
+
+
+@pytest.mark.parametrize("name", ["x", "1/(1+r^2)", "yz+x"])
+def test_grad_inner_at_independent_of_block_size(monkeypatch, name):
+    """Row blocks of 1, 7, 16 and all outer nodes give the same bits."""
+    f = next(g for g in FAMILY if g.name == name)
+    outer, inner = _nested_pair()
+    results = []
+    for rows in (1, 7, 16, outer.x.size):
+        monkeypatch.setattr(semigroup, "_BLOCK_BYTES", 8 * inner.x.size * rows)
+        results.append(semigroup._grad_inner_at(f, inner, outer))
+    for gx, gy in results[1:]:
+        assert gx.tobytes() == results[0][0].tobytes()
+        assert gy.tobytes() == results[0][1].tobytes()
+
+
+def test_grad_inner_at_difference_fallback():
+    """A field without an analytic gradient goes through centered differences."""
+    xz = poly_field({(1, 0, 1): 1.0}, "xz")
+    outer, inner = _nested_pair()
+    want = semigroup._grad_inner_at(xz, inner, outer)
+    got = semigroup._grad_inner_at(ScalarField(eval=xz.eval), inner, outer)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_interpolation_variance_xz_closed_form(t):
+    """Var_{P_t}(xz) = 10 t^3 / 3 through the nested quadrature."""
+    xz = poly_field({(1, 0, 1): 1.0}, "xz")
+    iv = interpolation_variance(xz, HeatOpConfig(t=t, quad=NESTED))
+    assert iv == pytest.approx(10.0 * t**3 / 3.0, rel=1e-5)
+
+
 def test_interpolation_variance_extremal_member():
     """Equality case: the interpolated variance of the log-kernel gradient
     is 1 at t = 1, and matches the direct variance to 1e-3 relative.
