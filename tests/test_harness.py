@@ -1,10 +1,13 @@
-"""Pinned values of the harness's kernel constants.
+"""Pinned values of the harness's kernel constants and family checks.
 
 A = int r Gamma(log h) h dx at t = 1 and the three section-3 identities
 <Gamma(log h) h> = 2, <(Xhat log h)^2 h> = 1, <Xhat log h Yhat log h h> = 0
-are computed on the coarse chart measure.  The pins hold every later
-change to the measure or to the log-gradient routes to the values
-measured before them.
+are computed on the coarse chart measure.  On the 12-member default
+family the Driver-Melcher rows, the C_1 and C_2 lower bounds and the
+uniform gradient bound |grad P_t f| <= sup|f| / sqrt(t) over the point
+grid are pinned too.  The pins hold every later change to the measure,
+the log-gradient routes or the translated-gradient quadrature to the
+values measured before them.
 """
 
 import warnings
@@ -12,7 +15,15 @@ import warnings
 import numpy as np
 import pytest
 
-from heisenkern.harness import _squash, check_kernel_identities, estimate_A
+from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
+from heisenkern.harness import (
+    _squash,
+    c_lower_detail,
+    check_cheeger_bobkov,
+    check_driver_melcher,
+    check_kernel_identities,
+    estimate_A,
+)
 
 A_PINNED = 4.740675880
 IDENTITY_TARGETS = {
@@ -20,6 +31,28 @@ IDENTITY_TARGETS = {
     "identity-xhat-sq": 1.0,
     "identity-xhat-yhat": 0.0,
 }
+C2_LOWER_PINNED = 2.041836369622563
+C1_LOWER_PINNED = 1.5352432210729223
+# lhs of the grad-bound rows: sup over the d <= 4 grid of |grad P_1 f|
+GRAD_BOUND_LHS = {
+    "bump-000": 0.017394647280977348,
+    "bump-001": 0.013604652317713416,
+    "poly-000": 4.652556209759958,
+    "poly-001": 12.197406041441287,
+    "trig-000": 0.0030365515696170234,
+    "combo-000": 6.619292168897847,
+    "combo-001": 8.19544067659731,
+    "combo-002": 12.185974405253214,
+    "combo-003": 5.044482198840217,
+    "combo-004": 8.689654763092088,
+    "combo-005": 2.031636381517358,
+    "xhat_log_h[spline]": 0.9999956690061664,
+}
+
+
+@pytest.fixture(scope="module")
+def family12():
+    return build_family(12, DEFAULT_FAMILY_SEED)
 
 
 def test_estimate_A_pinned():
@@ -43,3 +76,21 @@ def test_squash_saturates_without_warnings():
         vals, gam = _squash(np.array([-1000.0, 1000.0]), np.ones(2))
     assert vals.tolist() == [0.1, 0.9]
     assert gam.tolist() == [0.0, 0.0]
+
+
+def test_driver_melcher_rows_pass(family12):
+    rows = check_driver_melcher(family12)
+    assert len(rows) == 12
+    assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
+
+
+@pytest.mark.parametrize("p, pinned", [(2, C2_LOWER_PINNED), (1, C1_LOWER_PINNED)])
+def test_c_lower_pinned(family12, p, pinned):
+    assert c_lower_detail(p, family12).value == pytest.approx(pinned, rel=1e-9)
+
+
+def test_grad_bound_rows_pinned(family12):
+    rows = [r for r in check_cheeger_bobkov(family12, C1_working=C1_LOWER_PINNED)
+            if r.check == "grad-bound"]
+    assert {r.function: r.lhs for r in rows} == pytest.approx(GRAD_BOUND_LHS, rel=1e-12)
+    assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
