@@ -24,12 +24,13 @@ from scipy.special import ndtri
 
 from .family import TestFunctionFamily, build_family
 from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A
-from .group import GroupElement, ScalarField, gamma as gamma_at, gamma2 as gamma2_at, poly_field
+from .group import (GroupElement, ScalarField, _mul_arrays, gamma as gamma_at,
+                    gamma2 as gamma2_at, poly_field)
 # log_grad_many stays importable here: the benchmark tracer wraps it in this module
 from .kernel import CANCEL_BUDGET, log_grad_many, p1_many, p1_star_shifted  # noqa: F401
 from .mc import sample_kolmogorov
 from .numerics import QuadratureSpec
-from .semigroup import HeatOpConfig, grad_Pt_origin, heat_measure
+from .semigroup import HeatOpConfig, grad_Pt_at, grad_Pt_origin, heat_measure
 
 __all__ = [
     "SLACK_BASE",
@@ -45,7 +46,6 @@ __all__ = [
     "check_driver_melcher",
     "estimate_C_lower",
     "c_lower_detail",
-    "c_ratio",
     "check_reverse_poincare",
     "check_phi_suite",
     "check_cheeger_bobkov",
@@ -597,26 +597,6 @@ def estimate_C_lower(p: int, family: TestFunctionFamily | None = None,
     return c_lower_detail(p, family, optimizer_budget, t, abs_tol, seed).value
 
 
-def c_ratio(f: ScalarField, p: int, t: float = 1.0, abs_tol: float = 1e-6) -> float:
-    """Single-member ratio |grad P_t f|^p(0) / P_t(|grad f|^p)(0)."""
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    m = heat_measure(_harness_cfg(t, abs_tol))
-    gx, gy, gz = (np.broadcast_to(np.asarray(a, float), m.mu.shape)
-                  for a in f.analytic_gradient(m.x, m.y, m.z))
-    xv = float(np.sum(m.mu * (gx + m.y * gz)))
-    yv = float(np.sum(m.mu * (gy - m.x * gz)))
-    if p == 2:
-        num = xv * xv + yv * yv
-        den = float(np.sum(m.mu * (gx * gx + gy * gy)))
-    else:
-        num = math.hypot(xv, yv)
-        den = float(np.sum(m.mu * np.hypot(gx, gy)))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
-
-
 def constants_estimate(family: TestFunctionFamily | None = None,
                        optimizer_budget: int = 16, abs_tol: float = 1e-6,
                        seed: int = 7) -> ConstantEstimate:
@@ -735,24 +715,6 @@ def _grad_grid(d_max: float = 4.0):
     return arr
 
 
-def _grad_Pt_at(f: ScalarField, measure, wpt) -> tuple:
-    """(X P_t f, Y P_t f)(w) and max |f| over the shifted nodes.
-
-    Moves the derivative through the left translation: the conjugated
-    right-invariant fields pick up -w2 Zf and +w1 Zf corrections.
-    """
-    w1, w2, w3 = wpt
-    qx = w1 + measure.x
-    qy = w2 + measure.y
-    qz = w3 + measure.z + 0.5 * (w1 * measure.y - w2 * measure.x)
-    vals = np.asarray(f.eval(qx, qy, qz), dtype=float)
-    gx, gy, gz = (np.asarray(a, dtype=float) for a in f.analytic_gradient(qx, qy, qz))
-    xv = float(np.sum(measure.mu * (gx + qy * gz - w2 * gz)))
-    yv = float(np.sum(measure.mu * (gy - qx * gz + w1 * gz)))
-    sup = float(np.max(np.abs(vals))) if vals.shape else abs(float(vals))
-    return xv, yv, sup
-
-
 def _grad_Pt_panel(ctx: _MemberCtx, wpt, t: float) -> tuple:
     """(X P_t f, Y P_t f)(w) for a compact member over its own panel.
 
@@ -827,16 +789,15 @@ def check_cheeger_bobkov(family: TestFunctionFamily, t: float = 1.0,
 
     grid = _grad_grid()
     chart = heat_measure(cfg)
+    shifted = _mul_arrays(grid[:, :1], grid[:, 1:2], grid[:, 2:], chart.x, chart.y, chart.z)
     for ctx in ctxs:
-        worst = 0.0
         sup_f = float(np.max(np.abs(ctx.vals)))
-        for wpt in grid:
-            if ctx.compact:
-                xv, yv = _grad_Pt_panel(ctx, wpt, t)
-            else:
-                xv, yv, sup = _grad_Pt_at(ctx.f, chart, wpt)
-                sup_f = max(sup_f, sup)
-            worst = max(worst, math.hypot(xv, yv))
+        if ctx.compact:
+            worst = max(math.hypot(*_grad_Pt_panel(ctx, wpt, t)) for wpt in grid)
+        else:
+            xv, yv = grad_Pt_at(ctx.f, chart, *grid.T)
+            worst = float(np.max(np.hypot(xv, yv)))
+            sup_f = max(sup_f, float(np.max(np.abs(ctx.f.eval(*shifted)))))
         rows.append(_report("grad-bound", ctx.name, worst, sup_f / st, 1.0 / st,
                             budget=_check_budget(ctx),
                             note="sup norm taken over all visited points; a lower "
@@ -1123,10 +1084,6 @@ _CUBICS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
            if 1 <= i + j + k <= 3]
 
 
-def _poly_scale(p: dict, c: float) -> dict:
-    return {m: c * v for m, v in p.items()}
-
-
 def _poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for m, v in b.items():
@@ -1207,12 +1164,16 @@ def demonstrate_gamma2_unbounded(target: float = -1e3, seed: int = 5,
                                  n_points: int = 12) -> InequalityReport:
     """Exhibit a cubic f and a point with Gamma_2/Gamma below ``target``.
 
-    At a fixed point both forms are quadratic in the coefficients, so
-    the search takes the best Gamma-positive direction and pushes along
-    a Gamma-null direction whose cross term with it lowers Gamma_2
-    without feeding Gamma; the amount of push needed for the target is
-    solved directly.  The witness is re-evaluated through the generic
-    finite-difference Gamma_2 as an independent cross-check.
+    At a fixed point both forms are quadratic in the coefficients.  The
+    search takes the Gamma-positive direction c_r of least Gamma_2 and
+    diagonalises Gamma_2 on the Gamma-null space.  Its flat part (zero
+    eigenvalues) adds nothing to Gamma or to the quadratic term of
+    Gamma_2, so pushing c_r along the flat vector that couples most to
+    it lowers Gamma_2/Gamma linearly, without bound; the push is solved
+    to reach 1.2 x the target.  At the origin, f = x + M yz is such a
+    witness: Gamma = 1 and Gamma_2 = -2M.  The witness is re-evaluated
+    through the generic finite-difference Gamma_2 as an independent
+    cross-check.
     """
     rng = np.random.default_rng(int(seed))
     pts = [(1.0, 0.0, 0.0), (0.5, -0.5, 0.2)]
@@ -1233,21 +1194,21 @@ def demonstrate_gamma2_unbounded(target: float = -1e3, seed: int = 5,
         M = W.T @ Q2 @ W
         ev, evec = np.linalg.eigh(0.5 * (M + M.T))
         c_r = W @ evec[:, 0]                     # Gamma(c_r) = 1 at pt
-        cross = null.T @ (Q2 @ c_r)
-        k = int(np.argmax(np.abs(cross)))
-        if abs(cross[k]) < 1e-9:
-            cand = (float(ev[0]), c_r, pt, Qg, Q2)
+        D = null.T @ Q2 @ null
+        dv, dU = np.linalg.eigh(0.5 * (D + D.T))
+        flat = null @ dU[:, np.abs(dv) <= 1e-9 * max(float(np.max(np.abs(dv))), 1.0)]
+        cross = flat.T @ (Q2 @ c_r)
+        b = -float(np.linalg.norm(cross))
+        a = float(c_r @ Q2 @ c_r)
+        if b > -1e-9:
+            cand = (a, c_r, pt, Qg, Q2)
         else:
-            nvec = null[:, k] * (-np.sign(cross[k]))
-            d = float(nvec @ Q2 @ nvec)
-            a = float(c_r @ Q2 @ c_r)
-            b = float(nvec @ Q2 @ c_r)           # b < 0 by construction
+            nvec = flat @ cross / b              # unit, nvec Q2 c_r = b < 0
+            d = float(nvec @ Q2 @ nvec)          # zero up to rounding
             # ratio(s) = a + 2 b s + d s^2 over Gamma = 1; push only as
             # deep as the target needs so Gamma stays off the filter floor
-            depth = (1.2 * abs(target) + abs(a)) / (2.0 * abs(b))
-            s = depth if d <= 0.0 else min(-b / d, depth)
-            ratio = a + 2.0 * b * s + d * s * s
-            cand = (float(ratio), c_r + s * nvec, pt, Qg, Q2)
+            s = (1.2 * abs(target) + abs(a)) / (2.0 * abs(b))
+            cand = (a + 2.0 * b * s + d * s * s, c_r + s * nvec, pt, Qg, Q2)
         if cand[0] < best[0]:
             best = cand
 

@@ -37,6 +37,7 @@ __all__ = [
     "apply_Pt",
     "apply_Pt_many",
     "variance",
+    "grad_Pt_at",
     "grad_Pt_origin",
     "entropy_phi",
     "interpolation_variance",
@@ -52,8 +53,8 @@ _NESTED_ABS_TOL = 1e-4
 
 _ORIGIN = GroupElement(0.0, 0.0, 0.0)
 
-# bytes of one (outer rows x inner nodes) array in _grad_inner_at: 16 rows
-# of the 3,072-node nested tier.  About ten such temporaries are live per
+# bytes of one (points x nodes) array of translated nodes: 16 points at
+# the 3,072-node nested tier.  About ten such temporaries are live per
 # block, which keeps them inside a 4 MiB L2 cache.
 _BLOCK_BYTES = 384 << 10
 
@@ -212,25 +213,38 @@ def _values_at(f: ScalarField, measure: HeatMeasure, x: GroupElement) -> np.ndar
     return np.broadcast_to(vals, measure.mu.shape)
 
 
+def _translated_nodes(measure: HeatMeasure, x, y, z):
+    """The measure's nodes left-translated by the points (x, y, z), in blocks.
+
+    Yields (rows, qx, qy, qz): for the points in slice ``rows``,
+    q[i, k] = (x_i, y_i, z_i) . y_k.  A block holds about _BLOCK_BYTES
+    per array, so the temporaries built from it stay in cache.
+    """
+    x, y, z = (np.asarray(a, dtype=float).reshape(-1) for a in (x, y, z))
+    step = max(1, _BLOCK_BYTES // (8 * measure.x.size))
+    for lo in range(0, x.size, step):
+        rows = slice(lo, lo + step)
+        yield (rows, *_mul_arrays(x[rows, None], y[rows, None], z[rows, None],
+                                  measure.x, measure.y, measure.z))
+
+
 def apply_Pt(f: ScalarField, cfg: HeatOpConfig, x: GroupElement = _ORIGIN) -> float:
     """P_t f(x) = sum mu_k f(x . y_k)."""
-    measure = heat_measure(cfg)
-    return float(np.dot(measure.mu, _values_at(f, measure, x)))
+    return float(apply_Pt_many(f, cfg, [x.x, x.y, x.z])[0])
 
 
-def apply_Pt_many(f: ScalarField, cfg: HeatOpConfig, xs, chunk: int = 256) -> np.ndarray:
-    """P_t f at many points (rows of ``xs``) against one cached measure."""
+def apply_Pt_many(f: ScalarField, cfg: HeatOpConfig, xs) -> np.ndarray:
+    """P_t f at many points (rows of ``xs``) against one cached measure.
+
+    einsum reduces each point's row in an order fixed by the row alone
+    (BLAS gemv does not), so a value does not depend on its batch.
+    """
     measure = heat_measure(cfg)
     xs = np.asarray(xs, dtype=float).reshape(-1, 3)
     out = np.empty(xs.shape[0])
-    for lo in range(0, xs.shape[0], chunk):
-        hi = min(lo + chunk, xs.shape[0])
-        qx, qy, qz = _mul_arrays(
-            xs[lo:hi, 0][:, None], xs[lo:hi, 1][:, None], xs[lo:hi, 2][:, None],
-            measure.x[None, :], measure.y[None, :], measure.z[None, :],
-        )
+    for rows, qx, qy, qz in _translated_nodes(measure, *xs.T):
         vals = np.broadcast_to(np.asarray(f.eval(qx, qy, qz), dtype=float), qx.shape)
-        out[lo:hi] = vals @ measure.mu
+        out[rows] = np.einsum("ij,j->i", vals, measure.mu)
     return out
 
 
@@ -285,8 +299,10 @@ def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str = "hat-transfer
 
     fd            centered differences of apply_Pt along the X and Y
                   integral curves through 0;
-    hat-transfer  apply_Pt of the right-invariant derivatives Xhat f,
-                  Yhat f (they commute with the convolution);
+    hat-transfer  P_t of the right-invariant derivatives Xhat f, Yhat f
+                  (they commute with the convolution), which is
+                  :func:`grad_Pt_at` at the origin: there Xhat f(y_k) =
+                  (Xf + y_k,2 Zf)(y_k), likewise Yhat;
     ibp           moves the derivative onto the kernel:
                   -sum mu_k f(y_k) (Xhat log p_t)(y_k), likewise Yhat.
     """
@@ -296,10 +312,8 @@ def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str = "hat-transfer
         v = apply_Pt_many(f, cfg, pts)
         return (v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / (2.0 * h)
     if route == "hat-transfer":
-        return (
-            apply_Pt(derived_field("Xhat", f), cfg),
-            apply_Pt(derived_field("Yhat", f), cfg),
-        )
+        gx, gy = grad_Pt_at(f, heat_measure(cfg), 0.0, 0.0, 0.0)
+        return float(gx[0]), float(gy[0])
     if route == "ibp":
         measure = heat_measure(cfg)
         gx, gy = measure.hat_log_grad()
@@ -319,35 +333,29 @@ def _frame_gradient(f: ScalarField):
     return lambda x, y, z: (fx.eval(x, y, z), fy.eval(x, y, z), fz.eval(x, y, z))
 
 
-def _grad_inner_at(f: ScalarField, inner: HeatMeasure, outer: HeatMeasure):
-    """X and Y frame components of grad P_{inner.cfg.t} f at the outer nodes.
+def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
+    """(X P_t f, Y P_t f) at the points (x, y, z), with t = measure.cfg.t.
 
-    Differentiating P f(w) = sum mu_k f(w . y_k) in w along the
+    Differentiating P_t f(w) = sum mu_k f(w . y_k) in w along the
     left-invariant frame gives (Xhat f - w_2 Zf) and (Yhat f + w_1 Zf)
     at q = w . y_k.  As Xhat = X + q_2 Z, Yhat = Y - q_1 Z and
     q_i = w_i + y_k,i for i = 1, 2, the w terms cancel:
 
-        X P f(w) = sum mu_k (Xf + y_k,2 Zf)(w . y_k)
-        Y P f(w) = sum mu_k (Yf - y_k,1 Zf)(w . y_k)
+        X P_t f(w) = sum mu_k (Xf + y_k,2 Zf)(w . y_k)
+        Y P_t f(w) = sum mu_k (Yf - y_k,1 Zf)(w . y_k)
 
-    Fields without an analytic gradient use centered differences.  Outer
-    rows go in blocks of _BLOCK_BYTES per array, so the temporaries stay
-    in cache.  einsum reduces each row in an order fixed by the row
-    alone (BLAS gemv does not), so the result does not depend on the
-    block size.
+    Fields without an analytic gradient use centered differences.  Both
+    components come back as arrays, one entry per point.  einsum
+    reduces each point's row in an order fixed by the row alone, so the
+    result does not depend on the block size or on the other points.
     """
     grad = _frame_gradient(f)
-    n = outer.x.size
-    rows = max(1, _BLOCK_BYTES // (8 * inner.x.size))
-    outx = np.empty(n)
-    outy = np.empty(n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        qx, qy, qz = _mul_arrays(outer.x[lo:hi, None], outer.y[lo:hi, None], outer.z[lo:hi, None],
-                                 inner.x, inner.y, inner.z)
+    outx = np.empty(np.size(x))
+    outy = np.empty(np.size(x))
+    for rows, qx, qy, qz in _translated_nodes(measure, x, y, z):
         gx, gy, gz = grad(qx, qy, qz)
-        outx[lo:hi] = np.einsum("ij,j->i", gx + inner.y * gz, inner.mu)
-        outy[lo:hi] = np.einsum("ij,j->i", gy - inner.x * gz, inner.mu)
+        outx[rows] = np.einsum("ij,j->i", gx + measure.y * gz, measure.mu)
+        outy[rows] = np.einsum("ij,j->i", gy - measure.x * gz, measure.mu)
     return outx, outy
 
 
@@ -375,6 +383,6 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
         tau = t - s
         outer = base.at(HeatOpConfig(t=s, domain_radius=base.R * math.sqrt(s), quad=coarse))
         inner = base.at(HeatOpConfig(t=tau, domain_radius=base.R * math.sqrt(tau), quad=coarse))
-        gx, gy = _grad_inner_at(f, inner, outer)
+        gx, gy = grad_Pt_at(f, inner, outer.x, outer.y, outer.z)
         total += 0.5 * t * sw * float(np.dot(outer.mu, gx * gx + gy * gy))
     return 2.0 * total

@@ -8,20 +8,29 @@ uniform gradient bound |grad P_t f| <= sup|f| / sqrt(t) over the point
 grid are pinned too.  The pins hold every later change to the measure,
 the log-gradient routes or the translated-gradient quadrature to the
 values measured before them.
+
+The Gamma_2 witness search and the Gaussian isoperimetric profile behind
+the Bobkov rows are checked against closed forms.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
+from heisenkern.group import GroupElement, gamma, gamma2, poly_field
 from heisenkern.harness import (
+    _CUBICS,
+    _gamma2_forms,
+    _gauss_isop,
     _squash,
     c_lower_detail,
     check_cheeger_bobkov,
     check_driver_melcher,
     check_kernel_identities,
+    demonstrate_gamma2_unbounded,
     estimate_A,
 )
 
@@ -94,3 +103,49 @@ def test_grad_bound_rows_pinned(family12):
             if r.check == "grad-bound"]
     assert {r.function: r.lhs for r in rows} == pytest.approx(GRAD_BOUND_LHS, rel=1e-12)
     assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
+
+
+def test_gamma2_search_reaches_target():
+    rep = demonstrate_gamma2_unbounded()
+    assert rep.passed, rep.note
+    assert rep.lhs <= -1e3
+
+
+@pytest.mark.parametrize("M", [1.0, 10.0, 1e3])
+def test_gamma2_witness_at_origin(M):
+    """f = x + M yz at 0: Xf = 1, Yf = 0, and Gamma_2 = -2M, from
+    group.gamma2 and from the harness's quadratic forms alike."""
+    f = poly_field({(1, 0, 0): 1.0, (0, 1, 1): M})
+    origin = GroupElement(0.0, 0.0, 0.0)
+    assert gamma(f, f, origin) == pytest.approx(1.0, rel=1e-9)
+    assert gamma2(f, origin) == pytest.approx(-2.0 * M, rel=1e-6)
+    c = np.array([{(1, 0, 0): 1.0, (0, 1, 1): M}.get(m, 0.0) for m in _CUBICS])
+    Qg, Q2 = _gamma2_forms((0.0, 0.0, 0.0))
+    assert c @ Qg @ c == pytest.approx(1.0, rel=1e-12)
+    assert c @ Q2 @ c == pytest.approx(-2.0 * M, rel=1e-12)
+
+
+PHI_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)     # standard normal density at 1
+CDF_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))  # standard normal cdf at 1
+
+
+def test_gauss_isop_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = _gauss_isop(np.array([0.0, 1.0]))
+    assert ends.tolist() == [0.0, 0.0]
+    assert float(_gauss_isop(0.5)) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
+    assert float(_gauss_isop(CDF_1)) == pytest.approx(PHI_1, abs=1e-10)
+
+
+def test_gauss_isop_ode():
+    """I I'' = -1 by centered second differences on [0.02, 0.98]."""
+    u = np.linspace(0.02, 0.98, 200)
+    h = 1e-4
+    second = (_gauss_isop(u + h) - 2.0 * _gauss_isop(u) + _gauss_isop(u - h)) / h**2
+    assert np.max(np.abs(_gauss_isop(u) * second + 1.0)) < 1e-3
+
+
+def test_gauss_isop_above_u_one_minus_u():
+    u = np.linspace(0.0, 1.0, 101)
+    assert np.all(_gauss_isop(u) >= u * (1.0 - u))

@@ -1,4 +1,4 @@
-"""Quadrature, Gaussian profile, root finding, and minimiser tests.
+"""Quadrature tests: panel rules, adaptive and decaying-tail integration.
 
 Expected values are frozen from independent oracles (series expansions,
 closed forms) computed separately from the code under test.
@@ -8,22 +8,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from heisenkern.numerics import (
-    BracketError,
-    GaussianIsoFn,
     QuadratureError,
     QuadratureSpec,
-    find_root_monotone,
-    gaussian_cdf,
-    gaussian_pdf,
-    gaussian_quantile,
     integrate_1d,
     integrate_decaying,
-    isoperimetric_I,
-    minimize_derivative_free,
 )
 
 # Oracle: int_0^1 x/sinh(x) dx from the expansion x/sinh x = 2 sum_k x e^{-(2k+1)x},
@@ -36,9 +26,6 @@ PI2_OVER_4 = math.pi**2 / 4.0
 
 # Closed form: int_0^infty cos(5 l) e^{-l} dl = 1/(1+25).
 COS5_EXP = 1.0 / 26.0
-
-# Quadrature oracle for the defining integral of the normal cdf at 1.
-CDF_AT_1 = 0.8413447460685429
 
 
 class TestQuadratureSpec:
@@ -124,108 +111,3 @@ class TestIntegrateDecaying:
     def test_decay_rate_validation(self):
         with pytest.raises(ValueError):
             integrate_decaying(lambda x: np.exp(-x), 0.0)
-
-
-class TestRootFinding:
-    def test_simple_root(self):
-        root = find_root_monotone(lambda x: x - 2.0, 0.0, 5.0, tol=1e-13)
-        assert root == pytest.approx(2.0, abs=1e-12)
-
-    def test_no_bracket(self):
-        with pytest.raises(BracketError):
-            find_root_monotone(lambda x: x + 10.0, 0.0, 1.0)
-
-    @given(st.floats(min_value=-4.0, max_value=4.0))
-    @settings(max_examples=30, deadline=None)
-    def test_recovers_affine_root(self, r):
-        root = find_root_monotone(lambda x: x - r, -5.0, 5.0, tol=1e-12)
-        assert abs(root - r) < 1e-11
-
-
-class TestGaussian:
-    def test_cdf_against_defining_integral(self):
-        # oracle: 1/2 + int_0^1 pdf, evaluated by the adaptive integrator
-        tail, _ = integrate_1d(lambda t: gaussian_pdf(t), 0.0, 1.0)
-        assert 0.5 + tail == pytest.approx(CDF_AT_1, abs=1e-12)
-        assert gaussian_cdf(1.0) == pytest.approx(CDF_AT_1, abs=1e-13)
-
-    def test_cdf_symmetry_and_tails(self):
-        ts = np.array([-8.0, -3.5, -1.0, 0.0, 0.5, 2.0, 6.0, 9.0])
-        vals = gaussian_cdf(ts)
-        np.testing.assert_allclose(vals + gaussian_cdf(-ts), 1.0, atol=1e-15)
-        # deep tail: compare against the asymptotic-free continued fraction
-        assert gaussian_cdf(-9.0) == pytest.approx(1.1285884059538408e-19, rel=1e-10)
-
-    def test_quantile_roundtrip_grid(self):
-        tol = 1e-12
-        xs = np.linspace(-5.0, 5.0, 41)
-        ps = gaussian_cdf(xs)
-        back = gaussian_quantile(ps, quantile_tol=tol)
-        assert np.max(np.abs(gaussian_cdf(back) - ps)) <= 10.0 * tol
-
-    @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
-    @settings(max_examples=40, deadline=None)
-    def test_quantile_inverts_cdf(self, p):
-        x = gaussian_quantile(p)
-        assert gaussian_cdf(x) == pytest.approx(p, abs=1e-11)
-
-    def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.1, 1.7):
-            with pytest.raises(ValueError):
-                gaussian_quantile(bad)
-
-
-class TestIsoperimetricProfile:
-    def test_endpoint_and_center_values(self):
-        assert isoperimetric_I(0.0) == 0.0
-        assert isoperimetric_I(1.0) == 0.0
-        assert isoperimetric_I(0.5) == pytest.approx(0.3989422804014327, abs=1e-12)
-        assert isoperimetric_I(CDF_AT_1) == pytest.approx(0.24197072451914337, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            isoperimetric_I(-0.01)
-        with pytest.raises(ValueError):
-            isoperimetric_I(1.01)
-
-    def test_profile_ode_residual(self):
-        # I * I'' = -1 via centered second differences, interior grid
-        iso = GaussianIsoFn()
-        u = np.linspace(0.02, 0.98, 200)
-        h = 1e-4
-        second = (iso(u + h) - 2.0 * iso(u) + iso(u - h)) / h**2
-        residual = iso(u) * second + 1.0
-        assert np.max(np.abs(residual)) < 1e-3
-
-    def test_lower_bound_u_one_minus_u(self):
-        u = np.linspace(0.0, 1.0, 101)
-        assert np.all(isoperimetric_I(u) >= u * (1.0 - u) - 1e-12)
-
-
-class TestMinimizer:
-    def test_rosenbrock(self):
-        def rosen(v):
-            x, y = v
-            return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
-
-        best_x, best_f = minimize_derivative_free(rosen, [-1.0, 1.0], budget=5000)
-        assert best_f < 1e-4
-        np.testing.assert_allclose(best_x, [1.0, 1.0], atol=0.05)
-
-    def test_deterministic(self):
-        def noisy_bowl(v):
-            return float(np.sum(v**2) + 0.1 * np.sin(23.0 * v[0]))
-
-        a = minimize_derivative_free(noisy_bowl, [2.0, -1.5], budget=800)
-        b = minimize_derivative_free(noisy_bowl, [2.0, -1.5], budget=800)
-        assert a[1] == b[1]
-        np.testing.assert_array_equal(a[0], b[0])
-
-    def test_nan_rejection(self):
-        def partial(v):
-            if v[0] < 0:
-                return float("nan")
-            return (v[0] - 2.0) ** 2 + v[1] ** 2
-
-        _, best_f = minimize_derivative_free(partial, [3.0, 1.0], budget=600)
-        assert best_f < 1e-6

@@ -30,6 +30,7 @@ from heisenkern.semigroup import (
     apply_Pt,
     apply_Pt_many,
     entropy_phi,
+    grad_Pt_at,
     grad_Pt_origin,
     heat_measure,
     interpolation_variance,
@@ -199,8 +200,19 @@ def test_apply_many_matches_scalar():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 0.3], [-2.0, 1.0, -1.0]])
     many = apply_Pt_many(f, CFG1_COARSE, pts)
     for row, want in zip(pts, many):
-        got = apply_Pt(f, CFG1_COARSE, GroupElement(*row))
-        assert got == pytest.approx(want, abs=1e-14)
+        assert apply_Pt(f, CFG1_COARSE, GroupElement(*row)) == want
+
+
+def test_apply_many_independent_of_batch():
+    """One call on 300 points, 300 one-point calls and apply_Pt agree bit for bit."""
+    f = poly_field({(1, 0, 1): 1.0, (0, 2, 0): 0.3}, "xz+0.3y^2")
+    cfg = HeatOpConfig(t=0.5, quad=COARSE)
+    pts = np.random.default_rng(11).uniform(-2.0, 2.0, size=(300, 3))
+    batch = apply_Pt_many(f, cfg, pts)
+    single = np.concatenate([apply_Pt_many(f, cfg, row) for row in pts])
+    scalar = np.array([apply_Pt(f, cfg, GroupElement(*row)) for row in pts])
+    assert single.tobytes() == batch.tobytes()
+    assert scalar.tobytes() == batch.tobytes()
 
 
 def test_config_validation():
@@ -461,13 +473,14 @@ def _nested_pair(k: int = 5):
 
 @pytest.mark.parametrize("name", ["x", "1/(1+r^2)", "yz+x"])
 def test_grad_inner_at_independent_of_block_size(monkeypatch, name):
-    """Row blocks of 1, 7, 16 and all outer nodes give the same bits."""
+    """grad_Pt_at of the inner measure at the outer nodes: row blocks of
+    1, 7, 16 and all outer nodes give the same bits."""
     f = next(g for g in FAMILY if g.name == name)
     outer, inner = _nested_pair()
     results = []
     for rows in (1, 7, 16, outer.x.size):
         monkeypatch.setattr(semigroup, "_BLOCK_BYTES", 8 * inner.x.size * rows)
-        results.append(semigroup._grad_inner_at(f, inner, outer))
+        results.append(grad_Pt_at(f, inner, outer.x, outer.y, outer.z))
     for gx, gy in results[1:]:
         assert gx.tobytes() == results[0][0].tobytes()
         assert gy.tobytes() == results[0][1].tobytes()
@@ -477,8 +490,8 @@ def test_grad_inner_at_difference_fallback():
     """A field without an analytic gradient goes through centered differences."""
     xz = poly_field({(1, 0, 1): 1.0}, "xz")
     outer, inner = _nested_pair()
-    want = semigroup._grad_inner_at(xz, inner, outer)
-    got = semigroup._grad_inner_at(ScalarField(eval=xz.eval), inner, outer)
+    want = grad_Pt_at(xz, inner, outer.x, outer.y, outer.z)
+    got = grad_Pt_at(ScalarField(eval=xz.eval), inner, outer.x, outer.y, outer.z)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
 
