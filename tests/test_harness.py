@@ -3,11 +3,11 @@
 A = int r Gamma(log h) h dx at t = 1 and the three section-3 identities
 <Gamma(log h) h> = 2, <(Xhat log h)^2 h> = 1, <Xhat log h Yhat log h h> = 0
 are computed on the coarse chart measure.  On the 12-member default
-family the Driver-Melcher rows, the C_1 and C_2 lower bounds and the
-uniform gradient bound |grad P_t f| <= sup|f| / sqrt(t) over the point
-grid are pinned too.  The pins hold every later change to the measure,
-the log-gradient routes or the translated-gradient quadrature to the
-values measured before them.
+family the Driver-Melcher and reverse-Poincare rows, the C_1 and C_2
+lower bounds and the uniform gradient bound |grad P_t f| <= sup|f| /
+sqrt(t) over the point grid are pinned too.  The pins hold every later
+change to the measure, the log-gradient routes or the
+translated-gradient quadrature to the values measured before them.
 
 The Gamma_2 witness search and the Gaussian isoperimetric profile behind
 the Bobkov rows are checked against closed forms.
@@ -29,6 +29,7 @@ from heisenkern.harness import (
     c_lower_detail,
     check_cheeger_bobkov,
     check_driver_melcher,
+    check_reverse_poincare,
     check_kernel_identities,
     demonstrate_gamma2_unbounded,
     estimate_A,
@@ -56,6 +57,22 @@ GRAD_BOUND_LHS = {
     "combo-004": 8.689654763092088,
     "combo-005": 2.031636381517358,
     "xhat_log_h[spline]": 0.9999956690061664,
+}
+# (lhs, rhs) of the reverse-Poincare rows: t Gamma(P_t f)(0) against
+# P_t(f^2)(0) - (P_t f(0))^2 at t = 1; f* is the equality case
+REVERSE_POINCARE = {
+    "bump-000": (0.00014749600945642013, 0.00594519468799347),
+    "bump-001": (0.00012118891417410056, 0.011594735482022936),
+    "poly-000": (3.1460727413762077, 9.375512402900544),
+    "poly-001": (16.530745990277364, 55.10248070376143),
+    "trig-000": (3.076278888313698e-06, 0.003507925784581242),
+    "combo-000": (5.47498848034136, 17.339981951386466),
+    "combo-001": (7.748474757548289, 25.39974235373406),
+    "combo-002": (16.529411888382153, 55.05357787366865),
+    "combo-003": (3.064120755667057, 9.858687150276388),
+    "combo-004": (9.251963873161941, 29.546947424917946),
+    "combo-005": (1.335062356165628, 3.135538588806051),
+    "xhat_log_h[spline]": (0.9999913382807825, 0.999992595550786),
 }
 
 
@@ -90,6 +107,15 @@ def test_squash_saturates_without_warnings():
 def test_driver_melcher_rows_pass(family12):
     rows = check_driver_melcher(family12)
     assert len(rows) == 12
+    assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
+
+
+def test_reverse_poincare_rows_pinned(family12):
+    rows = check_reverse_poincare(family12)
+    got = {r.function: (r.lhs, r.rhs) for r in rows}
+    assert list(got) == list(REVERSE_POINCARE)
+    for name, (lhs, rhs) in REVERSE_POINCARE.items():
+        assert got[name] == pytest.approx((lhs, rhs), rel=1e-12), name
     assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
 
 
