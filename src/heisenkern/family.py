@@ -7,12 +7,13 @@ linear combinations, and the distinguished equality-case field
 Xhat(log h) as the last member.  Every member carries an exact frame
 gradient, which the verification harness relies on for Gamma terms.
 
-Compact members also carry a coordinate bounding box of their support;
-the harness integrates them on their own box (plus an exact outside
-term, the integrand being identically zero there) instead of forcing a
-global grid to resolve every bump.  Combinations pair members of the
-same kind class, compact with compact and polynomial with polynomial,
-so each combination again has either a box or polynomial growth.
+Compact members also carry the mollifier frames (atoms) of their
+support; the harness integrates them over those frames (plus an exact
+outside term, the integrand being identically zero there) instead of
+forcing a global grid to resolve every bump.  Combinations pair members
+of the same kind class, compact with compact (on disjoint support
+boxes) and polynomial with polynomial, so each combination again has
+either atoms or polynomial growth.
 """
 
 from __future__ import annotations
@@ -197,11 +198,6 @@ def combine_fields(parts: Sequence[ScalarField], coeffs, name: str) -> ScalarFie
     return ScalarField(eval=ev, analytic_gradient=grad, name=name)
 
 
-def _union_box(a: tuple, b: tuple) -> tuple:
-    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]),
-            max(a[3], b[3]), min(a[4], b[4]), max(a[5], b[5]))
-
-
 def boxes_disjoint(a: tuple, b: tuple) -> bool:
     return any(a[2 * k + 1] <= b[2 * k] or b[2 * k + 1] <= a[2 * k]
                for k in range(3))
@@ -209,47 +205,20 @@ def boxes_disjoint(a: tuple, b: tuple) -> bool:
 
 @dataclass(frozen=True)
 class TestFunctionFamily:
-    """Members plus the construction parameters that produced them.
+    """Members plus the construction data the harness reads.
 
-    ``boxes`` maps each member name to its support bounding box in lab
-    coordinates, or None for members of polynomial growth (no compact
-    support).  ``atoms`` lists the (center, width, vert) mollifier
-    frames making up a compact member; integrating in those offset
-    frames keeps the support a well-proportioned box instead of the
-    thin sheared slab it is in lab coordinates.
+    ``atoms`` lists the (center, width, vert) mollifier frames making up
+    a compact member, or None for members of polynomial growth (no
+    compact support); integrating in those offset frames keeps the
+    support a well-proportioned box instead of the thin sheared slab it
+    is in lab coordinates.
     """
 
     members: tuple
     seed: int
-    bump_params: tuple      # (center, width, vert) per bump or trig carrier
-    poly_degrees: tuple
-    wavenumbers: tuple      # (k1, k2, k3) per modulated bump
     combo_index: dict       # member name -> (part names, coeffs)
     kinds: dict             # member name -> bump | poly | trig | combo | fstar
-    boxes: dict             # member name -> box tuple or None
     atoms: dict             # member name -> ((center, width, vert), ...) or None
-
-    def __len__(self):
-        return len(self.members)
-
-    def by_name(self, name: str) -> ScalarField:
-        for m in self.members:
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
-    @property
-    def fstar(self) -> ScalarField:
-        return self.members[-1]
-
-    def subset(self, names: Sequence[str]) -> "TestFunctionFamily":
-        """Family view restricted to ``names``, metadata carried along."""
-        wanted = [self.by_name(n) for n in names]
-        return TestFunctionFamily(
-            members=tuple(wanted), seed=self.seed, bump_params=self.bump_params,
-            poly_degrees=self.poly_degrees, wavenumbers=self.wavenumbers,
-            combo_index=self.combo_index, kinds=self.kinds, boxes=self.boxes,
-            atoms=self.atoms)
 
 
 def _draw_center(rng) -> tuple:
@@ -308,9 +277,8 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
 
     members = []
     kinds = {}
-    boxes = {}
+    boxes = {}              # support box of each bump and trig member
     atoms = {}
-    bump_params = []
     for i in range(n_bump):
         center = _draw_center(rng)
         width = float(rng.uniform(_WIDTH_LO, _WIDTH_HI))
@@ -318,22 +286,17 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
         if support_radius_bound(center, width, vert) > _SUPPORT_D_MAX:
             raise AssertionError("draw windows violate the support bound")
         name = f"bump-{i:03d}"
-        bump_params.append((center, width, vert))
         members.append(bump_field(center, width, vert, name=name))
         kinds[name] = "bump"
         boxes[name] = support_box(center, width, vert)
         atoms[name] = ((center, width, vert),)
 
-    poly_degrees = []
     for i in range(n_poly):
         f = _draw_poly(rng, i)
-        poly_degrees.append(3)
         members.append(f)
         kinds[f.name] = "poly"
-        boxes[f.name] = None
         atoms[f.name] = None
 
-    wavenumbers = []
     for i in range(n_trig):
         center = _draw_center(rng)
         width = float(rng.uniform(_WIDTH_LO, _WIDTH_HI))
@@ -343,8 +306,6 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
             k = rng.uniform(-_WAVENUMBER_MAX, _WAVENUMBER_MAX, size=3)
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         name = f"trig-{i:03d}"
-        wavenumbers.append(tuple(float(c) for c in k))
-        bump_params.append((center, width, vert))
         members.append(_modulated_bump(center, width, vert, k, phase, name=name))
         kinds[name] = "trig"
         boxes[name] = support_box(center, width, vert)
@@ -354,8 +315,8 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
     # supported or of polynomial growth; compact pairs are restricted
     # to disjoint support boxes so a combination integrates as two
     # independent mollifier frames (no sheared overlap region to grid)
-    compact = [m for m in members if boxes[m.name] is not None]
-    polys = [m for m in members if boxes[m.name] is None]
+    compact = [m for m in members if m.name in boxes]
+    polys = [m for m in members if m.name not in boxes]
     disjoint_pairs = [(i, j) for i in range(len(compact))
                       for j in range(i + 1, len(compact))
                       if boxes_disjoint(boxes[compact[i].name], boxes[compact[j].name])]
@@ -375,27 +336,17 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
         combo_index[name] = ((pa.name, pb.name), (ca, cb))
         members.append(combine_fields([pa, pb], [ca, cb], name))
         kinds[name] = "combo"
-        if i < n_compact_combo:
-            boxes[name] = _union_box(boxes[pa.name], boxes[pb.name])
-            atoms[name] = atoms[pa.name] + atoms[pb.name]
-        else:
-            boxes[name] = None
-            atoms[name] = None
+        atoms[name] = atoms[pa.name] + atoms[pb.name] if i < n_compact_combo else None
 
     fstar = xhat_log_h_field(method="spline")
     members.append(fstar)
     kinds[fstar.name] = "fstar"
-    boxes[fstar.name] = None
     atoms[fstar.name] = None
 
     return TestFunctionFamily(
         members=tuple(members),
         seed=int(seed),
-        bump_params=tuple(bump_params),
-        poly_degrees=tuple(poly_degrees),
-        wavenumbers=tuple(wavenumbers),
         combo_index=combo_index,
         kinds=kinds,
-        boxes=boxes,
         atoms=atoms,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 
 import numpy as np
 from scipy import linalg, optimize
@@ -199,21 +200,18 @@ def check_kernel_identities(abs_tol: float = 1e-6) -> list:
 _P1TAB_R = 8.0
 _P1TAB_Z = 9.0
 _P1TAB_STEP = 0.025
-_P1TAB = None
 
 
+@cache
 def _p1_table():
-    global _P1TAB
-    if _P1TAB is None:
-        from scipy.interpolate import RectBivariateSpline
+    from scipy.interpolate import RectBivariateSpline
 
-        rg = np.arange(0.0, _P1TAB_R + _P1TAB_STEP, _P1TAB_STEP)
-        zg = np.arange(0.0, _P1TAB_Z + _P1TAB_STEP, _P1TAB_STEP)
-        # z-major order keeps low-|z| chunks on wide integration panels
-        Z, R = np.meshgrid(zg, rg, indexing="ij")
-        vals = p1_many(R.ravel(), Z.ravel()).reshape(len(zg), len(rg))
-        _P1TAB = RectBivariateSpline(rg, zg, np.log(vals).T, kx=3, ky=3, s=0)
-    return _P1TAB
+    rg = np.arange(0.0, _P1TAB_R + _P1TAB_STEP, _P1TAB_STEP)
+    zg = np.arange(0.0, _P1TAB_Z + _P1TAB_STEP, _P1TAB_STEP)
+    # z-major order keeps low-|z| chunks on wide integration panels
+    Z, R = np.meshgrid(zg, rg, indexing="ij")
+    vals = p1_many(R.ravel(), Z.ravel()).reshape(len(zg), len(rg))
+    return RectBivariateSpline(rg, zg, np.log(vals).T, kx=3, ky=3, s=0)
 
 
 def _p1_window(r, z):
@@ -255,8 +253,6 @@ _PANEL_COUNTS = {
     ("trig", "fine"): (36, 20, 44),
 }
 
-_ATOM_CACHE: dict = {}
-
 
 def _panel_tier(abs_tol: float) -> str:
     return "coarse" if abs_tol >= 1e-6 else "fine"
@@ -267,12 +263,9 @@ def _gl(lo: float, hi: float, n: int):
     return 0.5 * (hi - lo) * (nodes + 1.0) + lo, 0.5 * (hi - lo) * wts
 
 
+@cache
 def _atom_panel(atom: tuple, kind: str, t: float, tier: str):
     """(x, y, z, leb, mu) for one mollifier atom; cached, shared by combos."""
-    key = (atom, kind, float(t), tier)
-    got = _ATOM_CACHE.get(key)
-    if got is not None:
-        return got
     (cx, cy, cz), w, v = atom
     ns, nf, nt = _PANEL_COUNTS[(kind, tier)]
     S, WS = _gl(0.0, 1.0, ns)
@@ -290,10 +283,7 @@ def _atom_panel(atom: tuple, kind: str, t: float, tier: str):
     y = cy + g2.ravel()
     z = cz + g3.ravel() - 0.5 * (cy * g1.ravel() - cx * g2.ravel())
     leb = leb.ravel()
-    mu = leb * _pt_density(x, y, z, t)
-    got = (x, y, z, leb, mu)
-    _ATOM_CACHE[key] = got
-    return got
+    return x, y, z, leb, leb * _pt_density(x, y, z, t)
 
 
 def _atom_kinds(family: TestFunctionFamily, name: str) -> list:
@@ -692,13 +682,8 @@ def _squash(vals, gam):
     return 0.1 + 0.8 * s, der * der * gam
 
 
-_GRAD_GRID_CACHE: dict = {}
-
-
+@cache
 def _grad_grid(d_max: float = 4.0):
-    got = _GRAD_GRID_CACHE.get(d_max)
-    if got is not None:
-        return got
     pts = [(0.0, 0.0, 0.0)]
     for a in (-2.0, -1.0, 1.0, 2.0):
         pts.append((a, 0.0, 0.0))
@@ -709,10 +694,7 @@ def _grad_grid(d_max: float = 4.0):
                 pts.append((sx, sy, sz))
     for sz in (-1.2, -0.5, 0.5, 1.2):
         pts.append((0.0, 0.0, sz))
-    arr = np.array([p for p in pts
-                    if float(cc_distance_many(p[0], p[1], p[2])) <= d_max])
-    _GRAD_GRID_CACHE[d_max] = arr
-    return arr
+    return np.array([p for p in pts if float(cc_distance_many(p[0], p[1], p[2])) <= d_max])
 
 
 def _grad_Pt_panel(ctx: _MemberCtx, wpt, t: float) -> tuple:

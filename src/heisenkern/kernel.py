@@ -7,6 +7,13 @@ Base integral:
 
 with every other time reached through p(t, r, z) = t^{-2} p1(r/sqrt(t), z/t).
 
+Routes: the adaptive scalar p1, p1_partials and p1_second_partials are
+the reference; the batched routes p1_many, log_grad_many and radial_row
+share one fixed Gauss-Legendre panel rule, built by _panel_kernel; the
+log-derivative bundle of log p1 comes from _log_bundle, which
+log_derivatives and the interpolation table both call; the table itself
+is evaluated by scipy's NdBSpline.
+
 Accuracy note: the integrand envelope is of size exp(-r^2/4) while the
 true value is of size exp(-d^2/4), so float64 quadrature carries a
 relative noise floor of roughly 1e-13 * exp((d^2 - r^2)/4).  Every grid
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -59,17 +66,12 @@ CANCEL_BUDGET = 22.0
 
 
 class KernelRangeError(ValueError):
-    """|z| outside the supported oscillation range."""
+    """Non-finite or negative r, or |z| outside the supported oscillation range."""
 
 
 @dataclass(frozen=True)
 class KernelConfig:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    t_base: float = 1.0
-
-    def __post_init__(self):
-        if not (self.t_base > 0.0):
-            raise ValueError("t_base must be > 0")
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,33 @@ def _lambda_cutoff(r_min: float, target: float = 42.0) -> float:
     return hi
 
 
+# points per panel rule in the paired routes; each chunk's rule comes from
+# its own extremes, so a point's value depends on its batch-mates
+_CHUNK = 2048
+
+
+def _panel_kernel(rs, zmax: float):
+    """(lam, w, lam coth lam, G) of the panel rule for radii ``rs``.
+
+    The rule resolves the cos(lam z) oscillation up to |z| = zmax and the
+    steepest exponential decay among ``rs``; G[i, k] = G(lam_k, rs[i]).
+    """
+    width = min(0.35, 3.0 / (1.0 + 0.25 * float(np.max(rs)) ** 2))
+    if zmax > 0.0:
+        width = min(width, 0.5 * math.pi / zmax)
+    lam, w = _panel_rule(_lambda_cutoff(float(np.min(rs))), width)
+    lc = _lam_coth(lam)
+    G = np.exp(-0.25 * np.outer(rs * rs, lc)) * _sinh_ratio(lam)[None, :]
+    return lam, w, lc, G
+
+
+def _check_batch(r, z, name: str):
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
+        raise KernelRangeError(f"{name}: coordinates must be finite")
+    if np.min(r) < 0.0 or np.max(np.abs(z)) > Z_RANGE_LIMIT:
+        raise KernelRangeError(f"{name} arguments out of range")
+
+
 def radial_row(rs, z: float):
     """All kernel integrals for one z and many r values, sharing one rule.
 
@@ -242,18 +271,8 @@ def radial_row(rs, z: float):
     if rs.size == 0:
         empty = np.empty(0)
         return (empty,) * 6
-    if np.any(rs < 0.0) or abs(z) > Z_RANGE_LIMIT:
-        raise KernelRangeError("radial_row arguments out of range")
-    decay_max = 1.0 + 0.25 * float(np.max(rs)) ** 2
-    lam_max = _lambda_cutoff(float(np.min(rs)))
-    width = min(0.35, 3.0 / decay_max)
-    if z != 0.0:
-        width = min(width, 0.5 * math.pi / abs(z))
-    lam, w = _panel_rule(lam_max, width)
-
-    su = _sinh_ratio(lam)
-    lc = _lam_coth(lam)
-    G = np.exp(-0.25 * np.outer(rs * rs, lc)) * su[None, :]
+    _check_batch(rs, z, "radial_row")
+    lam, w, lc, G = _panel_kernel(rs, abs(z))
     cz = np.cos(lam * z)
     sz = np.sin(lam * z)
 
@@ -273,68 +292,57 @@ def radial_row(rs, z: float):
     return pv, pr, pz, prr, prz_over_r, pzz
 
 
-def p1_many(r, z, chunk: int = 2048) -> np.ndarray:
-    """Vectorized p1 over paired arrays (fixed-panel route).
+def _paired(r, z, name: str, sums, n_out: int):
+    """Evaluate ``sums`` over broadcast (r, z) pairs, one rule per chunk.
 
-    Agrees with the adaptive scalar :func:`p1` to the quadrature
-    tolerance; the adaptive route stays the oracle in tests.
+    The pairs are range-checked, then each run of _CHUNK points gets the
+    panel rule of its own extremes and ``sums(z_chunk, lam, w, lc, G)``
+    returns ``n_out`` arrays over the chunk.
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
     shape = np.broadcast(r, z).shape
     r = np.broadcast_to(r, shape).ravel()
     z = np.broadcast_to(z, shape).ravel()
-    if r.size and (np.min(r) < 0.0 or np.max(np.abs(z)) > Z_RANGE_LIMIT):
-        raise KernelRangeError("p1_many arguments out of range")
-    out = np.empty(r.size)
-    for lo in range(0, r.size, chunk):
-        hi = min(lo + chunk, r.size)
-        rc, zc = r[lo:hi], z[lo:hi]
-        decay_max = 1.0 + 0.25 * float(np.max(rc)) ** 2
-        zmax = float(np.max(np.abs(zc)))
-        width = min(0.35, 3.0 / decay_max)
-        if zmax > 0.0:
-            width = min(width, 0.5 * math.pi / zmax)
-        lam, w = _panel_rule(_lambda_cutoff(float(np.min(rc))), width)
-        G = np.exp(-0.25 * np.outer(rc * rc, _lam_coth(lam))) * _sinh_ratio(lam)[None, :]
-        out[lo:hi] = (G * np.cos(np.outer(zc, lam))) @ w / FOUR_PI_SQ
-    return out.reshape(shape)
+    if r.size:
+        _check_batch(r, z, name)
+    out = np.empty((n_out, r.size))
+    for lo in range(0, r.size, _CHUNK):
+        zc = z[lo:lo + _CHUNK]
+        panel = _panel_kernel(r[lo:lo + _CHUNK], float(np.max(np.abs(zc))))
+        out[:, lo:lo + _CHUNK] = sums(zc, *panel)
+    return tuple(v.reshape(shape) for v in out)
 
 
-def log_grad_many(r, z, chunk: int = 2048):
+def p1_many(r, z) -> np.ndarray:
+    """Vectorized p1 over paired arrays (fixed-panel route).
+
+    Agrees with the adaptive scalar :func:`p1` to the quadrature
+    tolerance; the adaptive route stays the oracle in tests.
+    """
+
+    def sums(zc, lam, w, lc, G):
+        return ((G * np.cos(np.outer(zc, lam))) @ w / FOUR_PI_SQ,)
+
+    return _paired(r, z, "p1_many", sums, 1)[0]
+
+
+def log_grad_many(r, z):
     """Vectorized (alpha, b) = ((d_r log p1)/r, d_z log p1) over paired arrays.
 
     The normalization cancels in the ratios, and alpha is computed from
     the r-stripped integrand so the axis needs no special case.  This is
     what integration-by-parts gradient routes want at quadrature nodes.
     """
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    shape = np.broadcast(r, z).shape
-    r = np.broadcast_to(r, shape).ravel()
-    z = np.broadcast_to(z, shape).ravel()
-    if r.size and (np.min(r) < 0.0 or np.max(np.abs(z)) > Z_RANGE_LIMIT):
-        raise KernelRangeError("log_grad_many arguments out of range")
-    alpha = np.empty(r.size)
-    b = np.empty(r.size)
-    for lo in range(0, r.size, chunk):
-        hi = min(lo + chunk, r.size)
-        rc, zc = r[lo:hi], z[lo:hi]
-        decay_max = 1.0 + 0.25 * float(np.max(rc)) ** 2
-        zmax = float(np.max(np.abs(zc)))
-        width = min(0.35, 3.0 / decay_max)
-        if zmax > 0.0:
-            width = min(width, 0.5 * math.pi / zmax)
-        lam, w = _panel_rule(_lambda_cutoff(float(np.min(rc))), width)
-        lc = _lam_coth(lam)
-        G = np.exp(-0.25 * np.outer(rc * rc, lc)) * _sinh_ratio(lam)[None, :]
+
+    def sums(zc, lam, w, lc, G):
         Gc = G * np.cos(np.outer(zc, lam))
         m0 = Gc @ w
         m1 = Gc @ (w * lc)
         m3 = (G * np.sin(np.outer(zc, lam))) @ (w * lam)
-        alpha[lo:hi] = -0.5 * m1 / m0
-        b[lo:hi] = -m3 / m0
-    return alpha.reshape(shape), b.reshape(shape)
+        return -0.5 * m1 / m0, -m3 / m0
+
+    return _paired(r, z, "log_grad_many", sums, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,49 +370,58 @@ class RadialLogDerivatives:
 _AXIS_EPS = 1e-8
 
 
+def _log_bundle(rs, z: float) -> dict:
+    """The RadialLogDerivatives fields as arrays over ``rs`` at one z.
+
+    One radial_row rule serves the whole row; on the axis the even/odd
+    structure in r pins alpha = L_rr and alpha_r = b_r = 0.
+    """
+    pv, pr, pz, prr, przr, pzz = radial_row(rs, z)
+    a = pr / pv
+    b = pz / pv
+    l_rr = prr / pv - a * a
+    on_axis = rs <= _AXIS_EPS
+    r_safe = np.where(on_axis, 1.0, rs)
+    alpha = np.where(on_axis, l_rr, a / r_safe)
+    # a = r alpha, so L_rz/r = (p_rz/r)/p - alpha b at every r including 0
+    alpha_z = przr / pv - alpha * b
+    return {
+        "a": a,
+        "b": b,
+        "alpha": alpha,
+        "alpha_r": np.where(on_axis, 0.0, (l_rr - alpha) / r_safe),
+        "alpha_z": alpha_z,
+        "b_r": np.where(on_axis, 0.0, rs * alpha_z),
+        "b_z": pzz / pv - b * b,
+    }
+
+
 def log_derivatives(r: float, z: float) -> RadialLogDerivatives:
     """Exact log-derivative bundle at one point.
 
     Uses the fixed-panel row rule, whose accuracy is relative to the
     integrand envelope (so it does not degrade at large r the way an
-    absolute-tolerance adaptive pass does).
+    absolute-tolerance adaptive pass does).  radial_row range-checks
+    (r, z).
     """
-    if not (r >= 0.0) or abs(z) > Z_RANGE_LIMIT:
-        raise KernelRangeError("log_derivatives arguments out of range")
-    pv_a, dr_a, dz_a, drr_a, drz_over_r_a, dzz_a = radial_row(np.array([r]), float(z))
-    pv = float(pv_a[0])
-    dr = float(dr_a[0])
-    dz = float(dz_a[0])
-    drr = float(drr_a[0])
-    drz_over_r = float(drz_over_r_a[0])
-    dzz = float(dzz_a[0])
-    a = dr / pv
-    b = dz / pv
-    l_rr = drr / pv - a * a
-    l_zz = dzz / pv - b * b
-    # a = r alpha, so L_rz/r = (p_rz/r)/p - alpha b at every r including 0
-    if r > _AXIS_EPS:
-        alpha = a / r
-        alpha_z = drz_over_r / pv - alpha * b
-        alpha_r = (l_rr - alpha) / r
-        b_r = r * alpha_z
-    else:
-        # even/odd structure in r pins the axis limits
-        alpha = l_rr
-        alpha_z = drz_over_r / pv - alpha * b
-        alpha_r = 0.0
-        b_r = 0.0
-    return RadialLogDerivatives(a, b, alpha, alpha_r, alpha_z, b_r, l_zz)
+    d = _log_bundle(np.array([r], dtype=float), float(z))
+    return RadialLogDerivatives(**{key: float(v[0]) for key, v in d.items()})
 
 
-def _scalar_loop(fn, *arrays):
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    shape = np.broadcast(*arrays).shape
-    flat = [np.broadcast_to(a, shape).ravel() for a in arrays]
-    out = np.empty(flat[0].size)
-    for i in range(flat[0].size):
-        out[i] = fn(*(a[i] for a in flat))
-    return out.reshape(shape) if shape else float(out[0])
+def _pointwise(fn, n_out: int, x, y, z):
+    """fn(x, y, z) -> ``n_out`` floats, applied point by point.
+
+    Returns one array per component over the broadcast shape, or floats
+    when every input is a scalar.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, y, z)))
+    shape = arrays[0].shape
+    out = np.empty((n_out, arrays[0].size))
+    for i, point in enumerate(zip(*(a.ravel() for a in arrays))):
+        out[:, i] = fn(*point)
+    if not shape:
+        return tuple(float(v[0]) for v in out)
+    return tuple(v.reshape(shape) for v in out)
 
 
 def log_h_field(cfg: KernelConfig | None = None) -> ScalarField:
@@ -414,28 +431,18 @@ def log_h_field(cfg: KernelConfig | None = None) -> ScalarField:
     Z log h = b, through the chain rule in (r, z).
     """
 
-    def ev(x, y, z):
-        def one(xx, yy, zz):
-            return math.log(p1(math.hypot(xx, yy), zz, cfg))
+    def value(x, y, z):
+        return (math.log(p1(math.hypot(x, y), z, cfg)),)
 
-        return _scalar_loop(one, x, y, z)
+    def gradient(x, y, z):
+        d = log_derivatives(math.hypot(x, y), z)
+        return x * d.alpha - 0.5 * y * d.b, y * d.alpha + 0.5 * x * d.b, d.b
+
+    def ev(x, y, z):
+        return _pointwise(value, 1, x, y, z)[0]
 
     def grad(x, y, z):
-        def one(xx, yy, zz):
-            d = log_derivatives(math.hypot(xx, yy), zz)
-            return (
-                xx * d.alpha - 0.5 * yy * d.b,
-                yy * d.alpha + 0.5 * xx * d.b,
-                d.b,
-            )
-
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return one(float(x), float(y), float(z))
-        gx = _scalar_loop(lambda a, b_, c: one(a, b_, c)[0], x, y, z)
-        gy = _scalar_loop(lambda a, b_, c: one(a, b_, c)[1], x, y, z)
-        gz = _scalar_loop(lambda a, b_, c: one(a, b_, c)[2], x, y, z)
-        return gx, gy, gz
+        return _pointwise(gradient, 3, x, y, z)
 
     return ScalarField(eval=ev, analytic_gradient=grad, name="log_h")
 
@@ -448,8 +455,8 @@ _TABLE_R_MAX = 16.0
 _TABLE_Z_MAX = 26.0
 _TABLE_DR = 0.1
 _TABLE_DZ = 0.2
-_PAD = 15
-_PAD_TOP = 6  # mirrored rows/columns so the splines see the even/odd symmetry
+_PAD = 15  # mirrored rows/columns so the splines see the even/odd symmetry
+_PAD_TOP = 6  # extra rows/columns past the clamp box
 
 
 def _log_h_asymptote(r, z):
@@ -512,60 +519,34 @@ def _asym_bundle(r, z):
     )
 
 
-def _bspline_basis(q, t, delta):
-    """Interval offsets and the four uniform cubic B-spline weights at q.
-
-    Valid while every query sits at least three uniform cells inside the
-    knot vector, which the table padding guarantees after clamping.
-    """
-    # t[4 + m] = t[4] + m delta on the uniform run; a one-cell float
-    # wobble at boundaries is harmless because adjacent cubic pieces
-    # join with C^2 continuity
-    k = np.floor((q - t[4]) * (1.0 / delta)).astype(np.intp) + 4
-    np.clip(k, 4, t.size - 5, out=k)
-    u = (q - t[k]) / delta
-    v = 1.0 - u
-    u2 = u * u
-    w0 = v * v * v / 6.0
-    w1 = (3.0 * u2 * (u - 2.0) + 4.0) / 6.0
-    w3 = u2 * u / 6.0
-    w2 = 1.0 - w0 - w1 - w3
-    return k - 3, np.stack([w0, w1, w2, w3])
-
-
-def _tensor_eval(coef_rows, base, offsets, w16, chunk: int = 16384):
-    """Bicubic tensor sums over the 16-neighbor stencil, chunked.
-
-    coef_rows is (ncoef, ntables) row-major so one fancy gather pulls a
-    point's whole stencil as contiguous short rows; that is what makes
-    bulk table evaluation cheap.
-    """
-    n = base.size
-    out = np.empty((n, coef_rows.shape[1]))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        stencil = coef_rows[base[lo:hi, None] + offsets[None, :]]
-        out[lo:hi] = (w16[:, lo:hi].T[:, None, :] @ stencil)[:, 0, :]
-    return out
-
-
 class LogHSplineTables:
-    """Bivariate splines of the log-derivative bundle over (r, z >= 0).
+    """Bicubic splines of the log-derivative bundle over (r, z >= 0).
 
     Values inside the cancellation budget come from the panel quadrature;
     outside they come from the asymptote, keeping the spline smooth where
-    nested translations occasionally land with negligible weight.  Parity
-    in z (and evenness in r) is applied at evaluation time; mirrored
-    padding below the axes and an asymptote strip above the clamp box
-    keep every query inside the uniform-knot region, so evaluation runs
-    through a vectorized B-spline basis instead of per-point fitpack
-    calls (bulk nested quadratures hit these tables hard).
+    nested translations occasionally land with negligible weight.  Each
+    quantity is fitted by RectBivariateSpline on the grid extended below
+    the axes by mirrored rows and columns, signed by its parity, and past
+    the clamp box by a strip of extra nodes (asymptote values at large
+    |z|); the padding and the strip shape the fit, and so every table
+    value.  One scipy NdBSpline carries the six coefficient grids and
+    evaluates them at (min(r, 16), min(|z|, 26)); the z parity signs are
+    applied afterwards.
     """
 
     _KEYS = ("alpha", "b", "alpha_r", "alpha_z", "b_r", "b_z")
+    # parity of each table under r -> -r and z -> -z
+    _PARITY = {
+        "alpha": (1, 1),
+        "b": (1, -1),
+        "alpha_r": (-1, 1),
+        "alpha_z": (1, -1),
+        "b_r": (-1, -1),
+        "b_z": (1, 1),
+    }
 
     def __init__(self):
-        from scipy.interpolate import RectBivariateSpline
+        from scipy.interpolate import NdBSpline, RectBivariateSpline
 
         nr = int(round(_TABLE_R_MAX / _TABLE_DR)) + 1 + _PAD_TOP
         nz = int(round(_TABLE_Z_MAX / _TABLE_DZ)) + 1 + _PAD_TOP
@@ -581,101 +562,53 @@ class LogHSplineTables:
         for j, z in enumerate(zs):
             mask = safe[:, j]
             if np.any(mask):
-                rj = rs[mask]
-                pv, pr, pz, prr, przr, pzz = radial_row(rj, float(z))
-                a = pr / pv
-                b = pz / pv
-                l_rr = prr / pv - a * a
-                on_axis = rj <= _AXIS_EPS
-                r_safe = np.where(on_axis, 1.0, rj)
-                alpha = np.where(on_axis, l_rr, a / r_safe)
-                l_rz_over_r = przr / pv - alpha * b
-                alpha_r = np.where(on_axis, 0.0, (l_rr - alpha) / r_safe)
-                tables["alpha"][mask, j] = alpha
-                tables["b"][mask, j] = b
-                tables["alpha_r"][mask, j] = alpha_r
-                tables["alpha_z"][mask, j] = l_rz_over_r
-                tables["b_r"][mask, j] = np.where(on_axis, 0.0, rj * l_rz_over_r)
-                tables["b_z"][mask, j] = pzz / pv - b * b
+                row = _log_bundle(rs[mask], float(z))
+                for key in self._KEYS:
+                    tables[key][mask, j] = row[key]
             if np.any(~mask):
                 rj = rs[~mask]
                 vals = _asym_bundle(rj, np.full(rj.shape, z))
                 for key, v in zip(self._KEYS, vals):
                     tables[key][~mask, j] = v
 
-        # parity of each table under r -> -r and z -> -z
-        parity = {
-            "alpha": (1, 1),
-            "b": (1, -1),
-            "alpha_r": (-1, 1),
-            "alpha_z": (1, -1),
-            "b_r": (-1, -1),
-            "b_z": (1, 1),
-        }
         r_ext = np.concatenate([-rs[1 : _PAD + 1][::-1], rs])
         z_ext = np.concatenate([-zs[1 : _PAD + 1][::-1], zs])
         coef = []
-        tx = ty = None
         for key in self._KEYS:
             grid = tables[key]
-            pr_, pz_ = parity[key]
+            pr_, pz_ = self._PARITY[key]
             top = np.concatenate([pz_ * grid[:, 1 : _PAD + 1][:, ::-1], grid], axis=1)
             full = np.concatenate([pr_ * top[1 : _PAD + 1][::-1], top], axis=0)
             sp = RectBivariateSpline(r_ext, z_ext, full, kx=3, ky=3)
             tx, ty = sp.get_knots()
             coef.append(sp.get_coeffs().reshape(tx.size - 4, ty.size - 4))
-        # fitpack drops the 2nd and 2nd-to-last data sites, so only the
-        # run t[4:-4] is uniform; clamped queries never leave it
-        for t in (tx, ty):
-            inner = np.diff(t[4:-4])
-            if np.ptp(inner) > 1e-9 * inner[0]:
-                raise RuntimeError("table knots are not uniform; fast basis invalid")
-        self._tx = tx
-        self._ty = ty
-        nyc = ty.size - 4
-        self._coef_rows = np.ascontiguousarray(np.stack(coef).reshape(6, -1).T)
-        self._offsets = (np.arange(4)[:, None] * nyc + np.arange(4)[None, :]).ravel()
-        self._nyc = nyc
-        self._parity = parity
+        self._spline = NdBSpline((tx, ty), np.stack(coef, axis=-1), 3)
+        self._odd_in_z = np.array([self._PARITY[key][1] == -1 for key in self._KEYS])
 
-    def _stencil(self, r, z):
-        kx, wx = _bspline_basis(np.minimum(r, _TABLE_R_MAX), self._tx, _TABLE_DR)
-        kz, wz = _bspline_basis(np.minimum(np.abs(z), _TABLE_Z_MAX), self._ty, _TABLE_DZ)
-        w16 = (wx[:, None, :] * wz[None, :, :]).reshape(16, -1)
-        return kx * self._nyc + kz, w16
-
-    def _eval_block(self, r, z):
-        """(n, 6) raw table values at (r, |z|), before parity signs."""
-        base, w16 = self._stencil(r, z)
-        return _tensor_eval(self._coef_rows, base, self._offsets, w16)
-
-    def eval(self, key: str, r, z):
+    def _signed(self, r, z):
+        """(shape, (n, 6) values) at the broadcast (r, z), parity applied."""
         r = np.asarray(r, dtype=float)
         z = np.asarray(z, dtype=float)
         shape = np.broadcast(r, z).shape
         r = np.broadcast_to(r, shape).ravel()
         z = np.broadcast_to(z, shape).ravel()
-        out = self._eval_block(r, z)[:, self._KEYS.index(key)]
-        if self._parity[key][1] == -1:
-            out = out * np.where(z < 0.0, -1.0, 1.0)
+        q = np.stack([np.minimum(r, _TABLE_R_MAX), np.minimum(np.abs(z), _TABLE_Z_MAX)], axis=-1)
+        vals = self._spline(q)
+        sign = np.where(z < 0.0, -1.0, 1.0)
+        vals[:, self._odd_in_z] *= sign[:, None]
+        return shape, vals
+
+    def eval(self, key: str, r, z):
+        shape, vals = self._signed(r, z)
+        out = vals[:, self._KEYS.index(key)]
         return out.reshape(shape) if shape else float(out[0])
 
     def bundle(self, r, z):
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast(r, z).shape
-        r = np.broadcast_to(r, shape).ravel()
-        z = np.broadcast_to(z, shape).ravel()
-        vals = self._eval_block(r, z)
-        sign = np.where(z < 0.0, -1.0, 1.0)
-        out = []
-        for i, key in enumerate(self._KEYS):
-            v = vals[:, i] * sign if self._parity[key][1] == -1 else vals[:, i]
-            out.append(v.reshape(shape) if shape else float(v[0]))
-        return tuple(out)
+        shape, vals = self._signed(r, z)
+        return tuple(v.reshape(shape) if shape else float(v[0]) for v in vals.T)
 
 
-@lru_cache(maxsize=1)
+@cache
 def get_spline_tables() -> LogHSplineTables:
     return LogHSplineTables()
 
@@ -721,27 +654,15 @@ def xhat_log_h_field(method: str = "exact") -> ScalarField:
     if method != "exact":
         raise ValueError("method must be 'exact' or 'spline'")
 
-    def ev_exact(x, y, z):
-        def one(xx, yy, zz):
-            d = log_derivatives(math.hypot(xx, yy), zz)
-            return xx * d.alpha + 0.5 * yy * d.b
+    def bundle(x, y, z):
+        d = log_derivatives(math.hypot(x, y), z)
+        return d.alpha, d.b, d.alpha_r, d.alpha_z, d.b_r, d.b_z
 
-        return _scalar_loop(one, x, y, z)
+    def ev_exact(x, y, z):
+        return _pointwise(lambda *p: (_fstar_pieces(*p, bundle(*p))[0],), 1, x, y, z)[0]
 
     def grad_exact(x, y, z):
-        def one(xx, yy, zz):
-            d = log_derivatives(math.hypot(xx, yy), zz)
-            bundle = (d.alpha, d.b, d.alpha_r, d.alpha_z, d.b_r, d.b_z)
-            _, gx, gy, gz = _fstar_pieces(xx, yy, zz, bundle)
-            return float(gx), float(gy), float(gz)
-
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return one(float(x), float(y), float(z))
-        gx = _scalar_loop(lambda a, b_, c: one(a, b_, c)[0], x, y, z)
-        gy = _scalar_loop(lambda a, b_, c: one(a, b_, c)[1], x, y, z)
-        gz = _scalar_loop(lambda a, b_, c: one(a, b_, c)[2], x, y, z)
-        return gx, gy, gz
+        return _pointwise(lambda *p: _fstar_pieces(*p, bundle(*p))[1:], 3, x, y, z)
 
     return ScalarField(eval=ev_exact, analytic_gradient=grad_exact, name="xhat_log_h")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -113,7 +114,6 @@ class _BaseMeasure:
     every symmetric copy.
     """
 
-    R: float
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -131,11 +131,10 @@ class _BaseMeasure:
                               self.y * alpha - 0.5 * self.x * b)
         return self._hat_grad
 
-    def at(self, cfg: HeatOpConfig) -> "HeatMeasure":
-        """The measure at time cfg.t: nodes dilated, ``mu`` shared."""
-        st = math.sqrt(cfg.t)
-        return HeatMeasure(cfg, self.x * st, self.y * st, self.z * cfg.t, self.mu,
-                           self.deficit, self)
+    def at(self, t: float) -> "HeatMeasure":
+        """The measure at time t: nodes dilated, ``mu`` shared."""
+        st = math.sqrt(t)
+        return HeatMeasure(t, self.x * st, self.y * st, self.z * t, self.mu, self.deficit, self)
 
 
 @dataclass
@@ -150,7 +149,7 @@ class HeatMeasure:
     mass deficit unchanged.
     """
 
-    cfg: HeatOpConfig
+    t: float
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -161,21 +160,13 @@ class HeatMeasure:
     def hat_log_grad(self):
         """(Xhat log p_t, Yhat log p_t) at the nodes; the t = 1 pair over sqrt(t)."""
         gx, gy = self.base.hat_log_grad()
-        st = math.sqrt(self.cfg.t)
+        st = math.sqrt(self.t)
         return gx / st, gy / st
 
 
-_base_cache: dict = {}
-_measure_cache: dict = {}
-
-
-def _base_measure(r1: float, abs_tol: float) -> _BaseMeasure:
-    """Build (or fetch) the t = 1 measure over d <= r1, checking its mass."""
-    n_s, n_phi, n_alpha = _node_counts(r1, abs_tol)
-    key = (r1, n_s, n_phi, n_alpha)
-    got = _base_cache.get(key)
-    if got is not None:
-        return got
+@cache
+def _base_measure(r1: float, n_s: int, n_phi: int, n_alpha: int) -> _BaseMeasure:
+    """The t = 1 measure over d <= r1 on one node tier, its mass checked."""
     x, y, z, w = chart_ball_nodes(r1, n_s=n_s, n_phi=n_phi, n_alpha=n_alpha)
     n = n_s * n_phi
     radial = (np.hypot(x[:n], y[:n]), z[:n])
@@ -186,9 +177,13 @@ def _base_measure(r1: float, abs_tol: float) -> _BaseMeasure:
             f"kernel mass deficit {deficit:.3e} over d <= {r1:g} sqrt(t) "
             f"exceeds {MASS_DEFICIT_TOL:g}"
         )
-    base = _BaseMeasure(r1, x, y, z, mu, deficit, radial)
-    _base_cache[key] = base
-    return base
+    return _BaseMeasure(x, y, z, mu, deficit, radial)
+
+
+@cache
+def _measure(t: float, domain_radius: float, counts: tuple) -> HeatMeasure:
+    """The view at t of the base at R = domain_radius/sqrt(t) and ``counts``."""
+    return _base_measure(domain_radius / math.sqrt(t), *counts).at(t)
 
 
 def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
@@ -200,11 +195,7 @@ def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
     measure, since the dilation leaves ``mu`` unchanged.
     """
     r1 = cfg.domain_radius / math.sqrt(cfg.t)
-    key = (cfg.t, cfg.domain_radius, _node_counts(r1, cfg.quad.abs_tol))
-    got = _measure_cache.get(key)
-    if got is None:
-        got = _measure_cache[key] = _base_measure(r1, cfg.quad.abs_tol).at(cfg)
-    return got
+    return _measure(cfg.t, cfg.domain_radius, _node_counts(r1, cfg.quad.abs_tol))
 
 
 def _values_at(f: ScalarField, measure: HeatMeasure, x: GroupElement) -> np.ndarray:
@@ -334,7 +325,7 @@ def _frame_gradient(f: ScalarField):
 
 
 def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
-    """(X P_t f, Y P_t f) at the points (x, y, z), with t = measure.cfg.t.
+    """(X P_t f, Y P_t f) at the points (x, y, z), with t = measure.t.
 
     Differentiating P_t f(w) = sum mu_k f(w . y_k) in w along the
     left-invariant frame gives (Xhat f - w_2 Zf) and (Yhat f + w_1 Zf)
@@ -381,8 +372,8 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     for sn, sw in zip(_S_NODES, _S_WEIGHTS):
         s = 0.5 * t * (sn + 1.0)
         tau = t - s
-        outer = base.at(HeatOpConfig(t=s, domain_radius=base.R * math.sqrt(s), quad=coarse))
-        inner = base.at(HeatOpConfig(t=tau, domain_radius=base.R * math.sqrt(tau), quad=coarse))
+        outer = base.at(s)
+        inner = base.at(tau)
         gx, gy = grad_Pt_at(f, inner, outer.x, outer.y, outer.z)
         total += 0.5 * t * sw * float(np.dot(outer.mu, gx * gx + gy * gy))
     return 2.0 * total

@@ -155,10 +155,6 @@ class TestP1Values:
         with pytest.raises(QuadratureError):
             K.p1(1.0, 30.0, cfg)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            K.KernelConfig(t_base=0.0)
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -172,6 +168,16 @@ def test_many_matches_scalar(r, z):
 
 
 class TestBatchRoutes:
+    @pytest.mark.parametrize("call", [
+        lambda: K.p1_many([math.nan], [0.0]),
+        lambda: K.log_grad_many([1.0], [math.nan]),
+        lambda: K.radial_row([math.nan], 0.0),
+        lambda: K.p1_many([math.inf], [0.0]),
+    ], ids=["p1_many-nan", "log_grad_many-nan", "radial_row-nan", "p1_many-inf"])
+    def test_non_finite_arguments_rejected(self, call):
+        with pytest.raises(K.KernelRangeError):
+            call()
+
     def test_radial_row_vs_adaptive(self):
         rs = np.array([0.0, 0.5, 1.7, 3.2, 6.0])
         z = 1.4
@@ -299,6 +305,27 @@ class TestSplineTables:
             ):
                 assert abs(float(v_sp) - v_ex) <= 2e-3 * (1.0 + abs(v_ex))
             checked += 1
+
+    def test_reproduces_row_quadrature(self, tables):
+        """On grid rows z = 0, 1.4, 2.8, ... the table returns the radial_row
+        data it was fitted to, wherever that data is quadrature."""
+        rs = np.arange(int(round(K._TABLE_R_MAX / K._TABLE_DR)) + 1) * K._TABLE_DR
+        n_z = int(round(K._TABLE_Z_MAX / K._TABLE_DZ)) + 1
+        for z in np.arange(0, n_z, 7) * K._TABLE_DZ:
+            d = cc_distance_many(rs, 0.0, z)
+            r = rs[0.25 * (d * d - rs * rs) <= K.CANCEL_BUDGET]
+            pv, pr, pz, prr, przr, pzz = K.radial_row(r, float(z))
+            b = pz / pv
+            l_rr = prr / pv - (pr / pv) ** 2
+            axis = r == 0.0
+            r_safe = np.where(axis, 1.0, r)
+            alpha = np.where(axis, l_rr, pr / pv / r_safe)
+            alpha_z = przr / pv - alpha * b
+            data = (alpha, b, np.where(axis, 0.0, (l_rr - alpha) / r_safe), alpha_z,
+                    r * alpha_z, pzz / pv - b * b)
+            for key, want, got in zip(K.LogHSplineTables._KEYS, data, tables.bundle(r, z)):
+                err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+                assert np.max(err) <= 1e-5, (key, float(z), float(np.max(err)))
 
     def test_parity_at_eval(self, tables):
         r, z = 1.7, 2.3

@@ -308,13 +308,14 @@ def test_interpolation_variance_builds_one_kernel_grid(monkeypatch):
         return p1_many(r, z)
 
     monkeypatch.setattr(semigroup, "p1_many", counting_p1_many)
-    monkeypatch.setattr(semigroup, "_base_cache", {})
-    monkeypatch.setattr(semigroup, "_measure_cache", {})
+    semigroup._base_measure.cache_clear()
+    semigroup._measure.cache_clear()
     cfg = HeatOpConfig(t=0.7, quad=NESTED)
     x = poly_field({(1, 0, 0): 1.0}, "x")
     assert variance(x, cfg) == pytest.approx(1.4, rel=1e-6)
     assert interpolation_variance(x, cfg) == pytest.approx(1.4, rel=1e-5)
     assert calls == [16 * 12]
+    assert semigroup._base_measure.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------- variance
@@ -466,9 +467,7 @@ def _nested_pair(k: int = 5):
     """(outer, inner) measures of interpolation_variance's k-th s-node at t = 1."""
     base = heat_measure(CFG1_NESTED).base
     s = 0.5 * (1.0 + semigroup._S_NODES[k])
-    outer, inner = (base.at(HeatOpConfig(t=u, domain_radius=base.R * math.sqrt(u), quad=NESTED))
-                    for u in (s, 1.0 - s))
-    return outer, inner
+    return base.at(s), base.at(1.0 - s)
 
 
 @pytest.mark.parametrize("name", ["x", "1/(1+r^2)", "yz+x"])
