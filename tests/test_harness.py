@@ -4,15 +4,19 @@ A = int r Gamma(log h) h dx at t = 1 and the three section-3 identities
 <Gamma(log h) h> = 2, <(Xhat log h)^2 h> = 1, <Xhat log h Yhat log h h> = 0
 are computed on the coarse chart measure.  On the 12-member default
 family the Driver-Melcher and reverse-Poincare rows, the C_1 and C_2
-lower bounds and the uniform gradient bound |grad P_t f| <= sup|f| /
-sqrt(t) over the point grid are pinned too.  The pins hold every later
-change to the measure, the log-gradient routes or the
-translated-gradient quadrature to the values measured before them.
+lower bounds, the Cheeger, correlation and Bobkov rows, the (1,1)
+Poincare survey on the unit ball and the uniform gradient bound
+|grad P_t f| <= sup|f| / sqrt(t) over the point grid are pinned too.
+The 24-member family, the only default size whose members share
+mollifier atoms, pins the compact members' gradient-bound rows.  The
+pins hold every later change to the measure, the log-gradient routes or
+the translated-gradient quadrature to the values measured before them.
 
 The Gamma_2 witness search and the Gaussian isoperimetric profile behind
 the Bobkov rows are checked against closed forms.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -29,6 +33,7 @@ from heisenkern.harness import (
     c_lower_detail,
     check_cheeger_bobkov,
     check_driver_melcher,
+    check_local_11_poincare,
     check_reverse_poincare,
     check_kernel_identities,
     demonstrate_gamma2_unbounded,
@@ -58,6 +63,98 @@ GRAD_BOUND_LHS = {
     "combo-005": 2.031636381517358,
     "xhat_log_h[spline]": 0.9999956690061664,
 }
+# lhs of the grad-bound rows of the compact members of the 24-member
+# family; combos reuse the mollifier atoms of the bumps and trigs
+GRAD_BOUND_LHS_24 = {
+    "bump-000": 0.017394647280977348,
+    "bump-001": 0.013604652317713416,
+    "bump-002": 0.012790852401891952,
+    "bump-003": 0.019819259815743076,
+    "bump-004": 0.02115136415920694,
+    "trig-000": 0.009841736073348295,
+    "trig-001": 0.00812622474736939,
+    "combo-000": 0.017297932386873813,
+    "combo-001": 0.006602492444952986,
+    "combo-002": 0.011644633520899351,
+    "combo-003": 0.008087467669120826,
+    "combo-004": 0.007366550878725519,
+    "combo-005": 0.0083863516126664,
+    "combo-006": 0.005609762331559778,
+    "combo-007": 0.008772104468084923,
+    "combo-008": 0.014995419357020924,
+    "combo-009": 0.009764624931958841,
+}
+# (lhs, rhs) of the Cheeger, correlation and Bobkov rows at
+# C1_working = C1_LOWER_PINNED on the 12-member family
+CHEEGER_BOBKOV = {
+    "cheeger-l1": {
+        "bump-000": (0.019594562854703138, 0.2036687532133181),
+        "bump-001": (0.03757615848676782, 0.41409746734072844),
+        "poly-000": (1.7983344449018914, 12.273450120004274),
+        "poly-001": (3.058438680496172, 24.96797990065657),
+        "trig-000": (0.009263366319748043, 0.28936421878377727),
+        "combo-000": (2.1767064121535924, 15.713356970827036),
+        "combo-001": (2.361102561699601, 17.98321373298164),
+        "combo-002": (3.118404539608947, 25.14743232658091),
+        "combo-003": (1.5727009148788986, 11.590172848809697),
+        "combo-004": (2.781086638560466, 20.285436361488),
+        "combo-005": (1.3177087741862594, 7.880440593346625),
+        "xhat_log_h[spline]": (0.8451906187665965, 4.047611509512499),
+    },
+    "correlation": {
+        "bump-000|bump-001": (0.00019907573234842144, 0.3375679528476236),
+        "poly-000|poly-001": (20.609536249718587, 92.54077897231207),
+        "trig-000|combo-000": (0.003216160178293587, 5.502896039051281),
+        "combo-001|combo-002": (36.688901711091376, 157.71076684630935),
+        "combo-003|combo-004": (15.029610168350489, 70.48338116328023),
+        "combo-005|xhat_log_h[spline]": (0.590813189580875, 4.7528610234700075),
+    },
+    "bobkov-semigroup": {
+        "bump-000": (0.0002768068127583234, 0.021181580813355493),
+        "bump-001": (0.00053946533124688, 0.04303015347559113),
+        "poly-000": (0.07750670834568918, 0.5915344442948662),
+        "poly-001": (0.0748956167008854, 0.5304663232533554),
+        "trig-000": (0.0001677755654739821, 0.030553754262816597),
+        "combo-000": (0.08165423284325335, 0.6054963012330857),
+        "combo-001": (0.07576721951457105, 0.5788796967861924),
+        "combo-002": (0.07645183904647868, 0.5502113159410371),
+        "combo-003": (0.05954102532860839, 0.5210270572598634),
+        "combo-004": (0.09574262616289902, 0.6475858599739484),
+        "combo-005": (0.06649541842362178, 0.5407658222317061),
+        "xhat_log_h[spline]": (0.038340335371358114, 0.36712952985927383),
+    },
+    "bobkov-tensorized": {
+        "bump-000": (0.3989375334610569, 0.41229490815786635),
+        "bump-001": (0.39892395074881065, 0.42664860407280275),
+        "poly-000": (0.3989422804014327, 0.6892731150561566),
+        "poly-001": (0.3989422804014327, 0.683671669631558),
+        "trig-000": (0.3989421722258326, 0.42006040678231604),
+        "combo-000": (0.3989422804014327, 0.7045796602643637),
+        "combo-001": (0.3989422804014327, 0.6906510756355893),
+        "combo-002": (0.3989422804014327, 0.6888423662890071),
+        "combo-003": (0.3989422804014327, 0.6441301821390883),
+        "combo-004": (0.3989422804014327, 0.7398122653490476),
+        "combo-005": (0.3989422804014327, 0.6428067354576216),
+        "xhat_log_h[spline]": (0.3989422804014327, 0.5266393609235082),
+    },
+}
+# (1,1) Poincare on the unit CC ball: the empirical sup of
+# int_B |f - m| / int_B |grad f| and each member's (lhs, sup * rhs)
+LOCAL_11_SUP = 0.5665139786446365
+LOCAL_11_POINCARE = {
+    "bump-000": (0.00027979657994404994, 0.0024449044001011015),
+    "bump-001": (0.12970433773482337, 0.1694530490075683),
+    "poly-000": (0.31467530482528705, 0.44202393408126833),
+    "poly-001": (0.0844060464430128, 0.22103588052949377),
+    "trig-000": (0.01742742870072959, 0.04289166327308535),
+    "combo-000": (0.2901266350315048, 0.41832184082654666),
+    "combo-001": (0.2110447497770882, 0.32592765813614116),
+    "combo-002": (0.11993174270131254, 0.25426136035028124),
+    "combo-003": (0.1837456571835202, 0.2698379820659793),
+    "combo-004": (0.3479450684435007, 0.5058900384240747),
+    "combo-005": (0.33847172856353214, 0.4667507350164501),
+    "xhat_log_h[spline]": (0.31249470805455903, 0.31249470805455903),
+}
 # (lhs, rhs) of the reverse-Poincare rows: t Gamma(P_t f)(0) against
 # P_t(f^2)(0) - (P_t f(0))^2 at t = 1; f* is the equality case
 REVERSE_POINCARE = {
@@ -79,6 +176,16 @@ REVERSE_POINCARE = {
 @pytest.fixture(scope="module")
 def family12():
     return build_family(12, DEFAULT_FAMILY_SEED)
+
+
+@pytest.fixture(scope="module")
+def family24():
+    return build_family(24, DEFAULT_FAMILY_SEED)
+
+
+@pytest.fixture(scope="module")
+def rows24(family24):
+    return check_cheeger_bobkov(family24)
 
 
 def test_estimate_A_pinned():
@@ -128,6 +235,42 @@ def test_grad_bound_rows_pinned(family12):
     rows = [r for r in check_cheeger_bobkov(family12, C1_working=C1_LOWER_PINNED)
             if r.check == "grad-bound"]
     assert {r.function: r.lhs for r in rows} == pytest.approx(GRAD_BOUND_LHS, rel=1e-12)
+    assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
+
+
+def test_grad_bound_rows_pinned_on_shared_atoms(family24, rows24):
+    got = {r.function: r.lhs for r in rows24
+           if r.check == "grad-bound" and family24.atoms[r.function] is not None}
+    assert got == pytest.approx(GRAD_BOUND_LHS_24, rel=1e-12)
+    assert all(r.passed for r in rows24 if r.check == "grad-bound")
+
+
+def test_grad_bound_rows_ignore_member_order(family24, rows24):
+    reverse = dataclasses.replace(family24, members=family24.members[::-1])
+
+    def grad_rows(rows):
+        return {r.function: r for r in rows if r.check == "grad-bound"}
+
+    assert grad_rows(check_cheeger_bobkov(reverse)) == grad_rows(rows24)
+
+
+def test_cheeger_bobkov_rows_pinned(family12):
+    rows = check_cheeger_bobkov(family12, C1_working=C1_LOWER_PINNED)
+    for check, pinned in CHEEGER_BOBKOV.items():
+        got = {r.function: (r.lhs, r.rhs) for r in rows if r.check == check}
+        assert list(got) == list(pinned), check
+        for name, pair in pinned.items():
+            assert got[name] == pytest.approx(pair, rel=1e-12), (check, name)
+    assert all(r.passed for r in rows), [(r.check, r.function) for r in rows if not r.passed]
+
+
+def test_local_11_poincare_pinned(family12):
+    sup, rows = check_local_11_poincare(family12)
+    assert sup == pytest.approx(LOCAL_11_SUP, rel=1e-12)
+    got = {r.function: (r.lhs, r.rhs) for r in rows}
+    assert list(got) == list(LOCAL_11_POINCARE)
+    for name, pair in LOCAL_11_POINCARE.items():
+        assert got[name] == pytest.approx(pair, rel=1e-12), name
     assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
 
 
