@@ -23,21 +23,29 @@ import warnings
 import numpy as np
 import pytest
 
+from heisenkern import harness
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.group import GroupElement, gamma, gamma2, poly_field
 from heisenkern.harness import (
+    _C_POWER,
     _CUBICS,
+    ConstantEstimate,
+    SuiteResult,
     _gamma2_forms,
     _gauss_isop,
+    _implied_c1,
+    _report,
     _squash,
     c_lower_detail,
     check_cheeger_bobkov,
     check_driver_melcher,
+    check_kolmogorov_counterexample,
     check_local_11_poincare,
     check_reverse_poincare,
     check_kernel_identities,
     demonstrate_gamma2_unbounded,
     estimate_A,
+    run_inequality_suite,
 )
 
 A_PINNED = 4.740675880
@@ -245,6 +253,63 @@ def test_grad_bound_rows_pinned_on_shared_atoms(family24, rows24):
     assert all(r.passed for r in rows24 if r.check == "grad-bound")
 
 
+def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch):
+    """A warm call weights each distinct (atom, kind) panel once: the 7
+    atoms of the 17 compact members hold 60,352 panel nodes, each
+    evaluated at the 25 grid points."""
+    density = harness._pt_density
+    points = []
+
+    def counted(x, y, z, t):
+        points.append(np.broadcast(x, y, z).size)
+        return density(x, y, z, t)
+
+    monkeypatch.setattr(harness, "_pt_density", counted)
+    rows = check_cheeger_bobkov(family24)
+    assert len(harness._grad_grid()) == 25
+    assert sum(points) == 25 * 60_352 == 1_508_800
+    assert rows == rows24
+
+
+def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
+    """(X, Y) P_1 f(w) from the atom weights against centred differences
+    of the panel sum P_1 f(w') = sum leb f p_1(w'^{-1} u) at w (+-h, 0, 0)
+    and w (0, +-h, 0), for a combo whose atoms are those of two bumps.
+
+    Both sides discretise one integral, so they differ by the panel's
+    quadrature error: up to 6e-6 relative on the default panels, and
+    below 7.5e-7 at every grid point on panels with twice the nodes in
+    each direction, where the kernel table's end slopes set the floor.
+    """
+    monkeypatch.setitem(harness._PANEL_COUNTS, ("bump", "refined"), (44, 24, 48))
+    monkeypatch.setattr(harness, "_panel_tier", lambda abs_tol: "refined")
+    name = "combo-003"
+    assert family24.combo_index[name][0] == ("bump-000", "bump-002")
+    f = next(m for m in family24.members if m.name == name)
+    ctx = harness._member_ctx(family24, f, harness._harness_cfg(1.0, 1e-6))
+    keys = zip(family24.atoms[name], harness._atom_kinds(family24, name))
+    weights = np.concatenate([harness._atom_grad_weights(*k, 1.0, "refined")
+                              for k in keys], axis=1)
+    xv, yv = harness._grad_Pt_grid(ctx, weights)
+
+    def panel_P1f(w1, w2, w3):
+        # w^{-1} u = (x - w1, y - w2, z - w3 - (w1 y - w2 x) / 2)
+        zs = ctx.z - w3 - 0.5 * (w1 * ctx.y - w2 * ctx.x)
+        return float(np.sum(ctx.leb * ctx.vals
+                            * harness._pt_density(ctx.x - w1, ctx.y - w2, zs, 1.0)))
+
+    h = 1e-3
+    grid = harness._grad_grid()
+    for g in (6, 14):                   # (0, 1, 0) and (-1.4, 1.4, 0.8)
+        w1, w2, w3 = grid[g]
+        # w (s, 0, 0) = (w1 + s, w2, w3 - s w2 / 2); w (0, s, 0) = (w1, w2 + s, w3 + s w1 / 2)
+        fx = (panel_P1f(w1 + h, w2, w3 - 0.5 * h * w2)
+              - panel_P1f(w1 - h, w2, w3 + 0.5 * h * w2)) / (2.0 * h)
+        fy = (panel_P1f(w1, w2 + h, w3 + 0.5 * h * w1)
+              - panel_P1f(w1, w2 - h, w3 - 0.5 * h * w1)) / (2.0 * h)
+        assert math.hypot(fx - xv[g], fy - yv[g]) <= 1e-6 * math.hypot(xv[g], yv[g]), g
+
+
 def test_grad_bound_rows_ignore_member_order(family24, rows24):
     reverse = dataclasses.replace(family24, members=family24.members[::-1])
 
@@ -272,6 +337,65 @@ def test_local_11_poincare_pinned(family12):
     for name, pair in LOCAL_11_POINCARE.items():
         assert got[name] == pytest.approx(pair, rel=1e-12), name
     assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
+
+
+@pytest.mark.parametrize("c1_start", [
+    0.9,     # 14 first-pass violations, among them the f* Poincare row
+    1.009,   # only the f* tensorized Bobkov row fails; one update suffices
+])
+def test_adaptive_c1_policy(family12, monkeypatch, c1_start):
+    """Below the working constant the suite raises C1_working to the
+    largest constant the failing rows imply plus 1e-3, pass by pass,
+    until every constant-bearing row passes."""
+    calls = []
+    for name in ("check_phi_suite", "check_cheeger_bobkov"):
+        def spy(*args, check=getattr(harness, name)):
+            rows = check(*args)
+            calls.append((args[2], tuple(rows)))
+            return rows
+
+        monkeypatch.setattr(harness, name, spy)
+    constants = ConstantEstimate(A=A_PINNED, C1_lower=C1_LOWER_PINNED,
+                                 C2_lower=C2_LOWER_PINNED, C1_working=c1_start)
+    result = run_inequality_suite(family12, constants=constants)
+
+    # one phi-suite call and one Cheeger/Bobkov call per pass
+    passes = [(calls[k][0], calls[k][1] + calls[k + 1][1]) for k in range(0, len(calls), 2)]
+    bad = [[r for r in rows if not r.passed and r.check in _C_POWER] for _, rows in passes]
+    assert passes[0][0] == c1_start
+    assert result.first_pass_violations == len(bad[0]) > 0
+    assert result.update_passes == len(passes) - 1 >= 1
+    for (c1_prev, _), bad_prev, (c1_next, _) in zip(passes, bad, passes[1:]):
+        assert c1_next == max(_implied_c1(r, c1_prev) for r in bad_prev) + 1e-3
+    if c1_start == 1.009:
+        assert result.update_passes == 1
+    assert result.constants.C1_working == passes[-1][0]
+    assert not bad[-1]
+    # C1_working ends below sqrt(C2_lower), which the consistency row must flag
+    assert result.constants.C1_working ** 2 < C2_LOWER_PINNED
+    assert [r.check for r in result.unexpected] == ["c2-vs-c1sq"]
+    assert [r.check for r in result.violations] == ["c2-vs-c1sq"]
+
+
+def test_kolmogorov_forward_row_is_an_expected_violation():
+    rows = check_kolmogorov_counterexample()
+    assert [r.check for r in rows if r.expected_violation] == ["kolmogorov-forward-poincare"]
+    assert not next(r for r in rows if r.expected_violation).passed
+    for r in rows:
+        assert r.as_dict()["expected_violation"] is r.expected_violation
+
+
+def test_suite_result_unexpected_rows():
+    holds = _report("a", "f", 1.0, 2.0, 1.0)
+    fails = _report("a", "g", 2.0, 1.0, 1.0)
+    dies = _report("b", "f", 1.0, 0.0, 1.0, expected_violation=True)
+    survives = _report("b", "g", 0.0, 1.0, 1.0, expected_violation=True)
+    assert (holds.passed, fails.passed, dies.passed, survives.passed) == (True, False, False, True)
+    result = SuiteResult((holds, fails, dies, survives),
+                         ConstantEstimate(A_PINNED, C1_LOWER_PINNED, C2_LOWER_PINNED), 0, 0)
+    assert result.violations == (fails, dies)
+    assert result.unexpected == (fails, survives)
+    assert holds.as_dict()["expected_violation"] is False
 
 
 def test_gamma2_search_reaches_target():
