@@ -277,9 +277,10 @@ def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
     and w (0, +-h, 0), for a combo whose atoms are those of two bumps.
 
     Both sides discretise one integral, so they differ by the panel's
-    quadrature error: up to 6e-6 relative on the default panels, and
-    below 7.5e-7 at every grid point on panels with twice the nodes in
-    each direction, where the kernel table's end slopes set the floor.
+    quadrature error: up to 6e-6 relative on the default panels.  On
+    panels with twice the nodes in each direction the gap is below
+    7.5e-7 at every grid point, and that is the O(h^2) error of the
+    differences: it falls fourfold each time h is halved.
     """
     monkeypatch.setitem(harness._PANEL_COUNTS, ("bump", "refined"), (44, 24, 48))
     monkeypatch.setattr(harness, "_panel_tier", lambda abs_tol: "refined")
