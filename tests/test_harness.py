@@ -41,6 +41,8 @@ from heisenkern.harness import (
     check_driver_melcher,
     check_kolmogorov_counterexample,
     check_local_11_poincare,
+    check_phi_suite,
+    check_ray_inequality,
     check_reverse_poincare,
     check_kernel_identities,
     demonstrate_gamma2_unbounded,
@@ -146,6 +148,90 @@ CHEEGER_BOBKOV = {
         "xhat_log_h[spline]": (0.3989422804014327, 0.5266393609235082),
     },
 }
+# (lhs, rhs) of the phi-entropy rows at C1_working = C1_LOWER_PINNED on the
+# 12-member family; the consistency row compares Beckner at p = 2 - 1e-4
+# with Poincare on the first member
+PHI_SUITE = {
+    "lsi": {
+        "bump-000": (0.011788384787876999, 0.3499709035215933),
+        "bump-001": (0.02242939619866574, 0.745443502467444),
+        "poly-000": (0.01866166891022658, 0.07303009563047433),
+        "poly-001": (0.041063626283175836, 0.17450382290104327),
+        "trig-000": (0.002089740516315386, 0.28419782169098085),
+        "combo-000": (0.023985630041352124, 0.09835930925809487),
+        "combo-001": (0.02823060962418822, 0.11861793460294841),
+        "combo-002": (0.04106837455128698, 0.17442991663496896),
+        "combo-003": (0.01784816398867406, 0.07402446604550612),
+        "combo-004": (0.03109357007087965, 0.12827629747708966),
+        "combo-005": (0.01603181725926106, 0.04905852711395276),
+        "xhat_log_h[spline]": (0.06826593420888649, 0.16203890103615406),
+    },
+    "beckner-1.25": {
+        "bump-000": (0.010171367152955357, 0.32274313652481107),
+        "bump-001": (0.0194910611490956, 0.6884924903913718),
+        "poly-000": (0.09286050359241926, 0.36320189184667334),
+        "poly-001": (0.2612156355626212, 1.1094243738987255),
+        "trig-000": (0.0024784072376831112, 0.3239449850125741),
+        "combo-000": (0.13071987241710303, 0.5357507717062293),
+        "combo-001": (0.16250315934848913, 0.6824089579732159),
+        "combo-002": (0.26118033503735205, 1.1086767899305352),
+        "combo-003": (0.09094214836659376, 0.3769657944784894),
+        "combo-004": (0.18144573182689783, 0.7481322273448067),
+        "combo-005": (0.06301549943191276, 0.19275794846189048),
+        "xhat_log_h[spline]": (0.14028724919044322, 0.33218032503130324),
+    },
+    "beckner-1.5": {
+        "bump-000": (0.008569986171298088, 0.29085362703984413),
+        "bump-001": (0.0165297893621852, 0.6214363919997058),
+        "poly-000": (0.4436137106958995, 1.7343277479087849),
+        "poly-001": (1.5952855578507297, 6.772268444283614),
+        "trig-000": (0.0028392348776227205, 0.3596407319560956),
+        "combo-000": (0.6839552513774834, 2.8018884889331135),
+        "combo-001": (0.8980492736882297, 3.7694828181092372),
+        "combo-002": (1.5946699102132698, 6.766008873136488),
+        "combo-003": (0.4448698923224583, 1.8431904168153532),
+        "combo-004": (1.0165267501142807, 4.189397090384658),
+        "combo-005": (0.23779174468722886, 0.727152941402421),
+        "xhat_log_h[spline]": (0.2768825093426912, 0.6543178096674737),
+    },
+    "beckner-1.75": {
+        "bump-000": (0.007146269136628562, 0.25938591245066733),
+        "bump-001": (0.013864879868914248, 0.5550858816169506),
+        "poly-000": (2.0604707315481696, 8.052761461683014),
+        "poly-001": (9.47260142523252, 40.19832219314754),
+        "trig-000": (0.003180251187859362, 0.393345996460037),
+        "combo-000": (3.4793933625041973, 14.248636487662472),
+        "combo-001": (4.825357583603666, 20.246743763681472),
+        "combo-002": (9.466570218792185, 40.15109737647653),
+        "combo-003": (2.1158805246814154, 8.763422983670258),
+        "combo-004": (5.537081722548464, 22.81180241372257),
+        "combo-005": (0.8724191212986625, 2.6671587794818046),
+        "xhat_log_h[spline]": (0.5315314290761913, 1.2541660826498986),
+    },
+    "poincare": {
+        "bump-000": (0.00594519468799347, 0.23057240580604368),
+        "bump-001": (0.011594735482022936, 0.4942140512928132),
+        "poly-000": (9.375512402900544, 36.63264077766221),
+        "poly-001": (55.10248070376143, 233.77500477727867),
+        "trig-000": (0.003507925784581242, 0.4265533124894715),
+        "combo-000": (17.339981951386466, 70.99198137713141),
+        "combo-001": (25.39974235373406, 106.54769859085627),
+        "combo-002": (55.05357787366865, 233.44179469105381),
+        "combo-003": (9.858687150276388, 40.821763661120016),
+        "combo-004": (29.546947424917946, 121.6975107065216),
+        "combo-005": (3.135538588806051, 9.584311427964934),
+        "xhat_log_h[spline]": (0.9999925955507859, 2.356944270665974),
+    },
+    "beckner-p2-consistency": {
+        "bump-000": (7.332701922191376e-05, 0.001),
+    },
+}
+# (lhs, rhs, constant) of the c2-vs-c1sq row of the default suite on the
+# 12-member family: C2_lower against C1_working^2 at C1_working = C1_lower
+C2_VS_C1SQ = (2.041836369622564, 2.356971747850362, 1.5352432210729223)
+# the ray survey's empirical constant and inner-grid sup over its 400 rays
+RAY_CONSTANT = 13.833475344558735
+RAY_INNER_SUP = 13.28255489733741
 # (1,1) Poincare on the unit CC ball: the empirical sup of
 # int_B |f - m| / int_B |grad f| and each member's (lhs, sup * rhs)
 LOCAL_11_SUP = 0.5665139786446365
@@ -328,6 +414,36 @@ def test_cheeger_bobkov_rows_pinned(family12):
         for name, pair in pinned.items():
             assert got[name] == pytest.approx(pair, rel=1e-12), (check, name)
     assert all(r.passed for r in rows), [(r.check, r.function) for r in rows if not r.passed]
+
+
+def test_phi_suite_rows_pinned(family12):
+    rows = check_phi_suite(family12, C1_working=C1_LOWER_PINNED)
+    for check, pinned in PHI_SUITE.items():
+        got = {r.function: (r.lhs, r.rhs) for r in rows if r.check == check}
+        assert list(got) == list(pinned), check
+        for name, pair in pinned.items():
+            assert got[name] == pytest.approx(pair, rel=1e-12), (check, name)
+    assert all(r.passed for r in rows), [(r.check, r.function) for r in rows if not r.passed]
+
+
+def test_c2_vs_c1sq_row_pinned(family12):
+    """The default suite estimates its own constants, passes every
+    constant-bearing row at C1_working = C1_lower with no update, and
+    closes with C2_lower against C1_working^2."""
+    result = run_inequality_suite(family12)
+    assert result.update_passes == 0
+    assert result.constants.C1_working == pytest.approx(C1_LOWER_PINNED, rel=1e-12)
+    row = next(r for r in result.reports if r.check == "c2-vs-c1sq")
+    assert (row.lhs, row.rhs, row.constant) == pytest.approx(C2_VS_C1SQ, rel=1e-12)
+    assert not result.unexpected, [(r.check, r.function) for r in result.unexpected]
+
+
+def test_ray_survey_constant_pinned():
+    survey, rep = check_ray_inequality()
+    assert survey.n_rays == 400
+    assert survey.constant == pytest.approx(RAY_CONSTANT, rel=1e-12)
+    assert survey.inner_sup == pytest.approx(RAY_INNER_SUP, rel=1e-12)
+    assert rep.passed, rep.note
 
 
 def test_local_11_poincare_pinned(family12):
