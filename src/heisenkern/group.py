@@ -52,7 +52,6 @@ FIELD_NAMES = ("X", "Y", "Z", "Xhat", "Yhat", "Theta", "D")
 # centered-difference base steps by derivative order of the context
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-4
-FD_STEP_THIRD = 1e-3
 
 
 def _as_scalar(v) -> float:
@@ -145,12 +144,6 @@ class ScalarField:
     def value_at(self, p: GroupElement) -> float:
         return _as_scalar(self.eval(p.x, p.y, p.z))
 
-    def gradient_at(self, p: GroupElement):
-        if self.analytic_gradient is None:
-            raise ValueError(f"field {self.name!r} has no analytic gradient")
-        gx, gy, gz = self.analytic_gradient(p.x, p.y, p.z)
-        return _as_scalar(gx), _as_scalar(gy), _as_scalar(gz)
-
 
 @dataclass(frozen=True)
 class DiffOpResult:
@@ -222,7 +215,7 @@ def apply_field(op: str, f: ScalarField, p: GroupElement, step: float | None = N
     return DiffOpResult(_fd_directional(f, p, float(vx), float(vy), float(vz), h), "centered-fd")
 
 
-def derived_field(op: str, f: ScalarField, step: float | None = None) -> ScalarField:
+def derived_field(op: str, f: ScalarField) -> ScalarField:
     """The function q -> (op f)(q) as a field (no gradient of its own)."""
 
     if f.analytic_gradient is not None:
@@ -233,7 +226,7 @@ def derived_field(op: str, f: ScalarField, step: float | None = None) -> ScalarF
                                      np.asarray(z, float), gx, gy, gz)
 
     else:
-        h = step if step is not None else f.fd_step
+        h = f.fd_step
 
         def ev(x, y, z):
             x = np.asarray(x, float)

@@ -167,21 +167,16 @@ def _batch_se(stream_means, stream_sizes, overall, n):
     return math.sqrt(s / (b - 1) / n)
 
 
-def sample_batch(n: int, cfg: PathConfig, r_edges=None, z_edges=None) -> BatchStats:
+def sample_batch(n: int, cfg: PathConfig) -> BatchStats:
     """Moment estimates with batch-means errors plus cell counts.
 
-    Default bins: 20 radial cells over r <= 5 sqrt(t) by 10 vertical
-    cells over |z| <= 2t, the 200-cell grid the kernel cross-check uses.
+    Bins: 20 radial cells over r <= 5 sqrt(t) by 10 vertical cells over
+    |z| <= 2t, the 200-cell grid the kernel cross-check uses.
     """
     if n < 1000:
         raise ValueError("n must be >= 1000")
-    st = math.sqrt(cfg.t)
-    if r_edges is None:
-        r_edges = np.linspace(0.0, 5.0, 21) * st
-    if z_edges is None:
-        z_edges = np.linspace(-2.0, 2.0, 11) * cfg.t
-    r_edges = np.asarray(r_edges, float)
-    z_edges = np.asarray(z_edges, float)
+    r_edges = np.linspace(0.0, 5.0, 21) * math.sqrt(cfg.t)
+    z_edges = np.linspace(-2.0, 2.0, 11) * cfg.t
 
     sizes = _stream_plan(n)
     hist = np.zeros((r_edges.size - 1, z_edges.size - 1))
@@ -238,12 +233,13 @@ def sample_kolmogorov(t: float, seed: int, n: Optional[int] = None):
     return u, v
 
 
-def kernel_cell_masses(r_edges, z_edges, t: float = 1.0, n_nodes: int = 8) -> np.ndarray:
+def kernel_cell_masses(r_edges, z_edges, t: float = 1.0) -> np.ndarray:
     """Heat-kernel mass of each solid cell {r in dr, z in dz} at time t.
 
-    Gauss rule per cell on the density 2 pi r p_t(r, z); this is the
-    quadrature side of the histogram cross-check.
+    8 x 8-point Gauss rule per cell on the density 2 pi r p_t(r, z); this
+    is the quadrature side of the histogram cross-check.
     """
+    n_nodes = 8
     r_edges = np.asarray(r_edges, float)
     z_edges = np.asarray(z_edges, float)
     xg, wg = np.polynomial.legendre.leggauss(n_nodes)
@@ -274,17 +270,17 @@ class Chi2Result:
     n_categories: int
 
 
-def chi2_against_kernel(stats: BatchStats, min_expected: float = 5.0) -> Chi2Result:
+def chi2_against_kernel(stats: BatchStats) -> Chi2Result:
     """Pearson chi-squared of the batch histogram against kernel masses.
 
-    Cells whose expected count falls below ``min_expected`` are merged
-    with the out-of-grid remainder into one category, keeping the
-    asymptotic chi-squared distribution honest.
+    Cells whose expected count falls below 5 are merged with the
+    out-of-grid remainder into one category, keeping the asymptotic
+    chi-squared distribution honest.
     """
     masses = kernel_cell_masses(stats.r_edges, stats.z_edges, stats.t)
     expected = stats.n * masses
     observed = stats.hist
-    keep = expected >= min_expected
+    keep = expected >= 5.0
     rest_exp = stats.n * max(0.0, 1.0 - float(masses.sum())) + float(expected[~keep].sum())
     rest_obs = stats.n - float(observed.sum()) + float(observed[~keep].sum())
     stat = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))

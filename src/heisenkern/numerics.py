@@ -70,15 +70,6 @@ class QuadratureSpec:
             return math.pi / (2.0 * self.oscillation_wavenumber)
         return math.inf
 
-    def tightened(self, factor: float = 0.5) -> "QuadratureSpec":
-        """Same panel rules with tolerances scaled by ``factor``."""
-        return QuadratureSpec(
-            abs_tol=self.abs_tol * factor,
-            rel_tol=self.rel_tol * factor,
-            max_subdivisions=self.max_subdivisions * 2,
-            oscillation_wavenumber=self.oscillation_wavenumber,
-        )
-
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 

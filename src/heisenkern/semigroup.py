@@ -31,6 +31,7 @@ from .numerics import QuadratureSpec
 __all__ = [
     "MASS_DEFICIT_TOL",
     "GRAD_ROUTES",
+    "COARSE_TIER",
     "HeatOpConfig",
     "MassDeficitError",
     "HeatMeasure",
@@ -51,6 +52,8 @@ GRAD_ROUTES = ("fd", "hat-transfer", "ibp")
 # meant for the legs of nested double quadratures
 _COARSE_ABS_TOL = 1e-6
 _NESTED_ABS_TOL = 1e-4
+# the spec that selects the coarse tier
+COARSE_TIER = QuadratureSpec(abs_tol=_COARSE_ABS_TOL)
 
 _ORIGIN = GroupElement(0.0, 0.0, 0.0)
 

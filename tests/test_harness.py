@@ -26,6 +26,7 @@ import pytest
 from heisenkern import harness
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.group import GroupElement, gamma, gamma2, poly_field
+from heisenkern.kernel import KernelRangeError
 from heisenkern.harness import (
     _C_POWER,
     _CUBICS,
@@ -339,6 +340,16 @@ def test_grad_bound_rows_pinned_on_shared_atoms(family24, rows24):
     assert all(r.passed for r in rows24 if r.check == "grad-bound")
 
 
+def test_pt_density_raises_outside_table_window():
+    """The p_1 table covers r <= 8, |z| <= 9: a point outside raises
+    instead of falling back to another route."""
+    edge = harness._pt_density(np.array([8.0]), 0.0, np.array([-9.0]))
+    assert edge.shape == (1,) and 0.0 < edge[0] < 1e-6
+    for x, z in ((8.01, 0.0), (0.0, 9.01), (0.0, -9.01), (math.nan, 0.0)):
+        with pytest.raises(KernelRangeError):
+            harness._pt_density(np.array([0.5, x]), 0.0, np.array([0.0, z]))
+
+
 def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch):
     """A warm call weights each distinct (atom, kind) panel once: the 7
     atoms of the 17 compact members hold 60,352 panel nodes, each
@@ -346,9 +357,9 @@ def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch)
     density = harness._pt_density
     points = []
 
-    def counted(x, y, z, t):
+    def counted(x, y, z):
         points.append(np.broadcast(x, y, z).size)
-        return density(x, y, z, t)
+        return density(x, y, z)
 
     monkeypatch.setattr(harness, "_pt_density", counted)
     rows = check_cheeger_bobkov(family24)
@@ -368,22 +379,20 @@ def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
     7.5e-7 at every grid point, and that is the O(h^2) error of the
     differences: it falls fourfold each time h is halved.
     """
-    monkeypatch.setitem(harness._PANEL_COUNTS, ("bump", "refined"), (44, 24, 48))
-    monkeypatch.setattr(harness, "_panel_tier", lambda abs_tol: "refined")
+    monkeypatch.setitem(harness._PANEL_COUNTS, "bump", (44, 24, 48))
     name = "combo-003"
     assert family24.combo_index[name][0] == ("bump-000", "bump-002")
     f = next(m for m in family24.members if m.name == name)
-    ctx = harness._member_ctx(family24, f, harness._harness_cfg(1.0, 1e-6))
+    ctx = harness._member_ctx(family24, f)
     keys = zip(family24.atoms[name], harness._atom_kinds(family24, name))
-    weights = np.concatenate([harness._atom_grad_weights(*k, 1.0, "refined")
-                              for k in keys], axis=1)
+    weights = np.concatenate([harness._atom_grad_weights(*k) for k in keys], axis=1)
     xv, yv = harness._grad_Pt_grid(ctx, weights)
 
     def panel_P1f(w1, w2, w3):
         # w^{-1} u = (x - w1, y - w2, z - w3 - (w1 y - w2 x) / 2)
         zs = ctx.z - w3 - 0.5 * (w1 * ctx.y - w2 * ctx.x)
         return float(np.sum(ctx.leb * ctx.vals
-                            * harness._pt_density(ctx.x - w1, ctx.y - w2, zs, 1.0)))
+                            * harness._pt_density(ctx.x - w1, ctx.y - w2, zs)))
 
     h = 1e-3
     grid = harness._grad_grid()
@@ -458,17 +467,20 @@ def test_local_11_poincare_pinned(family12):
 
 @pytest.mark.parametrize("c1_start", [
     0.9,     # 14 first-pass violations, among them the f* Poincare row
-    1.009,   # only the f* tensorized Bobkov row fails; one update suffices
+    1.0,     # from here on only the f* tensorized Bobkov row fails
+    1.005,
+    1.009,
 ])
 def test_adaptive_c1_policy(family12, monkeypatch, c1_start):
     """Below the working constant the suite raises C1_working to the
-    largest constant the failing rows imply plus 1e-3, pass by pass,
-    until every constant-bearing row passes."""
+    largest constant the failing rows imply plus 1e-3, and one update
+    makes every constant-bearing row pass: each row's implied constant
+    is exact, the tensorized Bobkov row's included."""
     calls = []
     for name in ("check_phi_suite", "check_cheeger_bobkov"):
         def spy(*args, check=getattr(harness, name)):
             rows = check(*args)
-            calls.append((args[2], tuple(rows)))
+            calls.append((args[1], tuple(rows)))
             return rows
 
         monkeypatch.setattr(harness, name, spy)
@@ -484,8 +496,7 @@ def test_adaptive_c1_policy(family12, monkeypatch, c1_start):
     assert result.update_passes == len(passes) - 1 >= 1
     for (c1_prev, _), bad_prev, (c1_next, _) in zip(passes, bad, passes[1:]):
         assert c1_next == max(_implied_c1(r, c1_prev) for r in bad_prev) + 1e-3
-    if c1_start == 1.009:
-        assert result.update_passes == 1
+    assert result.update_passes == 1
     assert result.constants.C1_working == passes[-1][0]
     assert not bad[-1]
     # C1_working ends below sqrt(C2_lower), which the consistency row must flag
@@ -535,6 +546,18 @@ def test_gamma2_witness_at_origin(M):
     assert c @ Q2 @ c == pytest.approx(-2.0 * M, rel=1e-12)
 
 
+
+@pytest.mark.parametrize("point", [(0.7, -0.4, 0.3), (-1.1, 0.5, -0.8), (0.2, 1.3, 1.1)])
+def test_gamma2_forms_match_group_gamma2(point):
+    """Off the origin every term of Gamma_2 is live: the forms of a
+    random cubic agree with group.gamma and group.gamma2 (nested centred
+    differences of the exact frame gradient) at generic points."""
+    c = np.random.default_rng(11).standard_normal(len(_CUBICS))
+    f = poly_field(dict(zip(_CUBICS, c)))
+    p = GroupElement(*point)
+    Qg, Q2 = _gamma2_forms(point)
+    assert c @ Qg @ c == pytest.approx(gamma(f, f, p), rel=1e-12)
+    assert c @ Q2 @ c == pytest.approx(gamma2(f, p), rel=1e-6)
 PHI_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)     # standard normal density at 1
 CDF_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))  # standard normal cdf at 1
 
