@@ -236,7 +236,7 @@ def geodesic_point(chart: GeodesicChart) -> GroupElement:
     return GroupElement(x, y, zv)
 
 
-def jacobian_A(u_abs: float, s: float) -> float:
+def jacobian_A(u_abs: float, s):
     """Chart volume density: dx dy dz = A(u, s) du ds, du planar Lebesgue.
 
     A(u, s) = 4 |u| sin(phi) (sin(phi) - phi cos(phi)) with phi = s/(2|u|).
@@ -244,13 +244,16 @@ def jacobian_A(u_abs: float, s: float) -> float:
     lambda^4, matching the Lebesgue factor of the dilation (lambda x,
     lambda y, lambda^2 z).  The coefficient is pinned by the Cartesian
     change-of-variables tests; the variant with (phi - sin(phi)) in the
-    last factor fails them by a non-constant factor.
+    last factor fails them by a non-constant factor.  ``s`` may be an
+    array; a scalar s gives a float.
     """
     au = abs(u_abs)
-    if not (au > 0.0 and 0.0 < s <= 2.0 * math.pi * au * (1.0 + 1e-12)):
+    s_arr = np.asarray(s, dtype=float)
+    if not (au > 0.0 and np.all((0.0 < s_arr) & (s_arr <= 2.0 * math.pi * au * (1.0 + 1e-12)))):
         raise ValueError("need |u| > 0 and 0 < s <= 2 pi |u|")
-    phi = s / (2.0 * au)
-    return 4.0 * au * math.sin(phi) * float(_sin_minus_phicos(phi))
+    phi = s_arr / (2.0 * au)
+    a = 4.0 * au * np.sin(phi) * _sin_minus_phicos(phi)
+    return float(a) if a.ndim == 0 else a
 
 
 def polar_from_cartesian(p: GroupElement) -> GeodesicChart:

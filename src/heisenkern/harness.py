@@ -830,6 +830,9 @@ def _ray_s_cap(u_abs: float) -> float:
     return 2.0 * u_abs * lo
 
 
+_RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(96)
+
+
 def _ray_ratio(u_abs: float, t: float) -> float:
     """int_t^{2 pi |u|} A h ds over A(u,t) h(u,t), tail-truncated, on 96 Gauss nodes.
 
@@ -841,12 +844,11 @@ def _ray_ratio(u_abs: float, t: float) -> float:
     s_hi = min(2.0 * math.pi * u_abs * (1.0 - 1e-9), _ray_s_cap(u_abs))
     if not (t < s_hi):
         return 0.0
-    nodes, wts = np.polynomial.legendre.leggauss(96)
-    s = 0.5 * (s_hi - t) * (nodes + 1.0) + t
-    ws = 0.5 * (s_hi - t) * wts
+    s = 0.5 * (s_hi - t) * (_RAY_NODES + 1.0) + t
+    ws = 0.5 * (s_hi - t) * _RAY_WEIGHTS
     r, z = _ray_point(u_abs, s)
     h = p1_many(r, z)
-    a = np.array([jacobian_A(u_abs, float(sv)) for sv in s])
+    a = jacobian_A(u_abs, s)
     num = float(np.sum(ws * a * h))
     r0, z0 = _ray_point(u_abs, np.array([t]))
     den = jacobian_A(u_abs, t) * float(p1_many(r0, z0)[0])

@@ -7,12 +7,16 @@ Base integral:
 
 with every other time reached through p(t, r, z) = t^{-2} p1(r/sqrt(t), z/t).
 
-Routes: the adaptive scalar p1, p1_partials and p1_second_partials are
-the reference; the batched routes p1_many, log_grad_many and radial_row
-share one fixed Gauss-Legendre panel rule, built by _panel_kernel; the
-log-derivative bundle of log p1 comes from _log_bundle, which
+Routes: every real-kernel value comes from one fixed Gauss-Legendre
+panel rule, built by _panel_kernel.  radial_row applies it to one z-row;
+the point functions p1, p, p1_partials and p1_second_partials are
+radial_row at the single point, so their rule is set by that point
+alone; p1_many and log_grad_many take one rule per run of _CHUNK pairs.
+The log-derivative bundle of log p1 comes from _log_bundle, which
 log_derivatives and the interpolation table both call; the table itself
-is evaluated by scipy's NdBSpline.
+is evaluated by scipy's NdBSpline.  Only the complex shifts
+p1_complex_shift and p1_star_shifted integrate adaptively, through
+numerics.integrate_decaying.
 
 Accuracy note: the integrand envelope is of size exp(-r^2/4) while the
 true value is of size exp(-d^2/4), so float64 quadrature carries a
@@ -26,7 +30,7 @@ weight is below exp(-16).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -36,7 +40,6 @@ from .group import ScalarField
 from .numerics import QuadratureSpec, integrate_decaying
 
 __all__ = [
-    "KernelConfig",
     "ComplexKernelValue",
     "KernelRangeError",
     "p1",
@@ -67,11 +70,6 @@ CANCEL_BUDGET = 22.0
 
 class KernelRangeError(ValueError):
     """Non-finite or negative r, or |z| outside the supported oscillation range."""
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
 
 @dataclass(frozen=True)
@@ -127,72 +125,40 @@ def _check_range(r, z):
         )
 
 
-def _osc_spec(cfg: KernelConfig | None, z: float) -> QuadratureSpec:
-    quad = (cfg or KernelConfig()).quad
-    return replace(quad, oscillation_wavenumber=abs(z))
+def _osc_spec(spec: QuadratureSpec | None, z: float) -> QuadratureSpec:
+    return replace(spec or QuadratureSpec(), oscillation_wavenumber=abs(z))
 
 
-def p1(r: float, z: float, cfg: KernelConfig | None = None) -> float:
+def _at_point(r: float, z: float):
+    """(p, p_r, p_z, p_rr, p_rz/r, p_zz) at one point: radial_row on [r]."""
+    return tuple(float(v[0]) for v in radial_row(np.array([r], dtype=float), float(z)))
+
+
+def p1(r: float, z: float) -> float:
     """Heat kernel at time 1 as a function of (r, z); even in z."""
-    _check_range(r, z)
-    spec = _osc_spec(cfg, z)
-    decay = 1.0 + 0.25 * r * r
-
-    def f(lam):
-        return np.cos(lam * z) * _g_factor(lam, r)
-
-    return integrate_decaying(f, decay, spec) / FOUR_PI_SQ
+    return _at_point(r, z)[0]
 
 
-def p(t: float, r: float, z: float, cfg: KernelConfig | None = None) -> float:
+def p(t: float, r: float, z: float) -> float:
     """Heat kernel at time t via the dilation scaling t^{-2} p1(r/sqrt t, z/t)."""
     if not (t > 0.0):
         raise ValueError("time must be > 0")
     rt = math.sqrt(t)
-    return p1(r / rt, z / t, cfg) / (t * t)
+    return p1(r / rt, z / t) / (t * t)
 
 
-def p1_partials(r: float, z: float, cfg: KernelConfig | None = None):
+def p1_partials(r: float, z: float):
     """(d/dr p1, d/dz p1) by differentiation under the integral."""
-    _check_range(r, z)
-    spec = _osc_spec(cfg, z)
-    decay = 1.0 + 0.25 * r * r
-
-    def f_r(lam):
-        return np.cos(lam * z) * (-0.5 * r) * _lam_coth(lam) * _g_factor(lam, r)
-
-    def f_z(lam):
-        return -np.sin(lam * z) * lam * _g_factor(lam, r)
-
-    dr = integrate_decaying(f_r, decay, spec) / FOUR_PI_SQ
-    dz = integrate_decaying(f_z, decay, spec) / FOUR_PI_SQ
-    return dr, dz
+    return _at_point(r, z)[1:3]
 
 
-def p1_second_partials(r: float, z: float, cfg: KernelConfig | None = None):
+def p1_second_partials(r: float, z: float):
     """(d2/dr2, d2/drdz / r, d2/dz2) of p1.
 
     The mixed derivative is returned with its factor r stripped so the
     z-axis limit stays available; multiply by r to recover d2/drdz.
     """
-    _check_range(r, z)
-    spec = _osc_spec(cfg, z)
-    decay = 1.0 + 0.25 * r * r
-
-    def f_rr(lam):
-        lc = _lam_coth(lam)
-        return np.cos(lam * z) * (0.25 * r * r * lc * lc - 0.5 * lc) * _g_factor(lam, r)
-
-    def f_rz_over_r(lam):
-        return np.sin(lam * z) * 0.5 * lam * _lam_coth(lam) * _g_factor(lam, r)
-
-    def f_zz(lam):
-        return -np.cos(lam * z) * lam * lam * _g_factor(lam, r)
-
-    drr = integrate_decaying(f_rr, decay, spec) / FOUR_PI_SQ
-    drz_over_r = integrate_decaying(f_rz_over_r, decay, spec) / FOUR_PI_SQ
-    dzz = integrate_decaying(f_zz, decay, spec) / FOUR_PI_SQ
-    return drr, drz_over_r, dzz
+    return _at_point(r, z)[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +283,9 @@ def _paired(r, z, name: str, sums, n_out: int):
 def p1_many(r, z) -> np.ndarray:
     """Vectorized p1 over paired arrays (fixed-panel route).
 
-    Agrees with the adaptive scalar :func:`p1` to the quadrature
-    tolerance; the adaptive route stays the oracle in tests.
+    Each run of _CHUNK pairs shares the rule of its own extremes, so a
+    value can move with its batch-mates, within the accuracy note's
+    noise floor; :func:`p1` is the same rule fitted to one point.
     """
 
     def sums(zc, lam, w, lc, G):
@@ -397,12 +364,10 @@ def _log_bundle(rs, z: float) -> dict:
 
 
 def log_derivatives(r: float, z: float) -> RadialLogDerivatives:
-    """Exact log-derivative bundle at one point.
+    """Exact log-derivative bundle at one point: _log_bundle on [r].
 
-    Uses the fixed-panel row rule, whose accuracy is relative to the
-    integrand envelope (so it does not degrade at large r the way an
-    absolute-tolerance adaptive pass does).  radial_row range-checks
-    (r, z).
+    Like :func:`p1`, the panel rule is fitted to the point alone, and
+    radial_row range-checks (r, z).
     """
     d = _log_bundle(np.array([r], dtype=float), float(z))
     return RadialLogDerivatives(**{key: float(v[0]) for key, v in d.items()})
@@ -424,7 +389,7 @@ def _pointwise(fn, n_out: int, x, y, z):
     return tuple(v.reshape(shape) for v in out)
 
 
-def log_h_field(cfg: KernelConfig | None = None) -> ScalarField:
+def log_h_field() -> ScalarField:
     """log h as a ScalarField with the exact frame gradient.
 
     X log h = x alpha - (y/2) b, Y log h = y alpha + (x/2) b,
@@ -432,7 +397,7 @@ def log_h_field(cfg: KernelConfig | None = None) -> ScalarField:
     """
 
     def value(x, y, z):
-        return (math.log(p1(math.hypot(x, y), z, cfg)),)
+        return (math.log(p1(math.hypot(x, y), z)),)
 
     def gradient(x, y, z):
         d = log_derivatives(math.hypot(x, y), z)
@@ -671,7 +636,7 @@ def xhat_log_h_field(method: str = "exact") -> ScalarField:
 # complex-shifted kernels
 
 
-def p1_complex_shift(r: float, z: float, cfg: KernelConfig | None = None) -> ComplexKernelValue:
+def p1_complex_shift(r: float, z: float, spec: QuadratureSpec | None = None) -> ComplexKernelValue:
     """p1(r, z + 2i) by direct quadrature of the shifted integrand.
 
     Folding the full-line integral to [0, inf) gives cosh/sinh factors;
@@ -682,7 +647,7 @@ def p1_complex_shift(r: float, z: float, cfg: KernelConfig | None = None) -> Com
         raise ValueError(
             "shifted integral diverges for r <= 2; use p1_star_shifted"
         )
-    spec = _osc_spec(cfg, z)
+    spec = _osc_spec(spec, z)
     decay = 0.25 * r * r - 1.0
 
     def f_re(lam):
@@ -713,7 +678,7 @@ def _pole_bracket(lam, r):
     return np.where(one_minus_u > 0.0, out, math.exp(-0.25 * r * r))
 
 
-def p1_star_shifted(r: float, z: float, cfg: KernelConfig | None = None) -> ComplexKernelValue:
+def p1_star_shifted(r: float, z: float, spec: QuadratureSpec | None = None) -> ComplexKernelValue:
     """p1*(r, z + 2i): pole-subtracted kernel plus the surviving pole.
 
     q has the leading exponential of the integrand removed, so its
@@ -724,7 +689,7 @@ def p1_star_shifted(r: float, z: float, cfg: KernelConfig | None = None) -> Comp
     _check_range(r, z)
     if not (r > 0.0):
         raise ValueError("regularized route needs r > 0")
-    spec = _osc_spec(cfg, z)
+    spec = _osc_spec(spec, z)
     decay = 1.0 + 0.25 * r * r  # residual e^{-(3+r^2/4)lam} against cosh(2 lam)
 
     def f_re(lam):

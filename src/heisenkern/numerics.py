@@ -3,12 +3,12 @@
 Adaptive 12-point Gauss panel quadrature on finite intervals
 (:func:`integrate_1d`), truncated integration of exponentially decaying
 integrands on [0, inf) (:func:`integrate_decaying`), and the tolerance
-and panel rules both take (:class:`QuadratureSpec`).  The kernel's
-adaptive scalar route integrates over lambda with
-:func:`integrate_decaying`, and ``QuadratureSpec.abs_tol`` selects the
-semigroup's node tier.  The module needs numpy only; the
-Gaussian quantile and the Nelder-Mead search the harness uses come
-from scipy.
+and panel rules both take (:class:`QuadratureSpec`).  Only the kernel's
+complex shifts, p1(r, z + 2i) and p1*(r, z + 2i), integrate over lambda
+with :func:`integrate_decaying`; every real-kernel value comes from the
+kernel's fixed panel rule.  ``QuadratureSpec.abs_tol`` also selects the
+semigroup's node tier.  The module needs numpy only; the Gaussian
+quantile and the Nelder-Mead search the harness uses come from scipy.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Heat semigroup P_t = e^{tL} applied by quadrature against the kernel.
 
 P_t f(x) = int f(x.y) p_t(y) dy, truncated to the CC ball
-d(y) <= domain_radius in the geodesic polar chart; the Gaussian decay
-of the kernel keeps the discarded mass small.  The measure at time t is
-the t = 1 measure of the same dimensionless radius domain_radius/sqrt(t)
-and node tier, dilated, so the kernel is evaluated and the mass deficit
-1 - int_{d<=R} p_t <= MASS_DEFICIT_TOL certified once per (radius,
-tier).  Points x != 0 reduce to the origin by left-translating f, so
-there is a single kernel center.
+d(y) <= 10 sqrt(t) in the geodesic polar chart; the Gaussian decay of
+the kernel keeps the discarded mass small.  The measure at time t is
+the t = 1 measure of the same node tier, dilated, so the kernel is
+evaluated and the mass deficit 1 - int_{d<=10} p_1 <= MASS_DEFICIT_TOL
+certified once per tier.  Points x != 0 reduce to the origin by
+left-translating f, so there is a single kernel center.
 
 Everything is pure given a config.  Nested quadratures hand f whole
 node arrays (and are free to do so concurrently), so a field's eval
@@ -46,6 +45,10 @@ __all__ = [
 ]
 
 MASS_DEFICIT_TOL = 1e-6
+# dimensionless truncation radius R: the measure at t covers d <= R sqrt(t).
+# Below about 8.5 the discarded kernel mass exceeds MASS_DEFICIT_TOL, and
+# above 25 the chart's z extent R^2/(4 pi) leaves the kernel's range.
+_DOMAIN_RADIUS = 10.0
 GRAD_ROUTES = ("fd", "hat-transfer", "ibp")
 
 # node tier switches: specs at or above these abs_tols get reduced rules
@@ -69,31 +72,25 @@ class MassDeficitError(ValueError):
 
 @dataclass(frozen=True)
 class HeatOpConfig:
-    """Time, truncation radius and quadrature tier for one P_t.
+    """Time and quadrature tier for one P_t.
 
-    ``domain_radius`` defaults to 10 sqrt(t).  The dimensionless radius
-    R = domain_radius/sqrt(t) has a working window: below about 8.5 the
-    discarded kernel mass exceeds MASS_DEFICIT_TOL (config error), and
-    above 25 the chart's z extent R^2/(4 pi) leaves the kernel
-    evaluator's range.  ``quad.abs_tol`` >= 1e-6 selects the reduced
-    node tier meant for the inner legs of nested quadratures.
+    The measure covers d <= 10 sqrt(t).  ``quad.abs_tol`` picks the node
+    tier: >= 1e-4 gives the nested tier and >= 1e-6 the coarse tier, the
+    reduced rules meant for the legs of nested quadratures; anything
+    tighter gives the fine tier.
     """
 
     t: float
-    domain_radius: Optional[float] = None
     quad: QuadratureSpec = dataclass_field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         if not (self.t > 0.0):
             raise ValueError("t must be > 0")
-        if self.domain_radius is None:
-            object.__setattr__(self, "domain_radius", 10.0 * math.sqrt(self.t))
-        if not (self.domain_radius > 0.0):
-            raise ValueError("domain_radius must be > 0")
 
 
-def _node_counts(r1: float, abs_tol: float):
-    """(n_s, n_phi, n_alpha) for dimensionless radius ``r1`` and a tier's abs_tol."""
+def _node_counts(abs_tol: float):
+    """(n_s, n_phi, n_alpha) of the tier that ``abs_tol`` selects."""
+    r1 = _DOMAIN_RADIUS
     if abs_tol >= _NESTED_ABS_TOL:
         return max(12, math.ceil(1.6 * r1)), 12, 8
     if abs_tol >= _COARSE_ABS_TOL:
@@ -109,7 +106,7 @@ def _spread(v: np.ndarray, size: int, odd: bool = False) -> np.ndarray:
 
 @dataclass
 class _BaseMeasure:
-    """The t = 1 heat measure of one (dimensionless radius, node tier).
+    """The t = 1 heat measure of one node tier.
 
     The kernel depends on (r, |z|) only, so it is evaluated on the
     n_s x n_phi radial nodes of the chart and copied to every alpha
@@ -145,11 +142,10 @@ class HeatMeasure:
     """Chart nodes carrying the discrete heat measure of one config.
 
     ``mu`` (Lebesgue weight times kernel value) sums against node values
-    to approximate integrals over d <= domain_radius.  By the parabolic
+    to approximate integrals over d <= 10 sqrt(t).  By the parabolic
     scaling p_t(x, y, z) = t^-2 p_1(x/sqrt t, y/sqrt t, z/t), every
-    measure is a view of the t = 1 measure at the same dimensionless
-    radius and tier: x and y scaled by sqrt(t), z by t, ``mu`` and the
-    mass deficit unchanged.
+    measure is a view of the t = 1 measure of its tier: x and y scaled
+    by sqrt(t), z by t, ``mu`` and the mass deficit unchanged.
     """
 
     t: float
@@ -168,25 +164,25 @@ class HeatMeasure:
 
 
 @cache
-def _base_measure(r1: float, n_s: int, n_phi: int, n_alpha: int) -> _BaseMeasure:
-    """The t = 1 measure over d <= r1 on one node tier, its mass checked."""
-    x, y, z, w = chart_ball_nodes(r1, n_s=n_s, n_phi=n_phi, n_alpha=n_alpha)
+def _base_measure(n_s: int, n_phi: int, n_alpha: int) -> _BaseMeasure:
+    """The t = 1 measure over d <= _DOMAIN_RADIUS on one node tier, its mass checked."""
+    x, y, z, w = chart_ball_nodes(_DOMAIN_RADIUS, n_s=n_s, n_phi=n_phi, n_alpha=n_alpha)
     n = n_s * n_phi
     radial = (np.hypot(x[:n], y[:n]), z[:n])
     mu = w * _spread(p1_many(*radial), w.size)
     deficit = abs(1.0 - float(np.sum(mu)))
     if deficit > MASS_DEFICIT_TOL:
         raise MassDeficitError(
-            f"kernel mass deficit {deficit:.3e} over d <= {r1:g} sqrt(t) "
+            f"kernel mass deficit {deficit:.3e} over d <= {_DOMAIN_RADIUS:g} sqrt(t) "
             f"exceeds {MASS_DEFICIT_TOL:g}"
         )
     return _BaseMeasure(x, y, z, mu, deficit, radial)
 
 
 @cache
-def _measure(t: float, domain_radius: float, counts: tuple) -> HeatMeasure:
-    """The view at t of the base at R = domain_radius/sqrt(t) and ``counts``."""
-    return _base_measure(domain_radius / math.sqrt(t), *counts).at(t)
+def _measure(t: float, counts: tuple) -> HeatMeasure:
+    """The view at t of the base on node tier ``counts``."""
+    return _base_measure(*counts).at(t)
 
 
 def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
@@ -194,11 +190,10 @@ def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
 
     Raises :class:`MassDeficitError` when |1 - sum mu| exceeds
     MASS_DEFICIT_TOL; that covers both truncation loss and rule error.
-    The check runs once per (dimensionless radius, tier), on the t = 1
-    measure, since the dilation leaves ``mu`` unchanged.
+    The check runs once per tier, on the t = 1 measure, since the
+    dilation leaves ``mu`` unchanged.
     """
-    r1 = cfg.domain_radius / math.sqrt(cfg.t)
-    return _measure(cfg.t, cfg.domain_radius, _node_counts(r1, cfg.quad.abs_tol))
+    return _measure(cfg.t, _node_counts(cfg.quad.abs_tol))
 
 
 def _values_at(f: ScalarField, measure: HeatMeasure, x: GroupElement) -> np.ndarray:
@@ -368,9 +363,7 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     """
     t = cfg.t
     coarse = QuadratureSpec(abs_tol=max(cfg.quad.abs_tol, _COARSE_ABS_TOL))
-    # every leg is a view of this measure's t = 1 base: recomputing the
-    # radius as r1 sqrt(s) / sqrt(s) could miss r1 by an ulp and build another
-    base = heat_measure(HeatOpConfig(t=t, domain_radius=cfg.domain_radius, quad=coarse)).base
+    base = heat_measure(HeatOpConfig(t=t, quad=coarse)).base
     total = 0.0
     for sn, sw in zip(_S_NODES, _S_WEIGHTS):
         s = 0.5 * t * (sn + 1.0)

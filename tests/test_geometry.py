@@ -264,6 +264,14 @@ class TestJacobian:
             jacobian_A(0.0, 1.0)
         with pytest.raises(ValueError):
             jacobian_A(1.0, 7.0)
+        with pytest.raises(ValueError):
+            jacobian_A(1.0, np.array([1.0, 7.0]))
+
+    def test_array_matches_scalar(self):
+        s = np.linspace(1e-3, 2.0 * math.pi * 1.3, 97)
+        a = jacobian_A(1.3, s)
+        assert isinstance(jacobian_A(1.3, float(s[5])), float)
+        assert a.tobytes() == np.array([jacobian_A(1.3, float(v)) for v in s]).tobytes()
 
     def test_matches_fd_determinant_of_chart_map(self):
         # |det d(x,y,z)/d(rho, alpha, s)| should equal A(rho, s) * rho

@@ -220,15 +220,19 @@ def test_config_validation():
         HeatOpConfig(t=0.0)
     with pytest.raises(ValueError):
         HeatOpConfig(t=-1.0)
-    with pytest.raises(ValueError):
-        HeatOpConfig(t=1.0, domain_radius=-2.0)
 
 
-def test_truncation_too_tight_is_a_config_error():
+def test_truncation_too_tight_is_a_config_error(monkeypatch):
+    """A mass deficit above MASS_DEFICIT_TOL raises on the next build."""
+    deficit = heat_measure(CFG1_COARSE).deficit
+    assert deficit > 0.0
+    semigroup._base_measure.cache_clear()
+    semigroup._measure.cache_clear()
+    monkeypatch.setattr(semigroup, "MASS_DEFICIT_TOL", 0.5 * deficit)
     with pytest.raises(MassDeficitError):
-        heat_measure(HeatOpConfig(t=1.0, domain_radius=6.0))
+        heat_measure(CFG1_COARSE)
     with pytest.raises(MassDeficitError):
-        apply_Pt(ONE, HeatOpConfig(t=4.0, domain_radius=12.0))
+        apply_Pt(ONE, HeatOpConfig(t=4.0, quad=COARSE))
 
 
 def test_measure_is_cached_per_config():
