@@ -191,9 +191,11 @@ def cc_distance_many(x, y, z):
     r = np.hypot(x, y)
     az = np.abs(z)
 
-    # az/r stays representable where r*r would underflow
+    # az/r stays representable where r*r would underflow; at a subnormal r
+    # it overflows to inf, which the planar test reads correctly
     safe_r = np.where(r > 0.0, r, 1.0)
-    planar = (az == 0.0) | (az / safe_r <= PLANAR_Z_FACTOR * r)
+    with np.errstate(over="ignore"):
+        planar = (az == 0.0) | (az / safe_r <= PLANAR_Z_FACTOR * r)
     axis = ~planar & (r < AXIS_R_FACTOR * np.sqrt(az))
     generic = ~(planar | axis)
 

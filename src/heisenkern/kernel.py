@@ -11,7 +11,9 @@ Routes: every real-kernel value comes from one fixed Gauss-Legendre
 panel rule, built by _panel_kernel.  radial_row applies it to one z-row;
 the point functions p1, p, p1_partials and p1_second_partials are
 radial_row at the single point, so their rule is set by that point
-alone; p1_many and log_grad_many take one rule per run of _CHUNK pairs.
+alone; p1_many and log_grad_many take one rule per run of _CHUNK pairs,
+and within a run take exp once per distinct radius and cos/sin once per
+distinct height, with the bits of a per-point evaluation.
 The log-derivative bundle of log p1 comes from _log_bundle, which
 log_derivatives and the interpolation table both call; the table itself
 is evaluated by scipy's NdBSpline.  Only the complex shifts
@@ -114,9 +116,9 @@ def _g_factor(lam, r):
 
 def _check_range(r, z):
     if not (math.isfinite(r) and math.isfinite(z)):
-        raise ValueError("coordinates must be finite")
+        raise KernelRangeError("coordinates must be finite")
     if r < 0.0:
-        raise ValueError("radial coordinate must be >= 0")
+        raise KernelRangeError("radial coordinate must be >= 0")
     if abs(z) > Z_RANGE_LIMIT:
         raise KernelRangeError(
             f"|z| = {abs(z):.3g} exceeds the supported range {Z_RANGE_LIMIT}; "
@@ -188,9 +190,16 @@ def _lambda_cutoff(r_min: float, target: float = 42.0) -> float:
     """
     q = 0.25 * r_min * r_min
     lo, hi = 0.0, target
+    # Python floats carry _lam_coth's own operations; np.tanh, not
+    # math.tanh, keeps every cutoff's bits
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        g = mid + q * (float(_lam_coth(mid)) - 1.0)
+        if mid < SERIES_CUT:
+            l2 = mid * mid
+            lc = 1.0 + l2 / 3.0 - l2 * l2 / 45.0
+        else:
+            lc = float(mid / np.tanh(mid))
+        g = mid + q * (lc - 1.0)
         if g < target:
             lo = mid
         else:
@@ -258,12 +267,29 @@ def radial_row(rs, z: float):
     return pv, pr, pz, prr, prz_over_r, pzz
 
 
+def _distinct(a):
+    """(values, index) with values[index] equal to the 1-d ``a``.
+
+    values holds the distinct bit patterns of ``a``, so -0.0 stays apart
+    from 0.0.  When none repeats, values is ``a`` itself and index a full
+    slice, so indexing with it makes no copy.
+    """
+    u, inv = np.unique(a.view(np.int64), return_inverse=True)
+    if u.size == a.size:
+        return a, slice(None)
+    return u.view(np.float64), inv
+
+
 def _paired(r, z, name: str, sums, n_out: int):
     """Evaluate ``sums`` over broadcast (r, z) pairs, one rule per chunk.
 
     The pairs are range-checked, then each run of _CHUNK points gets the
-    panel rule of its own extremes and ``sums(z_chunk, lam, w, lc, G)``
-    returns ``n_out`` arrays over the chunk.
+    panel rule of its own extremes.  G is built on the chunk's distinct
+    radii and its rows gathered back to the points; ``sums(z_u, z_inv,
+    lam, w, lc, G)`` takes cos and sin on the distinct heights z_u,
+    gathers them through z_inv and returns ``n_out`` arrays over the
+    chunk.  The (point, node) products and their contraction over the
+    whole chunk are those of a per-point evaluation, so no bit moves.
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -274,9 +300,11 @@ def _paired(r, z, name: str, sums, n_out: int):
         _check_batch(r, z, name)
     out = np.empty((n_out, r.size))
     for lo in range(0, r.size, _CHUNK):
-        zc = z[lo:lo + _CHUNK]
-        panel = _panel_kernel(r[lo:lo + _CHUNK], float(np.max(np.abs(zc))))
-        out[:, lo:lo + _CHUNK] = sums(zc, *panel)
+        r_u, r_inv = _distinct(r[lo:lo + _CHUNK])
+        z_u, z_inv = _distinct(z[lo:lo + _CHUNK])
+        lam, w, lc, G = _panel_kernel(r_u, float(np.max(np.abs(z_u))))
+        G = G[r_inv]  # rebinding frees the distinct-radius rows before sums
+        out[:, lo:lo + _CHUNK] = sums(z_u, z_inv, lam, w, lc, G)
     return tuple(v.reshape(shape) for v in out)
 
 
@@ -286,10 +314,14 @@ def p1_many(r, z) -> np.ndarray:
     Each run of _CHUNK pairs shares the rule of its own extremes, so a
     value can move with its batch-mates, within the accuracy note's
     noise floor; :func:`p1` is the same rule fitted to one point.
+    exp runs once per distinct radius and cos once per distinct height
+    of a run, which makes tensor grids cheap, and every value keeps the
+    bits of a per-point evaluation.
     """
 
-    def sums(zc, lam, w, lc, G):
-        return ((G * np.cos(np.outer(zc, lam))) @ w / FOUR_PI_SQ,)
+    def sums(z_u, z_inv, lam, w, lc, G):
+        G *= np.cos(np.outer(z_u, lam))[z_inv]
+        return (G @ w / FOUR_PI_SQ,)
 
     return _paired(r, z, "p1_many", sums, 1)[0]
 
@@ -302,11 +334,12 @@ def log_grad_many(r, z):
     what integration-by-parts gradient routes want at quadrature nodes.
     """
 
-    def sums(zc, lam, w, lc, G):
-        Gc = G * np.cos(np.outer(zc, lam))
+    def sums(z_u, z_inv, lam, w, lc, G):
+        Gc = G * np.cos(np.outer(z_u, lam))[z_inv]
         m0 = Gc @ w
         m1 = Gc @ (w * lc)
-        m3 = (G * np.sin(np.outer(zc, lam))) @ (w * lam)
+        G *= np.sin(np.outer(z_u, lam))[z_inv]
+        m3 = G @ (w * lam)
         return -0.5 * m1 / m0, -m3 / m0
 
     return _paired(r, z, "log_grad_many", sums, 2)

@@ -8,6 +8,7 @@ and against Cartesian integrals with closed-form values.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,15 @@ class TestCcDistance:
         for i in range(40):
             one = cc_distance(GroupElement(xs[i], ys[i], zs[i])).d
             assert batch[i] == pytest.approx(one, rel=1e-13, abs=1e-13)
+
+    def test_subnormal_radius_without_warning(self):
+        """az/r overflows at a subnormal r; the axis value comes out
+        with no RuntimeWarning, equal to the scalar route's."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = cc_distance_many(np.array([5e-324, 0.0]), 0.0, 1.0)
+        assert d[0] == d[1] == cc_distance(GroupElement(5e-324, 0.0, 1.0)).d
+        assert d[0] == pytest.approx(TWO_SQRT_PI, rel=1e-15)
 
     def test_continuity_across_planar_threshold(self):
         lo = cc_distance(GroupElement(1.0, 0.0, 0.9e-12)).d

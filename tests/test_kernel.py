@@ -246,7 +246,11 @@ class TestBatchRoutes:
         lambda: K.log_grad_many([1.0], [math.nan]),
         lambda: K.radial_row([math.nan], 0.0),
         lambda: K.p1_many([math.inf], [0.0]),
-    ], ids=["p1_many-nan", "log_grad_many-nan", "radial_row-nan", "p1_many-inf"])
+        lambda: K.p1_complex_shift(math.nan, 0.0),
+        lambda: K.p1_star_shifted(math.nan, 0.0),
+        lambda: K.p1_star_shifted(-1.0, 0.0),
+    ], ids=["p1_many-nan", "log_grad_many-nan", "radial_row-nan", "p1_many-inf",
+            "p1_complex_shift-nan", "p1_star_shifted-nan", "p1_star_shifted-negative"])
     def test_non_finite_arguments_rejected(self, call):
         with pytest.raises(K.KernelRangeError):
             call()
@@ -273,6 +277,138 @@ class TestBatchRoutes:
         assert K.radial_row(np.empty(0), 1.0)[0].size == 0
         with pytest.raises(K.KernelRangeError):
             K.radial_row(np.array([-1.0]), 0.0)
+
+
+def _bits_equal(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _naive_paired(r, z):
+    """(p1, alpha, b) over broadcast pairs from per-point matrices: each
+    _CHUNK slice gets _panel_kernel on its own radii, then cos and sin of
+    every (point, node) pair and one contraction per sum."""
+    r, z = (np.ravel(a) for a in np.broadcast_arrays(np.asarray(r, float), np.asarray(z, float)))
+    p, alpha, b = (np.empty(r.size) for _ in range(3))
+    for lo in range(0, r.size, K._CHUNK):
+        sl = slice(lo, lo + K._CHUNK)
+        lam, w, lc, G = K._panel_kernel(r[sl], float(np.max(np.abs(z[sl]))))
+        Gc = G * np.cos(np.outer(z[sl], lam))
+        Gs = G * np.sin(np.outer(z[sl], lam))
+        p[sl] = Gc @ w / K.FOUR_PI_SQ
+        m0 = Gc @ w
+        alpha[sl] = -0.5 * (Gc @ (w * lc)) / m0
+        b[sl] = -(Gs @ (w * lam)) / m0
+    return p, alpha, b
+
+
+def _table_grid():
+    """The harness window table's grid, z-major: r <= 8, |z| <= 9, step 0.025."""
+    rg = np.arange(0.0, 8.0 + 0.025, 0.025)
+    zg = np.arange(0.0, 9.0 + 0.025, 0.025)
+    Z, R = np.meshgrid(zg, rg, indexing="ij")
+    return R.ravel(), Z.ravel()
+
+
+def _cell_nodes():
+    """r-major Gauss nodes as mc.kernel_cell_masses lays them out for the
+    chi-squared histogram (20 r cells on [0, 5], 10 z cells on [-2, 2])."""
+    xg = np.polynomial.legendre.leggauss(8)[0]
+
+    def nodes(edges):
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        return (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+
+    return nodes(np.linspace(0.0, 5.0, 21))[:, None], nodes(np.linspace(-2.0, 2.0, 11))[None, :]
+
+
+def _ray_nodes():
+    """96 distinct points of one ray-survey leg (|u| = 1.3, s in (1, 2 pi |u|))."""
+    u = 1.3
+    x, _ = np.polynomial.legendre.leggauss(96)
+    phi = (0.5 * (2.0 * math.pi * u - 1.0) * (x + 1.0) + 1.0) / (2.0 * u)
+    return 2.0 * u * np.sin(phi), 0.5 * u * u * (2.0 * phi - np.sin(2.0 * phi))
+
+
+def _shuffled_repeats():
+    """5,000 points in shuffled order over 37 radii and 29 signed heights,
+    with -0.0 and 0.0 both present."""
+    rng = np.random.default_rng(17)
+    r = rng.choice(np.linspace(0.0, 6.0, 37), 5000)
+    z = rng.choice(np.linspace(-4.0, 4.0, 29), 5000)
+    z[rng.choice(5000, 40, replace=False)] = -0.0
+    return r, z
+
+
+class TestPairedDistinct:
+    """p1_many and log_grad_many evaluate the transcendentals once per
+    distinct radius and height of a chunk; each value keeps the bits of
+    the per-point matrices."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: tuple(a[20 * K._CHUNK:22 * K._CHUNK] for a in _table_grid()),
+        _cell_nodes,
+        _shuffled_repeats,
+        _ray_nodes,
+    ], ids=["table-grid-two-chunks", "cell-masses-r-major", "shuffled-repeats", "ray-96"])
+    def test_bits_match_naive(self, make):
+        r, z = make()
+        want_p, want_alpha, want_b = _naive_paired(r, z)
+        shape = np.broadcast(r, z).shape
+        assert _bits_equal(K.p1_many(r, z), want_p.reshape(shape))
+        alpha, b = K.log_grad_many(r, z)
+        assert _bits_equal(alpha, want_alpha.reshape(shape))
+        assert _bits_equal(b, want_b.reshape(shape))
+
+    def test_exponentials_once_per_distinct_radius(self, monkeypatch):
+        r, z = (a[20 * K._CHUNK:22 * K._CHUNK] for a in _table_grid())
+        seen = []
+        real = K._panel_kernel
+
+        def spy(rs, zmax):
+            seen.append(np.array(rs))
+            return real(rs, zmax)
+
+        monkeypatch.setattr(K, "_panel_kernel", spy)
+        K.p1_many(r, z)
+        assert len(seen) == 2
+        for i, rs in enumerate(seen):
+            chunk = r[i * K._CHUNK:(i + 1) * K._CHUNK]
+            assert rs.size == np.unique(chunk).size <= 321
+            assert np.array_equal(np.sort(rs), np.unique(chunk))
+
+
+def _old_lambda_cutoff(r_min, target=42.0):
+    """Reference: the cutoff bisection on NumPy arrays through a
+    series-guarded lam coth lam, as kernel._lam_coth computes it."""
+
+    def lam_coth(lam):
+        lam = np.asarray(lam, dtype=float)
+        small = np.abs(lam) < K.SERIES_CUT
+        safe = np.where(small, 1.0, lam)
+        l2 = lam * lam
+        return np.where(small, 1.0 + l2 / 3.0 - l2 * l2 / 45.0, safe / np.tanh(safe))
+
+    q = 0.25 * r_min * r_min
+    lo, hi = 0.0, target
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid + q * (float(lam_coth(mid)) - 1.0) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_lambda_cutoff_bits_match_array_bisection():
+    rng = np.random.default_rng(5)
+    radii = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 16.0, 20.0],
+                            np.linspace(0.0, 20.0, 201), rng.uniform(0.0, 20.0, 293)])
+    for r in radii:
+        got, want = K._lambda_cutoff(float(r)), _old_lambda_cutoff(float(r))
+        assert _bits_equal(got, want), r
 
 
 class TestPartials:
