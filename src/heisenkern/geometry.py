@@ -273,7 +273,8 @@ def polar_from_cartesian(p: GroupElement) -> GeodesicChart:
             "z-axis point: chart is degenerate (full circle of geodesics)"
         )
     w = complex(p.x, p.y)
-    if az < PLANAR_Z_FACTOR * r * r:
+    # cc_distance's planar test: r * r would underflow for r below ~1.5e-154
+    if az == 0.0 or az / r <= PLANAR_Z_FACTOR * r:
         return GeodesicChart(u=1j * w / r, s=r, branch="planar")
     mirror = p.z < 0.0
     if mirror:

@@ -180,8 +180,12 @@ def _panel_rule(lam_max: float, width: float):
     return nodes, weights
 
 
-def _lambda_cutoff(r_min: float, target: float = 42.0) -> float:
-    """Tail cutoff: solve lam + (r_min^2/4)(lam coth lam - 1) = target.
+# the integrand envelope falls to exp(-_CUTOFF_TARGET) of its lam = 0 value at the cutoff
+_CUTOFF_TARGET = 42.0
+
+
+def _lambda_cutoff(r_min: float) -> float:
+    """Tail cutoff: solve lam + (r_min^2/4)(lam coth lam - 1) = _CUTOFF_TARGET.
 
     The integrand envelope relative to its lam = 0 value is
     exp(-lam - q (lc(lam) - 1)) with q = r^2/4; near zero that decays
@@ -189,7 +193,7 @@ def _lambda_cutoff(r_min: float, target: float = 42.0) -> float:
     cutoff of 42/(1+q) would truncate far too early for large r.
     """
     q = 0.25 * r_min * r_min
-    lo, hi = 0.0, target
+    lo, hi = 0.0, _CUTOFF_TARGET
     # Python floats carry _lam_coth's own operations; np.tanh, not
     # math.tanh, keeps every cutoff's bits
     for _ in range(60):
@@ -200,7 +204,7 @@ def _lambda_cutoff(r_min: float, target: float = 42.0) -> float:
         else:
             lc = float(mid / np.tanh(mid))
         g = mid + q * (lc - 1.0)
-        if g < target:
+        if g < _CUTOFF_TARGET:
             lo = mid
         else:
             hi = mid

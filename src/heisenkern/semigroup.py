@@ -90,12 +90,11 @@ class HeatOpConfig:
 
 def _node_counts(abs_tol: float):
     """(n_s, n_phi, n_alpha) of the tier that ``abs_tol`` selects."""
-    r1 = _DOMAIN_RADIUS
     if abs_tol >= _NESTED_ABS_TOL:
-        return max(12, math.ceil(1.6 * r1)), 12, 8
+        return 16, 12, 8
     if abs_tol >= _COARSE_ABS_TOL:
-        return max(16, math.ceil(2.2 * r1)), 16, 10
-    return max(24, math.ceil(3.2 * r1)), 24, 16
+        return 22, 16, 10
+    return 32, 24, 16
 
 
 def _spread(v: np.ndarray, size: int, odd: bool = False) -> np.ndarray:

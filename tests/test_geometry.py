@@ -237,6 +237,17 @@ class TestPolarFromCartesian:
                 cc_distance(p).d, rel=1e-12
             )
 
+    @pytest.mark.parametrize("r", [1e-3, 1e-100, 1e-160, 1e-200, 5e-324])
+    def test_tiny_planar_points(self, r):
+        """z = 0 is planar at every r, where r * r underflows too."""
+        p = GroupElement(r, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ch = polar_from_cartesian(p)
+            branch = cc_distance(p).branch
+        assert ch.branch == branch == "planar"
+        assert ch.s == r
+
     def test_degenerate_inputs(self):
         with pytest.raises(ChartDegenerateError):
             polar_from_cartesian(GroupElement(0.0, 0.0, 1.0))

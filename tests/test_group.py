@@ -264,6 +264,27 @@ class TestGamma:
         rhs = 0.5 * (apply_L(gamma_f, p) - 2.0 * _gamma_pair(f, lf, p))
         assert lhs == pytest.approx(rhs, abs=1e-4)
 
+    def test_gamma2_matches_taylor_form(self):
+        """Gamma and Gamma_2 of random cubics g against the exact Taylor
+        forms of g at 0, evaluated at the origin and at generic points a.
+        X, Y and Z are left-invariant, so g o tau_{a^-1} takes at a the
+        values g takes at 0.  At 0 the frame's words reduce to partials
+        (XY + YX = 2 d_xy there), so Gamma_2 = f_xx^2 + f_yy^2 + 2 f_xy^2
+        + f_z^2/2 + 2 (f_xz f_y - f_yz f_x)."""
+        rng = np.random.default_rng(19)
+        origin = GroupElement(0.0, 0.0, 0.0)
+        for _ in range(20):
+            c = dict(zip(MONOMIALS, rng.uniform(-1.0, 1.0, len(MONOMIALS))))
+            g = poly_field(c)
+            a = GroupElement(*rng.uniform(-1.3, 1.3, 3))
+            exact = ((2.0 * c[2, 0, 0]) ** 2 + (2.0 * c[0, 2, 0]) ** 2 + 2.0 * c[1, 1, 0] ** 2
+                     + 0.5 * c[0, 0, 1] ** 2
+                     + 2.0 * (c[1, 0, 1] * c[0, 1, 0] - c[0, 1, 1] * c[1, 0, 0]))
+            for f, p in ((g, origin), (left_translate(g, inverse(a)), a)):
+                assert gamma(f, f, p) == pytest.approx(c[1, 0, 0] ** 2 + c[0, 1, 0] ** 2,
+                                                        rel=1e-9)
+                assert gamma2(f, p) == pytest.approx(exact, rel=1e-6)
+
 
 def _gamma_vec(f, x, y, z):
     gx, gy, _ = f.analytic_gradient(x, y, z)

@@ -12,8 +12,9 @@ mollifier atoms, pins the compact members' gradient-bound rows.  The
 pins hold every later change to the measure, the log-gradient routes or
 the translated-gradient quadrature to the values measured before them.
 
-The Gamma_2 witness search and the Gaussian isoperimetric profile behind
-the Bobkov rows are checked against closed forms.
+The Gamma_2 witness f = x + M yz at the origin and the Gaussian
+isoperimetric profile behind the Bobkov rows are checked against closed
+forms; a scaled group.gamma2 must fail the witness row.
 """
 
 import dataclasses
@@ -29,10 +30,8 @@ from heisenkern.group import GroupElement, gamma, gamma2, poly_field
 from heisenkern.kernel import KernelRangeError
 from heisenkern.harness import (
     _C_POWER,
-    _CUBICS,
     ConstantEstimate,
     SuiteResult,
-    _gamma2_forms,
     _gauss_isop,
     _implied_c1,
     _report,
@@ -530,34 +529,29 @@ def test_gamma2_search_reaches_target():
     rep = demonstrate_gamma2_unbounded()
     assert rep.passed, rep.note
     assert rep.lhs <= -1e3
+    assert rep.lhs == pytest.approx(-1200.0, rel=1e-3)
+    assert (rep.check, rep.function) == ("gamma2-unbounded", "gamma2-witness")
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.1])
+def test_gamma2_row_fails_on_wrong_gamma2(monkeypatch, scale):
+    """The row's ratio comes from group.gamma2.  Halved, it misses the
+    target; scaled by 1.1 it still reaches the target (-1320) but leaves
+    the closed form -2M, and the cross-check fails the row."""
+    true_gamma2 = harness.gamma2_at
+    monkeypatch.setattr(harness, "gamma2_at", lambda f, p: scale * true_gamma2(f, p))
+    assert not demonstrate_gamma2_unbounded().passed
 
 
 @pytest.mark.parametrize("M", [1.0, 10.0, 1e3])
 def test_gamma2_witness_at_origin(M):
-    """f = x + M yz at 0: Xf = 1, Yf = 0, and Gamma_2 = -2M, from
-    group.gamma2 and from the harness's quadratic forms alike."""
+    """f = x + M yz at 0: Xf = 1, Yf = 0, and group.gamma2 gives -2M."""
     f = poly_field({(1, 0, 0): 1.0, (0, 1, 1): M})
     origin = GroupElement(0.0, 0.0, 0.0)
     assert gamma(f, f, origin) == pytest.approx(1.0, rel=1e-9)
     assert gamma2(f, origin) == pytest.approx(-2.0 * M, rel=1e-6)
-    c = np.array([{(1, 0, 0): 1.0, (0, 1, 1): M}.get(m, 0.0) for m in _CUBICS])
-    Qg, Q2 = _gamma2_forms((0.0, 0.0, 0.0))
-    assert c @ Qg @ c == pytest.approx(1.0, rel=1e-12)
-    assert c @ Q2 @ c == pytest.approx(-2.0 * M, rel=1e-12)
 
 
-
-@pytest.mark.parametrize("point", [(0.7, -0.4, 0.3), (-1.1, 0.5, -0.8), (0.2, 1.3, 1.1)])
-def test_gamma2_forms_match_group_gamma2(point):
-    """Off the origin every term of Gamma_2 is live: the forms of a
-    random cubic agree with group.gamma and group.gamma2 (nested centred
-    differences of the exact frame gradient) at generic points."""
-    c = np.random.default_rng(11).standard_normal(len(_CUBICS))
-    f = poly_field(dict(zip(_CUBICS, c)))
-    p = GroupElement(*point)
-    Qg, Q2 = _gamma2_forms(point)
-    assert c @ Qg @ c == pytest.approx(gamma(f, f, p), rel=1e-12)
-    assert c @ Q2 @ c == pytest.approx(gamma2(f, p), rel=1e-6)
 PHI_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)     # standard normal density at 1
 CDF_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))  # standard normal cdf at 1
 
