@@ -144,6 +144,18 @@ class ScalarField:
     def value_at(self, p: GroupElement) -> float:
         return _as_scalar(self.eval(p.x, p.y, p.z))
 
+    @property
+    def rotation_order(self) -> Optional[int]:
+        """How f transforms under the rotations R_a by a about the z axis.
+
+        1: f o R_a = cos(a) f + sin(a) (f o R_{pi/2});  0: f o R_a = f;
+        None: nothing declared.  It is an attribute of ``eval``, so a field
+        rebuilt around the same function (or a ``functools.wraps`` wrapper
+        of it) keeps the declaration, and one built around any other
+        function drops it.
+        """
+        return getattr(self.eval, "rotation_order", None)
+
 
 @dataclass(frozen=True)
 class DiffOpResult:
@@ -375,6 +387,8 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
     """Polynomial sum c * x^i y^j z^k from ``{(i, j, k): c}`` with exact frame gradient.
 
     Terms are summed in the order of ``coeffs``, with no zero accumulator.
+    The rotation order is 0 when every term has i = j = 0, 1 when every
+    term has i + j = 1, and undeclared otherwise.
     """
     items = [((int(i), int(j), int(k)), float(c)) for (i, j, k), c in coeffs.items()]
 
@@ -408,6 +422,11 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
         shape = np.broadcast(x, y, z).shape
         return tuple(_fresh(g, shape, (x, y, z)) for g in (px, py, pz))
 
+    planar = {i + j for (i, j, _), _ in items}
+    if planar <= {0}:
+        ev.rotation_order = 0
+    elif planar == {1}:
+        ev.rotation_order = 1
     return ScalarField(eval=ev, analytic_gradient=grad, name=name)
 
 

@@ -29,7 +29,8 @@ from scipy import linalg, optimize
 from scipy.special import ndtri
 
 from .family import TestFunctionFamily, build_family
-from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A
+# cc_distance_many stays importable here: the benchmark tracer wraps it in this module
+from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A  # noqa: F401
 from .group import (GroupElement, ScalarField, _mul_arrays, gamma as gamma_at,
                     gamma2 as gamma2_at, poly_field)
 # log_grad_many stays importable here: the benchmark tracer wraps it in this module
@@ -661,11 +662,9 @@ def _squash(vals, gam):
     return 0.1 + 0.8 * s, der * der * gam
 
 
-_GRAD_D_MAX = 4.0
-
-
 @cache
 def _grad_grid():
+    """The 25 points w where the grad-bound rows compare |grad P_t f|(w); all have d(w) <= 4."""
     pts = [(0.0, 0.0, 0.0)]
     for a in (-2.0, -1.0, 1.0, 2.0):
         pts.append((a, 0.0, 0.0))
@@ -676,7 +675,7 @@ def _grad_grid():
                 pts.append((sx, sy, sz))
     for sz in (-1.2, -0.5, 0.5, 1.2):
         pts.append((0.0, 0.0, sz))
-    return np.array([p for p in pts if float(cc_distance_many(p[0], p[1], p[2])) <= _GRAD_D_MAX])
+    return np.array(pts)
 
 
 def _atom_grad_weights(atom: tuple, kind: str) -> np.ndarray:

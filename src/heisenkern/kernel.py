@@ -636,7 +636,9 @@ def xhat_log_h_field(method: str = "exact") -> ScalarField:
     """f* = Xhat(log h) = x alpha(r,z) + (y/2) b(r,z) with frame gradient.
 
     method "exact" runs full quadrature per point; "spline" uses the
-    cached tables and vectorizes (for bulk nested evaluation).
+    cached tables and vectorizes (for bulk nested evaluation).  Both have
+    rotation order 1, since alpha and b are radial:
+    f* o R_{pi/2} = -y alpha + (x/2) b.
     """
     if method == "spline":
         tabs = get_spline_tables()
@@ -651,6 +653,7 @@ def xhat_log_h_field(method: str = "exact") -> ScalarField:
             _, gx, gy, gz = _fstar_pieces(x, y, z, tabs.bundle(r, z))
             return gx, gy, gz
 
+        ev.rotation_order = 1
         return ScalarField(eval=ev, analytic_gradient=grad, name="xhat_log_h[spline]")
 
     if method != "exact":
@@ -666,6 +669,7 @@ def xhat_log_h_field(method: str = "exact") -> ScalarField:
     def grad_exact(x, y, z):
         return _pointwise(lambda *p: _fstar_pieces(*p, bundle(*p))[1:], 3, x, y, z)
 
+    ev_exact.rotation_order = 1
     return ScalarField(eval=ev_exact, analytic_gradient=grad_exact, name="xhat_log_h")
 
 

@@ -42,8 +42,11 @@ __all__ = [
     "chi2_against_kernel",
 ]
 
-# paths per stream and normal draws per chunk; both only shape the
-# internal loops, results depend on (seed, stream) alone
+# paths per stream and normal draws per chunk.  Both are part of the
+# sample's definition, not only of its loops: the first splits the paths
+# among the seeded streams, and the second fixes the (paths, steps, 2)
+# shape of each draw, which decides which normal goes to which path and
+# step.  Changing either changes the sample for the same seed.
 _STREAM_PATHS = 8192
 _DRAWS_PER_CHUNK = 1 << 19
 

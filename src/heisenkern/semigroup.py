@@ -349,6 +349,54 @@ def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
 
 _S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# the quarter turn R(x, y, z) = (-y, x, z) and the mirror M(x, y, z) =
+# (x, -y, -z): automorphisms that fix the heat kernel.  Each is a name, a
+# map of points and the map of frame gradients it induces, since
+# (X, Y, Z)(f o R) = (Yf, -Xf, Zf) o R and (X, Y, Z)(f o M) = (Xf, -Yf, -Zf) o M.
+_QUARTER = ("R", lambda x, y, z: (-y, x, z), lambda gx, gy, gz: (gy, -gx, gz))
+_MIRROR = ("M", lambda x, y, z: (x, -y, -z), lambda gx, gy, gz: (gx, -gy, -gz))
+
+
+def _composed(f: ScalarField, sigma) -> ScalarField:
+    """The field f o sigma; without an analytic gradient of f it has none either."""
+    tag, move, turn = sigma
+    grad = None
+    if f.analytic_gradient is not None:
+
+        def grad(x, y, z):
+            return turn(*f.analytic_gradient(*move(x, y, z)))
+
+    return ScalarField(eval=lambda x, y, z: f.eval(*move(x, y, z)), analytic_gradient=grad,
+                       fd_step=f.fd_step, name=f"{f.name} o {tag}")
+
+
+def _orbit_basis(f: ScalarField, base: _BaseMeasure):
+    """(n, fields, weight): the outer sum of :func:`interpolation_variance`
+    is weight * sum_k mu_k sum_g |grad P g|^2 over its first n nodes and
+    the fields g."""
+    n = base.radial[0].size
+    n_alpha = base.x.size // (2 * n)
+    order = f.rotation_order
+    if order is None:
+        return base.x.size, (f,), 1.0
+    mirrored = _composed(f, _MIRROR)
+    if order == 0:
+        return n, (f, mirrored), float(n_alpha)
+    if order == 1:
+        return n, (f, _composed(f, _QUARTER), mirrored, _composed(mirrored, _QUARTER)), 0.5 * n_alpha
+    raise ValueError(f"rotation order {order!r} of {f.name!r}; expected 0, 1 or None")
+
+
+def _gamma_sum(f: ScalarField, outer: HeatMeasure, inner: HeatMeasure) -> float:
+    """sum_k mu_k Gamma(P f)(y_k) over the nodes y_k of ``outer``, with P the
+    operator of ``inner``; one loop over the orbit basis of f."""
+    n, fields, weight = _orbit_basis(f, outer.base)
+    sq = 0.0
+    for g in fields:
+        gx, gy = grad_Pt_at(g, inner, outer.x[:n], outer.y[:n], outer.z[:n])
+        sq = sq + (gx * gx + gy * gy)
+    return weight * float(np.dot(outer.mu[:n], sq))
+
 
 def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     """Variance of f under P_t rebuilt from 2 int_0^t P_s Gamma(P_{t-s}f) ds.
@@ -359,6 +407,20 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     the nested quadrature run at the reduced node tier (the integrand
     is heat-regularized in s); agreement with :func:`variance` is the
     accuracy check.
+
+    The outer sum runs over orbits.  The tier's nodes are the n = n_s
+    n_phi radial nodes w, their rotations R_j w by 2 pi j / n_alpha and
+    the mirror images M R_j w, with ``mu`` the same along each orbit.
+    R_j and M are automorphisms that fix the kernel, so
+    Gamma(P f)(sigma w) = |grad P(f o sigma)(w)|^2.  Summed over j with
+    f o R_a = cos(a) f + sin(a) (f o R_{pi/2}) (rotation order 1), the
+    cross terms cancel and the orbit contributes
+
+        (n_alpha / 2) sum_{g in f, f o R, f o M, f o M o R} |grad P g(w)|^2,
+
+    with R = R_{pi/2}; for f o R_a = f (order 0) it is
+    n_alpha (|grad P f(w)|^2 + |grad P(f o M)(w)|^2).  A field without a
+    declared order sums |grad P f|^2 over every node.
     """
     t = cfg.t
     coarse = QuadratureSpec(abs_tol=max(cfg.quad.abs_tol, _COARSE_ABS_TOL))
@@ -366,9 +428,5 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     total = 0.0
     for sn, sw in zip(_S_NODES, _S_WEIGHTS):
         s = 0.5 * t * (sn + 1.0)
-        tau = t - s
-        outer = base.at(s)
-        inner = base.at(tau)
-        gx, gy = grad_Pt_at(f, inner, outer.x, outer.y, outer.z)
-        total += 0.5 * t * sw * float(np.dot(outer.mu, gx * gx + gy * gy))
+        total += 0.5 * t * sw * _gamma_sum(f, base.at(s), base.at(t - s))
     return 2.0 * total

@@ -26,6 +26,7 @@ import pytest
 
 from heisenkern import harness
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
+from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, gamma, gamma2, poly_field
 from heisenkern.kernel import KernelRangeError
 from heisenkern.harness import (
@@ -352,7 +353,7 @@ def test_pt_density_raises_outside_table_window():
 def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch):
     """A warm call weights each distinct (atom, kind) panel once: the 7
     atoms of the 17 compact members hold 60,352 panel nodes, each
-    evaluated at the 25 grid points."""
+    evaluated at the 25 grid points, all within d <= 4."""
     density = harness._pt_density
     points = []
 
@@ -362,7 +363,9 @@ def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch)
 
     monkeypatch.setattr(harness, "_pt_density", counted)
     rows = check_cheeger_bobkov(family24)
-    assert len(harness._grad_grid()) == 25
+    grid = harness._grad_grid()
+    assert len(grid) == 25
+    assert np.all(cc_distance_many(*grid.T) <= 4.0)
     assert sum(points) == 25 * 60_352 == 1_508_800
     assert rows == rows24
 

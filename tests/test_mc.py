@@ -108,13 +108,19 @@ def test_batches_are_reproducible():
 def test_histogram_matches_kernel_masses():
     """Pearson chi-squared of sampled cell counts against the quadrature
     masses of the same 200 cells; the two routes share nothing but the
-    group law."""
+    group law.
+
+    The statistic is also pinned bit for bit (222.95063..., p = 0.127):
+    the sample is fixed by the seed together with the stream and draw
+    shapes, so a sampler change that moves the stream shows up here.
+    """
     s = sample_batch(200_000, PathConfig(t=1.0, n_steps=600, seed=4242))
     masses = kernel_cell_masses(s.r_edges, s.z_edges, s.t)
     assert 0.9 < masses.sum() < 1.0
     res = chi2_against_kernel(s)
-    assert res.dof == res.n_categories - 1
+    assert res.dof == res.n_categories - 1 == 200
     assert res.p_value > 0.01
+    assert res.statistic == float.fromhex("0x1.bde6b9509edc6p+7")
 
 
 def test_doubling_halves_the_vertical_bias():

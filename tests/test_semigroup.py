@@ -11,6 +11,7 @@ resolves trig modulations up to wavenumber about 1.5 at the 1e-3 level;
 the family below stays inside that window on purpose.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -490,13 +491,119 @@ def test_grad_inner_at_independent_of_block_size(monkeypatch, name):
 
 
 def test_grad_inner_at_difference_fallback():
-    """A field without an analytic gradient goes through centered differences."""
+    """A field without an analytic gradient goes through centered differences,
+    and so do the rotated and mirrored copies the orbit sum builds from it."""
     xz = poly_field({(1, 0, 1): 1.0}, "xz")
+    fd = ScalarField(eval=xz.eval)
     outer, inner = _nested_pair()
     want = grad_Pt_at(xz, inner, outer.x, outer.y, outer.z)
-    got = grad_Pt_at(ScalarField(eval=xz.eval), inner, outer.x, outer.y, outer.z)
+    got = grad_Pt_at(fd, inner, outer.x, outer.y, outer.z)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
+    n, fd_fields, fd_weight = semigroup._orbit_basis(fd, outer.base)
+    _, fields, weight = semigroup._orbit_basis(xz, outer.base)
+    assert (n, len(fd_fields), fd_weight) == (16 * 12, 4, weight)
+    assert all(g.analytic_gradient is None for g in fd_fields)
+    for g_fd, g in zip(fd_fields, fields):
+        got = grad_Pt_at(g_fd, inner, outer.x[:n], outer.y[:n], outer.z[:n])
+        want = grad_Pt_at(g, inner, outer.x[:n], outer.y[:n], outer.z[:n])
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
+    gamma_fd = semigroup._gamma_sum(fd, outer, inner)
+    assert gamma_fd == pytest.approx(semigroup._gamma_sum(xz, outer, inner), rel=1e-6)
+
+
+# --------------------------------------------- orbit sum over the outer nodes
+
+
+def _undeclared(f):
+    """f with its rotation order dropped: the outer sum then visits all nodes."""
+    return ScalarField(eval=lambda *a: f.eval(*a), analytic_gradient=f.analytic_gradient,
+                       fd_step=f.fd_step, name=f.name)
+
+
+def _traced(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "coeffs, order",
+    [
+        ({(1, 0, 1): 1.0}, 1),
+        ({(1, 0, 0): 1.0}, 1),
+        ({(0, 1, 1): 1.0, (1, 0, 0): -2.0}, 1),
+        ({(0, 0, 2): 1.0}, 0),
+        ({(0, 0, 0): 2.0}, 0),
+        ({(2, 0, 0): 1.0}, None),
+        ({(1, 0, 0): 1.0, (0, 0, 1): 1.0}, None),
+        ({(2, 0, 0): 1.0, (0, 2, 0): 1.0}, None),
+    ],
+)
+def test_poly_field_rotation_order(coeffs, order):
+    assert poly_field(coeffs).rotation_order == order
+
+
+@pytest.mark.parametrize("f", [poly_field({(1, 0, 1): 1.0}, "xz"), FAMILY[-1],
+                               xhat_log_h_field(method="exact")], ids=lambda f: f.name)
+def test_rotation_order_survives_a_wrapped_rebuild(f):
+    """A field rebuilt from functools.wraps wrappers of its functions keeps
+    its order; one rebuilt around a plain lambda drops it."""
+    rebuilt = ScalarField(eval=_traced(f.eval), analytic_gradient=_traced(f.analytic_gradient),
+                          fd_step=f.fd_step, name=f.name)
+    assert f.rotation_order == rebuilt.rotation_order == 1
+    assert _undeclared(f).rotation_order is None
+
+
+def test_declared_rotation_order_holds():
+    """f o R_a = cos(a) f + sin(a) (f o R_{pi/2}) for the declared order-1
+    fields, and f o R_a = f for an order-0 one, at random points."""
+    rng = np.random.default_rng(7)
+    x, y, z = rng.uniform(-2.0, 2.0, (3, 50))
+    a = 0.9
+
+    def rot(f, c, s):
+        return f.eval(c * x - s * y, s * x + c * y, z)
+
+    for f in (poly_field({(1, 0, 1): 1.0, (0, 1, 2): 0.5}), FAMILY[-1]):
+        want = math.cos(a) * f.eval(x, y, z) + math.sin(a) * rot(f, 0.0, 1.0)
+        np.testing.assert_allclose(rot(f, math.cos(a), math.sin(a)), want, rtol=1e-9, atol=1e-12)
+    f = poly_field({(0, 0, 2): 1.0, (0, 0, 1): -3.0})
+    np.testing.assert_allclose(rot(f, math.cos(a), math.sin(a)), f.eval(x, y, z), rtol=1e-15)
+
+
+def test_unknown_rotation_order_is_rejected():
+    def ev(x, y, z):
+        return x * x - y * y
+
+    ev.rotation_order = 2
+    with pytest.raises(ValueError, match="rotation order"):
+        interpolation_variance(ScalarField(eval=ev), CFG1_NESTED)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("coeffs", [{(0, 0, 0): 2.0}, {(1, 0, 0): 1.0}, {(1, 0, 1): 1.0}],
+                         ids=["1", "x", "xz"])
+def test_orbit_sum_matches_all_nodes(coeffs, t):
+    """The orbit route of a declared field against the sum over all 3,072
+    nested-tier nodes of the same field with its declaration dropped."""
+    f = poly_field(coeffs)
+    cfg = HeatOpConfig(t=t, quad=NESTED)
+    orbit = interpolation_variance(f, cfg)
+    assert orbit == pytest.approx(interpolation_variance(_undeclared(f), cfg), rel=1e-12, abs=0.0)
+
+
+def test_orbit_sum_matches_all_nodes_extremal_member():
+    """f* on one s-node: the 768 orbit rows against all 3,072 outer nodes."""
+    fstar = FAMILY[-1]
+    outer, inner = _nested_pair()
+    assert semigroup._orbit_basis(fstar, outer.base)[0] == 16 * 12
+    orbit = semigroup._gamma_sum(fstar, outer, inner)
+    assert orbit == pytest.approx(semigroup._gamma_sum(_undeclared(fstar), outer, inner),
+                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0])
@@ -505,6 +612,12 @@ def test_interpolation_variance_xz_closed_form(t):
     xz = poly_field({(1, 0, 1): 1.0}, "xz")
     iv = interpolation_variance(xz, HeatOpConfig(t=t, quad=NESTED))
     assert iv == pytest.approx(10.0 * t**3 / 3.0, rel=1e-5)
+
+
+def test_interpolation_variance_xz_pinned():
+    """The nested-quadrature value of Var_{P_1}(xz), 1.4e-7 off 10/3."""
+    xz = poly_field({(1, 0, 1): 1.0}, "xz")
+    assert interpolation_variance(xz, CFG1_NESTED) == pytest.approx(3.333332861854166, rel=1e-12)
 
 
 def test_interpolation_variance_extremal_member():
@@ -516,6 +629,7 @@ def test_interpolation_variance_extremal_member():
     """
     fstar = FAMILY[-1]
     iv = interpolation_variance(fstar, CFG1_NESTED)
+    assert iv == pytest.approx(0.9999946251592414, rel=1e-12)
     assert iv == pytest.approx(1.0, abs=1e-4)
     assert iv == pytest.approx(variance(fstar, CFG1_NESTED), rel=1e-3)
 
