@@ -25,8 +25,6 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cache
 
 import numpy as np
-from scipy import linalg, optimize
-from scipy.special import ndtri
 
 from .family import TestFunctionFamily, build_family
 # cc_distance_many stays importable here: the benchmark tracer wraps it in this module
@@ -468,6 +466,8 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
     small chart pool (the p = 2 witness plus the best singles), then
     takes the max against the compact singles.
     """
+    from scipy import linalg, optimize
+
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     if family is None:
@@ -650,6 +650,8 @@ def check_phi_suite(family: TestFunctionFamily, C1_working: float = SQRT2) -> li
 
 def _gauss_isop(u):
     """I(u) = phi(Phi^{-1}(u)), the Gaussian isoperimetric profile."""
+    from scipy.special import ndtri
+
     q = ndtri(np.asarray(u, dtype=float))
     return np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
 
@@ -707,6 +709,8 @@ def _grad_Pt_grid(ctx: _MemberCtx, weights: np.ndarray) -> tuple:
 
 def _tensorized_c1(rhs, lhs: float, c1: float) -> float:
     """The root C > c1 of rhs(C) = lhs for the increasing tensorized Bobkov rhs."""
+    from scipy import optimize
+
     lo, hi = c1, 2.0 * c1
     while rhs(hi) < lhs:
         if hi > 1e6:

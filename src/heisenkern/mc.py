@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from .group import GroupElement
 from .kernel import p1_many
@@ -60,12 +59,32 @@ class PathConfig:
     seed: int
 
     def __post_init__(self):
-        if not (self.t > 0.0):
-            raise ValueError("t must be > 0")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 10:
-            raise ValueError("n_steps must be an integer >= 10")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_t(self.t)
+        object.__setattr__(self, "n_steps", _integral(self.n_steps, "n_steps", 10))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _integral(value, name: str, low: int) -> int:
+    """``value`` as an int >= low; an integral float counts, anything else raises."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value or as_int < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return as_int
+
+
+def _check_t(t: float) -> None:
+    if not (0.0 < t < math.inf):
+        raise ValueError("t must be finite and > 0")
+
+
+def _check_seed(seed) -> int:
+    seed = _integral(seed, "seed", 0)
+    if seed >= 2 ** 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
 
 
 def _stream_generator(seed: int, stream: int) -> np.random.Generator:
@@ -125,8 +144,7 @@ def _stream_plan(n: int):
 
 def sample_paths(n: int, cfg: PathConfig) -> np.ndarray:
     """Endpoints of n independent paths, rows (x, y, z)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _integral(n, "n", 1)
     out = np.empty((n, 3))
     lo = 0
     for i, size in enumerate(_stream_plan(n)):
@@ -176,8 +194,7 @@ def sample_batch(n: int, cfg: PathConfig) -> BatchStats:
     Bins: 20 radial cells over r <= 5 sqrt(t) by 10 vertical cells over
     |z| <= 2t, the 200-cell grid the kernel cross-check uses.
     """
-    if n < 1000:
-        raise ValueError("n must be >= 1000")
+    n = _integral(n, "n", 1000)
     r_edges = np.linspace(0.0, 5.0, 21) * math.sqrt(cfg.t)
     z_edges = np.linspace(-2.0, 2.0, 11) * cfg.t
 
@@ -224,11 +241,13 @@ def sample_kolmogorov(t: float, seed: int, n: Optional[int] = None):
     [t^{3/2}/2, t^{3/2}/(2 sqrt(3))]].  With ``n`` given, returns two
     arrays of length n from a single counter-based stream.
     """
-    if not (t > 0.0):
-        raise ValueError("t must be > 0")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),))))
+    _check_t(t)
+    seed = _check_seed(seed)
+    if n is not None:
+        n = _integral(n, "n", 1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,))))
     # pair-major draws, so the n-draw arrays extend the single draw
-    g = rng.standard_normal((1 if n is None else int(n), 2)).T
+    g = rng.standard_normal((1 if n is None else n, 2)).T
     u = math.sqrt(t) * g[0]
     v = 0.5 * t ** 1.5 * (g[0] + g[1] / math.sqrt(3.0))
     if n is None:
@@ -278,8 +297,11 @@ def chi2_against_kernel(stats: BatchStats) -> Chi2Result:
 
     Cells whose expected count falls below 5 are merged with the
     out-of-grid remainder into one category, keeping the asymptotic
-    chi-squared distribution honest.
+    chi-squared distribution honest.  The p-value is the chi-squared
+    survival function, scipy.special.chdtrc.
     """
+    from scipy.special import chdtrc
+
     masses = kernel_cell_masses(stats.r_edges, stats.z_edges, stats.t)
     expected = stats.n * masses
     observed = stats.hist
@@ -292,4 +314,4 @@ def chi2_against_kernel(stats: BatchStats) -> Chi2Result:
         stat += (rest_obs - rest_exp) ** 2 / rest_exp
         ncat += 1
     dof = ncat - 1
-    return Chi2Result(stat, dof, float(_chi2_dist.sf(stat, dof)), ncat)
+    return Chi2Result(stat, dof, float(chdtrc(dof, stat)), ncat)

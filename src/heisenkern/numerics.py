@@ -7,8 +7,9 @@ and panel rules both take (:class:`QuadratureSpec`).  Only the kernel's
 complex shifts, p1(r, z + 2i) and p1*(r, z + 2i), integrate over lambda
 with :func:`integrate_decaying`; every real-kernel value comes from the
 kernel's fixed panel rule.  ``QuadratureSpec.abs_tol`` also selects the
-semigroup's node tier.  The module needs numpy only; the Gaussian
-quantile and the Nelder-Mead search the harness uses come from scipy.
+semigroup's node tier.  The module needs numpy only, as does importing
+any heisenkern module; the harness's Gaussian quantile and Nelder-Mead
+search load scipy inside the functions that use them.
 """
 
 from __future__ import annotations

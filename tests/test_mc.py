@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from heisenkern.group import GroupElement
 from heisenkern.mc import (
@@ -113,6 +114,8 @@ def test_histogram_matches_kernel_masses():
     The statistic is also pinned bit for bit (222.95063..., p = 0.127):
     the sample is fixed by the seed together with the stream and draw
     shapes, so a sampler change that moves the stream shows up here.
+    The p-value is pinned too, and must equal scipy.stats' chi-squared
+    survival function bit for bit.
     """
     s = sample_batch(200_000, PathConfig(t=1.0, n_steps=600, seed=4242))
     masses = kernel_cell_masses(s.r_edges, s.z_edges, s.t)
@@ -121,6 +124,8 @@ def test_histogram_matches_kernel_masses():
     assert res.dof == res.n_categories - 1 == 200
     assert res.p_value > 0.01
     assert res.statistic == float.fromhex("0x1.bde6b9509edc6p+7")
+    assert res.p_value == float.fromhex("0x1.04a5e0bfe8346p-3")
+    assert res.p_value == float(chi2.sf(res.statistic, res.dof))
 
 
 def test_doubling_halves_the_vertical_bias():
@@ -174,6 +179,58 @@ def test_increments_are_stationary():
     assert abs(float(np.mean(gz)) - fresh.mean_z) <= 3.0 * se_z
 
 
+@pytest.mark.filterwarnings("error")
+def test_config_stores_integral_step_count():
+    cfg = PathConfig(t=1.0, n_steps=600.0, seed=1)
+    assert type(cfg.n_steps) is int and cfg.n_steps == 600
+    a = sample_batch(1000, cfg)
+    b = sample_batch(1000, PathConfig(t=1.0, n_steps=600, seed=1))
+    assert np.array_equal(a.hist, b.hist) and a.mean_z2 == b.mean_z2
+
+
+@pytest.mark.filterwarnings("error")
+def test_config_rejects_fractional_seed():
+    with pytest.raises(ValueError, match="seed"):
+        PathConfig(t=1.0, n_steps=10, seed=1.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_config_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="finite"):
+        PathConfig(t=t, n_steps=10, seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1000.5, "1000", None])
+def test_batch_and_paths_reject_non_integral_n(n):
+    cfg = PathConfig(t=1.0, n_steps=10, seed=1)
+    with pytest.raises(ValueError, match="integer"):
+        sample_batch(n, cfg)
+    with pytest.raises(ValueError, match="integer"):
+        sample_paths(n, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_kolmogorov_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="finite"):
+        sample_kolmogorov(t, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kolmogorov_rejects_fractional_seed():
+    with pytest.raises(ValueError, match="seed"):
+        sample_kolmogorov(1.0, 1.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2.7, 0, -3])
+def test_kolmogorov_rejects_bad_count(n):
+    with pytest.raises(ValueError, match="n must"):
+        sample_kolmogorov(1.0, 1, n=n)
+
+
 def test_kolmogorov_covariance():
     # Var(int_0^t B) = int int min(u, v) du dv = t^3/3, Cov = t^2/2
     u, v = sample_kolmogorov(2.0, 11, n=1_000_000)
@@ -189,6 +246,8 @@ def test_kolmogorov_scalar_draw():
     u, v = sample_kolmogorov(2.0, 11)
     uu, vv = sample_kolmogorov(2.0, 11, n=4)
     assert (u, v) == (uu[0], vv[0])
+    fu, fv = sample_kolmogorov(2.0, 11.0, n=4.0)
+    assert np.array_equal(fu, uu) and np.array_equal(fv, vv)
     tiny_u, tiny_v = sample_kolmogorov(1e-10, 5)
     assert abs(tiny_u) < 1e-3 and abs(tiny_v) < 1e-12
     with pytest.raises(ValueError):
