@@ -11,11 +11,22 @@ exact Gaussian increments and accumulate the area by the midpoint rule
     z += (x_mid dy - y_mid dx) / 2
 
 whose weak bias on E[z^2] is exactly -t^2/n_steps (derivation in the
-tests); the planar moments carry no discretization bias at all.
+tests); the planar moments carry no discretization bias at all.  The
+midpoint's cross terms cancel, (dx dy - dy dx)/4 = 0, so the midpoint
+sum equals the left-point sum, and over a run of steps (dx_j, dy_j)
+from (x, y) it is
+
+    z += (x sum(dy) - y sum(dx) + dx^T S dy) / 2,   S_jk = sign(k - j),
+
+which the sampler evaluates as one small matrix product per block of
+steps.
 
 Randomness is counter-based: stream i of a batch draws from
 Philox(SeedSequence((seed, i))), so per-stream output is independent
-of how streams are scheduled and aggregation is a plain sum.
+of how streams are scheduled and aggregation is a plain sum.  The
+sample is defined by the seed, the split of paths among streams and
+the (paths, steps, 2) shape of each draw; the width of the area's step
+blocks only regroups sums, so it moves endpoints by rounding alone.
 """
 
 from __future__ import annotations
@@ -48,6 +59,10 @@ __all__ = [
 # step.  Changing either changes the sample for the same seed.
 _STREAM_PATHS = 8192
 _DRAWS_PER_CHUNK = 1 << 19
+# steps per area block, the width of the sign matrix _advance builds; it
+# keeps the area work linear in the steps of a draw.  Not part of the
+# sample: it only regroups the area sums.
+_AREA_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -92,21 +107,36 @@ def _stream_generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def _advance(rng, sigma, x, y, z, m):
-    """Push (x, y, z) through m steps; mutates z in place."""
+    """Push (x, y, z) through m steps, in place.
+
+    One (paths, m, 2) draw of increments, then per block of at most
+    _AREA_BLOCK steps the area identity of the module docstring,
+    midpoint sum = left-point sum = (x sum(dy) - y sum(dx) + dx^T S dy)/2,
+    with dx^T S dy one product against the antisymmetric sign matrix.
+    """
     dw = rng.standard_normal((x.size, m, 2))
     dw *= sigma
-    dx = dw[:, :, 0]
-    dy = dw[:, :, 1]
-    xc = x[:, None] + np.cumsum(dx, axis=1)
-    yc = y[:, None] + np.cumsum(dy, axis=1)
-    # midpoint of the linear interpolant: x_k + dx/2 = xc_k - dx/2
-    z += 0.5 * np.sum((xc - 0.5 * dx) * dy - (yc - 0.5 * dy) * dx, axis=1)
-    return xc[:, -1], yc[:, -1]
+    b = min(m, _AREA_BLOCK)
+    k = np.arange(b, dtype=float)
+    sign = np.sign(k[None, :] - k[:, None])
+    ones = np.ones(b)
+    for lo in range(0, m, b):
+        dx, dy = np.ascontiguousarray(dw[:, lo : lo + b].transpose(2, 0, 1))
+        w = dx.shape[1]
+        sx = dx @ ones[:w]
+        sy = dy @ ones[:w]
+        z += 0.5 * (x * sy - y * sx + np.einsum("ij,ij->i", dx @ sign[:w, :w], dy))
+        x += sx
+        y += sy
 
 
 def _simulate_stream(rng, n_paths: int, cfg: PathConfig, record_step: Optional[int] = None):
     """Endpoints (x, y, z) of n_paths paths; optionally also the state
     after ``record_step`` steps (for increment laws)."""
+    if record_step is not None:
+        record_step = _integral(record_step, "record_step", 1)
+        if record_step > cfg.n_steps:
+            raise ValueError("record_step must be an integer in 1..n_steps")
     dt = cfg.t / cfg.n_steps
     sigma = math.sqrt(2.0 * dt)
     x = np.zeros(n_paths)
@@ -119,7 +149,7 @@ def _simulate_stream(rng, n_paths: int, cfg: PathConfig, record_step: Optional[i
         m = min(chunk, cfg.n_steps - step)
         if record_step is not None and step < record_step < step + m:
             m = record_step - step
-        x, y = _advance(rng, sigma, x, y, z, m)
+        _advance(rng, sigma, x, y, z, m)
         step += m
         if record_step == step:
             recorded = (x.copy(), y.copy(), z.copy())
@@ -255,15 +285,26 @@ def sample_kolmogorov(t: float, seed: int, n: Optional[int] = None):
     return u, v
 
 
+def _check_edges(edges, name: str) -> np.ndarray:
+    edges = np.asarray(edges, float)
+    if edges.ndim != 1 or edges.size < 2 or not (
+        np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)
+    ):
+        raise ValueError(f"{name} must be finite and strictly increasing")
+    return edges
+
+
 def kernel_cell_masses(r_edges, z_edges, t: float = 1.0) -> np.ndarray:
     """Heat-kernel mass of each solid cell {r in dr, z in dz} at time t.
 
     8 x 8-point Gauss rule per cell on the density 2 pi r p_t(r, z); this
-    is the quadrature side of the histogram cross-check.
+    is the quadrature side of the histogram cross-check.  Edges must be
+    finite and strictly increasing.
     """
+    _check_t(t)
     n_nodes = 8
-    r_edges = np.asarray(r_edges, float)
-    z_edges = np.asarray(z_edges, float)
+    r_edges = _check_edges(r_edges, "r_edges")
+    z_edges = _check_edges(z_edges, "z_edges")
     xg, wg = np.polynomial.legendre.leggauss(n_nodes)
 
     def per_cell(edges):

@@ -31,6 +31,7 @@ from heisenkern.mc import (
     sample_heisenberg,
     sample_kolmogorov,
     sample_paths,
+    _advance,
     _simulate_stream,
     _stream_generator,
 )
@@ -154,6 +155,74 @@ def test_dilation_scaling_in_law():
     for a, sea, b, seb, scale in checks:
         se = math.hypot(sea, scale * seb)
         assert abs(a - scale * b) <= 3.0 * se
+
+
+def _midpoint_steps(dw, x, y, z):
+    """The literal midpoint rule, one step at a time: the oracle for
+    _advance's blocked area sums."""
+    x, y, z = x.copy(), y.copy(), z.copy()
+    for j in range(dw.shape[1]):
+        dx = dw[:, j, 0]
+        dy = dw[:, j, 1]
+        z += ((x + dx / 2) * dy - (y + dy / 2) * dx) / 2
+        x += dx
+        y += dy
+    return x, y, z
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, m", [(1, 600), (7, 33), (8192, 32), (3, 1), (1, 5000)])
+def test_advance_matches_midpoint_rule(n, m):
+    # (1, 5000) crosses many step blocks, (7, 33) ends on a partial one
+    sigma = math.sqrt(2.0 / m)
+    start = np.random.default_rng(m).standard_normal((3, n))
+    rng, twin = _stream_generator(31, n), _stream_generator(31, n)
+    x, y, z = start.copy()
+    _advance(rng, sigma, x, y, z, m)
+    dw = twin.standard_normal((n, m, 2)) * sigma
+    # the same one draw: both generators end in the same state
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+    for got, want in zip((x, y, z), _midpoint_steps(dw, *start)):
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("record_step", [0, 51, -1, 2.5])
+def test_simulate_stream_rejects_record_step_outside_the_path(record_step):
+    cfg = PathConfig(t=1.0, n_steps=50, seed=1)
+    with pytest.raises(ValueError, match="record_step"):
+        _simulate_stream(_stream_generator(1, 0), 10, cfg, record_step=record_step)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_stream_records_at_both_ends():
+    cfg = PathConfig(t=1.0, n_steps=50, seed=1)
+    end, last = _simulate_stream(_stream_generator(1, 0), 10, cfg, record_step=50)
+    assert all(np.array_equal(a, b) for a, b in zip(end, last))
+    # one step from the origin is a straight segment: no area yet
+    _, (x1, y1, z1) = _simulate_stream(_stream_generator(1, 0), 10, cfg, record_step=1)
+    assert np.all(z1 == 0.0) and np.all(x1 != 0.0) and np.all(y1 != 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t",[0.0, math.inf, math.nan, -1.0])
+def test_cell_masses_reject_bad_t(t):
+    edges = np.linspace(0.0, 5.0, 3)
+    with pytest.raises(ValueError, match="t must"):
+        kernel_cell_masses(edges, edges - 2.5, t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "edges",
+    [np.linspace(5.0, 0.0, 3), [0.0, 1.0, 1.0], [0.0, math.inf], [0.0, math.nan, 2.0], [1.0]],
+)
+def test_cell_masses_reject_bad_edges(edges):
+    good = np.linspace(0.0, 5.0, 3)
+    with pytest.raises(ValueError, match="r_edges"):
+        kernel_cell_masses(edges, good - 2.5, 1.0)
+    with pytest.raises(ValueError, match="z_edges"):
+        kernel_cell_masses(good, edges, 1.0)
 
 
 def test_increments_are_stationary():
