@@ -9,7 +9,7 @@ Importing heisenkern, or any of its modules, loads numpy only.  Each
 scipy submodule loads at the first call that needs it:
 
 - scipy.interpolate and scipy.special: ``kernel.get_spline_tables``,
-  hence ``kernel.xhat_log_h_field("spline")``;
+  hence ``kernel.xhat_log_h_field``;
 - scipy.interpolate: the harness's p1 table, built by the first family
   check that weights a compactly supported member's panel;
 - scipy.linalg and scipy.optimize: ``harness.c_lower_detail``, hence

@@ -338,7 +338,7 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
         kinds[name] = "combo"
         atoms[name] = atoms[pa.name] + atoms[pb.name] if i < n_compact_combo else None
 
-    fstar = xhat_log_h_field(method="spline")
+    fstar = xhat_log_h_field()
     members.append(fstar)
     kinds[fstar.name] = "fstar"
     atoms[fstar.name] = None

@@ -32,54 +32,16 @@ import numpy as np
 from .group import GroupElement
 
 __all__ = [
-    "GeodesicChart",
     "DistanceResult",
-    "ChartDegenerateError",
-    "mu",
     "cc_distance",
     "cc_distance_many",
-    "geodesic_point",
     "jacobian_A",
-    "polar_from_cartesian",
     "chart_ball_nodes",
 ]
 
 # branch thresholds: relative, dimensionally consistent under dilations
 PLANAR_Z_FACTOR = 1e-12  # |z| < factor * r^2  -> planar
 AXIS_R_FACTOR = 1e-12  # r < factor * sqrt(|z|) -> axis
-
-
-class ChartDegenerateError(ValueError):
-    """Point on the z-axis: every rotation of one geodesic reaches it."""
-
-
-@dataclass(frozen=True)
-class GeodesicChart:
-    """Geodesic parameters (u, s); ``mirror`` selects the z < 0 half.
-
-    ``branch`` is "generic" (0 < s <= 2 pi |u|) or "planar" (straight
-    line; u is then the unit-modulus limit direction and s the length).
-    """
-
-    u: complex
-    s: float
-    branch: str = "generic"
-    mirror: bool = False
-
-    def __post_init__(self):
-        if self.branch not in ("generic", "planar"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if not (self.s > 0.0):
-            raise ValueError("arclength s must be > 0")
-        au = abs(self.u)
-        if self.branch == "generic":
-            if not (au > 0.0):
-                raise ValueError("generic chart needs |u| > 0")
-            if self.s > 2.0 * math.pi * au * (1.0 + 1e-12):
-                raise ValueError("s exceeds the cut length 2 pi |u|")
-        else:
-            if not math.isclose(au, 1.0, rel_tol=1e-9):
-                raise ValueError("planar chart stores a unit direction in u")
 
 
 @dataclass(frozen=True)
@@ -108,19 +70,13 @@ def _sin_minus_phicos(phi):
 
 
 def _mu_arrays(phi):
+    """Monotone chart function mu(phi) = phi/sin^2(phi) - cot(phi) on (0, pi)."""
     phi = np.asarray(phi, dtype=float)
     small = phi < 1e-3
     safe = np.where(small, 0.1, phi)
     direct = safe / np.sin(safe) ** 2 - 1.0 / np.tan(safe)
     series = (2.0 / 3.0) * phi + (4.0 / 45.0) * phi**3
     return np.where(small, series, direct)
-
-
-def mu(phi: float) -> float:
-    """Monotone chart function mu(phi) = phi/sin^2(phi) - cot(phi) on (0, pi)."""
-    if not (0.0 < phi < math.pi):
-        raise ValueError("mu is defined on the open interval (0, pi)")
-    return float(_mu_arrays(phi))
 
 
 # targets below mu(2.6) bracket inside (0, 2.6]; larger ones are handled
@@ -223,21 +179,6 @@ def cc_distance(p: GroupElement) -> DistanceResult:
     return DistanceResult(r * float(phi[0]) / float(sin_phi[0]), float(phi[0]), "generic")
 
 
-def geodesic_point(chart: GeodesicChart) -> GroupElement:
-    """Endpoint of the chart's unit-speed geodesic at arclength s."""
-    if chart.branch == "planar":
-        w = -1j * chart.u * chart.s
-        return GroupElement(float(w.real), float(w.imag), 0.0)
-    au = abs(chart.u)
-    sigma = chart.s / au
-    w = chart.u * (1.0 - complex(math.cos(sigma), math.sin(sigma)))
-    zv = 0.5 * au * au * float(_phi_minus_sin(sigma))
-    x, y = float(w.real), float(w.imag)
-    if chart.mirror:
-        return GroupElement(x, -y, -zv)
-    return GroupElement(x, y, zv)
-
-
 def jacobian_A(u_abs: float, s):
     """Chart volume density: dx dy dz = A(u, s) du ds, du planar Lebesgue.
 
@@ -256,36 +197,6 @@ def jacobian_A(u_abs: float, s):
     phi = s_arr / (2.0 * au)
     a = 4.0 * au * np.sin(phi) * _sin_minus_phicos(phi)
     return float(a) if a.ndim == 0 else a
-
-
-def polar_from_cartesian(p: GroupElement) -> GeodesicChart:
-    """Invert :func:`geodesic_point`; unique off the z-axis.
-
-    Raises :class:`ChartDegenerateError` on the z-axis.  Planar points
-    (z = 0) return the straight-line sentinel branch.
-    """
-    r = math.hypot(p.x, p.y)
-    az = abs(p.z)
-    if r == 0.0 and az == 0.0:
-        raise ChartDegenerateError("origin has zero arclength")
-    if r < AXIS_R_FACTOR * math.sqrt(az):
-        raise ChartDegenerateError(
-            "z-axis point: chart is degenerate (full circle of geodesics)"
-        )
-    w = complex(p.x, p.y)
-    # cc_distance's planar test: r * r would underflow for r below ~1.5e-154
-    if az == 0.0 or az / r <= PLANAR_Z_FACTOR * r:
-        return GeodesicChart(u=1j * w / r, s=r, branch="planar")
-    mirror = p.z < 0.0
-    if mirror:
-        w = w.conjugate()
-    target = 4.0 * (az / r) / r
-    phi_a, sin_a = _solve_half_angle(np.asarray([target]))
-    phi, sin_phi = float(phi_a[0]), float(sin_a[0])
-    rho = r / (2.0 * sin_phi)
-    # 1 - e^{2 i phi} = 2 sin(phi) e^{i(phi - pi/2)}, with sin via the solver
-    u = w * complex(sin_phi, math.cos(phi)) / (2.0 * sin_phi)
-    return GeodesicChart(u=u, s=2.0 * rho * phi, mirror=mirror)
 
 
 def chart_ball_nodes(radius: float, n_s: int = 48, n_phi: int = 32, n_alpha: int = 40):

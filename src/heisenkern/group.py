@@ -21,30 +21,23 @@ for X, Y, Z, Xhat, Yhat, and first-order exact for Theta and D).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "GroupElement",
-    "CylPoint",
     "ScalarField",
     "DiffOpResult",
     "FIELD_NAMES",
     "multiply",
     "inverse",
-    "dilate",
-    "homogeneous_norm",
-    "left_translate",
     "apply_field",
     "gamma",
-    "apply_L",
     "gamma2",
     "derived_field",
     "poly_field",
-    "validate_gradient",
 ]
 
 FIELD_NAMES = ("X", "Y", "Z", "Xhat", "Yhat", "Theta", "D")
@@ -69,32 +62,6 @@ class GroupElement:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class CylPoint:
-    """Cylindrical coordinates (r, theta, z) with r >= 0, theta in [0, 2pi)."""
-
-    r: float
-    theta: float
-    z: float
-
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError("r must be >= 0")
-        if not (0.0 <= self.theta < 2.0 * math.pi):
-            raise ValueError("theta must lie in [0, 2pi)")
-
-    @staticmethod
-    def from_group(p: GroupElement) -> "CylPoint":
-        r = math.hypot(p.x, p.y)
-        theta = math.atan2(p.y, p.x) % (2.0 * math.pi)
-        if r == 0.0:
-            theta = 0.0
-        return CylPoint(r, theta, p.z)
-
-    def to_group(self) -> GroupElement:
-        return GroupElement(self.r * math.cos(self.theta), self.r * math.sin(self.theta), self.z)
-
-
 def _mul_arrays(ax, ay, az, bx, by, bz):
     """Group product on coordinate arrays (broadcasting)."""
     return (
@@ -112,14 +79,6 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 def inverse(a: GroupElement) -> GroupElement:
     # exponential coordinates: inversion is negation
     return GroupElement(-a.x, -a.y, -a.z)
-
-
-def dilate(a: GroupElement, lam: float) -> GroupElement:
-    return GroupElement(lam * a.x, lam * a.y, lam * lam * a.z)
-
-
-def homogeneous_norm(a: GroupElement) -> float:
-    return float(((a.x * a.x + a.y * a.y) ** 2 + a.z * a.z) ** 0.25)
 
 
 @dataclass
@@ -264,44 +223,6 @@ def gamma(f: ScalarField, g: ScalarField, p: GroupElement) -> float:
     return xf * xg + yf * yg
 
 
-def apply_L(f: ScalarField, p: GroupElement) -> float:
-    """Sub-Laplacian L = X^2 + Y^2 at ``p``.
-
-    With an analytic gradient the outer layer is one centered difference
-    of the exact frame components; otherwise the full coordinate stencil
-
-        L = dxx + dyy + (x^2+y^2)/4 dzz + x dyz - y dxz
-
-    is evaluated with second-order steps.
-    """
-    if f.analytic_gradient is not None:
-        xf_field = derived_field("X", f)
-        yf_field = derived_field("Y", f)
-        xxf = apply_field("X", xf_field, p, step=FD_STEP_SECOND).value
-        yyf = apply_field("Y", yf_field, p, step=FD_STEP_SECOND).value
-        return xxf + yyf
-
-    x, y, z = p.x, p.y, p.z
-    h = FD_STEP_SECOND * (1.0 + max(abs(x), abs(y), abs(z)))
-    f0 = _as_scalar(f.eval(x, y, z))
-    dxx = (_as_scalar(f.eval(x + h, y, z)) - 2.0 * f0 + _as_scalar(f.eval(x - h, y, z))) / h**2
-    dyy = (_as_scalar(f.eval(x, y + h, z)) - 2.0 * f0 + _as_scalar(f.eval(x, y - h, z))) / h**2
-    dzz = (_as_scalar(f.eval(x, y, z + h)) - 2.0 * f0 + _as_scalar(f.eval(x, y, z - h))) / h**2
-    dyz = (
-        _as_scalar(f.eval(x, y + h, z + h))
-        - _as_scalar(f.eval(x, y + h, z - h))
-        - _as_scalar(f.eval(x, y - h, z + h))
-        + _as_scalar(f.eval(x, y - h, z - h))
-    ) / (4.0 * h**2)
-    dxz = (
-        _as_scalar(f.eval(x + h, y, z + h))
-        - _as_scalar(f.eval(x + h, y, z - h))
-        - _as_scalar(f.eval(x - h, y, z + h))
-        + _as_scalar(f.eval(x - h, y, z - h))
-    ) / (4.0 * h**2)
-    return dxx + dyy + 0.25 * (x * x + y * y) * dzz + x * dyz - y * dxz
-
-
 def gamma2(f: ScalarField, p: GroupElement) -> float:
     """Iterated form Gamma_2(f) at ``p``:
 
@@ -332,26 +253,6 @@ def gamma2(f: ScalarField, p: GroupElement) -> float:
         + 0.5 * zf * zf
         + 2.0 * (xzf * yf - yzf * xf)
     )
-
-
-def left_translate(f: ScalarField, a: GroupElement) -> ScalarField:
-    """The field q -> f(a * q); the frame gradient transports exactly."""
-
-    def ev(x, y, z):
-        px, py, pz = _mul_arrays(a.x, a.y, a.z, np.asarray(x, float), np.asarray(y, float),
-                                 np.asarray(z, float))
-        return f.eval(px, py, pz)
-
-    grad = None
-    if f.analytic_gradient is not None:
-
-        def grad(x, y, z):
-            px, py, pz = _mul_arrays(a.x, a.y, a.z, np.asarray(x, float), np.asarray(y, float),
-                                     np.asarray(z, float))
-            return f.analytic_gradient(px, py, pz)
-
-    return ScalarField(eval=ev, analytic_gradient=grad, fd_step=f.fd_step,
-                       name=f"translate({f.name})")
 
 
 # --- polynomial fields -----------------------------------------------------
@@ -428,23 +329,3 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
     elif planar == {1}:
         ev.rotation_order = 1
     return ScalarField(eval=ev, analytic_gradient=grad, name=name)
-
-
-def validate_gradient(f: ScalarField, points, rtol: float = 1e-6, atol: float = 1e-6) -> float:
-    """Worst |analytic - centered-fd| frame-gradient deviation over points."""
-    if f.analytic_gradient is None:
-        raise ValueError("field has no analytic gradient to validate")
-    worst = 0.0
-    stripped = ScalarField(eval=f.eval, fd_step=f.fd_step, name=f.name)
-    for p in points:
-        ga = f.analytic_gradient(p.x, p.y, p.z)
-        for op, exact in zip(("X", "Y", "Z"), ga):
-            approx = apply_field(op, stripped, p).value
-            dev = abs(float(exact) - approx)
-            worst = max(worst, dev)
-            if dev > atol + rtol * abs(float(exact)):
-                raise AssertionError(
-                    f"gradient mismatch for {f.name!r} {op} at {p}: "
-                    f"analytic {float(exact):.6e} vs fd {approx:.6e}"
-                )
-    return worst

@@ -9,16 +9,14 @@ with every other time reached through p(t, r, z) = t^{-2} p1(r/sqrt(t), z/t).
 
 Routes: every real-kernel value comes from one fixed Gauss-Legendre
 panel rule, built by _panel_kernel.  radial_row applies it to one z-row;
-the point functions p1, p, p1_partials and p1_second_partials are
-radial_row at the single point, so their rule is set by that point
-alone; p1_many and log_grad_many take one rule per run of _CHUNK pairs,
-and within a run take exp once per distinct radius and cos/sin once per
-distinct height, with the bits of a per-point evaluation.
-The log-derivative bundle of log p1 comes from _log_bundle, which
-log_derivatives and the interpolation table both call; the table itself
-is evaluated by scipy's NdBSpline.  Only the complex shifts
-p1_complex_shift and p1_star_shifted integrate adaptively, through
-numerics.integrate_decaying.
+the point function p1 is radial_row at the single point, so its rule is
+set by that point alone; p1_many and log_grad_many take one rule per run
+of _CHUNK pairs, and within a run take exp once per distinct radius and
+cos/sin once per distinct height, with the bits of a per-point
+evaluation.  The log-derivative bundle of log p1 comes from _log_bundle,
+row by row, for the interpolation table, which scipy's NdBSpline
+evaluates.  Only the complex shift p1_star_shifted integrates
+adaptively, through numerics.integrate_decaying.
 
 Accuracy note: the integrand envelope is of size exp(-r^2/4) while the
 true value is of size exp(-d^2/4), so float64 quadrature carries a
@@ -45,16 +43,9 @@ __all__ = [
     "ComplexKernelValue",
     "KernelRangeError",
     "p1",
-    "p",
     "p1_many",
     "log_grad_many",
-    "p1_partials",
-    "p1_second_partials",
-    "RadialLogDerivatives",
-    "log_derivatives",
-    "log_h_field",
     "xhat_log_h_field",
-    "p1_complex_shift",
     "p1_star_shifted",
     "radial_row",
     "get_spline_tables",
@@ -110,10 +101,6 @@ def _lam_coth(lam):
     return np.where(small, series, safe / np.tanh(safe))
 
 
-def _g_factor(lam, r):
-    return _sinh_ratio(lam) * np.exp(-0.25 * r * r * _lam_coth(lam))
-
-
 def _check_range(r, z):
     if not (math.isfinite(r) and math.isfinite(z)):
         raise KernelRangeError("coordinates must be finite")
@@ -131,36 +118,12 @@ def _osc_spec(spec: QuadratureSpec | None, z: float) -> QuadratureSpec:
     return replace(spec or QuadratureSpec(), oscillation_wavenumber=abs(z))
 
 
-def _at_point(r: float, z: float):
-    """(p, p_r, p_z, p_rr, p_rz/r, p_zz) at one point: radial_row on [r]."""
-    return tuple(float(v[0]) for v in radial_row(np.array([r], dtype=float), float(z)))
-
-
 def p1(r: float, z: float) -> float:
-    """Heat kernel at time 1 as a function of (r, z); even in z."""
-    return _at_point(r, z)[0]
+    """Heat kernel at time 1 as a function of (r, z); even in z.
 
-
-def p(t: float, r: float, z: float) -> float:
-    """Heat kernel at time t via the dilation scaling t^{-2} p1(r/sqrt t, z/t)."""
-    if not (t > 0.0):
-        raise ValueError("time must be > 0")
-    rt = math.sqrt(t)
-    return p1(r / rt, z / t) / (t * t)
-
-
-def p1_partials(r: float, z: float):
-    """(d/dr p1, d/dz p1) by differentiation under the integral."""
-    return _at_point(r, z)[1:3]
-
-
-def p1_second_partials(r: float, z: float):
-    """(d2/dr2, d2/drdz / r, d2/dz2) of p1.
-
-    The mixed derivative is returned with its factor r stripped so the
-    z-axis limit stays available; multiply by r to recover d2/drdz.
+    radial_row on [r], so the panel rule is fitted to the point alone.
     """
-    return _at_point(r, z)[3:]
+    return float(radial_row(np.array([r], dtype=float), float(z))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -353,29 +316,15 @@ def log_grad_many(r, z):
 # log-derivatives of h = p1
 
 
-@dataclass(frozen=True)
-class RadialLogDerivatives:
-    """First and second partials of log p1 in radial form.
-
-    a = d_r log p1 and b = d_z log p1; alpha = a/r extends evenly across
-    the axis.  alpha_r, alpha_z, b_r, b_z are the partials needed for
-    gradients of fields built from x alpha + (y/2) b.
-    """
-
-    a: float
-    b: float
-    alpha: float
-    alpha_r: float
-    alpha_z: float
-    b_r: float
-    b_z: float
-
-
 _AXIS_EPS = 1e-8
 
 
 def _log_bundle(rs, z: float) -> dict:
-    """The RadialLogDerivatives fields as arrays over ``rs`` at one z.
+    """Partials of log p1 in radial form as arrays over ``rs`` at one z.
+
+    a = d_r log p1 and b = d_z log p1; alpha = a/r extends evenly across
+    the axis.  alpha_r, alpha_z, b_r, b_z are the partials needed for
+    gradients of fields built from x alpha + (y/2) b.
 
     One radial_row rule serves the whole row; on the axis the even/odd
     structure in r pins alpha = L_rr and alpha_r = b_r = 0.
@@ -398,55 +347,6 @@ def _log_bundle(rs, z: float) -> dict:
         "b_r": np.where(on_axis, 0.0, rs * alpha_z),
         "b_z": pzz / pv - b * b,
     }
-
-
-def log_derivatives(r: float, z: float) -> RadialLogDerivatives:
-    """Exact log-derivative bundle at one point: _log_bundle on [r].
-
-    Like :func:`p1`, the panel rule is fitted to the point alone, and
-    radial_row range-checks (r, z).
-    """
-    d = _log_bundle(np.array([r], dtype=float), float(z))
-    return RadialLogDerivatives(**{key: float(v[0]) for key, v in d.items()})
-
-
-def _pointwise(fn, n_out: int, x, y, z):
-    """fn(x, y, z) -> ``n_out`` floats, applied point by point.
-
-    Returns one array per component over the broadcast shape, or floats
-    when every input is a scalar.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, y, z)))
-    shape = arrays[0].shape
-    out = np.empty((n_out, arrays[0].size))
-    for i, point in enumerate(zip(*(a.ravel() for a in arrays))):
-        out[:, i] = fn(*point)
-    if not shape:
-        return tuple(float(v[0]) for v in out)
-    return tuple(v.reshape(shape) for v in out)
-
-
-def log_h_field() -> ScalarField:
-    """log h as a ScalarField with the exact frame gradient.
-
-    X log h = x alpha - (y/2) b, Y log h = y alpha + (x/2) b,
-    Z log h = b, through the chain rule in (r, z).
-    """
-
-    def value(x, y, z):
-        return (math.log(p1(math.hypot(x, y), z)),)
-
-    def gradient(x, y, z):
-        d = log_derivatives(math.hypot(x, y), z)
-        return x * d.alpha - 0.5 * y * d.b, y * d.alpha + 0.5 * x * d.b, d.b
-
-    def ev(x, y, z):
-        return _pointwise(value, 1, x, y, z)[0]
-
-    def grad(x, y, z):
-        return _pointwise(gradient, 3, x, y, z)
-
-    return ScalarField(eval=ev, analytic_gradient=grad, name="log_h")
 
 
 # ---------------------------------------------------------------------------
@@ -632,74 +532,31 @@ def _fstar_pieces(x, y, z, bundle):
     return val, gx, gy, dz
 
 
-def xhat_log_h_field(method: str = "exact") -> ScalarField:
+def xhat_log_h_field() -> ScalarField:
     """f* = Xhat(log h) = x alpha(r,z) + (y/2) b(r,z) with frame gradient.
 
-    method "exact" runs full quadrature per point; "spline" uses the
-    cached tables and vectorizes (for bulk nested evaluation).  Both have
-    rotation order 1, since alpha and b are radial:
+    The bundle comes from the cached spline tables, vectorized for bulk
+    nested evaluation.  Rotation order 1, since alpha and b are radial:
     f* o R_{pi/2} = -y alpha + (x/2) b.
     """
-    if method == "spline":
-        tabs = get_spline_tables()
+    tabs = get_spline_tables()
 
-        def ev(x, y, z):
-            r = np.hypot(np.asarray(x, float), np.asarray(y, float))
-            val, _, _, _ = _fstar_pieces(x, y, z, tabs.bundle(r, z))
-            return val
+    def ev(x, y, z):
+        r = np.hypot(np.asarray(x, float), np.asarray(y, float))
+        val, _, _, _ = _fstar_pieces(x, y, z, tabs.bundle(r, z))
+        return val
 
-        def grad(x, y, z):
-            r = np.hypot(np.asarray(x, float), np.asarray(y, float))
-            _, gx, gy, gz = _fstar_pieces(x, y, z, tabs.bundle(r, z))
-            return gx, gy, gz
+    def grad(x, y, z):
+        r = np.hypot(np.asarray(x, float), np.asarray(y, float))
+        _, gx, gy, gz = _fstar_pieces(x, y, z, tabs.bundle(r, z))
+        return gx, gy, gz
 
-        ev.rotation_order = 1
-        return ScalarField(eval=ev, analytic_gradient=grad, name="xhat_log_h[spline]")
-
-    if method != "exact":
-        raise ValueError("method must be 'exact' or 'spline'")
-
-    def bundle(x, y, z):
-        d = log_derivatives(math.hypot(x, y), z)
-        return d.alpha, d.b, d.alpha_r, d.alpha_z, d.b_r, d.b_z
-
-    def ev_exact(x, y, z):
-        return _pointwise(lambda *p: (_fstar_pieces(*p, bundle(*p))[0],), 1, x, y, z)[0]
-
-    def grad_exact(x, y, z):
-        return _pointwise(lambda *p: _fstar_pieces(*p, bundle(*p))[1:], 3, x, y, z)
-
-    ev_exact.rotation_order = 1
-    return ScalarField(eval=ev_exact, analytic_gradient=grad_exact, name="xhat_log_h")
+    ev.rotation_order = 1
+    return ScalarField(eval=ev, analytic_gradient=grad, name="xhat_log_h[spline]")
 
 
 # ---------------------------------------------------------------------------
 # complex-shifted kernels
-
-
-def p1_complex_shift(r: float, z: float, spec: QuadratureSpec | None = None) -> ComplexKernelValue:
-    """p1(r, z + 2i) by direct quadrature of the shifted integrand.
-
-    Folding the full-line integral to [0, inf) gives cosh/sinh factors;
-    the net decay 1 + r^2/4 - 2 forces r > 2.
-    """
-    _check_range(r, z)
-    if r <= 2.0:
-        raise ValueError(
-            "shifted integral diverges for r <= 2; use p1_star_shifted"
-        )
-    spec = _osc_spec(spec, z)
-    decay = 0.25 * r * r - 1.0
-
-    def f_re(lam):
-        return np.cosh(2.0 * lam) * np.cos(lam * z) * _g_factor(lam, r)
-
-    def f_im(lam):
-        return -np.sinh(2.0 * lam) * np.sin(lam * z) * _g_factor(lam, r)
-
-    re = integrate_decaying(f_re, decay, spec) / FOUR_PI_SQ
-    im = integrate_decaying(f_im, decay, spec) / FOUR_PI_SQ
-    return ComplexKernelValue(re, im, "shifted-integral")
 
 
 def _pole_bracket(lam, r):
@@ -743,8 +600,3 @@ def p1_star_shifted(r: float, z: float, spec: QuadratureSpec | None = None) -> C
     im = integrate_decaying(f_im, decay, spec) / FOUR_PI_SQ
     pole = 1.0 / (FOUR_PI_SQ * complex(3.0 + 0.25 * r * r, -z) ** 2)
     return ComplexKernelValue(re + pole.real, im + pole.imag, "regularized-plus-pole")
-
-
-def removed_pole_shifted(r: float, z: float) -> complex:
-    """The pole term separating the two routes: 1/(4 pi^2 (r^2/4 - 1 + iz)^2)."""
-    return 1.0 / (FOUR_PI_SQ * complex(0.25 * r * r - 1.0, z) ** 2)

@@ -37,15 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from .group import GroupElement
 from .kernel import p1_many
 
 __all__ = [
     "PathConfig",
     "BatchStats",
     "Chi2Result",
-    "sample_heisenberg",
-    "sample_paths",
     "sample_batch",
     "sample_kolmogorov",
     "kernel_cell_masses",
@@ -130,38 +127,18 @@ def _advance(rng, sigma, x, y, z, m):
         y += sy
 
 
-def _simulate_stream(rng, n_paths: int, cfg: PathConfig, record_step: Optional[int] = None):
-    """Endpoints (x, y, z) of n_paths paths; optionally also the state
-    after ``record_step`` steps (for increment laws)."""
-    if record_step is not None:
-        record_step = _integral(record_step, "record_step", 1)
-        if record_step > cfg.n_steps:
-            raise ValueError("record_step must be an integer in 1..n_steps")
+def _simulate_stream(rng, n_paths: int, cfg: PathConfig):
+    """Endpoints (x, y, z) of n_paths paths, in draws of at most
+    _DRAWS_PER_CHUNK normals."""
     dt = cfg.t / cfg.n_steps
     sigma = math.sqrt(2.0 * dt)
     x = np.zeros(n_paths)
     y = np.zeros(n_paths)
     z = np.zeros(n_paths)
     chunk = max(1, _DRAWS_PER_CHUNK // (2 * n_paths))
-    recorded = None
-    step = 0
-    while step < cfg.n_steps:
-        m = min(chunk, cfg.n_steps - step)
-        if record_step is not None and step < record_step < step + m:
-            m = record_step - step
-        _advance(rng, sigma, x, y, z, m)
-        step += m
-        if record_step == step:
-            recorded = (x.copy(), y.copy(), z.copy())
-    if record_step is None:
-        return x, y, z
-    return (x, y, z), recorded
-
-
-def sample_heisenberg(cfg: PathConfig) -> GroupElement:
-    """One endpoint draw of the diffusion at time cfg.t (stream 0)."""
-    x, y, z = _simulate_stream(_stream_generator(cfg.seed, 0), 1, cfg)
-    return GroupElement(float(x[0]), float(y[0]), float(z[0]))
+    for step in range(0, cfg.n_steps, chunk):
+        _advance(rng, sigma, x, y, z, min(chunk, cfg.n_steps - step))
+    return x, y, z
 
 
 def _stream_plan(n: int):
@@ -170,20 +147,6 @@ def _stream_plan(n: int):
     if n % size:
         sizes.append(n % size)
     return sizes
-
-
-def sample_paths(n: int, cfg: PathConfig) -> np.ndarray:
-    """Endpoints of n independent paths, rows (x, y, z)."""
-    n = _integral(n, "n", 1)
-    out = np.empty((n, 3))
-    lo = 0
-    for i, size in enumerate(_stream_plan(n)):
-        x, y, z = _simulate_stream(_stream_generator(cfg.seed, i), size, cfg)
-        out[lo : lo + size, 0] = x
-        out[lo : lo + size, 1] = y
-        out[lo : lo + size, 2] = z
-        lo += size
-    return out
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,10 @@ __all__ = [
     "MassDeficitError",
     "HeatMeasure",
     "heat_measure",
-    "apply_Pt",
     "apply_Pt_many",
     "variance",
     "grad_Pt_at",
     "grad_Pt_origin",
-    "entropy_phi",
     "interpolation_variance",
 ]
 
@@ -216,11 +214,6 @@ def _translated_nodes(measure: HeatMeasure, x, y, z):
                                   measure.x, measure.y, measure.z))
 
 
-def apply_Pt(f: ScalarField, cfg: HeatOpConfig, x: GroupElement = _ORIGIN) -> float:
-    """P_t f(x) = sum mu_k f(x . y_k)."""
-    return float(apply_Pt_many(f, cfg, [x.x, x.y, x.z])[0])
-
-
 def apply_Pt_many(f: ScalarField, cfg: HeatOpConfig, xs) -> np.ndarray:
     """P_t f at many points (rows of ``xs``) against one cached measure.
 
@@ -250,42 +243,10 @@ def variance(f: ScalarField, cfg: HeatOpConfig, x: GroupElement = _ORIGIN) -> fl
     return float(np.dot(w, (vals - mean) ** 2))
 
 
-def _phi_values(phi, arr: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(phi(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except TypeError:
-        pass
-    return np.asarray([phi(float(v)) for v in arr], dtype=float)
-
-
-def entropy_phi(f: ScalarField, cfg: HeatOpConfig, x: GroupElement, phi) -> float:
-    """phi-entropy P_t(phi(f))(x) - phi(P_t f(x)), nonnegative by Jensen.
-
-    ``phi`` must be convex on the range of f; leaving its domain
-    (non-finite phi values on the ball) raises ValueError.  Weights are
-    renormalized as in :func:`variance` so Jensen applies exactly.
-    """
-    measure = heat_measure(cfg)
-    vals = _values_at(f, measure, x)
-    w = measure.mu / np.sum(measure.mu)
-    mean = float(np.dot(w, vals))
-    with np.errstate(all="ignore"):
-        try:
-            phiv = _phi_values(phi, vals)
-            phim = float(phi(mean))
-        except ValueError as exc:
-            raise ValueError("f leaves the domain of phi on the integration ball") from exc
-    if not (np.all(np.isfinite(phiv)) and math.isfinite(phim)):
-        raise ValueError("f leaves the domain of phi on the integration ball")
-    return float(np.dot(w, phiv)) - phim
-
-
 def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str = "hat-transfer"):
     """(X P_t f, Y P_t f) at the origin by one of three routes.
 
-    fd            centered differences of apply_Pt along the X and Y
+    fd            centered differences of apply_Pt_many along the X and Y
                   integral curves through 0;
     hat-transfer  P_t of the right-invariant derivatives Xhat f, Yhat f
                   (they commute with the convolution), which is

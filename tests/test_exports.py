@@ -1,6 +1,8 @@
-"""Every name a heisenkern module lists in ``__all__`` resolves in it, and
-importing the package loads no scipy: each scipy piece loads at its first
-use, so a fresh process that runs no scipy code never pays for it."""
+"""Every name a heisenkern module lists in ``__all__`` resolves in it and
+is used by the library itself, unless it is one of the few entry points
+below; and importing the package loads no scipy: each scipy piece loads
+at its first use, so a fresh process that runs no scipy code never pays
+for it.  Code that only the tests call lives in tests/oracles.py."""
 
 import ast
 import importlib
@@ -15,6 +17,21 @@ import heisenkern
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(heisenkern.__path__))
 
+# the public names no heisenkern code calls, each group with its reason
+ENTRY_POINTS = (
+    (("harness.check_kernel_identities", "harness.check_driver_melcher",
+      "harness.check_reverse_poincare", "harness.check_ray_inequality",
+      "harness.check_local_11_poincare", "harness.check_commutation",
+      "harness.demonstrate_gamma2_unbounded", "harness.check_kolmogorov_counterexample",
+      "harness.run_inequality_suite"), "the paper's checks, the harness's API for its callers"),
+    (("semigroup.variance", "semigroup.interpolation_variance"),
+     "the two sides of the variance identity, the nested workload"),
+    (("mc.sample_batch", "mc.chi2_against_kernel"), "the Monte Carlo check against the kernel"),
+    (("group.multiply", "group.inverse"), "the group law on GroupElement"),
+    (("geometry.cc_distance",), "one point's distance with its branch diagnostics"),
+    (("kernel.p1",), "the one-point kernel, the benchmark's yardstick for p1_many"),
+)
+
 
 def test_modules_found():
     assert "harness" in MODULES and len(MODULES) >= 8
@@ -26,6 +43,43 @@ def test_all_names_resolve(name):
     assert mod.__all__, name
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert not missing, (name, missing)
+
+
+def _unused_exports() -> set:
+    """Names in a module's ``__all__`` that no heisenkern module uses.
+
+    A name is used when its own module loads it outside its definition,
+    or another module imports it with ``from .module import name``.
+    """
+    src = os.path.dirname(heisenkern.__file__)
+    trees = {}
+    for name in MODULES:
+        with open(os.path.join(src, f"{name}.py")) as fh:
+            trees[name] = ast.parse(fh.read())
+    imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    unused = set()
+    for name, tree in trees.items():
+        bodies = {node.name: set(ast.walk(node)) for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for export in importlib.import_module(f"heisenkern.{name}").__all__:
+            own = bodies.get(export, set())
+            loaded = any(isinstance(node, ast.Name) and node.id == export
+                         and isinstance(node.ctx, ast.Load) and node not in own
+                         for node in ast.walk(tree))
+            if not (loaded or (name, export) in imported):
+                unused.add(f"{name}.{export}")
+    return unused
+
+
+def test_every_export_is_used_or_an_entry_point():
+    """No library code that only the tests call: an exported name either
+    has a caller in heisenkern or is a listed entry point (and a listed
+    entry point that gains a library caller leaves the list)."""
+    entry = {n for names, _ in ENTRY_POINTS for n in names}
+    unused = _unused_exports()
+    assert not unused - entry, f"exported, unused by heisenkern: {sorted(unused - entry)}"
+    assert not entry - unused, f"entry points the library itself calls: {sorted(entry - unused)}"
 
 
 def _scipy_modules_after(code: str) -> list:

@@ -10,7 +10,9 @@ import pytest
 
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
-from heisenkern.group import GroupElement, validate_gradient
+from heisenkern.group import GroupElement
+
+from oracles import validate_gradient
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 """Geodesic chart, CC distance, and volume-element tests.
 
-The chart algebra is self-checking: geodesic_point and cc_distance are
-independent code paths (forward map vs root solve), so the unit-speed
-identity d(geodesic_point(u, s)) = s exercises both.  The Jacobian is
-pinned twice, against finite-difference determinants of the chart map
-and against Cartesian integrals with closed-form values.
+The chart algebra is self-checking: the chart map geodesic_point and
+its inverse polar_from_cartesian (oracles in oracles.py) and the
+library's cc_distance are independent code paths (forward map vs root
+solve), so the unit-speed identity d(geodesic_point(u, s)) = s
+exercises both.  The Jacobian is pinned twice, against
+finite-difference determinants of the chart map and against Cartesian
+integrals with closed-form values.
 """
 
 import math
@@ -14,18 +16,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisenkern.geometry import (
+from heisenkern.geometry import cc_distance, cc_distance_many, chart_ball_nodes, jacobian_A
+from heisenkern.group import GroupElement, ScalarField
+
+from oracles import (
     ChartDegenerateError,
     GeodesicChart,
-    cc_distance,
-    cc_distance_many,
-    chart_ball_nodes,
+    apply_L,
+    dilate,
     geodesic_point,
-    jacobian_A,
+    homogeneous_norm,
     mu,
     polar_from_cartesian,
 )
-from heisenkern.group import GroupElement, ScalarField, apply_L, dilate, homogeneous_norm
 
 # d(0,0,1): the full-circle geodesic with z = pi|u|^2 = 1 has length
 # s = 2 pi |u| = 2 sqrt(pi)

@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenkern.group import (
-    CylPoint,
     GroupElement,
     ScalarField,
-    apply_L,
     apply_field,
     derived_field,
-    dilate,
     gamma,
     gamma2,
-    homogeneous_norm,
     inverse,
-    left_translate,
     multiply,
     poly_field,
+)
+
+from oracles import (
+    CylPoint,
+    apply_L,
+    dilate,
+    homogeneous_norm,
+    left_translate,
     validate_gradient,
 )
 

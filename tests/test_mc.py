@@ -28,13 +28,14 @@ from heisenkern.mc import (
     chi2_against_kernel,
     kernel_cell_masses,
     sample_batch,
-    sample_heisenberg,
     sample_kolmogorov,
-    sample_paths,
+    _DRAWS_PER_CHUNK,
     _advance,
     _simulate_stream,
     _stream_generator,
 )
+
+from oracles import sample_heisenberg, sample_paths
 
 
 def test_config_validation():
@@ -186,21 +187,27 @@ def test_advance_matches_midpoint_rule(n, m):
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("record_step", [0, 51, -1, 2.5])
-def test_simulate_stream_rejects_record_step_outside_the_path(record_step):
-    cfg = PathConfig(t=1.0, n_steps=50, seed=1)
-    with pytest.raises(ValueError, match="record_step"):
-        _simulate_stream(_stream_generator(1, 0), 10, cfg, record_step=record_step)
+def _walk(rng, cfg, state, steps):
+    """Push the (3, paths) ``state`` through ``steps`` steps of cfg's
+    paths, drawn as _simulate_stream draws them; between calls the state
+    is a mid-path state of the stream when each stop falls on a draw
+    boundary."""
+    sigma = math.sqrt(2.0 * (cfg.t / cfg.n_steps))
+    chunk = max(1, _DRAWS_PER_CHUNK // (2 * state.shape[1]))
+    for lo in range(0, steps, chunk):
+        _advance(rng, sigma, *state, min(chunk, steps - lo))
 
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_stream_records_at_both_ends():
     cfg = PathConfig(t=1.0, n_steps=50, seed=1)
-    end, last = _simulate_stream(_stream_generator(1, 0), 10, cfg, record_step=50)
+    end = _simulate_stream(_stream_generator(1, 0), 10, cfg)
+    last = np.zeros((3, 10))
+    _walk(_stream_generator(1, 0), cfg, last, 50)
     assert all(np.array_equal(a, b) for a, b in zip(end, last))
     # one step from the origin is a straight segment: no area yet
-    _, (x1, y1, z1) = _simulate_stream(_stream_generator(1, 0), 10, cfg, record_step=1)
+    x1, y1, z1 = first = np.zeros((3, 10))
+    _walk(_stream_generator(1, 0), cfg, first, 1)
     assert np.all(z1 == 0.0) and np.all(x1 != 0.0) and np.all(y1 != 0.0)
 
 
@@ -228,11 +235,14 @@ def test_cell_masses_reject_bad_edges(edges):
 def test_increments_are_stationary():
     """inverse(X_s) . X_t has the law of X_{t-s} (the chain is a group
     random walk, so this holds at finite N too, with matching step
-    counts).  Needs the mid-path state, hence the internal simulator."""
-    (xt, yt, zt), (xs, ys, zs) = _simulate_stream(
-        _stream_generator(99, 0), 100_000, PathConfig(t=1.0, n_steps=500, seed=99),
-        record_step=200,
-    )
+    counts).  Needs the mid-path state, hence the stream walked by hand;
+    step 200 is a draw boundary of its 100,000-path stream."""
+    rng, state = _stream_generator(99, 0), np.zeros((3, 100_000))
+    cfg = PathConfig(t=1.0, n_steps=500, seed=99)
+    _walk(rng, cfg, state, 200)
+    xs, ys, zs = state.copy()
+    _walk(rng, cfg, state, 300)
+    xt, yt, zt = state
     gx = xt - xs
     gy = yt - ys
     gz = zt - zs - 0.5 * (xs * yt - ys * xt)

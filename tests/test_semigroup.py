@@ -28,15 +28,15 @@ from heisenkern.semigroup import (
     MASS_DEFICIT_TOL,
     HeatOpConfig,
     MassDeficitError,
-    apply_Pt,
     apply_Pt_many,
-    entropy_phi,
     grad_Pt_at,
     grad_Pt_origin,
     heat_measure,
     interpolation_variance,
     variance,
 )
+
+from oracles import apply_Pt, entropy_phi, xhat_log_h_exact
 
 ORIGIN = GroupElement(0.0, 0.0, 0.0)
 CFG1 = HeatOpConfig(t=1.0)
@@ -141,7 +141,7 @@ def _family():
             lambda x, y, z: -2.0 * y / (1.0 + x * x + y * y) ** 2,
             _zero,
         ),
-        xhat_log_h_field(method="spline"),
+        xhat_log_h_field(),
     ]
 
 
@@ -548,7 +548,7 @@ def test_poly_field_rotation_order(coeffs, order):
 
 
 @pytest.mark.parametrize("f", [poly_field({(1, 0, 1): 1.0}, "xz"), FAMILY[-1],
-                               xhat_log_h_field(method="exact")], ids=lambda f: f.name)
+                               xhat_log_h_exact()], ids=lambda f: f.name)
 def test_rotation_order_survives_a_wrapped_rebuild(f):
     """A field rebuilt from functools.wraps wrappers of its functions keeps
     its order; one rebuilt around a plain lambda drops it."""
