@@ -11,12 +11,14 @@ Routes: every real-kernel value comes from one fixed Gauss-Legendre
 panel rule, built by _panel_kernel.  radial_row applies it to one z-row;
 the point function p1 is radial_row at the single point, so its rule is
 set by that point alone; p1_many and log_grad_many take one rule per run
-of _CHUNK pairs, and within a run take exp once per distinct radius and
-cos/sin once per distinct height, with the bits of a per-point
-evaluation.  The log-derivative bundle of log p1 comes from _log_bundle,
-row by row, for the interpolation table, which scipy's NdBSpline
-evaluates.  Only the complex shift p1_star_shifted integrates
-adaptively, through numerics.integrate_decaying.
+of _CHUNK pairs, and walk each run in _BLOCK blocks, taking cos/sin once
+per distinct height of a block, with the bits of a per-point evaluation.
+Within one call, consecutive chunks (or spline-table rows) with the same
+radii and rule share one read-only kernel, so exp runs once per distinct
+radius of such a run (_KernelRuns).  The log-derivative bundle of log p1
+comes from _log_bundle, row by row, for the interpolation table, which
+scipy's NdBSpline evaluates.  Only the complex shift p1_star_shifted
+integrates adaptively, through numerics.integrate_decaying.
 
 Accuracy note: the integrand envelope is of size exp(-r^2/4) while the
 true value is of size exp(-d^2/4), so float64 quadrature carries a
@@ -69,13 +71,10 @@ class KernelRangeError(ValueError):
 class ComplexKernelValue:
     re: float
     im: float
-    method: str  # "shifted-integral" or "regularized-plus-pole"
 
     def __post_init__(self):
         if not (math.isfinite(self.re) and math.isfinite(self.im)):
             raise ValueError("complex kernel value must be finite")
-        if self.method not in ("shifted-integral", "regularized-plus-pole"):
-            raise ValueError(f"unknown method {self.method!r}")
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -177,6 +176,20 @@ def _lambda_cutoff(r_min: float) -> float:
 # points per panel rule in the paired routes; each chunk's rule comes from
 # its own extremes, so a point's value depends on its batch-mates
 _CHUNK = 2048
+# points per gather within a chunk: a block's (point, node) arrays are a
+# few MB, so the allocator reuses them instead of mapping fresh pages for
+# each.  256 = 16 * 16, so a BLAS matrix-vector kernel that takes rows in
+# groups of up to 16 groups a block's rows as it would the whole chunk's,
+# and every bit is kept (test_kernel's TestPairedDistinct checks it)
+_BLOCK = 256
+
+
+def _panel_width(r_max: float, zmax: float) -> float:
+    """Panel width resolving the decay at radius r_max and cos(lam z) up to |z| = zmax."""
+    width = min(0.35, 3.0 / (1.0 + 0.25 * r_max ** 2))
+    if zmax > 0.0:
+        width = min(width, 0.5 * math.pi / zmax)
+    return width
 
 
 def _panel_kernel(rs, zmax: float):
@@ -184,14 +197,35 @@ def _panel_kernel(rs, zmax: float):
 
     The rule resolves the cos(lam z) oscillation up to |z| = zmax and the
     steepest exponential decay among ``rs``; G[i, k] = G(lam_k, rs[i]).
+    The arrays are read-only, as _KernelRuns shares them.
     """
-    width = min(0.35, 3.0 / (1.0 + 0.25 * float(np.max(rs)) ** 2))
-    if zmax > 0.0:
-        width = min(width, 0.5 * math.pi / zmax)
-    lam, w = _panel_rule(_lambda_cutoff(float(np.min(rs))), width)
+    lam, w = _panel_rule(_lambda_cutoff(float(np.min(rs))), _panel_width(float(np.max(rs)), zmax))
     lc = _lam_coth(lam)
     G = np.exp(-0.25 * np.outer(rs * rs, lc)) * _sinh_ratio(lam)[None, :]
+    for a in (lam, w, lc, G):
+        a.flags.writeable = False
     return lam, w, lc, G
+
+
+class _KernelRuns:
+    """One call's panel kernels, each built once per run that shares it.
+
+    Consecutive chunks of a paired call, or rows of the spline table, that
+    have bit-equal radii and the same panel width share one rule (equal
+    radii fix the cutoff too), so _panel_kernel runs once per such run.
+    Each call makes its own, so no G outlives the call that built it.
+    """
+
+    def __init__(self):
+        self._key = self._kernel = None
+
+    def __call__(self, rs, zmax: float):
+        key = (_panel_width(float(np.max(rs)), zmax), rs.tobytes())
+        if key != self._key:
+            self._kernel = None  # frees the last G before the next is built
+            self._kernel = _panel_kernel(rs, zmax)
+            self._key = key
+        return self._kernel
 
 
 def _check_batch(r, z, name: str):
@@ -209,12 +243,17 @@ def radial_row(rs, z: float):
     exponential decay in the batch, then reuses the (r, lam) exponential
     matrix for all six weighted sums.
     """
+    return _row_sums(rs, z, _panel_kernel)
+
+
+def _row_sums(rs, z: float, kernel):
+    """radial_row with the panel kernel from ``kernel(rs, |z|)``."""
     rs = np.asarray(rs, dtype=float)
     if rs.size == 0:
         empty = np.empty(0)
         return (empty,) * 6
     _check_batch(rs, z, "radial_row")
-    lam, w, lc, G = _panel_kernel(rs, abs(z))
+    lam, w, lc, G = kernel(rs, abs(z))
     cz = np.cos(lam * z)
     sz = np.sin(lam * z)
 
@@ -252,11 +291,13 @@ def _paired(r, z, name: str, sums, n_out: int):
 
     The pairs are range-checked, then each run of _CHUNK points gets the
     panel rule of its own extremes.  G is built on the chunk's distinct
-    radii and its rows gathered back to the points; ``sums(z_u, z_inv,
-    lam, w, lc, G)`` takes cos and sin on the distinct heights z_u,
-    gathers them through z_inv and returns ``n_out`` arrays over the
-    chunk.  The (point, node) products and their contraction over the
-    whole chunk are those of a per-point evaluation, so no bit moves.
+    radii, once for each run of chunks that share them and the rule.
+    Each chunk is walked in blocks of _BLOCK points: ``sums(G_rows, z_u,
+    z_inv, lam, w, lc)`` gets the block's rows of G (read-only), takes cos
+    and sin on the block's distinct heights z_u, gathers them through
+    z_inv (its own table, so free to overwrite) and returns ``n_out``
+    arrays over the block.  The (point, node) products and their
+    contraction are those of a per-point evaluation, so no bit moves.
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -266,12 +307,15 @@ def _paired(r, z, name: str, sums, n_out: int):
     if r.size:
         _check_batch(r, z, name)
     out = np.empty((n_out, r.size))
+    kernels = _KernelRuns()
     for lo in range(0, r.size, _CHUNK):
-        r_u, r_inv = _distinct(r[lo:lo + _CHUNK])
-        z_u, z_inv = _distinct(z[lo:lo + _CHUNK])
-        lam, w, lc, G = _panel_kernel(r_u, float(np.max(np.abs(z_u))))
-        G = G[r_inv]  # rebinding frees the distinct-radius rows before sums
-        out[:, lo:lo + _CHUNK] = sums(z_u, z_inv, lam, w, lc, G)
+        hi = min(lo + _CHUNK, r.size)
+        r_u, r_inv = _distinct(r[lo:hi])
+        lam, w, lc, G = kernels(r_u, float(np.max(np.abs(z[lo:hi]))))
+        for b in range(lo, hi, _BLOCK):
+            e = min(b + _BLOCK, hi)
+            rows = slice(b - lo, e - lo) if isinstance(r_inv, slice) else r_inv[b - lo:e - lo]
+            out[:, b:e] = sums(G[rows], *_distinct(z[b:e]), lam, w, lc)
     return tuple(v.reshape(shape) for v in out)
 
 
@@ -281,14 +325,16 @@ def p1_many(r, z) -> np.ndarray:
     Each run of _CHUNK pairs shares the rule of its own extremes, so a
     value can move with its batch-mates, within the accuracy note's
     noise floor; :func:`p1` is the same rule fitted to one point.
-    exp runs once per distinct radius and cos once per distinct height
-    of a run, which makes tensor grids cheap, and every value keeps the
-    bits of a per-point evaluation.
+    exp runs once per distinct radius of a run of chunks with one rule,
+    and cos once per distinct height of a _BLOCK block, which makes tensor
+    grids cheap, and every value keeps the bits of a per-point evaluation.
     """
 
-    def sums(z_u, z_inv, lam, w, lc, G):
-        G *= np.cos(np.outer(z_u, lam))[z_inv]
-        return (G @ w / FOUR_PI_SQ,)
+    def sums(G, z_u, z_inv, lam, w, lc):
+        zl = np.outer(z_u, lam)
+        Gc = np.cos(zl, out=zl)[z_inv]
+        Gc *= G
+        return (Gc @ w / FOUR_PI_SQ,)
 
     return _paired(r, z, "p1_many", sums, 1)[0]
 
@@ -301,12 +347,15 @@ def log_grad_many(r, z):
     what integration-by-parts gradient routes want at quadrature nodes.
     """
 
-    def sums(z_u, z_inv, lam, w, lc, G):
-        Gc = G * np.cos(np.outer(z_u, lam))[z_inv]
+    def sums(G, z_u, z_inv, lam, w, lc):
+        zl = np.outer(z_u, lam)
+        Gc = np.cos(zl)[z_inv]
+        Gc *= G
         m0 = Gc @ w
         m1 = Gc @ (w * lc)
-        G *= np.sin(np.outer(z_u, lam))[z_inv]
-        m3 = G @ (w * lam)
+        Gs = np.sin(zl, out=zl)[z_inv]
+        Gs *= G
+        m3 = Gs @ (w * lam)
         return -0.5 * m1 / m0, -m3 / m0
 
     return _paired(r, z, "log_grad_many", sums, 2)
@@ -319,17 +368,19 @@ def log_grad_many(r, z):
 _AXIS_EPS = 1e-8
 
 
-def _log_bundle(rs, z: float) -> dict:
+def _log_bundle(rs, z: float, kernels=None) -> dict:
     """Partials of log p1 in radial form as arrays over ``rs`` at one z.
 
     a = d_r log p1 and b = d_z log p1; alpha = a/r extends evenly across
     the axis.  alpha_r, alpha_z, b_r, b_z are the partials needed for
     gradients of fields built from x alpha + (y/2) b.
 
-    One radial_row rule serves the whole row; on the axis the even/odd
-    structure in r pins alpha = L_rr and alpha_r = b_r = 0.
+    One radial_row rule serves the whole row; ``kernels``, the spline
+    table's _KernelRuns, lets rows with the same radii and rule share it.
+    On the axis the even/odd structure in r pins alpha = L_rr and
+    alpha_r = b_r = 0.
     """
-    pv, pr, pz, prr, przr, pzz = radial_row(rs, z)
+    pv, pr, pz, prr, przr, pzz = _row_sums(rs, z, kernels or _panel_kernel)
     a = pr / pv
     b = pz / pv
     l_rr = prr / pv - a * a
@@ -461,10 +512,12 @@ class LogHSplineTables:
 
         tables = {key: np.empty((nr, nz)) for key in self._KEYS}
 
+        # rows up to z ~ 7 keep every radius, so they share one kernel
+        kernels = _KernelRuns()
         for j, z in enumerate(zs):
             mask = safe[:, j]
             if np.any(mask):
-                row = _log_bundle(rs[mask], float(z))
+                row = _log_bundle(rs[mask], float(z), kernels)
                 for key in self._KEYS:
                     tables[key][mask, j] = row[key]
             if np.any(~mask):
@@ -599,4 +652,4 @@ def p1_star_shifted(r: float, z: float, spec: QuadratureSpec | None = None) -> C
     re = integrate_decaying(f_re, decay, spec) / FOUR_PI_SQ
     im = integrate_decaying(f_im, decay, spec) / FOUR_PI_SQ
     pole = 1.0 / (FOUR_PI_SQ * complex(3.0 + 0.25 * r * r, -z) ** 2)
-    return ComplexKernelValue(re + pole.real, im + pole.imag, "regularized-plus-pole")
+    return ComplexKernelValue(re + pole.real, im + pole.imag)

@@ -177,7 +177,7 @@ def p1_complex_shift(r: float, z: float, spec: QuadratureSpec | None = None) -> 
 
     re = integrate_decaying(f_re, decay, spec) / K.FOUR_PI_SQ
     im = integrate_decaying(f_im, decay, spec) / K.FOUR_PI_SQ
-    return K.ComplexKernelValue(re, im, "shifted-integral")
+    return K.ComplexKernelValue(re, im)
 
 
 def removed_pole_shifted(r: float, z: float) -> complex:

@@ -113,3 +113,15 @@ def test_nested_path_loads_no_scipy():
         "S.interpolation_variance(f, cfg)\n"
     )
     assert _scipy_modules_after(code) == []
+
+
+def test_console_scripts_import():
+    """Every console script pyproject declares names a callable that
+    imports, so an installed script never fails on its first call."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    for script, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), script

@@ -14,7 +14,9 @@ the translated-gradient quadrature to the values measured before them.
 
 The Gamma_2 witness f = x + M yz at the origin and the Gaussian
 isoperimetric profile behind the Bobkov rows are checked against closed
-forms; a scaled group.gamma2 must fail the witness row.
+forms; a scaled group.gamma2 must fail the witness row.  The commutation
+rows of the three default bumps are pinned; the two off-axis rows fail,
+and a strict xfail keeps that defect in view.
 """
 
 import dataclasses
@@ -39,6 +41,7 @@ from heisenkern.harness import (
     _squash,
     c_lower_detail,
     check_cheeger_bobkov,
+    check_commutation,
     check_driver_melcher,
     check_kolmogorov_counterexample,
     check_local_11_poincare,
@@ -46,6 +49,7 @@ from heisenkern.harness import (
     check_ray_inequality,
     check_reverse_poincare,
     check_kernel_identities,
+    commutation_default_bumps,
     demonstrate_gamma2_unbounded,
     estimate_A,
     run_inequality_suite,
@@ -513,6 +517,36 @@ def test_kolmogorov_forward_row_is_an_expected_violation():
     assert not next(r for r in rows if r.expected_violation).passed
     for r in rows:
         assert r.as_dict()["expected_violation"] is r.expected_violation
+
+
+# (lhs, rhs) of the commutation rows of the two off-axis bumps: the gap
+# |(X + iY)P_1 f(0) - rhs| against the absolute tolerance 1e-4
+COMMUTATION = {
+    "bump-offaxis": (0.0003932619478835799, 1e-4),
+    "bump-offaxis-2": (0.013692087313404275, 1e-4),
+}
+
+
+@pytest.fixture(scope="module")
+def commutation_rows():
+    return {f.name: check_commutation(f) for f in commutation_default_bumps()}
+
+
+def test_commutation_rows_pinned(commutation_rows):
+    assert list(commutation_rows) == ["annulus-even", *COMMUTATION]
+    for name, pair in COMMUTATION.items():
+        rep = commutation_rows[name]
+        assert (rep.lhs, rep.rhs) == pytest.approx(pair, rel=1e-9), name
+    # both sides vanish by symmetry, so the gap is rounding (4.9e-13 here)
+    even = commutation_rows["annulus-even"]
+    assert even.rhs == 1e-4 and 0.0 <= even.lhs <= 1e-11
+    assert even.passed, even.note
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: neither side of the commutation "
+                   "identity is converged for the off-axis bumps")
+def test_commutation_off_axis_rows_pass(commutation_rows):
+    assert all(commutation_rows[name].passed for name in COMMUTATION)
 
 
 def test_suite_result_unexpected_rows():

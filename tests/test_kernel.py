@@ -358,22 +358,73 @@ class TestPairedDistinct:
         assert _bits_equal(alpha, want_alpha.reshape(shape))
         assert _bits_equal(b, want_b.reshape(shape))
 
-    def test_exponentials_once_per_distinct_radius(self, monkeypatch):
-        r, z = (a[20 * K._CHUNK:22 * K._CHUNK] for a in _table_grid())
+    @staticmethod
+    def _spy_builds(monkeypatch):
         seen = []
         real = K._panel_kernel
 
         def spy(rs, zmax):
-            seen.append(np.array(rs))
+            seen.append((np.array(rs), zmax))
             return real(rs, zmax)
 
         monkeypatch.setattr(K, "_panel_kernel", spy)
+        return seen
+
+    def test_exponentials_once_per_distinct_radius(self, monkeypatch):
+        # both chunks hold the same 321 radii and get the same rule, so
+        # they share one kernel
+        r, z = (a[20 * K._CHUNK:22 * K._CHUNK] for a in _table_grid())
+        seen = self._spy_builds(monkeypatch)
         K.p1_many(r, z)
-        assert len(seen) == 2
-        for i, rs in enumerate(seen):
+        assert len(seen) == 1
+        for i in range(2):
             chunk = r[i * K._CHUNK:(i + 1) * K._CHUNK]
-            assert rs.size == np.unique(chunk).size <= 321
-            assert np.array_equal(np.sort(rs), np.unique(chunk))
+            assert np.array_equal(np.sort(seen[0][0]), np.unique(chunk))
+        assert seen[0][0].size == 321
+
+    def test_chunks_with_different_rules_build_twice(self, monkeypatch):
+        # the same 64 radii in both chunks, but the second chunk's heights
+        # need narrower panels
+        r = np.tile(np.linspace(0.0, 4.0, 64), 2 * K._CHUNK // 64)
+        z = np.repeat([0.5, 20.0], K._CHUNK)
+        assert K._panel_width(4.0, 0.5) != K._panel_width(4.0, 20.0)
+        seen = self._spy_builds(monkeypatch)
+        got = K.p1_many(r, z)
+        assert [zmax for _, zmax in seen] == [0.5, 20.0]
+        assert _bits_equal(got, _naive_paired(r, z)[0])
+
+    def test_shared_kernel_is_read_only(self):
+        runs = K._KernelRuns()
+        rs = np.linspace(0.0, 4.0, 9)
+        kernel = runs(rs, 1.0)
+        assert runs(rs.copy(), 1.0) is kernel
+        for a in kernel:
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        assert runs(rs, 1.5) is kernel  # heights below 4.5 keep the 0.35 panels
+        assert runs(rs, 20.0) is not kernel
+
+    def test_spline_rows_match_row_by_row(self, monkeypatch):
+        # each table row keeps the bits of _log_bundle on its own
+        rows = []
+        real = K._log_bundle
+
+        def spy(rs, z, kernels=None):
+            out = real(rs, z, kernels)
+            rows.append((np.array(rs), z, out))
+            return out
+
+        monkeypatch.setattr(K, "_log_bundle", spy)
+        seen = self._spy_builds(monkeypatch)
+        K.LogHSplineTables()
+        # the low rows keep every radius and share one kernel; past z ~ 7
+        # the radii change with most rows, and a few rows share again
+        assert sum(row[0].size == rows[0][0].size for row in rows) >= 30
+        assert len(seen) < len(rows)
+        for rs, z, got in rows:
+            want = real(rs, z)
+            for key in K.LogHSplineTables._KEYS:
+                assert _bits_equal(got[key], want[key]), (key, z)
 
 
 def _old_lambda_cutoff(r_min, target=42.0):
@@ -678,15 +729,9 @@ class TestComplexRoutes:
         with pytest.raises(ValueError):
             K.p1_star_shifted(0.0, 1.0)
 
-    def test_method_labels(self):
-        assert O.p1_complex_shift(3.0, 0.5).method == "shifted-integral"
-        assert K.p1_star_shifted(1.0, 0.5).method == "regularized-plus-pole"
-
     def test_value_type_validation(self):
         with pytest.raises(ValueError):
-            K.ComplexKernelValue(math.inf, 0.0, "shifted-integral")
-        with pytest.raises(ValueError):
-            K.ComplexKernelValue(0.0, 0.0, "guess")
+            K.ComplexKernelValue(math.inf, 0.0)
 
     def test_pole_field_annihilated_by_x_plus_iy(self):
         # the complexified horizontal gradient kills any function of
