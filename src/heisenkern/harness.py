@@ -1028,8 +1028,11 @@ def check_commutation(f: ScalarField | None = None) -> InequalityReport:
 
     The left side differentiates the semigroup by centered differences;
     the right side integrates p1*(r, z + 2i) (X + iY)f r dr dtheta dz
-    over the support box on 40 x 96 x 40 (r, theta, z) nodes.  The two
-    routes share no code path, so their agreement to 1e-4 is the check.
+    over the support box on 40 x 96 x 40 (r, theta, z) nodes.  Each p1*
+    value is a fixed-rule lambda-integral within 1e-12 relative of a
+    converged reference, so the box bounds that side's accuracy.
+    The two routes share no code path, so their agreement to 1e-4 is the
+    check.
     """
     if f is None:
         f = commutation_default_bumps()[1]

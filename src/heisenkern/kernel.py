@@ -17,8 +17,9 @@ Within one call, consecutive chunks (or spline-table rows) with the same
 radii and rule share one read-only kernel, so exp runs once per distinct
 radius of such a run (_KernelRuns).  The log-derivative bundle of log p1
 comes from _log_bundle, row by row, for the interpolation table, which
-scipy's NdBSpline evaluates.  Only the complex shift p1_star_shifted
-integrates adaptively, through numerics.integrate_decaying.
+scipy's NdBSpline evaluates.  The panels come from numerics._panel_rule,
+which also gives the complex shift p1_star_shifted its fixed rule,
+through numerics.integrate_decaying; no kernel value is adaptive.
 
 Accuracy note: the integrand envelope is of size exp(-r^2/4) while the
 true value is of size exp(-d^2/4), so float64 quadrature carries a
@@ -32,14 +33,14 @@ weight is below exp(-16).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .geometry import cc_distance_many
 from .group import ScalarField
-from .numerics import QuadratureSpec, integrate_decaying
+from .numerics import _panel_rule, integrate_decaying
 
 __all__ = [
     "ComplexKernelValue",
@@ -113,10 +114,6 @@ def _check_range(r, z):
         )
 
 
-def _osc_spec(spec: QuadratureSpec | None, z: float) -> QuadratureSpec:
-    return replace(spec or QuadratureSpec(), oscillation_wavenumber=abs(z))
-
-
 def p1(r: float, z: float) -> float:
     """Heat kernel at time 1 as a function of (r, z); even in z.
 
@@ -127,19 +124,6 @@ def p1(r: float, z: float) -> float:
 
 # ---------------------------------------------------------------------------
 # batched fixed-panel evaluation
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
-def _panel_rule(lam_max: float, width: float):
-    n = max(1, int(math.ceil(lam_max / width)))
-    edges = np.linspace(0.0, lam_max, n + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
 
 
 # the integrand envelope falls to exp(-_CUTOFF_TARGET) of its lam = 0 value at the cutoff
@@ -629,27 +613,25 @@ def _pole_bracket(lam, r):
     return np.where(one_minus_u > 0.0, out, math.exp(-0.25 * r * r))
 
 
-def p1_star_shifted(r: float, z: float, spec: QuadratureSpec | None = None) -> ComplexKernelValue:
+def p1_star_shifted(r: float, z: float) -> ComplexKernelValue:
     """p1*(r, z + 2i): pole-subtracted kernel plus the surviving pole.
 
     q has the leading exponential of the integrand removed, so its
     shifted integral converges for every r > 0; the removed piece
     integrates in closed form to two pole terms, of which only
-    1/(4 pi^2 (3 + r^2/4 - i z)^2) belongs to p1*.
+    1/(4 pi^2 (3 + r^2/4 - i z)^2) belongs to p1*.  Folded onto
+    [0, inf), the shifted cos(lam (z + 2i)) is cosh(lam (2 - i z)), and
+    integrate_decaying's fixed rule takes the decay 1 + r^2/4 and the
+    wavenumber |z|.
     """
     _check_range(r, z)
     if not (r > 0.0):
         raise ValueError("regularized route needs r > 0")
-    spec = _osc_spec(spec, z)
     decay = 1.0 + 0.25 * r * r  # residual e^{-(3+r^2/4)lam} against cosh(2 lam)
 
-    def f_re(lam):
-        return np.cosh(2.0 * lam) * np.cos(lam * z) * _pole_bracket(lam, r)
+    def f(lam):
+        return np.cosh(lam * complex(2.0, -z)) * _pole_bracket(lam, r)
 
-    def f_im(lam):
-        return -np.sinh(2.0 * lam) * np.sin(lam * z) * _pole_bracket(lam, r)
-
-    re = integrate_decaying(f_re, decay, spec) / FOUR_PI_SQ
-    im = integrate_decaying(f_im, decay, spec) / FOUR_PI_SQ
+    q = integrate_decaying(f, decay, abs(z)) / FOUR_PI_SQ
     pole = 1.0 / (FOUR_PI_SQ * complex(3.0 + 0.25 * r * r, -z) ** 2)
-    return ComplexKernelValue(re + pole.real, im + pole.imag)
+    return ComplexKernelValue(float(q.real + pole.real), float(q.imag + pole.imag))

@@ -2,8 +2,9 @@
 
 Each helper here is a second way to a quantity the library computes, or
 a convenience only the tests need: per-point kernel derivatives and the
-exact (quadrature per point) fields log h and f* = Xhat log h, the
-direct shifted integral p1(r, z + 2i), the one-point P_t and a
+exact (quadrature per point) fields log h and f* = Xhat log h, an
+adaptive Gauss-panel integrator with the direct shifted integral
+p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, the one-point P_t and a
 phi-entropy, the sub-Laplacian by difference stencils, frame-gradient
 validation against centered differences, the chart function mu, the
 geodesic chart map and its inverse, and single-path Monte Carlo draws.
@@ -14,8 +15,9 @@ tests that use them.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from heisenkern import kernel as K
 from heisenkern import mc as MC
 from heisenkern import semigroup as S
 from heisenkern.group import GroupElement, ScalarField
-from heisenkern.numerics import QuadratureSpec, integrate_decaying
 
 # ---------------------------------------------------------------------------
 # kernel: per-point views of radial_row, and the exact fields
@@ -148,14 +149,175 @@ def xhat_log_h_exact() -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# kernel: the direct shifted integral, the independent route to p1_star_shifted
+# adaptive quadrature: the independent route to the library's fixed rules
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive refinement ran out of subdivisions.
+
+    Carries the best value and its error estimate so callers can decide
+    whether the partial result is usable.
+    """
+
+    def __init__(self, message: str, value: float, error_estimate: float):
+        super().__init__(message)
+        self.value = value
+        self.error_estimate = error_estimate
+
+
+@dataclass(frozen=True)
+class AdaptiveSpec:
+    """Tolerances and seed panels of the adaptive integrator.
+
+    ``oscillation_wavenumber`` is the |k| of a cos(kx)/sin(kx) factor in
+    the integrand.  Seed panels are kept no wider than a quarter period
+    pi/(2k), which keeps plain Gauss panels accurate on oscillatory
+    integrands without any specialised rule.
+    """
+
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-8
+    max_subdivisions: int = 4000
+    oscillation_wavenumber: float = 0.0
+
+    def max_panel_width(self) -> float:
+        if self.oscillation_wavenumber > 0.0:
+            return math.pi / (2.0 * self.oscillation_wavenumber)
+        return math.inf
+
+
+# the converged reference for the kernel's lambda-integrals
+TIGHT = AdaptiveSpec(abs_tol=1e-16, rel_tol=1e-14)
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def _eval_integrand(f, x):
+    try:
+        y = f(x)
+    except (TypeError, ValueError):
+        y = None
+    if y is None or np.ndim(y) == 0:
+        # scalar-only integrand: fall back to a loop
+        y = np.array([float(f(v)) for v in x])
+    return np.asarray(y, dtype=float)
+
+
+def _gauss_panel(f, a, b):
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * _GL_NODES
+    return half * float(_GL_WEIGHTS @ _eval_integrand(f, x))
+
+
+def _refined(f, a, b, coarse):
+    """Panel record (err, a, mid, b, left, right) from one bisection."""
+    mid = 0.5 * (a + b)
+    left = _gauss_panel(f, a, mid)
+    right = _gauss_panel(f, mid, b)
+    err = abs((left + right) - coarse)
+    return err, a, mid, b, left, right
+
+
+def integrate_1d(f, a: float, b: float, spec: AdaptiveSpec | None = None):
+    """Integrate ``f`` over [a, b] adaptively.
+
+    Returns ``(value, error_estimate)``.  Panels are 12-point Gauss rules;
+    the per-panel error estimate is the discrepancy against the panel's
+    bisection, and the worst panel is refined until the summed estimate
+    meets ``max(abs_tol, rel_tol * |value|)`` or ``max_subdivisions``
+    panels exist (then :class:`QuadratureError` carries the best value).
+    """
+    if spec is None:
+        spec = AdaptiveSpec()
+    if not (b > a):
+        raise ValueError("integration interval must satisfy a < b")
+
+    width_cap = spec.max_panel_width()
+    if math.isfinite(width_cap):
+        n0 = int(math.ceil((b - a) / width_cap))
+        n0 = max(1, min(n0, spec.max_subdivisions))
+    else:
+        n0 = 1
+    edges = np.linspace(a, b, n0 + 1)
+
+    heap = []
+    order = 0
+    n_panels = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        coarse = _gauss_panel(f, lo, hi)
+        err, pa, mid, pb, left, right = _refined(f, lo, hi, coarse)
+        heapq.heappush(heap, (-err, order, pa, mid, pb, left, right))
+        order += 1
+        n_panels += 1
+
+    def totals():
+        value = 0.0
+        err = 0.0
+        scale = 0.0
+        for negerr, _, _, _, _, left, right in heap:
+            value += left + right
+            err += -negerr
+            scale += abs(left) + abs(right)
+        return value, err, scale
+
+    while True:
+        value, err_total, scale = totals()
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value), 64.0 * np.finfo(float).eps * scale)
+        if err_total <= tol:
+            return value, err_total
+        if n_panels >= spec.max_subdivisions:
+            raise QuadratureError(
+                f"quadrature did not converge within {spec.max_subdivisions} panels "
+                f"(estimate {err_total:.3e}, tolerance {tol:.3e})",
+                value,
+                err_total,
+            )
+        _, _, pa, mid, pb, left, right = heapq.heappop(heap)
+        for lo, hi, coarse in ((pa, mid, left), (mid, pb, right)):
+            err, qa, qmid, qb, ql, qr = _refined(f, lo, hi, coarse)
+            heapq.heappush(heap, (-err, order, qa, qmid, qb, ql, qr))
+            order += 1
+        n_panels += 1
+
+
+def adaptive_decaying(f, decay_rate: float, spec: AdaptiveSpec | None = None) -> float:
+    """Integrate ``f`` over [0, inf) assuming |f| <= M exp(-decay_rate x).
+
+    The envelope constant M is estimated from probes, the domain is cut at
+    Lambda with tail bound M exp(-decay_rate Lambda)/decay_rate below
+    abs_tol/10, and the finite piece goes through :func:`integrate_1d`
+    with the spec's oscillation panel cap.
+    """
+    if spec is None:
+        spec = AdaptiveSpec()
+    if not (decay_rate > 0.0):
+        raise ValueError("decay_rate must be > 0")
+
+    probes = np.linspace(0.0, 30.0 / decay_rate, 241)[1:]
+    vals = np.abs(_eval_integrand(f, probes)) * np.exp(decay_rate * probes)
+    m_env = float(np.max(vals))
+    if not math.isfinite(m_env):
+        raise ValueError("integrand not finite on probe grid")
+    m_env = max(m_env, 1e-300)
+    lam = math.log(10.0 * m_env / (spec.abs_tol * decay_rate)) / decay_rate
+    lam = max(lam, 5.0 / decay_rate)
+    value, _ = integrate_1d(f, 0.0, lam, spec)
+    return value
+
+
+# ---------------------------------------------------------------------------
+# kernel: the complex shifts by adaptive quadrature
+
+
+def _osc_spec(spec: AdaptiveSpec | None, z: float) -> AdaptiveSpec:
+    return replace(spec or AdaptiveSpec(), oscillation_wavenumber=abs(z))
 
 
 def _g_factor(lam, r):
     return K._sinh_ratio(lam) * np.exp(-0.25 * r * r * K._lam_coth(lam))
 
 
-def p1_complex_shift(r: float, z: float, spec: QuadratureSpec | None = None) -> K.ComplexKernelValue:
+def p1_complex_shift(r: float, z: float, spec: AdaptiveSpec | None = None) -> K.ComplexKernelValue:
     """p1(r, z + 2i) by direct quadrature of the shifted integrand.
 
     Folding the full-line integral to [0, inf) gives cosh/sinh factors;
@@ -166,7 +328,7 @@ def p1_complex_shift(r: float, z: float, spec: QuadratureSpec | None = None) -> 
         raise ValueError(
             "shifted integral diverges for r <= 2; use p1_star_shifted"
         )
-    spec = K._osc_spec(spec, z)
+    spec = _osc_spec(spec, z)
     decay = 0.25 * r * r - 1.0
 
     def f_re(lam):
@@ -175,9 +337,24 @@ def p1_complex_shift(r: float, z: float, spec: QuadratureSpec | None = None) -> 
     def f_im(lam):
         return -np.sinh(2.0 * lam) * np.sin(lam * z) * _g_factor(lam, r)
 
-    re = integrate_decaying(f_re, decay, spec) / K.FOUR_PI_SQ
-    im = integrate_decaying(f_im, decay, spec) / K.FOUR_PI_SQ
+    re = adaptive_decaying(f_re, decay, spec) / K.FOUR_PI_SQ
+    im = adaptive_decaying(f_im, decay, spec) / K.FOUR_PI_SQ
     return K.ComplexKernelValue(re, im)
+
+
+def p1_star_adaptive(r: float, z: float, spec: AdaptiveSpec = TIGHT) -> complex:
+    """p1*(r, z + 2i): kernel.p1_star_shifted's integrand on the adaptive route."""
+    spec = _osc_spec(spec, z)
+
+    def f_re(lam):
+        return np.cosh(2.0 * lam) * np.cos(lam * z) * K._pole_bracket(lam, r)
+
+    def f_im(lam):
+        return -np.sinh(2.0 * lam) * np.sin(lam * z) * K._pole_bracket(lam, r)
+
+    decay = 1.0 + 0.25 * r * r
+    value = complex(adaptive_decaying(f_re, decay, spec), adaptive_decaying(f_im, decay, spec))
+    return value / K.FOUR_PI_SQ + 1.0 / (K.FOUR_PI_SQ * complex(3.0 + 0.25 * r * r, -z) ** 2)
 
 
 def removed_pole_shifted(r: float, z: float) -> complex:

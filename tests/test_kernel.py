@@ -28,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from heisenkern import kernel as K
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, ScalarField, apply_field, gamma
-from heisenkern.numerics import QuadratureSpec
 
 import oracles as O
 from oracles import apply_L, validate_gradient
@@ -40,9 +39,9 @@ P1_ORIGIN = 0.0625
 # t=2 independent quadrature, and normalization
 P1_AT_1_1 = 0.01069672523789606
 
-# p1_star_shifted(1, 0): finiteness example, pinned after the
-# tighter-tolerance rerun agreed to 1e-10
-STAR_AT_1_0_RE = 0.010398496257264842
+# p1_star_shifted(1, 0): finiteness example on the fixed rule, 4e-15
+# relative from the converged adaptive route (oracles.p1_star_adaptive)
+STAR_AT_1_0_RE = 0.01039849625698081
 
 
 def p1_axis_closed_form(z: float) -> float:
@@ -140,9 +139,8 @@ class TestP1Values:
 
     def test_t2_direct_quadrature_oracle(self):
         # independent route: p(t,r,z) = (1/4pi^2) int cos(lam z)
-        #   (lam/sinh(t lam)) exp(-(r^2/4) lam coth(t lam)) dlam at t=2
-        from heisenkern.numerics import integrate_decaying
-
+        #   (lam/sinh(t lam)) exp(-(r^2/4) lam coth(t lam)) dlam at t=2,
+        # on the adaptive integrator
         r, z, t = 1.0, 1.0, 2.0
 
         def f(lam):
@@ -154,8 +152,8 @@ class TestP1Values:
             coth = np.where(small, 1.0 / safe + safe / 3.0, 1.0 / np.tanh(safe))
             return np.cos(lam * z) * ratio * np.exp(-0.25 * r * r * lam * coth)
 
-        spec = QuadratureSpec(oscillation_wavenumber=abs(z))
-        direct = integrate_decaying(f, 1.0 + 0.25 * r * r * 2.0, spec) / (4 * math.pi**2)
+        spec = O.AdaptiveSpec(oscillation_wavenumber=abs(z))
+        direct = O.adaptive_decaying(f, 1.0 + 0.25 * r * r * 2.0, spec) / (4 * math.pi**2)
         assert math.isclose(direct, O.p(t, r, z), rel_tol=1e-8)
 
     def test_domain_errors(self):
@@ -183,8 +181,9 @@ class TestP1Values:
             assert np.all(err <= tol), name
 
     def test_point_views_never_integrate_adaptively(self, monkeypatch):
+        # p1 and its point views never go through the complex-shift integrator
         def refuse(*args, **kwargs):
-            raise AssertionError("adaptive quadrature called")
+            raise AssertionError("complex-shift integrator called by a real-kernel view")
 
         monkeypatch.setattr(K, "integrate_decaying", refuse)
         assert math.isclose(K.p1(1.0, 1.0), P1_AT_1_1, rel_tol=1e-9)
@@ -713,11 +712,19 @@ class TestComplexRoutes:
 
     def test_star_finite_at_interior_point(self):
         v = K.p1_star_shifted(1.0, 0.0)
-        assert math.isclose(v.re, STAR_AT_1_0_RE, rel_tol=1e-9)
+        assert math.isclose(v.re, STAR_AT_1_0_RE, rel_tol=1e-12)
         assert v.im == 0.0
-        tight = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
-        v2 = K.p1_star_shifted(1.0, 0.0, spec=tight)
-        assert math.isclose(v.re, v2.re, rel_tol=1e-8)
+        assert math.isclose(v.re, O.p1_star_adaptive(1.0, 0.0).real, rel_tol=1e-13)
+
+    def test_star_matches_adaptive_reference(self):
+        """The fixed rule against the converged adaptive route, r in [0.05, 8], |z| <= 25."""
+        worst = 0.0
+        for r in (0.05, 0.3, 1.0, 2.0, 3.5, 5.0, 8.0):
+            for z in (0.0, 0.7, -2.0, 6.0, -12.0, 25.0):
+                ref = O.p1_star_adaptive(r, z)
+                worst = max(worst, abs(K.p1_star_shifted(r, z).as_complex() - ref) / abs(ref))
+        print(f"\np1_star_shifted against the adaptive reference: max rel err {worst:.3g}")
+        assert worst <= 1e-12
 
     def test_shift_envelope_decay(self):
         mags = [abs(O.p1_complex_shift(r, 0.0).as_complex()) for r in (3.0, 5.0, 10.0)]
