@@ -9,14 +9,15 @@ anisotropic dilations (x, y, z) -> (lx, ly, l^2 z), and homogeneous norm
 
     X = d/dx - (y/2) d/dz,      Y = d/dy + (x/2) d/dz,      Z = d/dz,
 
-satisfy [X, Y] = Z; the right-invariant partners Xhat, Yhat commute with
-them.  Theta is the horizontal rotation x d/dy - y d/dx and D the
-dilation generator (x d/dx + y d/dy)/2 + z d/dz.
+satisfy [X, Y] = Z, the only nonzero bracket.  They are the fields the
+library differentiates along; the right-invariant partners, the rotation
+and the dilation generator, which only checks of the calculus use, live
+with the tests.
 
 Derivatives of a :class:`ScalarField` use the analytic gradient when the
 field carries one, otherwise centered differences along the straight
-line through the field's direction vector (which is the integral curve
-for X, Y, Z, Xhat, Yhat, and first-order exact for Theta and D).
+line through the field's direction vector, which is the integral curve
+of each of X, Y and Z.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "poly_field",
 ]
 
-FIELD_NAMES = ("X", "Y", "Z", "Xhat", "Yhat", "Theta", "D")
+FIELD_NAMES = ("X", "Y", "Z")
 
 # centered-difference base steps by derivative order of the context
 FD_STEP_FIRST = 1e-5
@@ -122,6 +123,10 @@ class DiffOpResult:
     scheme: str  # "analytic" or "centered-fd"
 
 
+def _unknown(op: str) -> ValueError:
+    return ValueError(f"unknown field {op!r}; expected one of {FIELD_NAMES}")
+
+
 def _direction(op: str, x, y, z):
     """Coordinate components of the field ``op`` at (x, y, z)."""
     zero = np.zeros_like(np.asarray(x, dtype=float))
@@ -132,34 +137,14 @@ def _direction(op: str, x, y, z):
         return zero, one, 0.5 * x + zero
     if op == "Z":
         return zero, zero, one
-    if op == "Xhat":
-        return one, zero, 0.5 * y + zero
-    if op == "Yhat":
-        return zero, one, -0.5 * x + zero
-    if op == "Theta":
-        return -y + zero, x + zero, zero
-    if op == "D":
-        return 0.5 * x + zero, 0.5 * y + zero, z + zero
-    raise ValueError(f"unknown field {op!r}; expected one of {FIELD_NAMES}")
+    raise _unknown(op)
 
 
-def _combo_from_frame(op: str, x, y, z, gx, gy, gz):
-    """Express ``op`` applied to f through the frame (Xf, Yf, Zf)."""
-    if op == "X":
-        return gx
-    if op == "Y":
-        return gy
-    if op == "Z":
-        return gz
-    if op == "Xhat":
-        return gx + y * gz
-    if op == "Yhat":
-        return gy - x * gz
-    if op == "Theta":
-        return x * gy - y * gx - 0.5 * (x * x + y * y) * gz
-    if op == "D":
-        return 0.5 * x * gx + 0.5 * y * gy + z * gz
-    raise ValueError(f"unknown field {op!r}; expected one of {FIELD_NAMES}")
+def _combo_from_frame(op: str, gx, gy, gz):
+    """``op`` f read off the frame (Xf, Yf, Zf)."""
+    if op not in FIELD_NAMES:
+        raise _unknown(op)
+    return (gx, gy, gz)[FIELD_NAMES.index(op)]
 
 
 def _fd_directional(f: ScalarField, p: GroupElement, vx, vy, vz, step: float) -> float:
@@ -170,16 +155,13 @@ def _fd_directional(f: ScalarField, p: GroupElement, vx, vy, vz, step: float) ->
 
 
 def apply_field(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> DiffOpResult:
-    """Apply one of X, Y, Z, Xhat, Yhat, Theta, D to ``f`` at ``p``.
+    """Apply one of X, Y, Z to ``f`` at ``p``.
 
-    Uses the analytic gradient when present (every one of the seven
-    fields is a pointwise combination of Xf, Yf, Zf), else a centered
-    difference along the field direction with step scaled by
-    (1 + max |coordinate|).
+    Uses the analytic gradient when present, else a centered difference
+    along the field direction with step scaled by (1 + max |coordinate|).
     """
     if f.analytic_gradient is not None:
-        gx, gy, gz = f.analytic_gradient(p.x, p.y, p.z)
-        value = _combo_from_frame(op, p.x, p.y, p.z, gx, gy, gz)
+        value = _combo_from_frame(op, *f.analytic_gradient(p.x, p.y, p.z))
         return DiffOpResult(_as_scalar(value), "analytic")
     vx, vy, vz = _direction(op, p.x, p.y, p.z)
     h = step if step is not None else f.fd_step
@@ -192,9 +174,7 @@ def derived_field(op: str, f: ScalarField) -> ScalarField:
     if f.analytic_gradient is not None:
 
         def ev(x, y, z):
-            gx, gy, gz = f.analytic_gradient(x, y, z)
-            return _combo_from_frame(op, np.asarray(x, float), np.asarray(y, float),
-                                     np.asarray(z, float), gx, gy, gz)
+            return _combo_from_frame(op, *f.analytic_gradient(x, y, z))
 
     else:
         h = f.fd_step

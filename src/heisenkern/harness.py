@@ -35,7 +35,8 @@ from .group import (GroupElement, ScalarField, _mul_arrays, gamma as gamma_at,
 from .kernel import (CANCEL_BUDGET, KernelRangeError, log_grad_many,  # noqa: F401
                      p1_many, p1_star_shifted)
 from .mc import sample_kolmogorov
-from .semigroup import COARSE_TIER, HeatOpConfig, grad_Pt_at, grad_Pt_origin, heat_measure
+from .semigroup import (COARSE_TIER, HeatOpConfig, grad_Pt_at, grad_Pt_origin, grad_sums,
+                        heat_measure)
 
 __all__ = [
     "SLACK_BASE",
@@ -307,7 +308,7 @@ class _MemberCtx:
     gy: np.ndarray
     gz: np.ndarray
     gam: np.ndarray
-    a: float            # X P_t f (0)
+    a: float            # X P_t f (0), by grad_sums against mu
     b: float            # Y P_t f (0)
 
     def expect(self, arr, outside: float = 0.0) -> float:
@@ -321,6 +322,8 @@ def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
     if atoms is None:
         m = heat_measure(_CFG)
         x, y, z = m.x, m.y, m.z
+        # unit mass; _chart_span and the chart grad-bound rows keep the
+        # raw mu, of mass 1 - 1.25e-10
         mu = m.mu / float(np.sum(m.mu))
         leb = np.zeros(0)
         m_out = 0.0
@@ -343,8 +346,7 @@ def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
     gx, gy, gz = (np.broadcast_to(np.asarray(g, dtype=float), shape)
                   for g in f.analytic_gradient(x, y, z))
     gam = gx * gx + gy * gy
-    a = float(mu @ (gx + y * gz))
-    b = float(mu @ (gy - x * gz))
+    a, b = (float(v) for v in grad_sums(mu, (gx, gy, gz), x, y))
     return _MemberCtx(f.name, f, compact, x, y, z, leb, mu, m_out,
                       vals, gx, gy, gz, gam, a, b)
 
@@ -443,8 +445,7 @@ def _chart_span(family: TestFunctionFamily):
         gx[i] = np.broadcast_to(np.asarray(ax, dtype=float), shape)
         gy[i] = np.broadcast_to(np.asarray(ay, dtype=float), shape)
         gz[i] = np.broadcast_to(np.asarray(az, dtype=float), shape)
-    B = np.column_stack([(gx + m.y[None, :] * gz) @ m.mu,
-                         (gy - m.x[None, :] * gz) @ m.mu])
+    B = np.column_stack(grad_sums(m.mu, (gx, gy, gz), m.x, m.y))
     G = (gx * m.mu) @ gx.T + (gy * m.mu) @ gy.T
     return [f.name for f in members], gx, gy, gz, B, G, m.mu
 
@@ -693,21 +694,6 @@ def _atom_grad_weights(atom: tuple, kind: str) -> np.ndarray:
     return leb * _pt_density(x - w1, y - w2, zs).reshape(zs.shape)
 
 
-def _grad_Pt_grid(ctx: _MemberCtx, weights: np.ndarray) -> tuple:
-    """(X P_t f, Y P_t f) at every grid point for a compact member.
-
-    Writes P_t f(w) = int f(u) p_t(w^{-1} u) du and differentiates the
-    kernel argument; the panel already covers the whole support, so no
-    node shift is needed.  ``weights`` holds the member's atom rows of
-    :func:`_atom_grad_weights` side by side, and each grid point's row
-    reduces on its own.
-    """
-    w1, w2, _ = (c[:, None] for c in _grad_grid().T)
-    xv = np.einsum("gk,gk->g", weights, ctx.gx + (ctx.y - w2) * ctx.gz)
-    yv = np.einsum("gk,gk->g", weights, ctx.gy - (ctx.x - w1) * ctx.gz)
-    return xv, yv
-
-
 def _tensorized_c1(rhs, lhs: float, c1: float) -> float:
     """The root C > c1 of rhs(C) = lhs for the increasing tensorized Bobkov rhs."""
     from scipy import optimize
@@ -784,8 +770,9 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
                             C1_working, budget=budget))
 
     grid = _grad_grid()
+    w1, w2 = grid[:, :1], grid[:, 1:2]
     chart = heat_measure(_CFG)
-    shifted = _mul_arrays(grid[:, :1], grid[:, 1:2], grid[:, 2:], chart.x, chart.y, chart.z)
+    shifted = _mul_arrays(w1, w2, grid[:, 2:], chart.x, chart.y, chart.z)
     weights = {}
     for ctx in ctxs:
         sup_f = float(np.max(np.abs(ctx.vals)))
@@ -794,7 +781,10 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
             for key in keys:
                 if key not in weights:
                     weights[key] = _atom_grad_weights(*key)
-            xv, yv = _grad_Pt_grid(ctx, np.concatenate([weights[k] for k in keys], axis=1))
+            # the panel covers the support, so the nodes stay put and
+            # w^{-1} u has planar part (x - w1, y - w2)
+            xv, yv = grad_sums(np.concatenate([weights[k] for k in keys], axis=1),
+                               (ctx.gx, ctx.gy, ctx.gz), ctx.x - w1, ctx.y - w2)
         else:
             xv, yv = grad_Pt_at(ctx.f, chart, *grid.T)
             sup_f = max(sup_f, float(np.max(np.abs(ctx.f.eval(*shifted)))))

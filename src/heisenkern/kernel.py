@@ -524,8 +524,8 @@ class LogHSplineTables:
         self._spline = NdBSpline((tx, ty), np.stack(coef, axis=-1), 3)
         self._odd_in_z = np.array([self._PARITY[key][1] == -1 for key in self._KEYS])
 
-    def _signed(self, r, z):
-        """(shape, (n, 6) values) at the broadcast (r, z), parity applied."""
+    def bundle(self, r, z):
+        """The six tables at the broadcast (r, z), in ``_KEYS`` order."""
         r = np.asarray(r, dtype=float)
         z = np.asarray(z, dtype=float)
         shape = np.broadcast(r, z).shape
@@ -535,15 +535,6 @@ class LogHSplineTables:
         vals = self._spline(q)
         sign = np.where(z < 0.0, -1.0, 1.0)
         vals[:, self._odd_in_z] *= sign[:, None]
-        return shape, vals
-
-    def eval(self, key: str, r, z):
-        shape, vals = self._signed(r, z)
-        out = vals[:, self._KEYS.index(key)]
-        return out.reshape(shape) if shape else float(out[0])
-
-    def bundle(self, r, z):
-        shape, vals = self._signed(r, z)
         return tuple(v.reshape(shape) if shape else float(v[0]) for v in vals.T)
 
 

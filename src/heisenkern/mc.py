@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -225,26 +224,23 @@ def sample_batch(n: int, cfg: PathConfig) -> BatchStats:
     )
 
 
-def sample_kolmogorov(t: float, seed: int, n: Optional[int] = None):
-    """Exact draw(s) of (B_t, int_0^t B_s ds) for a standard Brownian B.
+def sample_kolmogorov(t: float, seed: int, n: int):
+    """n exact draws of (B_t, int_0^t B_s ds) for a standard Brownian B.
 
     The pair is centered Gaussian with covariance
     [[t, t^2/2], [t^2/2, t^3/3]], realized from two standard normals by
     the lower Cholesky factor [[sqrt(t), 0],
-    [t^{3/2}/2, t^{3/2}/(2 sqrt(3))]].  With ``n`` given, returns two
-    arrays of length n from a single counter-based stream.
+    [t^{3/2}/2, t^{3/2}/(2 sqrt(3))]].  Returns two arrays of length n
+    from a single counter-based stream.
     """
     _check_t(t)
     seed = _check_seed(seed)
-    if n is not None:
-        n = _integral(n, "n", 1)
+    n = _integral(n, "n", 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,))))
-    # pair-major draws, so the n-draw arrays extend the single draw
-    g = rng.standard_normal((1 if n is None else n, 2)).T
+    # pair-major draws, so the n-draw arrays extend the shorter ones
+    g = rng.standard_normal((n, 2)).T
     u = math.sqrt(t) * g[0]
     v = 0.5 * t ** 1.5 * (g[0] + g[1] / math.sqrt(3.0))
-    if n is None:
-        return float(u[0]), float(v[0])
     return u, v
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "heat_measure",
     "apply_Pt_many",
     "variance",
+    "grad_sums",
     "grad_Pt_at",
     "grad_Pt_origin",
     "interpolation_variance",
@@ -47,7 +48,7 @@ MASS_DEFICIT_TOL = 1e-6
 # Below about 8.5 the discarded kernel mass exceeds MASS_DEFICIT_TOL, and
 # above 25 the chart's z extent R^2/(4 pi) leaves the kernel's range.
 _DOMAIN_RADIUS = 10.0
-GRAD_ROUTES = ("fd", "hat-transfer", "ibp")
+GRAD_ROUTES = ("fd", "ibp")
 
 # node tier switches: specs at or above these abs_tols get reduced rules
 # meant for the legs of nested double quadratures
@@ -82,8 +83,8 @@ class HeatOpConfig:
     quad: QuadratureSpec = dataclass_field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        if not (self.t > 0.0):
-            raise ValueError("t must be > 0")
+        if not (0.0 < self.t < math.inf):
+            raise ValueError("t must be finite and > 0")
 
 
 def _node_counts(abs_tol: float):
@@ -243,26 +244,21 @@ def variance(f: ScalarField, cfg: HeatOpConfig, x: GroupElement = _ORIGIN) -> fl
     return float(np.dot(w, (vals - mean) ** 2))
 
 
-def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str = "hat-transfer"):
-    """(X P_t f, Y P_t f) at the origin by one of three routes.
+def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str):
+    """(X P_t f, Y P_t f) at the origin by a route other than :func:`grad_Pt_at`.
 
-    fd            centered differences of apply_Pt_many along the X and Y
-                  integral curves through 0;
-    hat-transfer  P_t of the right-invariant derivatives Xhat f, Yhat f
-                  (they commute with the convolution), which is
-                  :func:`grad_Pt_at` at the origin: there Xhat f(y_k) =
-                  (Xf + y_k,2 Zf)(y_k), likewise Yhat;
-    ibp           moves the derivative onto the kernel:
-                  -sum mu_k f(y_k) (Xhat log p_t)(y_k), likewise Yhat.
+    fd   centered differences of apply_Pt_many along the X and Y
+         integral curves through 0; the commutation check's left side;
+    ibp  moves the derivative onto the kernel:
+         -sum mu_k f(y_k) (Xhat log p_t)(y_k), likewise Yhat; a route
+         independent of f's gradient, which the tests and the
+         benchmark's tracer test run.
     """
     if route == "fd":
         h = FD_STEP_FIRST
         pts = np.array([[h, 0.0, 0.0], [-h, 0.0, 0.0], [0.0, h, 0.0], [0.0, -h, 0.0]])
         v = apply_Pt_many(f, cfg, pts)
         return (v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / (2.0 * h)
-    if route == "hat-transfer":
-        gx, gy = grad_Pt_at(f, heat_measure(cfg), 0.0, 0.0, 0.0)
-        return float(gx[0]), float(gy[0])
     if route == "ibp":
         measure = heat_measure(cfg)
         gx, gy = measure.hat_log_grad()
@@ -282,29 +278,44 @@ def _frame_gradient(f: ScalarField):
     return lambda x, y, z: (fx.eval(x, y, z), fy.eval(x, y, z), fz.eval(x, y, z))
 
 
+def grad_sums(weights, grad, dx, dy):
+    """(X P_t f(w), Y P_t f(w)) from a quadrature of
+    P_t f(w) = int f(q) p_t(w^{-1} q) dq on nodes q_k with weights w_k:
+
+        X P_t f(w) = sum_k w_k (Xf + dy_k Zf)(q_k)
+        Y P_t f(w) = sum_k w_k (Yf - dx_k Zf)(q_k)
+
+    ``grad`` is (Xf, Yf, Zf) at the q_k and (dx_k, dy_k) the planar part
+    of y_k = w^{-1} q_k: moving X from w to q = w . y turns it into
+    X + y_2 Z, and Y into Y - y_1 Z.  Every argument broadcasts and the
+    sums run over the last axis.  einsum reduces each row in an order
+    fixed by the row alone, so a value does not depend on the others.
+    Both summands are built in one buffer, so a caller holding large dx
+    and dy adds one temporary of their size, not two per sum.
+    """
+    gx, gy, gz = grad
+    buf = np.empty(np.broadcast(gx, gy, gz, dx, dy).shape)
+    np.multiply(dy, gz, out=buf)
+    buf += gx
+    sx = np.einsum("...k,...k->...", weights, buf)
+    np.multiply(dx, gz, out=buf)
+    np.subtract(gy, buf, out=buf)
+    return sx, np.einsum("...k,...k->...", weights, buf)
+
+
 def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
     """(X P_t f, Y P_t f) at the points (x, y, z), with t = measure.t.
 
-    Differentiating P_t f(w) = sum mu_k f(w . y_k) in w along the
-    left-invariant frame gives (Xhat f - w_2 Zf) and (Yhat f + w_1 Zf)
-    at q = w . y_k.  As Xhat = X + q_2 Z, Yhat = Y - q_1 Z and
-    q_i = w_i + y_k,i for i = 1, 2, the w terms cancel:
-
-        X P_t f(w) = sum mu_k (Xf + y_k,2 Zf)(w . y_k)
-        Y P_t f(w) = sum mu_k (Yf - y_k,1 Zf)(w . y_k)
-
-    Fields without an analytic gradient use centered differences.  Both
-    components come back as arrays, one entry per point.  einsum
-    reduces each point's row in an order fixed by the row alone, so the
-    result does not depend on the block size or on the other points.
+    P_t f(w) = sum mu_k f(w . y_k), so :func:`grad_sums` applies with
+    weights mu and w^{-1} q_k = y_k.  Fields without an analytic
+    gradient use centered differences.  Both components come back as
+    arrays, one entry per point, independent of the block size.
     """
     grad = _frame_gradient(f)
     outx = np.empty(np.size(x))
     outy = np.empty(np.size(x))
     for rows, qx, qy, qz in _translated_nodes(measure, x, y, z):
-        gx, gy, gz = grad(qx, qy, qz)
-        outx[rows] = np.einsum("ij,j->i", gx + measure.y * gz, measure.mu)
-        outy[rows] = np.einsum("ij,j->i", gy - measure.x * gz, measure.mu)
+        outx[rows], outy[rows] = grad_sums(measure.mu, grad(qx, qy, qz), measure.x, measure.y)
     return outx, outy
 
 

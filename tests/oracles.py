@@ -5,8 +5,9 @@ a convenience only the tests need: per-point kernel derivatives and the
 exact (quadrature per point) fields log h and f* = Xhat log h, an
 adaptive Gauss-panel integrator with the direct shifted integral
 p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, the one-point P_t and a
-phi-entropy, the sub-Laplacian by difference stencils, frame-gradient
-validation against centered differences, the chart function mu, the
+phi-entropy, the fields Xhat, Yhat, Theta and D, the sub-Laplacian by
+difference stencils, frame-gradient validation against centered
+differences, the chart function mu, the
 geodesic chart map and its inverse, and single-path Monte Carlo draws.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
@@ -459,6 +460,59 @@ def left_translate(f: ScalarField, a: GroupElement) -> ScalarField:
 
     return ScalarField(eval=ev, analytic_gradient=grad, fd_step=f.fd_step,
                        name=f"translate({f.name})")
+
+
+# fields beyond the library's frame X, Y, Z: the right-invariant Xhat and
+# Yhat, which commute with X and Y, the rotation Theta = x d/dy - y d/dx and
+# the dilation generator D = (x d/dx + y d/dy)/2 + z d/dz.  Each is (its
+# direction at (x, y, z), op f from the frame (Xf, Yf, Zf)).  The straight
+# line through the direction is the integral curve of Xhat and Yhat, and
+# first-order exact for Theta and D.
+EXTRA_FIELDS = {
+    "Xhat": (lambda x, y, z: (1.0, 0.0, 0.5 * y),
+             lambda x, y, z, gx, gy, gz: gx + y * gz),
+    "Yhat": (lambda x, y, z: (0.0, 1.0, -0.5 * x),
+             lambda x, y, z, gx, gy, gz: gy - x * gz),
+    "Theta": (lambda x, y, z: (-y, x, 0.0),
+              lambda x, y, z, gx, gy, gz: x * gy - y * gx - 0.5 * (x * x + y * y) * gz),
+    "D": (lambda x, y, z: (0.5 * x, 0.5 * y, z),
+          lambda x, y, z, gx, gy, gz: 0.5 * x * gx + 0.5 * y * gy + z * gz),
+}
+
+
+def _directional(op: str, f: ScalarField, x, y, z, step: float):
+    """op f at (x, y, z) by ``group.apply_field``'s rules: the analytic
+    frame, else a centered difference along the direction with its step
+    scaled by (1 + max |coordinate|)."""
+    direction, combo = EXTRA_FIELDS[op]
+    if f.analytic_gradient is not None:
+        return combo(x, y, z, *f.analytic_gradient(x, y, z))
+    vx, vy, vz = direction(x, y, z)
+    scale = step * (1.0 + np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z))))
+    fp = f.eval(x + scale * vx, y + scale * vy, z + scale * vz)
+    fm = f.eval(x - scale * vx, y - scale * vy, z - scale * vz)
+    return (fp - fm) / (2.0 * scale)
+
+
+def apply_op(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> G.DiffOpResult:
+    """``group.apply_field`` extended to the fields of EXTRA_FIELDS."""
+    if op in G.FIELD_NAMES:
+        return G.apply_field(op, f, p, step)
+    h = f.fd_step if step is None else step
+    scheme = "centered-fd" if f.analytic_gradient is None else "analytic"
+    return G.DiffOpResult(G._as_scalar(_directional(op, f, p.x, p.y, p.z, h)), scheme)
+
+
+def derived_op(op: str, f: ScalarField) -> ScalarField:
+    """``group.derived_field`` extended to the fields of EXTRA_FIELDS."""
+    if op in G.FIELD_NAMES:
+        return G.derived_field(op, f)
+
+    def ev(x, y, z):
+        x, y, z = (np.asarray(c, float) for c in (x, y, z))
+        return _directional(op, f, x, y, z, f.fd_step)
+
+    return ScalarField(eval=ev, fd_step=max(f.fd_step, G.FD_STEP_SECOND), name=f"{op}({f.name})")
 
 
 def apply_L(f: ScalarField, q: GroupElement) -> float:

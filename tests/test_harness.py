@@ -54,6 +54,7 @@ from heisenkern.harness import (
     estimate_A,
     run_inequality_suite,
 )
+from heisenkern.semigroup import grad_Pt_at, grad_sums, heat_measure
 
 A_PINNED = 4.740675880
 IDENTITY_TARGETS = {
@@ -374,6 +375,16 @@ def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch)
     assert rows == rows24
 
 
+def compact_grid_grad(family, ctx):
+    """(X, Y) P_1 f at every grad-bound grid point for a compact member,
+    as check_cheeger_bobkov's rows take it: grad_sums over the panel with
+    the atom weights, and planar part (x - w1, y - w2) of w^{-1} u."""
+    keys = zip(family.atoms[ctx.name], harness._atom_kinds(family, ctx.name))
+    weights = np.concatenate([harness._atom_grad_weights(*k) for k in keys], axis=1)
+    grid = harness._grad_grid()
+    return grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz), ctx.x - grid[:, :1], ctx.y - grid[:, 1:2])
+
+
 def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
     """(X, Y) P_1 f(w) from the atom weights against centred differences
     of the panel sum P_1 f(w') = sum leb f p_1(w'^{-1} u) at w (+-h, 0, 0)
@@ -390,9 +401,7 @@ def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
     assert family24.combo_index[name][0] == ("bump-000", "bump-002")
     f = next(m for m in family24.members if m.name == name)
     ctx = harness._member_ctx(family24, f)
-    keys = zip(family24.atoms[name], harness._atom_kinds(family24, name))
-    weights = np.concatenate([harness._atom_grad_weights(*k) for k in keys], axis=1)
-    xv, yv = harness._grad_Pt_grid(ctx, weights)
+    xv, yv = compact_grid_grad(family24, ctx)
 
     def panel_P1f(w1, w2, w3):
         # w^{-1} u = (x - w1, y - w2, z - w3 - (w1 y - w2 x) / 2)
@@ -410,6 +419,31 @@ def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
         fy = (panel_P1f(w1, w2 + h, w3 + 0.5 * h * w1)
               - panel_P1f(w1, w2 - h, w3 - 0.5 * h * w1)) / (2.0 * h)
         assert math.hypot(fx - xv[g], fy - yv[g]) <= 1e-6 * math.hypot(xv[g], yv[g]), g
+
+
+def test_member_gradient_matches_the_row_routes(family12):
+    """Each member's (a, b) = (X, Y) P_1 f(0), which the Driver-Melcher,
+    reverse-Poincare and C_lower rows use, against the routes of the
+    other rows at the origin.  A compact member's is grid point 0 of the
+    grad-bound route.  A chart member's is grad_Pt_at at the origin over
+    the mass of the chart measure: the member context weights the chart
+    with mu / sum mu, unit mass, while _chart_span and the chart
+    grad-bound rows weight it with the raw mu, of mass 1 - 1.25e-10."""
+    assert not harness._grad_grid()[0].any()
+    chart = heat_measure(harness._CFG)
+    mass = float(np.sum(chart.mu))
+    assert abs(1.0 - mass) <= 2e-10
+    for f in family12.members:
+        ctx = harness._member_ctx(family12, f)
+        if ctx.compact:
+            xv, yv = compact_grid_grad(family12, ctx)
+            want = (xv[0], yv[0])
+        else:
+            xv, yv = grad_Pt_at(f, chart, 0.0, 0.0, 0.0)
+            want = (xv[0] / mass, yv[0] / mass)
+        # relative to |grad|: a component that vanishes by symmetry is rounding
+        gap = math.hypot(ctx.a - want[0], ctx.b - want[1])
+        assert gap <= 1e-14 * math.hypot(*want), (f.name, (ctx.a, ctx.b), want)
 
 
 def test_grad_bound_rows_ignore_member_order(family24, rows24):

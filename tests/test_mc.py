@@ -294,13 +294,13 @@ def test_batch_and_paths_reject_non_integral_n(n):
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_kolmogorov_rejects_non_finite_t(t):
     with pytest.raises(ValueError, match="finite"):
-        sample_kolmogorov(t, 1)
+        sample_kolmogorov(t, 1, 1)
 
 
 @pytest.mark.filterwarnings("error")
 def test_kolmogorov_rejects_fractional_seed():
     with pytest.raises(ValueError, match="seed"):
-        sample_kolmogorov(1.0, 1.5)
+        sample_kolmogorov(1.0, 1.5, 1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -322,12 +322,13 @@ def test_kolmogorov_covariance():
 
 
 def test_kolmogorov_scalar_draw():
-    u, v = sample_kolmogorov(2.0, 11)
+    u, v = sample_kolmogorov(2.0, 11, n=1)
     uu, vv = sample_kolmogorov(2.0, 11, n=4)
-    assert (u, v) == (uu[0], vv[0])
+    assert u.shape == v.shape == (1,)
+    assert (u[0], v[0]) == (uu[0], vv[0])
     fu, fv = sample_kolmogorov(2.0, 11.0, n=4.0)
     assert np.array_equal(fu, uu) and np.array_equal(fv, vv)
-    tiny_u, tiny_v = sample_kolmogorov(1e-10, 5)
-    assert abs(tiny_u) < 1e-3 and abs(tiny_v) < 1e-12
+    tiny_u, tiny_v = sample_kolmogorov(1e-10, 5, n=1)
+    assert abs(tiny_u[0]) < 1e-3 and abs(tiny_v[0]) < 1e-12
     with pytest.raises(ValueError):
-        sample_kolmogorov(0.0, 1)
+        sample_kolmogorov(0.0, 1, n=1)

@@ -1,5 +1,7 @@
-"""Semigroup quadrature tests: P_t examples, the three gradient routes,
-entropies, and the variance-from-interpolation identity.
+"""Semigroup quadrature tests: P_t examples, three gradient routes at the
+origin (grad_Pt_at, the one routine every harness gradient row uses,
+against the fd and ibp routes of grad_Pt_origin), entropies, and the
+variance-from-interpolation identity.
 
 Every expected value is derived by hand from the generator L = X^2 + Y^2
 acting on polynomials (d/dt E[f] = E[Lf], so e.g. E[x^2] = 2t and
@@ -223,6 +225,13 @@ def test_config_validation():
         HeatOpConfig(t=-1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_config_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="finite"):
+        HeatOpConfig(t=t)
+
+
 def test_truncation_too_tight_is_a_config_error(monkeypatch):
     """A mass deficit above MASS_DEFICIT_TOL raises on the next build."""
     deficit = heat_measure(CFG1_COARSE).deficit
@@ -366,23 +375,34 @@ def test_variance_nonnegative(c0, cx, cy, cz, cxy):
 
 # ------------------------------------------------------------- grad routes
 
+# grad_Pt_at at the origin, named for the right-invariant fields it
+# transfers, next to the library's two other routes
+ROUTES = ("fd", "hat-transfer", "ibp")
 
-@pytest.mark.parametrize("route", GRAD_ROUTES)
+
+def grad_origin(f, cfg, route):
+    if route == "hat-transfer":
+        gx, gy = grad_Pt_at(f, heat_measure(cfg), 0.0, 0.0, 0.0)
+        return float(gx[0]), float(gy[0])
+    return grad_Pt_origin(f, cfg, route=route)
+
+
+@pytest.mark.parametrize("route", ROUTES)
 def test_grad_of_linear_coordinate(route):
-    g = grad_Pt_origin(poly_field({(1, 0, 0): 1.0}, "x"), CFG1, route=route)
+    g = grad_origin(poly_field({(1, 0, 0): 1.0}, "x"), CFG1, route)
     assert g[0] == pytest.approx(1.0, abs=1e-6)
     assert g[1] == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("route", GRAD_ROUTES)
+@pytest.mark.parametrize("route", ROUTES)
 def test_grad_of_log_kernel_gradient(route):
     """The distinguished member has X P_1 f(0) = -1 and Y P_1 f(0) = 0."""
-    g = grad_Pt_origin(FAMILY[-1], CFG1, route=route)
+    g = grad_origin(FAMILY[-1], CFG1, route)
     assert g[0] == pytest.approx(-1.0, abs=1e-4)
     assert g[1] == pytest.approx(0.0, abs=1e-4)
 
 
-@pytest.mark.parametrize("route", GRAD_ROUTES)
+@pytest.mark.parametrize("route", ROUTES)
 def test_grad_of_radial_even_function_vanishes(route):
     f = coord_field(
         "radial-even",
@@ -391,14 +411,19 @@ def test_grad_of_radial_even_function_vanishes(route):
         lambda x, y, z: -0.5 * y * np.exp(-(x * x + y * y) / 4.0) * np.cos(z),
         lambda x, y, z: -np.exp(-(x * x + y * y) / 4.0) * np.sin(z),
     )
-    g = grad_Pt_origin(f, CFG1, route=route)
+    g = grad_origin(f, CFG1, route)
     assert abs(g[0]) <= 1e-9
     assert abs(g[1]) <= 1e-9
 
 
 def test_grad_route_name_is_checked():
+    assert GRAD_ROUTES == ("fd", "ibp")
     with pytest.raises(ValueError):
         grad_Pt_origin(ONE, CFG1, route="adjoint")
+    with pytest.raises(ValueError):
+        grad_Pt_origin(ONE, CFG1, route="hat-transfer")
+    with pytest.raises(TypeError):
+        grad_Pt_origin(ONE, CFG1)
 
 
 def test_route_agreement_across_family():
@@ -406,7 +431,7 @@ def test_route_agreement_across_family():
     worst = 0.0
     worst_tag = ""
     for f in FAMILY:
-        grads = [grad_Pt_origin(f, CFG1, route=r) for r in GRAD_ROUTES]
+        grads = [grad_origin(f, CFG1, r) for r in ROUTES]
         for i in range(len(grads)):
             for j in range(i + 1, len(grads)):
                 d = max(
@@ -414,7 +439,7 @@ def test_route_agreement_across_family():
                 )
                 if d > worst:
                     worst = d
-                    worst_tag = f"{f.name}: {GRAD_ROUTES[i]} vs {GRAD_ROUTES[j]}"
+                    worst_tag = f"{f.name}: {ROUTES[i]} vs {ROUTES[j]}"
     assert worst <= 1e-4, worst_tag
 
 
