@@ -116,6 +116,14 @@ class ScalarField:
         """
         return getattr(self.eval, "rotation_order", None)
 
+    @property
+    def mirror_parity(self) -> Optional[int]:
+        """e = +1 or -1 when f o M = e f for the mirror M(x, y, z) = (x, -y, -z);
+        None: nothing declared.  An attribute of ``eval``, kept and dropped
+        as :attr:`rotation_order` is.
+        """
+        return getattr(self.eval, "mirror_parity", None)
+
 
 @dataclass(frozen=True)
 class DiffOpResult:
@@ -269,7 +277,9 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
 
     Terms are summed in the order of ``coeffs``, with no zero accumulator.
     The rotation order is 0 when every term has i = j = 0, 1 when every
-    term has i + j = 1, and undeclared otherwise.
+    term has i + j = 1, and undeclared otherwise.  The mirror parity is
+    -1 when every term has j + k odd, +1 when every term has it even,
+    and undeclared otherwise.
     """
     items = [((int(i), int(j), int(k)), float(c)) for (i, j, k), c in coeffs.items()]
 
@@ -308,4 +318,7 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
         ev.rotation_order = 0
     elif planar == {1}:
         ev.rotation_order = 1
+    odd = {(j + k) % 2 for (_, j, k), _ in items}
+    if len(odd) == 1:
+        ev.mirror_parity = 1 - 2 * odd.pop()
     return ScalarField(eval=ev, analytic_gradient=grad, name=name)

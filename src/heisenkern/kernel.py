@@ -565,7 +565,8 @@ def xhat_log_h_field() -> ScalarField:
 
     The bundle comes from the cached spline tables, vectorized for bulk
     nested evaluation.  Rotation order 1, since alpha and b are radial:
-    f* o R_{pi/2} = -y alpha + (x/2) b.
+    f* o R_{pi/2} = -y alpha + (x/2) b.  Mirror parity +1, since alpha
+    is even in z and b odd.
     """
     tabs = get_spline_tables()
 
@@ -579,7 +580,7 @@ def xhat_log_h_field() -> ScalarField:
         _, gx, gy, gz = _fstar_pieces(x, y, z, tabs.bundle(r, z))
         return gx, gy, gz
 
-    ev.rotation_order = 1
+    ev.rotation_order, ev.mirror_parity = 1, 1
     return ScalarField(eval=ev, analytic_gradient=grad, name="xhat_log_h[spline]")
 
 

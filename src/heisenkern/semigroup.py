@@ -60,8 +60,10 @@ COARSE_TIER = QuadratureSpec(abs_tol=_COARSE_ABS_TOL)
 _ORIGIN = GroupElement(0.0, 0.0, 0.0)
 
 # bytes of one (points x nodes) array of translated nodes: 16 points at
-# the 3,072-node nested tier.  About ten such temporaries are live per
-# block, which keeps them inside a 4 MiB L2 cache.
+# the 3,072-node nested tier.  A block's three translated-node arrays stay
+# live while each orbit-basis field's frame gradient and the grad_sums
+# buffer come and go: 8-10 such arrays at the peak for polynomial fields,
+# inside a 4 MiB L2 cache, and 21 for the spline field f*.
 _BLOCK_BYTES = 384 << 10
 
 
@@ -311,12 +313,20 @@ def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
     gradient use centered differences.  Both components come back as
     arrays, one entry per point, independent of the block size.
     """
-    grad = _frame_gradient(f)
-    outx = np.empty(np.size(x))
-    outy = np.empty(np.size(x))
+    gx, gy = _grads_Pt_at((f,), measure, x, y, z)
+    return gx[0], gy[0]
+
+
+def _grads_Pt_at(fields, measure: HeatMeasure, x, y, z) -> np.ndarray:
+    """:func:`grad_Pt_at` of each field, as a (2, fields, points) array;
+    each block of translated nodes serves every field."""
+    grads = [_frame_gradient(g) for g in fields]
+    out = np.empty((2, len(grads), np.size(x)))
     for rows, qx, qy, qz in _translated_nodes(measure, x, y, z):
-        outx[rows], outy[rows] = grad_sums(measure.mu, grad(qx, qy, qz), measure.x, measure.y)
-    return outx, outy
+        for i, grad in enumerate(grads):
+            out[0, i, rows], out[1, i, rows] = grad_sums(measure.mu, grad(qx, qy, qz),
+                                                         measure.x, measure.y)
+    return out
 
 
 _S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -348,24 +358,29 @@ def _orbit_basis(f: ScalarField, base: _BaseMeasure):
     the fields g."""
     n = base.radial[0].size
     n_alpha = base.x.size // (2 * n)
-    order = f.rotation_order
+    order, parity = f.rotation_order, f.mirror_parity
+    if parity not in (None, 1, -1):
+        raise ValueError(f"mirror parity {parity!r} of {f.name!r}; expected 1, -1 or None")
     if order is None:
         return base.x.size, (f,), 1.0
-    mirrored = _composed(f, _MIRROR)
-    if order == 0:
-        return n, (f, mirrored), float(n_alpha)
+    if order not in (0, 1):
+        raise ValueError(f"rotation order {order!r} of {f.name!r}; expected 0, 1 or None")
+    # f o M = +-f repeats f's squares, so f stands for both mirror halves
+    fields, weight = ((f,), 2.0 * n_alpha) if parity else ((f, _composed(f, _MIRROR)), n_alpha)
     if order == 1:
-        return n, (f, _composed(f, _QUARTER), mirrored, _composed(mirrored, _QUARTER)), 0.5 * n_alpha
-    raise ValueError(f"rotation order {order!r} of {f.name!r}; expected 0, 1 or None")
+        fields = tuple(h for g in fields for h in (g, _composed(g, _QUARTER)))
+        weight *= 0.5
+    return n, fields, weight
 
 
 def _gamma_sum(f: ScalarField, outer: HeatMeasure, inner: HeatMeasure) -> float:
     """sum_k mu_k Gamma(P f)(y_k) over the nodes y_k of ``outer``, with P the
-    operator of ``inner``; one loop over the orbit basis of f."""
+    operator of ``inner``; one pass over the translated nodes serves the
+    orbit basis of f."""
     n, fields, weight = _orbit_basis(f, outer.base)
+    grads = _grads_Pt_at(fields, inner, outer.x[:n], outer.y[:n], outer.z[:n])
     sq = 0.0
-    for g in fields:
-        gx, gy = grad_Pt_at(g, inner, outer.x[:n], outer.y[:n], outer.z[:n])
+    for gx, gy in zip(*grads):
         sq = sq + (gx * gx + gy * gy)
     return weight * float(np.dot(outer.mu[:n], sq))
 
@@ -391,8 +406,13 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
         (n_alpha / 2) sum_{g in f, f o R, f o M, f o M o R} |grad P g(w)|^2,
 
     with R = R_{pi/2}; for f o R_a = f (order 0) it is
-    n_alpha (|grad P f(w)|^2 + |grad P(f o M)(w)|^2).  A field without a
-    declared order sums |grad P f|^2 over every node.
+    n_alpha (|grad P f(w)|^2 + |grad P(f o M)(w)|^2).  A field that also
+    declares its mirror parity, f o M = +-f, has the squares of f o M
+    equal to those of f, so the orbit contributes
+    n_alpha (|grad P f(w)|^2 + |grad P(f o R)(w)|^2) at order 1 and
+    2 n_alpha |grad P f(w)|^2 at order 0.  A field without a declared
+    order sums |grad P f|^2 over every node.  One pass over the blocks
+    of translated inner nodes serves every field of the basis.
     """
     t = cfg.t
     coarse = QuadratureSpec(abs_tol=max(cfg.quad.abs_tol, _COARSE_ABS_TOL))

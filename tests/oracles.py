@@ -132,7 +132,7 @@ def xhat_log_h_exact() -> ScalarField:
 
     The same pieces as kernel.xhat_log_h_field, with the bundle from
     :func:`log_derivatives` instead of the spline tables; rotation
-    order 1, like the spline field.
+    order 1 and mirror parity +1, like the spline field.
     """
 
     def bundle(x, y, z):
@@ -145,7 +145,7 @@ def xhat_log_h_exact() -> ScalarField:
     def grad(x, y, z):
         return _pointwise(lambda *q: K._fstar_pieces(*q, bundle(*q))[1:], 3, x, y, z)
 
-    ev.rotation_order = 1
+    ev.rotation_order, ev.mirror_parity = 1, 1
     return ScalarField(eval=ev, analytic_gradient=grad, name="xhat_log_h")
 
 

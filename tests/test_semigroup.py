@@ -517,16 +517,18 @@ def test_grad_inner_at_independent_of_block_size(monkeypatch, name):
 
 def test_grad_inner_at_difference_fallback():
     """A field without an analytic gradient goes through centered differences,
-    and so do the rotated and mirrored copies the orbit sum builds from it."""
-    xz = poly_field({(1, 0, 1): 1.0}, "xz")
-    fd = ScalarField(eval=xz.eval)
+    and so do the rotated and mirrored copies the orbit sum builds from it.
+    xz + x has rotation order 1 and no mirror parity, so its basis holds
+    all four copies."""
+    f = poly_field({(1, 0, 1): 1.0, (1, 0, 0): 1.0}, "xz+x")
+    fd = ScalarField(eval=f.eval)
     outer, inner = _nested_pair()
-    want = grad_Pt_at(xz, inner, outer.x, outer.y, outer.z)
+    want = grad_Pt_at(f, inner, outer.x, outer.y, outer.z)
     got = grad_Pt_at(fd, inner, outer.x, outer.y, outer.z)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
     n, fd_fields, fd_weight = semigroup._orbit_basis(fd, outer.base)
-    _, fields, weight = semigroup._orbit_basis(xz, outer.base)
+    _, fields, weight = semigroup._orbit_basis(f, outer.base)
     assert (n, len(fd_fields), fd_weight) == (16 * 12, 4, weight)
     assert all(g.analytic_gradient is None for g in fd_fields)
     for g_fd, g in zip(fd_fields, fields):
@@ -535,14 +537,15 @@ def test_grad_inner_at_difference_fallback():
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
     gamma_fd = semigroup._gamma_sum(fd, outer, inner)
-    assert gamma_fd == pytest.approx(semigroup._gamma_sum(xz, outer, inner), rel=1e-6)
+    assert gamma_fd == pytest.approx(semigroup._gamma_sum(f, outer, inner), rel=1e-6)
 
 
 # --------------------------------------------- orbit sum over the outer nodes
 
 
 def _undeclared(f):
-    """f with its rotation order dropped: the outer sum then visits all nodes."""
+    """f with its rotation order and mirror parity dropped: the outer sum
+    then visits all nodes."""
     return ScalarField(eval=lambda *a: f.eval(*a), analytic_gradient=f.analytic_gradient,
                        fd_step=f.fd_step, name=f.name)
 
@@ -572,15 +575,35 @@ def test_poly_field_rotation_order(coeffs, order):
     assert poly_field(coeffs).rotation_order == order
 
 
-@pytest.mark.parametrize("f", [poly_field({(1, 0, 1): 1.0}, "xz"), FAMILY[-1],
-                               xhat_log_h_exact()], ids=lambda f: f.name)
-def test_rotation_order_survives_a_wrapped_rebuild(f):
+@pytest.mark.parametrize(
+    "coeffs, parity",
+    [
+        ({(1, 0, 1): 1.0}, -1),
+        ({(0, 0, 1): 1.0}, -1),
+        ({(1, 0, 0): 1.0}, 1),
+        ({(0, 0, 2): 1.0}, 1),
+        ({(0, 1, 1): 1.0, (1, 0, 0): 1.0}, 1),
+        ({(0, 0, 0): 2.0}, 1),
+        ({(1, 0, 1): 1.0, (1, 0, 0): 1.0}, None),
+        ({(1, 0, 0): 1.0, (0, 0, 1): 1.0}, None),
+    ],
+    ids=["xz", "z", "x", "z^2", "yz+x", "1", "xz+x", "x+z"],
+)
+def test_poly_field_mirror_parity(coeffs, parity):
+    assert poly_field(coeffs).mirror_parity == parity
+
+
+@pytest.mark.parametrize("f, parity", [pytest.param(f, e, id=f.name) for f, e in (
+    (poly_field({(1, 0, 1): 1.0}, "xz"), -1), (FAMILY[-1], 1), (xhat_log_h_exact(), 1))])
+def test_rotation_order_survives_a_wrapped_rebuild(f, parity):
     """A field rebuilt from functools.wraps wrappers of its functions keeps
-    its order; one rebuilt around a plain lambda drops it."""
+    its order and parity; one rebuilt around a plain lambda drops both."""
     rebuilt = ScalarField(eval=_traced(f.eval), analytic_gradient=_traced(f.analytic_gradient),
                           fd_step=f.fd_step, name=f.name)
     assert f.rotation_order == rebuilt.rotation_order == 1
+    assert f.mirror_parity == rebuilt.mirror_parity == parity
     assert _undeclared(f).rotation_order is None
+    assert _undeclared(f).mirror_parity is None
 
 
 def test_declared_rotation_order_holds():
@@ -600,6 +623,27 @@ def test_declared_rotation_order_holds():
     np.testing.assert_allclose(rot(f, math.cos(a), math.sin(a)), f.eval(x, y, z), rtol=1e-15)
 
 
+def test_declared_mirror_parity_holds():
+    """f(x, -y, -z) = e f(x, y, z) for the declared parity e, at random points."""
+    rng = np.random.default_rng(11)
+    x, y, z = rng.uniform(-2.0, 2.0, (3, 50))
+    fields = [poly_field({(1, 0, 1): 1.0}), poly_field({(0, 1, 1): 1.0, (1, 0, 0): 1.0}),
+              poly_field({(0, 0, 2): 1.0}), xhat_log_h_field()]
+    for f, e in zip(fields, (-1, 1, 1, 1)):
+        assert f.mirror_parity == e
+        np.testing.assert_allclose(f.eval(x, -y, -z), e * f.eval(x, y, z), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("parity", [0, 2])
+def test_unknown_mirror_parity_is_rejected(parity):
+    def ev(x, y, z):
+        return x * z
+
+    ev.rotation_order, ev.mirror_parity = 1, parity
+    with pytest.raises(ValueError, match="mirror parity"):
+        interpolation_variance(ScalarField(eval=ev), CFG1_NESTED)
+
+
 def test_unknown_rotation_order_is_rejected():
     def ev(x, y, z):
         return x * x - y * y
@@ -610,11 +654,16 @@ def test_unknown_rotation_order_is_rejected():
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0])
-@pytest.mark.parametrize("coeffs", [{(0, 0, 0): 2.0}, {(1, 0, 0): 1.0}, {(1, 0, 1): 1.0}],
-                         ids=["1", "x", "xz"])
+@pytest.mark.parametrize(
+    "coeffs",
+    [{(0, 0, 0): 2.0}, {(1, 0, 0): 1.0}, {(1, 0, 1): 1.0}, {(0, 0, 1): 1.0}, {(0, 0, 2): 1.0},
+     {(0, 1, 1): 1.0, (1, 0, 0): 1.0}, {(1, 0, 1): 1.0, (1, 0, 0): 1.0}],
+    ids=["1", "x", "xz", "z", "z^2", "yz+x", "xz+x"],
+)
 def test_orbit_sum_matches_all_nodes(coeffs, t):
     """The orbit route of a declared field against the sum over all 3,072
-    nested-tier nodes of the same field with its declaration dropped."""
+    nested-tier nodes of the same field with its declarations dropped.
+    xz + x declares no mirror parity, so it covers the four-field basis."""
     f = poly_field(coeffs)
     cfg = HeatOpConfig(t=t, quad=NESTED)
     orbit = interpolation_variance(f, cfg)
