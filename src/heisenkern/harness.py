@@ -204,23 +204,35 @@ def check_kernel_identities() -> list:
 # direct oscillatory route.  log p1 is smooth on the window r <= 8,
 # |z| <= 9, which holds every panel and translated-panel point of the
 # checks (r <= 5.1 and |z| <= 4.9 on the default families), so a
-# one-time bicubic table serves values at 2e-7 relative accuracy where
-# the kernel is above 1e-6, degrading only where the weight contribution
-# is negligible.  A point outside the window raises KernelRangeError.
+# one-time bicubic table serves the values.  Off its nodes it is within
+# 3.2e-7 relative of kernel.p1 where p1 > 1e-6 and within 6.5e-7 in the
+# checks' region, where p1 >= 9.3e-8 (4,000 seeded points); the error
+# peaks at the axes r = 0 and z = 0, where the fit has no mirrored rows.
+# The table's nodes, multiples of 0.025, are interpolated exactly, so a
+# grid of such points cannot see this error.  A point outside the window
+# raises KernelRangeError.
 # The build is one p1_many call on 115,881 grid points, about 0.19 s on
 # one core of a 2-core AMD EPYC: each z-major chunk of 2,048 points holds
 # the same 321 radii, and all but the two highest chunks share one rule,
 # so p1_many builds three panel kernels for the 57 chunks; it takes cos
 # once per distinct height of each 256-point block (one or two), so the
 # blocks' gathers, products and contractions are what remain.
+#
+# The fit is FITPACK's (RectBivariateSpline, s = 0), but it is evaluated
+# here with fpbisp's operations in fpbisp's order, so every value has the
+# bits of RectBivariateSpline.ev on the same fit: numpy does not fuse
+# multiply-adds, and neither does the baseline x86-64 FITPACK build.
 
 _P1TAB_R = 8.0
 _P1TAB_Z = 9.0
 _P1TAB_STEP = 0.025
+# points per evaluation block: a block's temporaries stay in cache
+_P1TAB_BLOCK = 16384
 
 
 @cache
 def _p1_table():
+    """Knots tx, ty and coefficients c[ix, iy] of the bicubic fit of log p_1; read-only."""
     from scipy.interpolate import RectBivariateSpline
 
     rg = np.arange(0.0, _P1TAB_R + _P1TAB_STEP, _P1TAB_STEP)
@@ -228,16 +240,73 @@ def _p1_table():
     # z-major order keeps low-|z| chunks on wide integration panels
     Z, R = np.meshgrid(zg, rg, indexing="ij")
     vals = p1_many(R.ravel(), Z.ravel()).reshape(len(zg), len(rg))
-    return RectBivariateSpline(rg, zg, np.log(vals).T, kx=3, ky=3, s=0)
+    tx, ty, c = RectBivariateSpline(rg, zg, np.log(vals).T, kx=3, ky=3, s=0).tck
+    c = c.reshape(len(tx) - 4, len(ty) - 4)
+    for a in (tx, ty, c):
+        a.flags.writeable = False
+    return tx, ty, c
+
+
+def _interval(t, x):
+    """fpbisp's knot interval l of each x: t[l] <= x < t[l + 1], clamped to [3, n - 5].
+
+    The interior knots t[4:-4] are the grid nodes from the third on, so
+    x / _P1TAB_STEP + 2 is l to within one, and one comparison on each side
+    makes it exact: a binary search gives the same l at three times the cost.
+    """
+    n = len(t)
+    l = np.clip((x * (1.0 / _P1TAB_STEP)).astype(np.intp) + 2, 3, n - 5)
+    l -= x < t[l]
+    l += (x >= t[l + 1]) & (l < n - 5)
+    return l
+
+
+def _cubic_basis(t, x, l):
+    """The four cubic B-splines nonzero on interval l, by fpbspl's de Boor recurrence."""
+    tk = {d: t[l + d] for d in range(-2, 4)}
+    h = [1.0]
+    for j in (1, 2, 3):
+        hh, h = h, [0.0] * (j + 1)
+        for i in range(1, j + 1):
+            f = hh[i - 1] / (tk[i] - tk[i - j])
+            h[i - 1] = h[i - 1] + f * (tk[i] - x)
+            h[i] = f * (x - tk[i - j])
+    return h
+
+
+def _table_log_p1(r, z):
+    """log p_1 at flat r, z in the window, summed as fpbisp sums it; a value
+    depends on its own point only, not on its batch-mates or the blocks."""
+    tx, ty, c = _p1_table()
+    cf, nc = c.ravel(), c.shape[1]
+    out = np.empty_like(r)
+    for s in range(0, len(r), _P1TAB_BLOCK):
+        rb, zb = r[s:s + _P1TAB_BLOCK], z[s:s + _P1TAB_BLOCK]
+        lx, ly = _interval(tx, rb), _interval(ty, zb)
+        hx, hy = _cubic_basis(tx, rb, lx), _cubic_basis(ty, zb, ly)
+        base = (lx - 3) * nc + (ly - 3)
+        sp = 0.0
+        for i in range(4):
+            for j in range(4):
+                sp = sp + (cf[base + (i * nc + j)] * hx[i]) * hy[j]
+        out[s:s + _P1TAB_BLOCK] = sp
+    return out
 
 
 def _pt_density(x, y, z):
-    """Heat kernel density p_1 at lab points, flattened, from the window table."""
+    """Heat kernel density p_1 at lab points, flattened, from the window table.
+
+    On one core of a 2-core AMD EPYC, RectBivariateSpline.ev took 78-327 ns
+    a point, as fpbisp finds each point's knot interval by walking the
+    knots from the first one, some 200 steps per axis near r = 5; with the
+    interval guessed from the grid step, the whole evaluation takes about
+    65 ns a point.
+    """
     r = np.hypot(x, y).ravel()
     z = np.abs(np.asarray(z, dtype=float)).ravel()
     if not (np.all(r <= _P1TAB_R) and np.all(z <= _P1TAB_Z)):
         raise KernelRangeError(f"p1 table covers r <= {_P1TAB_R}, |z| <= {_P1TAB_Z}")
-    return np.exp(_p1_table().ev(r, z))
+    return np.exp(_table_log_p1(r, z))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ isoperimetric profile behind the Bobkov rows are checked against closed
 forms; a scaled group.gamma2 must fail the witness row.  The commutation
 rows of the three default bumps are pinned; the two off-axis rows fail,
 and a strict xfail keeps that defect in view.
+
+The p_1 window table behind the compact members' weights is evaluated in
+the library with FITPACK's arithmetic: its values are checked bit for
+bit against RectBivariateSpline.ev on the same fit, on the points the
+checks send, on the knots and on seeded points, and its accuracy off the
+table's nodes is pinned against kernel.p1.
 """
 
 import dataclasses
@@ -30,7 +36,7 @@ from heisenkern import harness
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, gamma, gamma2, poly_field
-from heisenkern.kernel import KernelRangeError
+from heisenkern.kernel import KernelRangeError, p1
 from heisenkern.harness import (
     _C_POWER,
     ConstantEstimate,
@@ -353,6 +359,141 @@ def test_pt_density_raises_outside_table_window():
     for x, z in ((8.01, 0.0), (0.0, 9.01), (0.0, -9.01), (math.nan, 0.0)):
         with pytest.raises(KernelRangeError):
             harness._pt_density(np.array([0.5, x]), 0.0, np.array([0.0, z]))
+
+
+@pytest.fixture(scope="module")
+def p1_fit():
+    """The RectBivariateSpline behind the cached window table, recorded as
+    _p1_table builds it afresh: the oracle for the table's evaluation."""
+    from scipy import interpolate
+
+    fits = []
+
+    class Recorded(interpolate.RectBivariateSpline):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fits.append(self)
+
+    harness._p1_table.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interpolate, "RectBivariateSpline", Recorded)
+        tx, ty, c = harness._p1_table()
+    (fit,) = fits
+    ftx, fty, fc = fit.tck
+    assert np.array_equal(ftx, tx) and np.array_equal(fty, ty)
+    assert np.array_equal(fc, c.ravel())
+    return fit
+
+
+def assert_table_bits(fit, r, z):
+    """The table's log p_1 at (r, |z|) has the bits of FITPACK's ev on the same fit."""
+    r = np.asarray(r, dtype=float).ravel()
+    z = np.abs(np.asarray(z, dtype=float)).ravel()
+    got = harness._table_log_p1(r, z)
+    want = fit.ev(r, z)
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, (f"{differ.size} of {r.size} values differ, first at "
+                              f"(r, z) = ({r[differ[0]]!r}, {z[differ[0]]!r})")
+
+
+def window_knot_values(t, hi):
+    k = np.unique(t)
+    k = np.concatenate([k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)])
+    return np.unique(k[(k >= 0.0) & (k <= hi)])
+
+
+def test_table_bits_on_checked_points(p1_fit, family12, monkeypatch):
+    """Every point that constants_estimate and check_cheeger_bobkov send to
+    the table gets the value FITPACK's ev gives, bit for bit."""
+    density = harness._pt_density
+    seen = []
+
+    def spy(x, y, z):
+        seen.append((np.hypot(x, y).ravel(), np.ravel(z)))
+        return density(x, y, z)
+
+    monkeypatch.setattr(harness, "_pt_density", spy)
+    harness.constants_estimate(family12)
+    check_cheeger_bobkov(family12)
+    assert sum(r.size for r, _ in seen) > 0
+    for r, z in seen:
+        assert_table_bits(p1_fit, r, z)
+
+
+def test_table_bits_on_knots_and_seeded_points(p1_fit):
+    """The knots of both axes and their neighbours (r = 0, z = 0 and the
+    corner (8, 9) among them) and 10^5 seeded points of the window."""
+    tx, ty, _ = harness._p1_table()
+    R, Z = np.meshgrid(window_knot_values(tx, harness._P1TAB_R),
+                       window_knot_values(ty, harness._P1TAB_Z))
+    assert_table_bits(p1_fit, R, Z)
+    rng = np.random.default_rng(19)
+    assert_table_bits(p1_fit, rng.uniform(0.0, harness._P1TAB_R, 100_000),
+                      rng.uniform(-harness._P1TAB_Z, harness._P1TAB_Z, 100_000))
+
+
+def test_table_interval_is_fitpack_walk():
+    """fpbisp walks from interval 3 while x >= t[l + 1], stopping at n - 5:
+    l = 3 plus the number of knots t[4 .. n - 5] at or below x."""
+    rng = np.random.default_rng(7)
+    for t, hi in zip(harness._p1_table()[:2], (harness._P1TAB_R, harness._P1TAB_Z)):
+        x = np.concatenate([window_knot_values(t, hi), rng.uniform(0.0, hi, 5_000)])
+        walk = 3 + np.count_nonzero(t[None, 4:len(t) - 4] <= x[:, None], axis=1)
+        assert np.array_equal(harness._interval(t, x), walk)
+        clipped = np.clip(np.searchsorted(t, x, "right") - 1, 3, len(t) - 5)
+        assert np.array_equal(walk, clipped)
+
+
+def test_table_values_ignore_batch_mates_and_blocks():
+    """One call on a shuffled set that spans two blocks gives each point the
+    bits of its own one-point call."""
+    n = harness._P1TAB_BLOCK + 1_500
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-5.0, 5.0, n)
+    y = rng.uniform(-5.0, 5.0, n)
+    z = rng.uniform(-9.0, 9.0, n)
+    batch = harness._pt_density(x, y, z)
+    single = np.array([harness._pt_density(x[i:i + 1], y[i:i + 1], z[i:i + 1])[0]
+                       for i in range(n)])
+    assert np.array_equal(batch.view(np.int64), single.view(np.int64))
+
+
+def test_cheeger_bobkov_rows_never_evaluate_scipy_splines(family12, monkeypatch):
+    """With the table built, the rows need no scipy spline evaluation."""
+    from scipy.interpolate import RectBivariateSpline
+
+    harness._p1_table()
+    rows = check_cheeger_bobkov(family12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy spline evaluation on the p1 table route")
+
+    monkeypatch.setattr(RectBivariateSpline, "ev", refuse)
+    monkeypatch.setattr(RectBivariateSpline, "__call__", refuse)
+    assert check_cheeger_bobkov(family12) == rows
+
+
+def test_table_arrays_are_read_only():
+    for a in harness._p1_table():
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_table_accuracy_off_its_nodes():
+    """Against kernel.p1 on 4,000 seeded points of the window: at most
+    3.2e-7 relative where p1 > 1e-6 (measured 3.18e-7 at (0.0062, 3.044),
+    next to the axis), and 6.5e-7 in the checks' region r <= 5.1,
+    |z| <= 4.9 (measured 6.45e-7).  The table's nodes are interpolated
+    exactly, so only off-node points see this error."""
+    rng = np.random.default_rng(3)
+    r = rng.uniform(0.0, harness._P1TAB_R, 4_000)
+    z = rng.uniform(-harness._P1TAB_Z, harness._P1TAB_Z, 4_000)
+    exact = np.array([p1(a, b) for a, b in zip(r, z)])
+    err = np.abs(harness._pt_density(r, 0.0, z) - exact) / exact
+    assert err[exact > 1e-6].max() <= 3.2e-7
+    checked = (r <= 5.1) & (np.abs(z) <= 4.9)
+    assert err[checked].max() <= 6.5e-7
+    assert exact[checked].min() >= 9e-8
 
 
 def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch):
