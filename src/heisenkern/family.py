@@ -19,7 +19,7 @@ either atoms or polynomial growth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -212,6 +212,12 @@ class TestFunctionFamily:
     compact support); integrating in those offset frames keeps the
     support a well-proportioned box instead of the thin sheared slab it
     is in lab coordinates.
+
+    ``_member_contexts`` is the harness's memo of each member's
+    quadrature context (nodes, weights, values, gradient, Gamma), built
+    on first use and shared by every check of this family.  It lives and
+    is freed with the family object; ``dataclasses.replace`` starts the
+    new family with an empty memo.
     """
 
     members: tuple
@@ -219,6 +225,8 @@ class TestFunctionFamily:
     combo_index: dict       # member name -> (part names, coeffs)
     kinds: dict             # member name -> bump | poly | trig | combo | fstar
     atoms: dict             # member name -> ((center, width, vert), ...) or None
+    _member_contexts: dict = field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
 
 def _draw_center(rng) -> tuple:

@@ -361,7 +361,7 @@ def _atom_kinds(family: TestFunctionFamily, name: str) -> list:
     return [family.kinds[p] for p in parts[0]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _MemberCtx:
     name: str
     f: ScalarField
@@ -385,12 +385,36 @@ class _MemberCtx:
 
 
 def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
+    """The member's quadrature context, built once per family and shared.
+
+    The memo lives on the family (``family._member_contexts``), so the
+    contexts are freed with it.  The key holds the panel counts of the
+    member's atom kinds, so patched ``_PANEL_COUNTS`` build afresh; a
+    field that is not the memoised context's member is rebuilt too.
+    """
+    atoms = family.atoms.get(f.name)
+    counts = () if atoms is None else tuple(
+        _PANEL_COUNTS[k] for k in _atom_kinds(family, f.name))
+    key = (f.name, counts)
+    ctx = family._member_contexts.get(key)
+    if ctx is None or ctx.f is not f:
+        ctx = family._member_contexts[key] = _build_member_ctx(f, atoms, counts)
+    return ctx
+
+
+def _build_member_ctx(f: ScalarField, atoms, counts: tuple) -> _MemberCtx:
+    """f, its frame gradient and Gamma(f) on the member's nodes, with (a, b).
+
+    Chart members (``atoms`` None) take the chart measure; compact ones
+    the panels of their atoms at ``counts``.  Every array is read-only,
+    since the context is shared by all checks of the family.
+    """
     if f.analytic_gradient is None:
         raise ValueError(f"family member {f.name!r} lacks an analytic gradient")
-    atoms = family.atoms.get(f.name)
     if atoms is None:
         m = heat_measure(_CFG)
-        x, y, z = m.x, m.y, m.z
+        # views: the read-only flag must not reach the cached measure
+        x, y, z = m.x.view(), m.y.view(), m.z.view()
         # unit mass; _chart_span and the chart grad-bound rows keep the
         # raw mu, of mass 1 - 1.25e-10
         mu = m.mu / float(np.sum(m.mu))
@@ -398,8 +422,7 @@ def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
         m_out = 0.0
         compact = False
     else:
-        kinds = _atom_kinds(family, f.name)
-        panels = [_atom_panel(a, _PANEL_COUNTS[k]) for a, k in zip(atoms, kinds)]
+        panels = [_atom_panel(a, c) for a, c in zip(atoms, counts)]
         x = np.concatenate([p[0] for p in panels])
         y = np.concatenate([p[1] for p in panels])
         z = np.concatenate([p[2] for p in panels])
@@ -416,11 +439,14 @@ def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
                   for g in f.analytic_gradient(x, y, z))
     gam = gx * gx + gy * gy
     a, b = (float(v) for v in grad_sums(mu, (gx, gy, gz), x, y))
+    for arr in (x, y, z, leb, mu, gam):
+        arr.flags.writeable = False
     return _MemberCtx(f.name, f, compact, x, y, z, leb, mu, m_out,
                       vals, gx, gy, gz, gam, a, b)
 
 
 def _contexts(family: TestFunctionFamily):
+    """Every member's shared context, in member order (see _member_ctx)."""
     for f in family.members:
         yield _member_ctx(family, f)
 
@@ -788,9 +814,11 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
     members covers their support.  Their kernel weights are computed
     once per distinct mollifier atom in each call, so combos that
     reuse the atoms of the bumps pay no kernel evaluations of their
-    own; the weights are dropped when the call returns.
+    own; the weights are dropped when the call returns.  The member
+    contexts are the family's shared ones: after the constants and the
+    phi suite, or on an update pass, this call builds none.
     """
-    ctxs = [_member_ctx(family, f) for f in family.members]
+    ctxs = list(_contexts(family))
     i_half = float(_gauss_isop(0.5))    # squash(0), the outside-atom level
     rows = []
 

@@ -23,11 +23,17 @@ the library with FITPACK's arithmetic: its values are checked bit for
 bit against RectBivariateSpline.ev on the same fit, on the points the
 checks send, on the knots and on seeded points, and its accuracy off the
 table's nodes is pinned against kernel.p1.
+
+Each member's quadrature context is built once per family and shared by
+every check: the documented flow builds one per member, an update pass
+none, and the contexts are read-only and freed with their family.
 """
 
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -594,6 +600,105 @@ def test_grad_bound_rows_ignore_member_order(family24, rows24):
         return {r.function: r for r in rows if r.check == "grad-bound"}
 
     assert grad_rows(check_cheeger_bobkov(reverse)) == grad_rows(rows24)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(name, compact) of every member context built from here on."""
+    log = []
+    build = harness._build_member_ctx
+
+    def spy(f, atoms, counts):
+        log.append((f.name, atoms is not None))
+        return build(f, atoms, counts)
+
+    monkeypatch.setattr(harness, "_build_member_ctx", spy)
+    return log
+
+
+def test_suite_flow_builds_each_context_once(built):
+    """constants_estimate then run_inequality_suite, the documented flow:
+    the C_lower search builds the 17 compact contexts, the phi suite the
+    7 chart ones, and the Cheeger/Bobkov rows none."""
+    family = build_family(24, DEFAULT_FAMILY_SEED)
+    constants = harness.constants_estimate(family)
+    assert len(built) == 17 and all(compact for _, compact in built)
+    result = run_inequality_suite(family, constants=constants)
+    assert result.update_passes == 0
+    names = [name for name, _ in built]
+    assert sorted(names) == sorted(f.name for f in family.members)
+    assert sum(compact for _, compact in built) == 17
+
+
+def test_update_pass_builds_no_context(built, monkeypatch):
+    """test_adaptive_c1_policy's start below the working constant: the
+    first pass builds each member's context once, the update pass none."""
+    per_call = []
+    for name in ("check_phi_suite", "check_cheeger_bobkov"):
+        def spy(*args, check=getattr(harness, name)):
+            before = len(built)
+            rows = check(*args)
+            per_call.append(len(built) - before)
+            return rows
+
+        monkeypatch.setattr(harness, name, spy)
+    family = build_family(12, DEFAULT_FAMILY_SEED)
+    constants = ConstantEstimate(A=A_PINNED, C1_lower=C1_LOWER_PINNED,
+                                 C2_lower=C2_LOWER_PINNED, C1_working=0.9)
+    result = run_inequality_suite(family, constants=constants)
+    assert result.update_passes == 1
+    assert per_call == [12, 0, 0, 0]
+
+
+def test_member_context_memo_key(family12, monkeypatch):
+    """Patched panel counts build a fresh context on the refined nodes;
+    the default counts find the first one again.  A field of the same
+    name that is not the family's member gets its own context."""
+    f = next(m for m in family12.members if family12.kinds[m.name] == "bump")
+    coarse = harness._member_ctx(family12, f)
+    assert coarse.x.size == 22 * 12 * 24
+    monkeypatch.setitem(harness._PANEL_COUNTS, "bump", (44, 24, 48))
+    fine = harness._member_ctx(family12, f)
+    assert fine.x.size == 44 * 24 * 48
+    assert harness._member_ctx(family12, f) is fine
+    monkeypatch.undo()
+    assert harness._member_ctx(family12, f) is coarse
+    twin = build_family(12, DEFAULT_FAMILY_SEED).members[0]
+    assert twin.name == f.name and twin is not f
+    assert harness._member_ctx(family12, twin).f is twin
+    assert harness._member_ctx(family12, f).f is f
+
+
+def test_replaced_family_starts_with_an_empty_memo(family12):
+    harness._member_ctx(family12, family12.members[0])
+    assert family12._member_contexts
+    same = dataclasses.replace(family12)
+    assert same._member_contexts == {}
+    assert same == family12
+
+
+def test_member_contexts_are_freed_with_their_family():
+    family = build_family(12, DEFAULT_FAMILY_SEED)
+    refs = []
+    for f in (family.members[0], family.members[-1]):     # a bump and f*
+        ctx = harness._member_ctx(family, f)
+        refs += [weakref.ref(ctx.mu), weakref.ref(ctx.gam)]
+    assert all(r() is not None for r in refs)
+    del ctx, family
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_member_contexts_are_immutable(family12):
+    for ctx in harness._contexts(family12):
+        for fld in dataclasses.fields(ctx):
+            value = getattr(ctx, fld.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, (ctx.name, fld.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.a = 0.0
+    # the chart members' nodes are read-only views of the still writable measure
+    assert heat_measure(harness._CFG).x.flags.writeable
 
 
 def test_cheeger_bobkov_rows_pinned(family12):
