@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "GroupElement",
     "ScalarField",
-    "DiffOpResult",
     "FIELD_NAMES",
     "multiply",
     "inverse",
@@ -58,9 +57,6 @@ class GroupElement:
     x: float
     y: float
     z: float
-
-    def as_tuple(self):
-        return (self.x, self.y, self.z)
 
 
 def _mul_arrays(ax, ay, az, bx, by, bz):
@@ -101,9 +97,6 @@ class ScalarField:
         if not (self.fd_step > 0.0):
             raise ValueError("fd_step must be > 0")
 
-    def value_at(self, p: GroupElement) -> float:
-        return _as_scalar(self.eval(p.x, p.y, p.z))
-
     @property
     def rotation_order(self) -> Optional[int]:
         """How f transforms under the rotations R_a by a about the z axis.
@@ -123,12 +116,6 @@ class ScalarField:
         as :attr:`rotation_order` is.
         """
         return getattr(self.eval, "mirror_parity", None)
-
-
-@dataclass(frozen=True)
-class DiffOpResult:
-    value: float
-    scheme: str  # "analytic" or "centered-fd"
 
 
 def _unknown(op: str) -> ValueError:
@@ -162,18 +149,17 @@ def _fd_directional(f: ScalarField, p: GroupElement, vx, vy, vz, step: float) ->
     return (fp - fm) / (2.0 * scale)
 
 
-def apply_field(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> DiffOpResult:
+def apply_field(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> float:
     """Apply one of X, Y, Z to ``f`` at ``p``.
 
     Uses the analytic gradient when present, else a centered difference
     along the field direction with step scaled by (1 + max |coordinate|).
     """
     if f.analytic_gradient is not None:
-        value = _combo_from_frame(op, *f.analytic_gradient(p.x, p.y, p.z))
-        return DiffOpResult(_as_scalar(value), "analytic")
+        return _as_scalar(_combo_from_frame(op, *f.analytic_gradient(p.x, p.y, p.z)))
     vx, vy, vz = _direction(op, p.x, p.y, p.z)
     h = step if step is not None else f.fd_step
-    return DiffOpResult(_fd_directional(f, p, float(vx), float(vy), float(vz), h), "centered-fd")
+    return _fd_directional(f, p, float(vx), float(vy), float(vz), h)
 
 
 def derived_field(op: str, f: ScalarField) -> ScalarField:
@@ -202,12 +188,12 @@ def derived_field(op: str, f: ScalarField) -> ScalarField:
 
 def gamma(f: ScalarField, g: ScalarField, p: GroupElement) -> float:
     """Carre du champ Gamma(f, g) = Xf Xg + Yf Yg at ``p``."""
-    xf = apply_field("X", f, p).value
-    yf = apply_field("Y", f, p).value
+    xf = apply_field("X", f, p)
+    yf = apply_field("Y", f, p)
     if g is f:
         return xf * xf + yf * yf
-    xg = apply_field("X", g, p).value
-    yg = apply_field("Y", g, p).value
+    xg = apply_field("X", g, p)
+    yg = apply_field("Y", g, p)
     return xf * xg + yf * yg
 
 
@@ -220,19 +206,19 @@ def gamma2(f: ScalarField, p: GroupElement) -> float:
     Unbounded below as a quadratic form in f: the mixed third-order term
     has no sign, which is the group's "Ricci = -infinity" phenomenon.
     """
-    xf = apply_field("X", f, p).value
-    yf = apply_field("Y", f, p).value
-    zf = apply_field("Z", f, p).value
+    xf = apply_field("X", f, p)
+    yf = apply_field("Y", f, p)
+    zf = apply_field("Z", f, p)
 
     fx = derived_field("X", f)
     fy = derived_field("Y", f)
     fz = derived_field("Z", f)
-    xxf = apply_field("X", fx, p, step=FD_STEP_SECOND).value
-    yyf = apply_field("Y", fy, p, step=FD_STEP_SECOND).value
-    xyf = apply_field("X", fy, p, step=FD_STEP_SECOND).value
-    yxf = apply_field("Y", fx, p, step=FD_STEP_SECOND).value
-    xzf = apply_field("X", fz, p, step=FD_STEP_SECOND).value
-    yzf = apply_field("Y", fz, p, step=FD_STEP_SECOND).value
+    xxf = apply_field("X", fx, p, step=FD_STEP_SECOND)
+    yyf = apply_field("Y", fy, p, step=FD_STEP_SECOND)
+    xyf = apply_field("X", fy, p, step=FD_STEP_SECOND)
+    yxf = apply_field("Y", fx, p, step=FD_STEP_SECOND)
+    xzf = apply_field("X", fz, p, step=FD_STEP_SECOND)
+    yzf = apply_field("Y", fz, p, step=FD_STEP_SECOND)
 
     return (
         xxf * xxf

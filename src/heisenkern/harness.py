@@ -13,9 +13,10 @@ p_t = t^-2 p_1 o delta_{1/sqrt(t)}, so the checks run at t = 1 on one
 configuration: the coarse chart measure of radius 10, the coarse atom
 panels and the p_1 table on its window.
 
-Survey-style checks (the ray inequality, the (1,1) Poincare on a ball)
-have no a-priori constant; they report the empirical sup ratio and a
-grid-stability verdict instead.
+The ray inequality takes its constant from the |u| -> inf limit of the
+ray ratio, a 1-D integral of p_1 on z = 0, and surveys rays against it.
+The (1,1) Poincare on a ball has no a-priori constant; it reports the
+empirical sup ratio over the family.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ FAMILY_QUAD_BUDGET = 4e-3
 ABS_FLOOR = 1e-12
 SQRT2 = math.sqrt(2.0)
 
-_IDENTITY_TOL = 5e-3
 # t = 1 on the coarse node tier; the chart measure's radius defaults to 10
 _CFG = HeatOpConfig(t=1.0, quad=COARSE_TIER)
 
@@ -177,8 +177,8 @@ def estimate_A() -> float:
 def check_kernel_identities() -> list:
     """<Gamma(log h) h> = 2, <(Xhat log h)^2 h> = 1, <Xhat Yhat cross> = 0.
 
-    Encoded as |measured - target| <= 5e-3 so the uniform pass rule
-    applies; the measured value rides along in the note.
+    Encoded as |measured - target| <= QUAD_BUDGET so the uniform pass
+    rule applies; the measured value rides along in the note.
     """
     m = heat_measure(_CFG)
     gam = float(np.sum(m.mu * _gamma_log_h_nodes(m)))
@@ -191,7 +191,7 @@ def check_kernel_identities() -> list:
         ("identity-xhat-sq", sq, 1.0),
         ("identity-xhat-yhat", cross, 0.0),
     ):
-        rows.append(_report(check, "log h", abs(value - target), _IDENTITY_TOL,
+        rows.append(_report(check, "log h", abs(value - target), QUAD_BUDGET,
                             target, budget=0.0, note=f"measured {value:.8f}"))
     return rows
 
@@ -369,7 +369,6 @@ class _MemberCtx:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    leb: np.ndarray     # geometric quadrature weights (panel route)
     mu: np.ndarray      # kernel-weighted; mu total plus m_out is exactly 1
     m_out: float
     vals: np.ndarray
@@ -418,7 +417,6 @@ def _build_member_ctx(f: ScalarField, atoms, counts: tuple) -> _MemberCtx:
         # unit mass; _chart_span and the chart grad-bound rows keep the
         # raw mu, of mass 1 - 1.25e-10
         mu = m.mu / float(np.sum(m.mu))
-        leb = np.zeros(0)
         m_out = 0.0
         compact = False
     else:
@@ -426,7 +424,6 @@ def _build_member_ctx(f: ScalarField, atoms, counts: tuple) -> _MemberCtx:
         x = np.concatenate([p[0] for p in panels])
         y = np.concatenate([p[1] for p in panels])
         z = np.concatenate([p[2] for p in panels])
-        leb = np.concatenate([p[3] for p in panels])
         mu = np.concatenate([p[4] for p in panels])
         m_out = 1.0 - float(np.sum(mu))
         if m_out < -1e-9:
@@ -439,9 +436,9 @@ def _build_member_ctx(f: ScalarField, atoms, counts: tuple) -> _MemberCtx:
                   for g in f.analytic_gradient(x, y, z))
     gam = gx * gx + gy * gy
     a, b = (float(v) for v in grad_sums(mu, (gx, gy, gz), x, y))
-    for arr in (x, y, z, leb, mu, gam):
+    for arr in (x, y, z, mu, gam):
         arr.flags.writeable = False
-    return _MemberCtx(f.name, f, compact, x, y, z, leb, mu, m_out,
+    return _MemberCtx(f.name, f, compact, x, y, z, mu, m_out,
                       vals, gx, gy, gz, gam, a, b)
 
 
@@ -525,24 +522,18 @@ def _chart_p2(B: np.ndarray, G: np.ndarray):
 
 
 def _chart_span(family: TestFunctionFamily):
-    """Gradient rows on the chart measure for polynomial-growth members."""
-    members = [f for f in family.members if family.atoms.get(f.name) is None]
+    """Gradient rows on the chart measure for polynomial-growth members.
+
+    The frame gradients are the member contexts'; B and G weight them
+    with the raw chart mu (see _build_member_ctx).
+    """
+    ctxs = [_member_ctx(family, f) for f in family.members if family.atoms.get(f.name) is None]
     m = heat_measure(_CFG)
-    shape = m.mu.shape
-    n = len(members)
-    gx = np.empty((n, shape[0]))
-    gy = np.empty_like(gx)
-    gz = np.empty_like(gx)
-    for i, f in enumerate(members):
-        if f.analytic_gradient is None:
-            raise ValueError(f"family member {f.name!r} lacks an analytic gradient")
-        ax, ay, az = f.analytic_gradient(m.x, m.y, m.z)
-        gx[i] = np.broadcast_to(np.asarray(ax, dtype=float), shape)
-        gy[i] = np.broadcast_to(np.asarray(ay, dtype=float), shape)
-        gz[i] = np.broadcast_to(np.asarray(az, dtype=float), shape)
+    shape = (len(ctxs), m.mu.size)
+    gx, gy, gz = (np.reshape([getattr(c, k) for c in ctxs], shape) for k in ("gx", "gy", "gz"))
     B = np.column_stack(grad_sums(m.mu, (gx, gy, gz), m.x, m.y))
     G = (gx * m.mu) @ gx.T + (gy * m.mu) @ gy.T
-    return [f.name for f in members], gx, gy, gz, B, G, m.mu
+    return [c.name for c in ctxs], gx, gy, B, G, m.mu
 
 
 def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWitness:
@@ -569,7 +560,7 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
         raise ValueError("p must be 1 or 2")
     if family is None:
         family = build_family()
-    names_c, gx_c, gy_c, gz_c, B, G, mu = _chart_span(family)
+    names_c, gx_c, gy_c, B, G, mu = _chart_span(family)
     ctxs = [_member_ctx(family, f)
             for f in family.members if family.atoms.get(f.name) is not None]
 
@@ -899,9 +890,8 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
 
 @dataclass(frozen=True)
 class RaySurvey:
-    constant: float
-    inner_sup: float
-    outer_sup: float
+    constant: float     # the |u| -> inf limit L(1), the sup over the surveyed range
+    sup: float          # the largest surveyed ratio
     argmax: tuple
     n_rays: int
 
@@ -930,6 +920,9 @@ def _ray_s_cap(u_abs: float) -> float:
 
 
 _RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(96)
+# upper end of the limit's s-range: the integral of s^4 p_1(s, 0) past it
+# is 1.2e-26 of the integral from s = 1
+_RAY_S_END = 16.0
 
 
 def _ray_ratio(u_abs: float, t: float) -> float:
@@ -954,41 +947,51 @@ def _ray_ratio(u_abs: float, t: float) -> float:
     return num / den
 
 
-def check_ray_inequality() -> tuple:
-    """Empirical sup of the ray ratio with a grid-stability verdict.
+def _ray_limit(t: float) -> float:
+    """L(t) = int_t^inf s^4 p_1(s, 0) ds / (t^4 p_1(t, 0)), the |u| -> inf limit of the ray ratio.
 
-    Returns (survey, report).  The inner grid takes 10 values of |u| up
-    to 2 and 8 values of t per |u|.  The outer grid doubles both counts
-    and extends |u| to 3.9, the kernel evaluator's cancellation-safe
-    limit; stability asks the outer sup to stay within 1.5x the inner sup.
+    As |u| grows at fixed s the ray tends to the line z = 0 and
+    A(u, s) to s^4 / (12 |u|^3), whose |u| factor cancels in the ratio.
+    On z = 0 the CC distance is r, so the kernel loses nothing to
+    cancellation and the s-range needs no cap: one p1_many call on the
+    ray's 96 Gauss nodes over [t, 16].
+    """
+    s = 0.5 * (_RAY_S_END - t) * (_RAY_NODES + 1.0) + t
+    ws = 0.5 * (_RAY_S_END - t) * _RAY_WEIGHTS
+    h = p1_many(np.append(s, t), np.zeros(s.size + 1))
+    return float(np.sum(ws * s**4 * h[:-1])) / (t**4 * float(h[-1]))
+
+
+def check_ray_inequality() -> tuple:
+    """The ray ratio's sup over t >= 1 against its |u| -> inf limit L(1).
+
+    Returns (survey, report).  The ratio rises with |u| and falls with t,
+    so its sup over the range t >= 1 is the limit L(1), which is the
+    row's constant and rhs.  The range t >= 1 is the harness's own: the
+    ratio grows without bound as t -> 0 (159.8 at t = 0.5, |u| = 3.9).
+    The survey checks the constant on 20 values of |u| up to 3.9, the
+    kernel evaluator's cancellation-safe limit, and 16 values of t per
+    |u|; the row's lhs is the largest surveyed ratio.
     """
     u_lo = 1.0 / (2.0 * math.pi) + 0.01
-
-    def survey(u_max, n_u, n_t):
-        sup = 0.0
-        arg = (u_lo, 1.0)
-        count = 0
-        for u_abs in np.geomspace(u_lo, u_max, n_u):
-            t_hi = min(2.0 * math.pi * u_abs * (1.0 - 1e-6), _ray_s_cap(u_abs)) - 1e-6
-            if t_hi <= 1.0:
-                continue
-            for t in np.linspace(1.0, t_hi, n_t):
-                ratio = _ray_ratio(float(u_abs), float(t))
-                count += 1
-                if ratio > sup:
-                    sup = ratio
-                    arg = (float(u_abs), float(t))
-        return sup, arg, count
-
-    inner_sup, _, n1 = survey(2.0, 10, 8)
-    outer_sup, arg, n2 = survey(3.9, 20, 16)
-    const = max(inner_sup, outer_sup)
-    sv = RaySurvey(const, inner_sup, outer_sup, arg, n1 + n2)
-    rep = _report("ray-inequality", f"grid({n1}+{n2} rays)", outer_sup,
-                  1.5 * inner_sup, const,
-                  note=f"empirical constant {const:.6f} at |u|,t = {arg[0]:.4f},{arg[1]:.4f}")
-    ok = rep.passed and math.isfinite(const) and const > 0.0
-    return sv, replace(rep, passed=ok)
+    const = _ray_limit(1.0)
+    sup = 0.0
+    arg = (u_lo, 1.0)
+    count = 0
+    for u_abs in np.geomspace(u_lo, 3.9, 20):
+        t_hi = min(2.0 * math.pi * u_abs * (1.0 - 1e-6), _ray_s_cap(u_abs)) - 1e-6
+        if t_hi <= 1.0:
+            continue
+        for t in np.linspace(1.0, t_hi, 16):
+            ratio = _ray_ratio(float(u_abs), float(t))
+            count += 1
+            if ratio > sup:
+                sup = ratio
+                arg = (float(u_abs), float(t))
+    rep = _report("ray-inequality", f"grid({count} rays)", sup, const, const,
+                  note=f"sup {sup:.6f} at |u|,t = {arg[0]:.4f},{arg[1]:.4f}; rhs is the "
+                       f"|u| -> inf limit L(1) on the harness's range t >= 1")
+    return RaySurvey(const, sup, arg, count), rep
 
 
 # ---------------------------------------------------------------------------

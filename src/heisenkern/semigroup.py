@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
-from typing import Optional
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -120,16 +119,14 @@ class _BaseMeasure:
     mu: np.ndarray
     deficit: float
     radial: tuple          # (r, z) at the radial nodes, z > 0 half
-    _hat_grad: Optional[tuple] = None
 
+    @cached_property
     def hat_log_grad(self):
-        if self._hat_grad is None:
-            alpha, b = log_grad_many(*self.radial)
-            alpha = _spread(alpha, self.x.size)
-            b = _spread(b, self.x.size, odd=True)  # d_z log p1 is odd in z
-            self._hat_grad = (self.x * alpha + 0.5 * self.y * b,
-                              self.y * alpha - 0.5 * self.x * b)
-        return self._hat_grad
+        """(Xhat log p_1, Yhat log p_1) at the nodes."""
+        alpha, b = log_grad_many(*self.radial)
+        alpha = _spread(alpha, self.x.size)
+        b = _spread(b, self.x.size, odd=True)  # d_z log p1 is odd in z
+        return self.x * alpha + 0.5 * self.y * b, self.y * alpha - 0.5 * self.x * b
 
     def at(self, t: float) -> "HeatMeasure":
         """The measure at time t: nodes dilated, ``mu`` shared."""
@@ -158,7 +155,7 @@ class HeatMeasure:
 
     def hat_log_grad(self):
         """(Xhat log p_t, Yhat log p_t) at the nodes; the t = 1 pair over sqrt(t)."""
-        gx, gy = self.base.hat_log_grad()
+        gx, gy = self.base.hat_log_grad
         st = math.sqrt(self.t)
         return gx / st, gy / st
 

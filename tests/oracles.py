@@ -8,7 +8,8 @@ p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, the one-point P_t and a
 phi-entropy, the fields Xhat, Yhat, Theta and D, the sub-Laplacian by
 difference stencils, frame-gradient validation against centered
 differences, the chart function mu, the
-geodesic chart map and its inverse, and single-path Monte Carlo draws.
+geodesic chart map and its inverse, single-path Monte Carlo draws, and
+the mpmath ray limit L(t) behind the stored values in test_harness.py.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
 tests that use them.
@@ -494,13 +495,12 @@ def _directional(op: str, f: ScalarField, x, y, z, step: float):
     return (fp - fm) / (2.0 * scale)
 
 
-def apply_op(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> G.DiffOpResult:
+def apply_op(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> float:
     """``group.apply_field`` extended to the fields of EXTRA_FIELDS."""
     if op in G.FIELD_NAMES:
         return G.apply_field(op, f, p, step)
     h = f.fd_step if step is None else step
-    scheme = "centered-fd" if f.analytic_gradient is None else "analytic"
-    return G.DiffOpResult(G._as_scalar(_directional(op, f, p.x, p.y, p.z, h)), scheme)
+    return G._as_scalar(_directional(op, f, p.x, p.y, p.z, h))
 
 
 def derived_op(op: str, f: ScalarField) -> ScalarField:
@@ -528,8 +528,8 @@ def apply_L(f: ScalarField, q: GroupElement) -> float:
     if f.analytic_gradient is not None:
         xf_field = G.derived_field("X", f)
         yf_field = G.derived_field("Y", f)
-        xxf = G.apply_field("X", xf_field, q, step=G.FD_STEP_SECOND).value
-        yyf = G.apply_field("Y", yf_field, q, step=G.FD_STEP_SECOND).value
+        xxf = G.apply_field("X", xf_field, q, step=G.FD_STEP_SECOND)
+        yyf = G.apply_field("Y", yf_field, q, step=G.FD_STEP_SECOND)
         return xxf + yyf
 
     x, y, z = q.x, q.y, q.z
@@ -560,7 +560,7 @@ def validate_gradient(f: ScalarField, points, rtol: float = 1e-6, atol: float = 
     for q in points:
         ga = f.analytic_gradient(q.x, q.y, q.z)
         for op, exact in zip(("X", "Y", "Z"), ga):
-            approx = G.apply_field(op, stripped, q).value
+            approx = G.apply_field(op, stripped, q)
             dev = abs(float(exact) - approx)
             worst = max(worst, dev)
             if dev > atol + rtol * abs(float(exact)):
@@ -680,3 +680,27 @@ def sample_paths(n: int, cfg: MC.PathConfig) -> np.ndarray:
             MC._simulate_stream(MC._stream_generator(cfg.seed, i), size, cfg), axis=1)
         lo += size
     return out
+
+
+def ray_limit_mp(t: float, dps: int = 30):
+    """L(t) = int_t^inf s^4 p_1(s, 0) ds / (t^4 p_1(t, 0)) in mpmath.
+
+    p_1(s, 0) is (1/4 pi^2) int_0^inf (lam / sinh lam) e^{-a s^2} dlam with
+    a = lam coth(lam) / 4, and int_t^inf s^4 e^{-a s^2} ds is
+    Gamma(5/2, a t^2) / (2 a^{5/2}), so both sides are one lam-integral
+    each and the 1/4 pi^2 cancels.  This generates RAY_LIMITS in
+    test_harness.py (0.1-0.2 s per t at 30 digits); the tests read the
+    stored values and do not import mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+
+        def a(lam):
+            return lam * mp.coth(lam) / 4
+
+        num = mp.quad(lambda lam: lam / mp.sinh(lam) * mp.gammainc(mp.mpf(5) / 2, a(lam) * t * t)
+                      / (2 * a(lam) ** mp.mpf(2.5)), [0, 1, mp.inf])
+        den = mp.quad(lambda lam: lam / mp.sinh(lam) * mp.exp(-a(lam) * t * t), [0, 1, mp.inf])
+        return num / (t**4 * den)

@@ -16,7 +16,10 @@ The Gamma_2 witness f = x + M yz at the origin and the Gaussian
 isoperimetric profile behind the Bobkov rows are checked against closed
 forms; a scaled group.gamma2 must fail the witness row.  The commutation
 rows of the three default bumps are pinned; the two off-axis rows fail,
-and a strict xfail keeps that defect in view.
+and a strict xfail keeps that defect in view.  The ray constant is the
+|u| -> inf limit L(t) of the ray ratio at t = 1, checked with L(1.5),
+L(2) and L(3) against stored mpmath values, and the ratio is checked to
+rise in |u| below L(t) <= L(1).
 
 The p_1 window table behind the compact members' weights is evaluated in
 the library with FITPACK's arithmetic: its values are checked bit for
@@ -38,7 +41,7 @@ import weakref
 import numpy as np
 import pytest
 
-from heisenkern import harness
+from heisenkern import harness, kernel
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, gamma, gamma2, poly_field
@@ -247,9 +250,17 @@ PHI_SUITE = {
 # (lhs, rhs, constant) of the c2-vs-c1sq row of the default suite on the
 # 12-member family: C2_lower against C1_working^2 at C1_working = C1_lower
 C2_VS_C1SQ = (2.041836369622564, 2.356971747850362, 1.5352432210729223)
-# the ray survey's empirical constant and inner-grid sup over its 400 rays
-RAY_CONSTANT = 13.833475344558735
-RAY_INNER_SUP = 13.28255489733741
+# L(t), the |u| -> inf limit of the ray ratio at t, to 21 digits of
+# oracles.ray_limit_mp (mpmath at 30 digits); the ray constant is L(1).
+# RAY_SUP is the survey's sup over its 320 rays, at (|u|, t) = (3.9, 1)
+RAY_LIMITS = {
+    1.0: 14.0353682600807706567,
+    1.5: 4.2693039786763697359,
+    2.0: 2.13209115023404432732,
+    3.0: 0.979042978497611703931,
+}
+RAY_CONSTANT = RAY_LIMITS[1.0]
+RAY_SUP = 13.833475344558735
 # (1,1) Poincare on the unit CC ball: the empirical sup of
 # int_B |f - m| / int_B |grad f| and each member's (lhs, sup * rhs)
 LOCAL_11_SUP = 0.5665139786446365
@@ -310,6 +321,7 @@ def test_kernel_identities_pinned():
     for r in rows:
         # lhs is |measured - target|; the constant column carries the target
         assert r.constant == IDENTITY_TARGETS[r.check]
+        assert r.rhs == harness.QUAD_BUDGET, r.check
         assert r.lhs <= 1e-8, r.check
         assert r.passed, r.check
 
@@ -549,11 +561,13 @@ def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
     f = next(m for m in family24.members if m.name == name)
     ctx = harness._member_ctx(family24, f)
     xv, yv = compact_grid_grad(family24, ctx)
+    leb = np.concatenate([harness._atom_panel(a, harness._PANEL_COUNTS["bump"])[3]
+                          for a in family24.atoms[name]])
 
     def panel_P1f(w1, w2, w3):
         # w^{-1} u = (x - w1, y - w2, z - w3 - (w1 y - w2 x) / 2)
         zs = ctx.z - w3 - 0.5 * (w1 * ctx.y - w2 * ctx.x)
-        return float(np.sum(ctx.leb * ctx.vals
+        return float(np.sum(leb * ctx.vals
                             * harness._pt_density(ctx.x - w1, ctx.y - w2, zs)))
 
     h = 1e-3
@@ -618,16 +632,36 @@ def built(monkeypatch):
 
 def test_suite_flow_builds_each_context_once(built):
     """constants_estimate then run_inequality_suite, the documented flow:
-    the C_lower search builds the 17 compact contexts, the phi suite the
-    7 chart ones, and the Cheeger/Bobkov rows none."""
+    the C_lower search builds all 24 contexts, the 17 compact ones and
+    the 7 chart ones of its chart span, and the suite none."""
     family = build_family(24, DEFAULT_FAMILY_SEED)
     constants = harness.constants_estimate(family)
-    assert len(built) == 17 and all(compact for _, compact in built)
-    result = run_inequality_suite(family, constants=constants)
-    assert result.update_passes == 0
     names = [name for name, _ in built]
     assert sorted(names) == sorted(f.name for f in family.members)
     assert sum(compact for _, compact in built) == 17
+    result = run_inequality_suite(family, constants=constants)
+    assert result.update_passes == 0
+    assert len(built) == 24
+
+
+def test_suite_flow_spline_bundle_points(monkeypatch):
+    """The documented flow on a fresh 12-member family evaluates the
+    spline bundle of f* = Xhat log h on 366,080 points: f* and its frame
+    gradient once each on the 7,040 chart nodes for its context, and
+    both on the 176,000 translated nodes of its grad-bound row.  The C_1
+    and C_2 searches read f*'s frame gradient from the context; each
+    evaluating it again on the chart nodes would add 7,040."""
+    points = []
+    bundle = kernel.LogHSplineTables.bundle
+
+    def spy(self, r, z):
+        points.append(np.broadcast(r, z).size)
+        return bundle(self, r, z)
+
+    monkeypatch.setattr(kernel.LogHSplineTables, "bundle", spy)
+    family = build_family(12, DEFAULT_FAMILY_SEED)
+    run_inequality_suite(family, constants=harness.constants_estimate(family))
+    assert sum(points) == 366_080
 
 
 def test_update_pass_builds_no_context(built, monkeypatch):
@@ -733,12 +767,33 @@ def test_c2_vs_c1sq_row_pinned(family12):
     assert not result.unexpected, [(r.check, r.function) for r in result.unexpected]
 
 
+def test_ray_limit_matches_its_oracle():
+    """The library's 96-node rule for L(t) against the stored mpmath values."""
+    for t, exact in RAY_LIMITS.items():
+        assert harness._ray_limit(t) == pytest.approx(exact, rel=1e-12), t
+
+
 def test_ray_survey_constant_pinned():
     survey, rep = check_ray_inequality()
-    assert survey.n_rays == 400
+    assert survey.n_rays == 320
     assert survey.constant == pytest.approx(RAY_CONSTANT, rel=1e-12)
-    assert survey.inner_sup == pytest.approx(RAY_INNER_SUP, rel=1e-12)
+    assert survey.sup == RAY_SUP
+    assert survey.argmax == (3.9, 1.0)
+    assert (rep.lhs, rep.rhs, rep.constant) == (survey.sup, survey.constant, survey.constant)
     assert rep.passed, rep.note
+
+
+def test_ray_ratio_dominated_by_its_limit():
+    """Along each t the ray ratio is positive, nondecreasing in |u| and at
+    most L(t), its |u| -> inf limit, and L(t) <= L(1), so L(1) bounds the
+    ratio over t >= 1; the largest ratio here is 0.9885 L(t)."""
+    top = harness._ray_limit(1.0)
+    for t in (1.0, 1.5, 2.0, 3.0):
+        limit = harness._ray_limit(t)
+        ratios = [harness._ray_ratio(float(u), t) for u in np.geomspace(0.5, 3.9, 12)]
+        assert all(r > 0 for r in ratios), (t, ratios)
+        assert all(b >= a for a, b in zip(ratios, ratios[1:])), (t, ratios)
+        assert max(ratios) <= limit <= top, (t, max(ratios), limit, top)
 
 
 def test_local_11_poincare_pinned(family12):

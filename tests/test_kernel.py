@@ -612,13 +612,13 @@ class TestLogHField:
 
     def test_z_log_h_vanishes_at_z0(self):
         lh = O.log_h_field()
-        val = apply_field("Z", lh, GroupElement(1.0, 0.0, 0.0)).value
+        val = apply_field("Z", lh, GroupElement(1.0, 0.0, 0.0))
         assert val == 0.0
 
     def test_theta_annihilates(self):
         lh = O.log_h_field()
         for pt in (GroupElement(0.8, -0.6, 0.4), GroupElement(1.5, 2.0, -1.1)):
-            assert abs(apply_op("Theta", lh, pt).value) <= 1e-10
+            assert abs(apply_op("Theta", lh, pt)) <= 1e-10
 
     def test_gamma_at_origin_with_fd(self):
         lh = O.log_h_field()
@@ -638,7 +638,7 @@ class TestLogHField:
             resid = (
                 apply_L(lh, pt)
                 + gamma(lh, lh, pt)
-                + apply_op("D", lh, pt).value
+                + apply_op("D", lh, pt)
                 + 2.0
             )
             worst = max(worst, abs(resid))
@@ -669,7 +669,7 @@ class TestXhatField:
         lh = O.log_h_field()
         for pt in (GroupElement(0.7, -1.1, 0.6), GroupElement(-0.3, 0.2, -1.4)):
             direct = fe.eval(pt.x, pt.y, pt.z)
-            via_op = apply_op("Xhat", lh, pt).value
+            via_op = apply_op("Xhat", lh, pt)
             assert math.isclose(direct, via_op, rel_tol=1e-10, abs_tol=1e-12)
 
     def test_gradient_validates(self):
@@ -754,10 +754,10 @@ class TestComplexRoutes:
         rng = np.random.default_rng(5)
         for _ in range(5):
             pt = GroupElement(*rng.uniform(-1.5, 1.5, 3))
-            x_re = apply_field("X", re_f, pt).value
-            y_re = apply_field("Y", re_f, pt).value
-            x_im = apply_field("X", im_f, pt).value
-            y_im = apply_field("Y", im_f, pt).value
+            x_re = apply_field("X", re_f, pt)
+            y_re = apply_field("Y", re_f, pt)
+            x_im = apply_field("X", im_f, pt)
+            y_im = apply_field("Y", im_f, pt)
             # (X + iY)(re + i im) = 0: real and imaginary parts separately
             assert abs(x_re - y_im) <= 1e-6
             assert abs(x_im + y_re) <= 1e-6
