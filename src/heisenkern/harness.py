@@ -22,7 +22,7 @@ empirical sup ratio over the family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -143,13 +143,16 @@ class ConstantEstimate:
     A: float
     C1_lower: float
     C2_lower: float
-    C1_working: float = dataclass_field(default=0.0)
+    C1_working: float | None = None     # None takes max(C1_lower, sqrt 2)
 
     def __post_init__(self):
-        if not (self.A >= 0.0):
-            raise ValueError("A must be >= 0")
-        if self.C1_working == 0.0:
+        if not (0.0 <= self.A < math.inf):
+            raise ValueError(f"A must be finite and >= 0, got {self.A}")
+        if self.C1_working is None:
             object.__setattr__(self, "C1_working", max(self.C1_lower, SQRT2))
+        for name in ("C1_lower", "C2_lower", "C1_working"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +495,8 @@ class CLowerWitness:
     coeffs: tuple
 
 
-# compact pairs tried at p = 2 and Nelder-Mead restarts at p = 1, with the
-# restarts' seed
-_OPTIMIZER_BUDGET = 16
-_OPTIMIZER_SEED = 7
+# compact pairs tried as two-member pencils at p = 2
+_PENCIL_PAIRS = 16
 
 
 def _kept_span(G: np.ndarray):
@@ -519,6 +520,33 @@ def _chart_p2(B: np.ndarray, G: np.ndarray):
         best = float(np.max(single2))
         c2 = np.eye(B.shape[0])[int(np.argmax(single2))]
     return best, c2
+
+
+def _chart_p1(B: np.ndarray, gx: np.ndarray, gy: np.ndarray, mu: np.ndarray, starts: list):
+    """Top of R(c) = |cB| / E|c.grad f| over the chart block span, from the best of ``starts``.
+
+    Repeats c <- W(c)^+ B e(c), with e(c) = cB / |cB| and W(c) the Gram
+    matrix under node weights mu / |c.grad f|.  By Cauchy-Schwarz
+    R(c') >= e.(c'B) / sqrt(c'W(c)c' E|c.grad f|), with equality at c' = c,
+    and the step maximises that minorant, so no step lowers R; the
+    iteration stops at the first step that does not raise it.
+    """
+    def ratio(c):
+        a = np.hypot(c @ gx, c @ gy)
+        den = float(a @ mu)
+        return (math.hypot(*(c @ B)) / den if den > 0.0 else 0.0), a
+
+    (best, a), c = max(((ratio(c), c) for c in starts), key=lambda t: t[0][0])
+    while best > 0.0:
+        g = c @ B
+        w = np.divide(mu, a, out=np.zeros(mu.size), where=a > 0.0)
+        lam, U = _kept_span((gx * w) @ gx.T + (gy * w) @ gy.T)
+        c_next = U @ ((U.T @ (B @ (g / math.hypot(*g)))) / lam)
+        r, a_next = ratio(c_next)
+        if not r > best:
+            break
+        best, a, c = r, a_next, c_next
+    return best, c
 
 
 def _chart_span(family: TestFunctionFamily):
@@ -550,11 +578,13 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
     of P_t(Gamma(f_i, f_j))(0), the sup over combinations is the top
     eigenvalue of B' G^+ B, no search needed.  Compact members enter as
     singles and as two-member pencils over the 16 pairs with the largest
-    single ratios.  p = 1 runs 16 seeded Nelder-Mead restarts over a
-    small chart pool (the p = 2 witness plus the best singles), then
-    takes the max against the compact singles.
+    single ratios.  p = 1 over the chart block is a reweighted
+    least-squares fixed point on the whole span (see _chart_p1), started
+    from the better of the p = 2 witness and the best chart single; it
+    takes the max against the compact singles.  A chart witness names
+    the six members with the largest coefficients.
     """
-    from scipy import linalg, optimize
+    from scipy import linalg
 
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
@@ -567,14 +597,16 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
     best = 0.0
     best_names: tuple = ()
     best_coeffs: tuple = ()
+    if names_c:
+        # p = 1 starts from the better of the p = 2 witness and the best single
+        best, c = _chart_p2(B, G)
+        if p == 1:
+            best, c = _chart_p1(B, gx_c, gy_c, mu, [c, *np.eye(len(c))])
+        idx = np.argsort(-np.abs(c))[:6]
+        best_names = tuple(names_c[i] for i in idx)
+        best_coeffs = tuple(float(c[i]) for i in idx)
 
     if p == 2:
-        if names_c:
-            best, c2 = _chart_p2(B, G)
-            idx = np.argsort(-np.abs(c2))[:6]
-            best_names = tuple(names_c[i] for i in idx)
-            best_coeffs = tuple(float(c2[i]) for i in idx)
-
         singles = []
         for ctx in ctxs:
             den = ctx.expect(ctx.gam)
@@ -590,7 +622,7 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
         pairs = [(order[i], order[j])
                  for i in range(len(order)) for j in range(i + 1, len(order))]
         pairs.sort(key=lambda ij: -(singles[ij[0]] + singles[ij[1]]))
-        for i, j in pairs[:_OPTIMIZER_BUDGET]:
+        for i, j in pairs[:_PENCIL_PAIRS]:
             ci, cj = ctxs[i], ctxs[j]
             gxj, gyj, _ = cj.f.analytic_gradient(ci.x, ci.y, ci.z)
             gxi, gyi, _ = ci.f.analytic_gradient(cj.x, cj.y, cj.z)
@@ -613,49 +645,6 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
         r = math.hypot(ctx.a, ctx.b) / den if den > 0.0 else 0.0
         if r > best:
             best, best_names, best_coeffs = r, (ctx.name,), (1.0,)
-
-    if not names_c:
-        return CLowerWitness(1, best, best_names, best_coeffs)
-
-    # chart pool: virtual member 0 is the p = 2 chart witness combination
-    _, c2 = _chart_p2(B, G)
-    den1 = np.sqrt(gx_c * gx_c + gy_c * gy_c) @ mu
-    num1 = np.hypot(B[:, 0], B[:, 1])
-    r1 = np.where(den1 > 0.0, num1 / np.where(den1 > 0.0, den1, 1.0), 0.0)
-    top = list(np.argsort(-r1)[:7])
-    pool_gx = np.vstack([c2 @ gx_c, gx_c[top]])
-    pool_gy = np.vstack([c2 @ gy_c, gy_c[top]])
-    pool_B = np.vstack([c2 @ B, B[top]])
-    pool_names = ["p2-witness"] + [names_c[i] for i in top]
-    dim = pool_B.shape[0]
-
-    def neg_ratio(c):
-        g = c @ pool_B
-        den = float(np.sqrt((c @ pool_gx) ** 2 + (c @ pool_gy) ** 2) @ mu)
-        if not (den > 1e-13):
-            return 0.0
-        return -math.hypot(g[0], g[1]) / den
-
-    rng = np.random.default_rng(_OPTIMIZER_SEED)
-    starts = [np.eye(dim)[0], np.eye(dim)[1]]
-    best_pool = -min(neg_ratio(s) for s in starts)
-    best_c = starts[0] if neg_ratio(starts[0]) <= neg_ratio(starts[1]) else starts[1]
-    for _ in range(_OPTIMIZER_BUDGET):
-        s = rng.standard_normal(dim)
-        res = optimize.minimize(neg_ratio, s, method="Nelder-Mead",
-                                options={"maxfev": 400, "xatol": 1e-6, "fatol": 1e-10})
-        if -res.fun > best_pool:
-            best_pool = -float(res.fun)
-            best_c = np.asarray(res.x)
-    res = optimize.minimize(neg_ratio, best_c, method="Nelder-Mead",
-                            options={"maxfev": 800, "xatol": 1e-8, "fatol": 1e-12})
-    if -res.fun > best_pool:
-        best_pool = -float(res.fun)
-        best_c = np.asarray(res.x)
-    if best_pool > best:
-        best = float(best_pool)
-        best_names = tuple(pool_names)
-        best_coeffs = tuple(float(v) for v in best_c)
     return CLowerWitness(1, best, best_names, best_coeffs)
 
 

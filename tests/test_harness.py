@@ -7,6 +7,9 @@ family the Driver-Melcher and reverse-Poincare rows, the C_1 and C_2
 lower bounds, the Cheeger, correlation and Bobkov rows, the (1,1)
 Poincare survey on the unit ball and the uniform gradient bound
 |grad P_t f| <= sup|f| / sqrt(t) over the point grid are pinned too.
+The C_1 lower bound ends at or above its iteration's starts, and its
+size-200 value is pinned at two family seeds; ConstantEstimate rejects
+non-finite or non-positive constants.
 The 24-member family, the only default size whose members share
 mollifier atoms, pins the compact members' gradient-bound rows.  The
 pins hold every later change to the measure, the log-gradient routes or
@@ -79,6 +82,8 @@ IDENTITY_TARGETS = {
 }
 C2_LOWER_PINNED = 2.041836369622563
 C1_LOWER_PINNED = 1.5352432210729223
+# C_1 lower bound of build_family(200) at the default seed and at seed 3
+C1_LOWER_200 = 1.7650969720229681
 # lhs of the grad-bound rows: sup over the d <= 4 grid of |grad P_1 f|
 GRAD_BOUND_LHS = {
     "bump-000": 0.017394647280977348,
@@ -352,7 +357,74 @@ def test_reverse_poincare_rows_pinned(family12):
 
 @pytest.mark.parametrize("p, pinned", [(2, C2_LOWER_PINNED), (1, C1_LOWER_PINNED)])
 def test_c_lower_pinned(family12, p, pinned):
-    assert c_lower_detail(p, family12).value == pytest.approx(pinned, rel=1e-9)
+    assert c_lower_detail(p, family12).value == pytest.approx(pinned, rel=1e-12)
+
+
+def chart_ratio1(family, c):
+    """|cB| / E|c.grad f| over the chart measure, from the chart span."""
+    _, gx, gy, B, _, mu = harness._chart_span(family)
+    return math.hypot(*(c @ B)) / float(np.sqrt((c @ gx) ** 2 + (c @ gy) ** 2) @ mu)
+
+
+def test_c1_lower_dominates_its_starts(family12):
+    """The reweighted iteration ends at or above both of its starts: the
+    p = 2 witness and every chart single."""
+    names, _, _, B, G, _ = harness._chart_span(family12)
+    _, c2 = harness._chart_p2(B, G)
+    value = c_lower_detail(1, family12).value
+    assert value >= chart_ratio1(family12, c2)
+    for c in np.eye(len(names)):
+        assert value >= chart_ratio1(family12, c)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_FAMILY_SEED, 3])
+def test_c1_lower_on_the_default_size(seed):
+    """At size 200 the iteration reaches the same supremum from two family seeds."""
+    assert c_lower_detail(1, build_family(200, seed)).value == pytest.approx(
+        C1_LOWER_200, rel=1e-12)
+
+
+def test_c1_lower_of_a_one_member_span():
+    """With f* the only chart member, the chart value is f*'s own ratio."""
+    family = build_family(2)
+    assert harness._chart_span(family)[0] == ["xhat_log_h[spline]"]
+    value = c_lower_detail(1, family).value
+    assert value == pytest.approx(chart_ratio1(family, np.ones(1)), rel=1e-12)
+    assert value == pytest.approx(1.517177790929422, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_c_lower_of_a_constant_span_is_zero(p):
+    """A span whose start ratio is 0 returns 0 (RuntimeWarnings are errors)."""
+    const = poly_field({(0, 0, 0): 1.0}, name="const")
+    family = dataclasses.replace(build_family(2), members=(const,), combo_index={},
+                                 kinds={"const": "poly"}, atoms={"const": None})
+    assert c_lower_detail(p, family).value == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"A": math.inf},
+    {"A": math.nan},
+    {"A": -1.0},
+    {"C1_lower": math.nan},
+    {"C1_lower": math.inf},
+    {"C1_lower": 0.0},
+    {"C2_lower": math.nan},
+    {"C2_lower": -2.0},
+    {"C1_working": -3.0},
+    {"C1_working": 0.0},
+    {"C1_working": math.inf},
+])
+def test_constant_estimate_rejects_impossible_constants(kwargs):
+    good = {"A": A_PINNED, "C1_lower": C1_LOWER_PINNED, "C2_lower": C2_LOWER_PINNED}
+    with pytest.raises(ValueError):
+        ConstantEstimate(**(good | kwargs))
+
+
+def test_constant_estimate_default_working_constant():
+    low = ConstantEstimate(A_PINNED, 1.2, C2_LOWER_PINNED)
+    high = ConstantEstimate(A_PINNED, C1_LOWER_PINNED, C2_LOWER_PINNED)
+    assert (low.C1_working, high.C1_working) == (math.sqrt(2.0), C1_LOWER_PINNED)
 
 
 def test_grad_bound_rows_pinned(family12):
