@@ -12,8 +12,6 @@ scipy submodule loads at the first call that needs it:
   hence ``kernel.xhat_log_h_field``;
 - scipy.interpolate: the harness's p1 table, built by the first family
   check that weights a compactly supported member's panel;
-- scipy.linalg: ``harness.c_lower_detail``, hence
-  ``harness.constants_estimate``;
 - scipy.special and scipy.optimize: ``harness.check_cheeger_bobkov``
   (the Gaussian isoperimetric profile and the tensorized C1 root);
 - scipy.special: ``mc.chi2_against_kernel`` (the chi-squared p-value).

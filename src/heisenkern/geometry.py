@@ -208,8 +208,8 @@ def chart_ball_nodes(radius: float, n_s: int = 48, n_phi: int = 32, n_alpha: int
     sum(w * f(x,y,z)) approximates the Lebesgue integral of f over the
     ball.
     """
-    if not (radius > 0.0):
-        raise ValueError("radius must be > 0")
+    if not (0.0 < radius < math.inf):
+        raise ValueError("radius must be finite and > 0")
     s_nodes, s_w = np.polynomial.legendre.leggauss(n_s)
     s_nodes = 0.5 * radius * (s_nodes + 1.0)
     s_w = 0.5 * radius * s_w

@@ -219,19 +219,15 @@ def _check_batch(r, z, name: str):
         raise KernelRangeError(f"{name} arguments out of range")
 
 
-def radial_row(rs, z: float):
+def radial_row(rs, z: float, kernel=_panel_kernel):
     """All kernel integrals for one z and many r values, sharing one rule.
 
     Returns (p, p_r, p_z, p_rr, p_rz/r, p_zz) as arrays over ``rs``.  The
     rule resolves both the cos(lam z) oscillation and the steepest
     exponential decay in the batch, then reuses the (r, lam) exponential
-    matrix for all six weighted sums.
+    matrix for all six weighted sums; ``kernel(rs, |z|)`` supplies it
+    (a _KernelRuns shares it across rows).
     """
-    return _row_sums(rs, z, _panel_kernel)
-
-
-def _row_sums(rs, z: float, kernel):
-    """radial_row with the panel kernel from ``kernel(rs, |z|)``."""
     rs = np.asarray(rs, dtype=float)
     if rs.size == 0:
         empty = np.empty(0)
@@ -364,7 +360,7 @@ def _log_bundle(rs, z: float, kernels=None) -> dict:
     On the axis the even/odd structure in r pins alpha = L_rr and
     alpha_r = b_r = 0.
     """
-    pv, pr, pz, prr, przr, pzz = _row_sums(rs, z, kernels or _panel_kernel)
+    pv, pr, pz, prr, przr, pzz = radial_row(rs, z, kernels or _panel_kernel)
     a = pr / pv
     b = pz / pv
     l_rr = prr / pv - a * a
@@ -525,9 +521,15 @@ class LogHSplineTables:
         self._odd_in_z = np.array([self._PARITY[key][1] == -1 for key in self._KEYS])
 
     def bundle(self, r, z):
-        """The six tables at the broadcast (r, z), in ``_KEYS`` order."""
+        """The six tables at the broadcast (r, z), in ``_KEYS`` order.
+
+        Finite points past the table box take its edge values (r clamped to
+        16, |z| to 26); non-finite ones raise :class:`KernelRangeError`.
+        """
         r = np.asarray(r, dtype=float)
         z = np.asarray(z, dtype=float)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
+            raise KernelRangeError("bundle: coordinates must be finite")
         shape = np.broadcast(r, z).shape
         r = np.broadcast_to(r, shape).ravel()
         z = np.broadcast_to(z, shape).ravel()

@@ -7,8 +7,8 @@ it.  No rule here adapts to its integrand: the nodes are set by the
 arguments alone.  Only the kernel's complex shift p1*(r, z + 2i) calls
 :func:`integrate_decaying`.  :class:`QuadratureSpec` selects the
 semigroup's node tier.  The module needs numpy only, as does importing
-any heisenkern module; the harness's Gaussian quantile and Nelder-Mead
-search load scipy inside the functions that use them.
+any heisenkern module; the harness's Gaussian quantile and tensorized
+C1 root load scipy inside the functions that use them.
 """
 
 from __future__ import annotations

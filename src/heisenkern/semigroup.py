@@ -193,7 +193,13 @@ def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
     return _measure(cfg.t, _node_counts(cfg.quad.abs_tol))
 
 
+def _check_points(*coords):
+    if not all(np.all(np.isfinite(c)) for c in coords):
+        raise ValueError("points must be finite")
+
+
 def _values_at(f: ScalarField, measure: HeatMeasure, x: GroupElement) -> np.ndarray:
+    _check_points(x.x, x.y, x.z)
     qx, qy, qz = _mul_arrays(x.x, x.y, x.z, measure.x, measure.y, measure.z)
     vals = np.asarray(f.eval(qx, qy, qz), dtype=float)
     return np.broadcast_to(vals, measure.mu.shape)
@@ -204,9 +210,11 @@ def _translated_nodes(measure: HeatMeasure, x, y, z):
 
     Yields (rows, qx, qy, qz): for the points in slice ``rows``,
     q[i, k] = (x_i, y_i, z_i) . y_k.  A block holds about _BLOCK_BYTES
-    per array, so the temporaries built from it stay in cache.
+    per array, so the temporaries built from it stay in cache.  A
+    non-finite point raises ValueError.
     """
     x, y, z = (np.asarray(a, dtype=float).reshape(-1) for a in (x, y, z))
+    _check_points(x, y, z)
     step = max(1, _BLOCK_BYTES // (8 * measure.x.size))
     for lo in range(0, x.size, step):
         rows = slice(lo, lo + step)

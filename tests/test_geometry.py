@@ -386,6 +386,11 @@ class TestChartBallNodes:
         with pytest.raises(ValueError):
             chart_ball_nodes(0.0)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            chart_ball_nodes(radius)
+
 
 class TestNormEquivalence:
     def test_bracket_over_log_grid(self):

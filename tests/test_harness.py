@@ -402,6 +402,36 @@ def test_c_lower_of_a_constant_span_is_zero(p):
     assert c_lower_detail(p, family).value == 0.0
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_c_lower_of_a_compact_only_family_is_zero(p):
+    """A family without a chart member has no candidate: 0 and an empty witness."""
+    family = build_family(2)
+    bump = family.members[0]
+    assert bump.name == "bump-000"
+    family = dataclasses.replace(family, members=(bump,), combo_index={},
+                                 kinds={bump.name: family.kinds[bump.name]},
+                                 atoms={bump.name: family.atoms[bump.name]})
+    witness = c_lower_detail(p, family)
+    assert (witness.value, witness.names, witness.coeffs) == (0.0, (), ())
+
+
+def test_compact_singles_stay_below_fstar():
+    """On the default-size family no compactly supported member's own
+    ratio reaches f*'s, at either p: c_lower_detail searches the chart
+    span alone on that premise.  A change to the family's draws that
+    breaks this needs the compact members searched again."""
+    fstar = [c_lower_detail(p, build_family(2)).value for p in (1, 2)]
+    assert fstar == pytest.approx([1.517177790929422, 2.000006], rel=1e-6)
+    family = build_family(200)
+    r1, r2 = [], []
+    for ctx in harness._contexts(family):
+        if ctx.compact:
+            r1.append(math.hypot(ctx.a, ctx.b) / ctx.expect(np.sqrt(ctx.gam)))
+            r2.append((ctx.a ** 2 + ctx.b ** 2) / ctx.expect(ctx.gam))
+    assert len(r1) > 100
+    assert max(r1) < fstar[0] and max(r2) < fstar[1]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"A": math.inf},
     {"A": math.nan},
@@ -704,16 +734,16 @@ def built(monkeypatch):
 
 def test_suite_flow_builds_each_context_once(built):
     """constants_estimate then run_inequality_suite, the documented flow:
-    the C_lower search builds all 24 contexts, the 17 compact ones and
-    the 7 chart ones of its chart span, and the suite none."""
+    the C_lower search builds the 7 chart contexts of its chart span, the
+    suite the 17 compact ones, and each of the 24 is built once."""
     family = build_family(24, DEFAULT_FAMILY_SEED)
     constants = harness.constants_estimate(family)
+    assert len(built) == 7 and not any(compact for _, compact in built)
+    result = run_inequality_suite(family, constants=constants)
+    assert result.update_passes == 0
     names = [name for name, _ in built]
     assert sorted(names) == sorted(f.name for f in family.members)
     assert sum(compact for _, compact in built) == 17
-    result = run_inequality_suite(family, constants=constants)
-    assert result.update_passes == 0
-    assert len(built) == 24
 
 
 def test_suite_flow_spline_bundle_points(monkeypatch):

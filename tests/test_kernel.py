@@ -244,8 +244,13 @@ class TestBatchRoutes:
         lambda: O.p1_complex_shift(math.nan, 0.0),
         lambda: K.p1_star_shifted(math.nan, 0.0),
         lambda: K.p1_star_shifted(-1.0, 0.0),
+        lambda: K.get_spline_tables().bundle(math.nan, 0.0),
+        # inf would read the table's r = 16 edge value
+        lambda: K.get_spline_tables().bundle(math.inf, 0.0),
+        lambda: K.get_spline_tables().bundle([1.0, 2.0], [0.0, -math.inf]),
     ], ids=["p1_many-nan", "log_grad_many-nan", "radial_row-nan", "p1_many-inf",
-            "p1_complex_shift-nan", "p1_star_shifted-nan", "p1_star_shifted-negative"])
+            "p1_complex_shift-nan", "p1_star_shifted-nan", "p1_star_shifted-negative",
+            "bundle-nan", "bundle-inf", "bundle-z-inf"])
     def test_non_finite_arguments_rejected(self, call):
         with pytest.raises(K.KernelRangeError):
             call()

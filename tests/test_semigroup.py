@@ -426,6 +426,20 @@ def test_grad_route_name_is_checked():
         grad_Pt_origin(ONE, CFG1)
 
 
+X2 = poly_field({(2, 0, 0): 1.0}, name="x^2")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apply_Pt_many(X2, CFG1, [[0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]]),
+    lambda: apply_Pt_many(X2, CFG1, [[0.0, math.nan, -math.inf]]),
+    lambda: variance(X2, CFG1, GroupElement(math.nan, 0.0, 0.0)),
+    lambda: grad_Pt_at(X2, heat_measure(CFG1), math.nan, 0.0, 0.0),
+], ids=["apply_Pt_many-inf", "apply_Pt_many-nan", "variance-nan", "grad_Pt_at-nan"])
+def test_non_finite_points_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_route_agreement_across_family():
     """All three routes agree pairwise within 1e-4 on the whole family."""
     worst = 0.0
