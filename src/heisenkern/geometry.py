@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import GroupElement
+from .numerics import gauss_legendre
 
 __all__ = [
     "DistanceResult",
@@ -210,12 +211,8 @@ def chart_ball_nodes(radius: float, n_s: int = 48, n_phi: int = 32, n_alpha: int
     """
     if not (0.0 < radius < math.inf):
         raise ValueError("radius must be finite and > 0")
-    s_nodes, s_w = np.polynomial.legendre.leggauss(n_s)
-    s_nodes = 0.5 * radius * (s_nodes + 1.0)
-    s_w = 0.5 * radius * s_w
-    p_nodes, p_w = np.polynomial.legendre.leggauss(n_phi)
-    p_nodes = 0.5 * math.pi * (p_nodes + 1.0)
-    p_w = 0.5 * math.pi * p_w
+    s_nodes, s_w = gauss_legendre(0.0, radius, n_s)
+    p_nodes, p_w = gauss_legendre(0.0, math.pi, n_phi)
     alpha = (np.arange(n_alpha) + 0.5) * (2.0 * math.pi / n_alpha)
     a_w = np.full(n_alpha, 2.0 * math.pi / n_alpha)
 

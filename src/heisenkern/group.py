@@ -22,7 +22,7 @@ of each of X, Y and Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,8 +94,8 @@ class ScalarField:
     name: str = ""
 
     def __post_init__(self):
-        if not (self.fd_step > 0.0):
-            raise ValueError("fd_step must be > 0")
+        if not (0.0 < self.fd_step < np.inf):
+            raise ValueError("fd_step must be finite and > 0")
 
     @property
     def rotation_order(self) -> Optional[int]:
@@ -142,24 +142,16 @@ def _combo_from_frame(op: str, gx, gy, gz):
     return (gx, gy, gz)[FIELD_NAMES.index(op)]
 
 
-def _fd_directional(f: ScalarField, p: GroupElement, vx, vy, vz, step: float) -> float:
-    scale = step * (1.0 + max(abs(p.x), abs(p.y), abs(p.z)))
-    fp = _as_scalar(f.eval(p.x + scale * vx, p.y + scale * vy, p.z + scale * vz))
-    fm = _as_scalar(f.eval(p.x - scale * vx, p.y - scale * vy, p.z - scale * vz))
-    return (fp - fm) / (2.0 * scale)
-
-
 def apply_field(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> float:
-    """Apply one of X, Y, Z to ``f`` at ``p``.
+    """Apply one of X, Y, Z to ``f`` at ``p``: :func:`derived_field` at the point.
 
     Uses the analytic gradient when present, else a centered difference
-    along the field direction with step scaled by (1 + max |coordinate|).
+    along the field direction with step scaled by (1 + max |coordinate|);
+    ``step``, when given, replaces ``f.fd_step`` and is checked as it is.
     """
-    if f.analytic_gradient is not None:
-        return _as_scalar(_combo_from_frame(op, *f.analytic_gradient(p.x, p.y, p.z)))
-    vx, vy, vz = _direction(op, p.x, p.y, p.z)
-    h = step if step is not None else f.fd_step
-    return _fd_directional(f, p, float(vx), float(vy), float(vz), h)
+    if step is not None:
+        f = replace(f, fd_step=step)
+    return _as_scalar(derived_field(op, f).eval(p.x, p.y, p.z))
 
 
 def derived_field(op: str, f: ScalarField) -> ScalarField:

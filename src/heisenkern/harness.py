@@ -36,6 +36,7 @@ from .group import (GroupElement, ScalarField, _mul_arrays, gamma as gamma_at,
 from .kernel import (CANCEL_BUDGET, KernelRangeError, log_grad_many,  # noqa: F401
                      p1_many, p1_star_shifted)
 from .mc import sample_kolmogorov
+from .numerics import gauss_legendre
 from .semigroup import (COARSE_TIER, HeatOpConfig, grad_Pt_at, grad_Pt_origin, grad_sums,
                         heat_measure)
 
@@ -329,18 +330,13 @@ def _pt_density(x, y, z):
 _PANEL_COUNTS = {"bump": (22, 12, 24), "trig": (28, 16, 32)}
 
 
-def _gl(lo: float, hi: float, n: int):
-    nodes, wts = np.polynomial.legendre.leggauss(int(n))
-    return 0.5 * (hi - lo) * (nodes + 1.0) + lo, 0.5 * (hi - lo) * wts
-
-
 @cache
 def _atom_panel(atom: tuple, counts: tuple):
     """(x, y, z, leb, mu) for one mollifier atom; cached, shared by combos."""
     (cx, cy, cz), w, v = atom
     ns, nf, nt = counts
-    S, WS = _gl(0.0, 1.0, ns)
-    F, WF = _gl(-0.5 * math.pi, 0.5 * math.pi, nf)
+    S, WS = gauss_legendre(0.0, 1.0, ns)
+    F, WF = gauss_legendre(-0.5 * math.pi, 0.5 * math.pi, nf)
     TH = np.arange(nt) * (2.0 * math.pi / nt)
     Sg, Fg, Tg = np.meshgrid(S, F, TH, indexing="ij")
     rho = w * Sg * np.cos(Fg)
@@ -852,7 +848,6 @@ def _ray_s_cap(u_abs: float) -> float:
     return 2.0 * u_abs * lo
 
 
-_RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(96)
 # upper end of the limit's s-range: the integral of s^4 p_1(s, 0) past it
 # is 1.2e-26 of the integral from s = 1
 _RAY_S_END = 16.0
@@ -869,8 +864,7 @@ def _ray_ratio(u_abs: float, t: float) -> float:
     s_hi = min(2.0 * math.pi * u_abs * (1.0 - 1e-9), _ray_s_cap(u_abs))
     if not (t < s_hi):
         return 0.0
-    s = 0.5 * (s_hi - t) * (_RAY_NODES + 1.0) + t
-    ws = 0.5 * (s_hi - t) * _RAY_WEIGHTS
+    s, ws = gauss_legendre(t, s_hi, 96)
     r, z = _ray_point(u_abs, s)
     h = p1_many(r, z)
     a = jacobian_A(u_abs, s)
@@ -889,8 +883,7 @@ def _ray_limit(t: float) -> float:
     cancellation and the s-range needs no cap: one p1_many call on the
     ray's 96 Gauss nodes over [t, 16].
     """
-    s = 0.5 * (_RAY_S_END - t) * (_RAY_NODES + 1.0) + t
-    ws = 0.5 * (_RAY_S_END - t) * _RAY_WEIGHTS
+    s, ws = gauss_legendre(t, _RAY_S_END, 96)
     h = p1_many(np.append(s, t), np.zeros(s.size + 1))
     return float(np.sum(ws * s**4 * h[:-1])) / (t**4 * float(h[-1]))
 
@@ -1065,12 +1058,8 @@ def check_commutation(f: ScalarField | None = None) -> InequalityReport:
 
     r_lo, r_hi, z_lo, z_hi = _support_box(f)
     r_lo = max(r_lo, 1e-6)
-    rn, rw = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (r_hi - r_lo) * (rn + 1.0) + r_lo
-    rw = 0.5 * (r_hi - r_lo) * rw
-    zn, zw = np.polynomial.legendre.leggauss(n_z)
-    zz = 0.5 * (z_hi - z_lo) * (zn + 1.0) + z_lo
-    zw = 0.5 * (z_hi - z_lo) * zw
+    r, rw = gauss_legendre(r_lo, r_hi, n_r)
+    zz, zw = gauss_legendre(z_lo, z_hi, n_z)
     th = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     wth = 2.0 * math.pi / n_theta
 
@@ -1177,7 +1166,6 @@ _C_POWER = {
     "poincare": 2.0, "correlation": 2.0, "bobkov-semigroup": 2.0,
     "cheeger-l1": 1.0, "bobkov-tensorized": None,
 }
-_MAX_UPDATES = 6
 
 
 def _implied_c1(rep: InequalityReport, used: float) -> float:
@@ -1213,32 +1201,25 @@ def run_inequality_suite(family: TestFunctionFamily | None = None,
 
     A violation under the working constant is read as a better lower
     bound: C1_working moves to the largest implied constant plus 1e-3
-    and both check groups rerun.  Each implied constant is exact, so one
-    update suffices; the loop stops after 6 regardless.  The returned
-    reports are the final pass; the count of first-pass violations
-    records whether the update triggered.
+    and both check groups rerun once.  Each implied constant is exact,
+    so at most one update pass is made.  The returned reports are the
+    final pass; the count of first-pass violations records whether the
+    update triggered.
     """
     if family is None:
         family = build_family()
     if constants is None:
         constants = constants_estimate(family)
     c1w = constants.C1_working
-    first_viol = None
-    passes = 0
-    while True:
-        rows = check_phi_suite(family, c1w)
-        rows += check_cheeger_bobkov(family, c1w)
-        bad = [r for r in rows if not r.passed and r.check in _C_POWER]
-        if first_viol is None:
-            first_viol = len(bad)
-        if not bad or passes >= _MAX_UPDATES:
-            break
+    rows = check_phi_suite(family, c1w) + check_cheeger_bobkov(family, c1w)
+    bad = [r for r in rows if not r.passed and r.check in _C_POWER]
+    if bad:
         c1w = max(_implied_c1(r, c1w) for r in bad) + 1e-3
-        passes += 1
+        rows = check_phi_suite(family, c1w) + check_cheeger_bobkov(family, c1w)
     final = ConstantEstimate(A=constants.A, C1_lower=constants.C1_lower,
                              C2_lower=constants.C2_lower, C1_working=c1w)
     rows.append(_report("c2-vs-c1sq", "constants", final.C2_lower,
                         c1w * c1w, c1w,
                         note=f"C2_lower {final.C2_lower:.6f} against C1_working^2"))
     rows.sort(key=lambda r: (r.check, r.function))
-    return SuiteResult(tuple(rows), final, int(first_viol), passes)
+    return SuiteResult(tuple(rows), final, len(bad), int(bool(bad)))

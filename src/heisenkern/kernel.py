@@ -101,19 +101,6 @@ def _lam_coth(lam):
     return np.where(small, series, safe / np.tanh(safe))
 
 
-def _check_range(r, z):
-    if not (math.isfinite(r) and math.isfinite(z)):
-        raise KernelRangeError("coordinates must be finite")
-    if r < 0.0:
-        raise KernelRangeError("radial coordinate must be >= 0")
-    if abs(z) > Z_RANGE_LIMIT:
-        raise KernelRangeError(
-            f"|z| = {abs(z):.3g} exceeds the supported range {Z_RANGE_LIMIT}; "
-            "the oscillatory quadrature would need finer panels than the "
-            "accuracy model supports"
-        )
-
-
 def p1(r: float, z: float) -> float:
     """Heat kernel at time 1 as a function of (r, z); even in z.
 
@@ -618,7 +605,7 @@ def p1_star_shifted(r: float, z: float) -> ComplexKernelValue:
     integrate_decaying's fixed rule takes the decay 1 + r^2/4 and the
     wavenumber |z|.
     """
-    _check_range(r, z)
+    _check_batch(r, z, "p1_star_shifted")
     if not (r > 0.0):
         raise ValueError("regularized route needs r > 0")
     decay = 1.0 + 0.25 * r * r  # residual e^{-(3+r^2/4)lam} against cosh(2 lam)

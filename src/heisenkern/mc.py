@@ -21,8 +21,8 @@ from (x, y) it is
 which the sampler evaluates as one small matrix product per block of
 steps.
 
-Randomness is counter-based: stream i of a batch draws from
-Philox(SeedSequence((seed, i))), so per-stream output is independent
+Each stream seeds its own generator: stream i of a batch draws from
+SFC64(SeedSequence((seed, i))), so per-stream output is independent
 of how streams are scheduled and aggregation is a plain sum.  The
 sample is defined by the seed, the split of paths among streams and
 the (paths, steps, 2) shape of each draw; the width of the area's step
@@ -99,7 +99,7 @@ def _check_seed(seed) -> int:
 
 
 def _stream_generator(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stream)))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), int(stream)))))
 
 
 def _advance(rng, sigma, x, y, z, m):

@@ -1,10 +1,14 @@
-"""The library's one-dimensional quadrature: a fixed Gauss-Legendre panel rule.
+"""The library's one-dimensional quadrature: Gauss-Legendre rules.
 
-:func:`_panel_rule` lays 12-point Gauss-Legendre panels on [0, lam_max];
-the kernel's real lambda-integrals and :func:`integrate_decaying`, the
-integral over [0, inf) of an exponentially decaying integrand, both use
-it.  No rule here adapts to its integrand: the nodes are set by the
-arguments alone.  Only the kernel's complex shift p1*(r, z + 2i) calls
+:func:`gauss_legendre` maps the n-point rule to [lo, hi] for every
+fixed-order rule of the library.  :func:`_panel_rule` lays 12-point
+panels on [0, lam_max] for the kernel's real lambda-integrals and for
+:func:`integrate_decaying`, the integral over [0, inf) of an
+exponentially decaying integrand.  It and ``mc.kernel_cell_masses``
+(the chi-squared masses) keep their own midpoint-plus-half-width form,
+whose rounding differs from the map's, to keep their bits.  No rule
+here adapts to its integrand: the nodes are set by the arguments
+alone.  Only the kernel's complex shift p1*(r, z + 2i) calls
 :func:`integrate_decaying`.  :class:`QuadratureSpec` selects the
 semigroup's node tier.  The module needs numpy only, as does importing
 any heisenkern module; the harness's Gaussian quantile and tensorized
@@ -15,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "integrate_decaying"]
+__all__ = ["QuadratureSpec", "gauss_legendre", "integrate_decaying"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,18 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be > 0")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+@cache
+def _leggauss(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only since it is shared."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_legendre(lo: float, hi: float, n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [lo, hi]."""
+    nodes, weights = _leggauss(int(n))
+    return 0.5 * (hi - lo) * (nodes + 1.0) + lo, 0.5 * (hi - lo) * weights
 
 
 def _panel_rule(lam_max: float, width: float):
@@ -46,8 +62,9 @@ def _panel_rule(lam_max: float, width: float):
     edges = np.linspace(0.0, lam_max, n + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    gl_nodes, gl_weights = _leggauss(12)
+    nodes = (mid[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
+    weights = (half[:, None] * gl_weights[None, :]).ravel()
     return nodes, weights
 
 

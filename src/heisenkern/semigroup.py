@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import chart_ball_nodes
 from .group import FD_STEP_FIRST, GroupElement, ScalarField, derived_field, _mul_arrays
 from .kernel import log_grad_many, p1_many
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, gauss_legendre
 
 __all__ = [
     "MASS_DEFICIT_TOL",
@@ -334,8 +334,6 @@ def _grads_Pt_at(fields, measure: HeatMeasure, x, y, z) -> np.ndarray:
     return out
 
 
-_S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 # the quarter turn R(x, y, z) = (-y, x, z) and the mirror M(x, y, z) =
 # (x, -y, -z): automorphisms that fix the heat kernel.  Each is a name, a
 # map of points and the map of frame gradients it induces, since
@@ -423,7 +421,6 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     coarse = QuadratureSpec(abs_tol=max(cfg.quad.abs_tol, _COARSE_ABS_TOL))
     base = heat_measure(HeatOpConfig(t=t, quad=coarse)).base
     total = 0.0
-    for sn, sw in zip(_S_NODES, _S_WEIGHTS):
-        s = 0.5 * t * (sn + 1.0)
-        total += 0.5 * t * sw * _gamma_sum(f, base.at(s), base.at(t - s))
+    for s, sw in zip(*gauss_legendre(0.0, t, 16)):
+        total += sw * _gamma_sum(f, base.at(s), base.at(t - s))
     return 2.0 * total

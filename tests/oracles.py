@@ -325,7 +325,7 @@ def p1_complex_shift(r: float, z: float, spec: AdaptiveSpec | None = None) -> K.
     Folding the full-line integral to [0, inf) gives cosh/sinh factors;
     the net decay 1 + r^2/4 - 2 forces r > 2.
     """
-    K._check_range(r, z)
+    K._check_batch(r, z, "p1_complex_shift")
     if r <= 2.0:
         raise ValueError(
             "shifted integral diverges for r <= 2; use p1_star_shifted"

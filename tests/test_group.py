@@ -136,6 +136,17 @@ class TestApplyField:
         with pytest.raises(ValueError):
             apply_field("W", f, GroupElement(0, 0, 0))
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -1e-5, 0.0])
+    def test_bad_step_raises(self, step):
+        """A step that is not finite and positive raises, as a field's own
+        fd_step does, where it used to give NaN, a sign-flipped difference
+        or ZeroDivisionError on a gradient-free field."""
+        f = ScalarField(eval=poly_field({(1, 1, 0): 1.0}).eval, name="fd-only")
+        with pytest.raises(ValueError, match="fd_step"):
+            ScalarField(eval=f.eval, fd_step=step)
+        with pytest.raises(ValueError, match="fd_step"):
+            apply_field("X", f, GroupElement(0.3, -0.2, 0.1), step=step)
+
 
 def commutator(op1, op2, f, p, step=None):
     a = apply_op(op1, derived_op(op2, f), p, step=step)

@@ -74,6 +74,8 @@ from heisenkern.harness import (
 )
 from heisenkern.semigroup import grad_Pt_at, grad_sums, heat_measure
 
+from oracles import xhat_log_h_exact
+
 A_PINNED = 4.740675880
 IDENTITY_TARGETS = {
     "identity-gamma-logh": 2.0,
@@ -353,6 +355,36 @@ def test_reverse_poincare_rows_pinned(family12):
     for name, (lhs, rhs) in REVERSE_POINCARE.items():
         assert got[name] == pytest.approx((lhs, rhs), rel=1e-12), name
     assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
+
+
+# f*'s chart quantities |grad P_1 f*(0)|^2, Var_{p_1}(f*) and P_1|grad f*|^2(0).
+# The first two are exactly 1: X P_1 f(0) = -Cov(f, Xhat log p_1), and the
+# Fisher identity E[grad-hat log p_t grad-hat log p_t^T] = I/t makes f* =
+# Xhat log p_1 its own extremal.  The third, 1/2, is measured (to 1.6e-10
+# on the fine tier with the exact f*), not derived.
+FSTAR_VALUES = (1.0, 1.0, 0.5)
+# the errors against them measured on the chart tier: the family's spline
+# f* and the pointwise-exact f* on the same nodes
+FSTAR_ERRORS = {"spline": (8.662e-6, 7.405e-6, 5.829e-6),
+                "exact": (1.042e-9, 1.303e-9, 4.551e-9)}
+
+
+@pytest.mark.parametrize("route", list(FSTAR_ERRORS))
+def test_fstar_chart_quantities_are_exact(family12, route):
+    """f*'s three chart quantities within 1.2 times the error each route
+    measures now, and never outside QUAD_BUDGET: the spline table's error
+    is the floor, since the exact f* on the same nodes is 5e-9 from them."""
+    f = family12.members[-1]
+    assert f.name == "xhat_log_h[spline]"
+    if route == "spline":
+        ctx = harness._member_ctx(family12, f)
+    else:
+        ctx = harness._build_member_ctx(xhat_log_h_exact(), None, ())
+    mean = ctx.expect(ctx.vals)
+    got = (ctx.a * ctx.a + ctx.b * ctx.b, ctx.expect(ctx.vals * ctx.vals) - mean * mean,
+           ctx.expect(ctx.gam))
+    for v, exact, err in zip(got, FSTAR_VALUES, FSTAR_ERRORS[route]):
+        assert abs(v - exact) <= min(1.2 * err, harness.QUAD_BUDGET), (v, exact)
 
 
 @pytest.mark.parametrize("p, pinned", [(2, C2_LOWER_PINNED), (1, C1_LOWER_PINNED)])

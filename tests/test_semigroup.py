@@ -24,7 +24,7 @@ from heisenkern import semigroup
 from heisenkern.geometry import chart_ball_nodes
 from heisenkern.group import GroupElement, ScalarField, poly_field
 from heisenkern.kernel import xhat_log_h_field
-from heisenkern.numerics import QuadratureSpec
+from heisenkern.numerics import QuadratureSpec, gauss_legendre
 from heisenkern.semigroup import (
     GRAD_ROUTES,
     MASS_DEFICIT_TOL,
@@ -507,10 +507,32 @@ def test_interpolation_variance_linear():
     assert v == pytest.approx(2.0, rel=1e-5)
 
 
+# t E[(Xhat log p_t)^2] on the nested, coarse and fine tiers, whose exact
+# value is 1 by the Fisher identity E[grad-hat log p_t grad-hat log p_t^T] = I/t
+FISHER_READINGS = {1e-4: 0.999999880015, 1e-6: 0.999999998573, 1e-10: 0.999999998777}
+
+
+@pytest.mark.parametrize("abs_tol", list(FISHER_READINGS))
+@pytest.mark.parametrize("t", [1.0, 0.5])
+def test_hat_log_grad_fisher_identity(abs_tol, t):
+    """t E[(Xhat l)^2] = t E[(Yhat l)^2] = 1 within 1.2 times each tier's
+    measured error, and the cross term is exactly 0: the mirror
+    (x, -y, -z) keeps Xhat l and negates Yhat l on the second half of
+    the nodes."""
+    m = heat_measure(HeatOpConfig(t=t, quad=QuadratureSpec(abs_tol=abs_tol)))
+    gx, gy = m.hat_log_grad()
+    bound = 1.2 * (1.0 - FISHER_READINGS[abs_tol])
+    assert abs(t * float(m.mu @ (gx * gx)) - 1.0) <= bound
+    assert abs(t * float(m.mu @ (gy * gy)) - 1.0) <= bound
+    half = m.mu.size // 2
+    cross = gx * gy
+    assert float(m.mu[:half] @ cross[:half]) + float(m.mu[half:] @ cross[half:]) == 0.0
+
+
 def _nested_pair(k: int = 5):
     """(outer, inner) measures of interpolation_variance's k-th s-node at t = 1."""
     base = heat_measure(CFG1_NESTED).base
-    s = 0.5 * (1.0 + semigroup._S_NODES[k])
+    s = gauss_legendre(0.0, 1.0, 16)[0][k]
     return base.at(s), base.at(1.0 - s)
 
 
