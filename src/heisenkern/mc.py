@@ -5,28 +5,38 @@ kernel quadrature.
 The diffusion generated by X^2 + Y^2 has planar coordinates that are
 Brownian motions of variance 2t each (L(x^2) = 2, so quadratic
 variation runs at rate 2, not the conventional 1), and the vertical
-coordinate is the signed area swept by the planar path.  Paths use
-exact Gaussian increments and accumulate the area by the midpoint rule
+coordinate is the signed area swept by the planar path.  The sampled
+law is that of n_steps exact Gaussian increments of variance
+sigma^2 = 2t/n_steps, with the area accumulated by the midpoint rule
 
-    z += (x_mid dy - y_mid dx) / 2
+    z += (x_mid dy - y_mid dx) / 2,
 
 whose weak bias on E[z^2] is exactly -t^2/n_steps (derivation in the
 tests); the planar moments carry no discretization bias at all.  The
 midpoint's cross terms cancel, (dx dy - dy dx)/4 = 0, so the midpoint
-sum equals the left-point sum, and over a run of steps (dx_j, dy_j)
-from (x, y) it is
+sum equals the left-point sum, and summing y_j dx_j by parts gives
 
-    z += (x sum(dy) - y sum(dx) + dx^T S dy) / 2,   S_jk = sign(k - j),
+    z = (1/2) sum_j c_j dy_j,   c_j = x_j + x_{j+1} - X,   X = x_n,
 
-which the sampler evaluates as one small matrix product per block of
-steps.
+that is c = S^T dx with S_jk = sign(k - j).  Given the x-path, (Y, z)
+is therefore a centred 2-D Gaussian with Var Y = n sigma^2,
+Cov(Y, z) = sigma^2 sum(c) / 2 and Var z = sigma^2 sum(c^2) / 4.  The
+sampler draws only the x-increments, then (Y, z) from two more
+normals g1, g2:
+
+    Y = sigma sqrt(n) g1,   z = (sigma/2) (sum(c)/sqrt(n) g1 + sqrt(Sc) g2),
+
+with Sc = sum((c - mean(c))^2), so a path costs n_steps + 2 normals
+instead of 2 n_steps, and (x, y, z) keeps the n-step law exactly.
 
 Each stream seeds its own generator: stream i of a batch draws from
 SFC64(SeedSequence((seed, i))), so per-stream output is independent
-of how streams are scheduled and aggregation is a plain sum.  The
-sample is defined by the seed, the split of paths among streams and
-the (paths, steps, 2) shape of each draw; the width of the area's step
-blocks only regroups sums, so it moves endpoints by rounding alone.
+of how streams are scheduled and aggregation is a plain sum.  Within a
+stream, path k takes normals k (n_steps + 2) onwards, increments first,
+then g1 and g2.  The sample is defined by the seed, the split of paths
+among streams and that layout; how many paths share a draw buffer does
+not enter it, and every reduction runs along one path's row, so no BLAS
+call and no thread count touches the bits.
 """
 
 from __future__ import annotations
@@ -48,17 +58,12 @@ __all__ = [
     "chi2_against_kernel",
 ]
 
-# paths per stream and normal draws per chunk.  Both are part of the
-# sample's definition, not only of its loops: the first splits the paths
-# among the seeded streams, and the second fixes the (paths, steps, 2)
-# shape of each draw, which decides which normal goes to which path and
-# step.  Changing either changes the sample for the same seed.
+# paths per stream: part of the sample's definition, since it splits
+# the paths among the seeded streams.
 _STREAM_PATHS = 8192
+# normals per draw buffer, reused for a stream's whole run of draws.
+# Not part of the sample: paths are drawn whole and in order.
 _DRAWS_PER_CHUNK = 1 << 19
-# steps per area block, the width of the sign matrix _advance builds; it
-# keeps the area work linear in the steps of a draw.  Not part of the
-# sample: it only regroups the area sums.
-_AREA_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -102,42 +107,46 @@ def _stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), int(stream)))))
 
 
-def _advance(rng, sigma, x, y, z, m):
-    """Push (x, y, z) through m steps, in place.
+def _path_stats(dx, work):
+    """Per-path (X, sum(c), Sc) for the rows of x-increments dx.
 
-    One (paths, m, 2) draw of increments, then per block of at most
-    _AREA_BLOCK steps the area identity of the module docstring,
-    midpoint sum = left-point sum = (x sum(dy) - y sum(dx) + dx^T S dy)/2,
-    with dx^T S dy one product against the antisymmetric sign matrix.
+    c_j = x_j + x_{j+1} - X with x_0 = 0 and X = x_n, and
+    Sc = sum((c - mean(c))^2), a centred sum, so it cannot go negative.
+    c - mean(c) does not depend on X, and sum(c) = n (mean(m) - X) with
+    m_j = x_j + x_{j+1}.  dx is overwritten with the path; work is
+    scratch of dx's shape.
     """
-    dw = rng.standard_normal((x.size, m, 2))
-    dw *= sigma
-    b = min(m, _AREA_BLOCK)
-    k = np.arange(b, dtype=float)
-    sign = np.sign(k[None, :] - k[:, None])
-    ones = np.ones(b)
-    for lo in range(0, m, b):
-        dx, dy = np.ascontiguousarray(dw[:, lo : lo + b].transpose(2, 0, 1))
-        w = dx.shape[1]
-        sx = dx @ ones[:w]
-        sy = dy @ ones[:w]
-        z += 0.5 * (x * sy - y * sx + np.einsum("ij,ij->i", dx @ sign[:w, :w], dy))
-        x += sx
-        y += sy
+    n = dx.shape[1]
+    x = np.cumsum(dx, axis=1, out=dx)
+    work[:, 0] = x[:, 0]
+    np.add(x[:, 1:], x[:, :-1], out=work[:, 1:])
+    mean = work.sum(axis=1) / n
+    work -= mean[:, None]
+    end = x[:, -1].copy()
+    return end, n * (mean - end), np.einsum("ij,ij->i", work, work)
 
 
 def _simulate_stream(rng, n_paths: int, cfg: PathConfig):
-    """Endpoints (x, y, z) of n_paths paths, in draws of at most
-    _DRAWS_PER_CHUNK normals."""
-    dt = cfg.t / cfg.n_steps
-    sigma = math.sqrt(2.0 * dt)
-    x = np.zeros(n_paths)
-    y = np.zeros(n_paths)
-    z = np.zeros(n_paths)
-    chunk = max(1, _DRAWS_PER_CHUNK // (2 * n_paths))
-    for step in range(0, cfg.n_steps, chunk):
-        _advance(rng, sigma, x, y, z, min(chunk, cfg.n_steps - step))
-    return x, y, z
+    """Endpoints (x, y, z) of n_paths paths, drawn whole, in order, into
+    one buffer of at most _DRAWS_PER_CHUNK normals (or one path's)."""
+    n = cfg.n_steps
+    sigma = math.sqrt(2.0 * (cfg.t / n))
+    rows = max(1, min(n_paths, _DRAWS_PER_CHUNK // (n + 2)))
+    buf = np.empty((rows, n + 2))
+    work = np.empty((rows, n))
+    x, sum_c, sc = np.empty((3, n_paths))
+    g = np.empty((n_paths, 2))
+    for lo in range(0, n_paths, rows):
+        hi = min(n_paths, lo + rows)
+        draw = rng.standard_normal(out=buf[: hi - lo])
+        # unit increments: c and Sc come out in units of sigma and sigma^2
+        x[lo:hi], sum_c[lo:hi], sc[lo:hi] = _path_stats(draw[:, :n], work[: hi - lo])
+        g[lo:hi] = draw[:, n:]
+    g1, g2 = g.T
+    root_n = math.sqrt(n)
+    y = (sigma * root_n) * g1
+    z = (0.5 * sigma * sigma) * (sum_c / root_n * g1 + np.sqrt(sc) * g2)
+    return sigma * x, y, z
 
 
 def _stream_plan(n: int):

@@ -8,8 +8,10 @@ p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, the one-point P_t and a
 phi-entropy, the fields Xhat, Yhat, Theta and D, the sub-Laplacian by
 difference stencils, frame-gradient validation against centered
 differences, the chart function mu, the
-geodesic chart map and its inverse, single-path Monte Carlo draws, and
-the mpmath ray limit L(t) behind the stored values in test_harness.py.
+geodesic chart map and its inverse, single-path Monte Carlo draws, the
+stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
+n-step law, and the mpmath ray limit L(t) behind the stored values in
+test_harness.py.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
 tests that use them.
@@ -661,7 +663,12 @@ def polar_from_cartesian(q: GroupElement) -> GeodesicChart:
 
 
 # ---------------------------------------------------------------------------
-# mc: path endpoints, one stream per _stream_plan entry as in sample_batch
+# mc: path endpoints, one stream per _stream_plan entry as in sample_batch,
+# and the stepwise route to the same n-step law
+
+# steps per area block of advance, the width of its sign matrix; it keeps
+# the area work linear in the steps of a draw
+_AREA_BLOCK = 32
 
 
 def sample_heisenberg(cfg: MC.PathConfig) -> GroupElement:
@@ -680,6 +687,62 @@ def sample_paths(n: int, cfg: MC.PathConfig) -> np.ndarray:
             MC._simulate_stream(MC._stream_generator(cfg.seed, i), size, cfg), axis=1)
         lo += size
     return out
+
+
+def sign_matrix(n: int) -> np.ndarray:
+    """S_jk = sign(k - j), so the area's weights are c = S^T dx."""
+    k = np.arange(n, dtype=float)
+    return np.sign(k[None, :] - k[:, None])
+
+
+def advance(rng, sigma, x, y, z, m):
+    """Push (x, y, z) through m midpoint-rule steps, in place.
+
+    One (paths, m, 2) draw of increments, then per block of at most
+    _AREA_BLOCK steps the area identity midpoint sum = left-point sum =
+    (x sum(dy) - y sum(dx) + dx^T S dy)/2, with dx^T S dy one product
+    against the antisymmetric sign matrix.
+    """
+    dw = rng.standard_normal((x.size, m, 2))
+    dw *= sigma
+    b = min(m, _AREA_BLOCK)
+    sign = sign_matrix(b)
+    ones = np.ones(b)
+    for lo in range(0, m, b):
+        dx, dy = np.ascontiguousarray(dw[:, lo : lo + b].transpose(2, 0, 1))
+        w = dx.shape[1]
+        sx = dx @ ones[:w]
+        sy = dy @ ones[:w]
+        z += 0.5 * (x * sy - y * sx + np.einsum("ij,ij->i", dx @ sign[:w, :w], dy))
+        x += sx
+        y += sy
+
+
+def walk(rng, cfg: MC.PathConfig, state: np.ndarray, steps: int) -> None:
+    """Push the (3, paths) ``state`` through ``steps`` of cfg's midpoint
+    steps, in draws of at most MC._DRAWS_PER_CHUNK normals; the state
+    between calls is the mid-path state, which the endpoint sampler
+    never forms."""
+    sigma = math.sqrt(2.0 * (cfg.t / cfg.n_steps))
+    chunk = max(1, MC._DRAWS_PER_CHUNK // (2 * state.shape[1]))
+    for lo in range(0, steps, chunk):
+        advance(rng, sigma, *state, min(chunk, steps - lo))
+
+
+def cos_area_exact(mu: float, t: float, n_steps: int) -> float:
+    """E[cos(mu z)] under the n-step midpoint law at time t.
+
+    Given the x-increments dx (variance sigma^2 = 2t/n each), z is
+    centred Gaussian with variance sigma^2 |c|^2 / 4, c = S^T dx, so
+    E[cos(mu z) | dx] = exp(-mu^2 sigma^2 |c|^2 / 8), and averaging the
+    Gaussian quadratic form over dx gives
+    det(I + (mu sigma^2/2)^2 S S^T)^(-1/2).  As n grows this tends to
+    the diffusion's 1/cosh(mu t).
+    """
+    sign = sign_matrix(n_steps)
+    eig = np.linalg.eigvalsh(sign @ sign.T)
+    a = (0.5 * mu * (2.0 * t / n_steps)) ** 2
+    return math.exp(-0.5 * float(np.sum(np.log1p(a * eig))))
 
 
 def ray_limit_mp(t: float, dps: int = 30):
