@@ -18,29 +18,48 @@ sum equals the left-point sum, and summing y_j dx_j by parts gives
 
     z = (1/2) sum_j c_j dy_j,   c_j = x_j + x_{j+1} - X,   X = x_n,
 
-that is c = S^T dx with S_jk = sign(k - j).  Given the x-path, (Y, z)
-is therefore a centred 2-D Gaussian with Var Y = n sigma^2,
-Cov(Y, z) = sigma^2 sum(c) / 2 and Var z = sigma^2 sum(c^2) / 4.  The
-sampler draws only the x-increments, then (Y, z) from two more
-normals g1, g2:
+that is c = C dx with C_jk = sign(j - k).  Given the x-path, (Y, z)
+is a centred 2-D Gaussian with Var Y = n sigma^2,
+Cov(Y, z) = sigma^2 sum(c) / 2 and Var z = sigma^2 sum(c^2) / 4, which
+two more normals g1, g2 realise exactly:
 
     Y = sigma sqrt(n) g1,   z = (sigma/2) (sum(c)/sqrt(n) g1 + sqrt(Sc) g2),
 
-with Sc = sum((c - mean(c))^2), so a path costs n_steps + 2 normals
-instead of 2 n_steps, and (x, y, z) keeps the n-step law exactly.
+with Sc = sum((c - mean(c))^2), so a path costs n_steps + 2 normals.
+
+The x-increments are drawn in a sine basis, not step by step.
+Sc = dx^T M dx with M = C^T (I - J/n) C, and M is diagonal in the
+orthonormal DST-II vectors e_m(j) = w_m sin(pi m (j + 1/2) / n),
+m = 1 .. n, with w_m = sqrt(2/n) and w_n = sqrt(1/n): its eigenvalues
+are lambda_m = cot^2(pi m / 2n), and lambda_n = 0, since e_n is the
+alternating vector, whose c is constant.  A path's first n normals
+are its coefficients eta in that basis, dx = sigma E eta; E is
+orthogonal, so dx has the law of n iid increments, and
+
+    X      = sigma sum a_m eta_m,  a_m = w_m / sin(pi m / 2n) on odd m,
+    sum(c) = sigma sum b_m eta_m,  b_m = n w_m / sin(pi m / 2n) on even m,
+    Sc     = sigma^2 sum lambda_m eta_m^2,
+
+with a zero on even m and b zero on odd m: three dot products per path
+against fixed weights, and Sc a sum of non-negative terms.  So
+(x, y, z) keeps the n-step law exactly, E[z^2] = t^2 (1 - 1/n)
+included.
 
 Each stream seeds its own generator: stream i of a batch draws from
 SFC64(SeedSequence((seed, i))), so per-stream output is independent
 of how streams are scheduled and aggregation is a plain sum.  Within a
-stream, path k takes normals k (n_steps + 2) onwards, increments first,
-then g1 and g2.  The sample is defined by the seed, the split of paths
-among streams and that layout; how many paths share a draw buffer does
-not enter it, and every reduction runs along one path's row, so no BLAS
+stream, path k takes normals k (n_steps + 2) onwards: the coefficients
+of the odd modes in ascending order, then those of the even modes,
+then g1 and g2, so X and sum(c) each read one contiguous half of the
+row.  The sample is defined by the seed, the split of paths among
+streams and that layout; how many paths share a draw buffer does not
+enter it, and every reduction runs along one path's row, so no BLAS
 call and no thread count touches the bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,23 +126,38 @@ def _stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), int(stream)))))
 
 
-def _path_stats(dx, work):
-    """Per-path (X, sum(c), Sc) for the rows of x-increments dx.
+@functools.cache
+def _path_basis(n: int):
+    """Read-only weights (lambda, a, b) of the n-step sine basis.
 
-    c_j = x_j + x_{j+1} - X with x_0 = 0 and X = x_n, and
-    Sc = sum((c - mean(c))^2), a centred sum, so it cannot go negative.
-    c - mean(c) does not depend on X, and sum(c) = n (mean(m) - X) with
-    m_j = x_j + x_{j+1}.  dx is overwritten with the path; work is
-    scratch of dx's shape.
+    The modes run in the row's order, odd m ascending, then even m
+    ascending: lambda covers all n of them, a the odd ones and b the
+    even ones.
     """
-    n = dx.shape[1]
-    x = np.cumsum(dx, axis=1, out=dx)
-    work[:, 0] = x[:, 0]
-    np.add(x[:, 1:], x[:, :-1], out=work[:, 1:])
-    mean = work.sum(axis=1) / n
-    work -= mean[:, None]
-    end = x[:, -1].copy()
-    return end, n * (mean - end), np.einsum("ij,ij->i", work, work)
+    m = np.concatenate([np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)])
+    angle = (0.5 * np.pi / n) * m
+    sin = np.sin(angle)
+    w = np.where(m == n, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    lam = (np.cos(angle) / sin) ** 2
+    lam[m == n] = 0.0
+    odd = (n + 1) // 2
+    a = w[:odd] / sin[:odd]
+    b = n * w[odd:] / sin[odd:]
+    for arr in (lam, a, b):
+        arr.flags.writeable = False
+    return lam, a, b
+
+
+def _path_stats(eta):
+    """Per-path (X, sum(c), Sc) in units of sigma, sigma and sigma^2, for
+    rows eta of sine coefficients in parity-major order."""
+    lam, a, b = _path_basis(eta.shape[1])
+    odd = a.size
+    return (
+        np.einsum("ij,j->i", eta[:, :odd], a),
+        np.einsum("ij,j->i", eta[:, odd:], b),
+        np.einsum("ij,ij,j->i", eta, eta, lam),
+    )
 
 
 def _simulate_stream(rng, n_paths: int, cfg: PathConfig):
@@ -133,14 +167,12 @@ def _simulate_stream(rng, n_paths: int, cfg: PathConfig):
     sigma = math.sqrt(2.0 * (cfg.t / n))
     rows = max(1, min(n_paths, _DRAWS_PER_CHUNK // (n + 2)))
     buf = np.empty((rows, n + 2))
-    work = np.empty((rows, n))
     x, sum_c, sc = np.empty((3, n_paths))
     g = np.empty((n_paths, 2))
     for lo in range(0, n_paths, rows):
         hi = min(n_paths, lo + rows)
         draw = rng.standard_normal(out=buf[: hi - lo])
-        # unit increments: c and Sc come out in units of sigma and sigma^2
-        x[lo:hi], sum_c[lo:hi], sc[lo:hi] = _path_stats(draw[:, :n], work[: hi - lo])
+        x[lo:hi], sum_c[lo:hi], sc[lo:hi] = _path_stats(draw[:, :n])
         g[lo:hi] = draw[:, n:]
     g1, g2 = g.T
     root_n = math.sqrt(n)
