@@ -85,17 +85,30 @@ class ScalarField:
     ``eval(x, y, z)`` must accept numpy arrays and broadcast.  When
     ``analytic_gradient`` is given it returns the left-invariant frame
     components (Xf, Yf, Zf) and must agree with centered differences of
-    ``eval`` to O(fd_step^2).
+    ``eval`` to O(fd_step^2).  A field whose value and gradient share
+    their work may also give ``joint``, returning (f, Xf, Yf, Zf) from
+    one evaluation with the bits of ``eval`` and ``analytic_gradient``;
+    callers that need both read them through :meth:`value_and_gradient`.
     """
 
     eval: Callable
     analytic_gradient: Optional[Callable] = None
     fd_step: float = FD_STEP_FIRST
     name: str = ""
+    joint: Optional[Callable] = None
 
     def __post_init__(self):
         if not (0.0 < self.fd_step < np.inf):
             raise ValueError("fd_step must be finite and > 0")
+        if self.joint is not None and self.analytic_gradient is None:
+            raise ValueError("a joint evaluation needs an analytic gradient")
+
+    def value_and_gradient(self, x, y, z):
+        """(f, Xf, Yf, Zf) at (x, y, z): ``joint`` when given, else
+        ``eval`` and ``analytic_gradient``, which must be given."""
+        if self.joint is not None:
+            return self.joint(x, y, z)
+        return (self.eval(x, y, z), *self.analytic_gradient(x, y, z))
 
     @property
     def rotation_order(self) -> Optional[int]:

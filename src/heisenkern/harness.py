@@ -30,15 +30,14 @@ import numpy as np
 from .family import TestFunctionFamily, build_family
 # cc_distance_many stays importable here: the benchmark tracer wraps it in this module
 from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A  # noqa: F401
-from .group import (GroupElement, ScalarField, _mul_arrays, gamma as gamma_at,
-                    gamma2 as gamma2_at, poly_field)
+from .group import GroupElement, ScalarField, gamma as gamma_at, gamma2 as gamma2_at, poly_field
 # log_grad_many stays importable here: the benchmark tracer wraps it in this module
 from .kernel import (CANCEL_BUDGET, KernelRangeError, log_grad_many,  # noqa: F401
                      p1_many, p1_star_shifted)
 from .mc import sample_kolmogorov
 from .numerics import gauss_legendre
-from .semigroup import (COARSE_TIER, HeatOpConfig, grad_Pt_at, grad_Pt_origin, grad_sums,
-                        heat_measure)
+from .semigroup import (COARSE_TIER, HeatOpConfig, _translated_nodes, grad_Pt_origin,
+                        grad_sums, heat_measure)
 
 __all__ = [
     "SLACK_BASE",
@@ -279,13 +278,16 @@ def _cubic_basis(t, x, l):
 
 
 def _table_log_p1(r, z):
-    """log p_1 at flat r, z in the window, summed as fpbisp sums it; a value
-    depends on its own point only, not on its batch-mates or the blocks."""
+    """log p_1 at radii r, shape (n,), against heights z of shape (n,) or (k, n),
+    summed as fpbisp sums it; the r side of the sum is built once per radius.
+    A value depends on its own point only, not on its batch-mates or the blocks."""
     tx, ty, c = _p1_table()
     cf, nc = c.ravel(), c.shape[1]
-    out = np.empty_like(r)
-    for s in range(0, len(r), _P1TAB_BLOCK):
-        rb, zb = r[s:s + _P1TAB_BLOCK], z[s:s + _P1TAB_BLOCK]
+    zk = z.reshape(-1, r.size)
+    out = np.empty(zk.shape)
+    step = max(1, _P1TAB_BLOCK // zk.shape[0])
+    for s in range(0, r.size, step):
+        rb, zb = r[s:s + step], zk[:, s:s + step]
         lx, ly = _interval(tx, rb), _interval(ty, zb)
         hx, hy = _cubic_basis(tx, rb, lx), _cubic_basis(ty, zb, ly)
         base = (lx - 3) * nc + (ly - 3)
@@ -293,21 +295,25 @@ def _table_log_p1(r, z):
         for i in range(4):
             for j in range(4):
                 sp = sp + (cf[base + (i * nc + j)] * hx[i]) * hy[j]
-        out[s:s + _P1TAB_BLOCK] = sp
-    return out
+        out[:, s:s + step] = sp
+    return out.reshape(z.shape)
 
 
 def _pt_density(x, y, z):
-    """Heat kernel density p_1 at lab points, flattened, from the window table.
+    """Heat kernel density p_1 at lab points from the window table.
+
+    The planar part (x, y) holds n points, flattened, and z has shape (n,)
+    or (k, n): each row of heights meets the same planar points, whose
+    radius and radial basis are built once.  The result has z's shape.
 
     On one core of a 2-core AMD EPYC, RectBivariateSpline.ev took 78-327 ns
     a point, as fpbisp finds each point's knot interval by walking the
     knots from the first one, some 200 steps per axis near r = 5; with the
-    interval guessed from the grid step, the whole evaluation takes about
-    65 ns a point.
+    interval guessed from the grid step, the table takes about 53 ns a
+    point and the radius (hypot) about 13 ns.
     """
     r = np.hypot(x, y).ravel()
-    z = np.abs(np.asarray(z, dtype=float)).ravel()
+    z = np.abs(np.asarray(z, dtype=float))
     if not (np.all(r <= _P1TAB_R) and np.all(z <= _P1TAB_Z)):
         raise KernelRangeError(f"p1 table covers r <= {_P1TAB_R}, |z| <= {_P1TAB_Z}")
     return np.exp(_table_log_p1(r, z))
@@ -429,10 +435,8 @@ def _build_member_ctx(f: ScalarField, atoms, counts: tuple) -> _MemberCtx:
             raise ArithmeticError(f"panel mass for {f.name!r} exceeds 1")
         m_out = max(m_out, 0.0)
         compact = True
-    shape = mu.shape
-    vals = np.broadcast_to(np.asarray(f.eval(x, y, z), dtype=float), shape)
-    gx, gy, gz = (np.broadcast_to(np.asarray(g, dtype=float), shape)
-                  for g in f.analytic_gradient(x, y, z))
+    vals, gx, gy, gz = (np.broadcast_to(np.asarray(v, dtype=float), mu.shape)
+                        for v in f.value_and_gradient(x, y, z))
     gam = gx * gx + gy * gy
     a, b = (float(v) for v in grad_sums(mu, (gx, gy, gz), x, y))
     for arr in (x, y, z, mu, gam):
@@ -681,6 +685,12 @@ def _squash(vals, gam):
     return 0.1 + 0.8 * s, der * der * gam
 
 
+# grid rows per grad_sums block of a compact member: 25 = 5 x 5, so no
+# block has one row, which einsum would sum in another order.  A block's
+# arrays hold 5 x (panel nodes) doubles, at most 1.1 MB for two trig atoms
+_GRID_ROWS = 5
+
+
 @cache
 def _grad_grid():
     """The 25 points w where the grad-bound rows compare |grad P_t f|(w); all have d(w) <= 4."""
@@ -700,13 +710,20 @@ def _grad_grid():
 def _atom_grad_weights(atom: tuple, kind: str) -> np.ndarray:
     """leb * p_1(w^{-1} u) over one atom's panel nodes u, one row per grid point w.
 
-    One kernel evaluation covers every grid point; combos sharing the
-    atom reuse the rows.
+    w^{-1} u has planar part (x - w1, y - w2), so the grid points that
+    share a planar offset share their radii: one kernel evaluation per
+    distinct offset (13 for the 25 points) covers every grid point, and
+    combos sharing the atom reuse the rows.
     """
     x, y, z, leb, _ = _atom_panel(atom, _PANEL_COUNTS[kind])
-    w1, w2, w3 = (c[:, None] for c in _grad_grid().T)
-    zs = z - w3 - 0.5 * (w1 * y - w2 * x)
-    return leb * _pt_density(x - w1, y - w2, zs).reshape(zs.shape)
+    grid = _grad_grid()
+    out = np.empty((len(grid), x.size))
+    offsets, which = np.unique(grid[:, :2], axis=0, return_inverse=True)
+    for i, (w1, w2) in enumerate(offsets):
+        rows = np.flatnonzero(which == i)
+        zs = z - grid[rows, 2:] - 0.5 * (w1 * y - w2 * x)
+        out[rows] = leb * _pt_density(x - w1, y - w2, zs)
+    return out
 
 
 def _tensorized_c1(rhs, lhs: float, c1: float) -> float:
@@ -730,11 +747,13 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
     Its rhs E sqrt(I^2 + 2 C^4 Gamma) is no power of C, so a failing row
     carries the exact C at which it would hold.  The gradient-bound sup
     norm of f is taken over every point the lhs quadratures actually
-    visit, which for the compactly supported
-    members covers their support.  Their kernel weights are computed
-    once per distinct mollifier atom in each call, so combos that
-    reuse the atoms of the bumps pay no kernel evaluations of their
-    own; the weights are dropped when the call returns.  The member
+    visit, which for the compactly supported members covers their
+    support.  Their kernel weights are computed once per distinct
+    mollifier atom in each call, one table call per planar offset of the
+    grid, so combos that reuse the atoms of the bumps pay no kernel
+    evaluations of their own; the weights are dropped when the call
+    returns.  Chart members evaluate f and its frame gradient once per
+    translated node, block by block (see :func:`_grid_grad`).  The member
     contexts are the family's shared ones: after the constants and the
     phi suite, or on an update pass, this call builds none.
     """
@@ -786,31 +805,48 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
         rows.append(_report("correlation", f"{ci.name}|{cj.name}", abs(cov), rhs,
                             C1_working, budget=budget))
 
-    grid = _grad_grid()
-    w1, w2 = grid[:, :1], grid[:, 1:2]
-    chart = heat_measure(_CFG)
-    shifted = _mul_arrays(w1, w2, grid[:, 2:], chart.x, chart.y, chart.z)
     weights = {}
     for ctx in ctxs:
-        sup_f = float(np.max(np.abs(ctx.vals)))
-        if ctx.compact:
-            keys = list(zip(family.atoms[ctx.name], _atom_kinds(family, ctx.name)))
-            for key in keys:
-                if key not in weights:
-                    weights[key] = _atom_grad_weights(*key)
-            # the panel covers the support, so the nodes stay put and
-            # w^{-1} u has planar part (x - w1, y - w2)
-            xv, yv = grad_sums(np.concatenate([weights[k] for k in keys], axis=1),
-                               (ctx.gx, ctx.gy, ctx.gz), ctx.x - w1, ctx.y - w2)
-        else:
-            xv, yv = grad_Pt_at(ctx.f, chart, *grid.T)
-            sup_f = max(sup_f, float(np.max(np.abs(ctx.f.eval(*shifted)))))
+        xv, yv, sup_f = _grid_grad(family, ctx, weights)
         worst = float(np.max(np.hypot(xv, yv)))
         rows.append(_report("grad-bound", ctx.name, worst, sup_f, 1.0,
                             budget=_check_budget(ctx),
                             note="sup norm taken over all visited points; a lower "
                                  "bound of the true sup, so passing is conservative"))
     return rows
+
+
+def _grid_grad(family: TestFunctionFamily, ctx: _MemberCtx, weights: dict):
+    """(X P_1 f, Y P_1 f) at each grad-bound grid point, and sup |f| over
+    the member's nodes and every point the sums visit.
+
+    A compact member sums its panel against the atom weights, memoised in
+    ``weights`` for the call, a few grid rows at a time.  A chart member
+    streams the chart nodes translated by the grid points: each block
+    gives f and its frame gradient from one evaluation.
+    """
+    grid = _grad_grid()
+    out = np.empty((2, len(grid)))
+    sup_f = float(np.max(np.abs(ctx.vals)))
+    if ctx.compact:
+        keys = list(zip(family.atoms[ctx.name], _atom_kinds(family, ctx.name)))
+        for key in keys:
+            if key not in weights:
+                weights[key] = _atom_grad_weights(*key)
+        # the panel covers the support, so the nodes stay put and
+        # w^{-1} u has planar part (x - w1, y - w2)
+        for lo in range(0, len(grid), _GRID_ROWS):
+            rows = slice(lo, lo + _GRID_ROWS)
+            out[:, rows] = grad_sums(np.concatenate([weights[k][rows] for k in keys], axis=1),
+                                     (ctx.gx, ctx.gy, ctx.gz),
+                                     ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
+        return out[0], out[1], sup_f
+    chart = heat_measure(_CFG)
+    for rows, qx, qy, qz in _translated_nodes(chart, *grid.T):
+        vals, *grad = ctx.f.value_and_gradient(qx, qy, qz)
+        sup_f = max(sup_f, float(np.max(np.abs(vals))))
+        out[:, rows] = grad_sums(chart.mu, grad, chart.x, chart.y)
+    return out[0], out[1], sup_f
 
 
 # ---------------------------------------------------------------------------

@@ -555,22 +555,23 @@ def xhat_log_h_field() -> ScalarField:
     The bundle comes from the cached spline tables, vectorized for bulk
     nested evaluation.  Rotation order 1, since alpha and b are radial:
     f* o R_{pi/2} = -y alpha + (x/2) b.  Mirror parity +1, since alpha
-    is even in z and b odd.
+    is even in z and b odd.  The value and the frame gradient come from
+    one bundle, so the joint evaluation costs one table lookup a point.
     """
     tabs = get_spline_tables()
 
-    def ev(x, y, z):
+    def joint(x, y, z):
         r = np.hypot(np.asarray(x, float), np.asarray(y, float))
-        val, _, _, _ = _fstar_pieces(x, y, z, tabs.bundle(r, z))
-        return val
+        return _fstar_pieces(x, y, z, tabs.bundle(r, z))
+
+    def ev(x, y, z):
+        return joint(x, y, z)[0]
 
     def grad(x, y, z):
-        r = np.hypot(np.asarray(x, float), np.asarray(y, float))
-        _, gx, gy, gz = _fstar_pieces(x, y, z, tabs.bundle(r, z))
-        return gx, gy, gz
+        return joint(x, y, z)[1:]
 
     ev.rotation_order, ev.mirror_parity = 1, 1
-    return ScalarField(eval=ev, analytic_gradient=grad, name="xhat_log_h[spline]")
+    return ScalarField(eval=ev, analytic_gradient=grad, name="xhat_log_h[spline]", joint=joint)
 
 
 # ---------------------------------------------------------------------------

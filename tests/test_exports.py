@@ -26,6 +26,8 @@ ENTRY_POINTS = (
       "harness.run_inequality_suite"), "the paper's checks, the harness's API for its callers"),
     (("semigroup.variance", "semigroup.interpolation_variance"),
      "the two sides of the variance identity, the nested workload"),
+    (("semigroup.grad_Pt_at",), "P_t's gradient at translated points, the reference route "
+                                "for the harness's grid rows"),
     (("mc.sample_batch", "mc.chi2_against_kernel"), "the Monte Carlo check against the kernel"),
     (("group.multiply", "group.inverse"), "the group law on GroupElement"),
     (("geometry.cc_distance",), "one point's distance with its branch diagnostics"),

@@ -147,6 +147,26 @@ class TestApplyField:
         with pytest.raises(ValueError, match="fd_step"):
             apply_field("X", f, GroupElement(0.3, -0.2, 0.1), step=step)
 
+    def test_value_and_gradient_reads_joint_or_both(self):
+        """value_and_gradient is (eval, *analytic_gradient) without a joint
+        evaluation and the joint's own result with one; a joint evaluation
+        needs the analytic gradient beside it."""
+        f = poly_field({(1, 0, 1): 2.0, (0, 2, 0): -1.0})
+        x, y, z = np.array([0.3, -1.2]), np.array([0.5, 0.1]), np.array([-0.7, 2.0])
+        want = (f.eval(x, y, z), *f.analytic_gradient(x, y, z))
+        for got, ref in zip(f.value_and_gradient(x, y, z), want, strict=True):
+            assert np.array_equal(got, ref)
+        calls = []
+
+        def joint(*q):
+            calls.append(q)
+            return want
+
+        g = ScalarField(eval=f.eval, analytic_gradient=f.analytic_gradient, joint=joint)
+        assert g.value_and_gradient(x, y, z) is want and len(calls) == 1
+        with pytest.raises(ValueError, match="joint"):
+            ScalarField(eval=f.eval, joint=joint)
+
 
 def commutator(op1, op2, f, p, step=None):
     a = apply_op(op1, derived_op(op2, f), p, step=step)

@@ -696,6 +696,23 @@ class TestXhatField:
             for a, b in zip(ge, gs):
                 assert abs(float(a) - float(b)) <= 2e-3 * (1.0 + abs(float(a)))
 
+    def test_joint_evaluation_is_eval_and_gradient(self, tables):
+        """f*'s joint evaluation gives exactly (eval, *analytic_gradient), in
+        a batch and one point at a time: on the axis r = 0, below the plane
+        z < 0 and at points the table clamps (r > 16, |z| > 26)."""
+        fs = K.xhat_log_h_field()
+        x = np.array([0.0, 0.0, 0.7, -1.3, 20.0, 0.4, -12.0])
+        y = np.array([0.0, 0.0, -1.1, 0.2, 3.0, -0.3, 13.0])
+        z = np.array([1.5, -2.0, -0.6, -3.2, 1.0, -40.0, 30.0])
+        joint = fs.value_and_gradient(x, y, z)
+        want = (fs.eval(x, y, z), *fs.analytic_gradient(x, y, z))
+        assert len(joint) == 4
+        for got, ref in zip(joint, want):
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+        for i in range(x.size):
+            one = fs.value_and_gradient(x[i], y[i], z[i])
+            assert [float(v) for v in one] == [float(v[i]) for v in joint]
+
     def test_odd_symmetry_and_axis(self):
         fs = K.xhat_log_h_field()
         v1 = float(fs.eval(0.8, 0.5, 1.1))
