@@ -36,8 +36,7 @@ from .kernel import (CANCEL_BUDGET, KernelRangeError, log_grad_many,  # noqa: F4
                      p1_many, p1_star_shifted)
 from .mc import sample_kolmogorov
 from .numerics import gauss_legendre
-from .semigroup import (COARSE_TIER, HeatOpConfig, _translated_nodes, grad_Pt_origin,
-                        grad_sums, heat_measure)
+from .semigroup import COARSE_TIER, HeatOpConfig, _translated_nodes, grad_sums, heat_measure
 
 __all__ = [
     "SLACK_BASE",
@@ -337,8 +336,9 @@ _PANEL_COUNTS = {"bump": (22, 12, 24), "trig": (28, 16, 32)}
 
 
 @cache
-def _atom_panel(atom: tuple, counts: tuple):
-    """(x, y, z, leb, mu) for one mollifier atom; cached, shared by combos."""
+def _atom_nodes(atom: tuple, counts: tuple):
+    """(x, y, z, leb) of one mollifier atom's panel; cached and read-only,
+    shared by combos, the grad-bound weights and the commutation check."""
     (cx, cy, cz), w, v = atom
     ns, nf, nt = counts
     S, WS = gauss_legendre(0.0, 1.0, ns)
@@ -356,6 +356,15 @@ def _atom_panel(atom: tuple, counts: tuple):
     y = cy + g2.ravel()
     z = cz + g3.ravel() - 0.5 * (cy * g1.ravel() - cx * g2.ravel())
     leb = leb.ravel()
+    for arr in (x, y, z, leb):
+        arr.flags.writeable = False
+    return x, y, z, leb
+
+
+@cache
+def _atom_panel(atom: tuple, counts: tuple):
+    """(x, y, z, leb, mu) for one mollifier atom, mu = leb * p_1 from the window table."""
+    x, y, z, leb = _atom_nodes(atom, counts)
     return x, y, z, leb, leb * _pt_density(x, y, z)
 
 
@@ -715,7 +724,7 @@ def _atom_grad_weights(atom: tuple, kind: str) -> np.ndarray:
     distinct offset (13 for the 25 points) covers every grid point, and
     combos sharing the atom reuse the rows.
     """
-    x, y, z, leb, _ = _atom_panel(atom, _PANEL_COUNTS[kind])
+    x, y, z, leb = _atom_nodes(atom, _PANEL_COUNTS[kind])
     grid = _grad_grid()
     out = np.empty((len(grid), x.size))
     offsets, which = np.unique(grid[:, :2], axis=0, return_inverse=True)
@@ -1002,119 +1011,61 @@ def check_local_11_poincare(family: TestFunctionFamily) -> tuple:
 # ---------------------------------------------------------------------------
 # complex commutation
 
-
-def _annulus_bump(r_lo: float, r_hi: float, z_half: float, name: str) -> ScalarField:
-    """Radial-in-(x,y) bump supported exactly on r in [r_lo, r_hi], |z| <= z_half.
-
-    q = ((r^2 - c)/s)^2 + (z/z_half)^2 with c, s matched to the r^2
-    window; the bump is even in z.
-    """
-    from .family import _mollifier, _mollifier_dq
-
-    c = 0.5 * (r_lo**2 + r_hi**2)
-    s = 0.5 * (r_hi**2 - r_lo**2)
-
-    def pieces(x, y, z):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        r2 = x * x + y * y
-        a = (r2 - c) / s
-        return x, y, z, a, (z / z_half)
-
-    def ev(x, y, z):
-        x, y, z, a, b = pieces(x, y, z)
-        return _mollifier(a * a + b * b)
-
-    def grad(x, y, z):
-        x, y, z, a, b = pieces(x, y, z)
-        dq = _mollifier_dq(a * a + b * b)
-        # coordinate partials of the bump
-        fx = dq * (2.0 * a) * (2.0 * x / s)
-        fy = dq * (2.0 * a) * (2.0 * y / s)
-        fz = dq * (2.0 * b) / z_half
-        return fx - 0.5 * y * fz, fy + 0.5 * x * fz, fz
-
-    return ScalarField(eval=ev, analytic_gradient=grad, name=name)
+# name -> mollifier atom (center, width, vert) of each default bump, all in 2 < d < 5
+_COMMUTATION_ATOMS = {
+    "bump-axis": ((0.0, 0.0, 1.0), 0.5, 0.5 / 3.0),
+    "bump-offaxis": ((3.3, 0.6, 0.2), 0.55, 0.55 / 3.0),
+    "bump-offaxis-2": ((-2.3, 2.2, -0.3), 0.5, 0.5 / 3.0),
+}
 
 
 def commutation_default_bumps() -> list:
-    """Three compactly supported fields in 2 < d < 5 for the commutation check.
+    """The commutation check's three mollifier bumps, one per atom it knows.
 
-    The first is radial in (x, y) and even in z, so both sides vanish
-    by symmetry; the others are generic (translated mollifier bumps
-    whose support annulus stays inside the window, center distance
-    plus the support radius bound on one side, minus it on the other).
+    The first is centred on the z-axis, so both sides vanish by symmetry;
+    the other two are generic translated bumps off the axis.
     """
     from .family import bump_field
 
-    sym = _annulus_bump(2.2, 3.8, 0.5, name="annulus-even")
-    b1 = bump_field((3.3, 0.6, 0.2), 0.55, name="bump-offaxis")
-    b2 = bump_field((-2.3, 2.2, -0.3), 0.5, name="bump-offaxis-2")
-    return [sym, b1, b2]
+    return [bump_field(*atom, name=name) for name, atom in _COMMUTATION_ATOMS.items()]
 
 
-def _support_box(f: ScalarField):
-    """Tight (r, z) bounding box of a field's support by dense probing."""
-    r_probe = np.linspace(0.0, 8.0, 161)
-    z_probe = np.linspace(-4.0, 4.0, 161)
-    th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    r, z = r_probe[:, None, None], z_probe[None, None, :]
-    vals = f.eval(r * np.cos(th)[None, :, None], r * np.sin(th)[None, :, None], z)
-    hit = np.broadcast_to(np.abs(np.asarray(vals, dtype=float)) > 1e-300, (161, 64, 161))
-    if not np.any(hit):
-        raise ValueError(f"field {f.name!r} vanishes on the probe grid")
-    rmask = np.any(hit, axis=(1, 2))
-    zmask = np.any(hit, axis=(0, 1))
-    dr = r_probe[1] - r_probe[0]
-    dz = z_probe[1] - z_probe[0]
-    r_lo = max(0.0, float(r_probe[rmask][0]) - dr)
-    r_hi = float(r_probe[rmask][-1]) + dr
-    z_lo = float(z_probe[zmask][0]) - dz
-    z_hi = float(z_probe[zmask][-1]) + dz
-    return r_lo, r_hi, z_lo, z_hi
+@cache
+def _commutation_weights(atom: tuple, counts: tuple):
+    """(leb p_1, leb p1*) on one atom's panel nodes: the two sides' weights."""
+    x, y, z, leb = _atom_nodes(atom, counts)
+    r = np.hypot(x, y)
+    left = leb * p1_many(r, z)
+    right = leb * p1_star_shifted(r, z)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
 def check_commutation(f: ScalarField | None = None) -> InequalityReport:
     """(X + iY)P_1 f(0) against the shifted-kernel integral of (X + iY)f.
 
-    The left side differentiates the semigroup by centered differences;
-    the right side integrates p1*(r, z + 2i) (X + iY)f r dr dtheta dz
-    over the support box on 40 x 96 x 40 (r, theta, z) nodes.  Each p1*
-    value is a fixed-rule lambda-integral within 1e-12 relative of a
-    converged reference, so the box bounds that side's accuracy.
-    The two routes share no code path, so their agreement to 1e-4 is the
-    check.
+    Both sides are sums on the bump's own atom panel at the compact
+    members' bump counts: the left is :func:`grad_sums` against leb p_1,
+    as the grad-bound rows form it, the right sum leb p1* (Xf + iYf).
+    The row passes when the gap is at most 1e-8 |rhs| plus the report's
+    floor; its note holds both sides.  ``f`` must be one of
+    :func:`commutation_default_bumps`, found by name; any other field
+    raises ValueError.
     """
     if f is None:
         f = commutation_default_bumps()[1]
-    n_r, n_theta, n_z = 40, 96, 40
-    xv, yv = grad_Pt_origin(f, _CFG, route="fd")
-    lhs = complex(xv, yv)
-
-    r_lo, r_hi, z_lo, z_hi = _support_box(f)
-    r_lo = max(r_lo, 1e-6)
-    r, rw = gauss_legendre(r_lo, r_hi, n_r)
-    zz, zw = gauss_legendre(z_lo, z_hi, n_z)
-    th = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    wth = 2.0 * math.pi / n_theta
-
-    R, TH, Z = np.meshgrid(r, th, zz, indexing="ij")
-    gx, gy, _ = f.analytic_gradient(R * np.cos(TH), R * np.sin(TH), Z)
-    g = (np.asarray(gx, float) + 1j * np.asarray(gy, float)).sum(axis=1) * wth
-
-    rhs = 0.0 + 0.0j
-    for i, rv in enumerate(r):
-        for j, zv in enumerate(zz):
-            if g[i, j] == 0.0:
-                continue
-            ck = p1_star_shifted(float(rv), float(zv))
-            rhs += rw[i] * zw[j] * rv * complex(ck.re, ck.im) * g[i, j]
-
-    err = abs(lhs - rhs)
-    return _report("commutation", f.name, err, 1e-4, 1.0, budget=0.0,
-                   note=f"lhs {lhs.real:+.8f}{lhs.imag:+.8f}i "
-                        f"rhs {rhs.real:+.8f}{rhs.imag:+.8f}i")
+    atom = _COMMUTATION_ATOMS.get(f.name)
+    if atom is None:
+        raise ValueError(f"no mollifier atom known for {f.name!r}; "
+                         f"expected one of {sorted(_COMMUTATION_ATOMS)}")
+    counts = _PANEL_COUNTS["bump"]
+    x, y, z, _ = _atom_nodes(atom, counts)
+    left, right = _commutation_weights(atom, counts)
+    grad = f.analytic_gradient(x, y, z)
+    lhs = complex(*grad_sums(left, grad, x, y))
+    rhs = complex(np.einsum("k,k->", right, grad[0] + 1j * grad[1]))
+    return _report("commutation", f.name, abs(lhs - rhs), 1e-8 * abs(rhs), 1e-8, budget=0.0,
+                   note=f"lhs {lhs!r} rhs {rhs!r}")
 
 
 # ---------------------------------------------------------------------------

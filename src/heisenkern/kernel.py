@@ -18,8 +18,8 @@ radii and rule share one read-only kernel, so exp runs once per distinct
 radius of such a run (_KernelRuns).  The log-derivative bundle of log p1
 comes from _log_bundle, row by row, for the interpolation table, which
 scipy's NdBSpline evaluates.  The panels come from numerics._panel_rule,
-which also gives the complex shift p1_star_shifted its fixed rule,
-through numerics.integrate_decaying; no kernel value is adaptive.
+which also gives each point of the complex shift p1_star_shifted its own
+fixed rule, through numerics.integrate_decaying; no value is adaptive.
 
 Accuracy note: the integrand envelope is of size exp(-r^2/4) while the
 true value is of size exp(-d^2/4), so float64 quadrature carries a
@@ -578,42 +578,56 @@ def xhat_log_h_field() -> ScalarField:
 # complex-shifted kernels
 
 
-def _pole_bracket(lam, r):
-    """G(lam, r) - 2 lam e^{-lam(1+r^2/4)} without subtractive cancellation.
-
-    With u = e^{-2 lam} and g = -(r^2/2) lam u/(1-u):
-    bracket = 2 lam e^{-lam(1+r^2/4)} (expm1(g) + u)/(1-u).
+def _star_integrand(lam, r, z):
+    """cosh(lam (2 - iz)) (G(lam, r) - 2 lam e^{-d lam}), d = 1 + r^2/4, at lam > 0,
+    in real arithmetic; ``r`` and ``z`` broadcast against ``lam``.  With
+    u = e^{-2 lam}, g = -(r^2/2) lam u/(1-u) and a = e^{(2-d) lam}, the
+    bracket is 2 lam e^{-d lam} (expm1(g) + u)/(1-u), free of cancellation,
+    and e^{-d lam} (cosh, sinh)(2 lam) = a (1 +- u^2)/2.
     """
-    lam = np.asarray(lam, dtype=float)
     u = np.exp(-2.0 * lam)
     one_minus_u = -np.expm1(-2.0 * lam)
-    safe = np.where(one_minus_u > 0.0, one_minus_u, 1.0)
-    g = -0.5 * r * r * lam * u / safe
-    frac = (np.expm1(g) + u) / safe
-    out = 2.0 * lam * np.exp(-lam * (1.0 + 0.25 * r * r)) * frac
-    # removable point: bracket -> e^{-r^2/4} as lam -> 0
-    return np.where(one_minus_u > 0.0, out, math.exp(-0.25 * r * r))
+    g = -0.5 * r * r * lam * u / one_minus_u
+    a = lam * (np.expm1(g) + u) / one_minus_u * np.exp((1.0 - 0.25 * r * r) * lam)
+    u2 = u * u
+    phase = lam * z
+    out = np.empty(np.broadcast(lam, r, z).shape, dtype=complex)
+    out.real = a * (1.0 + u2) * np.cos(phase)
+    out.imag = -(a * (1.0 - u2) * np.sin(phase))
+    return out
 
 
-def p1_star_shifted(r: float, z: float) -> ComplexKernelValue:
+def p1_star_shifted(r, z):
     """p1*(r, z + 2i): pole-subtracted kernel plus the surviving pole.
 
     q has the leading exponential of the integrand removed, so its
     shifted integral converges for every r > 0; the removed piece
     integrates in closed form to two pole terms, of which only
-    1/(4 pi^2 (3 + r^2/4 - i z)^2) belongs to p1*.  Folded onto
-    [0, inf), the shifted cos(lam (z + 2i)) is cosh(lam (2 - i z)), and
-    integrate_decaying's fixed rule takes the decay 1 + r^2/4 and the
-    wavenumber |z|.
+    1/(4 pi^2 (3 + r^2/4 - i z)^2) belongs to p1*.  For r > 2, where the
+    literal p1(r, z + 2i) converges, p1* is it minus the other pole term
+    h = 1/(4 pi^2 (r^2/4 - 1 + iz)^2).  h solves h_r/r + (i/2) h_z = 0, so
+    (X + iY)h = 0 and h integrates to zero against (X + iY)f for f
+    compactly supported in r > 2: the commutation identity does not see it.
+
+    q is the integral of :func:`_star_integrand` on integrate_decaying's
+    rule for the decay 1 + r^2/4 and the wavenumber |z|.  A point gives a
+    ComplexKernelValue; arrays (broadcast together) a complex array, each
+    distinct point integrated once, with the bits of its own call.
     """
     _check_batch(r, z, "p1_star_shifted")
-    if not (r > 0.0):
+    r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+    if not np.all(r > 0.0):
         raise ValueError("regularized route needs r > 0")
-    decay = 1.0 + 0.25 * r * r  # residual e^{-(3+r^2/4)lam} against cosh(2 lam)
-
-    def f(lam):
-        return np.cosh(lam * complex(2.0, -z)) * _pole_bracket(lam, r)
-
-    q = integrate_decaying(f, decay, abs(z)) / FOUR_PI_SQ
-    pole = 1.0 / (FOUR_PI_SQ * complex(3.0 + 0.25 * r * r, -z) ** 2)
-    return ComplexKernelValue(float(q.real + pole.real), float(q.imag + pole.imag))
+    # each distinct (r, z), bit for bit, is integrated once
+    pts = np.stack([r.ravel(), z.ravel()], axis=1)
+    _, first, inverse = np.unique(pts.view(np.int64), axis=0, return_index=True,
+                                  return_inverse=True)
+    rf, zf = pts[first].T
+    decay = 1.0 + 0.25 * rf * rf  # residual e^{-(3+r^2/4)lam} against cosh(2 lam)
+    q = integrate_decaying(lambda lam, rows: _star_integrand(lam, rf[rows, None], zf[rows, None]),
+                           decay, np.abs(zf)) / FOUR_PI_SQ
+    value = q + 1.0 / (FOUR_PI_SQ * (3.0 + 0.25 * rf * rf - 1j * zf) ** 2)
+    value = value[inverse.ravel()].reshape(r.shape)
+    if value.ndim == 0:
+        return ComplexKernelValue(float(value.real), float(value.imag))
+    return value

@@ -255,11 +255,12 @@ def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str):
     """(X P_t f, Y P_t f) at the origin by a route other than :func:`grad_Pt_at`.
 
     fd   centered differences of apply_Pt_many along the X and Y
-         integral curves through 0; the commutation check's left side;
+         integral curves through 0;
     ibp  moves the derivative onto the kernel:
          -sum mu_k f(y_k) (Xhat log p_t)(y_k), likewise Yhat; a route
-         independent of f's gradient, which the tests and the
-         benchmark's tracer test run.
+         independent of f's gradient.
+    No library code calls it: the tests run both routes as cross-checks
+    and the benchmark's tracer test runs ibp.
     """
     if route == "fd":
         h = FD_STEP_FIRST

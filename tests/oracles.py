@@ -10,8 +10,9 @@ difference stencils, frame-gradient validation against centered
 differences, the chart function mu, the
 geodesic chart map and its inverse, single-path Monte Carlo draws, the
 stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
-n-step law, and the mpmath ray limit L(t) behind the stored values in
-test_harness.py.
+n-step law, the mpmath ray limit L(t) behind the stored values in
+test_harness.py, and the mpmath p1(r, z + 2i) behind those in
+test_kernel.py.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
 tests that use them.
@@ -346,19 +347,56 @@ def p1_complex_shift(r: float, z: float, spec: AdaptiveSpec | None = None) -> K.
     return K.ComplexKernelValue(re, im)
 
 
+def _pole_bracket(lam, r):
+    """G(lam, r) - 2 lam e^{-lam(1+r^2/4)} without subtractive cancellation.
+
+    With u = e^{-2 lam} and g = -(r^2/2) lam u/(1-u):
+    bracket = 2 lam e^{-lam(1+r^2/4)} (expm1(g) + u)/(1-u).
+    """
+    lam = np.asarray(lam, dtype=float)
+    u = np.exp(-2.0 * lam)
+    one_minus_u = -np.expm1(-2.0 * lam)
+    safe = np.where(one_minus_u > 0.0, one_minus_u, 1.0)
+    g = -0.5 * r * r * lam * u / safe
+    out = 2.0 * lam * np.exp(-lam * (1.0 + 0.25 * r * r)) * (np.expm1(g) + u) / safe
+    # removable point: bracket -> e^{-r^2/4} as lam -> 0
+    return np.where(one_minus_u > 0.0, out, math.exp(-0.25 * r * r))
+
+
 def p1_star_adaptive(r: float, z: float, spec: AdaptiveSpec = TIGHT) -> complex:
-    """p1*(r, z + 2i): kernel.p1_star_shifted's integrand on the adaptive route."""
+    """p1*(r, z + 2i) on the adaptive route, its integrand cosh(2 lam) cos(lam z)
+    and sinh(2 lam) sin(lam z) times the bracket: the factors that
+    kernel._star_integrand folds into real exponentials, taken apart."""
     spec = _osc_spec(spec, z)
+    decay = 1.0 + 0.25 * r * r
 
     def f_re(lam):
-        return np.cosh(2.0 * lam) * np.cos(lam * z) * K._pole_bracket(lam, r)
+        return np.cosh(2.0 * lam) * np.cos(lam * z) * _pole_bracket(lam, r)
 
     def f_im(lam):
-        return -np.sinh(2.0 * lam) * np.sin(lam * z) * K._pole_bracket(lam, r)
+        return -np.sinh(2.0 * lam) * np.sin(lam * z) * _pole_bracket(lam, r)
 
-    decay = 1.0 + 0.25 * r * r
     value = complex(adaptive_decaying(f_re, decay, spec), adaptive_decaying(f_im, decay, spec))
     return value / K.FOUR_PI_SQ + 1.0 / (K.FOUR_PI_SQ * complex(3.0 + 0.25 * r * r, -z) ** 2)
+
+
+def p1_shift_mp(r: float, z: float, dps: int = 30) -> complex:
+    """The literal p1(r, z + 2i), r > 2, in mpmath:
+    (1/4 pi^2) int_0^inf cosh(lam (2 - iz)) (lam/sinh lam) e^{-(r^2/4) lam coth lam} dlam,
+    whose integrand decays as e^{-(r^2/4 - 1) lam}.  This generates
+    P1_SHIFT_MP in test_kernel.py (about 0.05 s a point at 30 digits);
+    the tests read the stored values and do not import mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        r, z = mp.mpf(r), mp.mpf(z)
+        shift = mp.mpc(2, -z)
+
+        def g(lam):
+            return mp.cosh(lam * shift) * lam / mp.sinh(lam) * mp.exp(-(r * r / 4) * lam * mp.coth(lam))
+
+        return complex(mp.quad(g, [0, 1, 2, 4, 8, 16, 32, 64, mp.inf]) / (4 * mp.pi**2))
 
 
 def removed_pole_shifted(r: float, z: float) -> complex:

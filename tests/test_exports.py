@@ -28,6 +28,8 @@ ENTRY_POINTS = (
      "the two sides of the variance identity, the nested workload"),
     (("semigroup.grad_Pt_at",), "P_t's gradient at translated points, the reference route "
                                 "for the harness's grid rows"),
+    (("semigroup.grad_Pt_origin",), "P_t's gradient at the origin by the fd and ibp routes, "
+                                    "the tests' cross-checks and the benchmark's tracer test"),
     (("mc.sample_batch", "mc.chi2_against_kernel"), "the Monte Carlo check against the kernel"),
     (("group.multiply", "group.inverse"), "the group law on GroupElement"),
     (("geometry.cc_distance",), "one point's distance with its branch diagnostics"),

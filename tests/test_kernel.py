@@ -43,6 +43,16 @@ P1_AT_1_1 = 0.01069672523789606
 # relative from the converged adaptive route (oracles.p1_star_adaptive)
 STAR_AT_1_0_RE = 0.01039849625698081
 
+# the literal p1(r, z + 2i) at r > 2, where its shifted lambda-integral
+# converges, to 22 digits of oracles.p1_shift_mp (mpmath at 30 digits,
+# equal to 40 digits within 1.2e-31); the tests do not import mpmath
+P1_SHIFT_MP = {
+    (3.0, 0.2): complex(0.01084563831230726126739, -0.003993054668142793296955),
+    (3.3, -0.4): complex(0.003997426592931836310712, 0.002331352437025999733665),
+    (2.6, 0.0): complex(0.04804788751794409338705, 0.0),
+    (3.8, 1.0): complex(0.0006128459724285639786255, -0.0007703844727593446916139),
+}
+
 
 def p1_axis_closed_form(z: float) -> float:
     """1/(16 cosh^2(pi z/2)).
@@ -729,11 +739,45 @@ class TestComplexRoutes:
             assert v_m.re == v_p.re and v_m.im == -v_p.im
 
     def test_route_cross_check(self):
+        """For r > 2, p1* is the literal p1(r, z + 2i) less the removed pole:
+        against the adaptive route to 1e-8, and against the stored mpmath
+        values to 1.5e-14 relative (measured at most 1.27e-14, at (3.8, 1),
+        where the two pole-free pieces cancel to a fifth of the pole term)."""
         for r, z in ((4.0, 0.0), (4.0, 1.0), (2.5, 0.7), (3.5, -2.0)):
             shift = O.p1_complex_shift(r, z).as_complex()
             star = K.p1_star_shifted(r, z).as_complex()
             pole = O.removed_pole_shifted(r, z)
             assert abs((shift - pole) - star) <= 1e-8
+        worst = 0.0
+        for (r, z), literal in P1_SHIFT_MP.items():
+            star = K.p1_star_shifted(r, z).as_complex()
+            worst = max(worst, abs(star + O.removed_pole_shifted(r, z) - literal) / abs(literal))
+        print(f"\np1* plus the removed pole against mpmath: max rel err {worst:.3g}")
+        assert worst <= 1.5e-14
+
+    def test_star_batch_keeps_each_points_bits(self):
+        """A point's p1* has the bits of its own scalar call in a batch whose
+        mates span many panel counts, in any order, repeated and beside
+        1,000 others."""
+        rs = np.array([0.05, 0.3, 1.0, 2.0, 3.5, 5.0, 8.0])
+        zs = np.array([0.0, 0.7, -12.0, 25.0])
+        R, Z = np.meshgrid(rs, zs, indexing="ij")
+        # each point's panel count, as integrate_decaying sets it
+        counts = {math.ceil(40.0 / d / (min(1.0 / d, 0.5 * math.pi / abs(z)) if z else 1.0 / d))
+                  for d, z in zip(1.0 + 0.25 * R.ravel() ** 2, Z.ravel())}
+        assert len(counts) >= 10
+        alone = np.array([[K.p1_star_shifted(r, z).as_complex() for z in zs] for r in rs])
+        batch = K.p1_star_shifted(R, Z)
+        assert batch.shape == R.shape
+        assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
+        rng = np.random.default_rng(3)
+        r2 = np.concatenate([R.ravel(), R.ravel(), rng.uniform(0.05, 8.0, 1000)])
+        z2 = np.concatenate([Z.ravel(), Z.ravel(), rng.uniform(-25.0, 25.0, 1000)])
+        order = rng.permutation(r2.size)
+        mixed = np.empty(r2.size, dtype=complex)
+        mixed[order] = K.p1_star_shifted(r2[order], z2[order])
+        for part in (mixed[:R.size], mixed[R.size:2 * R.size]):
+            assert np.array_equal(part.view(np.int64), alone.ravel().view(np.int64))
 
     def test_star_finite_at_interior_point(self):
         v = K.p1_star_shifted(1.0, 0.0)

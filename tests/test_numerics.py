@@ -86,21 +86,43 @@ class TestIntegrate1d:
             integrate_1d(lambda x: x, 1.0, 0.0)
 
 
+def _lam_over_sinh(lam):
+    return np.where(lam < 1e-12, 1.0, lam / np.sinh(np.maximum(lam, 1e-12)))
+
+
+def _exp_cos(a, k):
+    return lambda lam: np.exp(-a * lam) * np.cos(k * lam)
+
+
+EXP_COS_CASES = [(1.0, 0.0), (0.3, 0.0), (2.0, 1.5), (17.0, 3.0), (0.5, 12.0), (1.0, 50.0)]
+# (integrand, decay_rate, wavenumber) of every real case below
+REAL_CASES = [(_lam_over_sinh, 1.0, 0.0), (_exp_cos(1.0, 5.0), 1.0, 5.0),
+              *((_exp_cos(a, k), a, k) for a, k in EXP_COS_CASES)]
+
+
+def _multi_point(cases):
+    """One integrate_decaying call over ``cases``, each point on its own rule,
+    and the node counts its integrand saw."""
+    seen = set()
+
+    def f(lam, rows):
+        seen.add(lam.shape[1])
+        return np.stack([cases[i][0](lam[j]) for j, i in enumerate(rows)])
+
+    vals = integrate_decaying(f, [c[1] for c in cases], [c[2] for c in cases])
+    return vals, seen
+
+
 class TestIntegrateDecaying:
     def test_lambda_over_sinh(self):
-        val = integrate_decaying(
-            lambda lam: np.where(lam < 1e-12, 1.0, lam / np.sinh(np.maximum(lam, 1e-12))),
-            decay_rate=1.0,
-            wavenumber=0.0,
-        )
+        val = integrate_decaying(_lam_over_sinh, decay_rate=1.0, wavenumber=0.0)
         assert val == pytest.approx(PI2_OVER_4, abs=1e-13)
 
     def test_oscillatory_decaying(self):
         val = integrate_decaying(lambda lam: np.cos(5.0 * lam) * np.exp(-lam), 1.0, 5.0)
         assert val == pytest.approx(COS5_EXP, abs=1e-13)
 
-    @pytest.mark.parametrize("a, k", [(1.0, 0.0), (0.3, 0.0), (2.0, 1.5), (17.0, 3.0),
-                                      (0.5, 12.0), (1.0, 50.0)])
+    @pytest.mark.parametrize("a, k", EXP_COS_CASES)
     def test_exponential_cosine_closed_form(self, a, k):
         # int_0^inf e^{-a lam} cos(k lam) dlam = a/(a^2 + k^2)
         val = integrate_decaying(lambda lam: np.exp(-a * lam) * np.cos(k * lam), a, k)
@@ -110,6 +132,30 @@ class TestIntegrateDecaying:
         # int_0^inf e^{-(a - i k) lam} dlam = 1/(a - i k)
         val = integrate_decaying(lambda lam: np.exp(-complex(2.0, -7.0) * lam), 2.0, 7.0)
         assert abs(val - 1.0 / complex(2.0, -7.0)) <= 1e-13
+
+    def test_multi_point_call_keeps_each_rule(self):
+        """Every case above in one call, each point on its own rule, has the
+        bits of its scalar call; so do complex e^{-(a - ik) lam} rows."""
+        vals, seen = _multi_point(REAL_CASES)
+        assert vals.shape == (len(REAL_CASES),) and len(seen) == 4
+        for val, (f, a, k) in zip(vals, REAL_CASES):
+            assert val.hex() == float(integrate_decaying(f, a, k)).hex()
+        complex_cases = [(lambda lam, s=complex(a, -k): np.exp(-s * lam), a, k)
+                         for a, k in [(2.0, 7.0), *EXP_COS_CASES]]
+        vals, seen = _multi_point(complex_cases)
+        assert vals.dtype == complex and len(seen) == 4
+        for val, (f, a, k) in zip(vals, complex_cases):
+            assert complex(val) == complex(integrate_decaying(f, a, k))
+            assert abs(val - 1.0 / complex(a, -k)) <= 1e-13
+
+    def test_points_grouped_in_blocks(self):
+        """A group of one panel count wider than a block is split into blocks,
+        and each value keeps the bits of its scalar call."""
+        a = np.linspace(1.0, 3.0, 300)
+        vals = integrate_decaying(lambda lam, rows: np.exp(-a[rows, None] * lam), a, 0.0)
+        assert vals.shape == a.shape
+        for val, ai in zip(vals, a):
+            assert val.hex() == float(integrate_decaying(lambda lam: np.exp(-ai * lam), ai, 0.0)).hex()
 
     def test_split_additivity(self):
         # adaptive route: integral over [0, inf) equals [0, c] + shifted remainder
