@@ -254,13 +254,9 @@ def _add(total, term):
     return term if total is None else total + term
 
 
-def _fresh(v, shape, inputs):
-    """``v`` as a new array of ``shape``; None is the empty sum."""
-    if v is None:
-        return np.zeros(shape)
-    if isinstance(v, np.ndarray) and v.shape == shape and not any(v is a for a in inputs):
-        return v
-    return np.array(np.broadcast_to(v, shape))
+def _shaped(v, shape):
+    """``v`` as a read-only view of ``shape``, no copy; None is the empty sum."""
+    return np.broadcast_to(0.0 if v is None else v, shape)
 
 
 def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
@@ -270,7 +266,9 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
     The rotation order is 0 when every term has i = j = 0, 1 when every
     term has i + j = 1, and undeclared otherwise.  The mirror parity is
     -1 when every term has j + k odd, +1 when every term has it even,
-    and undeclared otherwise.
+    and undeclared otherwise.  The value and gradient are read-only
+    arrays of the inputs' broadcast shape, and may share memory with the
+    inputs.
     """
     items = [((int(i), int(j), int(k)), float(c)) for (i, j, k), c in coeffs.items()]
 
@@ -281,7 +279,7 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
         total = None
         for (i, j, k), c in items:
             total = _add(total, _monomial(c, x, i, y, j, z, k))
-        return _fresh(total, np.broadcast(x, y, z).shape, (x, y, z))
+        return _shaped(total, np.broadcast(x, y, z).shape)
 
     def grad(x, y, z):
         x = np.asarray(x, float)
@@ -302,7 +300,7 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
             px = -hx if px is None else px - hx
             py = hy if py is None else py + hy
         shape = np.broadcast(x, y, z).shape
-        return tuple(_fresh(g, shape, (x, y, z)) for g in (px, py, pz))
+        return tuple(_shaped(g, shape) for g in (px, py, pz))
 
     planar = {i + j for (i, j, _), _ in items}
     if planar <= {0}:

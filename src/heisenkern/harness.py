@@ -36,7 +36,8 @@ from .kernel import (CANCEL_BUDGET, KernelRangeError, log_grad_many,  # noqa: F4
                      p1_many, p1_star_shifted)
 from .mc import sample_kolmogorov
 from .numerics import gauss_legendre
-from .semigroup import COARSE_TIER, HeatOpConfig, _translated_nodes, grad_sums, heat_measure
+from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, _translated_nodes, grad_sums,
+                        heat_measure)
 
 __all__ = [
     "SLACK_BASE",
@@ -394,6 +395,8 @@ class _MemberCtx:
     b: float            # Y P_t f (0)
 
     def expect(self, arr, outside: float = 0.0) -> float:
+        # BLAS, not a row sum: np.add.reduce moves 17 pinned entropy lhs by up
+        # to 4.4e-11, and a 50-digit sum finds neither order closer on every row
         return float(self.mu @ arr) + self.m_out * float(outside)
 
 
@@ -538,7 +541,7 @@ def _chart_p1(B: np.ndarray, gx: np.ndarray, gy: np.ndarray, mu: np.ndarray, sta
     """
     def ratio(c):
         a = np.hypot(c @ gx, c @ gy)
-        den = float(a @ mu)
+        den = float(np.add.reduce(mu * a, axis=-1))
         return (math.hypot(*(c @ B)) / den if den > 0.0 else 0.0), a
 
     (best, a), c = max(((ratio(c), c) for c in starts), key=lambda t: t[0][0])
@@ -694,12 +697,6 @@ def _squash(vals, gam):
     return 0.1 + 0.8 * s, der * der * gam
 
 
-# grid rows per grad_sums block of a compact member: 25 = 5 x 5, so no
-# block has one row, which einsum would sum in another order.  A block's
-# arrays hold 5 x (panel nodes) doubles, at most 1.1 MB for two trig atoms
-_GRID_ROWS = 5
-
-
 @cache
 def _grad_grid():
     """The 25 points w where the grad-bound rows compare |grad P_t f|(w); all have d(w) <= 4."""
@@ -830,9 +827,9 @@ def _grid_grad(family: TestFunctionFamily, ctx: _MemberCtx, weights: dict):
     the member's nodes and every point the sums visit.
 
     A compact member sums its panel against the atom weights, memoised in
-    ``weights`` for the call, a few grid rows at a time.  A chart member
-    streams the chart nodes translated by the grid points: each block
-    gives f and its frame gradient from one evaluation.
+    ``weights`` for the call, in blocks of grid rows (``_row_blocks``).  A
+    chart member streams the chart nodes translated by the grid points:
+    each block gives f and its frame gradient from one evaluation.
     """
     grid = _grad_grid()
     out = np.empty((2, len(grid)))
@@ -844,8 +841,7 @@ def _grid_grad(family: TestFunctionFamily, ctx: _MemberCtx, weights: dict):
                 weights[key] = _atom_grad_weights(*key)
         # the panel covers the support, so the nodes stay put and
         # w^{-1} u has planar part (x - w1, y - w2)
-        for lo in range(0, len(grid), _GRID_ROWS):
-            rows = slice(lo, lo + _GRID_ROWS)
+        for rows in _row_blocks(len(grid), ctx.x.nbytes):
             out[:, rows] = grad_sums(np.concatenate([weights[k][rows] for k in keys], axis=1),
                                      (ctx.gx, ctx.gy, ctx.gz),
                                      ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
@@ -1063,7 +1059,7 @@ def check_commutation(f: ScalarField | None = None) -> InequalityReport:
     left, right = _commutation_weights(atom, counts)
     grad = f.analytic_gradient(x, y, z)
     lhs = complex(*grad_sums(left, grad, x, y))
-    rhs = complex(np.einsum("k,k->", right, grad[0] + 1j * grad[1]))
+    rhs = complex(np.add.reduce(right * (grad[0] + 1j * grad[1]), axis=-1))
     return _report("commutation", f.name, abs(lhs - rhs), 1e-8 * abs(rhs), 1e-8, budget=0.0,
                    note=f"lhs {lhs!r} rhs {rhs!r}")
 

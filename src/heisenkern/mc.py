@@ -66,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import p1_many
+from .numerics import gauss_panels
 
 __all__ = [
     "PathConfig",
@@ -305,17 +306,8 @@ def kernel_cell_masses(r_edges, z_edges, t: float = 1.0) -> np.ndarray:
     n_nodes = 8
     r_edges = _check_edges(r_edges, "r_edges")
     z_edges = _check_edges(z_edges, "z_edges")
-    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
-
-    def per_cell(edges):
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        nodes = mid[:, None] + half[:, None] * xg[None, :]
-        weights = half[:, None] * wg[None, :]
-        return nodes.ravel(), weights.ravel()
-
-    rn, rw = per_cell(r_edges)
-    zn, zw = per_cell(z_edges)
+    rn, rw = gauss_panels(r_edges, n_nodes)
+    zn, zw = gauss_panels(z_edges, n_nodes)
     st = math.sqrt(t)
     dens = p1_many(rn[:, None] / st, zn[None, :] / t) / (t * t)
     integrand = 2.0 * math.pi * rn[:, None] * dens

@@ -1,18 +1,18 @@
 """The library's one-dimensional quadrature: Gauss-Legendre rules.
 
 :func:`gauss_legendre` maps the n-point rule to [lo, hi] for every
-fixed-order rule of the library.  :func:`_panel_rule` lays 12-point
-panels on [0, lam_max] for the kernel's real lambda-integrals and for
+fixed-order rule of the library.  :func:`gauss_panels` lays the rule on
+each panel between given edges, for ``mc.kernel_cell_masses`` (the
+chi-squared masses) and for :func:`_panel_rule`'s 12-point panels on
+[0, lam_max], which serve the kernel's real lambda-integrals and
 :func:`integrate_decaying`, the integral over [0, inf) of an
-exponentially decaying integrand.  It and ``mc.kernel_cell_masses``
-(the chi-squared masses) keep their own midpoint-plus-half-width form,
-whose rounding differs from the map's, to keep their bits.  No rule
-here adapts to its integrand: the nodes are set by the arguments
-alone.  Only the kernel's complex shift p1*(r, z + 2i) calls
-:func:`integrate_decaying`.  :class:`QuadratureSpec` selects the
-semigroup's node tier.  The module needs numpy only, as does importing
-any heisenkern module; the harness's Gaussian quantile and tensorized
-C1 root load scipy inside the functions that use them.
+exponentially decaying integrand.  No rule here adapts to its
+integrand: the nodes are set by the arguments alone.  Only the kernel's
+complex shift p1*(r, z + 2i) calls :func:`integrate_decaying`.
+:class:`QuadratureSpec` selects the semigroup's node tier.  The module
+needs numpy only, as does importing any heisenkern module; the
+harness's Gaussian quantile and tensorized C1 root load scipy inside
+the functions that use them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "gauss_legendre", "integrate_decaying"]
+__all__ = ["QuadratureSpec", "gauss_legendre", "gauss_panels", "integrate_decaying"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,18 @@ def gauss_legendre(lo: float, hi: float, n: int):
     return 0.5 * (hi - lo) * (nodes + 1.0) + lo, 0.5 * (hi - lo) * weights
 
 
+def gauss_panels(edges, n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on each panel
+    between consecutive ``edges`` (last axis): its midpoint plus its
+    half-width times the [-1, 1] rule, rounded unlike :func:`gauss_legendre`."""
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    x, w = _leggauss(n)
+    shape = (*edges.shape[:-1], -1)
+    nodes = mid[..., None] + half[..., None] * x
+    return nodes.reshape(shape), (half[..., None] * w).reshape(shape)
+
+
 def _panel_rule(lam_max, width):
     """(nodes, weights) of 12-point Gauss panels no wider than ``width`` on [0, lam_max].
 
@@ -63,13 +75,7 @@ def _panel_rule(lam_max, width):
     entry, each with the bits of its own scalar call.
     """
     n = max(1, int(np.max(np.ceil(lam_max / width))))
-    edges = np.linspace(0.0, lam_max, n + 1, axis=-1)
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    gl_nodes, gl_weights = _leggauss(12)
-    nodes = (mid[..., None] + half[..., None] * gl_nodes).reshape(*np.shape(lam_max), -1)
-    weights = (half[..., None] * gl_weights).reshape(*np.shape(lam_max), -1)
-    return nodes, weights
+    return gauss_panels(np.linspace(0.0, lam_max, n + 1, axis=-1), 12)
 
 
 # integrate_decaying cuts [0, inf) where exp(-decay_rate lam) reaches e^-40 (4e-18)
@@ -85,15 +91,13 @@ def integrate_decaying(f, decay_rate, wavenumber):
     A fixed rule, set by the arguments alone: 12-point Gauss-Legendre
     panels on [0, 40/decay_rate], each no wider than the decay length
     1/decay_rate or a quarter period pi/(2 wavenumber) of the integrand's
-    cos/sin(wavenumber lam) factor.  With scalar arguments ``f`` maps the
-    array of nodes to values, real or complex, and the integral has their
-    type.  Arrays (broadcast together) give one integral per point, each
-    on its own rule: ``f(lam, rows)`` maps the nodes of the points
-    ``rows``, a row each, to their values.  Points are grouped by panel
-    count (a scalar is a group of one) and each row is summed on its own,
-    so a value does not depend on its batch.
+    cos/sin(wavenumber lam) factor.  The arguments broadcast together and
+    give one integral per point, each on its own rule: ``f(lam, rows)``
+    maps the nodes of the flat point indices ``rows``, a row each, to
+    their values, real or complex, and the integrals have their type and
+    the arguments' shape.  Points are grouped by panel count and each row
+    is summed on its own, so a value does not depend on its batch.
     """
-    scalar = np.ndim(decay_rate) == 0 and np.ndim(wavenumber) == 0
     decay, k = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (decay_rate, wavenumber)))
     shape, decay, k = decay.shape, decay.ravel(), k.ravel()
     if not np.all(decay > 0.0):
@@ -108,9 +112,8 @@ def integrate_decaying(f, decay_rate, wavenumber):
         for lo in range(0, group.size, _ROWS):
             rows = group[lo:lo + _ROWS]
             lam, w = _panel_rule(lam_max[rows], width[rows])
-            vals = np.asarray(f(lam[0]))[None] if scalar else f(lam, rows)
-            sums.append((rows, np.add.reduce(w * vals, axis=-1)))
+            sums.append((rows, np.add.reduce(w * f(lam, rows), axis=-1)))
     out = np.empty(decay.size, dtype=np.result_type(*(s for _, s in sums)))
     for rows, s in sums:
         out[rows] = s
-    return out[0] if scalar else out.reshape(shape)
+    return out.reshape(shape)

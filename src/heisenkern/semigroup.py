@@ -205,19 +205,23 @@ def _values_at(f: ScalarField, measure: HeatMeasure, x: GroupElement) -> np.ndar
     return np.broadcast_to(vals, measure.mu.shape)
 
 
+def _row_blocks(n: int, row_bytes: int):
+    """Slices cutting n rows of ``row_bytes`` each into blocks of about _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _translated_nodes(measure: HeatMeasure, x, y, z):
     """The measure's nodes left-translated by the points (x, y, z), in blocks.
 
     Yields (rows, qx, qy, qz): for the points in slice ``rows``,
     q[i, k] = (x_i, y_i, z_i) . y_k.  A block holds about _BLOCK_BYTES
-    per array, so the temporaries built from it stay in cache.  A
-    non-finite point raises ValueError.
+    per array, so the temporaries built from it stay in cache; a row sum
+    has the same bits in any block.  A non-finite point raises ValueError.
     """
     x, y, z = (np.asarray(a, dtype=float).reshape(-1) for a in (x, y, z))
     _check_points(x, y, z)
-    step = max(1, _BLOCK_BYTES // (8 * measure.x.size))
-    for lo in range(0, x.size, step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(x.size, measure.x.nbytes):
         yield (rows, *_mul_arrays(x[rows, None], y[rows, None], z[rows, None],
                                   measure.x, measure.y, measure.z))
 
@@ -225,15 +229,15 @@ def _translated_nodes(measure: HeatMeasure, x, y, z):
 def apply_Pt_many(f: ScalarField, cfg: HeatOpConfig, xs) -> np.ndarray:
     """P_t f at many points (rows of ``xs``) against one cached measure.
 
-    einsum reduces each point's row in an order fixed by the row alone
-    (BLAS gemv does not), so a value does not depend on its batch.
+    Each point's row is summed by np.add.reduce, whose order is fixed by
+    the row alone, so a value does not depend on its batch.
     """
     measure = heat_measure(cfg)
     xs = np.asarray(xs, dtype=float).reshape(-1, 3)
     out = np.empty(xs.shape[0])
     for rows, qx, qy, qz in _translated_nodes(measure, *xs.T):
         vals = np.broadcast_to(np.asarray(f.eval(qx, qy, qz), dtype=float), qx.shape)
-        out[rows] = np.einsum("ij,j->i", vals, measure.mu)
+        out[rows] = np.add.reduce(measure.mu * vals, axis=-1)
     return out
 
 
@@ -247,8 +251,8 @@ def variance(f: ScalarField, cfg: HeatOpConfig, x: GroupElement = _ORIGIN) -> fl
     measure = heat_measure(cfg)
     vals = _values_at(f, measure, x)
     w = measure.mu / np.sum(measure.mu)
-    mean = float(np.dot(w, vals))
-    return float(np.dot(w, (vals - mean) ** 2))
+    mean = float(np.add.reduce(w * vals, axis=-1))
+    return float(np.add.reduce(w * (vals - mean) ** 2, axis=-1))
 
 
 def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str):
@@ -272,8 +276,8 @@ def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str):
         gx, gy = measure.hat_log_grad()
         vals = _values_at(f, measure, _ORIGIN)
         return (
-            -float(np.dot(measure.mu, vals * gx)),
-            -float(np.dot(measure.mu, vals * gy)),
+            -float(np.add.reduce(measure.mu * (vals * gx), axis=-1)),
+            -float(np.add.reduce(measure.mu * (vals * gy), axis=-1)),
         )
     raise ValueError(f"unknown route {route!r}; expected one of {GRAD_ROUTES}")
 
@@ -296,19 +300,21 @@ def grad_sums(weights, grad, dx, dy):
     ``grad`` is (Xf, Yf, Zf) at the q_k and (dx_k, dy_k) the planar part
     of y_k = w^{-1} q_k: moving X from w to q = w . y turns it into
     X + y_2 Z, and Y into Y - y_1 Z.  Every argument broadcasts and the
-    sums run over the last axis.  einsum reduces each row in an order
+    sums run over the last axis.  np.add.reduce sums each row in an order
     fixed by the row alone, so a value does not depend on the others.
     Both summands are built in one buffer, so a caller holding large dx
     and dy adds one temporary of their size, not two per sum.
     """
     gx, gy, gz = grad
-    buf = np.empty(np.broadcast(gx, gy, gz, dx, dy).shape)
+    buf = np.empty(np.broadcast(weights, gx, gy, gz, dx, dy).shape)
     np.multiply(dy, gz, out=buf)
     buf += gx
-    sx = np.einsum("...k,...k->...", weights, buf)
+    buf *= weights
+    sx = np.add.reduce(buf, axis=-1)
     np.multiply(dx, gz, out=buf)
     np.subtract(gy, buf, out=buf)
-    return sx, np.einsum("...k,...k->...", weights, buf)
+    buf *= weights
+    return sx, np.add.reduce(buf, axis=-1)
 
 
 def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
@@ -317,7 +323,8 @@ def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
     P_t f(w) = sum mu_k f(w . y_k), so :func:`grad_sums` applies with
     weights mu and w^{-1} q_k = y_k.  Fields without an analytic
     gradient use centered differences.  Both components come back as
-    arrays, one entry per point, independent of the block size.
+    arrays, one entry per point; each is a row sum (see
+    :func:`grad_sums`), so its bits do not depend on the block size.
     """
     gx, gy = _grads_Pt_at((f,), measure, x, y, z)
     return gx[0], gy[0]
@@ -386,7 +393,7 @@ def _gamma_sum(f: ScalarField, outer: HeatMeasure, inner: HeatMeasure) -> float:
     sq = 0.0
     for gx, gy in zip(*grads):
         sq = sq + (gx * gx + gy * gy)
-    return weight * float(np.dot(outer.mu[:n], sq))
+    return weight * float(np.add.reduce(outer.mu[:n] * sq, axis=-1))
 
 
 def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:

@@ -378,7 +378,8 @@ def _naive_poly(coeffs, x, y, z):
 def test_poly_field_matches_naive_formula_bitwise():
     """poly_field skips zero accumulators, x**0 and factors of 1.0 without
     changing a bit: 300 random polynomials of degree <= 3 per variable,
-    some with a constant term, some with unit coefficients."""
+    some with a constant term, some with unit coefficients.  The value
+    and gradient are read-only arrays of the inputs' broadcast shape."""
     rng = np.random.default_rng(20071017)
     # no coordinate is 0, so no term is +-0 and the sign of zero cannot differ
     points = [rng.normal(size=(3, 64)) * 2.0,
@@ -394,8 +395,8 @@ def test_poly_field_matches_naive_formula_bitwise():
         for x, y, z in points:
             want_val, want_grad = _naive_poly(coeffs, x, y, z)
             got_val = f.eval(x, y, z)
-            assert got_val.shape == want_val.shape
+            assert got_val.shape == want_val.shape and not got_val.flags.writeable
             assert got_val.tobytes() == want_val.tobytes(), coeffs
             for got, want in zip(f.analytic_gradient(x, y, z), want_grad):
-                assert got.shape == want.shape
+                assert got.shape == want.shape and not got.flags.writeable
                 assert got.tobytes() == want.tobytes(), coeffs

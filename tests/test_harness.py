@@ -45,7 +45,7 @@ import weakref
 import numpy as np
 import pytest
 
-from heisenkern import harness, kernel
+from heisenkern import harness, kernel, semigroup
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, _mul_arrays, gamma, gamma2, poly_field
@@ -721,20 +721,23 @@ def assert_same_bits(got, want, what):
                                                       want.view(np.int64)), what
 
 
-def test_grid_grad_keeps_the_full_routes_bits(family24, rows24):
-    """Each member's grad-bound terms, bit for bit: a chart member's (X, Y)
-    P_1 f at the 25 grid points is grad_Pt_at over the chart, a compact
-    member's the full-matrix route compact_grid_grad, summed in blocks of
-    grid rows, and sup |f| is the max of |f.eval| over the member's nodes
-    and, for a chart member, the chart nodes translated by every grid
-    point.  The rows read their lhs and rhs off these terms."""
+@pytest.mark.parametrize("block", [1, 5, 7, 25])
+def test_grid_grad_keeps_the_full_routes_bits(family24, rows24, monkeypatch, block):
+    """Each member's grad-bound terms, bit for bit, in blocks of 1, 5, 7 or
+    all 25 grid rows: a chart member's (X, Y) P_1 f at the grid points is
+    grad_Pt_at over the chart, a compact member's the full-matrix route
+    compact_grid_grad, and sup |f| is the max of |f.eval| over the
+    member's nodes and, for a chart member, the chart nodes translated by
+    every grid point.  The rows read their lhs and rhs off these terms."""
     grid = harness._grad_grid()
     chart = heat_measure(harness._CFG)
     rows = {r.function: r for r in rows24 if r.check == "grad-bound"}
     weights = {}
     for f in family24.members:
         ctx = harness._member_ctx(family24, f)
-        xv, yv, sup_f = harness._grid_grad(family24, ctx, weights)
+        with monkeypatch.context() as m:
+            m.setattr(semigroup, "_BLOCK_BYTES", block * (ctx.x if ctx.compact else chart.x).nbytes)
+            xv, yv, sup_f = harness._grid_grad(family24, ctx, weights)
         want_sup = np.max(np.abs(ctx.vals))
         if ctx.compact:
             want = compact_grid_grad(family24, ctx)

@@ -45,11 +45,11 @@ class TestQuadratureSpec:
         # at wavenumber 8 the fixed rule lays 12-point panels pi/16 wide on [0, 40]
         seen = []
 
-        def f(lam):
+        def f(lam, rows):
             seen.append(lam)
             return np.exp(-lam)
 
-        integrate_decaying(f, 1.0, 8.0)
+        integrate_decaying(f, [1.0], [8.0])
         assert seen[0].size == 12 * math.ceil(40.0 / (math.pi / 16.0))
 
 
@@ -86,6 +86,11 @@ class TestIntegrate1d:
             integrate_1d(lambda x: x, 1.0, 0.0)
 
 
+def _one_point(g, a, k):
+    """integrate_decaying at the one point (a, k), ``g`` mapping its row of nodes."""
+    return integrate_decaying(lambda lam, rows: g(lam), [a], [k])[0]
+
+
 def _lam_over_sinh(lam):
     return np.where(lam < 1e-12, 1.0, lam / np.sinh(np.maximum(lam, 1e-12)))
 
@@ -115,47 +120,47 @@ def _multi_point(cases):
 
 class TestIntegrateDecaying:
     def test_lambda_over_sinh(self):
-        val = integrate_decaying(_lam_over_sinh, decay_rate=1.0, wavenumber=0.0)
+        val = _one_point(_lam_over_sinh, 1.0, 0.0)
         assert val == pytest.approx(PI2_OVER_4, abs=1e-13)
 
     def test_oscillatory_decaying(self):
-        val = integrate_decaying(lambda lam: np.cos(5.0 * lam) * np.exp(-lam), 1.0, 5.0)
+        val = _one_point(lambda lam: np.cos(5.0 * lam) * np.exp(-lam), 1.0, 5.0)
         assert val == pytest.approx(COS5_EXP, abs=1e-13)
 
     @pytest.mark.parametrize("a, k", EXP_COS_CASES)
     def test_exponential_cosine_closed_form(self, a, k):
         # int_0^inf e^{-a lam} cos(k lam) dlam = a/(a^2 + k^2)
-        val = integrate_decaying(lambda lam: np.exp(-a * lam) * np.cos(k * lam), a, k)
+        val = _one_point(lambda lam: np.exp(-a * lam) * np.cos(k * lam), a, k)
         assert abs(val - a / (a * a + k * k)) <= 1e-13
 
     def test_complex_integrand(self):
         # int_0^inf e^{-(a - i k) lam} dlam = 1/(a - i k)
-        val = integrate_decaying(lambda lam: np.exp(-complex(2.0, -7.0) * lam), 2.0, 7.0)
+        val = _one_point(lambda lam: np.exp(-complex(2.0, -7.0) * lam), 2.0, 7.0)
         assert abs(val - 1.0 / complex(2.0, -7.0)) <= 1e-13
 
     def test_multi_point_call_keeps_each_rule(self):
         """Every case above in one call, each point on its own rule, has the
-        bits of its scalar call; so do complex e^{-(a - ik) lam} rows."""
+        bits of its one-point call; so do complex e^{-(a - ik) lam} rows."""
         vals, seen = _multi_point(REAL_CASES)
         assert vals.shape == (len(REAL_CASES),) and len(seen) == 4
         for val, (f, a, k) in zip(vals, REAL_CASES):
-            assert val.hex() == float(integrate_decaying(f, a, k)).hex()
+            assert val.hex() == float(_one_point(f, a, k)).hex()
         complex_cases = [(lambda lam, s=complex(a, -k): np.exp(-s * lam), a, k)
                          for a, k in [(2.0, 7.0), *EXP_COS_CASES]]
         vals, seen = _multi_point(complex_cases)
         assert vals.dtype == complex and len(seen) == 4
         for val, (f, a, k) in zip(vals, complex_cases):
-            assert complex(val) == complex(integrate_decaying(f, a, k))
+            assert complex(val) == complex(_one_point(f, a, k))
             assert abs(val - 1.0 / complex(a, -k)) <= 1e-13
 
     def test_points_grouped_in_blocks(self):
         """A group of one panel count wider than a block is split into blocks,
-        and each value keeps the bits of its scalar call."""
+        and each value keeps the bits of its one-point call."""
         a = np.linspace(1.0, 3.0, 300)
         vals = integrate_decaying(lambda lam, rows: np.exp(-a[rows, None] * lam), a, 0.0)
         assert vals.shape == a.shape
         for val, ai in zip(vals, a):
-            assert val.hex() == float(integrate_decaying(lambda lam: np.exp(-ai * lam), ai, 0.0)).hex()
+            assert val.hex() == float(_one_point(lambda lam: np.exp(-ai * lam), ai, 0.0)).hex()
 
     def test_split_additivity(self):
         # adaptive route: integral over [0, inf) equals [0, c] + shifted remainder
@@ -168,6 +173,6 @@ class TestIntegrateDecaying:
 
     def test_decay_rate_validation(self):
         with pytest.raises(ValueError):
-            integrate_decaying(lambda x: np.exp(-x), 0.0, 0.0)
+            integrate_decaying(lambda lam, rows: np.exp(-lam), [0.0], [0.0])
         with pytest.raises(ValueError):
             adaptive_decaying(lambda x: np.exp(-x), 0.0)

@@ -218,6 +218,22 @@ def test_apply_many_independent_of_batch():
     assert scalar.tobytes() == batch.tobytes()
 
 
+def test_fine_tier_values_independent_of_batch():
+    """On the fine tier (24,576 nodes, so blocks of two points) apply_Pt_many
+    and grad_Pt_at give each of three points the same bits alone as in one
+    batch, whose last block has one row."""
+    f = poly_field({(3, 0, 0): 1.0, (1, 1, 1): 0.5, (0, 1, 2): -0.2, (0, 0, 1): 1.0}, "cubic")
+    measure = heat_measure(CFG1)
+    assert measure.x.size == 24576
+    pts = np.array([[0.3, -0.7, 0.2], [1.1, 0.4, -0.5], [-0.6, 0.9, 1.3]])
+    batch = apply_Pt_many(f, CFG1, pts)
+    grads = grad_Pt_at(f, measure, *pts.T)
+    for i, row in enumerate(pts):
+        assert apply_Pt_many(f, CFG1, row).tobytes() == batch[i:i + 1].tobytes()
+        for got, want in zip(grad_Pt_at(f, measure, *row[:, None]), grads):
+            assert got.tobytes() == want[i:i + 1].tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         HeatOpConfig(t=0.0)
