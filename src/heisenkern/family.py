@@ -77,11 +77,15 @@ def bump_field(center, width: float, vert: Optional[float] = None,
     half-width v (default w/3).  Since the frame fields are
     left-invariant, the frame gradient at p equals the frame gradient
     of the profile at g, available in closed form; no numerical
-    differentiation anywhere.
+    differentiation anywhere.  A width or v that is not finite and > 0
+    raises ValueError.
     """
     cx, cy, cz = (float(c) for c in center)
-    w2 = float(width) ** 2
-    v = float(vert) if vert is not None else float(width) / 3.0
+    w = float(width)
+    v = float(vert) if vert is not None else w / 3.0
+    if not (0.0 < w < math.inf and 0.0 < v < math.inf):
+        raise ValueError(f"width and vert must be finite and > 0, got {width}, {vert}")
+    w2 = w ** 2
     v2 = v * v
 
     def offsets(x, y, z):
@@ -239,6 +243,16 @@ def _draw_center(rng) -> tuple:
             return (float(x), float(y), float(z))
 
 
+def _draw_atom(rng) -> tuple:
+    """(center, width, vert) of one mollifier frame, its support inside d <= 6."""
+    center = _draw_center(rng)
+    width = float(rng.uniform(_WIDTH_LO, _WIDTH_HI))
+    vert = float(rng.uniform(_VERT_LO, _VERT_HI))
+    if support_radius_bound(center, width, vert) > _SUPPORT_D_MAX:
+        raise AssertionError("draw windows violate the support bound")
+    return center, width, vert
+
+
 def _draw_poly(rng, idx: int) -> ScalarField:
     monomials = [
         (i, j, k)
@@ -269,11 +283,13 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
     trig-modulated bumps, pairwise same-class combinations to fill,
     f* last.  Smaller sizes shrink each block proportionally (at least
     one bump is always present, and f* is always the final member).
+    When the draws leave combination slots but nothing to pair (no two
+    compact members on disjoint support boxes and fewer than two
+    polynomials; seen at sizes 3-10 over seeds 0-39), the family is drawn
+    again from the same seed with those slots as bumps.
     """
     if size < 2:
         raise ValueError("family needs at least a bump and f*")
-    rng = np.random.default_rng(int(seed))
-
     n_free = size - 1
     n_bump = max(1, round(n_free * 40 / 199))
     n_poly = round(n_free * 30 / 199)
@@ -282,56 +298,48 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
     if n_combo < 0:
         n_bump += n_combo
         n_combo = 0
+    return (_draw_family(seed, n_bump, n_poly, n_trig, n_combo)
+            or _draw_family(seed, n_bump + n_combo, n_poly, n_trig, 0))
 
-    members = []
-    kinds = {}
-    boxes = {}              # support box of each bump and trig member
-    atoms = {}
-    for i in range(n_bump):
-        center = _draw_center(rng)
-        width = float(rng.uniform(_WIDTH_LO, _WIDTH_HI))
-        vert = float(rng.uniform(_VERT_LO, _VERT_HI))
-        if support_radius_bound(center, width, vert) > _SUPPORT_D_MAX:
-            raise AssertionError("draw windows violate the support bound")
-        name = f"bump-{i:03d}"
-        members.append(bump_field(center, width, vert, name=name))
-        kinds[name] = "bump"
-        boxes[name] = support_box(center, width, vert)
-        atoms[name] = ((center, width, vert),)
 
-    for i in range(n_poly):
-        f = _draw_poly(rng, i)
+def _draw_family(seed: int, n_bump: int, n_poly: int, n_trig: int, n_combo: int):
+    """The family of these block sizes, f* added, or None if the combination
+    slots have no pair to draw from."""
+    rng = np.random.default_rng(int(seed))
+    members, kinds, atoms = [], {}, {}
+
+    def add(f: ScalarField, kind: str, frames: Optional[tuple] = None):
         members.append(f)
-        kinds[f.name] = "poly"
-        atoms[f.name] = None
+        kinds[f.name] = kind
+        atoms[f.name] = frames
 
+    for i in range(n_bump):
+        atom = _draw_atom(rng)
+        add(bump_field(*atom, name=f"bump-{i:03d}"), "bump", (atom,))
+    for i in range(n_poly):
+        add(_draw_poly(rng, i), "poly")
     for i in range(n_trig):
-        center = _draw_center(rng)
-        width = float(rng.uniform(_WIDTH_LO, _WIDTH_HI))
-        vert = float(rng.uniform(_VERT_LO, _VERT_HI))
+        atom = _draw_atom(rng)
         k = rng.uniform(-_WAVENUMBER_MAX, _WAVENUMBER_MAX, size=3)
         while float(np.max(np.abs(k))) < 0.3:
             k = rng.uniform(-_WAVENUMBER_MAX, _WAVENUMBER_MAX, size=3)
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        name = f"trig-{i:03d}"
-        members.append(_modulated_bump(center, width, vert, k, phase, name=name))
-        kinds[name] = "trig"
-        boxes[name] = support_box(center, width, vert)
-        atoms[name] = ((center, width, vert),)
+        add(_modulated_bump(*atom, k, phase, name=f"trig-{i:03d}"), "trig", (atom,))
 
     # same-class pairings keep every combination either compactly
     # supported or of polynomial growth; compact pairs are restricted
     # to disjoint support boxes so a combination integrates as two
     # independent mollifier frames (no sheared overlap region to grid)
-    compact = [m for m in members if m.name in boxes]
-    polys = [m for m in members if m.name not in boxes]
-    disjoint_pairs = [(i, j) for i in range(len(compact))
-                      for j in range(i + 1, len(compact))
-                      if boxes_disjoint(boxes[compact[i].name], boxes[compact[j].name])]
+    compact = [m for m in members if atoms[m.name]]
+    polys = [m for m in members if not atoms[m.name]]
+    boxes = [support_box(*atoms[m.name][0]) for m in compact]
+    disjoint_pairs = [(i, j) for i in range(len(compact)) for j in range(i + 1, len(compact))
+                      if boxes_disjoint(boxes[i], boxes[j])]
+    if n_combo and not disjoint_pairs and len(polys) < 2:
+        return None
     combo_index = {}
     n_poly_combo = min(round(n_combo / 4), 0 if len(polys) < 2 else n_combo)
     n_compact_combo = n_combo - n_poly_combo if disjoint_pairs else 0
-    n_poly_combo = n_combo - n_compact_combo
     for i in range(n_combo):
         if i < n_compact_combo:
             ia, ib = disjoint_pairs[int(rng.integers(len(disjoint_pairs)))]
@@ -342,14 +350,9 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
         ca, cb = _clamped_coeff(rng), _clamped_coeff(rng)
         name = f"combo-{i:03d}"
         combo_index[name] = ((pa.name, pb.name), (ca, cb))
-        members.append(combine_fields([pa, pb], [ca, cb], name))
-        kinds[name] = "combo"
-        atoms[name] = atoms[pa.name] + atoms[pb.name] if i < n_compact_combo else None
-
-    fstar = xhat_log_h_field()
-    members.append(fstar)
-    kinds[fstar.name] = "fstar"
-    atoms[fstar.name] = None
+        add(combine_fields([pa, pb], [ca, cb], name), "combo",
+            atoms[pa.name] + atoms[pb.name] if i < n_compact_combo else None)
+    add(xhat_log_h_field(), "fstar")
 
     return TestFunctionFamily(
         members=tuple(members),

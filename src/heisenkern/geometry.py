@@ -139,10 +139,13 @@ def _solve_half_angle(target):
 
 
 def cc_distance_many(x, y, z):
-    """Vectorized CC distance from the origin (values only)."""
+    """Vectorized CC distance from the origin (values only); a non-finite
+    coordinate raises ValueError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
+        raise ValueError("coordinates must be finite")
     shape = np.broadcast(x, y, z).shape
     x, y, z = np.broadcast_to(x, shape), np.broadcast_to(y, shape), np.broadcast_to(z, shape)
     r = np.hypot(x, y)
@@ -168,7 +171,10 @@ def cc_distance_many(x, y, z):
 
 
 def cc_distance(p: GroupElement) -> DistanceResult:
-    """CC distance from the origin with branch and half-angle diagnostics."""
+    """CC distance from the origin with branch and half-angle diagnostics;
+    a non-finite coordinate raises ValueError."""
+    if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z)):
+        raise ValueError("coordinates must be finite")
     r = math.hypot(p.x, p.y)
     az = abs(p.z)
     if az == 0.0 or (r > 0.0 and az / r <= PLANAR_Z_FACTOR * r):

@@ -268,8 +268,11 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
     -1 when every term has j + k odd, +1 when every term has it even,
     and undeclared otherwise.  The value and gradient are read-only
     arrays of the inputs' broadcast shape, and may share memory with the
-    inputs.
+    inputs.  An exponent that is not a non-negative integer raises ValueError.
     """
+    for key in coeffs:
+        if not all(float(e).is_integer() and e >= 0 for e in key):
+            raise ValueError(f"exponents must be non-negative integers, got {key}")
     items = [((int(i), int(j), int(k)), float(c)) for (i, j, k), c in coeffs.items()]
 
     def ev(x, y, z):

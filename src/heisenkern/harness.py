@@ -207,13 +207,14 @@ def check_kernel_identities() -> list:
 # direct oscillatory route.  log p1 is smooth on the window r <= 8,
 # |z| <= 9, which holds every panel and translated-panel point of the
 # checks (r <= 5.1 and |z| <= 4.9 on the default families), so a
-# one-time bicubic table serves the values.  Off its nodes it is within
-# 3.2e-7 relative of kernel.p1 where p1 > 1e-6 and within 6.5e-7 in the
-# checks' region, where p1 >= 9.3e-8 (4,000 seeded points); the error
-# peaks at the axes r = 0 and z = 0, where the fit has no mirrored rows.
-# The table's nodes, multiples of 0.025, are interpolated exactly, so a
-# grid of such points cannot see this error.  A point outside the window
-# raises KernelRangeError.
+# one-time bicubic table serves the values, read once per distinct
+# mollifier atom in the process (_atom_weights).  Off its nodes it is
+# within 3.2e-7 relative of kernel.p1 where p1 > 1e-6 and within 6.5e-7
+# in the checks' region, where p1 >= 9.3e-8 (4,000 seeded points); the
+# error peaks at the axes r = 0 and z = 0, where the fit has no mirrored
+# rows.  The table's nodes, multiples of 0.025, are interpolated
+# exactly, so a grid of such points cannot see this error.  A point
+# outside the window raises KernelRangeError.
 # The build is one p1_many call on 115,881 grid points, about 0.19 s on
 # one core of a 2-core AMD EPYC: each z-major chunk of 2,048 points holds
 # the same 321 radii, and all but the two highest chunks share one rule,
@@ -339,7 +340,7 @@ _PANEL_COUNTS = {"bump": (22, 12, 24), "trig": (28, 16, 32)}
 @cache
 def _atom_nodes(atom: tuple, counts: tuple):
     """(x, y, z, leb) of one mollifier atom's panel; cached and read-only,
-    shared by combos, the grad-bound weights and the commutation check."""
+    shared by combos, the atom weights and the commutation check."""
     (cx, cy, cz), w, v = atom
     ns, nf, nt = counts
     S, WS = gauss_legendre(0.0, 1.0, ns)
@@ -363,17 +364,43 @@ def _atom_nodes(atom: tuple, counts: tuple):
 
 
 @cache
-def _atom_panel(atom: tuple, counts: tuple):
-    """(x, y, z, leb, mu) for one mollifier atom, mu = leb * p_1 from the window table."""
+def _grad_grid():
+    """The 25 points w where the grad-bound rows compare |grad P_t f|(w); all have d(w) <= 4."""
+    pts = [(0.0, 0.0, 0.0)]
+    for a in (-2.0, -1.0, 1.0, 2.0):
+        pts.append((a, 0.0, 0.0))
+        pts.append((0.0, a, 0.0))
+    for sx in (-1.4, 1.4):
+        for sy in (-1.4, 1.4):
+            for sz in (-0.8, 0.0, 0.8):
+                pts.append((sx, sy, sz))
+    for sz in (-1.2, -0.5, 0.5, 1.2):
+        pts.append((0.0, 0.0, sz))
+    return np.array(pts)
+
+
+@cache
+def _atom_weights(atom: tuple, counts: tuple) -> np.ndarray:
+    """leb * p_1(w^{-1} u) over one atom's panel nodes u, one row per grad-bound grid point w.
+
+    Row 0 is the origin, where w^{-1} u = u, so it is the member context's
+    panel density mu.  w^{-1} u has planar part (x - w1, y - w2): the grid
+    points that share a planar offset share their radii, one table call
+    per distinct offset (13 for the 25 points).  The rows are read-only
+    and kept for the process, keyed like :func:`_atom_nodes`: 1.27 MB per
+    bump atom and 2.87 MB per trig atom, 12.1 MB at family size 24 and
+    about 108 MB at size 200.
+    """
     x, y, z, leb = _atom_nodes(atom, counts)
-    return x, y, z, leb, leb * _pt_density(x, y, z)
-
-
-def _atom_kinds(family: TestFunctionFamily, name: str) -> list:
-    parts = family.combo_index.get(name)
-    if parts is None:
-        return [family.kinds[name]]
-    return [family.kinds[p] for p in parts[0]]
+    grid = _grad_grid()
+    out = np.empty((len(grid), x.size))
+    offsets, which = np.unique(grid[:, :2], axis=0, return_inverse=True)
+    for i, (w1, w2) in enumerate(offsets):
+        rows = np.flatnonzero(which == i)
+        zs = z - grid[rows, 2:] - 0.5 * (w1 * y - w2 * x)
+        out[rows] = leb * _pt_density(x - w1, y - w2, zs)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -381,6 +408,7 @@ class _MemberCtx:
     name: str
     f: ScalarField
     compact: bool
+    panels: tuple       # (atom, counts) for each atom of a compact member
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -404,30 +432,31 @@ def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
     """The member's quadrature context, built once per family and shared.
 
     The memo lives on the family (``family._member_contexts``), so the
-    contexts are freed with it.  The key holds the panel counts of the
-    member's atom kinds, so patched ``_PANEL_COUNTS`` build afresh; a
-    field that is not the memoised context's member is rebuilt too.
+    contexts are freed with it.  The key holds the member's panels, each
+    atom with the panel counts of its kind (a combo's atoms those of its
+    parts), so patched ``_PANEL_COUNTS`` build afresh; a field that is
+    not the memoised context's member is rebuilt too.
     """
-    atoms = family.atoms.get(f.name)
-    counts = () if atoms is None else tuple(
-        _PANEL_COUNTS[k] for k in _atom_kinds(family, f.name))
-    key = (f.name, counts)
+    parts = family.combo_index[f.name][0] if f.name in family.combo_index else (f.name,)
+    panels = tuple((a, _PANEL_COUNTS[family.kinds[p]])
+                   for a, p in zip(family.atoms.get(f.name) or (), parts))
+    key = (f.name, panels)
     ctx = family._member_contexts.get(key)
     if ctx is None or ctx.f is not f:
-        ctx = family._member_contexts[key] = _build_member_ctx(f, atoms, counts)
+        ctx = family._member_contexts[key] = _build_member_ctx(f, panels)
     return ctx
 
 
-def _build_member_ctx(f: ScalarField, atoms, counts: tuple) -> _MemberCtx:
+def _build_member_ctx(f: ScalarField, panels: tuple) -> _MemberCtx:
     """f, its frame gradient and Gamma(f) on the member's nodes, with (a, b).
 
-    Chart members (``atoms`` None) take the chart measure; compact ones
-    the panels of their atoms at ``counts``.  Every array is read-only,
-    since the context is shared by all checks of the family.
+    Chart members (no ``panels``) take the chart measure; compact ones
+    their panels, (atom, counts) for each atom.  Every array is
+    read-only, since the context is shared by all checks of the family.
     """
     if f.analytic_gradient is None:
         raise ValueError(f"family member {f.name!r} lacks an analytic gradient")
-    if atoms is None:
+    if not panels:
         m = heat_measure(_CFG)
         # views: the read-only flag must not reach the cached measure
         x, y, z = m.x.view(), m.y.view(), m.z.view()
@@ -435,25 +464,21 @@ def _build_member_ctx(f: ScalarField, atoms, counts: tuple) -> _MemberCtx:
         # raw mu, of mass 1 - 1.25e-10
         mu = m.mu / float(np.sum(m.mu))
         m_out = 0.0
-        compact = False
     else:
-        panels = [_atom_panel(a, c) for a, c in zip(atoms, counts)]
-        x = np.concatenate([p[0] for p in panels])
-        y = np.concatenate([p[1] for p in panels])
-        z = np.concatenate([p[2] for p in panels])
-        mu = np.concatenate([p[4] for p in panels])
+        nodes = [_atom_nodes(*p) for p in panels]
+        x, y, z = (np.concatenate([n[k] for n in nodes]) for k in range(3))
+        mu = np.concatenate([_atom_weights(*p)[0] for p in panels])
         m_out = 1.0 - float(np.sum(mu))
         if m_out < -1e-9:
             raise ArithmeticError(f"panel mass for {f.name!r} exceeds 1")
         m_out = max(m_out, 0.0)
-        compact = True
     vals, gx, gy, gz = (np.broadcast_to(np.asarray(v, dtype=float), mu.shape)
                         for v in f.value_and_gradient(x, y, z))
     gam = gx * gx + gy * gy
     a, b = (float(v) for v in grad_sums(mu, (gx, gy, gz), x, y))
     for arr in (x, y, z, mu, gam):
         arr.flags.writeable = False
-    return _MemberCtx(f.name, f, compact, x, y, z, mu, m_out,
+    return _MemberCtx(f.name, f, bool(panels), panels, x, y, z, mu, m_out,
                       vals, gx, gy, gz, gam, a, b)
 
 
@@ -697,41 +722,6 @@ def _squash(vals, gam):
     return 0.1 + 0.8 * s, der * der * gam
 
 
-@cache
-def _grad_grid():
-    """The 25 points w where the grad-bound rows compare |grad P_t f|(w); all have d(w) <= 4."""
-    pts = [(0.0, 0.0, 0.0)]
-    for a in (-2.0, -1.0, 1.0, 2.0):
-        pts.append((a, 0.0, 0.0))
-        pts.append((0.0, a, 0.0))
-    for sx in (-1.4, 1.4):
-        for sy in (-1.4, 1.4):
-            for sz in (-0.8, 0.0, 0.8):
-                pts.append((sx, sy, sz))
-    for sz in (-1.2, -0.5, 0.5, 1.2):
-        pts.append((0.0, 0.0, sz))
-    return np.array(pts)
-
-
-def _atom_grad_weights(atom: tuple, kind: str) -> np.ndarray:
-    """leb * p_1(w^{-1} u) over one atom's panel nodes u, one row per grid point w.
-
-    w^{-1} u has planar part (x - w1, y - w2), so the grid points that
-    share a planar offset share their radii: one kernel evaluation per
-    distinct offset (13 for the 25 points) covers every grid point, and
-    combos sharing the atom reuse the rows.
-    """
-    x, y, z, leb = _atom_nodes(atom, _PANEL_COUNTS[kind])
-    grid = _grad_grid()
-    out = np.empty((len(grid), x.size))
-    offsets, which = np.unique(grid[:, :2], axis=0, return_inverse=True)
-    for i, (w1, w2) in enumerate(offsets):
-        rows = np.flatnonzero(which == i)
-        zs = z - grid[rows, 2:] - 0.5 * (w1 * y - w2 * x)
-        out[rows] = leb * _pt_density(x - w1, y - w2, zs)
-    return out
-
-
 def _tensorized_c1(rhs, lhs: float, c1: float) -> float:
     """The root C > c1 of rhs(C) = lhs for the increasing tensorized Bobkov rhs."""
     from scipy import optimize
@@ -754,12 +744,12 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
     carries the exact C at which it would hold.  The gradient-bound sup
     norm of f is taken over every point the lhs quadratures actually
     visit, which for the compactly supported members covers their
-    support.  Their kernel weights are computed once per distinct
-    mollifier atom in each call, one table call per planar offset of the
-    grid, so combos that reuse the atoms of the bumps pay no kernel
-    evaluations of their own; the weights are dropped when the call
-    returns.  Chart members evaluate f and its frame gradient once per
-    translated node, block by block (see :func:`_grid_grad`).  The member
+    support.  Their kernel weights are :func:`_atom_weights`, read from
+    the window table once per distinct mollifier atom in the process, so
+    combos that reuse the atoms of the bumps, and later calls on a
+    family with the same atoms, pay no kernel evaluations.  Chart members
+    evaluate f and its frame gradient once per translated node, block by
+    block (see :func:`_grid_grad`).  The member
     contexts are the family's shared ones: after the constants and the
     phi suite, or on an update pass, this call builds none.
     """
@@ -811,9 +801,8 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
         rows.append(_report("correlation", f"{ci.name}|{cj.name}", abs(cov), rhs,
                             C1_working, budget=budget))
 
-    weights = {}
     for ctx in ctxs:
-        xv, yv, sup_f = _grid_grad(family, ctx, weights)
+        xv, yv, sup_f = _grid_grad(ctx)
         worst = float(np.max(np.hypot(xv, yv)))
         rows.append(_report("grad-bound", ctx.name, worst, sup_f, 1.0,
                             budget=_check_budget(ctx),
@@ -822,12 +811,12 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
     return rows
 
 
-def _grid_grad(family: TestFunctionFamily, ctx: _MemberCtx, weights: dict):
+def _grid_grad(ctx: _MemberCtx):
     """(X P_1 f, Y P_1 f) at each grad-bound grid point, and sup |f| over
     the member's nodes and every point the sums visit.
 
-    A compact member sums its panel against the atom weights, memoised in
-    ``weights`` for the call, in blocks of grid rows (``_row_blocks``).  A
+    A compact member sums its panel against its atoms' cached
+    :func:`_atom_weights`, in blocks of grid rows (``_row_blocks``).  A
     chart member streams the chart nodes translated by the grid points:
     each block gives f and its frame gradient from one evaluation.
     """
@@ -835,14 +824,11 @@ def _grid_grad(family: TestFunctionFamily, ctx: _MemberCtx, weights: dict):
     out = np.empty((2, len(grid)))
     sup_f = float(np.max(np.abs(ctx.vals)))
     if ctx.compact:
-        keys = list(zip(family.atoms[ctx.name], _atom_kinds(family, ctx.name)))
-        for key in keys:
-            if key not in weights:
-                weights[key] = _atom_grad_weights(*key)
+        weights = [_atom_weights(*p) for p in ctx.panels]
         # the panel covers the support, so the nodes stay put and
         # w^{-1} u has planar part (x - w1, y - w2)
         for rows in _row_blocks(len(grid), ctx.x.nbytes):
-            out[:, rows] = grad_sums(np.concatenate([weights[k][rows] for k in keys], axis=1),
+            out[:, rows] = grad_sums(np.concatenate([w[rows] for w in weights], axis=1),
                                      (ctx.gx, ctx.gy, ctx.gz),
                                      ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
         return out[0], out[1], sup_f

@@ -10,7 +10,8 @@ difference stencils, frame-gradient validation against centered
 differences, the chart function mu, the
 geodesic chart map and its inverse, single-path Monte Carlo draws, the
 stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
-n-step law, the mpmath ray limit L(t) behind the stored values in
+n-step law, the lambda-slice f = cos(lam z) e^{-a r^2} with its exact
+P_t f, gradient and variance, the mpmath ray limit L(t) behind the stored values in
 test_harness.py, and the mpmath p1(r, z + 2i) behind those in
 test_kernel.py.
 None of them is called by the library itself; they are built on its
@@ -443,6 +444,62 @@ def entropy_phi(f: ScalarField, cfg: S.HeatOpConfig, x: GroupElement, phi) -> fl
     if not (np.all(np.isfinite(phiv)) and math.isfinite(phim)):
         raise ValueError("f leaves the domain of phi on the integration ball")
     return float(np.dot(w, phiv)) - phim
+
+
+def _slice_factor(lam: float, a: float, t: float):
+    """(A, b) with P_t[cos(lam z) e^{-a r^2}] = cos(lam z) A e^{-b r^2}.
+
+    With c = (lam/4) coth(lam t), A = lam / (4 sinh(lam t) (a + c)) and
+    b = a - (4a^2 - lam^2/4) / (4(a + c)): the kernel's z-Fourier
+    transform at lam is a Gaussian in r, so one Gaussian integral gives
+    P_t.  At lam = 0 the planar heat flow gives A = 1/(1 + 4at) and b = aA.
+    """
+    if lam == 0.0:
+        return 1.0 / (1.0 + 4.0 * a * t), a / (1.0 + 4.0 * a * t)
+    c = 0.25 * lam / math.tanh(lam * t)
+    return (lam / (4.0 * math.sinh(lam * t) * (a + c)),
+            a - (4.0 * a * a - 0.25 * lam * lam) / (4.0 * (a + c)))
+
+
+@dataclass(frozen=True)
+class LambdaSlice:
+    """f = cos(lam z) exp(-a r^2), whose P_t f, frame gradient of P_t f
+    and variance P_t f^2 - (P_t f)^2 are closed forms (``_slice_factor``;
+    f^2 = (e^{-2ar^2} + cos(2 lam z) e^{-2ar^2}) / 2 is two slices)."""
+
+    lam: float
+    a: float
+
+    def field(self) -> ScalarField:
+        lam, a = self.lam, self.a
+
+        def ev(x, y, z):
+            return np.cos(lam * np.asarray(z)) * np.exp(-a * (np.square(x) + np.square(y)))
+
+        def grad(x, y, z):
+            x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+            g = np.exp(-a * (x * x + y * y))
+            f, fz = np.cos(lam * z) * g, -lam * np.sin(lam * z) * g
+            return -2.0 * a * x * f - 0.5 * y * fz, -2.0 * a * y * f + 0.5 * x * fz, fz
+
+        return ScalarField(eval=ev, analytic_gradient=grad, name=f"slice[{lam},{a}]")
+
+    def Pt(self, t: float, x, y, z):
+        A, b = _slice_factor(self.lam, self.a, t)
+        return np.cos(self.lam * np.asarray(z)) * A * np.exp(-b * (np.square(x) + np.square(y)))
+
+    def grad_Pt(self, t: float, x, y, z):
+        """(X P_t f, Y P_t f): X = d_x - (y/2) d_z, Y = d_y + (x/2) d_z."""
+        x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+        A, b = _slice_factor(self.lam, self.a, t)
+        g = A * np.exp(-b * (x * x + y * y))
+        u, uz = np.cos(self.lam * z) * g, -self.lam * np.sin(self.lam * z) * g
+        return -2.0 * b * x * u - 0.5 * y * uz, -2.0 * b * y * u + 0.5 * x * uz
+
+    def variance(self, t: float, x, y, z):
+        sq = 0.5 * (LambdaSlice(0.0, 2.0 * self.a).Pt(t, x, y, z)
+                    + LambdaSlice(2.0 * self.lam, 2.0 * self.a).Pt(t, x, y, z))
+        return sq - np.square(self.Pt(t, x, y, z))
 
 
 # ---------------------------------------------------------------------------

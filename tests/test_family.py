@@ -5,10 +5,12 @@ differences of its values, and every compact member must vanish exactly
 outside the CC ball d <= 6 that its draw windows promise.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
+from heisenkern.family import DEFAULT_FAMILY_SEED, bump_field, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement
 
@@ -52,3 +54,41 @@ def test_compact_members_vanish_beyond_support(family12):
     assert compact
     for f in compact:
         assert np.all(np.asarray(f.eval(x[far], y[far], z[far])) == 0.0), f.name
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_FAMILY_SEED, 0, 3, 17, 29])
+def test_every_size_builds_its_members(seed):
+    """Sizes 2-30 build ``size`` distinct members ending with f*.  At the
+    default seed sizes 3-8 draw nothing to pair (no two compact members on
+    disjoint boxes and fewer than two polynomials), so their combination
+    slots are bumps; every combination that is drawn pairs two members of
+    its own class."""
+    for size in range(2, 31):
+        family = build_family(size, seed)
+        names = [f.name for f in family.members]
+        assert len(names) == len(set(names)) == size, (size, seed)
+        assert family.kinds[names[-1]] == "fstar"
+        for name, (parts, _) in family.combo_index.items():
+            compact = [family.atoms[p] is not None for p in parts]
+            assert set(parts) <= set(names) and compact[0] == compact[1], name
+            assert (family.atoms[name] is None) == (not compact[0]), name
+
+
+def test_pairless_small_family_is_redrawn_with_bumps():
+    """build_family(5) at the default seed: one bump, one polynomial and two
+    combination slots leave nothing to pair, so the family holds three
+    bumps and the polynomial, drawn from the same seed, the first bump the
+    same as at size 2."""
+    family = build_family(5, DEFAULT_FAMILY_SEED)
+    assert [family.kinds[f.name] for f in family.members] == ["bump"] * 3 + ["poly", "fstar"]
+    assert family.combo_index == {}
+    assert family.atoms["bump-000"] == build_family(2, DEFAULT_FAMILY_SEED).atoms["bump-000"]
+
+
+@pytest.mark.parametrize("width, vert", [(0.0, 0.3), (-1.0, 0.3), (1.0, 0.0), (1.0, -0.2),
+                                         (math.nan, 0.3), (1.0, math.inf), (math.inf, None)])
+def test_bump_field_refuses_bad_widths(width, vert):
+    """Width 0 would give 0 everywhere, and a negative or non-finite width
+    or vertical half-width no bump at all."""
+    with pytest.raises(ValueError, match="finite and > 0"):
+        bump_field((0.0, 0.0, 0.0), width, vert)

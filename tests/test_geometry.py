@@ -136,6 +136,20 @@ class TestCcDistance:
         assert d[0] == d[1] == cc_distance(GroupElement(5e-324, 0.0, 1.0)).d
         assert d[0] == pytest.approx(TWO_SQRT_PI, rel=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_coordinate_raises(self, bad, axis):
+        """A NaN or infinite coordinate raises instead of giving d = nan,
+        in the scalar and the vectorized routine alike."""
+        p = [0.3, -0.2, 0.0]
+        p[axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cc_distance(GroupElement(*p))
+        coords = [np.array([0.5, c]) for c in (0.3, -0.2, 0.0)]
+        coords[axis][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cc_distance_many(*coords)
+
     def test_continuity_across_planar_threshold(self):
         lo = cc_distance(GroupElement(1.0, 0.0, 0.9e-12)).d
         hi = cc_distance(GroupElement(1.0, 0.0, 1.1e-12)).d

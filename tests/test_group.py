@@ -375,6 +375,21 @@ def _naive_poly(coeffs, x, y, z):
     return val, (px - 0.5 * y * pz, py + 0.5 * x * pz, pz)
 
 
+@pytest.mark.parametrize("exponents", [(1.5, 0, 0), (0, -1, 0), (0, 0, math.nan),
+                                       (math.inf, 0, 0), (1, 0.999, 0)])
+def test_poly_field_refuses_bad_exponents(exponents):
+    """int() would truncate 1.5 to 1 and evaluate x; negative, non-finite
+    and non-integral exponents raise instead."""
+    with pytest.raises(ValueError, match="non-negative integers"):
+        poly_field({(1, 0, 0): 1.0, exponents: 2.0})
+
+
+def test_poly_field_accepts_integral_floats():
+    f, g = poly_field({(2.0, 0, 1.0): 1.5}), poly_field({(2, 0, 1): 1.5})
+    x, y, z = np.array([0.3, -1.2]), np.array([2.0, 0.5]), np.array([-0.7, 1.1])
+    assert f.eval(x, y, z).tobytes() == g.eval(x, y, z).tobytes()
+
+
 def test_poly_field_matches_naive_formula_bitwise():
     """poly_field skips zero accumulators, x**0 and factors of 1.0 without
     changing a bit: 300 random polynomials of degree <= 3 per variable,

@@ -33,7 +33,10 @@ table's nodes is pinned against kernel.p1.
 
 Each member's quadrature context is built once per family and shared by
 every check: the documented flow builds one per member, an update pass
-none, and the contexts are read-only and freed with their family.
+none, and the contexts are read-only and freed with their family.  The
+compact members' kernel weights are read from the table once per
+distinct mollifier atom in the process, and a context's mu is their
+origin row.
 """
 
 import dataclasses
@@ -385,7 +388,7 @@ def test_fstar_chart_quantities_are_exact(family12, route):
     if route == "spline":
         ctx = harness._member_ctx(family12, f)
     else:
-        ctx = harness._build_member_ctx(xhat_log_h_exact(), None, ())
+        ctx = harness._build_member_ctx(xhat_log_h_exact(), ())
     mean = ctx.expect(ctx.vals)
     got = (ctx.a * ctx.a + ctx.b * ctx.b, ctx.expect(ctx.vals * ctx.vals) - mean * mean,
            ctx.expect(ctx.gam))
@@ -572,7 +575,9 @@ def window_knot_values(t, hi):
 
 def test_table_bits_on_checked_points(p1_fit, family12, monkeypatch):
     """Every point that constants_estimate and check_cheeger_bobkov send to
-    the table gets the value FITPACK's ev gives, bit for bit."""
+    the table gets the value FITPACK's ev gives, bit for bit.  The atom
+    weights are cached for the process, so the cache starts empty."""
+    harness._atom_weights.cache_clear()
     density = harness._pt_density
     seen = []
 
@@ -681,14 +686,10 @@ def test_table_accuracy_off_its_nodes():
     assert exact[checked].min() >= 9e-8
 
 
-def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch):
-    """A warm call weights each distinct (atom, kind) panel once: the 7
-    atoms of the 17 compact members hold 60,352 panel nodes, each
-    evaluated at the 25 grid points, all within d <= 4.  The 25 points
-    have 13 distinct planar offsets, and the points sharing one share
-    their radii, so each atom takes 13 calls and 13 radii per node."""
+def count_table_points(monkeypatch):
+    """Wrap _pt_density: the lists of (radii, points) per table call."""
     density = harness._pt_density
-    points, radii = [], []
+    radii, points = [], []
 
     def counted(x, y, z):
         radii.append(np.hypot(x, y).size)
@@ -696,6 +697,18 @@ def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch)
         return density(x, y, z)
 
     monkeypatch.setattr(harness, "_pt_density", counted)
+    return radii, points
+
+
+def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch):
+    """From an empty cache a call weights each distinct (atom, counts)
+    panel once: the 7 atoms of the 17 compact members hold 60,352 panel
+    nodes, each evaluated at the 25 grid points, all within d <= 4.  The
+    25 points have 13 distinct planar offsets, and the points sharing one
+    share their radii, so each atom takes 13 calls and 13 radii per node.
+    The weights are kept, so a second call reads the table nowhere."""
+    harness._atom_weights.cache_clear()
+    radii, points = count_table_points(monkeypatch)
     rows = check_cheeger_bobkov(family24)
     grid = harness._grad_grid()
     assert len(grid) == 25 and len(np.unique(grid[:, :2], axis=0)) == 13
@@ -703,14 +716,55 @@ def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch)
     assert sum(points) == 25 * 60_352 == 1_508_800
     assert len(radii) == 7 * 13 and sum(radii) == 13 * 60_352 == 784_576
     assert rows == rows24
+    del radii[:], points[:]
+    assert check_cheeger_bobkov(family24) == rows24
+    assert (radii, points) == ([], [])
 
 
-def compact_grid_grad(family, ctx):
+def test_table_work_once_per_atom_in_the_process(monkeypatch):
+    """On a new 24-member family, from an empty cache, the constants and
+    check_cheeger_bobkov read the table at 25 x 60,352 points: the member
+    contexts' panel density is row 0 of the grad-bound weights, not a
+    26th pass.  A rebuilt family of the same seed has the same atoms, so
+    its constants and rows read the table nowhere and repeat the rows."""
+    harness._atom_weights.cache_clear()
+    _, points = count_table_points(monkeypatch)
+    family = build_family(24, DEFAULT_FAMILY_SEED)
+    first = harness.constants_estimate(family), check_cheeger_bobkov(family)
+    assert sum(points) == 25 * 60_352 == 1_508_800
+    del points[:]
+    family = build_family(24, DEFAULT_FAMILY_SEED)
+    assert (harness.constants_estimate(family), check_cheeger_bobkov(family)) == first
+    assert points == []
+
+
+def test_member_mu_is_row_0_of_the_atom_weights(family24):
+    """A compact member's mu is its atoms' weight rows at the origin, bit
+    for bit, and these are leb * p_1 at the panel nodes themselves."""
+    for f in family24.members:
+        ctx = harness._member_ctx(family24, f)
+        if not ctx.compact:
+            continue
+        row0 = np.concatenate([harness._atom_weights(*p)[0] for p in ctx.panels])
+        nodes = [harness._atom_nodes(*p) for p in ctx.panels]
+        leb = np.concatenate([n[3] for n in nodes])
+        assert_same_bits(ctx.mu, row0, f.name)
+        assert_same_bits(ctx.mu, leb * harness._pt_density(ctx.x, ctx.y, ctx.z), f.name)
+
+
+def test_atom_weights_are_read_only(family24):
+    atom = family24.atoms["bump-000"][0]
+    w = harness._atom_weights(atom, harness._PANEL_COUNTS["bump"])
+    assert w.shape == (25, 22 * 12 * 24)
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.0
+
+
+def compact_grid_grad(ctx):
     """(X, Y) P_1 f at every grad-bound grid point for a compact member,
     as check_cheeger_bobkov's rows take it: grad_sums over the panel with
     the atom weights, and planar part (x - w1, y - w2) of w^{-1} u."""
-    keys = zip(family.atoms[ctx.name], harness._atom_kinds(family, ctx.name))
-    weights = np.concatenate([harness._atom_grad_weights(*k) for k in keys], axis=1)
+    weights = np.concatenate([harness._atom_weights(*p) for p in ctx.panels], axis=1)
     grid = harness._grad_grid()
     return grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz), ctx.x - grid[:, :1], ctx.y - grid[:, 1:2])
 
@@ -732,15 +786,14 @@ def test_grid_grad_keeps_the_full_routes_bits(family24, rows24, monkeypatch, blo
     grid = harness._grad_grid()
     chart = heat_measure(harness._CFG)
     rows = {r.function: r for r in rows24 if r.check == "grad-bound"}
-    weights = {}
     for f in family24.members:
         ctx = harness._member_ctx(family24, f)
         with monkeypatch.context() as m:
             m.setattr(semigroup, "_BLOCK_BYTES", block * (ctx.x if ctx.compact else chart.x).nbytes)
-            xv, yv, sup_f = harness._grid_grad(family24, ctx, weights)
+            xv, yv, sup_f = harness._grid_grad(ctx)
         want_sup = np.max(np.abs(ctx.vals))
         if ctx.compact:
-            want = compact_grid_grad(family24, ctx)
+            want = compact_grid_grad(ctx)
         else:
             want = grad_Pt_at(f, chart, *grid.T)
             q = _mul_arrays(grid[:, :1], grid[:, 1:2], grid[:, 2:], chart.x, chart.y, chart.z)
@@ -767,8 +820,8 @@ def test_grad_bound_route_matches_centred_differences(family24, monkeypatch):
     assert family24.combo_index[name][0] == ("bump-000", "bump-002")
     f = next(m for m in family24.members if m.name == name)
     ctx = harness._member_ctx(family24, f)
-    xv, yv = compact_grid_grad(family24, ctx)
-    leb = np.concatenate([harness._atom_panel(a, harness._PANEL_COUNTS["bump"])[3]
+    xv, yv = compact_grid_grad(ctx)
+    leb = np.concatenate([harness._atom_nodes(a, harness._PANEL_COUNTS["bump"])[3]
                           for a in family24.atoms[name]])
 
     def panel_P1f(w1, w2, w3):
@@ -804,7 +857,7 @@ def test_member_gradient_matches_the_row_routes(family12):
     for f in family12.members:
         ctx = harness._member_ctx(family12, f)
         if ctx.compact:
-            xv, yv = compact_grid_grad(family12, ctx)
+            xv, yv = compact_grid_grad(ctx)
             want = (xv[0], yv[0])
         else:
             xv, yv = grad_Pt_at(f, chart, 0.0, 0.0, 0.0)
@@ -829,9 +882,9 @@ def built(monkeypatch):
     log = []
     build = harness._build_member_ctx
 
-    def spy(f, atoms, counts):
-        log.append((f.name, atoms is not None))
-        return build(f, atoms, counts)
+    def spy(f, panels):
+        log.append((f.name, bool(panels)))
+        return build(f, panels)
 
     monkeypatch.setattr(harness, "_build_member_ctx", spy)
     return log

@@ -7,7 +7,9 @@ Every expected value is derived by hand from the generator L = X^2 + Y^2
 acting on polynomials (d/dt E[f] = E[Lf], so e.g. E[x^2] = 2t and
 E[z^2] = t^2), from symmetry of the mirrored node set, or from a Taylor
 expansion; the two starred values come from the closed-form gradient of
-log h checked in the kernel module.  The interpolation identity tests
+log h checked in the kernel module.  The fine tier is also checked
+against the closed-form P_t f, gradient and variance of the lambda-slice
+f = cos(lam z) e^{-a r^2} (oracles.LambdaSlice).  The interpolation identity tests
 run both legs of the nested quadrature at the reduced node tier, which
 resolves trig modulations up to wavenumber about 1.5 at the 1e-3 level;
 the family below stays inside that window on purpose.
@@ -38,7 +40,8 @@ from heisenkern.semigroup import (
     variance,
 )
 
-from oracles import apply_Pt, entropy_phi, xhat_log_h_exact
+from oracles import (LambdaSlice, apply_Pt, entropy_phi, validate_gradient,
+                     xhat_log_h_exact)
 
 ORIGIN = GroupElement(0.0, 0.0, 0.0)
 CFG1 = HeatOpConfig(t=1.0)
@@ -232,6 +235,48 @@ def test_fine_tier_values_independent_of_batch():
         assert apply_Pt_many(f, CFG1, row).tobytes() == batch[i:i + 1].tobytes()
         for got, want in zip(grad_Pt_at(f, measure, *row[:, None]), grads):
             assert got.tobytes() == want[i:i + 1].tobytes()
+
+
+# the lambda-slice f = cos(1.5 z) exp(-0.3 r^2) at three points, and the
+# fine tier's error against its closed form at t = 1, as measured: P_t f
+# relative, each component of grad P_t f absolute (the symmetric nodes
+# cancel both exactly at the origin) and the variance relative; the
+# variance's f^2 holds cos(3 z), which the tier resolves worst at r = 2.2
+SLICE = LambdaSlice(1.5, 0.3)
+SLICE_POINTS = np.array([[0.0, 0.0, 0.0], [0.7, -0.4, 0.3], [2.0, 1.0, -0.5]])
+SLICE_VALUE_REL = [9.5e-13, 9.8e-13, 6.2e-10]
+SLICE_GRAD_ABS = [0.0, 1.1e-13, 9.8e-11]
+SLICE_VARIANCE_REL = [3.3e-11, 5.8e-11, 1.1e-7]
+
+
+def test_lambda_slice_oracle_is_consistent():
+    """The slice's frame gradient agrees with centred differences, its
+    closed form at a = 0 is cos(lam z) e^{-(lam/4) tanh(lam t) r^2} /
+    cosh(lam t), and it tends to the planar heat flow as lam -> 0."""
+    pts = [GroupElement(*p) for p in SLICE_POINTS]
+    assert validate_gradient(SLICE.field(), pts, rtol=1e-6, atol=1e-6) <= 1e-6
+    x, y, z = SLICE_POINTS.T
+    lam, t, r2 = 1.5, 0.8, x * x + y * y
+    want = np.cos(lam * z) * np.exp(-0.25 * lam * math.tanh(lam * t) * r2) / math.cosh(lam * t)
+    assert LambdaSlice(lam, 0.0).Pt(t, x, y, z) == pytest.approx(want, rel=1e-14)
+    assert (LambdaSlice(1e-5, 0.3).Pt(t, x, y, z)
+            == pytest.approx(LambdaSlice(0.0, 0.3).Pt(t, x, y, z), rel=1e-9))
+
+
+def test_fine_tier_against_the_lambda_slice():
+    """apply_Pt_many, grad_Pt_at and variance on the fine tier against the
+    exact P_1 f, grad P_1 f and Var of the lambda-slice, each within the
+    error measured at its point."""
+    f = SLICE.field()
+    got = apply_Pt_many(f, CFG1, SLICE_POINTS)
+    want = SLICE.Pt(1.0, *SLICE_POINTS.T)
+    assert np.all(np.abs(got - want) <= np.array(SLICE_VALUE_REL) * np.abs(want))
+    gx, gy = grad_Pt_at(f, heat_measure(CFG1), *SLICE_POINTS.T)
+    wx, wy = SLICE.grad_Pt(1.0, *SLICE_POINTS.T)
+    assert np.all(np.maximum(np.abs(gx - wx), np.abs(gy - wy)) <= SLICE_GRAD_ABS)
+    for p, bound in zip(SLICE_POINTS, SLICE_VARIANCE_REL):
+        exact = float(SLICE.variance(1.0, *p))
+        assert abs(variance(f, CFG1, GroupElement(*p)) - exact) <= bound * exact, p
 
 
 def test_config_validation():
