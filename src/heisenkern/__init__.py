@@ -12,7 +12,7 @@ scipy submodule loads at the first call that needs it:
   hence ``kernel.xhat_log_h_field``;
 - scipy.interpolate: the harness's p1 table, built by the first family
   check that weights a compactly supported member's panel and read once
-  per distinct mollifier atom in the process;
+  per mollifier atom and grad-bound grid point in the process;
 - scipy.special and scipy.optimize: ``harness.check_cheeger_bobkov``
   (the Gaussian isoperimetric profile and the tensorized C1 root);
 - scipy.special: ``mc.chi2_against_kernel`` (the chi-squared p-value).

@@ -22,7 +22,7 @@ of each of X, Y and Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -155,15 +155,12 @@ def _combo_from_frame(op: str, gx, gy, gz):
     return (gx, gy, gz)[FIELD_NAMES.index(op)]
 
 
-def apply_field(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> float:
+def apply_field(op: str, f: ScalarField, p: GroupElement) -> float:
     """Apply one of X, Y, Z to ``f`` at ``p``: :func:`derived_field` at the point.
 
     Uses the analytic gradient when present, else a centered difference
-    along the field direction with step scaled by (1 + max |coordinate|);
-    ``step``, when given, replaces ``f.fd_step`` and is checked as it is.
+    along the field direction with step f.fd_step (1 + max |coordinate|).
     """
-    if step is not None:
-        f = replace(f, fd_step=step)
     return _as_scalar(derived_field(op, f).eval(p.x, p.y, p.z))
 
 
@@ -210,6 +207,8 @@ def gamma2(f: ScalarField, p: GroupElement) -> float:
 
     Unbounded below as a quadratic form in f: the mixed third-order term
     has no sign, which is the group's "Ricci = -infinity" phenomenon.
+    Second derivatives difference the derived fields, of step
+    max(f.fd_step, FD_STEP_SECOND).
     """
     xf = apply_field("X", f, p)
     yf = apply_field("Y", f, p)
@@ -218,12 +217,12 @@ def gamma2(f: ScalarField, p: GroupElement) -> float:
     fx = derived_field("X", f)
     fy = derived_field("Y", f)
     fz = derived_field("Z", f)
-    xxf = apply_field("X", fx, p, step=FD_STEP_SECOND)
-    yyf = apply_field("Y", fy, p, step=FD_STEP_SECOND)
-    xyf = apply_field("X", fy, p, step=FD_STEP_SECOND)
-    yxf = apply_field("Y", fx, p, step=FD_STEP_SECOND)
-    xzf = apply_field("X", fz, p, step=FD_STEP_SECOND)
-    yzf = apply_field("Y", fz, p, step=FD_STEP_SECOND)
+    xxf = apply_field("X", fx, p)
+    yyf = apply_field("Y", fy, p)
+    xyf = apply_field("X", fy, p)
+    yxf = apply_field("Y", fx, p)
+    xzf = apply_field("X", fz, p)
+    yzf = apply_field("Y", fz, p)
 
     return (
         xxf * xxf

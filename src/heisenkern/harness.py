@@ -207,8 +207,8 @@ def check_kernel_identities() -> list:
 # direct oscillatory route.  log p1 is smooth on the window r <= 8,
 # |z| <= 9, which holds every panel and translated-panel point of the
 # checks (r <= 5.1 and |z| <= 4.9 on the default families), so a
-# one-time bicubic table serves the values, read once per distinct
-# mollifier atom in the process (_atom_weights).  Off its nodes it is
+# one-time bicubic table serves the values, read once per mollifier atom
+# and grid point in the process (_atom_weights).  Off its nodes it is
 # within 3.2e-7 relative of kernel.p1 where p1 > 1e-6 and within 6.5e-7
 # in the checks' region, where p1 >= 9.3e-8 (4,000 seeded points); the
 # error peaks at the axes r = 0 and z = 0, where the fit has no mirrored
@@ -279,16 +279,13 @@ def _cubic_basis(t, x, l):
 
 
 def _table_log_p1(r, z):
-    """log p_1 at radii r, shape (n,), against heights z of shape (n,) or (k, n),
-    summed as fpbisp sums it; the r side of the sum is built once per radius.
+    """log p_1 at the flat points (r, z), z >= 0, summed as fpbisp sums it.
     A value depends on its own point only, not on its batch-mates or the blocks."""
     tx, ty, c = _p1_table()
     cf, nc = c.ravel(), c.shape[1]
-    zk = z.reshape(-1, r.size)
-    out = np.empty(zk.shape)
-    step = max(1, _P1TAB_BLOCK // zk.shape[0])
-    for s in range(0, r.size, step):
-        rb, zb = r[s:s + step], zk[:, s:s + step]
+    out = np.empty(r.size)
+    for s in range(0, r.size, _P1TAB_BLOCK):
+        rb, zb = r[s:s + _P1TAB_BLOCK], z[s:s + _P1TAB_BLOCK]
         lx, ly = _interval(tx, rb), _interval(ty, zb)
         hx, hy = _cubic_basis(tx, rb, lx), _cubic_basis(ty, zb, ly)
         base = (lx - 3) * nc + (ly - 3)
@@ -296,16 +293,12 @@ def _table_log_p1(r, z):
         for i in range(4):
             for j in range(4):
                 sp = sp + (cf[base + (i * nc + j)] * hx[i]) * hy[j]
-        out[:, s:s + step] = sp
-    return out.reshape(z.shape)
+        out[s:s + _P1TAB_BLOCK] = sp
+    return out
 
 
 def _pt_density(x, y, z):
-    """Heat kernel density p_1 at lab points from the window table.
-
-    The planar part (x, y) holds n points, flattened, and z has shape (n,)
-    or (k, n): each row of heights meets the same planar points, whose
-    radius and radial basis are built once.  The result has z's shape.
+    """Heat kernel density p_1 at the flat lab points (x, y, z) from the window table.
 
     On one core of a 2-core AMD EPYC, RectBivariateSpline.ev took 78-327 ns
     a point, as fpbisp finds each point's knot interval by walking the
@@ -313,8 +306,7 @@ def _pt_density(x, y, z):
     interval guessed from the grid step, the table takes about 53 ns a
     point and the radius (hypot) about 13 ns.
     """
-    r = np.hypot(x, y).ravel()
-    z = np.abs(np.asarray(z, dtype=float))
+    r, z = np.hypot(x, y), np.abs(np.asarray(z, dtype=float))
     if not (np.all(r <= _P1TAB_R) and np.all(z <= _P1TAB_Z)):
         raise KernelRangeError(f"p1 table covers r <= {_P1TAB_R}, |z| <= {_P1TAB_Z}")
     return np.exp(_table_log_p1(r, z))
@@ -376,31 +368,26 @@ def _grad_grid():
                 pts.append((sx, sy, sz))
     for sz in (-1.2, -0.5, 0.5, 1.2):
         pts.append((0.0, 0.0, sz))
-    return np.array(pts)
+    pts = np.array(pts)
+    pts.flags.writeable = False
+    return pts
 
 
 @cache
-def _atom_weights(atom: tuple, counts: tuple) -> np.ndarray:
-    """leb * p_1(w^{-1} u) over one atom's panel nodes u, one row per grad-bound grid point w.
+def _atom_weights(atom: tuple, counts: tuple, i: int) -> np.ndarray:
+    """leb * p_1(w^{-1} u) over one atom's panel nodes u at grad-bound grid point w = grid[i].
 
     Row 0 is the origin, where w^{-1} u = u, so it is the member context's
-    panel density mu.  w^{-1} u has planar part (x - w1, y - w2): the grid
-    points that share a planar offset share their radii, one table call
-    per distinct offset (13 for the 25 points).  The rows are read-only
-    and kept for the process, keyed like :func:`_atom_nodes`: 1.27 MB per
-    bump atom and 2.87 MB per trig atom, 12.1 MB at family size 24 and
-    about 108 MB at size 200.
+    panel density mu, read alone by callers that need only mu.  A row is
+    read-only and kept for the process, keyed like :func:`_atom_nodes`:
+    50.7 kB per bump atom and 115 kB per trig atom, so with all 25 rows
+    12.1 MB at family size 24 and about 108 MB at size 200.
     """
     x, y, z, leb = _atom_nodes(atom, counts)
-    grid = _grad_grid()
-    out = np.empty((len(grid), x.size))
-    offsets, which = np.unique(grid[:, :2], axis=0, return_inverse=True)
-    for i, (w1, w2) in enumerate(offsets):
-        rows = np.flatnonzero(which == i)
-        zs = z - grid[rows, 2:] - 0.5 * (w1 * y - w2 * x)
-        out[rows] = leb * _pt_density(x - w1, y - w2, zs)
-    out.flags.writeable = False
-    return out
+    w1, w2, w3 = _grad_grid()[i]
+    row = leb * _pt_density(x - w1, y - w2, z - w3 - 0.5 * (w1 * y - w2 * x))
+    row.flags.writeable = False
+    return row
 
 
 @dataclass(frozen=True)
@@ -458,8 +445,7 @@ def _build_member_ctx(f: ScalarField, panels: tuple) -> _MemberCtx:
         raise ValueError(f"family member {f.name!r} lacks an analytic gradient")
     if not panels:
         m = heat_measure(_CFG)
-        # views: the read-only flag must not reach the cached measure
-        x, y, z = m.x.view(), m.y.view(), m.z.view()
+        x, y, z = m.x, m.y, m.z
         # unit mass; _chart_span and the chart grad-bound rows keep the
         # raw mu, of mass 1 - 1.25e-10
         mu = m.mu / float(np.sum(m.mu))
@@ -467,7 +453,7 @@ def _build_member_ctx(f: ScalarField, panels: tuple) -> _MemberCtx:
     else:
         nodes = [_atom_nodes(*p) for p in panels]
         x, y, z = (np.concatenate([n[k] for n in nodes]) for k in range(3))
-        mu = np.concatenate([_atom_weights(*p)[0] for p in panels])
+        mu = np.concatenate([_atom_weights(*p, 0) for p in panels])
         m_out = 1.0 - float(np.sum(mu))
         if m_out < -1e-9:
             raise ArithmeticError(f"panel mass for {f.name!r} exceeds 1")
@@ -745,13 +731,13 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
     norm of f is taken over every point the lhs quadratures actually
     visit, which for the compactly supported members covers their
     support.  Their kernel weights are :func:`_atom_weights`, read from
-    the window table once per distinct mollifier atom in the process, so
-    combos that reuse the atoms of the bumps, and later calls on a
-    family with the same atoms, pay no kernel evaluations.  Chart members
-    evaluate f and its frame gradient once per translated node, block by
-    block (see :func:`_grid_grad`).  The member
-    contexts are the family's shared ones: after the constants and the
-    phi suite, or on an update pass, this call builds none.
+    the window table once per mollifier atom and grid point in the
+    process, so combos that reuse the atoms of the bumps, and later calls
+    on a family with the same atoms, pay no kernel evaluations.  Chart
+    members evaluate f and its frame gradient once per translated node,
+    block by block (see :func:`_grid_grad`).  The member contexts are the
+    family's shared ones: after the constants and the phi suite, or on an
+    update pass, this call builds none.
     """
     ctxs = list(_contexts(family))
     i_half = float(_gauss_isop(0.5))    # squash(0), the outside-atom level
@@ -816,7 +802,9 @@ def _grid_grad(ctx: _MemberCtx):
     the member's nodes and every point the sums visit.
 
     A compact member sums its panel against its atoms' cached
-    :func:`_atom_weights`, in blocks of grid rows (``_row_blocks``).  A
+    :func:`_atom_weights` rows, all read first (cold rows built between
+    the block arrays fragment the heap: 1.4 MB of peak RSS at size 24),
+    in blocks of grid rows (``_row_blocks``), each row copied once.  A
     chart member streams the chart nodes translated by the grid points:
     each block gives f and its frame gradient from one evaluation.
     """
@@ -824,12 +812,14 @@ def _grid_grad(ctx: _MemberCtx):
     out = np.empty((2, len(grid)))
     sup_f = float(np.max(np.abs(ctx.vals)))
     if ctx.compact:
-        weights = [_atom_weights(*p) for p in ctx.panels]
+        parts = [[_atom_weights(*p, i) for p in ctx.panels] for i in range(len(grid))]
         # the panel covers the support, so the nodes stay put and
         # w^{-1} u has planar part (x - w1, y - w2)
         for rows in _row_blocks(len(grid), ctx.x.nbytes):
-            out[:, rows] = grad_sums(np.concatenate([w[rows] for w in weights], axis=1),
-                                     (ctx.gx, ctx.gy, ctx.gz),
+            weights = np.empty((len(parts[rows]), ctx.x.size))
+            for w, part in zip(weights, parts[rows]):
+                np.concatenate(part, out=w)
+            out[:, rows] = grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz),
                                      ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
         return out[0], out[1], sup_f
     chart = heat_measure(_CFG)
@@ -963,10 +953,9 @@ def check_local_11_poincare(family: TestFunctionFamily) -> tuple:
     vol = float(np.sum(wq))
     pairs = []
     for f in family.members:
-        vals = np.broadcast_to(np.asarray(f.eval(x, y, z), dtype=float), wq.shape)
-        gx, gy, _ = f.analytic_gradient(x, y, z)
-        gnorm = np.hypot(np.broadcast_to(np.asarray(gx, float), wq.shape),
-                         np.broadcast_to(np.asarray(gy, float), wq.shape))
+        vals, gx, gy, _ = (np.broadcast_to(np.asarray(v, dtype=float), wq.shape)
+                           for v in f.value_and_gradient(x, y, z))
+        gnorm = np.hypot(gx, gy)
         m = float(np.sum(wq * vals)) / vol
         lhs = float(np.sum(wq * np.abs(vals - m)))
         rhs = float(np.sum(wq * gnorm))

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import p1_many
-from .numerics import gauss_panels
+from .numerics import _integral, gauss_panels
 
 __all__ = [
     "PathConfig",
@@ -98,17 +98,6 @@ class PathConfig:
         _check_t(self.t)
         object.__setattr__(self, "n_steps", _integral(self.n_steps, "n_steps", 10))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-
-
-def _integral(value, name: str, low: int) -> int:
-    """``value`` as an int >= low; an integral float counts, anything else raises."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value or as_int < low:
-        raise ValueError(f"{name} must be an integer >= {low}")
-    return as_int
 
 
 def _check_t(t: float) -> None:

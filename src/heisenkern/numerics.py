@@ -7,7 +7,9 @@ chi-squared masses) and for :func:`_panel_rule`'s 12-point panels on
 [0, lam_max], which serve the kernel's real lambda-integrals and
 :func:`integrate_decaying`, the integral over [0, inf) of an
 exponentially decaying integrand.  No rule here adapts to its
-integrand: the nodes are set by the arguments alone.  Only the kernel's
+integrand: the nodes are set by the arguments alone.  A node count that
+is no integer >= 1, a wavenumber that is negative or not finite and a
+decay rate that is not finite and > 0 raise ValueError.  Only the kernel's
 complex shift p1*(r, z + 2i) calls :func:`integrate_decaying`.
 :class:`QuadratureSpec` selects the semigroup's node tier.  The module
 needs numpy only, as does importing any heisenkern module; the
@@ -42,6 +44,17 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be > 0")
 
 
+def _integral(value, name: str, low: int) -> int:
+    """``value`` as an int >= low; an integral float counts, anything else raises."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value or as_int < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return as_int
+
+
 @cache
 def _leggauss(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1], read-only since it is shared."""
@@ -52,7 +65,7 @@ def _leggauss(n: int):
 
 def gauss_legendre(lo: float, hi: float, n: int):
     """(nodes, weights) of the n-point Gauss-Legendre rule on [lo, hi]."""
-    nodes, weights = _leggauss(int(n))
+    nodes, weights = _leggauss(_integral(n, "n", 1))
     return 0.5 * (hi - lo) * (nodes + 1.0) + lo, 0.5 * (hi - lo) * weights
 
 
@@ -62,7 +75,7 @@ def gauss_panels(edges, n: int):
     half-width times the [-1, 1] rule, rounded unlike :func:`gauss_legendre`."""
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    x, w = _leggauss(n)
+    x, w = _leggauss(_integral(n, "n", 1))
     shape = (*edges.shape[:-1], -1)
     nodes = mid[..., None] + half[..., None] * x
     return nodes.reshape(shape), (half[..., None] * w).reshape(shape)
@@ -100,8 +113,10 @@ def integrate_decaying(f, decay_rate, wavenumber):
     """
     decay, k = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (decay_rate, wavenumber)))
     shape, decay, k = decay.shape, decay.ravel(), k.ravel()
-    if not np.all(decay > 0.0):
-        raise ValueError("decay_rate must be > 0")
+    if not np.all((decay > 0.0) & (decay < math.inf)):
+        raise ValueError("decay_rate must be finite and > 0")
+    if not np.all((k >= 0.0) & (k < math.inf)):
+        raise ValueError("wavenumber must be finite and >= 0")
     quarter = np.divide(0.5 * math.pi, k, out=np.full(k.shape, np.inf), where=k > 0.0)
     width = np.minimum(1.0 / decay, quarter)
     lam_max = _DECAY_CUTOFF / decay

@@ -5,8 +5,9 @@ d(y) <= 10 sqrt(t) in the geodesic polar chart; the Gaussian decay of
 the kernel keeps the discarded mass small.  The measure at time t is
 the t = 1 measure of the same node tier, dilated, so the kernel is
 evaluated and the mass deficit 1 - int_{d<=10} p_1 <= MASS_DEFICIT_TOL
-certified once per tier.  Points x != 0 reduce to the origin by
-left-translating f, so there is a single kernel center.
+certified once per tier, whose t = 1 measure alone is cached, with
+read-only arrays.  Points x != 0 reduce to the origin by left-translating
+f, so there is a single kernel center.
 
 Everything is pure given a config.  Nested quadratures hand f whole
 node arrays (and are free to do so concurrently), so a field's eval
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class HeatOpConfig:
     The measure covers d <= 10 sqrt(t).  ``quad.abs_tol`` picks the node
     tier: >= 1e-4 gives the nested tier and >= 1e-6 the coarse tier, the
     reduced rules meant for the legs of nested quadratures; anything
-    tighter gives the fine tier.
+    tighter gives the fine tier.  A tier caches its t = 1 measure alone.
     """
 
     t: float
@@ -103,46 +104,16 @@ def _spread(v: np.ndarray, size: int, odd: bool = False) -> np.ndarray:
     return np.concatenate([half, -half if odd else half])
 
 
-@dataclass
-class _BaseMeasure:
-    """The t = 1 heat measure of one node tier.
-
-    The kernel depends on (r, |z|) only, so it is evaluated on the
-    n_s x n_phi radial nodes of the chart and copied to every alpha
-    rotation and to the z < 0 mirror: the value is the same bits on
-    every symmetric copy.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    mu: np.ndarray
-    deficit: float
-    radial: tuple          # (r, z) at the radial nodes, z > 0 half
-
-    @cached_property
-    def hat_log_grad(self):
-        """(Xhat log p_1, Yhat log p_1) at the nodes."""
-        alpha, b = log_grad_many(*self.radial)
-        alpha = _spread(alpha, self.x.size)
-        b = _spread(b, self.x.size, odd=True)  # d_z log p1 is odd in z
-        return self.x * alpha + 0.5 * self.y * b, self.y * alpha - 0.5 * self.x * b
-
-    def at(self, t: float) -> "HeatMeasure":
-        """The measure at time t: nodes dilated, ``mu`` shared."""
-        st = math.sqrt(t)
-        return HeatMeasure(t, self.x * st, self.y * st, self.z * t, self.mu, self.deficit, self)
-
-
-@dataclass
+@dataclass(frozen=True)
 class HeatMeasure:
     """Chart nodes carrying the discrete heat measure of one config.
 
     ``mu`` (Lebesgue weight times kernel value) sums against node values
     to approximate integrals over d <= 10 sqrt(t).  By the parabolic
     scaling p_t(x, y, z) = t^-2 p_1(x/sqrt t, y/sqrt t, z/t), every
-    measure is a view of the t = 1 measure of its tier: x and y scaled
-    by sqrt(t), z by t, ``mu`` and the mass deficit unchanged.
+    measure dilates the t = 1 measure of its tier, of node counts
+    ``counts``: x and y scaled by sqrt(t), z by t, ``mu`` and the mass
+    deficit unchanged.
     """
 
     t: float
@@ -151,46 +122,68 @@ class HeatMeasure:
     z: np.ndarray
     mu: np.ndarray
     deficit: float
-    base: _BaseMeasure = dataclass_field(repr=False)
+    counts: tuple          # (n_s, n_phi, n_alpha) of the node tier
 
     def hat_log_grad(self):
         """(Xhat log p_t, Yhat log p_t) at the nodes; the t = 1 pair over sqrt(t)."""
-        gx, gy = self.base.hat_log_grad
+        gx, gy = _hat_log_grad(self.counts)
         st = math.sqrt(self.t)
         return gx / st, gy / st
 
+    def at(self, t: float) -> "HeatMeasure":
+        """This tier's measure at time t, built afresh; at t = 1 the cached one."""
+        base, st = _base_measure(*self.counts), math.sqrt(t)
+        if t == 1.0:
+            return base
+        return HeatMeasure(t, base.x * st, base.y * st, base.z * t, base.mu, base.deficit,
+                           self.counts)
+
 
 @cache
-def _base_measure(n_s: int, n_phi: int, n_alpha: int) -> _BaseMeasure:
-    """The t = 1 measure over d <= _DOMAIN_RADIUS on one node tier, its mass checked."""
+def _base_measure(n_s: int, n_phi: int, n_alpha: int) -> HeatMeasure:
+    """The t = 1 measure over d <= _DOMAIN_RADIUS on one node tier, its mass
+    checked and its arrays read-only.  The kernel depends on (r, |z|) only,
+    so it is evaluated on the n_s x n_phi radial nodes of the chart and
+    copied to every alpha rotation and to the z < 0 mirror: the value is
+    the same bits on every symmetric copy.
+    """
     x, y, z, w = chart_ball_nodes(_DOMAIN_RADIUS, n_s=n_s, n_phi=n_phi, n_alpha=n_alpha)
     n = n_s * n_phi
-    radial = (np.hypot(x[:n], y[:n]), z[:n])
-    mu = w * _spread(p1_many(*radial), w.size)
+    mu = w * _spread(p1_many(np.hypot(x[:n], y[:n]), z[:n]), w.size)
     deficit = abs(1.0 - float(np.sum(mu)))
     if deficit > MASS_DEFICIT_TOL:
         raise MassDeficitError(
             f"kernel mass deficit {deficit:.3e} over d <= {_DOMAIN_RADIUS:g} sqrt(t) "
             f"exceeds {MASS_DEFICIT_TOL:g}"
         )
-    return _BaseMeasure(x, y, z, mu, deficit, radial)
+    for a in (x, y, z, mu):
+        a.flags.writeable = False
+    return HeatMeasure(1.0, x, y, z, mu, deficit, (n_s, n_phi, n_alpha))
 
 
 @cache
-def _measure(t: float, counts: tuple) -> HeatMeasure:
-    """The view at t of the base on node tier ``counts``."""
-    return _base_measure(*counts).at(t)
+def _hat_log_grad(counts: tuple):
+    """(Xhat log p_1, Yhat log p_1) at the nodes of the tier's t = 1 measure; read-only."""
+    m = _base_measure(*counts)
+    n = counts[0] * counts[1]
+    alpha, b = log_grad_many(np.hypot(m.x[:n], m.y[:n]), m.z[:n])
+    alpha = _spread(alpha, m.x.size)
+    b = _spread(b, m.x.size, odd=True)  # d_z log p1 is odd in z
+    gx, gy = m.x * alpha + 0.5 * m.y * b, m.y * alpha - 0.5 * m.x * b
+    gx.flags.writeable = gy.flags.writeable = False
+    return gx, gy
 
 
 def heat_measure(cfg: HeatOpConfig) -> HeatMeasure:
-    """Build (or fetch) the cached measure for ``cfg``, checking its mass.
+    """The measure for ``cfg``: its tier's cached t = 1 measure, dilated to cfg.t.
 
     Raises :class:`MassDeficitError` when |1 - sum mu| exceeds
     MASS_DEFICIT_TOL; that covers both truncation loss and rule error.
     The check runs once per tier, on the t = 1 measure, since the
-    dilation leaves ``mu`` unchanged.
+    dilation leaves ``mu`` unchanged.  A measure at t != 1 is not
+    cached, so distinct times retain no memory.
     """
-    return _measure(cfg.t, _node_counts(cfg.quad.abs_tol))
+    return _base_measure(*_node_counts(cfg.quad.abs_tol)).at(cfg.t)
 
 
 def _check_points(*coords):
@@ -363,17 +356,17 @@ def _composed(f: ScalarField, sigma) -> ScalarField:
                        fd_step=f.fd_step, name=f"{f.name} o {tag}")
 
 
-def _orbit_basis(f: ScalarField, base: _BaseMeasure):
+def _orbit_basis(f: ScalarField, counts: tuple):
     """(n, fields, weight): the outer sum of :func:`interpolation_variance`
-    is weight * sum_k mu_k sum_g |grad P g|^2 over its first n nodes and
-    the fields g."""
-    n = base.radial[0].size
-    n_alpha = base.x.size // (2 * n)
+    on the tier of node counts ``counts`` is weight * sum_k mu_k sum_g
+    |grad P g|^2 over its first n nodes and the fields g."""
+    n_s, n_phi, n_alpha = counts
+    n = n_s * n_phi
     order, parity = f.rotation_order, f.mirror_parity
     if parity not in (None, 1, -1):
         raise ValueError(f"mirror parity {parity!r} of {f.name!r}; expected 1, -1 or None")
     if order is None:
-        return base.x.size, (f,), 1.0
+        return 2 * n * n_alpha, (f,), 1.0
     if order not in (0, 1):
         raise ValueError(f"rotation order {order!r} of {f.name!r}; expected 0, 1 or None")
     # f o M = +-f repeats f's squares, so f stands for both mirror halves
@@ -388,7 +381,7 @@ def _gamma_sum(f: ScalarField, outer: HeatMeasure, inner: HeatMeasure) -> float:
     """sum_k mu_k Gamma(P f)(y_k) over the nodes y_k of ``outer``, with P the
     operator of ``inner``; one pass over the translated nodes serves the
     orbit basis of f."""
-    n, fields, weight = _orbit_basis(f, outer.base)
+    n, fields, weight = _orbit_basis(f, outer.counts)
     grads = _grads_Pt_at(fields, inner, outer.x[:n], outer.y[:n], outer.z[:n])
     sq = 0.0
     for gx, gy in zip(*grads):
@@ -427,7 +420,7 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     """
     t = cfg.t
     coarse = QuadratureSpec(abs_tol=max(cfg.quad.abs_tol, _COARSE_ABS_TOL))
-    base = heat_measure(HeatOpConfig(t=t, quad=coarse)).base
+    base = heat_measure(HeatOpConfig(t=1.0, quad=coarse))
     total = 0.0
     for s, sw in zip(*gauss_legendre(0.0, t, 16)):
         total += sw * _gamma_sum(f, base.at(s), base.at(t - s))

@@ -11,7 +11,8 @@ differences, the chart function mu, the
 geodesic chart map and its inverse, single-path Monte Carlo draws, the
 stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
 n-step law, the lambda-slice f = cos(lam z) e^{-a r^2} with its exact
-P_t f, gradient and variance, the mpmath ray limit L(t) behind the stored values in
+P_t f, gradient and variance, exact rational polynomials with their
+finite heat flow e^{tL} f, the mpmath ray limit L(t) behind the stored values in
 test_harness.py, and the mpmath p1(r, z + 2i) behind those in
 test_kernel.py.
 None of them is called by the library itself; they are built on its
@@ -24,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -502,6 +504,71 @@ class LambdaSlice:
         return sq - np.square(self.Pt(t, x, y, z))
 
 
+class ExactPoly:
+    """A polynomial in (x, y, z) with exact rational coefficients, held as
+    {(i, j, k): Fraction} for the monomials x^i y^j z^k.
+
+    X = d_x - (y/2) d_z and Y = d_y + (x/2) d_z each lower the weighted
+    degree i + j + 2k by one, so L = X^2 + Y^2 lowers it by two, L^k f
+    vanishes past half the degree of f, and P_t f = e^{tL} f =
+    sum_k t^k L^k f / k! is a finite sum, exact at every point.
+    """
+
+    def __init__(self, terms):
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return ExactPoly(out)
+
+    def __mul__(self, other):
+        if not isinstance(other, ExactPoly):
+            return ExactPoly({m: c * Fraction(other) for m, c in self.terms.items()})
+        out = {}
+        for (i, j, k), c in self.terms.items():
+            for (a, b, d), e in other.terms.items():
+                m = (i + a, j + b, k + d)
+                out[m] = out.get(m, 0) + c * e
+        return ExactPoly(out)
+
+    def _d(self, axis):
+        out = {}
+        for m, c in self.terms.items():
+            if m[axis]:
+                out[m[:axis] + (m[axis] - 1,) + m[axis + 1:]] = c * m[axis]
+        return ExactPoly(out)
+
+    def X(self):
+        return self._d(0) + ExactPoly({(0, 1, 0): Fraction(-1, 2)}) * self._d(2)
+
+    def Y(self):
+        return self._d(1) + ExactPoly({(1, 0, 0): Fraction(1, 2)}) * self._d(2)
+
+    def L(self):
+        return self.X().X() + self.Y().Y()
+
+    def heat(self, t):
+        """P_t f = sum_k t^k L^k f / k!, exact for the rational ``t``."""
+        t = Fraction(t)
+        total, term, scale, k = ExactPoly({}), self, Fraction(1), 0
+        while term.terms:
+            total = total + term * scale
+            k += 1
+            term, scale = term.L(), scale * t / k
+        return total
+
+    def __call__(self, x, y, z):
+        """The exact value at the float point (x, y, z), as a Fraction."""
+        x, y, z = (Fraction(float(v)) for v in (x, y, z))
+        return sum((c * x**i * y**j * z**k for (i, j, k), c in self.terms.items()), Fraction(0))
+
+    def field(self) -> ScalarField:
+        return G.poly_field({m: float(c) for m, c in self.terms.items()},
+                            name=f"exact{sorted(self.terms)}")
+
+
 # ---------------------------------------------------------------------------
 # group
 
@@ -593,11 +660,13 @@ def _directional(op: str, f: ScalarField, x, y, z, step: float):
 
 
 def apply_op(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> float:
-    """``group.apply_field`` extended to the fields of EXTRA_FIELDS."""
+    """``group.apply_field`` extended to the fields of EXTRA_FIELDS; ``step``,
+    when given, replaces ``f.fd_step``."""
+    if step is not None:
+        f = replace(f, fd_step=step)
     if op in G.FIELD_NAMES:
-        return G.apply_field(op, f, p, step)
-    h = f.fd_step if step is None else step
-    return G._as_scalar(_directional(op, f, p.x, p.y, p.z, h))
+        return G.apply_field(op, f, p)
+    return G._as_scalar(_directional(op, f, p.x, p.y, p.z, f.fd_step))
 
 
 def derived_op(op: str, f: ScalarField) -> ScalarField:
@@ -625,8 +694,8 @@ def apply_L(f: ScalarField, q: GroupElement) -> float:
     if f.analytic_gradient is not None:
         xf_field = G.derived_field("X", f)
         yf_field = G.derived_field("Y", f)
-        xxf = G.apply_field("X", xf_field, q, step=G.FD_STEP_SECOND)
-        yyf = G.apply_field("Y", yf_field, q, step=G.FD_STEP_SECOND)
+        xxf = apply_op("X", xf_field, q, step=G.FD_STEP_SECOND)
+        yyf = apply_op("Y", yf_field, q, step=G.FD_STEP_SECOND)
         return xxf + yyf
 
     x, y, z = q.x, q.y, q.z

@@ -1,5 +1,6 @@
 """Group law, frame fields, carre du champ, and Gamma_2 tests."""
 
+import dataclasses
 import math
 from dataclasses import astuple
 
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenkern.group import (
+    FD_STEP_SECOND,
     FIELD_NAMES,
     GroupElement,
     ScalarField,
     apply_field,
+    derived_field,
     gamma,
     gamma2,
     inverse,
@@ -138,14 +141,27 @@ class TestApplyField:
 
     @pytest.mark.parametrize("step", [math.nan, math.inf, -1e-5, 0.0])
     def test_bad_step_raises(self, step):
-        """A step that is not finite and positive raises, as a field's own
-        fd_step does, where it used to give NaN, a sign-flipped difference
-        or ZeroDivisionError on a gradient-free field."""
+        """A step that is not finite and positive raises when the field is
+        built or given that step, where it used to give NaN, a sign-flipped
+        difference or ZeroDivisionError on a gradient-free field."""
         f = ScalarField(eval=poly_field({(1, 1, 0): 1.0}).eval, name="fd-only")
         with pytest.raises(ValueError, match="fd_step"):
             ScalarField(eval=f.eval, fd_step=step)
         with pytest.raises(ValueError, match="fd_step"):
-            apply_field("X", f, GroupElement(0.3, -0.2, 0.1), step=step)
+            dataclasses.replace(f, fd_step=step)
+
+    def test_apply_field_takes_the_fields_own_step(self):
+        """apply_field has no step of its own: a gradient-free field's
+        fd_step sets the difference, and gamma2's second derivatives use
+        the derived fields' max(fd_step, FD_STEP_SECOND)."""
+        with pytest.raises(TypeError):
+            apply_field("X", poly_field({(1, 0, 0): 1.0}), GroupElement(0, 0, 0), step=1e-3)
+        f = ScalarField(eval=poly_field({(3, 0, 0): 1.0}).eval, name="fd-only")
+        p = GroupElement(0.5, 0.0, 0.0)
+        coarse = dataclasses.replace(f, fd_step=1e-2)
+        # X x^3 = 3 x^2; the centred difference adds h^2 exactly, h = 1e-2 * 1.5
+        assert apply_field("X", coarse, p) == pytest.approx(0.75 + 1.5e-2 ** 2, rel=1e-9)
+        assert derived_field("X", f).fd_step == FD_STEP_SECOND
 
     def test_value_and_gradient_reads_joint_or_both(self):
         """value_and_gradient is (eval, *analytic_gradient) without a joint
@@ -333,8 +349,9 @@ def _gamma_vec(f, x, y, z):
 def _gamma_pair(f, g, p):
     xf = apply_field("X", f, p)
     yf = apply_field("Y", f, p)
-    xg = apply_field("X", g, p, step=1e-3)
-    yg = apply_field("Y", g, p, step=1e-3)
+    g = dataclasses.replace(g, fd_step=1e-3)
+    xg = apply_field("X", g, p)
+    yg = apply_field("Y", g, p)
     return xf * xg + yf * yg
 
 

@@ -582,10 +582,7 @@ def test_table_bits_on_checked_points(p1_fit, family12, monkeypatch):
     seen = []
 
     def spy(x, y, z):
-        # each row of heights meets the same planar points
-        r, zf = np.hypot(x, y).ravel(), np.ravel(z)
-        assert zf.size % r.size == 0
-        seen.append((np.broadcast_to(r, (zf.size // r.size, r.size)).ravel(), zf))
+        seen.append((np.hypot(x, y), z))
         return density(x, y, z)
 
     monkeypatch.setattr(harness, "_pt_density", spy)
@@ -618,20 +615,6 @@ def test_table_interval_is_fitpack_walk():
         assert np.array_equal(harness._interval(t, x), walk)
         clipped = np.clip(np.searchsorted(t, x, "right") - 1, 3, len(t) - 5)
         assert np.array_equal(walk, clipped)
-
-
-def test_pt_density_broadcasts_heights_against_planar_points():
-    """Planar points (x, y) of shape (n,) against heights of shape (k, n)
-    give the bits of the flat call on the tiled points, with z's shape; the
-    column blocks (16,384 // k points wide) end inside the rows."""
-    rng = np.random.default_rng(5)
-    k, n = 5, harness._P1TAB_BLOCK // 3
-    x, y = rng.uniform(-5.0, 5.0, (2, n))
-    z = rng.uniform(-9.0, 9.0, (k, n))
-    got = harness._pt_density(x, y, z)
-    flat = harness._pt_density(np.tile(x, k), np.tile(y, k), z.ravel())
-    assert got.shape == (k, n)
-    assert np.array_equal(got.ravel().view(np.int64), flat.view(np.int64))
 
 
 def test_table_values_ignore_batch_mates_and_blocks():
@@ -702,19 +685,18 @@ def count_table_points(monkeypatch):
 
 def test_grad_bound_kernel_work_per_distinct_atom(family24, rows24, monkeypatch):
     """From an empty cache a call weights each distinct (atom, counts)
-    panel once: the 7 atoms of the 17 compact members hold 60,352 panel
-    nodes, each evaluated at the 25 grid points, all within d <= 4.  The
-    25 points have 13 distinct planar offsets, and the points sharing one
-    share their radii, so each atom takes 13 calls and 13 radii per node.
+    panel once per grid point: the 7 atoms of the 17 compact members hold
+    60,352 panel nodes, each evaluated at the 25 grid points, all within
+    d <= 4, one table call and one radius per (atom, grid point) and node.
     The weights are kept, so a second call reads the table nowhere."""
     harness._atom_weights.cache_clear()
     radii, points = count_table_points(monkeypatch)
     rows = check_cheeger_bobkov(family24)
     grid = harness._grad_grid()
-    assert len(grid) == 25 and len(np.unique(grid[:, :2], axis=0)) == 13
+    assert len(grid) == 25
     assert np.all(cc_distance_many(*grid.T) <= 4.0)
     assert sum(points) == 25 * 60_352 == 1_508_800
-    assert len(radii) == 7 * 13 and sum(radii) == 13 * 60_352 == 784_576
+    assert len(radii) == 7 * 25 and radii == points
     assert rows == rows24
     del radii[:], points[:]
     assert check_cheeger_bobkov(family24) == rows24
@@ -738,6 +720,17 @@ def test_table_work_once_per_atom_in_the_process(monkeypatch):
     assert points == []
 
 
+def test_phi_suite_alone_reads_the_origin_rows_only(monkeypatch):
+    """The phi suite needs each compact member's panel density, the atom
+    weights at grid point 0: on a new 24-member family, from an empty
+    cache, it reads the table once per atom at its 60,352 panel nodes in
+    all, and none of the other 24 grid points' rows."""
+    harness._atom_weights.cache_clear()
+    _, points = count_table_points(monkeypatch)
+    check_phi_suite(build_family(24, DEFAULT_FAMILY_SEED))
+    assert len(points) == 7 and sum(points) == 60_352
+
+
 def test_member_mu_is_row_0_of_the_atom_weights(family24):
     """A compact member's mu is its atoms' weight rows at the origin, bit
     for bit, and these are leb * p_1 at the panel nodes themselves."""
@@ -745,7 +738,7 @@ def test_member_mu_is_row_0_of_the_atom_weights(family24):
         ctx = harness._member_ctx(family24, f)
         if not ctx.compact:
             continue
-        row0 = np.concatenate([harness._atom_weights(*p)[0] for p in ctx.panels])
+        row0 = np.concatenate([harness._atom_weights(*p, 0) for p in ctx.panels])
         nodes = [harness._atom_nodes(*p) for p in ctx.panels]
         leb = np.concatenate([n[3] for n in nodes])
         assert_same_bits(ctx.mu, row0, f.name)
@@ -754,18 +747,27 @@ def test_member_mu_is_row_0_of_the_atom_weights(family24):
 
 def test_atom_weights_are_read_only(family24):
     atom = family24.atoms["bump-000"][0]
-    w = harness._atom_weights(atom, harness._PANEL_COUNTS["bump"])
-    assert w.shape == (25, 22 * 12 * 24)
+    for i in (0, 24):
+        w = harness._atom_weights(atom, harness._PANEL_COUNTS["bump"], i)
+        assert w.shape == (22 * 12 * 24,)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
+def test_grad_grid_is_read_only():
+    grid = harness._grad_grid()
+    assert grid.shape == (25, 3)
     with pytest.raises(ValueError):
-        w[0, 0] = 0.0
+        grid[0, 0] = 1.0
 
 
 def compact_grid_grad(ctx):
     """(X, Y) P_1 f at every grad-bound grid point for a compact member,
     as check_cheeger_bobkov's rows take it: grad_sums over the panel with
     the atom weights, and planar part (x - w1, y - w2) of w^{-1} u."""
-    weights = np.concatenate([harness._atom_weights(*p) for p in ctx.panels], axis=1)
     grid = harness._grad_grid()
+    weights = np.array([np.concatenate([harness._atom_weights(*p, i) for p in ctx.panels])
+                        for i in range(len(grid))])
     return grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz), ctx.x - grid[:, :1], ctx.y - grid[:, 1:2])
 
 
@@ -993,8 +995,11 @@ def test_member_contexts_are_immutable(family12):
                 assert not value.flags.writeable, (ctx.name, fld.name)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.a = 0.0
-    # the chart members' nodes are read-only views of the still writable measure
-    assert heat_measure(harness._CFG).x.flags.writeable
+    # the chart members' nodes are the cached chart measure's own read-only arrays
+    chart = heat_measure(harness._CFG)
+    assert not chart.x.flags.writeable
+    ctx = harness._member_ctx(family12, family12.members[-1])
+    assert not ctx.compact and ctx.x is chart.x and ctx.y is chart.y and ctx.z is chart.z
 
 
 def test_cheeger_bobkov_rows_pinned(family12):
@@ -1066,6 +1071,21 @@ def test_local_11_poincare_pinned(family12):
     for name, pair in LOCAL_11_POINCARE.items():
         assert got[name] == pytest.approx(pair, rel=1e-12), name
     assert all(r.passed for r in rows), [r.function for r in rows if not r.passed]
+
+
+def test_local_11_poincare_bundles_each_ball_node_once(family12, monkeypatch):
+    """f* = Xhat log h takes its value and frame gradient from one spline
+    bundle on the 24,576 nodes of the unit ball, not one bundle for each."""
+    points = []
+    bundle = kernel.LogHSplineTables.bundle
+
+    def spy(self, r, z):
+        points.append(np.broadcast(r, z).size)
+        return bundle(self, r, z)
+
+    monkeypatch.setattr(kernel.LogHSplineTables, "bundle", spy)
+    check_local_11_poincare(family12)
+    assert points == [32 * 24 * 16 * 2] == [24_576]
 
 
 @pytest.mark.parametrize("c1_start", [

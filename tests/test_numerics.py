@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenkern.numerics import QuadratureSpec, integrate_decaying
+from heisenkern.numerics import QuadratureSpec, gauss_legendre, gauss_panels, integrate_decaying
 
 from oracles import AdaptiveSpec, QuadratureError, adaptive_decaying, integrate_1d
 
@@ -176,3 +176,32 @@ class TestIntegrateDecaying:
             integrate_decaying(lambda lam, rows: np.exp(-lam), [0.0], [0.0])
         with pytest.raises(ValueError):
             adaptive_decaying(lambda x: np.exp(-x), 0.0)
+
+    @pytest.mark.parametrize("decay, k", [(1.0, -30.0), (1.0, math.nan), (1.0, math.inf),
+                                          (math.inf, 1.0), (math.nan, 1.0)])
+    def test_refuses_bad_rates(self, decay, k):
+        """A negative or non-finite wavenumber and a non-finite decay rate
+        raise: a negative wavenumber was read as no oscillation, so
+        cos(30 lam) e^{-lam} came out 1.2542e-3 against 1/901 = 1.1099e-3."""
+        with pytest.raises(ValueError):
+            integrate_decaying(lambda lam, rows: np.cos(30.0 * lam) * np.exp(-lam), [decay], [k])
+
+    def test_negative_wavenumber_row_in_a_batch_raises(self):
+        with pytest.raises(ValueError, match="wavenumber"):
+            integrate_decaying(lambda lam, rows: np.exp(-lam), [1.0, 1.0], [0.0, -1.0])
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [0, -3, 2.7, math.nan, math.inf, "4", None])
+    def test_refuses_bad_node_counts(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            gauss_legendre(0.0, 1.0, n)
+        with pytest.raises(ValueError, match="integer"):
+            gauss_panels(np.array([0.0, 0.5, 1.0]), n)
+
+    def test_integral_float_counts_are_ints(self):
+        for got, want in zip(gauss_legendre(0.0, 1.0, 2.0), gauss_legendre(0.0, 1.0, 2)):
+            assert np.array_equal(got, want)
+        edges = np.array([0.0, 0.5, 1.0])
+        for got, want in zip(gauss_panels(edges, 2.0), gauss_panels(edges, 2)):
+            assert np.array_equal(got, want) and got.size == 4

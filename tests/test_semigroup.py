@@ -16,7 +16,10 @@ the family below stays inside that window on purpose.
 """
 
 import functools
+import gc
 import math
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ from heisenkern.semigroup import (
     variance,
 )
 
-from oracles import (LambdaSlice, apply_Pt, entropy_phi, validate_gradient,
+from oracles import (ExactPoly, LambdaSlice, apply_Pt, entropy_phi, validate_gradient,
                      xhat_log_h_exact)
 
 ORIGIN = GroupElement(0.0, 0.0, 0.0)
@@ -279,6 +282,70 @@ def test_fine_tier_against_the_lambda_slice():
         assert abs(variance(f, CFG1, GroupElement(*p)) - exact) <= bound * exact, p
 
 
+# the 12 monomials x^i y^j z^k of weighted degree 0 < i + j + 2k <= 3, whose
+# P_t f is the finite sum e^{tL} f (oracles.ExactPoly), at t = 0.7 (a
+# dilated measure) and two points; each tier's worst error over them, as
+# measured: P_t f absolute, each component of grad P_t f absolute and the
+# variance relative, at the origin and at the translated point.  The fine
+# tier errs about as the coarse one does, up to 63 times its abs_tol of
+# 1e-10: the truncation at d <= 10 sqrt(t) sets the error, not the nodes.
+EXACT_T = 0.7
+EXACT_MONOMIALS = [(i, j, k) for k in range(2) for j in range(4) for i in range(4)
+                   if 0 < i + j + 2 * k <= 3]
+EXACT_POINTS = np.array([[0.0, 0.0, 0.0], [0.7, -0.4, 0.3]])
+EXACT_BOUNDS = {                  # (value abs, grad abs, variance rel) per point
+    "fine": ([2.07e-9, 4.37e-9], [6.19e-9, 6.33e-9], [1.11e-7, 8.99e-8]),
+    "coarse": ([2.05e-9, 4.33e-9], [6.13e-9, 6.31e-9], [1.11e-7, 8.99e-8]),
+    "nested": ([1.41e-8, 3.74e-8], [5.33e-8, 7.47e-8], [1.48e-7, 1.21e-7]),
+}
+# interpolation_variance on the nested tier, relative, the worst monomial
+EXACT_IV_REL = 1.6e-7
+
+
+def test_exact_polynomial_oracle_is_consistent():
+    """The rational heat flow gives the generator's closed forms:
+    Var(xz) = 10 t^3/3, Var(x^2 + y^2) = 16 t^2 and E[z^2] = t^2 at the
+    origin, and X, Y lower the weighted degree by one."""
+    t = Fraction(7, 10)
+    xz = ExactPoly({(1, 0, 1): 1})
+    r2 = ExactPoly({(2, 0, 0): 1, (0, 2, 0): 1})
+    z = ExactPoly({(0, 0, 1): 1})
+    for f, want in ((xz, Fraction(10, 3) * t**3), (r2, 16 * t * t)):
+        assert (f * f).heat(t)(0, 0, 0) - f.heat(t)(0, 0, 0) ** 2 == want
+    assert (z * z).heat(t)(0, 0, 0) == t * t
+    assert xz.X().terms == {(0, 0, 1): 1, (1, 1, 0): Fraction(-1, 2)}
+    assert xz.Y().terms == {(2, 0, 0): Fraction(1, 2)}
+    assert r2.L().terms == {(0, 0, 0): 4}
+
+
+@pytest.mark.parametrize("tier", list(EXACT_BOUNDS))
+def test_tiers_against_exact_polynomials(tier):
+    """apply_Pt_many, grad_Pt_at and variance on each tier against the
+    exact P_t f, grad P_t f and Var of the 12 monomials, each within the
+    worst error measured at its point."""
+    cfg = HeatOpConfig(t=EXACT_T, quad=TIERS[tier][0])
+    value_abs, grad_abs, var_rel = EXACT_BOUNDS[tier]
+    for mono in EXACT_MONOMIALS:
+        f = ExactPoly({mono: 1})
+        pf, field = f.heat(EXACT_T), f.field()
+        want = [float(pf(*p)) for p in EXACT_POINTS]
+        assert np.all(np.abs(apply_Pt_many(field, cfg, EXACT_POINTS) - want) <= value_abs), mono
+        gx, gy = grad_Pt_at(field, heat_measure(cfg), *EXACT_POINTS.T)
+        wx, wy = ([float(g(*p)) for p in EXACT_POINTS] for g in (pf.X(), pf.Y()))
+        assert np.all(np.maximum(np.abs(gx - wx), np.abs(gy - wy)) <= grad_abs), mono
+        for p, bound in zip(EXACT_POINTS, var_rel):
+            exact = float((f * f).heat(EXACT_T)(*p) - pf(*p) ** 2)
+            assert abs(variance(field, cfg, GroupElement(*p)) - exact) <= bound * exact, (mono, p)
+
+
+def test_interpolation_variance_against_exact_polynomials():
+    cfg = HeatOpConfig(t=EXACT_T, quad=NESTED)
+    for mono in EXACT_MONOMIALS:
+        f = ExactPoly({mono: 1})
+        exact = float((f * f).heat(EXACT_T)(0, 0, 0) - f.heat(EXACT_T)(0, 0, 0) ** 2)
+        assert abs(interpolation_variance(f.field(), cfg) - exact) <= EXACT_IV_REL * exact, mono
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         HeatOpConfig(t=0.0)
@@ -298,7 +365,6 @@ def test_truncation_too_tight_is_a_config_error(monkeypatch):
     deficit = heat_measure(CFG1_COARSE).deficit
     assert deficit > 0.0
     semigroup._base_measure.cache_clear()
-    semigroup._measure.cache_clear()
     monkeypatch.setattr(semigroup, "MASS_DEFICIT_TOL", 0.5 * deficit)
     with pytest.raises(MassDeficitError):
         heat_measure(CFG1_COARSE)
@@ -308,6 +374,31 @@ def test_truncation_too_tight_is_a_config_error(monkeypatch):
 
 def test_measure_is_cached_per_config():
     assert heat_measure(CFG1_COARSE) is heat_measure(HeatOpConfig(t=1.0, quad=COARSE))
+
+
+def test_measure_at_another_time_is_freed_once_dropped():
+    """Only the t = 1 measure of a tier is kept: the dilated nodes at
+    t = 0.37 share its mu and go with the measure, so distinct times
+    retain no memory."""
+    m = heat_measure(HeatOpConfig(t=0.37))
+    assert m.mu is heat_measure(CFG1).mu
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("t", [1.0, 0.37])
+def test_cached_measure_arrays_are_read_only(t):
+    """The tier's t = 1 nodes, mu and log-gradient are shared by every
+    caller, so none of them can be written, through a measure at any t."""
+    m = heat_measure(HeatOpConfig(t=t, quad=COARSE))
+    base = heat_measure(CFG1_COARSE)
+    assert m.mu is base.mu
+    for a in (base.x, base.y, base.z, base.mu, *semigroup._hat_log_grad(m.counts)):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        m.mu[0] = 0.0
 
 
 # ------------------------------------------------ dilation of the t = 1 measure
@@ -384,7 +475,6 @@ def test_interpolation_variance_builds_one_kernel_grid(monkeypatch):
 
     monkeypatch.setattr(semigroup, "p1_many", counting_p1_many)
     semigroup._base_measure.cache_clear()
-    semigroup._measure.cache_clear()
     cfg = HeatOpConfig(t=0.7, quad=NESTED)
     x = poly_field({(1, 0, 0): 1.0}, "x")
     assert variance(x, cfg) == pytest.approx(1.4, rel=1e-6)
@@ -592,7 +682,7 @@ def test_hat_log_grad_fisher_identity(abs_tol, t):
 
 def _nested_pair(k: int = 5):
     """(outer, inner) measures of interpolation_variance's k-th s-node at t = 1."""
-    base = heat_measure(CFG1_NESTED).base
+    base = heat_measure(CFG1_NESTED)
     s = gauss_legendre(0.0, 1.0, 16)[0][k]
     return base.at(s), base.at(1.0 - s)
 
@@ -624,8 +714,8 @@ def test_grad_inner_at_difference_fallback():
     got = grad_Pt_at(fd, inner, outer.x, outer.y, outer.z)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
-    n, fd_fields, fd_weight = semigroup._orbit_basis(fd, outer.base)
-    _, fields, weight = semigroup._orbit_basis(f, outer.base)
+    n, fd_fields, fd_weight = semigroup._orbit_basis(fd, outer.counts)
+    _, fields, weight = semigroup._orbit_basis(f, outer.counts)
     assert (n, len(fd_fields), fd_weight) == (16 * 12, 4, weight)
     assert all(g.analytic_gradient is None for g in fd_fields)
     for g_fd, g in zip(fd_fields, fields):
@@ -771,7 +861,7 @@ def test_orbit_sum_matches_all_nodes_extremal_member():
     """f* on one s-node: the 768 orbit rows against all 3,072 outer nodes."""
     fstar = FAMILY[-1]
     outer, inner = _nested_pair()
-    assert semigroup._orbit_basis(fstar, outer.base)[0] == 16 * 12
+    assert semigroup._orbit_basis(fstar, outer.counts)[0] == 16 * 12
     orbit = semigroup._gamma_sum(fstar, outer, inner)
     assert orbit == pytest.approx(semigroup._gamma_sum(_undeclared(fstar), outer, inner),
                                   rel=1e-12)
