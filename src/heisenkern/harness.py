@@ -805,8 +805,10 @@ def _grid_grad(ctx: _MemberCtx):
     :func:`_atom_weights` rows, all read first (cold rows built between
     the block arrays fragment the heap: 1.4 MB of peak RSS at size 24),
     in blocks of grid rows (``_row_blocks``), each row copied once.  A
-    chart member streams the chart nodes translated by the grid points:
-    each block gives f and its frame gradient from one evaluation.
+    chart member's origin row reads the frame gradient its context holds
+    on the chart nodes; the other grid points stream the chart nodes
+    translated by them, each block giving f and its frame gradient from
+    one evaluation.
     """
     grid = _grad_grid()
     out = np.empty((2, len(grid)))
@@ -823,10 +825,12 @@ def _grid_grad(ctx: _MemberCtx):
                                      ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
         return out[0], out[1], sup_f
     chart = heat_measure(_CFG)
-    for rows, qx, qy, qz in _translated_nodes(chart, *grid.T):
+    out[:, 0] = grad_sums(chart.mu, (ctx.gx, ctx.gy, ctx.gz), chart.x, chart.y)
+    rest = out[:, 1:]
+    for rows, qx, qy, qz in _translated_nodes(chart, *grid[1:].T):
         vals, *grad = ctx.f.value_and_gradient(qx, qy, qz)
         sup_f = max(sup_f, float(np.max(np.abs(vals))))
-        out[:, rows] = grad_sums(chart.mu, grad, chart.x, chart.y)
+        rest[:, rows] = grad_sums(chart.mu, grad, chart.x, chart.y)
     return out[0], out[1], sup_f
 
 

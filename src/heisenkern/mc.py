@@ -25,36 +25,58 @@ two more normals g1, g2 realise exactly:
 
     Y = sigma sqrt(n) g1,   z = (sigma/2) (sum(c)/sqrt(n) g1 + sqrt(Sc) g2),
 
-with Sc = sum((c - mean(c))^2), so a path costs n_steps + 2 normals.
+with Sc = sum((c - mean(c))^2).
 
 The x-increments are drawn in a sine basis, not step by step.
 Sc = dx^T M dx with M = C^T (I - J/n) C, and M is diagonal in the
 orthonormal DST-II vectors e_m(j) = w_m sin(pi m (j + 1/2) / n),
 m = 1 .. n, with w_m = sqrt(2/n) and w_n = sqrt(1/n): its eigenvalues
 are lambda_m = cot^2(pi m / 2n), and lambda_n = 0, since e_n is the
-alternating vector, whose c is constant.  A path's first n normals
-are its coefficients eta in that basis, dx = sigma E eta; E is
-orthogonal, so dx has the law of n iid increments, and
+alternating vector, whose c is constant.  With eta the path's
+coefficients in that basis, dx = sigma E eta; E is orthogonal, so n
+iid normals eta give dx the law of n iid increments, and
 
     X      = sigma sum a_m eta_m,  a_m = w_m / sin(pi m / 2n) on odd m,
     sum(c) = sigma sum b_m eta_m,  b_m = n w_m / sin(pi m / 2n) on even m,
     Sc     = sigma^2 sum lambda_m eta_m^2,
 
-with a zero on even m and b zero on odd m: three dot products per path
-against fixed weights, and Sc a sum of non-negative terms.  So
-(x, y, z) keeps the n-step law exactly, E[z^2] = t^2 (1 - 1/n)
-included.
+with a zero on even m and b zero on odd m: all n coefficients give
+(x, y, z) the n-step law exactly, E[z^2] = t^2 (1 - 1/n) included.
+
+A path draws only the leading h modes of each parity, its head.  The
+rest of a parity, its tail T, enters through two numbers: its linear
+statistic, one normal zeta with A zeta = sum_T c_m eta_m (c = a on odd
+m, b on even m, A^2 = sum_T c^2), and its part Q_T = sum_T lambda eta^2
+of Sc, replaced by the conditional mean given zeta,
+
+    E[Q_T | zeta] = base + slope zeta^2,
+    base = sum_T lambda (1 - u^2),  slope = sum_T lambda u^2,  u = c / A.
+
+So X and sum(c), and with them (x, y), keep their law exactly, and so
+does E[Sc], hence E[z^2] = t^2 (1 - 1/n); a tail of at most one mode
+is its own zeta, so when both are, the whole n-step law is exact.  Only
+E[z^4] = 3 (sigma^2/2)^4 E[|c|^4] falls short (|c|^2 = sum(c)^2/n + Sc,
+c in units of sigma), by the share
+
+    sum over the parities of E[Var(Q_T | zeta)] / E[|c|^4],
+    E[Var(Q_T | zeta)] = 2 (sum_T lambda^2 - slope^2),
+    E[|c|^4] = tr(K)^2 + 2 tr(K^2),  K = diag(lambda) + b b^T / n,
+
+all O(n) sums over the weights.  h is the smallest head whose shortfall
+is at most _Z4_SHORTFALL = 1e-6: h = 20 at n = 600 (44 normals a path
+in place of 602), 15 at n = 80, and 4 at n = 10, where each tail is one
+mode and the law exact.
 
 Each stream seeds its own generator: stream i of a batch draws from
 SFC64(SeedSequence((seed, i))), so per-stream output is independent
 of how streams are scheduled and aggregation is a plain sum.  Within a
-stream, path k takes normals k (n_steps + 2) onwards: the coefficients
-of the odd modes in ascending order, then those of the even modes,
-then g1 and g2, so X and sum(c) each read one contiguous half of the
-row.  The sample is defined by the seed, the split of paths among
-streams and that layout; how many paths share a draw buffer does not
-enter it, and every reduction runs along one path's row, so no BLAS
-call and no thread count touches the bits.
+stream, path k takes normals k (2h + 4) onwards: the odd head
+ascending, zeta_odd, the even head ascending, zeta_even, then g1 and
+g2, so X and sum(c) each read one contiguous half of the first 2h + 2.
+The sample is defined by the seed, the split of paths among streams
+and that layout: a stream is one draw, so its first m paths are the
+same whatever its length, and every reduction runs along one path's
+row, so no BLAS call and no thread count touches the bits.
 """
 
 from __future__ import annotations
@@ -81,9 +103,9 @@ __all__ = [
 # paths per stream: part of the sample's definition, since it splits
 # the paths among the seeded streams.
 _STREAM_PATHS = 8192
-# normals per draw buffer, reused for a stream's whole run of draws.
-# Not part of the sample: paths are drawn whole and in order.
-_DRAWS_PER_CHUNK = 1 << 19
+# the largest relative shortfall of E[z^4] that a path's truncated sine
+# series may have: it sets the head size h of each step count
+_Z4_SHORTFALL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,55 +138,85 @@ def _stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), int(stream)))))
 
 
-@functools.cache
-def _path_basis(n: int):
-    """Read-only weights (lambda, a, b) of the n-step sine basis.
-
-    The modes run in the row's order, odd m ascending, then even m
-    ascending: lambda covers all n of them, a the odd ones and b the
-    even ones.
-    """
-    m = np.concatenate([np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)])
+def _parity_modes(n: int):
+    """(lambda, c) of the n-step sine modes, odd m then even m, each
+    ascending in m, with c = a on odd m and c = b on even m."""
+    m = np.arange(1, n + 1)
     angle = (0.5 * np.pi / n) * m
     sin = np.sin(angle)
     w = np.where(m == n, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
     lam = (np.cos(angle) / sin) ** 2
-    lam[m == n] = 0.0
-    odd = (n + 1) // 2
-    a = w[:odd] / sin[:odd]
-    b = n * w[odd:] / sin[odd:]
+    lam[-1] = 0.0
+    c = np.where(m % 2 == 1, 1.0, float(n)) * w / sin
+    return (lam[0::2], c[0::2]), (lam[1::2], c[1::2])
+
+
+def _tail(lam, c):
+    """(A, base, slope, E[Var(Q_T | zeta)]) of one parity's tail modes;
+    all zero for an empty tail, and (c, 0, lambda, 0) for one mode."""
+    c2 = c * c
+    a2 = float(np.sum(c2))
+    u2 = c2 / a2
+    slope = float(np.sum(lam * u2))
+    lost = 2.0 * (float(np.sum(lam * lam)) - slope * slope)
+    return math.sqrt(a2), float(np.sum(lam * (1.0 - u2))), slope, lost
+
+
+def _z4_shortfall(modes, h: int) -> float:
+    """Relative shortfall of E[z^4] when each parity of ``modes``
+    (from :func:`_parity_modes`) keeps its first h modes; exactly 0 when
+    each tail has at most one mode (so at n = 1, where z = 0)."""
+    (lo, co), (le, ce) = modes
+    lost = _tail(lo[h:], co[h:])[3] + _tail(le[h:], ce[h:])[3]
+    if lost == 0.0:
+        return 0.0
+    b2n = ce * ce / (lo.size + le.size)
+    tr = float(np.sum(lo) + np.sum(le) + np.sum(b2n))
+    tr2 = float(np.sum(lo * lo) + np.sum(le * le) + 2.0 * np.sum(le * b2n) + np.sum(b2n) ** 2)
+    return lost / (tr * tr + 2.0 * tr2)
+
+
+@functools.cache
+def _path_basis(n: int):
+    """(h, lambda, a, b, base) of the n-step row: the head size h, and
+    read-only weights over a row's first 2h + 2 normals, (odd head,
+    zeta_odd, even head, zeta_even): lambda over all of them (slope on
+    each zeta), a over the odd half and b over the even half (A on each
+    zeta); base is both tails' constant part of Sc.
+    """
+    modes = _parity_modes(n)
+    h = next(h for h in range((n + 1) // 2) if _z4_shortfall(modes, h) <= _Z4_SHORTFALL)
+    (lo, co), (le, ce) = modes
+    a_odd, base_odd, slope_odd, _ = _tail(lo[h:], co[h:])
+    a_even, base_even, slope_even, _ = _tail(le[h:], ce[h:])
+    lam = np.concatenate([lo[:h], [slope_odd], le[:h], [slope_even]])
+    a = np.append(co[:h], a_odd)
+    b = np.append(ce[:h], a_even)
     for arr in (lam, a, b):
         arr.flags.writeable = False
-    return lam, a, b
+    return h, lam, a, b, base_odd + base_even
 
 
-def _path_stats(eta):
-    """Per-path (X, sum(c), Sc) in units of sigma, sigma and sigma^2, for
-    rows eta of sine coefficients in parity-major order."""
-    lam, a, b = _path_basis(eta.shape[1])
-    odd = a.size
+def _path_stats(rows, n: int):
+    """Per-path (X, sum(c), Sc) in units of sigma, sigma and sigma^2,
+    for rows (odd head, zeta_odd, even head, zeta_even) of the n-step
+    basis; Sc is its conditional mean given the row."""
+    h, lam, a, b, base = _path_basis(n)
     return (
-        np.einsum("ij,j->i", eta[:, :odd], a),
-        np.einsum("ij,j->i", eta[:, odd:], b),
-        np.einsum("ij,ij,j->i", eta, eta, lam),
+        np.einsum("ij,j->i", rows[:, : h + 1], a),
+        np.einsum("ij,j->i", rows[:, h + 1 :], b),
+        np.einsum("ij,ij,j->i", rows, rows, lam) + base,
     )
 
 
 def _simulate_stream(rng, n_paths: int, cfg: PathConfig):
-    """Endpoints (x, y, z) of n_paths paths, drawn whole, in order, into
-    one buffer of at most _DRAWS_PER_CHUNK normals (or one path's)."""
+    """Endpoints (x, y, z) of n_paths paths from one draw of 2h + 4
+    normals a path."""
     n = cfg.n_steps
     sigma = math.sqrt(2.0 * (cfg.t / n))
-    rows = max(1, min(n_paths, _DRAWS_PER_CHUNK // (n + 2)))
-    buf = np.empty((rows, n + 2))
-    x, sum_c, sc = np.empty((3, n_paths))
-    g = np.empty((n_paths, 2))
-    for lo in range(0, n_paths, rows):
-        hi = min(n_paths, lo + rows)
-        draw = rng.standard_normal(out=buf[: hi - lo])
-        x[lo:hi], sum_c[lo:hi], sc[lo:hi] = _path_stats(draw[:, :n])
-        g[lo:hi] = draw[:, n:]
-    g1, g2 = g.T
+    draw = rng.standard_normal((n_paths, 2 * _path_basis(n)[0] + 4))
+    x, sum_c, sc = _path_stats(draw[:, :-2], n)
+    g1, g2 = draw[:, -2:].T
     root_n = math.sqrt(n)
     y = (sigma * root_n) * g1
     z = (0.5 * sigma * sigma) * (sum_c / root_n * g1 + np.sqrt(sc) * g2)

@@ -833,6 +833,9 @@ def polar_from_cartesian(q: GroupElement) -> GeodesicChart:
 # steps per area block of advance, the width of its sign matrix; it keeps
 # the area work linear in the steps of a draw
 _AREA_BLOCK = 32
+# normals per draw of walk, the bound on its buffer; part of the stepwise
+# sample, since the draws split each path's increments
+_WALK_DRAWS = 1 << 19
 
 
 def sample_heisenberg(cfg: MC.PathConfig) -> GroupElement:
@@ -884,11 +887,11 @@ def advance(rng, sigma, x, y, z, m):
 
 def walk(rng, cfg: MC.PathConfig, state: np.ndarray, steps: int) -> None:
     """Push the (3, paths) ``state`` through ``steps`` of cfg's midpoint
-    steps, in draws of at most MC._DRAWS_PER_CHUNK normals; the state
+    steps, in draws of at most _WALK_DRAWS normals; the state
     between calls is the mid-path state, which the endpoint sampler
     never forms."""
     sigma = math.sqrt(2.0 * (cfg.t / cfg.n_steps))
-    chunk = max(1, MC._DRAWS_PER_CHUNK // (2 * state.shape[1]))
+    chunk = max(1, _WALK_DRAWS // (2 * state.shape[1]))
     for lo in range(0, steps, chunk):
         advance(rng, sigma, *state, min(chunk, steps - lo))
 

@@ -908,13 +908,14 @@ def test_suite_flow_builds_each_context_once(built):
 
 def test_suite_flow_spline_bundle_points(monkeypatch):
     """The documented flow on a fresh 12-member family evaluates the
-    spline bundle of f* = Xhat log h on 183,040 points: once on the 7,040
-    chart nodes for its context and once on the 176,000 translated nodes
-    of its grad-bound row, f* and its frame gradient from the same
-    bundle each time.  The C_1 and C_2 searches read f*'s frame gradient
-    from the context; each evaluating it again on the chart nodes would
-    add 7,040, and a separate value or gradient evaluation the point
-    count of its set."""
+    spline bundle of f* = Xhat log h on 176,000 points: once on the 7,040
+    chart nodes for its context and once on the 168,960 chart nodes
+    translated by the 24 grid points of its grad-bound row other than
+    the origin, f* and its frame gradient from the same bundle each
+    time.  The grad-bound row's origin term and the C_1 and C_2 searches
+    read f*'s frame gradient from the context; each evaluating it again
+    on the chart nodes would add 7,040, and a separate value or gradient
+    evaluation the point count of its set."""
     points = []
     bundle = kernel.LogHSplineTables.bundle
 
@@ -925,7 +926,7 @@ def test_suite_flow_spline_bundle_points(monkeypatch):
     monkeypatch.setattr(kernel.LogHSplineTables, "bundle", spy)
     family = build_family(12, DEFAULT_FAMILY_SEED)
     run_inequality_suite(family, constants=harness.constants_estimate(family))
-    assert sum(points) == 7_040 + 176_000 == 183_040
+    assert sum(points) == 7_040 + 24 * 7_040 == 176_000
 
 
 def test_update_pass_builds_no_context(built, monkeypatch):
