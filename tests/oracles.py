@@ -12,8 +12,8 @@ geodesic chart map and its inverse, single-path Monte Carlo draws, the
 stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
 n-step law, the lambda-slice f = cos(lam z) e^{-a r^2} with its exact
 P_t f, gradient and variance, exact rational polynomials with their
-finite heat flow e^{tL} f, the mpmath ray limit L(t) behind the stored values in
-test_harness.py, and the mpmath p1(r, z + 2i) behind those in
+finite heat flow e^{tL} f, the mpmath ray limit L(t) and ray ratio behind the
+stored values in test_harness.py, and the mpmath p1(r, z + 2i) behind those in
 test_kernel.py.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
@@ -31,6 +31,7 @@ import numpy as np
 
 from heisenkern import geometry as Geo
 from heisenkern import group as G
+from heisenkern import harness as H
 from heisenkern import kernel as K
 from heisenkern import mc as MC
 from heisenkern import semigroup as S
@@ -934,3 +935,44 @@ def ray_limit_mp(t: float, dps: int = 30):
                       / (2 * a(lam) ** mp.mpf(2.5)), [0, 1, mp.inf])
         den = mp.quad(lambda lam: lam / mp.sinh(lam) * mp.exp(-a(lam) * t * t), [0, 1, mp.inf])
         return num / (t**4 * den)
+
+
+def _p1_real_mp(r, z):
+    """p_1(r, z) at the working precision: (1/4 pi^2) times
+    int_0^inf (lam/sinh lam) e^{-(r^2/4) lam coth lam} cos(lam z) dlam on
+    unit lam-panels out to dps ln 10 + 40, where the integrand is below
+    e^-40 of the working epsilon, and one panel on to infinity."""
+    import mpmath as mp
+
+    def g(lam):
+        return lam / mp.sinh(lam) * mp.exp(-(r * r / 4) * lam * mp.coth(lam)) * mp.cos(lam * z)
+
+    lam_end = int(mp.mp.dps * math.log(10.0)) + 40
+    return mp.quad(g, list(range(lam_end + 1)) + [mp.inf]) / (4 * mp.pi**2)
+
+
+def ray_ratio_mp(u_abs: float, t: float, dps: int = 25, panels: int = 4):
+    """The ray ratio int_t^{s_hi} A h ds / (A(u, t) h(u, t)) in mpmath.
+
+    The same truncated s-range as harness._ray_ratios, with s_hi its
+    cancellation cap, cut into ``panels`` equal panels, and its own
+    real-z p_1 on the chart point r = 2|u| sin phi,
+    z = (|u|^2/2)(2 phi - sin 2 phi), phi = s/(2|u|).  This generates
+    RAY_SUP_MP in test_harness.py (under a minute at 25 digits on 4 panels); the
+    tests read the stored value and do not import mpmath.
+    """
+    import mpmath as mp
+
+    s_hi = min(2.0 * math.pi * u_abs * (1.0 - 1e-9), H._ray_s_cap(u_abs))
+    with mp.workdps(dps):
+        u = mp.mpf(u_abs)
+
+        def a_h(s):
+            phi = s / (2 * u)
+            r = 2 * u * mp.sin(phi)
+            z = u * u / 2 * (2 * phi - mp.sin(2 * phi))
+            return 4 * u * mp.sin(phi) * (mp.sin(phi) - phi * mp.cos(phi)) * _p1_real_mp(r, z)
+
+        edges = mp.linspace(mp.mpf(t), mp.mpf(s_hi), panels + 1)
+        return mp.quad(a_h, edges) / a_h(mp.mpf(t))
+

@@ -23,7 +23,9 @@ default panel counts and against the converged (44, 24, 48) panel; every
 row passes, and a field with no known atom is refused.  The ray constant
 is the |u| -> inf limit L(t) of the ray ratio at t = 1, checked with
 L(1.5), L(2) and L(3) against stored mpmath values, and the ratio is
-checked to rise in |u| below L(t) <= L(1).
+checked to rise in |u| below L(t) <= L(1).  The survey's sup is checked
+against a stored mpmath ray ratio at its argmax, and its ratios against
+twice the Gauss nodes a panel.
 
 The p_1 window table behind the compact members' weights is evaluated in
 the library with FITPACK's arithmetic: its values are checked bit for
@@ -263,7 +265,9 @@ PHI_SUITE = {
 C2_VS_C1SQ = (2.041836369622564, 2.356971747850362, 1.5352432210729223)
 # L(t), the |u| -> inf limit of the ray ratio at t, to 21 digits of
 # oracles.ray_limit_mp (mpmath at 30 digits); the ray constant is L(1).
-# RAY_SUP is the survey's sup over its 320 rays, at (|u|, t) = (3.9, 1)
+# RAY_SUP_MP is the ray ratio at the survey's argmax (|u|, t) = (3.9, 1), to
+# 20 digits of oracles.ray_ratio_mp (the same at 25 digits on 4 s-panels
+# and at 32 digits on 8)
 RAY_LIMITS = {
     1.0: 14.0353682600807706567,
     1.5: 4.2693039786763697359,
@@ -271,7 +275,7 @@ RAY_LIMITS = {
     3.0: 0.979042978497611703931,
 }
 RAY_CONSTANT = RAY_LIMITS[1.0]
-RAY_SUP = 13.833475344558735
+RAY_SUP_MP = 13.833475344558846405
 # (1,1) Poincare on the unit CC ball: the empirical sup of
 # int_B |f - m| / int_B |grad f| and each member's (lhs, sup * rhs)
 LOCAL_11_SUP = 0.5665139786446365
@@ -1045,7 +1049,7 @@ def test_ray_survey_constant_pinned():
     survey, rep = check_ray_inequality()
     assert survey.n_rays == 320
     assert survey.constant == pytest.approx(RAY_CONSTANT, rel=1e-12)
-    assert survey.sup == RAY_SUP
+    assert abs(survey.sup / RAY_SUP_MP - 1.0) <= 2e-14
     assert survey.argmax == (3.9, 1.0)
     assert (rep.lhs, rep.rhs, rep.constant) == (survey.sup, survey.constant, survey.constant)
     assert rep.passed, rep.note
@@ -1056,12 +1060,42 @@ def test_ray_ratio_dominated_by_its_limit():
     most L(t), its |u| -> inf limit, and L(t) <= L(1), so L(1) bounds the
     ratio over t >= 1; the largest ratio here is 0.9885 L(t)."""
     top = harness._ray_limit(1.0)
-    for t in (1.0, 1.5, 2.0, 3.0):
+    by_t = [harness._ray_ratios(float(u), (1.0, 1.5, 2.0, 3.0)) for u in np.geomspace(0.5, 3.9, 12)]
+    for i, t in enumerate((1.0, 1.5, 2.0, 3.0)):
         limit = harness._ray_limit(t)
-        ratios = [harness._ray_ratio(float(u), t) for u in np.geomspace(0.5, 3.9, 12)]
+        ratios = [by_u[i] for by_u in by_t]
         assert all(r > 0 for r in ratios), (t, ratios)
         assert all(b >= a for a, b in zip(ratios, ratios[1:])), (t, ratios)
         assert max(ratios) <= limit <= top, (t, max(ratios), limit, top)
+
+
+def test_ray_survey_converged_in_its_panel_nodes(monkeypatch):
+    """The survey at 16 and 32 Gauss nodes a panel: every ratio agrees to
+    2e-10 of the sup (1.0e-10 measured), at the same argmax."""
+    ratios = {}
+
+    def survey(m):
+        def record(u_abs, ts):
+            out = panels(u_abs, ts, m)
+            ratios.setdefault(m, []).extend(out)
+            return out
+
+        monkeypatch.setattr(harness, "_ray_ratios", record)
+        return check_ray_inequality()[0]
+
+    panels = harness._ray_ratios
+    coarse, fine = survey(16), survey(32)
+    assert len(ratios[16]) == len(ratios[32]) == coarse.n_rays
+    assert np.max(np.abs(np.subtract(ratios[16], ratios[32]))) <= 2e-10 * coarse.sup
+    assert coarse.argmax == fine.argmax == (3.9, 1.0)
+
+
+def test_ray_ratio_single_panel_against_its_oracle():
+    """One t is one 16-node panel over [t, s_hi]: within 1e-9 of the mpmath
+    ratio (-8.8e-10 measured), against 1.07e-14 for the survey's 16 panels,
+    which bounds how much a ratio depends on the other t's of its call."""
+    (single,) = harness._ray_ratios(3.9, [1.0])
+    assert abs(single / RAY_SUP_MP - 1.0) <= 1e-9
 
 
 def test_local_11_poincare_pinned(family12):
