@@ -8,11 +8,8 @@ harness for gradient and functional inequalities.
 Importing heisenkern, or any of its modules, loads numpy only.  Each
 scipy submodule loads at the first call that needs it:
 
-- scipy.interpolate and scipy.special: ``kernel.get_spline_tables``,
-  hence ``kernel.xhat_log_h_field``;
-- scipy.interpolate: the harness's p1 table, built by the first family
-  check that weights a compactly supported member's panel and read once
-  per mollifier atom and grad-bound grid point in the process;
+- scipy.special: ``kernel.get_spline_tables`` (``i0e``, for the
+  asymptote's fill), hence ``kernel.xhat_log_h_field``;
 - scipy.special and scipy.optimize: ``harness.check_cheeger_bobkov``
   (the Gaussian isoperimetric profile and the tensorized C1 root);
 - scipy.special: ``mc.chi2_against_kernel`` (the chi-squared p-value).

@@ -35,7 +35,7 @@ from .group import GroupElement, ScalarField, gamma as gamma_at, gamma2 as gamma
 from .kernel import (CANCEL_BUDGET, KernelRangeError, log_grad_many,  # noqa: F401
                      p1_many, p1_star_shifted)
 from .mc import sample_kolmogorov
-from .numerics import gauss_legendre, gauss_panels
+from .numerics import BicubicTable, gauss_legendre, gauss_panels
 from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, _translated_nodes, grad_sums,
                         heat_measure)
 
@@ -221,95 +221,34 @@ def check_kernel_identities() -> list:
 # so p1_many builds three panel kernels for the 57 chunks; it takes cos
 # once per distinct height of each 256-point block (one or two), so the
 # blocks' gathers, products and contractions are what remain.
-#
-# The fit is FITPACK's (RectBivariateSpline, s = 0), but it is evaluated
-# here with fpbisp's operations in fpbisp's order, so every value has the
-# bits of RectBivariateSpline.ev on the same fit: numpy does not fuse
-# multiply-adds, and neither does the baseline x86-64 FITPACK build.
 
 _P1TAB_R = 8.0
 _P1TAB_Z = 9.0
 _P1TAB_STEP = 0.025
-# points per evaluation block: a block's temporaries stay in cache
-_P1TAB_BLOCK = 16384
 
 
 @cache
 def _p1_table():
-    """Knots tx, ty and coefficients c[ix, iy] of the bicubic fit of log p_1; read-only."""
-    from scipy.interpolate import RectBivariateSpline
-
+    """The bicubic table of log p_1 on the window's (r, z >= 0) grid."""
     rg = np.arange(0.0, _P1TAB_R + _P1TAB_STEP, _P1TAB_STEP)
     zg = np.arange(0.0, _P1TAB_Z + _P1TAB_STEP, _P1TAB_STEP)
     # z-major order keeps low-|z| chunks on wide integration panels
     Z, R = np.meshgrid(zg, rg, indexing="ij")
     vals = p1_many(R.ravel(), Z.ravel()).reshape(len(zg), len(rg))
-    tx, ty, c = RectBivariateSpline(rg, zg, np.log(vals).T, kx=3, ky=3, s=0).tck
-    c = c.reshape(len(tx) - 4, len(ty) - 4)
-    for a in (tx, ty, c):
-        a.flags.writeable = False
-    return tx, ty, c
-
-
-def _interval(t, x):
-    """fpbisp's knot interval l of each x: t[l] <= x < t[l + 1], clamped to [3, n - 5].
-
-    The interior knots t[4:-4] are the grid nodes from the third on, so
-    x / _P1TAB_STEP + 2 is l to within one, and one comparison on each side
-    makes it exact: a binary search gives the same l at three times the cost.
-    """
-    n = len(t)
-    l = np.clip((x * (1.0 / _P1TAB_STEP)).astype(np.intp) + 2, 3, n - 5)
-    l -= x < t[l]
-    l += (x >= t[l + 1]) & (l < n - 5)
-    return l
-
-
-def _cubic_basis(t, x, l):
-    """The four cubic B-splines nonzero on interval l, by fpbspl's de Boor recurrence."""
-    tk = {d: t[l + d] for d in range(-2, 4)}
-    h = [1.0]
-    for j in (1, 2, 3):
-        hh, h = h, [0.0] * (j + 1)
-        for i in range(1, j + 1):
-            f = hh[i - 1] / (tk[i] - tk[i - j])
-            h[i - 1] = h[i - 1] + f * (tk[i] - x)
-            h[i] = f * (x - tk[i - j])
-    return h
-
-
-def _table_log_p1(r, z):
-    """log p_1 at the flat points (r, z), z >= 0, summed as fpbisp sums it.
-    A value depends on its own point only, not on its batch-mates or the blocks."""
-    tx, ty, c = _p1_table()
-    cf, nc = c.ravel(), c.shape[1]
-    out = np.empty(r.size)
-    for s in range(0, r.size, _P1TAB_BLOCK):
-        rb, zb = r[s:s + _P1TAB_BLOCK], z[s:s + _P1TAB_BLOCK]
-        lx, ly = _interval(tx, rb), _interval(ty, zb)
-        hx, hy = _cubic_basis(tx, rb, lx), _cubic_basis(ty, zb, ly)
-        base = (lx - 3) * nc + (ly - 3)
-        sp = 0.0
-        for i in range(4):
-            for j in range(4):
-                sp = sp + (cf[base + (i * nc + j)] * hx[i]) * hy[j]
-        out[s:s + _P1TAB_BLOCK] = sp
-    return out
+    return BicubicTable(rg, zg, np.log(vals).T[:, :, None])
 
 
 def _pt_density(x, y, z):
     """Heat kernel density p_1 at the flat lab points (x, y, z) from the window table.
 
-    On one core of a 2-core AMD EPYC, RectBivariateSpline.ev took 78-327 ns
-    a point, as fpbisp finds each point's knot interval by walking the
-    knots from the first one, some 200 steps per axis near r = 5; with the
-    interval guessed from the grid step, the table takes about 53 ns a
-    point and the radius (hypot) about 13 ns.
+    On one core of a 2-core AMD EPYC the table takes about 50 ns a point,
+    its intervals guessed from the grid step (FITPACK's walk from the first
+    knot took 78-327 ns), and the radius (hypot) about 13 ns.
     """
     r, z = np.hypot(x, y), np.abs(np.asarray(z, dtype=float))
     if not (np.all(r <= _P1TAB_R) and np.all(z <= _P1TAB_Z)):
         raise KernelRangeError(f"p1 table covers r <= {_P1TAB_R}, |z| <= {_P1TAB_Z}")
-    return np.exp(_table_log_p1(r, z))
+    return np.exp(_p1_table()(r, z)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ per distinct height of a block, with the bits of a per-point evaluation.
 Within one call, consecutive chunks (or spline-table rows) with the same
 radii and rule share one read-only kernel, so exp runs once per distinct
 radius of such a run (_KernelRuns).  The log-derivative bundle of log p1
-comes from _log_bundle, row by row, for the interpolation table, which
-scipy's NdBSpline evaluates.  The panels come from numerics._panel_rule,
+comes from _log_bundle, row by row, for the interpolation table, a
+numerics.BicubicTable, which also holds the harness's p1 table.  The panels come from numerics._panel_rule,
 which also gives each point of the complex shift p1_star_shifted its own
 fixed rule, through numerics.integrate_decaying; no value is adaptive.
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .geometry import cc_distance_many
 from .group import ScalarField
-from .numerics import _panel_rule, integrate_decaying
+from .numerics import BicubicTable, _panel_rule, integrate_decaying
 
 __all__ = [
     "ComplexKernelValue",
@@ -444,40 +444,30 @@ class LogHSplineTables:
 
     Values inside the cancellation budget come from the panel quadrature;
     outside they come from the asymptote, keeping the spline smooth where
-    nested translations occasionally land with negligible weight.  Each
-    quantity is fitted by RectBivariateSpline on the grid extended below
-    the axes by mirrored rows and columns, signed by its parity, and past
-    the clamp box by a strip of extra nodes (asymptote values at large
-    |z|); the padding and the strip shape the fit, and so every table
-    value.  One scipy NdBSpline carries the six coefficient grids and
-    evaluates them at (min(r, 16), min(|z|, 26)); the z parity signs are
-    applied afterwards.
+    nested translations occasionally land with negligible weight.  The six
+    quantities fill one (r, z, 6) grid, extended below the axes by mirrored
+    rows and columns, each component signed by its parity, and past the
+    clamp box by a strip of extra nodes (asymptote values at large |z|);
+    the padding and the strip shape the fit, and so every table value.
+    One numerics.BicubicTable fits the six and evaluates them at
+    (min(r, 16), min(|z|, 26)); the z parity signs are applied afterwards.
     """
 
     _KEYS = ("alpha", "b", "alpha_r", "alpha_z", "b_r", "b_z")
-    # parity of each table under r -> -r and z -> -z
-    _PARITY = {
-        "alpha": (1, 1),
-        "b": (1, -1),
-        "alpha_r": (-1, 1),
-        "alpha_z": (1, -1),
-        "b_r": (-1, -1),
-        "b_z": (1, 1),
-    }
+    # each quantity's sign under r -> -r and under z -> -z, in _KEYS order
+    _PARITY_R = np.array([1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+    _PARITY_Z = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
 
     def __init__(self):
-        from scipy.interpolate import NdBSpline, RectBivariateSpline
-
         nr = int(round(_TABLE_R_MAX / _TABLE_DR)) + 1 + _PAD_TOP
         nz = int(round(_TABLE_Z_MAX / _TABLE_DZ)) + 1 + _PAD_TOP
         rs = np.arange(nr) * _TABLE_DR
         zs = np.arange(nz) * _TABLE_DZ
 
         d = cc_distance_many(rs[:, None], np.zeros((nr, 1)), zs[None, :])
-        cancel = 0.25 * (d * d - rs[:, None] ** 2)
-        safe = cancel <= CANCEL_BUDGET
+        safe = 0.25 * (d * d - rs[:, None] ** 2) <= CANCEL_BUDGET
 
-        tables = {key: np.empty((nr, nz)) for key in self._KEYS}
+        table = np.empty((nr, nz, len(self._KEYS)))
 
         # rows up to z ~ 7 keep every radius, so they share one kernel
         kernels = _KernelRuns()
@@ -485,27 +475,15 @@ class LogHSplineTables:
             mask = safe[:, j]
             if np.any(mask):
                 row = _log_bundle(rs[mask], float(z), kernels)
-                for key in self._KEYS:
-                    tables[key][mask, j] = row[key]
+                table[mask, j] = np.stack([row[key] for key in self._KEYS], axis=-1)
             if np.any(~mask):
                 rj = rs[~mask]
-                vals = _asym_bundle(rj, np.full(rj.shape, z))
-                for key, v in zip(self._KEYS, vals):
-                    tables[key][~mask, j] = v
+                table[~mask, j] = np.stack(_asym_bundle(rj, np.full(rj.shape, z)), axis=-1)
 
-        r_ext = np.concatenate([-rs[1 : _PAD + 1][::-1], rs])
-        z_ext = np.concatenate([-zs[1 : _PAD + 1][::-1], zs])
-        coef = []
-        for key in self._KEYS:
-            grid = tables[key]
-            pr_, pz_ = self._PARITY[key]
-            top = np.concatenate([pz_ * grid[:, 1 : _PAD + 1][:, ::-1], grid], axis=1)
-            full = np.concatenate([pr_ * top[1 : _PAD + 1][::-1], top], axis=0)
-            sp = RectBivariateSpline(r_ext, z_ext, full, kx=3, ky=3)
-            tx, ty = sp.get_knots()
-            coef.append(sp.get_coeffs().reshape(tx.size - 4, ty.size - 4))
-        self._spline = NdBSpline((tx, ty), np.stack(coef, axis=-1), 3)
-        self._odd_in_z = np.array([self._PARITY[key][1] == -1 for key in self._KEYS])
+        top = np.concatenate([self._PARITY_Z * table[:, _PAD:0:-1], table], axis=1)
+        full = np.concatenate([self._PARITY_R * top[_PAD:0:-1], top], axis=0)
+        self._table = BicubicTable(np.arange(-_PAD, nr) * _TABLE_DR,
+                                   np.arange(-_PAD, nz) * _TABLE_DZ, full)
 
     def bundle(self, r, z):
         """The six tables at the broadcast (r, z), in ``_KEYS`` order.
@@ -520,11 +498,9 @@ class LogHSplineTables:
         shape = np.broadcast(r, z).shape
         r = np.broadcast_to(r, shape).ravel()
         z = np.broadcast_to(z, shape).ravel()
-        q = np.stack([np.minimum(r, _TABLE_R_MAX), np.minimum(np.abs(z), _TABLE_Z_MAX)], axis=-1)
-        vals = self._spline(q)
-        sign = np.where(z < 0.0, -1.0, 1.0)
-        vals[:, self._odd_in_z] *= sign[:, None]
-        return tuple(v.reshape(shape) if shape else float(v[0]) for v in vals.T)
+        vals = self._table(np.minimum(r, _TABLE_R_MAX), np.minimum(np.abs(z), _TABLE_Z_MAX))
+        vals[self._PARITY_Z < 0.0] *= np.where(z < 0.0, -1.0, 1.0)
+        return tuple(v.reshape(shape) if shape else float(v[0]) for v in vals)
 
 
 @cache

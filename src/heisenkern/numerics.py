@@ -1,4 +1,4 @@
-"""The library's one-dimensional quadrature: Gauss-Legendre rules.
+"""The library's Gauss-Legendre rules and its one interpolation table.
 
 :func:`gauss_legendre` maps the n-point rule to [lo, hi] for every
 fixed-order rule of the library.  :func:`gauss_panels` lays the rule on
@@ -11,7 +11,9 @@ integrand: the nodes are set by the arguments alone.  A node count that
 is no integer >= 1, a wavenumber that is negative or not finite and a
 decay rate that is not finite and > 0 raise ValueError.  Only the kernel's
 complex shift p1*(r, z + 2i) calls :func:`integrate_decaying`.
-:class:`QuadratureSpec` selects the semigroup's node tier.  The module
+:class:`QuadratureSpec` selects the semigroup's node tier.
+:class:`BicubicTable` holds the kernel's spline bundle and the harness's
+p1 window table.  The module
 needs numpy only, as does importing any heisenkern module; the
 harness's Gaussian quantile and tensorized C1 root load scipy inside
 the functions that use them.
@@ -25,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "gauss_legendre", "gauss_panels", "integrate_decaying"]
+__all__ = ["BicubicTable", "QuadratureSpec", "gauss_legendre", "gauss_panels", "integrate_decaying"]
 
 
 @dataclass(frozen=True)
@@ -132,3 +134,89 @@ def integrate_decaying(f, decay_rate, wavenumber):
     for rows, s in sums:
         out[rows] = s
     return out.reshape(shape)
+
+
+# points per BicubicTable evaluation block
+_TABLE_BLOCK = 8192
+
+
+def _interval(t, x, g0, inv):
+    """The knot interval l of each x: t[l] <= x < t[l + 1], clamped to [3, n - 5].
+    The knots t[4:-4] are the grid nodes from the third on, so (x - g0) inv + 2
+    is l to within one, and one comparison on each side makes it exact."""
+    n = len(t)
+    l = np.clip(((x - g0) * inv).astype(np.intp) + 2, 3, n - 5)
+    l -= (x < t[l]) & (l > 3)
+    l += (x >= t[l + 1]) & (l < n - 5)
+    return l
+
+
+def _cubic_basis(t, x, l):
+    """The (4, n) cubic B-splines nonzero on interval l, by de Boor's recurrence."""
+    tk = {d: t[l + d] for d in range(-2, 4)}
+    h = [1.0]
+    for j in (1, 2, 3):
+        hh, h = h, [0.0] * (j + 1)
+        for i in range(1, j + 1):
+            f = hh[i - 1] / (tk[i] - tk[i - j])
+            h[i - 1] = h[i - 1] + f * (tk[i] - x)
+            h[i] = f * (x - tk[i - j])
+    return np.array(h)
+
+
+class BicubicTable:
+    """The bicubic interpolating spline of the k values ``values[i, j]`` at
+    each node (xg[i], yg[j]) of a uniform grid.
+
+    The knots ``t`` are FITPACK's for s = 0, each grid end four times and
+    the nodes g[2:-2] between; the read-only coefficients ``c``, shaped as
+    ``values``, solve the collocation at the nodes along each axis (de Boor,
+    A Practical Guide to Splines).  A grid of fewer than 4 nodes or not
+    increasing and uniform to a quarter step, and ``values`` of another
+    shape or not finite, raise ValueError.  A call gives the (k, n) values
+    at the flat points (x, y), past the edges from the end pieces: each
+    point's 16 terms c * (hx_i * hy_j) are added to zero i-major, as
+    scipy's tensor-product B-spline evaluation adds them, so a value
+    depends on its own point only, not on its batch-mates or the blocks.
+    """
+
+    def __init__(self, xg, yg, values):
+        grids = [np.asarray(g, dtype=float) for g in (xg, yg)]
+        for name, g in zip(("xg", "yg"), grids):
+            if g.ndim != 1 or g.size < 4 or not np.all(np.isfinite(g)):
+                raise ValueError(f"{name} must be a finite 1-d grid of at least 4 nodes")
+            even = np.linspace(g[0], g[-1], g.size)
+            if not (np.all(np.diff(g) > 0.0) and np.all(np.abs(g - even) <= 0.25 * (even[1] - even[0]))):
+                raise ValueError(f"{name} must be increasing and uniform to a quarter step")
+        (nx, ny), c = (g.size for g in grids), np.asarray(values, dtype=float)
+        if c.ndim != 3 or c.shape[:2] != (nx, ny):
+            raise ValueError(f"values must have shape ({nx}, {ny}, k), not {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("values must be finite")
+        self.t = tuple(np.concatenate([np.full(4, g[0]), g[2:-2], np.full(4, g[-1])]) for g in grids)
+        self._axes = [(t, g[0], (g.size - 1) / (g[-1] - g[0])) for t, g in zip(self.t, grids)]
+        for (t, g0, inv), g in zip(self._axes, grids):
+            l = _interval(t, g, g0, inv)
+            colloc = np.zeros((g.size, g.size))
+            colloc[np.arange(g.size)[:, None], l[:, None] + np.arange(-3, 1)] = _cubic_basis(t, g, l).T
+            # solve along the leading axis, then swap the grid axes
+            c = np.linalg.solve(colloc, c.reshape(g.size, -1)).reshape(c.shape).transpose(1, 0, 2)
+        # one contiguous row of coefficients per component, for the gathers
+        self._rows = np.ascontiguousarray(c.transpose(2, 0, 1)).reshape(c.shape[2], -1)
+        for a in (*self.t, self._rows):
+            a.flags.writeable = False
+        self.c = self._rows.reshape(-1, nx, ny).transpose(1, 2, 0)
+        # flat offsets of a point's 4 x 4 coefficients, i-major
+        self._offsets = (np.arange(4)[:, None] * ny + np.arange(4)).reshape(16, 1)
+
+    def __call__(self, x, y):
+        (tx, x0, xinv), (ty, y0, yinv) = self._axes
+        out = np.zeros((len(self._rows), x.size))
+        for s in range(0, x.size, _TABLE_BLOCK):
+            xb, yb, acc = x[s:s + _TABLE_BLOCK], y[s:s + _TABLE_BLOCK], out[:, s:s + _TABLE_BLOCK]
+            lx, ly = _interval(tx, xb, x0, xinv), _interval(ty, yb, y0, yinv)
+            term = np.take(self._rows, (lx - 3) * (len(ty) - 4) + (ly - 3) + self._offsets, axis=1)
+            term *= (_cubic_basis(tx, xb, lx)[:, None] * _cubic_basis(ty, yb, ly)).reshape(16, -1)
+            for ij in range(16):
+                acc += term[:, ij]
+        return out

@@ -119,6 +119,20 @@ def test_nested_path_loads_no_scipy():
     assert _scipy_modules_after(code) == []
 
 
+def test_kernel_tables_load_no_scipy_interpolate():
+    """Both bicubic tables, the spline bundle's and the harness's p1 window
+    table, are fitted and read with numpy alone."""
+    code = (
+        "import numpy as np\n"
+        "from heisenkern import harness, kernel\n"
+        "kernel.get_spline_tables().bundle(np.array([0.5, 3.0]), np.array([-1.0, 2.0]))\n"
+        "harness._pt_density(np.array([0.5, 3.0]), 0.0, np.array([-1.0, 2.0]))\n"
+    )
+    loaded = _scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.interpolate")], loaded
+
+
 def test_console_scripts_import():
     """Every console script pyproject declares names a callable that
     imports, so an installed script never fails on its first call."""

@@ -27,11 +27,15 @@ checked to rise in |u| below L(t) <= L(1).  The survey's sup is checked
 against a stored mpmath ray ratio at its argmax, and its ratios against
 twice the Gauss nodes a panel.
 
-The p_1 window table behind the compact members' weights is evaluated in
-the library with FITPACK's arithmetic: its values are checked bit for
-bit against RectBivariateSpline.ev on the same fit, on the points the
-checks send, on the knots and on seeded points, and its accuracy off the
-table's nodes is pinned against kernel.p1.
+Both bicubic tables, the p_1 window table behind the compact members'
+weights and the spline bundle of f* = Xhat log h, are numerics.BicubicTable.
+Their values are checked bit for bit against scipy's NdBSpline on the
+same knots and coefficients, on the points the checks send, on the knots
+and on seeded points; their intervals against FITPACK's knot walk; their
+coefficients against FITPACK's fit (RectBivariateSpline, s = 0) within
+the measured rounding bound; and their values at the nodes against the
+fitted data.  The p_1 table's accuracy off its nodes is pinned against
+kernel.p1.  scipy.interpolate is imported by these tests only.
 
 Each member's quadrature context is built once per family and shared by
 every check: the documented flow builds one per member, an update pass
@@ -50,7 +54,7 @@ import weakref
 import numpy as np
 import pytest
 
-from heisenkern import harness, kernel, semigroup
+from heisenkern import harness, kernel, numerics, semigroup
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, _mul_arrays, gamma, gamma2, poly_field
@@ -537,94 +541,130 @@ def test_pt_density_raises_outside_table_window():
 
 
 @pytest.fixture(scope="module")
-def p1_fit():
-    """The RectBivariateSpline behind the cached window table, recorded as
-    _p1_table builds it afresh: the oracle for the table's evaluation."""
-    from scipy import interpolate
-
+def table_fits():
+    """(xg, yg, values, table) of both kernel tables, the p_1 window table
+    and the spline bundle's, recorded as they are built afresh; the
+    rebuilt p_1 table replaces the cached one, with the same bits."""
     fits = []
 
-    class Recorded(interpolate.RectBivariateSpline):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            fits.append(self)
+    class Recorded(numerics.BicubicTable):
+        def __init__(self, xg, yg, values):
+            super().__init__(xg, yg, values)
+            fits.append((np.asarray(xg), np.asarray(yg), np.asarray(values), self))
 
     harness._p1_table.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interpolate, "RectBivariateSpline", Recorded)
-        tx, ty, c = harness._p1_table()
-    (fit,) = fits
-    ftx, fty, fc = fit.tck
-    assert np.array_equal(ftx, tx) and np.array_equal(fty, ty)
-    assert np.array_equal(fc, c.ravel())
-    return fit
+        mp.setattr(harness, "BicubicTable", Recorded)
+        mp.setattr(kernel, "BicubicTable", Recorded)
+        harness._p1_table()
+        kernel.LogHSplineTables()
+    assert [f[2].shape[-1] for f in fits] == [1, 6]
+    return fits
 
 
-def assert_table_bits(fit, r, z):
-    """The table's log p_1 at (r, |z|) has the bits of FITPACK's ev on the same fit."""
-    r = np.asarray(r, dtype=float).ravel()
-    z = np.abs(np.asarray(z, dtype=float)).ravel()
-    got = harness._table_log_p1(r, z)
-    want = fit.ev(r, z)
-    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert differ.size == 0, (f"{differ.size} of {r.size} values differ, first at "
-                              f"(r, z) = ({r[differ[0]]!r}, {z[differ[0]]!r})")
+def assert_table_bits(table, x, y):
+    """The table's values at the flat points (x, y) have the bits of scipy's
+    NdBSpline on the same knots and coefficients."""
+    from scipy.interpolate import NdBSpline
+
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    got = table(x, y).T
+    want = NdBSpline(table.t, table.c, 3)(np.stack([x, y], axis=-1))
+    differ = np.flatnonzero(np.any(got.view(np.int64) != want.view(np.int64), axis=1))
+    assert differ.size == 0, (f"{differ.size} of {x.size} values differ, first at "
+                              f"(x, y) = ({x[differ[0]]!r}, {y[differ[0]]!r})")
 
 
-def window_knot_values(t, hi):
+def knot_values(t):
+    """The knots of an axis and their neighbours one ulp away."""
     k = np.unique(t)
-    k = np.concatenate([k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)])
-    return np.unique(k[(k >= 0.0) & (k <= hi)])
+    return np.unique(np.concatenate([k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)]))
 
 
-def test_table_bits_on_checked_points(p1_fit, family12, monkeypatch):
+def test_table_bits_on_checked_points(table_fits, monkeypatch):
     """Every point that constants_estimate and check_cheeger_bobkov send to
-    the table gets the value FITPACK's ev gives, bit for bit.  The atom
-    weights are cached for the process, so the cache starts empty."""
+    either table, on a new 12-member family, gets NdBSpline's value bit for
+    bit.  The atom weights are cached for the process, so the cache starts
+    empty, and f*'s bundle is read once per family."""
     harness._atom_weights.cache_clear()
-    density = harness._pt_density
+    call = numerics.BicubicTable.__call__
     seen = []
 
-    def spy(x, y, z):
-        seen.append((np.hypot(x, y), z))
-        return density(x, y, z)
+    def spy(self, x, y):
+        seen.append((self, x.copy(), y.copy()))
+        return call(self, x, y)
 
-    monkeypatch.setattr(harness, "_pt_density", spy)
-    harness.constants_estimate(family12)
-    check_cheeger_bobkov(family12)
-    assert sum(r.size for r, _ in seen) > 0
-    for r, z in seen:
-        assert_table_bits(p1_fit, r, z)
+    monkeypatch.setattr(numerics.BicubicTable, "__call__", spy)
+    family = build_family(12, DEFAULT_FAMILY_SEED)
+    harness.constants_estimate(family)
+    check_cheeger_bobkov(family)
+    tables = (harness._p1_table(), kernel.get_spline_tables()._table)
+    assert {id(t) for t, _, _ in seen} == {id(t) for t in tables}
+    for table in tables:
+        points = [(x, y) for t, x, y in seen if t is table]
+        assert_table_bits(table, np.concatenate([x for x, _ in points]),
+                          np.concatenate([y for _, y in points]))
 
 
-def test_table_bits_on_knots_and_seeded_points(p1_fit):
-    """The knots of both axes and their neighbours (r = 0, z = 0 and the
-    corner (8, 9) among them) and 10^5 seeded points of the window."""
-    tx, ty, _ = harness._p1_table()
-    R, Z = np.meshgrid(window_knot_values(tx, harness._P1TAB_R),
-                       window_knot_values(ty, harness._P1TAB_Z))
-    assert_table_bits(p1_fit, R, Z)
+def test_table_bits_on_knots_and_seeded_points(table_fits):
+    """For both tables: every pair of knots and their neighbours (the grid
+    corners among them) and 10^5 seeded points of the grid, a margin past
+    its edges included."""
     rng = np.random.default_rng(19)
-    assert_table_bits(p1_fit, rng.uniform(0.0, harness._P1TAB_R, 100_000),
-                      rng.uniform(-harness._P1TAB_Z, harness._P1TAB_Z, 100_000))
+    for *_, table in table_fits:
+        X, Y = np.meshgrid(*(knot_values(t) for t in table.t))
+        assert_table_bits(table, X, Y)
+        lo, hi = np.array([t[0] for t in table.t]), np.array([t[-1] for t in table.t])
+        x, y = rng.uniform(lo - 0.01 * (hi - lo), hi + 0.01 * (hi - lo), (100_000, 2)).T
+        assert_table_bits(table, x, y)
 
 
-def test_table_interval_is_fitpack_walk():
-    """fpbisp walks from interval 3 while x >= t[l + 1], stopping at n - 5:
-    l = 3 plus the number of knots t[4 .. n - 5] at or below x."""
+def test_table_interval_is_fitpack_walk(table_fits):
+    """On each axis of both tables the interval is FITPACK's and NdBSpline's:
+    the walk from interval 3 while x >= t[l + 1], stopping at n - 5, that is
+    l = 3 plus the number of knots t[4 .. n - 5] at or below x, for points
+    on, next to, between and past the knots."""
     rng = np.random.default_rng(7)
-    for t, hi in zip(harness._p1_table()[:2], (harness._P1TAB_R, harness._P1TAB_Z)):
-        x = np.concatenate([window_knot_values(t, hi), rng.uniform(0.0, hi, 5_000)])
-        walk = 3 + np.count_nonzero(t[None, 4:len(t) - 4] <= x[:, None], axis=1)
-        assert np.array_equal(harness._interval(t, x), walk)
-        clipped = np.clip(np.searchsorted(t, x, "right") - 1, 3, len(t) - 5)
-        assert np.array_equal(walk, clipped)
+    for *_, table in table_fits:
+        for t, g0, inv in table._axes:
+            span = t[-1] - t[0]
+            x = np.concatenate([knot_values(t), rng.uniform(t[0] - 0.1 * span, t[-1] + 0.1 * span, 5_000)])
+            walk = 3 + np.count_nonzero(t[None, 4:len(t) - 4] <= x[:, None], axis=1)
+            assert np.array_equal(numerics._interval(t, x, g0, inv), walk)
+            clipped = np.clip(np.searchsorted(t, x, "right") - 1, 3, len(t) - 5)
+            assert np.array_equal(walk, clipped)
+
+
+def test_table_coefficients_match_fitpack(table_fits):
+    """FITPACK's interpolating fit (RectBivariateSpline, s = 0) of each
+    component has the table's knots, and its coefficients are within
+    2.9e-15 max|c| of the table's (measured 2.84e-15, on the bundle's b)."""
+    from scipy.interpolate import RectBivariateSpline
+
+    for xg, yg, values, table in table_fits:
+        for i in range(values.shape[-1]):
+            tx, ty, c = RectBivariateSpline(xg, yg, values[..., i], kx=3, ky=3, s=0).tck
+            assert np.array_equal(tx, table.t[0]) and np.array_equal(ty, table.t[1])
+            c = c.reshape(len(xg), len(yg))
+            assert np.max(np.abs(table.c[..., i] - c)) <= 2.9e-15 * np.max(np.abs(c)), i
+
+
+def test_table_reproduces_its_nodes(table_fits):
+    """At the grid nodes each component meets its data to rounding: within
+    4.8e-16 max|values| (measured 4.72e-16, on the bundle's alpha_z)."""
+    for xg, yg, values, table in table_fits:
+        X, Y = np.meshgrid(xg, yg, indexing="ij")
+        got = table(X.ravel(), Y.ravel())
+        for i in range(values.shape[-1]):
+            v = values[..., i].ravel()
+            assert np.max(np.abs(got[i] - v)) <= 4.8e-16 * np.max(np.abs(v)), i
 
 
 def test_table_values_ignore_batch_mates_and_blocks():
     """One call on a shuffled set that spans two blocks gives each point the
     bits of its own one-point call."""
-    n = harness._P1TAB_BLOCK + 1_500
+    n = numerics._TABLE_BLOCK + 1_500
     rng = np.random.default_rng(11)
     x = rng.uniform(-5.0, 5.0, n)
     y = rng.uniform(-5.0, 5.0, n)
@@ -650,10 +690,12 @@ def test_cheeger_bobkov_rows_never_evaluate_scipy_splines(family12, monkeypatch)
     assert check_cheeger_bobkov(family12) == rows
 
 
-def test_table_arrays_are_read_only():
-    for a in harness._p1_table():
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+def test_table_arrays_are_read_only(table_fits):
+    """Both tables' knots and coefficients refuse writes."""
+    for *_, table in table_fits:
+        for a in (*table.t, table.c, table._rows):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 def test_table_accuracy_off_its_nodes():

@@ -613,6 +613,20 @@ class TestSplineTables:
         for v in vals:
             assert np.all(np.isfinite(v))
 
+    def test_bundle_values_ignore_batch_mates_and_blocks(self, tables):
+        """One call on a shuffled set that spans two evaluation blocks, past
+        the clamp box and on both sides of z = 0, gives each point the bits
+        of its own one-point call."""
+        from heisenkern.numerics import _TABLE_BLOCK
+
+        n = _TABLE_BLOCK + 1_500
+        rng = np.random.default_rng(23)
+        r = rng.uniform(0.0, 18.0, n)
+        z = rng.uniform(-28.0, 28.0, n)
+        batch = np.array(tables.bundle(r, z))
+        single = np.array([tables.bundle(a, b) for a, b in zip(r, z)]).T
+        assert _bits_equal(batch, single)
+
 
 class TestLogHField:
     def test_gradient_validates(self):

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from heisenkern.numerics import QuadratureSpec, gauss_legendre, gauss_panels, integrate_decaying
+from heisenkern.numerics import (BicubicTable, QuadratureSpec, gauss_legendre, gauss_panels,
+                                 integrate_decaying)
 
 from oracles import AdaptiveSpec, QuadratureError, adaptive_decaying, integrate_1d
 
@@ -205,3 +206,52 @@ class TestGaussLegendre:
         edges = np.array([0.0, 0.5, 1.0])
         for got, want in zip(gauss_panels(edges, 2.0), gauss_panels(edges, 2)):
             assert np.array_equal(got, want) and got.size == 4
+
+
+class TestBicubicTable:
+    GRID = np.arange(6) * 0.5
+
+    def test_reproduces_bicubic_polynomials(self):
+        """Not-a-knot cubics hold every bicubic polynomial: off the nodes and
+        past the grid's edges the table is the polynomial to rounding."""
+        def poly(x, y):
+            return np.stack([1.0 + x - 2.0 * y + x**3 * y**2 - 0.5 * x * y**3, x**2 * y**3 - 3.0 * y])
+
+        xg, yg = self.GRID, np.linspace(-1.0, 2.0, 7)
+        X, Y = np.meshgrid(xg, yg, indexing="ij")
+        table = BicubicTable(xg, yg, np.moveaxis(poly(X, Y), 0, -1))
+        rng = np.random.default_rng(2)
+        x, y = rng.uniform(-0.5, 3.0, 500), rng.uniform(-1.5, 2.5, 500)
+        assert table(x, y).shape == (2, 500)
+        assert np.max(np.abs(table(x, y) - poly(x, y))) <= 1e-12
+
+    @pytest.mark.parametrize("xg", [
+        np.arange(3) * 0.5,                      # fewer than 4 nodes
+        np.arange(6)[::-1] * 0.5,                # decreasing
+        np.array([0.0, 0.5, 0.5, 1.5, 2.0, 2.5]),  # a repeated node
+        np.array([0.0, 0.5, 1.0, 1.7, 2.0, 2.5]),  # a node past a quarter step
+        np.array([0.0, 0.5, 1.0, np.nan, 2.0, 2.5]),
+        np.zeros((2, 3)),                        # not 1-d
+    ])
+    def test_refuses_bad_grids(self, xg):
+        with pytest.raises(ValueError, match="xg"):
+            BicubicTable(xg, self.GRID, np.zeros((np.size(xg), 6, 1)))
+        with pytest.raises(ValueError, match="yg"):
+            BicubicTable(self.GRID, xg, np.zeros((6, np.size(xg), 1)))
+
+    def test_accepts_a_grid_uniform_to_a_quarter_step(self):
+        xg = np.array([0.0, 0.5, 1.0, 1.6, 2.0, 2.5])
+        table = BicubicTable(xg, self.GRID, np.ones((6, 6, 1)))
+        assert np.allclose(table(np.linspace(0.0, 2.5, 11), np.zeros(11)), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 6, 1), (6, 7, 2), (6, 6, 1, 1)])
+    def test_refuses_values_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            BicubicTable(self.GRID, self.GRID, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_values(self, bad):
+        values = np.zeros((6, 6, 2))
+        values[3, 2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BicubicTable(self.GRID, self.GRID, values)
