@@ -7,27 +7,30 @@ Base integral:
 
 with every other time reached through p(t, r, z) = t^{-2} p1(r/sqrt(t), z/t).
 
-Routes: every real-kernel value comes from one fixed Gauss-Legendre
-panel rule, built by _panel_kernel.  radial_row applies it to one z-row;
-the point function p1 is radial_row at the single point, so its rule is
-set by that point alone; p1_many and log_grad_many take one rule per run
-of _CHUNK pairs, and walk each run in _BLOCK blocks, taking cos/sin once
-per distinct height of a block, with the bits of a per-point evaluation.
-Within one call, consecutive chunks (or spline-table rows) with the same
-radii and rule share one read-only kernel, so exp runs once per distinct
-radius of such a run (_KernelRuns).  The log-derivative bundle of log p1
-comes from _log_bundle, row by row, for the interpolation table, a
-numerics.BicubicTable, which also holds the harness's p1 table.  The panels come from numerics._panel_rule,
-which also gives each point of the complex shift p1_star_shifted its own
-fixed rule, through numerics.integrate_decaying; no value is adaptive.
+Routes: every real-kernel value at scattered points comes from one
+fixed Gauss-Legendre panel rule, built by _panel_kernel.  radial_row
+applies it to one z-row; the point function p1 is radial_row at the
+single point, so its rule is set by that point alone; p1_many and
+log_grad_many take one rule per run of _CHUNK pairs, and walk each run
+in _BLOCK blocks, taking cos/sin once per distinct height of a block,
+with the bits of a per-point evaluation.  Within one call, consecutive
+chunks with the same radii and rule share one read-only kernel, so exp
+runs once per distinct radius of such a run (_KernelRuns).  The panels
+come from numerics._panel_rule, which also gives each point of the
+complex shift p1_star_shifted its own fixed rule, through
+numerics.integrate_decaying; no value is adaptive.  The interpolation
+table of the log-derivative bundle, a numerics.BicubicTable like the
+harness's p1 table, is filled by _contour_rows instead: one inverse FFT
+per radius on the saddle-point contour, with _log_bundle's algebra on top.
 
-Accuracy note: the integrand envelope is of size exp(-r^2/4) while the
-true value is of size exp(-d^2/4), so float64 quadrature carries a
-relative noise floor of roughly 1e-13 * exp((d^2 - r^2)/4).  Every grid
-in this package stays where that floor is harmless; the interpolation
-tables switch to the Gaussian-estimate asymptote once the cancellation
-exponent (d^2 - r^2)/4 exceeds CANCEL_BUDGET, a region whose heat-measure
-weight is below exp(-16).
+Accuracy note: on the real lam-line the integrand envelope is of size
+exp(-r^2/4) while the true value is of size exp(-d^2/4), so the panel
+rule carries a relative noise floor of roughly 1e-13 exp((d^2 - r^2)/4);
+its callers keep the cancellation exponent (d^2 - r^2)/4 near or below
+CANCEL_BUDGET.  The contour rows cancel nothing: at 16 table nodes with
+exponents from 0.001 to 85, they err against a 30-digit mpmath
+quadrature by at most 1.1e-13 relative in p1 and 1.5e-11 max(1, |value|)
+in the bundle.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import cc_distance_many
+# cc_distance_many stays importable here: the benchmark tracer wraps it in this module
+from .geometry import _mu_arrays, cc_distance_many  # noqa: F401
 from .group import ScalarField
 from .numerics import BicubicTable, _panel_rule, integrate_decaying
 
@@ -58,9 +62,9 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 Z_RANGE_LIMIT = 50.0
 SERIES_CUT = 1e-4
 
-# quadrature relative noise ~1e-12 exp((d^2-r^2)/4); beyond this exponent
-# the tables fall back to the cut-locus asymptote (noise at the boundary is
-# ~4e-3 relative, and every consumer weights that region below e^{-13})
+# the panel rule's relative noise is ~1e-13 exp((d^2-r^2)/4), ~4e-4 at this
+# exponent: the floor of p1_many's callers (harness._ray_s_cap stops the ray
+# survey short of it); the spline table's contour rows need no budget
 CANCEL_BUDGET = 22.0
 
 
@@ -181,9 +185,9 @@ def _panel_kernel(rs, zmax: float):
 class _KernelRuns:
     """One call's panel kernels, each built once per run that shares it.
 
-    Consecutive chunks of a paired call, or rows of the spline table, that
-    have bit-equal radii and the same panel width share one rule (equal
-    radii fix the cutoff too), so _panel_kernel runs once per such run.
+    Consecutive chunks of a paired call that have bit-equal radii and the
+    same panel width share one rule (equal radii fix the cutoff too), so
+    _panel_kernel runs once per such run.
     Each call makes its own, so no G outlives the call that built it.
     """
 
@@ -206,21 +210,20 @@ def _check_batch(r, z, name: str):
         raise KernelRangeError(f"{name} arguments out of range")
 
 
-def radial_row(rs, z: float, kernel=_panel_kernel):
+def radial_row(rs, z: float):
     """All kernel integrals for one z and many r values, sharing one rule.
 
     Returns (p, p_r, p_z, p_rr, p_rz/r, p_zz) as arrays over ``rs``.  The
     rule resolves both the cos(lam z) oscillation and the steepest
     exponential decay in the batch, then reuses the (r, lam) exponential
-    matrix for all six weighted sums; ``kernel(rs, |z|)`` supplies it
-    (a _KernelRuns shares it across rows).
+    matrix for all six weighted sums.
     """
     rs = np.asarray(rs, dtype=float)
     if rs.size == 0:
         empty = np.empty(0)
         return (empty,) * 6
     _check_batch(rs, z, "radial_row")
-    lam, w, lc, G = kernel(rs, abs(z))
+    lam, w, lc, G = _panel_kernel(rs, abs(z))
     cz = np.cos(lam * z)
     sz = np.sin(lam * z)
 
@@ -335,19 +338,17 @@ def log_grad_many(r, z):
 _AXIS_EPS = 1e-8
 
 
-def _log_bundle(rs, z: float, kernels=None) -> dict:
-    """Partials of log p1 in radial form as arrays over ``rs`` at one z.
+def _log_bundle(rs, six) -> dict:
+    """Partials of log p1 in radial form from ``six`` = (p, p_r, p_z, p_rr,
+    p_rz/r, p_zz), arrays that broadcast against the radii ``rs``.
 
     a = d_r log p1 and b = d_z log p1; alpha = a/r extends evenly across
     the axis.  alpha_r, alpha_z, b_r, b_z are the partials needed for
     gradients of fields built from x alpha + (y/2) b.
-
-    One radial_row rule serves the whole row; ``kernels``, the spline
-    table's _KernelRuns, lets rows with the same radii and rule share it.
     On the axis the even/odd structure in r pins alpha = L_rr and
     alpha_r = b_r = 0.
     """
-    pv, pr, pz, prr, przr, pzz = radial_row(rs, z, kernels or _panel_kernel)
+    pv, pr, pz, prr, przr, pzz = six
     a = pr / pv
     b = pz / pv
     l_rr = prr / pv - a * a
@@ -368,7 +369,7 @@ def _log_bundle(rs, z: float, kernels=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# interpolation tables with asymptotic fill
+# FFT rows on the saddle-point contour, and the interpolation table
 
 
 _TABLE_R_MAX = 16.0
@@ -378,78 +379,67 @@ _TABLE_DZ = 0.2
 _PAD = 15  # mirrored rows/columns so the splines see the even/odd symmetry
 _PAD_TOP = 6  # extra rows/columns past the clamp box
 
+# contour heights Im(lam) = theta of the bands, and the FFT length
+_BANDS = np.linspace(0.0, math.pi - 0.3, 8)
+_FFT_N = 640
 
-def _log_h_asymptote(r, z):
-    """Cut-locus stand-in for log p1 beyond the cancellation budget.
 
-    Near the axis the distance has a cone d ~ 2 sqrt(pi z) - r, but the
-    kernel smooths it by averaging over the cut circle; a Bessel factor
-    reproduces that rounding:
+def _contour_rows(r: float, dz: float, nz: int):
+    """(p, p_r, p_z, p_rr, p_rz/r, p_zz) at radius r on z_j = j dz, j < nz.
 
-        log p1 ~ -pi z + log I0(d0 r / 2) - (1/2) log(1 + norm d0),
-        d0 = 2 sqrt(pi z).
+    G is even, real on the real line and analytic for |Im lam| < pi, so
+    for 0 <= theta < pi
 
-    On the axis this matches the closed form 1/(16 cosh^2(pi z/2)) up to
-    the algebraic factor.  Differentiating the raw -d^2/4 instead would
-    inject a spurious 1/r^2 into alpha_r at the cone.
+        p1(r, z) = e^{-theta z}/(8 pi^2) Re int e^{iuz} G(u + i theta, r) du,
+
+    and each derivative multiplies the integrand by a factor of
+    lam = u + i theta: d_r by -(r/2) lam coth lam, d_z by i lam, d_rr by
+    (r^2/4)(lam coth lam)^2 - (1/2) lam coth lam, d_rz/r by
+    -(1/2) i lam lam coth lam and d_zz by -lam^2.  On the band nearest the
+    saddle lam = i theta*, mu(theta*) = 4z/r^2, the integrand is of the
+    size of the value times e^{theta z}, so nothing cancels; each z takes
+    the band of _BANDS whose midpoints bracket its saddle (every z > 0 on
+    the axis the top one, z = 0 the real line).  The trapezoid nodes
+    u_k = k h, h = 2 pi/(_FFT_N dz), cover |u| <= 45/(1 + r^2/4) + 5 in
+    whole periods of _FFT_N from a multiple of it, and u_k z_j =
+    2 pi k j/_FFT_N, so the nodes folded mod _FFT_N and one inverse FFT
+    give the whole row; its alias terms, the value at z + 2 pi n/h, are
+    below e^{-(pi - theta) 2 pi/h} ~ 2e-17 of the band's integral at
+    theta = pi - 0.3 and dz = 0.2.  No bit depends on the BLAS.
     """
-    from scipy.special import i0e
-
-    r = np.asarray(r, dtype=float)
-    z = np.abs(np.asarray(z, dtype=float))
-    d0 = 2.0 * np.sqrt(np.pi * z)
-    w = 0.5 * d0 * r
-    norm = ((r * r) ** 2 + z * z) ** 0.25
-    # log I0(w) = log i0e(w) + w, stable for large w
-    return -np.pi * z + np.log(i0e(w)) + w - 0.5 * np.log1p(norm * d0)
-
-
-def _asym_bundle(r, z):
-    """(alpha, b, alpha_r, alpha_z, b_r, b_z) of the asymptote by FD.
-
-    The asymptote is smooth in r (no cone), so plain central differences
-    are safe, including near the axis.
-    """
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    hr, hz = 1e-3, 1e-3
-    rr = np.maximum(r, 0.05)  # alpha = a/r needs r bounded away from 0
-
-    def a_of(rv, zv):
-        return (_log_h_asymptote(rv + hr, zv) - _log_h_asymptote(rv - hr, zv)) / (2 * hr)
-
-    def b_of(rv, zv):
-        return (_log_h_asymptote(rv, zv + hz) - _log_h_asymptote(rv, zv - hz)) / (2 * hz)
-
-    a = a_of(rr, z)
-    b = b_of(rr, z)
-    alpha = a / rr
-    alpha_r = (a_of(rr + hr, z) / (rr + hr) - a_of(rr - hr, z) / (rr - hr)) / (2 * hr)
-    alpha_z = (a_of(rr, z + hz) / rr - a_of(rr, z - hz) / rr) / (2 * hz)
-    b_r = (b_of(rr + hr, z) - b_of(rr - hr, z)) / (2 * hr)
-    b_z = (b_of(rr, z + hz) - b_of(rr, z - hz)) / (2 * hz)
-    on_axis = r < 1e-9  # odd components vanish there
-    return (
-        alpha,
-        b,
-        np.where(on_axis, 0.0, alpha_r),
-        alpha_z,
-        np.where(on_axis, 0.0, b_r),
-        b_z,
-    )
+    n = _FFT_N
+    h = 2.0 * math.pi / (n * dz)
+    k_max = math.ceil((45.0 / (1.0 + 0.25 * r * r) + 5.0) / h)
+    k0 = -math.ceil(k_max / n) * n  # so node k folds onto k mod n with no phase
+    periods = math.ceil((k_max + 1 - k0) / n)
+    zs = np.arange(nz) * dz
+    saddle = 4.0 * zs / (r * r) if r > 0.0 else np.where(zs > 0.0, np.inf, 0.0)
+    band = np.searchsorted(_mu_arrays(0.5 * (_BANDS[1:] + _BANDS[:-1])), saddle)
+    used, pick = np.unique(band, return_inverse=True)
+    theta = _BANDS[used]
+    lam = (np.arange(k0, k0 + periods * n) * h)[None, :] + 1j * theta[:, None]
+    at_zero = lam == 0.0
+    lam_safe = np.where(at_zero, 1.0, lam)
+    ratio = np.where(at_zero, 1.0, lam_safe / np.sinh(lam_safe))  # removable at lam = 0
+    lc = np.where(at_zero, 1.0, lam_safe / np.tanh(lam_safe))
+    g = ratio * np.exp(-0.25 * r * r * lc)
+    il = 1j * lam
+    f = np.stack([g, -0.5 * r * lc * g, il * g, (0.25 * r * r * lc - 0.5) * lc * g,
+                  -0.5 * il * lc * g, -lam * lam * g])
+    rows = np.fft.ifft(f.reshape(6, len(used), periods, n).sum(2), axis=-1)[..., :nz].real
+    return rows[:, pick, np.arange(nz)] * (n * h / (2.0 * FOUR_PI_SQ) * np.exp(-theta[pick] * zs))
 
 
 class LogHSplineTables:
     """Bicubic splines of the log-derivative bundle over (r, z >= 0).
 
-    Values inside the cancellation budget come from the panel quadrature;
-    outside they come from the asymptote, keeping the spline smooth where
-    nested translations occasionally land with negligible weight.  The six
-    quantities fill one (r, z, 6) grid, extended below the axes by mirrored
-    rows and columns, each component signed by its parity, and past the
-    clamp box by a strip of extra nodes (asymptote values at large |z|);
-    the padding and the strip shape the fit, and so every table value.
-    One numerics.BicubicTable fits the six and evaluates them at
+    Every node's value is _log_bundle of the _contour_rows row at its
+    radius, so no node cancels and none falls back to an asymptote.  The
+    six quantities fill one (r, z, 6) grid, extended below the axes by
+    mirrored rows and columns, each component signed by its parity, and
+    past the clamp box by a strip of extra nodes; the padding and the
+    strip shape the fit, and so every table value.  One
+    numerics.BicubicTable fits the six and evaluates them at
     (min(r, 16), min(|z|, 26)); the z parity signs are applied afterwards.
     """
 
@@ -462,23 +452,9 @@ class LogHSplineTables:
         nr = int(round(_TABLE_R_MAX / _TABLE_DR)) + 1 + _PAD_TOP
         nz = int(round(_TABLE_Z_MAX / _TABLE_DZ)) + 1 + _PAD_TOP
         rs = np.arange(nr) * _TABLE_DR
-        zs = np.arange(nz) * _TABLE_DZ
-
-        d = cc_distance_many(rs[:, None], np.zeros((nr, 1)), zs[None, :])
-        safe = 0.25 * (d * d - rs[:, None] ** 2) <= CANCEL_BUDGET
-
-        table = np.empty((nr, nz, len(self._KEYS)))
-
-        # rows up to z ~ 7 keep every radius, so they share one kernel
-        kernels = _KernelRuns()
-        for j, z in enumerate(zs):
-            mask = safe[:, j]
-            if np.any(mask):
-                row = _log_bundle(rs[mask], float(z), kernels)
-                table[mask, j] = np.stack([row[key] for key in self._KEYS], axis=-1)
-            if np.any(~mask):
-                rj = rs[~mask]
-                table[~mask, j] = np.stack(_asym_bundle(rj, np.full(rj.shape, z)), axis=-1)
+        six = np.stack([_contour_rows(r, _TABLE_DZ, nz) for r in rs], axis=1)
+        bundle = _log_bundle(rs[:, None], six)
+        table = np.stack([bundle[key] for key in self._KEYS], axis=-1)
 
         top = np.concatenate([self._PARITY_Z * table[:, _PAD:0:-1], table], axis=1)
         full = np.concatenate([self._PARITY_R * top[_PAD:0:-1], top], axis=0)

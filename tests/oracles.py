@@ -13,8 +13,8 @@ stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
 n-step law, the lambda-slice f = cos(lam z) e^{-a r^2} with its exact
 P_t f, gradient and variance, exact rational polynomials with their
 finite heat flow e^{tL} f, the mpmath ray limit L(t) and ray ratio behind the
-stored values in test_harness.py, and the mpmath p1(r, z + 2i) behind those in
-test_kernel.py.
+stored values in test_harness.py, and the mpmath p1(r, z + 2i) and the
+mpmath kernel with its five derivatives behind those in test_kernel.py.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
 tests that use them.
@@ -87,12 +87,14 @@ class RadialLogDerivatives:
 
 
 def log_derivatives(r: float, z: float) -> RadialLogDerivatives:
-    """Exact log-derivative bundle at one point: kernel._log_bundle on [r].
+    """Exact log-derivative bundle at one point: kernel._log_bundle of
+    radial_row on [r].
 
     Like kernel.p1, the panel rule is fitted to the point alone, and
     radial_row range-checks (r, z).
     """
-    d = K._log_bundle(np.array([r], dtype=float), float(z))
+    rs = np.array([r], dtype=float)
+    d = K._log_bundle(rs, K.radial_row(rs, float(z)))
     return RadialLogDerivatives(**{key: float(v[0]) for key, v in d.items()})
 
 
@@ -949,6 +951,55 @@ def _p1_real_mp(r, z):
 
     lam_end = int(mp.mp.dps * math.log(10.0)) + 40
     return mp.quad(g, list(range(lam_end + 1)) + [mp.inf]) / (4 * mp.pi**2)
+
+
+def kernel_six_mp(r: float, z: float, dps: int = 30):
+    """(p, p_r, p_z, p_rr, p_rz/r, p_zz) of p_1 at (r, z) in mpmath, to
+    ``dps`` digits, by real-line quadrature independent of the contour:
+    (1/4 pi^2) int_0^inf F(lam) G(lam, r) dlam with F = cos(lam z) times
+    1, -(r/2) lc, (r^2/4) lc^2 - lc/2 and -lam^2, and F = sin(lam z) times
+    -lam and lam lc/2, where lc = lam coth lam.  The integrand is of size
+    e^{-r^2/4} and the value of size e^{-d^2/4}, so the working precision
+    carries (d^2 - r^2)/(4 ln 10) + 10 digits more than ``dps``.  The
+    panels, 1/4 wide, stop where 2 lam e^{-(1 + r^2/4) lam}, a bound on
+    |G|, is 10^-(working digits + 5) of e^{-d^2/4}, and each integral's
+    error estimate must be below 10^-(dps + 2) of its value.  This
+    generates KERNEL_SIX_MP in test_kernel.py (0.4-115 s a point at 30
+    digits, the most near the axis at large z); the tests read the stored
+    values and do not import mpmath.
+    """
+    import mpmath as mp
+
+    d = float(Geo.cc_distance_many(r, 0.0, z))
+    work = dps + int(0.25 * (d * d - r * r) / math.log(10.0)) + 10
+    with mp.workdps(work):
+        r, z = mp.mpf(r), mp.mpf(z)
+        q = r * r / 4
+        lam_end = (d * d / 4 + (work + 5) * math.log(10.0)) / (1.0 + float(q))
+        edges = [mp.mpf(k) / 4 for k in range(int(4 * lam_end) + 2)]
+
+        def g(lam):
+            return lam / mp.sinh(lam) * mp.exp(-q * lam * mp.coth(lam))
+
+        def lc(lam):
+            return lam * mp.coth(lam)
+
+        factors = (lambda lam: mp.cos(lam * z),
+                   lambda lam: -r / 2 * lc(lam) * mp.cos(lam * z),
+                   lambda lam: -lam * mp.sin(lam * z),
+                   lambda lam: (q * lc(lam) - mp.mpf(1) / 2) * lc(lam) * mp.cos(lam * z),
+                   lambda lam: lam * lc(lam) / 2 * mp.sin(lam * z),
+                   lambda lam: -lam * lam * mp.cos(lam * z))
+        # mpmath's error estimate has an absolute floor, so integrate
+        # e^{d^2/4} G, whose value is of order one
+        scale = mp.exp(mp.mpf(d) ** 2 / 4)
+        out = []
+        for f in factors:
+            value, err = mp.quad(lambda lam: f(lam) * g(lam) * scale, edges, error=True)
+            if not err <= mp.mpf(10) ** -(dps + 2) * abs(value):
+                raise ArithmeticError(f"kernel_six_mp({r}, {z}): error estimate {err} of {value}")
+            out.append(value / (4 * mp.pi**2 * scale))
+        return tuple(out)
 
 
 def ray_ratio_mp(u_abs: float, t: float, dps: int = 25, panels: int = 4):

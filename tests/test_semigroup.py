@@ -890,7 +890,7 @@ def test_interpolation_variance_extremal_member():
     """
     fstar = FAMILY[-1]
     iv = interpolation_variance(fstar, CFG1_NESTED)
-    assert iv == pytest.approx(0.9999946251592414, rel=1e-12)
+    assert iv == pytest.approx(0.9999946251974937, rel=1e-12)
     assert iv == pytest.approx(1.0, abs=1e-4)
     assert iv == pytest.approx(variance(fstar, CFG1_NESTED), rel=1e-3)
 
