@@ -32,8 +32,8 @@ from .family import TestFunctionFamily, build_family
 from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A  # noqa: F401
 from .group import GroupElement, ScalarField, gamma as gamma_at, gamma2 as gamma2_at, poly_field
 # log_grad_many stays importable here: the benchmark tracer wraps it in this module
-from .kernel import (CANCEL_BUDGET, KernelRangeError, log_grad_many,  # noqa: F401
-                     p1_many, p1_star_shifted)
+from .kernel import (CANCEL_BUDGET, KernelRangeError, _contour_rows,  # noqa: F401
+                     log_grad_many, p1_many, p1_star_shifted)
 from .mc import sample_kolmogorov
 from .numerics import BicubicTable, gauss_legendre, gauss_panels
 from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, _translated_nodes, grad_sums,
@@ -208,19 +208,17 @@ def check_kernel_identities() -> list:
 # |z| <= 9, which holds every panel and translated-panel point of the
 # checks (r <= 5.1 and |z| <= 4.9 on the default families), so a
 # one-time bicubic table serves the values, read once per mollifier atom
-# and grid point in the process (_atom_weights).  Off its nodes it is
-# within 3.2e-7 relative of kernel.p1 where p1 > 1e-6 and within 6.5e-7
-# in the checks' region, where p1 >= 9.3e-8 (4,000 seeded points); the
-# error peaks at the axes r = 0 and z = 0, where the fit has no mirrored
-# rows.  The table's nodes, multiples of 0.025, are interpolated
-# exactly, so a grid of such points cannot see this error.  A point
-# outside the window raises KernelRangeError.
-# The build is one p1_many call on 115,881 grid points, about 0.19 s on
-# one core of a 2-core AMD EPYC: each z-major chunk of 2,048 points holds
-# the same 321 radii, and all but the two highest chunks share one rule,
-# so p1_many builds three panel kernels for the 57 chunks; it takes cos
-# once per distinct height of each 256-point block (one or two), so the
-# blocks' gathers, products and contractions are what remain.
+# and grid point in the process (_atom_weights).  Its 321 rows of 361
+# heights are kernel._contour_rows of p alone, within 2.5e-15 relative of
+# the 40-digit grid at its 35 points in the window.  Off its nodes the
+# table is within 3.2e-7 relative of contour rows where p1 > 1e-6 and
+# within 6.5e-7 in the checks' region, where p1 >= 9.3e-8 (4,000 seeded
+# points); the error peaks at the axes r = 0 and z = 0, where the fit has
+# no mirrored rows.  The table's nodes, multiples of 0.025, are
+# interpolated exactly, so a grid of such points cannot see this error.
+# A point outside the window raises KernelRangeError.  The build takes
+# about 0.13 s on one core of a 2-core AMD EPYC, and its bytes do not
+# depend on the BLAS thread count.
 
 _P1TAB_R = 8.0
 _P1TAB_Z = 9.0
@@ -232,10 +230,8 @@ def _p1_table():
     """The bicubic table of log p_1 on the window's (r, z >= 0) grid."""
     rg = np.arange(0.0, _P1TAB_R + _P1TAB_STEP, _P1TAB_STEP)
     zg = np.arange(0.0, _P1TAB_Z + _P1TAB_STEP, _P1TAB_STEP)
-    # z-major order keeps low-|z| chunks on wide integration panels
-    Z, R = np.meshgrid(zg, rg, indexing="ij")
-    vals = p1_many(R.ravel(), Z.ravel()).reshape(len(zg), len(rg))
-    return BicubicTable(rg, zg, np.log(vals).T[:, :, None])
+    rows = [_contour_rows(r, _P1TAB_STEP, zg.size, p_only=True)[0] for r in rg]
+    return BicubicTable(rg, zg, np.log(rows)[:, :, None])
 
 
 def _pt_density(x, y, z):

@@ -11,26 +11,28 @@ Routes: every real-kernel value at scattered points comes from one
 fixed Gauss-Legendre panel rule, built by _panel_kernel.  radial_row
 applies it to one z-row; the point function p1 is radial_row at the
 single point, so its rule is set by that point alone; p1_many and
-log_grad_many take one rule per run of _CHUNK pairs, and walk each run
-in _BLOCK blocks, taking cos/sin once per distinct height of a block,
-with the bits of a per-point evaluation.  Within one call, consecutive
-chunks with the same radii and rule share one read-only kernel, so exp
-runs once per distinct radius of such a run (_KernelRuns).  The panels
-come from numerics._panel_rule, which also gives each point of the
-complex shift p1_star_shifted its own fixed rule, through
-numerics.integrate_decaying; no value is adaptive.  The interpolation
-table of the log-derivative bundle, a numerics.BicubicTable like the
-harness's p1 table, is filled by _contour_rows instead: one inverse FFT
-per radius on the saddle-point contour, with _log_bundle's algebra on top.
+log_grad_many take one rule per chunk of _CHUNK pairs, built on the
+chunk's distinct radii, and walk each chunk in _BLOCK blocks, taking
+cos/sin once per distinct height of a block, with the bits of a
+per-point evaluation.  The panels come from numerics._panel_rule, which
+also gives each point of the complex shift p1_star_shifted its own fixed
+rule, through numerics.integrate_decaying; no value is adaptive.  Both
+kernel tables, numerics.BicubicTables on uniform z-grids, are filled by
+_contour_rows instead, with inverse FFTs at each radius on the
+saddle-point contour: the interpolation table of the log-derivative
+bundle, with _log_bundle's algebra on top, and the harness's log p1
+window table, from p alone.
 
 Accuracy note: on the real lam-line the integrand envelope is of size
 exp(-r^2/4) while the true value is of size exp(-d^2/4), so the panel
 rule carries a relative noise floor of roughly 1e-13 exp((d^2 - r^2)/4);
 its callers keep the cancellation exponent (d^2 - r^2)/4 near or below
-CANCEL_BUDGET.  The contour rows cancel nothing: at 16 table nodes with
-exponents from 0.001 to 85, they err against a 30-digit mpmath
-quadrature by at most 1.1e-13 relative in p1 and 1.5e-11 max(1, |value|)
-in the bundle.
+CANCEL_BUDGET.  The contour rows cancel nothing.  Against a 30-digit
+mpmath quadrature at 16 spline-table nodes, with exponents from 0.001 to
+85, they err by at most 3.5e-14 relative in p1 and 6.1e-12
+max(1, |value|) in the bundle; against the 40-digit grid of
+perfbench/p1_reference.json, p1 errs by at most 3.9e-15 on the spline
+table's grid and 2.5e-15 on the window's.
 """
 
 from __future__ import annotations
@@ -172,35 +174,11 @@ def _panel_kernel(rs, zmax: float):
 
     The rule resolves the cos(lam z) oscillation up to |z| = zmax and the
     steepest exponential decay among ``rs``; G[i, k] = G(lam_k, rs[i]).
-    The arrays are read-only, as _KernelRuns shares them.
     """
     lam, w = _panel_rule(_lambda_cutoff(float(np.min(rs))), _panel_width(float(np.max(rs)), zmax))
     lc = _lam_coth(lam)
     G = np.exp(-0.25 * np.outer(rs * rs, lc)) * _sinh_ratio(lam)[None, :]
-    for a in (lam, w, lc, G):
-        a.flags.writeable = False
     return lam, w, lc, G
-
-
-class _KernelRuns:
-    """One call's panel kernels, each built once per run that shares it.
-
-    Consecutive chunks of a paired call that have bit-equal radii and the
-    same panel width share one rule (equal radii fix the cutoff too), so
-    _panel_kernel runs once per such run.
-    Each call makes its own, so no G outlives the call that built it.
-    """
-
-    def __init__(self):
-        self._key = self._kernel = None
-
-    def __call__(self, rs, zmax: float):
-        key = (_panel_width(float(np.max(rs)), zmax), rs.tobytes())
-        if key != self._key:
-            self._kernel = None  # frees the last G before the next is built
-            self._kernel = _panel_kernel(rs, zmax)
-            self._key = key
-        return self._kernel
 
 
 def _check_batch(r, z, name: str):
@@ -260,10 +238,9 @@ def _paired(r, z, name: str, sums, n_out: int):
     """Evaluate ``sums`` over broadcast (r, z) pairs, one rule per chunk.
 
     The pairs are range-checked, then each run of _CHUNK points gets the
-    panel rule of its own extremes.  G is built on the chunk's distinct
-    radii, once for each run of chunks that share them and the rule.
+    panel rule of its own extremes, and G is built on its distinct radii.
     Each chunk is walked in blocks of _BLOCK points: ``sums(G_rows, z_u,
-    z_inv, lam, w, lc)`` gets the block's rows of G (read-only), takes cos
+    z_inv, lam, w, lc)`` gets the block's rows of G, takes cos
     and sin on the block's distinct heights z_u, gathers them through
     z_inv (its own table, so free to overwrite) and returns ``n_out``
     arrays over the block.  The (point, node) products and their
@@ -277,11 +254,10 @@ def _paired(r, z, name: str, sums, n_out: int):
     if r.size:
         _check_batch(r, z, name)
     out = np.empty((n_out, r.size))
-    kernels = _KernelRuns()
     for lo in range(0, r.size, _CHUNK):
         hi = min(lo + _CHUNK, r.size)
         r_u, r_inv = _distinct(r[lo:hi])
-        lam, w, lc, G = kernels(r_u, float(np.max(np.abs(z[lo:hi]))))
+        lam, w, lc, G = _panel_kernel(r_u, float(np.max(np.abs(z[lo:hi]))))
         for b in range(lo, hi, _BLOCK):
             e = min(b + _BLOCK, hi)
             rows = slice(b - lo, e - lo) if isinstance(r_inv, slice) else r_inv[b - lo:e - lo]
@@ -295,9 +271,11 @@ def p1_many(r, z) -> np.ndarray:
     Each run of _CHUNK pairs shares the rule of its own extremes, so a
     value can move with its batch-mates, within the accuracy note's
     noise floor; :func:`p1` is the same rule fitted to one point.
-    exp runs once per distinct radius of a run of chunks with one rule,
-    and cos once per distinct height of a _BLOCK block, which makes tensor
-    grids cheap, and every value keeps the bits of a per-point evaluation.
+    exp runs once per distinct radius of a chunk and cos once per distinct
+    height of a _BLOCK block, so repeated radii and heights (the chi^2
+    cell grid's) cost little, and every value keeps the bits of a
+    per-point evaluation.  Neither kernel table is filled here: both come
+    from _contour_rows.
     """
 
     def sums(G, z_u, z_inv, lam, w, lc):
@@ -379,13 +357,18 @@ _TABLE_DZ = 0.2
 _PAD = 15  # mirrored rows/columns so the splines see the even/odd symmetry
 _PAD_TOP = 6  # extra rows/columns past the clamp box
 
-# contour heights Im(lam) = theta of the bands, and the FFT length
+# contour heights Im(lam) = theta of the bands, the bounds on a band's FFT
+# period (see _contour_rows), and the 5-smooth lengths, which the FFT takes fast
 _BANDS = np.linspace(0.0, math.pi - 0.3, 8)
-_FFT_N = 640
+_STRIP = 77.0
+_FOLD_MARGIN = 40.0
+_FFT_LENGTHS = np.array(sorted(2**a * 3**b * 5**c
+                               for a in range(16) for b in range(11) for c in range(7)))
 
 
-def _contour_rows(r: float, dz: float, nz: int):
-    """(p, p_r, p_z, p_rr, p_rz/r, p_zz) at radius r on z_j = j dz, j < nz.
+def _contour_rows(r: float, dz: float, nz: int, p_only: bool = False):
+    """(p, p_r, p_z, p_rr, p_rz/r, p_zz) at radius r on z_j = j dz, j < nz,
+    or p alone, as a (1, nz) array, if ``p_only``.
 
     G is even, real on the real line and analytic for |Im lam| < pi, so
     for 0 <= theta < pi
@@ -399,35 +382,50 @@ def _contour_rows(r: float, dz: float, nz: int):
     saddle lam = i theta*, mu(theta*) = 4z/r^2, the integrand is of the
     size of the value times e^{theta z}, so nothing cancels; each z takes
     the band of _BANDS whose midpoints bracket its saddle (every z > 0 on
-    the axis the top one, z = 0 the real line).  The trapezoid nodes
-    u_k = k h, h = 2 pi/(_FFT_N dz), cover |u| <= 45/(1 + r^2/4) + 5 in
-    whole periods of _FFT_N from a multiple of it, and u_k z_j =
-    2 pi k j/_FFT_N, so the nodes folded mod _FFT_N and one inverse FFT
-    give the whole row; its alias terms, the value at z + 2 pi n/h, are
-    below e^{-(pi - theta) 2 pi/h} ~ 2e-17 of the band's integral at
-    theta = pi - 0.3 and dz = 0.2.  No bit depends on the BLAS.
+    the axis the top one, z = 0 the real line).
+
+    Each band has its own FFT length N, the least 5-smooth one whose
+    period L = N dz is at least _STRIP/(pi - theta) and 2 z_max +
+    _FOLD_MARGIN, z_max = (nz - 1) dz.  The trapezoid nodes u_k = k h,
+    h = 2 pi/L, cover |u| <= 45/(1 + r^2/4) + 5, and u_k z_j =
+    2 pi k j/N, so the nodes folded mod N and one inverse FFT give the
+    band's whole row.  The integrand at -u is the conjugate of that at u,
+    so only the nodes u >= 0 are evaluated and the FFT is a real one.
+    The trapezoid's alias terms are the band's integral at z + nL, n != 0.
+    For n > 0 they fall like e^{-(pi - theta) L} <= e^{-77} against the
+    value at z, as p1 falls like e^{-pi z} (the strip rule for the pole
+    of G at distance pi - theta); for n < 0 they are of the size of p1 at
+    L - z >= z + 40.  No bit depends on the BLAS.
     """
-    n = _FFT_N
-    h = 2.0 * math.pi / (n * dz)
-    k_max = math.ceil((45.0 / (1.0 + 0.25 * r * r) + 5.0) / h)
-    k0 = -math.ceil(k_max / n) * n  # so node k folds onto k mod n with no phase
-    periods = math.ceil((k_max + 1 - k0) / n)
     zs = np.arange(nz) * dz
     saddle = 4.0 * zs / (r * r) if r > 0.0 else np.where(zs > 0.0, np.inf, 0.0)
     band = np.searchsorted(_mu_arrays(0.5 * (_BANDS[1:] + _BANDS[:-1])), saddle)
-    used, pick = np.unique(band, return_inverse=True)
-    theta = _BANDS[used]
-    lam = (np.arange(k0, k0 + periods * n) * h)[None, :] + 1j * theta[:, None]
-    at_zero = lam == 0.0
-    lam_safe = np.where(at_zero, 1.0, lam)
-    ratio = np.where(at_zero, 1.0, lam_safe / np.sinh(lam_safe))  # removable at lam = 0
-    lc = np.where(at_zero, 1.0, lam_safe / np.tanh(lam_safe))
-    g = ratio * np.exp(-0.25 * r * r * lc)
-    il = 1j * lam
-    f = np.stack([g, -0.5 * r * lc * g, il * g, (0.25 * r * r * lc - 0.5) * lc * g,
-                  -0.5 * il * lc * g, -lam * lam * g])
-    rows = np.fft.ifft(f.reshape(6, len(used), periods, n).sum(2), axis=-1)[..., :nz].real
-    return rows[:, pick, np.arange(nz)] * (n * h / (2.0 * FOUR_PI_SQ) * np.exp(-theta[pick] * zs))
+    u_max = 45.0 / (1.0 + 0.25 * r * r) + 5.0
+    out = np.empty((1 if p_only else 6, nz))
+    for b in np.unique(band):
+        theta = _BANDS[b]
+        js = np.flatnonzero(band == b)
+        period = max(_STRIP / (math.pi - theta), 2.0 * zs[-1] + _FOLD_MARGIN)
+        n = int(_FFT_LENGTHS[np.searchsorted(_FFT_LENGTHS, math.ceil(period / dz))])
+        h = 2.0 * math.pi / (n * dz)
+        k_max = math.ceil(u_max / h)
+        lam = np.arange(k_max + 1) * h + 1j * theta
+        lam_safe = np.where(lam == 0.0, 1.0, lam)
+        ratio = np.where(lam == 0.0, 1.0, lam_safe / np.sinh(lam_safe))  # removable at lam = 0
+        lc = np.where(lam == 0.0, 1.0, lam_safe / np.tanh(lam_safe))
+        g = ratio * np.exp(-0.25 * r * r * lc)
+        f = g[None] if p_only else np.stack([g, -0.5 * r * lc * g, 1j * lam * g,
+                                             (0.25 * r * r * lc - 0.5) * lc * g,
+                                             -0.5j * lam * lc * g, -lam * lam * g])
+        # node k, |k| <= k_max, sits at k + wraps n, so it folds onto k mod n
+        wraps = -(-k_max // n)
+        nodes = np.zeros((len(f), (2 * wraps + 1) * n), dtype=complex)
+        nodes[:, wraps * n - k_max:wraps * n] = np.conj(f[:, :0:-1])
+        nodes[:, wraps * n:wraps * n + k_max + 1] = f
+        folded = nodes.reshape(len(f), 2 * wraps + 1, n).sum(1)
+        row = np.fft.irfft(folded[:, :n // 2 + 1], n, axis=-1)[:, js]
+        out[:, js] = row * np.exp(-theta * zs[js]) * (n * h / (2.0 * FOUR_PI_SQ))
+    return out
 
 
 class LogHSplineTables:

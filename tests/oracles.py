@@ -13,8 +13,10 @@ stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
 n-step law, the lambda-slice f = cos(lam z) e^{-a r^2} with its exact
 P_t f, gradient and variance, exact rational polynomials with their
 finite heat flow e^{tL} f, the mpmath ray limit L(t) and ray ratio behind the
-stored values in test_harness.py, and the mpmath p1(r, z + 2i) and the
-mpmath kernel with its five derivatives behind those in test_kernel.py.
+stored values in test_harness.py, the mpmath p1(r, z + 2i) and the
+mpmath kernel with its five derivatives behind those in test_kernel.py,
+and the digests of a table's coefficients built in fresh processes at
+one and two BLAS threads.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
 tests that use them.
@@ -24,6 +26,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -1027,3 +1032,19 @@ def ray_ratio_mp(u_abs: float, t: float, dps: int = 25, panels: int = 4):
         edges = mp.linspace(mp.mpf(t), mp.mpf(s_hi), panels + 1)
         return mp.quad(a_h, edges) / a_h(mp.mpf(t))
 
+
+def digests_at_blas_threads(build: str) -> list:
+    """sha256 of ``build``'s bytes, a Python expression over the imported
+    heisenkern modules harness and kernel, evaluated in fresh processes at
+    OPENBLAS_NUM_THREADS = 1 and 2."""
+    code = ("import hashlib\nfrom heisenkern import harness, kernel\n"
+            f"print(hashlib.sha256(({build}).tobytes()).hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(K.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        digests.append(out.split()[-1])
+    return digests

@@ -35,7 +35,9 @@ and on seeded points; their intervals against FITPACK's knot walk; their
 coefficients against FITPACK's fit (RectBivariateSpline, s = 0) within
 the measured rounding bound; and their values at the nodes against the
 fitted data.  The p_1 table's accuracy off its nodes is pinned against
-kernel.p1.  scipy.interpolate is imported by these tests only.
+the contour rows it is filled from, and its coefficients keep their
+bytes at two BLAS threads.  scipy.interpolate is imported by these tests
+only.
 
 Each member's quadrature context is built once per family and shared by
 every check: the documented flow builds one per member, an update pass
@@ -58,7 +60,7 @@ from heisenkern import harness, kernel, numerics, semigroup
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, _mul_arrays, gamma, gamma2, poly_field
-from heisenkern.kernel import KernelRangeError, p1
+from heisenkern.kernel import KernelRangeError
 from heisenkern.harness import (
     _C_POWER,
     ConstantEstimate,
@@ -84,7 +86,7 @@ from heisenkern.harness import (
 )
 from heisenkern.semigroup import grad_Pt_at, grad_sums, heat_measure
 
-from oracles import xhat_log_h_exact
+from oracles import digests_at_blas_threads, xhat_log_h_exact
 
 A_PINNED = 4.740675880
 IDENTITY_TARGETS = {
@@ -692,8 +694,14 @@ def test_table_arrays_are_read_only(table_fits):
                 a[0] = 0.0
 
 
+def contour_p1(r, z):
+    """p_1(r, z) from the contour row at radius r whose last height is |z|."""
+    m = math.ceil(abs(z) / 0.1)
+    return kernel._contour_rows(r, abs(z) / m, m + 1, p_only=True)[0, m]
+
+
 def test_table_accuracy_off_its_nodes():
-    """Against kernel.p1 on 4,000 seeded points of the window: at most
+    """Against contour rows at 4,000 seeded points of the window: at most
     3.2e-7 relative where p1 > 1e-6 (measured 3.18e-7 at (0.0062, 3.044),
     next to the axis), and 6.5e-7 in the checks' region r <= 5.1,
     |z| <= 4.9 (measured 6.45e-7).  The table's nodes are interpolated
@@ -701,12 +709,20 @@ def test_table_accuracy_off_its_nodes():
     rng = np.random.default_rng(3)
     r = rng.uniform(0.0, harness._P1TAB_R, 4_000)
     z = rng.uniform(-harness._P1TAB_Z, harness._P1TAB_Z, 4_000)
-    exact = np.array([p1(a, b) for a, b in zip(r, z)])
+    exact = np.array([contour_p1(a, b) for a, b in zip(r, z)])
     err = np.abs(harness._pt_density(r, 0.0, z) - exact) / exact
     assert err[exact > 1e-6].max() <= 3.2e-7
     checked = (r <= 5.1) & (np.abs(z) <= 4.9)
     assert err[checked].max() <= 6.5e-7
     assert exact[checked].min() >= 9e-8
+
+
+def test_table_coefficients_ignore_blas_threads():
+    """Built in fresh processes at one and two BLAS threads, the window
+    table's coefficients have the same bytes: its rows are FFTs, not BLAS
+    contractions (test_kernel checks the spline table's)."""
+    digests = digests_at_blas_threads("harness._p1_table()._rows")
+    assert digests[0] == digests[1]
 
 
 def count_table_points(monkeypatch):

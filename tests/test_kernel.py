@@ -13,18 +13,17 @@ Accuracy model: the real-kernel evaluator is one fixed panel rule, and
 its relative noise is max(1e-14, 1e-13 exp((d^2 - r^2)/4)) (noise_floor
 below).  The point functions fit the rule to their point; p1_many fits
 it to each chunk of its batch, so batch and point values may differ
-within that floor and no further.  The spline table's contour rows have
-no such floor; they are judged against 16 stored 30-digit values of
-oracles.kernel_six_mp, of the kernel and its five derivatives, and the
-axis closed form.
+within that floor and no further.  The contour rows that fill both
+kernel tables have no such floor; they are judged against 16 stored
+30-digit values of oracles.kernel_six_mp, of the kernel and its five
+derivatives, against the 40-digit grid on each table's z-grid, and
+against the axis closed form.
 """
 
 import dataclasses
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -39,10 +38,6 @@ from oracles import apply_L, apply_op, validate_gradient
 
 # p1(0,0) = (1/4pi^2) int_0^inf lam/sinh(lam) dlam = (1/4pi^2)(pi^2/4)
 P1_ORIGIN = 0.0625
-
-# regression pin, cross-validated in this module by the FD oracle, the
-# t=2 independent quadrature, and normalization
-P1_AT_1_1 = 0.01069672523789606
 
 # p1_star_shifted(1, 0): finiteness example on the fixed rule, 4e-15
 # relative from the converged adaptive route (oracles.p1_star_adaptive)
@@ -111,6 +106,11 @@ KERNEL_SIX_MP = {
                   -1.84865018680090375318721386485e-15, 3.06562649725574845046977641203e-15,
                   -7.50560425756291299312473889531e-16, 3.68298700084245174194615964093e-15),
 }
+
+
+# regression pin: the mpmath value at (1, 1); K.p1 meets it within 3.2e-16
+# relative (2.3e-16 from its 30 digits)
+P1_AT_1_1 = KERNEL_SIX_MP[(1.0, 1.0)][0]
 
 
 def p1_axis_closed_form(z: float) -> float:
@@ -191,7 +191,7 @@ class TestP1Values:
             assert math.isclose(K.p1(0.0, z), p1_axis_closed_form(z), rel_tol=1e-6)
 
     def test_regression_pin(self):
-        assert math.isclose(K.p1(1.0, 1.0), P1_AT_1_1, rel_tol=1e-9)
+        assert math.isclose(K.p1(1.0, 1.0), P1_AT_1_1, rel_tol=4e-16)
 
     def test_even_in_z(self):
         for r, z in ((0.5, 1.3), (2.0, 0.2), (0.0, 3.7)):
@@ -255,7 +255,7 @@ class TestP1Values:
             raise AssertionError("complex-shift integrator called by a real-kernel view")
 
         monkeypatch.setattr(K, "integrate_decaying", refuse)
-        assert math.isclose(K.p1(1.0, 1.0), P1_AT_1_1, rel_tol=1e-9)
+        assert math.isclose(K.p1(1.0, 1.0), P1_AT_1_1, rel_tol=4e-16)
         assert O.p(2.0, 1.0, 0.5) > 0.0
         assert len(O.p1_partials(0.7, 0.4)) == 2
         assert len(O.p1_second_partials(0.7, 0.4)) == 3
@@ -373,7 +373,8 @@ def _naive_paired(r, z):
 
 
 def _table_grid():
-    """The harness window table's grid, z-major: r <= 8, |z| <= 9, step 0.025."""
+    """The harness window table's grid, z-major (r <= 8, |z| <= 9, step
+    0.025): a tensor grid whose chunks repeat their radii."""
     rg = np.arange(0.0, 8.0 + 0.025, 0.025)
     zg = np.arange(0.0, 9.0 + 0.025, 0.025)
     Z, R = np.meshgrid(zg, rg, indexing="ij")
@@ -444,38 +445,29 @@ class TestPairedDistinct:
         return seen
 
     def test_exponentials_once_per_distinct_radius(self, monkeypatch):
-        # both chunks hold the same 321 radii and get the same rule, so
-        # they share one kernel
+        # two chunks of the table grid, each holding the same 321 radii:
+        # each builds its kernel once, on its own distinct radii
         r, z = (a[20 * K._CHUNK:22 * K._CHUNK] for a in _table_grid())
         seen = self._spy_builds(monkeypatch)
         K.p1_many(r, z)
-        assert len(seen) == 1
-        for i in range(2):
+        assert len(seen) == 2
+        for i, (rs, _) in enumerate(seen):
             chunk = r[i * K._CHUNK:(i + 1) * K._CHUNK]
-            assert np.array_equal(np.sort(seen[0][0]), np.unique(chunk))
-        assert seen[0][0].size == 321
+            assert np.array_equal(np.sort(rs), np.unique(chunk))
+            assert rs.size == 321
 
     def test_chunks_with_different_rules_build_twice(self, monkeypatch):
         # the same 64 radii in both chunks, but the second chunk's heights
-        # need narrower panels
+        # need narrower panels: each chunk builds once, on its 64 radii and
+        # its own largest height
         r = np.tile(np.linspace(0.0, 4.0, 64), 2 * K._CHUNK // 64)
         z = np.repeat([0.5, 20.0], K._CHUNK)
         assert K._panel_width(4.0, 0.5) != K._panel_width(4.0, 20.0)
         seen = self._spy_builds(monkeypatch)
         got = K.p1_many(r, z)
         assert [zmax for _, zmax in seen] == [0.5, 20.0]
+        assert all(np.array_equal(np.sort(rs), np.linspace(0.0, 4.0, 64)) for rs, _ in seen)
         assert _bits_equal(got, _naive_paired(r, z)[0])
-
-    def test_shared_kernel_is_read_only(self):
-        runs = K._KernelRuns()
-        rs = np.linspace(0.0, 4.0, 9)
-        kernel = runs(rs, 1.0)
-        assert runs(rs.copy(), 1.0) is kernel
-        for a in kernel:
-            with pytest.raises(ValueError, match="read-only"):
-                a *= 2.0
-        assert runs(rs, 1.5) is kernel  # heights below 4.5 keep the 0.35 panels
-        assert runs(rs, 20.0) is not kernel
 
 
 def _old_lambda_cutoff(r_min, target=42.0):
@@ -606,18 +598,50 @@ def _contour_errors():
 
 
 class TestContourRows:
-    """The spline table's fill, FFT rows on the saddle-point contour."""
+    """The fill of both kernel tables, FFT rows on the saddle-point contour."""
 
     def test_rows_match_mpmath(self):
-        """p within 1.1e-13 relative (measured 1.06e-13 at (0, 26)), the
-        bundle within 1.5e-11 max(1, |value|) (measured 1.48e-11)."""
+        """p within 1.1e-13 relative (measured 3.45e-14 at (0.1, 27.2)), the
+        bundle within 1.5e-11 max(1, |value|) (measured 6.10e-12, on alpha_z
+        there)."""
         err_p, err_bundle = _contour_errors()
         assert err_p <= 1.1e-13
         assert err_bundle <= 1.5e-11
 
-    @pytest.mark.parametrize("bands", [6, 10])
+    @pytest.mark.parametrize("table", ["spline", "window"])
+    def test_rows_match_reference_grid(self, table):
+        """p on each table's grid at every point of the 40-digit grid that
+        the grid holds, within 1e-14 relative: measured 3.91e-15 at (1, 12)
+        on the spline table's (all 41 points) and 2.47e-15 at (8, 3) on the
+        window's (35 points, r <= 8, |z| <= 9)."""
+        from heisenkern import harness
+
+        dz, dr, nz, r_max = {
+            "spline": (K._TABLE_DZ, K._TABLE_DR,
+                       int(round(K._TABLE_Z_MAX / K._TABLE_DZ)) + 1 + K._PAD_TOP,
+                       K._TABLE_R_MAX + K._PAD_TOP * K._TABLE_DR),
+            "window": (harness._P1TAB_STEP, harness._P1TAB_STEP,
+                       int(round(harness._P1TAB_Z / harness._P1TAB_STEP)) + 1, harness._P1TAB_R),
+        }[table]
+        r, z, ref = load_reference()
+        on_grid = [i for i in range(r.size) if r[i] <= r_max and abs(z[i]) <= (nz - 1) * dz
+                   and r[i] / dr == round(r[i] / dr) and z[i] / dz == round(z[i] / dz)]
+        assert len(on_grid) == {"spline": 41, "window": 35}[table]
+        for i in on_grid:
+            got = K._contour_rows(r[i], dz, nz, p_only=True)[0, int(round(abs(z[i]) / dz))]
+            assert abs(got - ref[i]) <= 1e-14 * ref[i], (r[i], z[i])
+
+    def test_p_only_is_the_first_row(self):
+        """p alone has the bits of the first of the six rows."""
+        n_z = int(round(K._TABLE_Z_MAX / K._TABLE_DZ)) + 1 + K._PAD_TOP
+        for r in (0.0, 0.1, 1.0, 6.6, 16.6):
+            p = K._contour_rows(r, K._TABLE_DZ, n_z, p_only=True)
+            assert p.shape == (1, n_z)
+            assert _bits_equal(p[0], K._contour_rows(r, K._TABLE_DZ, n_z)[0])
+
+    @pytest.mark.parametrize("bands", [7, 10])
     def test_band_count_converged(self, monkeypatch, bands):
-        """6 and 10 bands meet the same bounds as the 8 in use (each
+        """7 and 10 bands meet the same bounds as the 8 in use (each
         measured with the same worst cases as 8)."""
         monkeypatch.setattr(K, "_BANDS", np.linspace(0.0, math.pi - 0.3, bands))
         err_p, err_bundle = _contour_errors()
@@ -626,21 +650,32 @@ class TestContourRows:
 
     def test_four_bands_are_too_few(self, monkeypatch):
         """With 4 bands some z sits far from its saddle, and p misses by
-        more than itself (measured 16 relative at (3, 20))."""
+        3.99e-6 relative at (3, 20)."""
         monkeypatch.setattr(K, "_BANDS", np.linspace(0.0, math.pi - 0.3, 4))
-        assert _contour_errors()[0] > 1.0
+        assert 1e-6 < _contour_errors()[0] <= 4e-6
 
-    def test_shorter_fft_aliases(self, monkeypatch):
-        """At N = 512, h = 2 pi/(N dz) grows and the alias terms
-        e^{-(pi - theta) 2 pi/h} reach p: 1.78e-11 relative at (0.5, 10),
-        against 1.06e-13 at N = 640."""
-        monkeypatch.setattr(K, "_FFT_N", 512)
-        err_p = _contour_errors()[0]
-        assert 1e-11 < err_p <= 1.8e-11
+    def test_six_bands_are_too_few(self, monkeypatch):
+        """6 bands miss by 3.75e-11 relative at (5, 18), so 7 is the fewest
+        that meets the bounds."""
+        monkeypatch.setattr(K, "_BANDS", np.linspace(0.0, math.pi - 0.3, 6))
+        assert 1e-11 < _contour_errors()[0] <= 3.8e-11
+
+    def test_shorter_fft_aliases(self):
+        """A period shorter than either bound lets the alias terms reach p.
+        With L >= 30/(pi - theta), p misses by 1.78e-11 relative at
+        (0.5, 10), where the alias at z + L falls only like
+        e^{-(pi - theta) L}; with L >= 2 z_max, by 1.03e-11, from the image
+        of the row's top at L - z.  At 77/(pi - theta) and 2 z_max + 40 the
+        worst is 3.45e-14 (test_rows_match_mpmath)."""
+        for name, value, low, high in (("_STRIP", 30.0, 1.7e-11, 1.8e-11),
+                                       ("_FOLD_MARGIN", 0.0, 1e-11, 1.1e-11)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(K, name, value)
+                assert low < _contour_errors()[0] <= high, name
 
     def test_axis_row_closed_form(self):
         """The r = 0 row against 1/(16 cosh^2(pi z/2)) at every table height,
-        to 1.1e-13 relative (measured 1.02e-13)."""
+        to 1.1e-13 relative (measured 9.62e-14)."""
         n_z = int(round(K._TABLE_Z_MAX / K._TABLE_DZ)) + 1 + K._PAD_TOP
         zs = np.arange(n_z) * K._TABLE_DZ
         want = 1.0 / (16.0 * np.cosh(0.5 * math.pi * zs) ** 2)
@@ -690,16 +725,7 @@ class TestSplineTables:
         """Built in fresh processes at one and two BLAS threads, the table's
         coefficients have the same bytes: its rows are FFTs, not BLAS
         contractions, and the fit's two collocation solves keep their bits."""
-        code = ("import hashlib\nfrom heisenkern import kernel\n"
-                "print(hashlib.sha256(kernel.LogHSplineTables()._table._rows.tobytes()).hexdigest())\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(K.__file__)))
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                 capture_output=True, text=True).stdout
-            digests.append(out.split()[-1])
+        digests = O.digests_at_blas_threads("kernel.LogHSplineTables()._table._rows")
         assert digests[0] == digests[1]
 
     def test_parity_at_eval(self, tables):
