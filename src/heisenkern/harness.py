@@ -32,8 +32,8 @@ from .family import TestFunctionFamily, build_family
 from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A  # noqa: F401
 from .group import GroupElement, ScalarField, gamma as gamma_at, gamma2 as gamma2_at, poly_field
 # log_grad_many stays importable here: the benchmark tracer wraps it in this module
-from .kernel import (CANCEL_BUDGET, KernelRangeError, _contour_rows,  # noqa: F401
-                     log_grad_many, p1_many, p1_star_shifted)
+from .kernel import (KernelRangeError, _contour_rows, log_grad_many, p1_many,  # noqa: F401
+                     p1_star_shifted)
 from .mc import sample_kolmogorov
 from .numerics import BicubicTable, gauss_legendre, gauss_panels
 from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, _translated_nodes, grad_sums,
@@ -789,15 +789,20 @@ def _ray_point(u_abs: float, s):
     return r, z
 
 
+# the ray survey's tail cut: past s with (s^2 - r^2)/4 = _RAY_TAIL the
+# integrand is below e^{-(r^2/4 + _RAY_TAIL)}, under e^-20 of the endpoint mass
+_RAY_TAIL = 20.0
+
+
 def _ray_s_cap(u_abs: float) -> float:
-    """Largest s with quadrature cancellation (s^2 - r^2)/4 within budget."""
-    margin = CANCEL_BUDGET - 2.0
+    """The survey's tail cut on the ray |u|: the largest s with (s^2 - r^2)/4
+    at most _RAY_TAIL, or the ray's end 2 pi |u| if it stays below."""
     lo, hi = 0.0, math.pi
-    if 4.0 * u_abs * u_abs * (math.pi**2) <= 4.0 * margin:
+    if 4.0 * u_abs * u_abs * (math.pi**2) <= 4.0 * _RAY_TAIL:
         return 2.0 * math.pi * u_abs
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if 4.0 * u_abs * u_abs * (mid * mid - math.sin(mid) ** 2) <= 4.0 * margin:
+        if 4.0 * u_abs * u_abs * (mid * mid - math.sin(mid) ** 2) <= 4.0 * _RAY_TAIL:
             lo = mid
         else:
             hi = mid
@@ -819,22 +824,21 @@ def _ray_ratios(u_abs: float, ts, m: int = _RAY_NODES) -> np.ndarray:
 
     The t's and s_hi, the tail cut, are the edges of Gauss panels of m
     nodes each, so a ratio's numerator is the sum of the panels right of
-    its t, and each panel is integrated once for every t it serves: one
-    p1_many call on its m nodes and its left end, whose value is the
-    denominator.  The tail past s_hi, the cancellation cap, carries less
-    than e^-20 of the endpoint mass (the integrand there is below
+    its t, and each panel is integrated once for every t it serves.  One
+    p1_many call takes every panel's nodes and left end, whose value is
+    the denominator; each kernel value is set by its point alone, so the
+    ratios have the bits of a call per panel.  The tail past s_hi carries
+    less than e^-20 of the endpoint mass (the integrand there is below
     e^{-(r^2+4*20)/4} while the endpoint is of order e^{-t^2/4}), so
     dropping it cannot move the ratio at the reported precision.  Each
     t must lie below s_hi.
     """
     s_hi = min(2.0 * math.pi * u_abs * (1.0 - 1e-9), _ray_s_cap(u_abs))
     edges = np.append(np.asarray(ts, dtype=float), s_hi)
-    pan, den = np.empty((2, edges.size - 1))
-    for i in range(pan.size):
-        s, ws = gauss_panels(edges[i:i + 2], m)
-        h = p1_many(*_ray_point(u_abs, np.append(edges[i], s)))
-        pan[i] = np.add.reduce(ws * jacobian_A(u_abs, s) * h[1:])
-        den[i] = jacobian_A(u_abs, edges[i]) * h[0]
+    s, ws = gauss_panels(edges, m)
+    h = p1_many(*_ray_point(u_abs, np.append(edges[:-1], s)))
+    pan = np.add.reduce((ws * jacobian_A(u_abs, s) * h[edges.size - 1:]).reshape(-1, m), axis=-1)
+    den = jacobian_A(u_abs, edges[:-1]) * h[:edges.size - 1]
     return np.cumsum(pan[::-1])[::-1] / den
 
 
@@ -843,9 +847,7 @@ def _ray_limit(t: float) -> float:
 
     As |u| grows at fixed s the ray tends to the line z = 0 and
     A(u, s) to s^4 / (12 |u|^3), whose |u| factor cancels in the ratio.
-    On z = 0 the CC distance is r, so the kernel loses nothing to
-    cancellation and the s-range needs no cap: one p1_many call on 96
-    Gauss nodes over [t, 16].
+    One p1_many call on 96 Gauss nodes over [t, _RAY_S_END] and at t.
     """
     s, ws = gauss_legendre(t, _RAY_S_END, 96)
     h = p1_many(np.append(s, t), np.zeros(s.size + 1))
@@ -859,13 +861,12 @@ def check_ray_inequality() -> tuple:
     so its sup over the range t >= 1 is the limit L(1), which is the
     row's constant and rhs.  The range t >= 1 is the harness's own: the
     ratio grows without bound as t -> 0 (159.8 at t = 0.5, |u| = 3.9).
-    The survey checks the constant on 20 values of |u| up to 3.9, the
-    kernel evaluator's cancellation-safe limit, and 16 values of t per
-    |u|; the row's lhs is the largest surveyed ratio.  A ray's 16 t's and
-    its cancellation cap s_hi cut its s-range into 16 Gauss panels, so
-    one :func:`_ray_ratios` call integrates each panel once and gives all
-    16 ratios as suffix sums; the tail past s_hi, below e^-20 of the
-    endpoint mass, is dropped.
+    The survey checks the constant on 20 values of |u| up to 3.9 and 16
+    values of t per |u|; the row's lhs is the largest surveyed ratio.  A
+    ray's 16 t's and its tail cut s_hi cut its s-range into 16 Gauss
+    panels, so one :func:`_ray_ratios` call, with one kernel call,
+    integrates each panel once and gives all 16 ratios as suffix sums;
+    the tail past s_hi, below e^-20 of the endpoint mass, is dropped.
     """
     u_lo = 1.0 / (2.0 * math.pi) + 0.01
     const = _ray_limit(1.0)

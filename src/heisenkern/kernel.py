@@ -7,32 +7,31 @@ Base integral:
 
 with every other time reached through p(t, r, z) = t^{-2} p1(r/sqrt(t), z/t).
 
-Routes: every real-kernel value at scattered points comes from one
-fixed Gauss-Legendre panel rule, built by _panel_kernel.  radial_row
-applies it to one z-row; the point function p1 is radial_row at the
-single point, so its rule is set by that point alone; p1_many and
-log_grad_many take one rule per chunk of _CHUNK pairs, built on the
-chunk's distinct radii, and walk each chunk in _BLOCK blocks, taking
-cos/sin once per distinct height of a block, with the bits of a
-per-point evaluation.  The panels come from numerics._panel_rule, which
-also gives each point of the complex shift p1_star_shifted its own fixed
-rule, through numerics.integrate_decaying; no value is adaptive.  Both
-kernel tables, numerics.BicubicTables on uniform z-grids, are filled by
-_contour_rows instead, with inverse FFTs at each radius on the
-saddle-point contour: the interpolation table of the log-derivative
-bundle, with _log_bundle's algebra on top, and the harness's log p1
-window table, from p alone.
+Routes: the real kernel is integrated on the saddle-point contour
+Im lam = theta, where nothing cancels (see _contour_rows).  At scattered
+points one engine, _contour_sums, takes a trapezoid fixed by each point
+alone and sums each point's row on its own; p1, p1_many, log_grad_many
+and radial_row are views of it, so a value has the same bits alone, in
+any batch and at any BLAS thread count.  Both kernel tables,
+numerics.BicubicTables on uniform z-grids, are filled by _contour_rows,
+the same integrand by inverse FFTs at each radius: the interpolation
+table of the log-derivative bundle, with _log_bundle's algebra on top,
+and the harness's log p1 window table, from p alone.  The engine and the
+rows share each band's factors lam/sinh lam and lam coth lam
+(_band_nodes).  The complex shift p1_star_shifted gives each point its
+own fixed Gauss panel rule through numerics.integrate_decaying; no value
+is adaptive.
 
-Accuracy note: on the real lam-line the integrand envelope is of size
-exp(-r^2/4) while the true value is of size exp(-d^2/4), so the panel
-rule carries a relative noise floor of roughly 1e-13 exp((d^2 - r^2)/4);
-its callers keep the cancellation exponent (d^2 - r^2)/4 near or below
-CANCEL_BUDGET.  The contour rows cancel nothing.  Against a 30-digit
-mpmath quadrature at 16 spline-table nodes, with exponents from 0.001 to
-85, they err by at most 3.5e-14 relative in p1 and 6.1e-12
-max(1, |value|) in the bundle; against the 40-digit grid of
-perfbench/p1_reference.json, p1 errs by at most 3.9e-15 on the spline
-table's grid and 2.5e-15 on the window's.
+Accuracy note: the engine errs by at most 4.0e-14 relative on the
+40-digit grid of perfbench/p1_reference.json; against a 30-digit mpmath
+quadrature at 16 spline-table nodes, with cancellation exponents
+(d^2 - r^2)/4 from 0.001 to 85, by 4.5e-13 in p1 and at most 4.1e-11 in
+a derivative (p_zz).  On the axis its top band lies 0.3 below the pole
+of lam/sinh lam, so a factor e^{0.3 |z|} cancels there: against
+1/(16 cosh^2(pi z/2)) it errs by 1.0e-12 up to |z| = 30, 2.5e-11 up to
+40 and 7.1e-10 up to 50.  The contour rows err by at most 3.5e-14
+relative in p1 and 6.1e-12 max(1, |value|) in the bundle at the 16
+nodes, and by 3.9e-15 and 2.5e-15 on the spline and window tables' grids.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 # cc_distance_many stays importable here: the benchmark tracer wraps it in this module
 from .geometry import _mu_arrays, cc_distance_many  # noqa: F401
 from .group import ScalarField
-from .numerics import BicubicTable, _panel_rule, integrate_decaying
+from .numerics import BicubicTable, integrate_decaying
 
 __all__ = [
     "ComplexKernelValue",
@@ -62,12 +61,6 @@ __all__ = [
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 Z_RANGE_LIMIT = 50.0
-SERIES_CUT = 1e-4
-
-# the panel rule's relative noise is ~1e-13 exp((d^2-r^2)/4), ~4e-4 at this
-# exponent: the floor of p1_many's callers (harness._ray_s_cap stops the ray
-# survey short of it); the spline table's contour rows need no budget
-CANCEL_BUDGET = 22.0
 
 
 class KernelRangeError(ValueError):
@@ -87,100 +80,6 @@ class ComplexKernelValue:
         return complex(self.re, self.im)
 
 
-def _sinh_ratio(lam):
-    """lam/sinh(lam); series below the cut keeps the removable point smooth."""
-    lam = np.asarray(lam, dtype=float)
-    small = np.abs(lam) < SERIES_CUT
-    safe = np.where(small, 1.0, lam)
-    l2 = lam * lam
-    series = 1.0 - l2 / 6.0 + 7.0 * l2 * l2 / 360.0
-    return np.where(small, series, safe / np.sinh(safe))
-
-
-def _lam_coth(lam):
-    """lam coth(lam) with the same series guard."""
-    lam = np.asarray(lam, dtype=float)
-    small = np.abs(lam) < SERIES_CUT
-    safe = np.where(small, 1.0, lam)
-    l2 = lam * lam
-    series = 1.0 + l2 / 3.0 - l2 * l2 / 45.0
-    return np.where(small, series, safe / np.tanh(safe))
-
-
-def p1(r: float, z: float) -> float:
-    """Heat kernel at time 1 as a function of (r, z); even in z.
-
-    radial_row on [r], so the panel rule is fitted to the point alone.
-    """
-    return float(radial_row(np.array([r], dtype=float), float(z))[0][0])
-
-
-# ---------------------------------------------------------------------------
-# batched fixed-panel evaluation
-
-
-# the integrand envelope falls to exp(-_CUTOFF_TARGET) of its lam = 0 value at the cutoff
-_CUTOFF_TARGET = 42.0
-
-
-def _lambda_cutoff(r_min: float) -> float:
-    """Tail cutoff: solve lam + (r_min^2/4)(lam coth lam - 1) = _CUTOFF_TARGET.
-
-    The integrand envelope relative to its lam = 0 value is
-    exp(-lam - q (lc(lam) - 1)) with q = r^2/4; near zero that decays
-    like a Gaussian exp(-q lam^2/3), not like exp(-(1+q) lam), so a
-    cutoff of 42/(1+q) would truncate far too early for large r.
-    """
-    q = 0.25 * r_min * r_min
-    lo, hi = 0.0, _CUTOFF_TARGET
-    # Python floats carry _lam_coth's own operations; np.tanh, not
-    # math.tanh, keeps every cutoff's bits
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid < SERIES_CUT:
-            l2 = mid * mid
-            lc = 1.0 + l2 / 3.0 - l2 * l2 / 45.0
-        else:
-            lc = float(mid / np.tanh(mid))
-        g = mid + q * (lc - 1.0)
-        if g < _CUTOFF_TARGET:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-# points per panel rule in the paired routes; each chunk's rule comes from
-# its own extremes, so a point's value depends on its batch-mates
-_CHUNK = 2048
-# points per gather within a chunk: a block's (point, node) arrays are a
-# few MB, so the allocator reuses them instead of mapping fresh pages for
-# each.  256 = 16 * 16, so a BLAS matrix-vector kernel that takes rows in
-# groups of up to 16 groups a block's rows as it would the whole chunk's,
-# and every bit is kept (test_kernel's TestPairedDistinct checks it)
-_BLOCK = 256
-
-
-def _panel_width(r_max: float, zmax: float) -> float:
-    """Panel width resolving the decay at radius r_max and cos(lam z) up to |z| = zmax."""
-    width = min(0.35, 3.0 / (1.0 + 0.25 * r_max ** 2))
-    if zmax > 0.0:
-        width = min(width, 0.5 * math.pi / zmax)
-    return width
-
-
-def _panel_kernel(rs, zmax: float):
-    """(lam, w, lam coth lam, G) of the panel rule for radii ``rs``.
-
-    The rule resolves the cos(lam z) oscillation up to |z| = zmax and the
-    steepest exponential decay among ``rs``; G[i, k] = G(lam_k, rs[i]).
-    """
-    lam, w = _panel_rule(_lambda_cutoff(float(np.min(rs))), _panel_width(float(np.max(rs)), zmax))
-    lc = _lam_coth(lam)
-    G = np.exp(-0.25 * np.outer(rs * rs, lc)) * _sinh_ratio(lam)[None, :]
-    return lam, w, lc, G
-
-
 def _check_batch(r, z, name: str):
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
         raise KernelRangeError(f"{name}: coordinates must be finite")
@@ -188,125 +87,51 @@ def _check_batch(r, z, name: str):
         raise KernelRangeError(f"{name} arguments out of range")
 
 
-def radial_row(rs, z: float):
-    """All kernel integrals for one z and many r values, sharing one rule.
+# ---------------------------------------------------------------------------
+# the real kernel at scattered points: views of one contour engine
 
-    Returns (p, p_r, p_z, p_rr, p_rz/r, p_zz) as arrays over ``rs``.  The
-    rule resolves both the cos(lam z) oscillation and the steepest
-    exponential decay in the batch, then reuses the (r, lam) exponential
-    matrix for all six weighted sums.
+
+def p1(r: float, z: float) -> float:
+    """Heat kernel at time 1 as a function of (r, z); even in z.
+
+    The engine _contour_sums at the one point, with the bits it has in
+    any batch.
     """
-    rs = np.asarray(rs, dtype=float)
-    if rs.size == 0:
-        empty = np.empty(0)
-        return (empty,) * 6
-    _check_batch(rs, z, "radial_row")
-    lam, w, lc, G = _panel_kernel(rs, abs(z))
-    cz = np.cos(lam * z)
-    sz = np.sin(lam * z)
-
-    m0 = G @ (w * cz)
-    m1 = G @ (w * cz * lc)
-    m2 = G @ (w * cz * lc * lc)
-    m3 = G @ (w * sz * lam)
-    m4 = G @ (w * sz * lam * lc)
-    m5 = G @ (w * cz * lam * lam)
-
-    pv = m0 / FOUR_PI_SQ
-    pr = -0.5 * rs * m1 / FOUR_PI_SQ
-    pz = -m3 / FOUR_PI_SQ
-    prr = (0.25 * rs * rs * m2 - 0.5 * m1) / FOUR_PI_SQ
-    prz_over_r = 0.5 * m4 / FOUR_PI_SQ
-    pzz = -m5 / FOUR_PI_SQ
-    return pv, pr, pz, prr, prz_over_r, pzz
-
-
-def _distinct(a):
-    """(values, index) with values[index] equal to the 1-d ``a``.
-
-    values holds the distinct bit patterns of ``a``, so -0.0 stays apart
-    from 0.0.  When none repeats, values is ``a`` itself and index a full
-    slice, so indexing with it makes no copy.
-    """
-    u, inv = np.unique(a.view(np.int64), return_inverse=True)
-    if u.size == a.size:
-        return a, slice(None)
-    return u.view(np.float64), inv
-
-
-def _paired(r, z, name: str, sums, n_out: int):
-    """Evaluate ``sums`` over broadcast (r, z) pairs, one rule per chunk.
-
-    The pairs are range-checked, then each run of _CHUNK points gets the
-    panel rule of its own extremes, and G is built on its distinct radii.
-    Each chunk is walked in blocks of _BLOCK points: ``sums(G_rows, z_u,
-    z_inv, lam, w, lc)`` gets the block's rows of G, takes cos
-    and sin on the block's distinct heights z_u, gathers them through
-    z_inv (its own table, so free to overwrite) and returns ``n_out``
-    arrays over the block.  The (point, node) products and their
-    contraction are those of a per-point evaluation, so no bit moves.
-    """
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    shape = np.broadcast(r, z).shape
-    r = np.broadcast_to(r, shape).ravel()
-    z = np.broadcast_to(z, shape).ravel()
-    if r.size:
-        _check_batch(r, z, name)
-    out = np.empty((n_out, r.size))
-    for lo in range(0, r.size, _CHUNK):
-        hi = min(lo + _CHUNK, r.size)
-        r_u, r_inv = _distinct(r[lo:hi])
-        lam, w, lc, G = _panel_kernel(r_u, float(np.max(np.abs(z[lo:hi]))))
-        for b in range(lo, hi, _BLOCK):
-            e = min(b + _BLOCK, hi)
-            rows = slice(b - lo, e - lo) if isinstance(r_inv, slice) else r_inv[b - lo:e - lo]
-            out[:, b:e] = sums(G[rows], *_distinct(z[b:e]), lam, w, lc)
-    return tuple(v.reshape(shape) for v in out)
+    return float(_contour_sums(float(r), float(z), "p1", 1)[0])
 
 
 def p1_many(r, z) -> np.ndarray:
-    """Vectorized p1 over paired arrays (fixed-panel route).
+    """Vectorized p1 over the broadcast (r, z): the engine's first sum.
 
-    Each run of _CHUNK pairs shares the rule of its own extremes, so a
-    value can move with its batch-mates, within the accuracy note's
-    noise floor; :func:`p1` is the same rule fitted to one point.
-    exp runs once per distinct radius of a chunk and cos once per distinct
-    height of a _BLOCK block, so repeated radii and heights (the chi^2
-    cell grid's) cost little, and every value keeps the bits of a
-    per-point evaluation.  Neither kernel table is filled here: both come
-    from _contour_rows.
+    Each value has the bits of :func:`p1` at its point, whatever its
+    batch.  Neither kernel table is filled here: both come from
+    _contour_rows.
     """
-
-    def sums(G, z_u, z_inv, lam, w, lc):
-        zl = np.outer(z_u, lam)
-        Gc = np.cos(zl, out=zl)[z_inv]
-        Gc *= G
-        return (Gc @ w / FOUR_PI_SQ,)
-
-    return _paired(r, z, "p1_many", sums, 1)[0]
+    return _contour_sums(r, z, "p1_many", 1)[0]
 
 
 def log_grad_many(r, z):
-    """Vectorized (alpha, b) = ((d_r log p1)/r, d_z log p1) over paired arrays.
+    """Vectorized (alpha, b) = ((d_r log p1)/r, d_z log p1) over the broadcast (r, z).
 
     The normalization cancels in the ratios, and alpha is computed from
     the r-stripped integrand so the axis needs no special case.  This is
     what integration-by-parts gradient routes want at quadrature nodes.
+    Each value is set by its point alone.
     """
+    m0, m1, m2 = _contour_sums(r, z, "log_grad_many", 3)
+    return -0.5 * m1 / m0, np.sign(z) * m2 / m0
 
-    def sums(G, z_u, z_inv, lam, w, lc):
-        zl = np.outer(z_u, lam)
-        Gc = np.cos(zl)[z_inv]
-        Gc *= G
-        m0 = Gc @ w
-        m1 = Gc @ (w * lc)
-        Gs = np.sin(zl, out=zl)[z_inv]
-        Gs *= G
-        m3 = Gs @ (w * lam)
-        return -0.5 * m1 / m0, -m3 / m0
 
-    return _paired(r, z, "log_grad_many", sums, 2)
+def radial_row(rs, z: float):
+    """All kernel integrals for one z and many r values.
+
+    Returns (p, p_r, p_z, p_rr, p_rz/r, p_zz) as arrays over ``rs``, each
+    point's from its own rule, so a row holds the values of its points.
+    """
+    rs = np.asarray(rs, dtype=float)
+    m0, m1, m2, m3, m4, m5 = _contour_sums(rs, z, "radial_row", 6)
+    sz = np.sign(z)
+    return m0, -0.5 * rs * m1, sz * m2, 0.25 * rs * rs * m3 - 0.5 * m1, -0.5 * sz * m4, -m5
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +172,7 @@ def _log_bundle(rs, six) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# FFT rows on the saddle-point contour, and the interpolation table
+# the saddle-point contour: the point engine, FFT rows and the interpolation table
 
 
 _TABLE_R_MAX = 16.0
@@ -364,6 +189,102 @@ _STRIP = 77.0
 _FOLD_MARGIN = 40.0
 _FFT_LENGTHS = np.array(sorted(2**a * 3**b * 5**c
                                for a in range(16) for b in range(11) for c in range(7)))
+# the engine's |z| levels: a point's period is that of the least level >= |z|
+_LEVELS = np.array([2.0, 5.0, 10.0, 25.0, Z_RANGE_LIMIT])
+# the engine rounds each point's node count up to a multiple of _NODE_STEP,
+# so that points of nearby radii share one evaluation, and takes up to
+# _CELLS (point, node) pairs at a time
+_NODE_STEP = 32
+_CELLS = 1 << 15
+
+
+def _u_max(r):
+    """The trapezoid's range |u| <= u_max at radius r, past which G is negligible."""
+    return 45.0 / (1.0 + 0.25 * r * r) + 5.0
+
+
+@cache
+def _band_nodes(theta: float, h: float):
+    """(lam, lam/sinh lam, lam coth lam) at lam_k = k h + i theta, read-only,
+    for every k <= u_max(0)/h and on to a multiple of _NODE_STEP nodes:
+    the factors that do not depend on r, shared by every row and point of
+    step h on the band."""
+    lam = np.arange(_NODE_STEP * (math.ceil(_u_max(0.0) / h) // _NODE_STEP + 1)) * h + 1j * theta
+    lam_safe = np.where(lam == 0.0, 1.0, lam)
+    ratio = np.where(lam == 0.0, 1.0, lam_safe / np.sinh(lam_safe))  # removable at lam = 0
+    lc = np.where(lam == 0.0, 1.0, lam_safe / np.tanh(lam_safe))
+    for a in (lam, ratio, lc):
+        a.flags.writeable = False
+    return lam, ratio, lc
+
+
+def _contour_sums(r, z, name: str, n_sums: int):
+    """The first ``n_sums`` of the contour sums M_j(r, z) of the broadcast
+    (r, z), as an (n_sums, *shape) array, each point's on its own rule.
+
+    M_j = e^{-theta |z|}/(8 pi^2) Re int e^{iu|z|} F_j G(u + i theta, r) du
+    (see _contour_rows) with F_j = 1, lam coth lam, i lam, (lam coth lam)^2,
+    i lam lam coth lam and lam^2, lam = u + i theta, so M_0 = p1 and the
+    derivatives follow as in _contour_rows, with the sign of z on the
+    odd ones.  A point takes the lowest band of _BANDS whose envelope at
+    u = 0, log|G(i theta, r)| - theta |z|, is within 4 of the least over
+    the bands, so at most a factor e^4 cancels; its period L is
+    _contour_rows' with z_max the least of _LEVELS >= |z|, and its nodes
+    u_k = 2 pi k/L run to u_max(r), the count rounded up to a multiple of
+    _NODE_STEP.  The band, the level and the count are the point's own,
+    the points that share all three are evaluated together in blocks of
+    whole rows, and each row is summed alone by np.add.reduce, so a value
+    has the same bits alone and in any batch.  A (point, node) costs one
+    exp, one cos and, past M_0, one sin: with G = e^{l} and
+    l = log(lam/sinh lam) - (r^2/4) lam coth lam, Re(e^{iu|z| + l} F) =
+    e^{Re l} (cos(u|z| + Im l) Re F - sin(u|z| + Im l) Im F).
+    """
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    shape = np.broadcast(r, z).shape
+    r = np.broadcast_to(r, shape).ravel()
+    az = np.abs(np.broadcast_to(z, shape).ravel())
+    out = np.empty((n_sums, r.size))
+    if r.size == 0:
+        return out.reshape(n_sums, *shape)
+    _check_batch(r, az, name)
+    q = 0.25 * r * r
+    pos = _BANDS > 0.0
+    ratio0 = np.divide(_BANDS, np.sin(_BANDS), out=np.ones_like(_BANDS), where=pos)
+    cot0 = np.divide(_BANDS * np.cos(_BANDS), np.sin(_BANDS), out=np.ones_like(_BANDS), where=pos)
+    env = np.log(ratio0) - np.outer(q, cot0) - np.outer(az, _BANDS)
+    band = np.argmax(env <= np.min(env, axis=1, keepdims=True) + 4.0, axis=1)
+    level = np.searchsorted(_LEVELS, az)
+    steps = 2.0 * math.pi / np.maximum(_STRIP / (math.pi - _BANDS)[:, None],
+                                       2.0 * _LEVELS + _FOLD_MARGIN)
+    count = np.ceil(_u_max(r) / steps[band, level]) + 1.0
+    count = (_NODE_STEP * np.ceil(count / _NODE_STEP)).astype(np.int64)
+    key = (band * _LEVELS.size + level) * (1 << 20) + count
+    for k in np.unique(key):
+        pts = np.flatnonzero(key == k)
+        b, lv, n = band[pts[0]], level[pts[0]], int(count[pts[0]])
+        theta, h = float(_BANDS[b]), float(steps[b, lv])
+        lam, ratio, lc = (a[:n] for a in _band_nodes(theta, h))
+        log_ratio = np.log(ratio)
+        factors = [(f.real, f.imag)
+                   for f in (lc, 1j * lam, lc * lc, 1j * lam * lc, lam * lam)[:n_sums - 1]]
+        block = max(1, _CELLS // n)
+        for lo in range(0, pts.size, block):
+            rows = pts[lo:lo + block]
+            qr = q[rows, None]
+            mag = np.exp(log_ratio.real - qr * lc.real)
+            phase = az[rows, None] * lam.real - qr * lc.imag + log_ratio.imag
+            c = np.cos(phase) * mag
+            c[:, 0] *= 0.5
+            out[0, rows] = np.add.reduce(c, axis=-1)
+            if n_sums > 1:
+                s = np.sin(phase, out=phase)
+                s *= mag
+                s[:, 0] *= 0.5
+                for j, (f_re, f_im) in enumerate(factors, 1):
+                    out[j, rows] = np.add.reduce(c * f_re - s * f_im, axis=-1)
+        out[:, pts] *= np.exp(-theta * az[pts]) * (h / FOUR_PI_SQ)
+    return out.reshape(n_sums, *shape)
 
 
 def _contour_rows(r: float, dz: float, nz: int, p_only: bool = False):
@@ -400,7 +321,7 @@ def _contour_rows(r: float, dz: float, nz: int, p_only: bool = False):
     zs = np.arange(nz) * dz
     saddle = 4.0 * zs / (r * r) if r > 0.0 else np.where(zs > 0.0, np.inf, 0.0)
     band = np.searchsorted(_mu_arrays(0.5 * (_BANDS[1:] + _BANDS[:-1])), saddle)
-    u_max = 45.0 / (1.0 + 0.25 * r * r) + 5.0
+    u_max = _u_max(r)
     out = np.empty((1 if p_only else 6, nz))
     for b in np.unique(band):
         theta = _BANDS[b]
@@ -409,10 +330,7 @@ def _contour_rows(r: float, dz: float, nz: int, p_only: bool = False):
         n = int(_FFT_LENGTHS[np.searchsorted(_FFT_LENGTHS, math.ceil(period / dz))])
         h = 2.0 * math.pi / (n * dz)
         k_max = math.ceil(u_max / h)
-        lam = np.arange(k_max + 1) * h + 1j * theta
-        lam_safe = np.where(lam == 0.0, 1.0, lam)
-        ratio = np.where(lam == 0.0, 1.0, lam_safe / np.sinh(lam_safe))  # removable at lam = 0
-        lc = np.where(lam == 0.0, 1.0, lam_safe / np.tanh(lam_safe))
+        lam, ratio, lc = (a[:k_max + 1] for a in _band_nodes(float(theta), h))
         g = ratio * np.exp(-0.25 * r * r * lc)
         f = g[None] if p_only else np.stack([g, -0.5 * r * lc * g, 1j * lam * g,
                                              (0.25 * r * r * lc - 0.5) * lc * g,

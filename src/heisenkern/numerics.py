@@ -3,8 +3,8 @@
 :func:`gauss_legendre` maps the n-point rule to [lo, hi] for every
 fixed-order rule of the library.  :func:`gauss_panels` lays the rule on
 each panel between given edges, for ``mc.kernel_cell_masses`` (the
-chi-squared masses) and for :func:`_panel_rule`'s 12-point panels on
-[0, lam_max], which serve the kernel's real lambda-integrals and
+chi-squared masses), the harness's ray survey and :func:`_panel_rule`'s
+12-point panels on [0, lam_max], which serve only
 :func:`integrate_decaying`, the integral over [0, inf) of an
 exponentially decaying integrand.  No rule here adapts to its
 integrand: the nodes are set by the arguments alone.  A node count that

@@ -59,12 +59,15 @@ COARSE_TIER = QuadratureSpec(abs_tol=_COARSE_ABS_TOL)
 
 _ORIGIN = GroupElement(0.0, 0.0, 0.0)
 
-# bytes of one (points x nodes) array of translated nodes: 16 points at
+# bytes of one (points x nodes) array of translated nodes: 5 points at
 # the 3,072-node nested tier.  A block's three translated-node arrays stay
 # live while each orbit-basis field's frame gradient and the grad_sums
-# buffer come and go: 8-10 such arrays at the peak for polynomial fields,
-# inside a 4 MiB L2 cache, and 21 for the spline field f*.
-_BLOCK_BYTES = 384 << 10
+# buffer come and go: 8-10 such arrays at the peak for polynomial fields
+# and 21 for the spline field f*.  Each stays below glibc's default
+# 128 KiB mmap threshold, so it comes from the heap: at 384 KiB a nested
+# pass took 115,655 minor page faults (4,064 at this size), unless an
+# earlier free of a multi-MB array had raised the threshold
+_BLOCK_BYTES = 120 << 10
 
 
 class MassDeficitError(ValueError):

@@ -330,7 +330,9 @@ def _osc_spec(spec: AdaptiveSpec | None, z: float) -> AdaptiveSpec:
 
 
 def _g_factor(lam, r):
-    return K._sinh_ratio(lam) * np.exp(-0.25 * r * r * K._lam_coth(lam))
+    """G(lam, r) = (lam/sinh lam) e^{-(r^2/4) lam coth lam} at the adaptive
+    rule's nodes, all inside (0, inf), where neither quotient is 0/0."""
+    return lam / np.sinh(lam) * np.exp(-0.25 * r * r * lam / np.tanh(lam))
 
 
 def p1_complex_shift(r: float, z: float, spec: AdaptiveSpec | None = None) -> K.ComplexKernelValue:
@@ -1011,7 +1013,7 @@ def ray_ratio_mp(u_abs: float, t: float, dps: int = 25, panels: int = 4):
     """The ray ratio int_t^{s_hi} A h ds / (A(u, t) h(u, t)) in mpmath.
 
     The same truncated s-range as harness._ray_ratios, with s_hi its
-    cancellation cap, cut into ``panels`` equal panels, and its own
+    tail cut, cut into ``panels`` equal panels, and its own
     real-z p_1 on the chart point r = 2|u| sin phi,
     z = (|u|^2/2)(2 phi - sin 2 phi), phi = s/(2|u|).  This generates
     RAY_SUP_MP in test_harness.py (under a minute at 25 digits on 4 panels); the

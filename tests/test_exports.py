@@ -34,6 +34,8 @@ ENTRY_POINTS = (
     (("group.multiply", "group.inverse"), "the group law on GroupElement"),
     (("geometry.cc_distance",), "one point's distance with its branch diagnostics"),
     (("kernel.p1",), "the one-point kernel, the benchmark's yardstick for p1_many"),
+    (("kernel.radial_row",), "the kernel with its five derivatives, the tests' derivative "
+                             "oracle route and a traced benchmark site"),
 )
 
 

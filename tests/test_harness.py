@@ -195,14 +195,14 @@ PHI_SUITE = {
     "lsi": {
         "bump-000": (0.011788384787876999, 0.3499709035923311),
         "bump-001": (0.02242939619866574, 0.7454435026181164),
-        "poly-000": (0.01866166891022658, 0.0730300956452355),
-        "poly-001": (0.041063626283175836, 0.17450382293631478),
+        "poly-000": (0.018661668909999207, 0.0730300956452355),
+        "poly-001": (0.04106362628408533, 0.17450382293631478),
         "trig-000": (0.002089740516315386, 0.2841978217484242),
         "combo-000": (0.023985630041352124, 0.09835930927797569),
-        "combo-001": (0.02823060962418822, 0.118617934626924),
-        "combo-002": (0.04106837455128698, 0.1744299166702255),
+        "combo-001": (0.028230609624642966, 0.118617934626924),
+        "combo-002": (0.041068374550377484, 0.1744299166702255),
         "combo-003": (0.01784816398867406, 0.07402446606046828),
-        "combo-004": (0.03109357007087965, 0.12827629750301744),
+        "combo-004": (0.031093570071334398, 0.12827629750301744),
         "combo-005": (0.01603181725926106, 0.04905852712386869),
         "xhat_log_h[spline]": (0.09782058670501037, 0.23401991784685294),
     },
@@ -213,10 +213,10 @@ PHI_SUITE = {
         "poly-001": (0.2612156355626212, 1.1094243741229672),
         "trig-000": (0.0024784072376831112, 0.32394498507805136),
         "combo-000": (0.13071987241710303, 0.5357507718145176),
-        "combo-001": (0.16250315934848913, 0.6824089581111473),
-        "combo-002": (0.26118033503735205, 1.1086767901546257),
-        "combo-003": (0.09094214836659376, 0.3769657945546834),
-        "combo-004": (0.18144573182689783, 0.7481322274960224),
+        "combo-001": (0.16250315935030812, 0.6824089581111473),
+        "combo-002": (0.26118033503553306, 1.1086767901546257),
+        "combo-003": (0.09094214836568426, 0.3769657945546834),
+        "combo-004": (0.18144573182325985, 0.7481322274960224),
         "combo-005": (0.06301549943191276, 0.19275794850085157),
         "xhat_log_h[spline]": (0.18359922057928202, 0.4369561002355018),
     },
@@ -224,13 +224,13 @@ PHI_SUITE = {
         "bump-000": (0.008569986171298088, 0.2908536270986328),
         "bump-001": (0.0165297893621852, 0.6214363921253133),
         "poly-000": (0.4436137106958995, 1.734327748259335),
-        "poly-001": (1.5952855578507297, 6.772268445652455),
+        "poly-001": (1.5952855578361778, 6.772268445652455),
         "trig-000": (0.0028392348776227205, 0.3596407320287878),
         "combo-000": (0.6839552513774834, 2.801888489499443),
-        "combo-001": (0.8980492736882297, 3.7694828188711416),
+        "combo-001": (0.8980492736918677, 3.7694828188711416),
         "combo-002": (1.5946699102132698, 6.766008874504063),
         "combo-003": (0.4448698923224583, 1.8431904171879068),
-        "combo-004": (1.0165267501142807, 4.189397091231437),
+        "combo-004": (1.0165267501070048, 4.189397091231437),
         "combo-005": (0.23779174468722886, 0.7271529415493964),
         "xhat_log_h[spline]": (0.33112282994163067, 0.7847504078677277),
     },
@@ -240,8 +240,8 @@ PHI_SUITE = {
         "poly-000": (2.0604707315481696, 8.052761463310674),
         "poly-001": (9.47260142523252, 40.1983222012726),
         "trig-000": (0.003180251187859362, 0.39334599653954194),
-        "combo-000": (3.4793933625041973, 14.24863649054247),
-        "combo-001": (4.825357583603666, 20.246743767773832),
+        "combo-000": (3.479393362509048, 14.24863649054247),
+        "combo-001": (4.825357583613368, 20.246743767773832),
         "combo-002": (9.466570218792185, 40.15109738459204),
         "combo-003": (2.1158805246814154, 8.763422985441562),
         "combo-004": (5.537081722548464, 22.811802418333393),

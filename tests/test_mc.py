@@ -40,6 +40,7 @@ All seeds are pinned, so every statistical deviation below is a fixed
 number, checked once against its 3 or 4 SE budget with room to spare.
 """
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -142,26 +143,66 @@ def test_batches_are_reproducible():
     assert np.array_equal(a.hist, b.hist)
 
 
+# p_1 at 24 seeded Gauss nodes of the chi-squared cell grid, to 22 digits
+# of oracles._p1_real_mp at 30 digits; the tests do not import mpmath
+CELL_NODE_P1_MP = (
+    (1.2245833096767034, 1.9593332954827254, 0.00121591528458022589242),
+    (3.3979293303119564, -1.592057971299507, 0.0006480991570346120308394),
+    (0.47458330967670337, -0.007942028700492765, 0.05595987934626664713155),
+    (1.059308448760459, 0.30510648198326606, 0.03252819441743398225172),
+    (1.559308448760459, 0.7920579712995075, 0.01240715363423443341222),
+    (1.5254166903232966, -1.9920579712995072, 0.001335328819760609885095),
+    (4.525416690323297, -1.1920579712995072, 0.00008161744217903087220899),
+    (3.995036232062192, -0.09489351801673418, 0.0003497981218185772097628),
+    (4.559308448760459, -1.6948935180167344, 0.00006118135087520279881379),
+    (4.995036232062192, 1.9593332954827254, 0.00001888732842950741197415),
+    (0.3979293303119562, 0.5633130715008704, 0.03014390414866344446607),
+    (0.7245833096767034, 1.1920579712995074, 0.006530852586621183995611),
+    (4.309308448760459, 0.04066670451727469, 0.0001698104030764306931883),
+    (0.3979293303119562, 0.3920579712995076, 0.0414650729629763794978),
+    (0.8093084487604589, -0.6366869284991298, 0.02353981889564121888175),
+    (0.8979293303119562, -0.7051064819832656, 0.0200769520002202614649),
+    (4.559308448760459, -1.5051064819832658, 0.00006669481668005019417995),
+    (1.7754166903232966, -1.1920579712995072, 0.006015403170173468290756),
+    (1.309308448760459, 1.1051064819832659, 0.008290081345472592554484),
+    (0.8520706696880438, -0.2366869284991299, 0.04025126175421737066879),
+    (2.2754166903232966, 1.2948935180167345, 0.003628468768060749031306),
+    (2.9745833096767034, -0.8406667045172744, 0.002146836812806376223979),
+    (4.004963767937808, 0.8406667045172749, 0.0003000453889542061191267),
+    (3.0593084487604587, 1.5051064819832658, 0.00116583224419184669139),
+)
+
+
+def test_cell_node_kernel_values_match_mpmath():
+    """The kernel values behind the cell masses, within 1e-15 relative of
+    mpmath at 24 seeded cell nodes (measured 8.2e-16)."""
+    r, z, want = (np.array(a) for a in zip(*CELL_NODE_P1_MP))
+    assert np.all(np.abs(mc.p1_many(r, z) - want) <= 1e-15 * want)
+
+
 def test_histogram_matches_kernel_masses():
     """Pearson chi-squared of sampled cell counts against the quadrature
     masses of the same 200 cells; the two routes share nothing but the
     group law.
 
-    The statistic is also pinned bit for bit (166.44581..., p = 0.960,
-    on SFC64 streams): the sample is fixed by the seed together with the
-    stream split and the per-path draw layout, so a sampler change that
-    moves the stream shows up here.
-    The p-value is pinned too, and must equal scipy.stats' chi-squared
-    survival function bit for bit.
+    The histogram's bytes are pinned (SFC64 streams): the sample is fixed
+    by the seed together with the stream split and the per-path draw
+    layout, so a sampler change that moves the stream shows up here.  The
+    statistic (166.44581..., p = 0.960) and the p-value are pinned bit for
+    bit on the masses of the kernel values that
+    test_cell_node_kernel_values_match_mpmath checks, and the p-value must
+    equal scipy.stats' chi-squared survival function bit for bit.
     """
     s = sample_batch(200_000, PathConfig(t=1.0, n_steps=600, seed=4242))
+    digest = hashlib.sha256(s.hist.tobytes()).hexdigest()
+    assert digest == "3d925898e5f69f31c9cdd2c7dd3b3ea5a74df519f252b56bf98fb9ca9778d850"
     masses = kernel_cell_masses(s.r_edges, s.z_edges, s.t)
     assert 0.9 < masses.sum() < 1.0
     res = chi2_against_kernel(s)
     assert res.dof == res.n_categories - 1 == 200
     assert res.p_value > 0.01
-    assert res.statistic == float.fromhex("0x1.4ce440e1f9e30p+7")
-    assert res.p_value == float.fromhex("0x1.eb67f8baa2858p-1")
+    assert res.statistic == float.fromhex("0x1.4ce440e1f9e50p+7")
+    assert res.p_value == float.fromhex("0x1.eb67f8baa282fp-1")
     assert res.p_value == float(chi2.sf(res.statistic, res.dof))
 
 
