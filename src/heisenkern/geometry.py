@@ -232,10 +232,17 @@ def chart_ball_nodes(radius: float, n_s: int = 48, n_phi: int = 32, n_alpha: int
     zv = np.broadcast_to(0.5 * rho * rho * _phi_minus_sin(2.0 * phi), (n_s, n_phi))
     # horizontal direction at alpha = 0: (1 - e^{2 i phi}) has argument phi - pi/2
     ang0 = np.broadcast_to(phi - 0.5 * math.pi, (n_s, n_phi))
-    ang = alpha[:, None, None] + ang0[None, :, :]
-    xs = (r[None, :, :] * np.cos(ang)).ravel()
-    ys = (r[None, :, :] * np.sin(ang)).ravel()
-    zs = np.broadcast_to(zv[None, :, :], ang.shape).ravel()
+    # at even n_alpha the rotation by alpha + pi is the exact half-turn
+    # (x, y) -> (-x, -y) of the one by alpha.  A pairwise sum whose halves
+    # fall on the two, as np.sum's do on the semigroup tiers, of values
+    # odd in (x, y) (X P_t f at the origin for f radial in (x, y)) is 0
+    turns = n_alpha // 2 if n_alpha % 2 == 0 else n_alpha
+    ang = alpha[:turns, None, None] + ang0[None, :, :]
+    xs, ys = r[None, :, :] * np.cos(ang), r[None, :, :] * np.sin(ang)
+    if turns < n_alpha:
+        xs, ys = np.concatenate([xs, -xs]), np.concatenate([ys, -ys])
+    xs, ys = xs.ravel(), ys.ravel()
+    zs = np.broadcast_to(zv[None, :, :], (n_alpha, n_s, n_phi)).ravel()
     ws = (a_w[:, None, None] * w_sp[None, :, :]).ravel()
 
     x_all = np.concatenate([xs, xs])

@@ -303,7 +303,12 @@ def _contour_rows(r: float, dz: float, nz: int, p_only: bool = False):
     saddle lam = i theta*, mu(theta*) = 4z/r^2, the integrand is of the
     size of the value times e^{theta z}, so nothing cancels; each z takes
     the band of _BANDS whose midpoints bracket its saddle (every z > 0 on
-    the axis the top one, z = 0 the real line).
+    the axis the top one, z = 0 the real line).  This is not the envelope
+    rule of _contour_sums: the two pick different bands at some (r, z),
+    and both tables were fitted, and their rows checked against mpmath,
+    on this one, so moving them would move every coefficient.  It errs by
+    up to 3.6e-3 only near |z| = 48, past both tables' |z| <= 26, which is
+    why scattered points take the other rule.
 
     Each band has its own FFT length N, the least 5-smooth one whose
     period L = N dz is at least _STRIP/(pi - theta) and 2 z_max +

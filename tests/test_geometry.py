@@ -396,6 +396,16 @@ class TestChartBallNodes:
         x, y, z, w = chart_ball_nodes(3.0, n_s=20, n_phi=14, n_alpha=10)
         assert abs(np.sum(w * z * np.exp(-x * x))) < 1e-13
 
+    def test_half_turns_are_exact(self):
+        """At even n_alpha the rotations by alpha + pi are the exact
+        negatives in (x, y) of those by alpha, so a sum odd in (x, y)
+        is exactly 0."""
+        x, y, z, w = chart_ball_nodes(3.0, n_s=20, n_phi=14, n_alpha=10)
+        xa, ya, za, wa = (v.reshape(2, 2, -1) for v in (x, y, z, w))
+        assert np.array_equal(xa[:, 1], -xa[:, 0]) and np.array_equal(ya[:, 1], -ya[:, 0])
+        assert np.array_equal(za[:, 1], za[:, 0]) and np.array_equal(wa[:, 1], wa[:, 0])
+        assert np.sum(w * x * np.exp(-y * y)) == 0.0
+
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             chart_ball_nodes(0.0)

@@ -398,8 +398,9 @@ def _shuffled_repeats():
 
 
 class TestPairedDistinct:
-    """p1_many and log_grad_many on paired arrays with repeated radii and
-    heights: each value has the bits of the one-point evaluation."""
+    """p1_many and log_grad_many on paired (r, z) arrays whose radii and
+    heights repeat, so few of the points are distinct: each value in one
+    batch has the bits of the one-point ("naive") evaluation."""
 
     @pytest.mark.parametrize("make", [
         lambda: tuple(a[40_960:45_056] for a in _table_grid()),
