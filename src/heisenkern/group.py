@@ -14,10 +14,10 @@ library differentiates along; the right-invariant partners, the rotation
 and the dilation generator, which only checks of the calculus use, live
 with the tests.
 
-Derivatives of a :class:`ScalarField` use the analytic gradient when the
-field carries one, otherwise centered differences along the straight
-line through the field's direction vector, which is the integral curve
-of each of X, Y and Z.
+The library differentiates exactly: a :class:`ScalarField` through its
+analytic gradient, and a polynomial given by its coefficients through
+the frame's action on monomials (:func:`gamma2`).  Nothing here takes a
+difference; the one difference calculus is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -30,26 +30,14 @@ import numpy as np
 __all__ = [
     "GroupElement",
     "ScalarField",
-    "FIELD_NAMES",
     "multiply",
     "inverse",
-    "apply_field",
-    "gamma",
     "gamma2",
-    "derived_field",
     "poly_field",
 ]
 
-FIELD_NAMES = ("X", "Y", "Z")
-
-# centered-difference base steps by derivative order of the context
+# the default ScalarField.fd_step
 FD_STEP_FIRST = 1e-5
-FD_STEP_SECOND = 1e-4
-
-
-def _as_scalar(v) -> float:
-    """Collapse a scalar-like evaluation result (0-d or length-1) to float."""
-    return float(np.squeeze(np.asarray(v, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -82,10 +70,14 @@ def inverse(a: GroupElement) -> GroupElement:
 class ScalarField:
     """Smooth function on the group with vectorized evaluation.
 
-    ``eval(x, y, z)`` must accept numpy arrays and broadcast.  When
-    ``analytic_gradient`` is given it returns the left-invariant frame
-    components (Xf, Yf, Zf) and must agree with centered differences of
-    ``eval`` to O(fd_step^2).  A field whose value and gradient share
+    ``eval(x, y, z)`` must accept numpy arrays and broadcast.
+    ``analytic_gradient`` returns the left-invariant frame components
+    (Xf, Yf, Zf); every derivative the library takes reads it, and a
+    field without one raises where a gradient is needed: there is no
+    difference fallback.  ``fd_step`` is the base step of the tests'
+    centred-difference oracle, and the benchmark tracer's field copies
+    pass it on, so it stays although the library never reads it.  A
+    field whose value and gradient share
     their work may also give ``joint``, returning (f, Xf, Yf, Zf) from
     one evaluation with the bits of ``eval`` and ``analytic_gradient``;
     callers that need both read them through :meth:`value_and_gradient`.
@@ -129,108 +121,6 @@ class ScalarField:
         as :attr:`rotation_order` is.
         """
         return getattr(self.eval, "mirror_parity", None)
-
-
-def _unknown(op: str) -> ValueError:
-    return ValueError(f"unknown field {op!r}; expected one of {FIELD_NAMES}")
-
-
-def _direction(op: str, x, y, z):
-    """Coordinate components of the field ``op`` at (x, y, z)."""
-    zero = np.zeros_like(np.asarray(x, dtype=float))
-    one = zero + 1.0
-    if op == "X":
-        return one, zero, -0.5 * y + zero
-    if op == "Y":
-        return zero, one, 0.5 * x + zero
-    if op == "Z":
-        return zero, zero, one
-    raise _unknown(op)
-
-
-def _combo_from_frame(op: str, gx, gy, gz):
-    """``op`` f read off the frame (Xf, Yf, Zf)."""
-    if op not in FIELD_NAMES:
-        raise _unknown(op)
-    return (gx, gy, gz)[FIELD_NAMES.index(op)]
-
-
-def apply_field(op: str, f: ScalarField, p: GroupElement) -> float:
-    """Apply one of X, Y, Z to ``f`` at ``p``: :func:`derived_field` at the point.
-
-    Uses the analytic gradient when present, else a centered difference
-    along the field direction with step f.fd_step (1 + max |coordinate|).
-    """
-    return _as_scalar(derived_field(op, f).eval(p.x, p.y, p.z))
-
-
-def derived_field(op: str, f: ScalarField) -> ScalarField:
-    """The function q -> (op f)(q) as a field (no gradient of its own)."""
-
-    if f.analytic_gradient is not None:
-
-        def ev(x, y, z):
-            return _combo_from_frame(op, *f.analytic_gradient(x, y, z))
-
-    else:
-        h = f.fd_step
-
-        def ev(x, y, z):
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            z = np.asarray(z, float)
-            vx, vy, vz = _direction(op, x, y, z)
-            scale = h * (1.0 + np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z))))
-            fp = f.eval(x + scale * vx, y + scale * vy, z + scale * vz)
-            fm = f.eval(x - scale * vx, y - scale * vy, z - scale * vz)
-            return (fp - fm) / (2.0 * scale)
-
-    return ScalarField(eval=ev, fd_step=max(f.fd_step, FD_STEP_SECOND), name=f"{op}({f.name})")
-
-
-def gamma(f: ScalarField, g: ScalarField, p: GroupElement) -> float:
-    """Carre du champ Gamma(f, g) = Xf Xg + Yf Yg at ``p``."""
-    xf = apply_field("X", f, p)
-    yf = apply_field("Y", f, p)
-    if g is f:
-        return xf * xf + yf * yf
-    xg = apply_field("X", g, p)
-    yg = apply_field("Y", g, p)
-    return xf * xg + yf * yg
-
-
-def gamma2(f: ScalarField, p: GroupElement) -> float:
-    """Iterated form Gamma_2(f) at ``p``:
-
-        (X^2 f)^2 + (Y^2 f)^2 + ((XY+YX)f)^2/2 + (Zf)^2/2
-        + 2 (XZf * Yf - YZf * Xf).
-
-    Unbounded below as a quadratic form in f: the mixed third-order term
-    has no sign, which is the group's "Ricci = -infinity" phenomenon.
-    Second derivatives difference the derived fields, of step
-    max(f.fd_step, FD_STEP_SECOND).
-    """
-    xf = apply_field("X", f, p)
-    yf = apply_field("Y", f, p)
-    zf = apply_field("Z", f, p)
-
-    fx = derived_field("X", f)
-    fy = derived_field("Y", f)
-    fz = derived_field("Z", f)
-    xxf = apply_field("X", fx, p)
-    yyf = apply_field("Y", fy, p)
-    xyf = apply_field("X", fy, p)
-    yxf = apply_field("Y", fx, p)
-    xzf = apply_field("X", fz, p)
-    yzf = apply_field("Y", fz, p)
-
-    return (
-        xxf * xxf
-        + yyf * yyf
-        + 0.5 * (xyf + yxf) ** 2
-        + 0.5 * zf * zf
-        + 2.0 * (xzf * yf - yzf * xf)
-    )
 
 
 # --- polynomial fields -----------------------------------------------------
@@ -313,3 +203,54 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
     if len(odd) == 1:
         ev.mirror_parity = 1 - 2 * odd.pop()
     return ScalarField(eval=ev, analytic_gradient=grad, name=name)
+
+
+# X = d_x - (y/2) d_z, Y = d_y + (x/2) d_z and Z = d_z on x^i y^j z^k: each
+# term is (scale, the axis whose exponent multiplies it, the exponent shift)
+_FRAME = {
+    "X": ((1.0, 0, (-1, 0, 0)), (-0.5, 2, (0, 1, -1))),
+    "Y": ((1.0, 1, (0, -1, 0)), (0.5, 2, (1, 0, -1))),
+    "Z": ((1.0, 2, (0, 0, -1)),),
+}
+
+
+def _frame(op: str, coeffs: dict) -> dict:
+    """op f, exactly, for f = sum c x^i y^j z^k given as ``{(i, j, k): c}``.
+
+    X and Y lower the weighted degree i + j + 2k by one, Z by two.
+    """
+    out = {}
+    for m, c in coeffs.items():
+        for scale, axis, shift in _FRAME[op]:
+            if m[axis]:
+                key = tuple(e + s for e, s in zip(m, shift))
+                out[key] = out.get(key, 0.0) + scale * m[axis] * c
+    return out
+
+
+def gamma2(coeffs: dict, p: GroupElement) -> float:
+    """Iterated form Gamma_2(f) at ``p`` of the polynomial f = sum c x^i y^j z^k
+    given as ``{(i, j, k): c}``, from its exact frame derivatives:
+
+        (X^2 f)^2 + (Y^2 f)^2 + ((XY+YX)f)^2/2 + (Zf)^2/2
+        + 2 (XZf * Yf - YZf * Xf).
+
+    Unbounded below as a quadratic form in f: the mixed third-order term
+    has no sign, which is the group's "Ricci = -infinity" phenomenon.
+    """
+
+    def at(word):
+        g = coeffs
+        for op in reversed(word):
+            g = _frame(op, g)
+        return sum(_monomial(c, p.x, i, p.y, j, p.z, k) for (i, j, k), c in g.items())
+
+    xf, yf, zf, xxf, yyf, xyf, yxf, xzf, yzf = map(at, ("X", "Y", "Z", "XX", "YY", "XY", "YX",
+                                                       "XZ", "YZ"))
+    return (
+        xxf * xxf
+        + yyf * yyf
+        + 0.5 * (xyf + yxf) ** 2
+        + 0.5 * zf * zf
+        + 2.0 * (xzf * yf - yzf * xf)
+    )

@@ -30,7 +30,7 @@ import numpy as np
 from .family import TestFunctionFamily, build_family
 # cc_distance_many stays importable here: the benchmark tracer wraps it in this module
 from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A  # noqa: F401
-from .group import GroupElement, ScalarField, gamma as gamma_at, gamma2 as gamma2_at, poly_field
+from .group import GroupElement, ScalarField, gamma2, poly_field
 # log_grad_many stays importable here: the benchmark tracer wraps it in this module
 from .kernel import (KernelRangeError, _contour_rows, log_grad_many, p1_many,  # noqa: F401
                      p1_star_shifted)
@@ -1002,22 +1002,20 @@ def demonstrate_gamma2_unbounded() -> InequalityReport:
     of Gamma_2 zero, so Gamma = 1 and Gamma_2 = -2M: no K gives
     Gamma_2 >= K Gamma.  The origin is no restriction.  X, Y and Z are
     left-invariant and a left translate of a cubic is a cubic, so no
-    other point reaches a ratio that the origin cannot.  The ratio is
-    evaluated through group.gamma and group.gamma2 (nested centred
-    differences of the exact frame gradient), and the row passes only
-    if it also agrees with -2M to 1e-3.
+    other point reaches a ratio that the origin cannot.  Gamma_2 is
+    group.gamma2 on f's coefficients, and Gamma = (Xf)^2 + (Yf)^2 reads
+    the exact frame gradient; both are exact, so the row passes only if
+    the ratio equals -2M.
     """
     target = -1e3
     M = 0.6 * abs(target)
-    f = poly_field({(1, 0, 0): 1.0, (0, 1, 1): M}, name="gamma2-witness")
-    origin = GroupElement(0.0, 0.0, 0.0)
-    fd_ratio = gamma2_at(f, origin) / gamma_at(f, f, origin)
+    coeffs = {(1, 0, 0): 1.0, (0, 1, 1): M}
+    xf, yf, _ = poly_field(coeffs).analytic_gradient(0.0, 0.0, 0.0)
+    ratio = gamma2(coeffs, GroupElement(0.0, 0.0, 0.0)) / float(xf * xf + yf * yf)
     closed = -2.0 * M
-    agree = abs(fd_ratio - closed) <= 1e-3 * abs(closed)
-    rep = _report("gamma2-unbounded", f.name, fd_ratio, target, target, budget=0.0,
-                  note=f"f = x + {M:g} yz at 0, fd ratio {fd_ratio:.10g}, "
-                       f"closed form {closed:g}")
-    return replace(rep, passed=rep.passed and agree)
+    rep = _report("gamma2-unbounded", "gamma2-witness", ratio, target, target, budget=0.0,
+                  note=f"f = x + {M:g} yz at 0, ratio {ratio:.10g}, closed form {closed:g}")
+    return replace(rep, passed=rep.passed and ratio == closed)
 
 
 # ---------------------------------------------------------------------------

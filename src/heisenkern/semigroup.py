@@ -23,13 +23,12 @@ from functools import cache
 import numpy as np
 
 from .geometry import chart_ball_nodes
-from .group import FD_STEP_FIRST, GroupElement, ScalarField, derived_field, _mul_arrays
+from .group import GroupElement, ScalarField, _mul_arrays
 from .kernel import log_grad_many, p1_many
 from .numerics import QuadratureSpec, gauss_legendre
 
 __all__ = [
     "MASS_DEFICIT_TOL",
-    "GRAD_ROUTES",
     "COARSE_TIER",
     "HeatOpConfig",
     "MassDeficitError",
@@ -48,7 +47,6 @@ MASS_DEFICIT_TOL = 1e-6
 # Below about 8.5 the discarded kernel mass exceeds MASS_DEFICIT_TOL, and
 # above 25 the chart's z extent R^2/(4 pi) leaves the kernel's range.
 _DOMAIN_RADIUS = 10.0
-GRAD_ROUTES = ("fd", "ibp")
 
 # node tier switches: specs at or above these abs_tols get reduced rules
 # meant for the legs of nested double quadratures
@@ -254,36 +252,28 @@ def variance(f: ScalarField, cfg: HeatOpConfig, x: GroupElement = _ORIGIN) -> fl
 def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str):
     """(X P_t f, Y P_t f) at the origin by a route other than :func:`grad_Pt_at`.
 
-    fd   centered differences of apply_Pt_many along the X and Y
-         integral curves through 0;
-    ibp  moves the derivative onto the kernel:
-         -sum mu_k f(y_k) (Xhat log p_t)(y_k), likewise Yhat; a route
-         independent of f's gradient.
-    No library code calls it: the tests run both routes as cross-checks
-    and the benchmark's tracer test runs ibp.
+    The one route, ``"ibp"``, moves the derivative onto the kernel:
+    -sum mu_k f(y_k) (Xhat log p_t)(y_k), likewise Yhat, so it reads no
+    gradient of f.  Any other route raises ValueError.  No library code
+    calls it: the tests cross-check it against grad_Pt_at and against
+    differences of apply_Pt_many, and the benchmark's tracer test runs it.
     """
-    if route == "fd":
-        h = FD_STEP_FIRST
-        pts = np.array([[h, 0.0, 0.0], [-h, 0.0, 0.0], [0.0, h, 0.0], [0.0, -h, 0.0]])
-        v = apply_Pt_many(f, cfg, pts)
-        return (v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / (2.0 * h)
-    if route == "ibp":
-        measure = heat_measure(cfg)
-        gx, gy = measure.hat_log_grad()
-        vals = _values_at(f, measure, _ORIGIN)
-        return (
-            -float(np.add.reduce(measure.mu * (vals * gx), axis=-1)),
-            -float(np.add.reduce(measure.mu * (vals * gy), axis=-1)),
-        )
-    raise ValueError(f"unknown route {route!r}; expected one of {GRAD_ROUTES}")
+    if route != "ibp":
+        raise ValueError(f"unknown route {route!r}; the one route is 'ibp'")
+    measure = heat_measure(cfg)
+    gx, gy = measure.hat_log_grad()
+    vals = _values_at(f, measure, _ORIGIN)
+    return (
+        -float(np.add.reduce(measure.mu * (vals * gx), axis=-1)),
+        -float(np.add.reduce(measure.mu * (vals * gy), axis=-1)),
+    )
 
 
-def _frame_gradient(f: ScalarField):
-    """Evaluator for (Xf, Yf, Zf): the analytic gradient, else centered differences."""
-    if f.analytic_gradient is not None:
-        return f.analytic_gradient
-    fx, fy, fz = (derived_field(op, f) for op in ("X", "Y", "Z"))
-    return lambda x, y, z: (fx.eval(x, y, z), fy.eval(x, y, z), fz.eval(x, y, z))
+def _gradient(f: ScalarField):
+    """f's analytic frame gradient; a field without one raises ValueError."""
+    if f.analytic_gradient is None:
+        raise ValueError(f"field {f.name!r} lacks an analytic gradient")
+    return f.analytic_gradient
 
 
 def grad_sums(weights, grad, dx, dy):
@@ -317,8 +307,8 @@ def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
     """(X P_t f, Y P_t f) at the points (x, y, z), with t = measure.t.
 
     P_t f(w) = sum mu_k f(w . y_k), so :func:`grad_sums` applies with
-    weights mu and w^{-1} q_k = y_k.  Fields without an analytic
-    gradient use centered differences.  Both components come back as
+    weights mu and w^{-1} q_k = y_k.  A field without an analytic
+    gradient raises ValueError.  Both components come back as
     arrays, one entry per point; each is a row sum (see
     :func:`grad_sums`), so its bits do not depend on the block size.
     """
@@ -329,7 +319,7 @@ def grad_Pt_at(f: ScalarField, measure: HeatMeasure, x, y, z):
 def _grads_Pt_at(fields, measure: HeatMeasure, x, y, z) -> np.ndarray:
     """:func:`grad_Pt_at` of each field, as a (2, fields, points) array;
     each block of translated nodes serves every field."""
-    grads = [_frame_gradient(g) for g in fields]
+    grads = [_gradient(g) for g in fields]
     out = np.empty((2, len(grads), np.size(x)))
     for rows, qx, qy, qz in _translated_nodes(measure, x, y, z):
         for i, grad in enumerate(grads):
@@ -347,16 +337,12 @@ _MIRROR = ("M", lambda x, y, z: (x, -y, -z), lambda gx, gy, gz: (gx, -gy, -gz))
 
 
 def _composed(f: ScalarField, sigma) -> ScalarField:
-    """The field f o sigma; without an analytic gradient of f it has none either."""
+    """The field f o sigma; f without an analytic gradient raises ValueError."""
     tag, move, turn = sigma
-    grad = None
-    if f.analytic_gradient is not None:
-
-        def grad(x, y, z):
-            return turn(*f.analytic_gradient(*move(x, y, z)))
-
-    return ScalarField(eval=lambda x, y, z: f.eval(*move(x, y, z)), analytic_gradient=grad,
-                       fd_step=f.fd_step, name=f"{f.name} o {tag}")
+    grad = _gradient(f)
+    return ScalarField(eval=lambda x, y, z: f.eval(*move(x, y, z)),
+                       analytic_gradient=lambda x, y, z: turn(*grad(*move(x, y, z))),
+                       name=f"{f.name} o {tag}")
 
 
 def _orbit_basis(f: ScalarField, counts: tuple):
@@ -419,7 +405,8 @@ def interpolation_variance(f: ScalarField, cfg: HeatOpConfig) -> float:
     n_alpha (|grad P f(w)|^2 + |grad P(f o R)(w)|^2) at order 1 and
     2 n_alpha |grad P f(w)|^2 at order 0.  A field without a declared
     order sums |grad P f|^2 over every node.  One pass over the blocks
-    of translated inner nodes serves every field of the basis.
+    of translated inner nodes serves every field of the basis.  A field
+    without an analytic gradient raises ValueError.
     """
     t = cfg.t
     coarse = QuadratureSpec(abs_tol=max(cfg.quad.abs_tol, _COARSE_ABS_TOL))

@@ -4,10 +4,11 @@ Each helper here is a second way to a quantity the library computes, or
 a convenience only the tests need: per-point kernel derivatives and the
 exact (quadrature per point) fields log h and f* = Xhat log h, an
 adaptive Gauss-panel integrator with the direct shifted integral
-p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, the one-point P_t and a
-phi-entropy, the fields Xhat, Yhat, Theta and D, the sub-Laplacian by
-difference stencils, frame-gradient validation against centered
-differences, the chart function mu, the
+p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, the one-point P_t,
+its gradient at the origin by differences and a phi-entropy, the one
+centred-difference calculus (the frame X, Y, Z, the fields Xhat, Yhat,
+Theta and D, Gamma, Gamma_2, the sub-Laplacian by difference stencils
+and frame-gradient validation), the chart function mu, the
 geodesic chart map and its inverse, single-path Monte Carlo draws, the
 stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
 n-step law, the lambda-slice f = cos(lam z) e^{-a r^2} with its exact
@@ -426,6 +427,13 @@ def apply_Pt(f: ScalarField, cfg: S.HeatOpConfig, x: GroupElement = S._ORIGIN) -
     return float(S.apply_Pt_many(f, cfg, [x.x, x.y, x.z])[0])
 
 
+def grad_Pt_origin_fd(f: ScalarField, cfg: S.HeatOpConfig, h: float = G.FD_STEP_FIRST):
+    """(X P_t f, Y P_t f) at 0 by centred differences of apply_Pt_many along
+    the X and Y integral curves through 0."""
+    v = S.apply_Pt_many(f, cfg, [[h, 0.0, 0.0], [-h, 0.0, 0.0], [0.0, h, 0.0], [0.0, -h, 0.0]])
+    return (v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / (2.0 * h)
+
+
 def _phi_values(phi, arr: np.ndarray) -> np.ndarray:
     try:
         out = np.asarray(phi(arr), dtype=float)
@@ -637,13 +645,28 @@ def left_translate(f: ScalarField, a: GroupElement) -> ScalarField:
                        name=f"translate({f.name})")
 
 
-# fields beyond the library's frame X, Y, Z: the right-invariant Xhat and
-# Yhat, which commute with X and Y, the rotation Theta = x d/dy - y d/dx and
-# the dilation generator D = (x d/dx + y d/dy)/2 + z d/dz.  Each is (its
-# direction at (x, y, z), op f from the frame (Xf, Yf, Zf)).  The straight
-# line through the direction is the integral curve of Xhat and Yhat, and
+# the step of a derived field's own differences, for second derivatives
+FD_STEP_SECOND = 1e-4
+
+
+def _as_scalar(v) -> float:
+    """Collapse a scalar-like evaluation result (0-d or length-1) to float."""
+    return float(np.squeeze(np.asarray(v, dtype=float)))
+
+
+# the frame X, Y, Z, the right-invariant Xhat and Yhat, which commute with
+# X and Y, the rotation Theta = x d/dy - y d/dx and the dilation generator
+# D = (x d/dx + y d/dy)/2 + z d/dz.  Each is (its direction at (x, y, z),
+# op f from the frame (Xf, Yf, Zf)).  The straight line through the
+# direction is the integral curve of X, Y, Z, Xhat and Yhat, and
 # first-order exact for Theta and D.
 EXTRA_FIELDS = {
+    "X": (lambda x, y, z: (1.0, 0.0, -0.5 * y),
+          lambda x, y, z, gx, gy, gz: gx),
+    "Y": (lambda x, y, z: (0.0, 1.0, 0.5 * x),
+          lambda x, y, z, gx, gy, gz: gy),
+    "Z": (lambda x, y, z: (0.0, 0.0, 1.0),
+          lambda x, y, z, gx, gy, gz: gz),
     "Xhat": (lambda x, y, z: (1.0, 0.0, 0.5 * y),
              lambda x, y, z, gx, gy, gz: gx + y * gz),
     "Yhat": (lambda x, y, z: (0.0, 1.0, -0.5 * x),
@@ -656,9 +679,10 @@ EXTRA_FIELDS = {
 
 
 def _directional(op: str, f: ScalarField, x, y, z, step: float):
-    """op f at (x, y, z) by ``group.apply_field``'s rules: the analytic
-    frame, else a centered difference along the direction with its step
-    scaled by (1 + max |coordinate|)."""
+    """op f at (x, y, z): the analytic frame, else a centered difference
+    along the direction with its step scaled by (1 + max |coordinate|)."""
+    if op not in EXTRA_FIELDS:
+        raise ValueError(f"unknown field {op!r}; expected one of {tuple(EXTRA_FIELDS)}")
     direction, combo = EXTRA_FIELDS[op]
     if f.analytic_gradient is not None:
         return combo(x, y, z, *f.analytic_gradient(x, y, z))
@@ -670,25 +694,52 @@ def _directional(op: str, f: ScalarField, x, y, z, step: float):
 
 
 def apply_op(op: str, f: ScalarField, p: GroupElement, step: float | None = None) -> float:
-    """``group.apply_field`` extended to the fields of EXTRA_FIELDS; ``step``,
-    when given, replaces ``f.fd_step``."""
+    """op f at ``p``, op a field of EXTRA_FIELDS: the analytic frame when f
+    has one, else a centred difference of step ``f.fd_step``, or ``step``
+    when given."""
     if step is not None:
         f = replace(f, fd_step=step)
-    if op in G.FIELD_NAMES:
-        return G.apply_field(op, f, p)
-    return G._as_scalar(_directional(op, f, p.x, p.y, p.z, f.fd_step))
+    return _as_scalar(_directional(op, f, p.x, p.y, p.z, f.fd_step))
 
 
 def derived_op(op: str, f: ScalarField) -> ScalarField:
-    """``group.derived_field`` extended to the fields of EXTRA_FIELDS."""
-    if op in G.FIELD_NAMES:
-        return G.derived_field(op, f)
+    """The function q -> (op f)(q) as a field with no gradient of its own; its
+    differences take the step max(f.fd_step, FD_STEP_SECOND)."""
 
     def ev(x, y, z):
         x, y, z = (np.asarray(c, float) for c in (x, y, z))
         return _directional(op, f, x, y, z, f.fd_step)
 
-    return ScalarField(eval=ev, fd_step=max(f.fd_step, G.FD_STEP_SECOND), name=f"{op}({f.name})")
+    return ScalarField(eval=ev, fd_step=max(f.fd_step, FD_STEP_SECOND), name=f"{op}({f.name})")
+
+
+def gamma_fd(f: ScalarField, g: ScalarField, p: GroupElement) -> float:
+    """Carre du champ Gamma(f, g) = Xf Xg + Yf Yg at ``p`` by :func:`apply_op`."""
+    xf = apply_op("X", f, p)
+    yf = apply_op("Y", f, p)
+    if g is f:
+        return xf * xf + yf * yf
+    return xf * apply_op("X", g, p) + yf * apply_op("Y", g, p)
+
+
+def gamma2_fd(f: ScalarField, p: GroupElement) -> float:
+    """Gamma_2(f) at ``p``, the form of ``group.gamma2``, with its second
+    derivatives centred differences of the derived fields."""
+    xf, yf, zf = (apply_op(op, f, p) for op in ("X", "Y", "Z"))
+    fx, fy, fz = (derived_op(op, f) for op in ("X", "Y", "Z"))
+    xxf = apply_op("X", fx, p)
+    yyf = apply_op("Y", fy, p)
+    xyf = apply_op("X", fy, p)
+    yxf = apply_op("Y", fx, p)
+    xzf = apply_op("X", fz, p)
+    yzf = apply_op("Y", fz, p)
+    return (
+        xxf * xxf
+        + yyf * yyf
+        + 0.5 * (xyf + yxf) ** 2
+        + 0.5 * zf * zf
+        + 2.0 * (xzf * yf - yzf * xf)
+    )
 
 
 def apply_L(f: ScalarField, q: GroupElement) -> float:
@@ -702,17 +753,15 @@ def apply_L(f: ScalarField, q: GroupElement) -> float:
     is evaluated with second-order steps.
     """
     if f.analytic_gradient is not None:
-        xf_field = G.derived_field("X", f)
-        yf_field = G.derived_field("Y", f)
-        xxf = apply_op("X", xf_field, q, step=G.FD_STEP_SECOND)
-        yyf = apply_op("Y", yf_field, q, step=G.FD_STEP_SECOND)
+        xxf = apply_op("X", derived_op("X", f), q, step=FD_STEP_SECOND)
+        yyf = apply_op("Y", derived_op("Y", f), q, step=FD_STEP_SECOND)
         return xxf + yyf
 
     x, y, z = q.x, q.y, q.z
-    h = G.FD_STEP_SECOND * (1.0 + max(abs(x), abs(y), abs(z)))
+    h = FD_STEP_SECOND * (1.0 + max(abs(x), abs(y), abs(z)))
 
     def at(a, b, c):
-        return G._as_scalar(f.eval(a, b, c))
+        return _as_scalar(f.eval(a, b, c))
 
     f0 = at(x, y, z)
     dxx = (at(x + h, y, z) - 2.0 * f0 + at(x - h, y, z)) / h**2
@@ -736,7 +785,7 @@ def validate_gradient(f: ScalarField, points, rtol: float = 1e-6, atol: float = 
     for q in points:
         ga = f.analytic_gradient(q.x, q.y, q.z)
         for op, exact in zip(("X", "Y", "Z"), ga):
-            approx = G.apply_field(op, stripped, q)
+            approx = apply_op(op, stripped, q)
             dev = abs(float(exact) - approx)
             worst = max(worst, dev)
             if dev > atol + rtol * abs(float(exact)):

@@ -1,4 +1,8 @@
-"""Group law, frame fields, carre du champ, and Gamma_2 tests."""
+"""Group law, frame fields, carre du champ, and Gamma_2 tests.
+
+The library's Gamma_2 is exact on polynomial coefficients; the
+centred-difference calculus it is checked against, and which checks the
+frame fields, Gamma and L, is the oracles' one copy."""
 
 import dataclasses
 import math
@@ -10,13 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenkern.group import (
-    FD_STEP_SECOND,
-    FIELD_NAMES,
     GroupElement,
     ScalarField,
-    apply_field,
-    derived_field,
-    gamma,
     gamma2,
     inverse,
     multiply,
@@ -24,15 +23,20 @@ from heisenkern.group import (
 )
 
 from oracles import (
+    FD_STEP_SECOND,
     CylPoint,
     apply_L,
     apply_op,
     derived_op,
     dilate,
+    gamma2_fd,
+    gamma_fd,
     homogeneous_norm,
     left_translate,
     validate_gradient,
 )
+
+FRAME = ("X", "Y", "Z")
 
 coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -122,10 +126,10 @@ class TestApplyField:
             for op in ("X", "Y", "Z", "Xhat", "Yhat", "Theta", "D"):
                 exact = apply_op(op, f, p)
                 approx = apply_op(op, f_fd, p)
-                if op in FIELD_NAMES:
+                if op in FRAME:
                     # a field with a gradient reads its frame component
                     frame = f.analytic_gradient(p.x, p.y, p.z)
-                    assert exact == float(frame[FIELD_NAMES.index(op)])
+                    assert exact == float(frame[FRAME.index(op)])
                 assert approx == pytest.approx(exact, rel=1e-7, abs=1e-7)
 
     def test_gradient_validation_helper(self):
@@ -137,7 +141,7 @@ class TestApplyField:
     def test_unknown_op(self):
         f = poly_field({(1, 0, 0): 1.0})
         with pytest.raises(ValueError):
-            apply_field("W", f, GroupElement(0, 0, 0))
+            apply_op("W", f, GroupElement(0, 0, 0))
 
     @pytest.mark.parametrize("step", [math.nan, math.inf, -1e-5, 0.0])
     def test_bad_step_raises(self, step):
@@ -151,17 +155,16 @@ class TestApplyField:
             dataclasses.replace(f, fd_step=step)
 
     def test_apply_field_takes_the_fields_own_step(self):
-        """apply_field has no step of its own: a gradient-free field's
-        fd_step sets the difference, and gamma2's second derivatives use
-        the derived fields' max(fd_step, FD_STEP_SECOND)."""
-        with pytest.raises(TypeError):
-            apply_field("X", poly_field({(1, 0, 0): 1.0}), GroupElement(0, 0, 0), step=1e-3)
+        """Without a ``step`` a gradient-free field's fd_step sets the
+        difference, a given ``step`` replaces it, and gamma2_fd's second
+        derivatives use the derived fields' max(fd_step, FD_STEP_SECOND)."""
         f = ScalarField(eval=poly_field({(3, 0, 0): 1.0}).eval, name="fd-only")
         p = GroupElement(0.5, 0.0, 0.0)
         coarse = dataclasses.replace(f, fd_step=1e-2)
         # X x^3 = 3 x^2; the centred difference adds h^2 exactly, h = 1e-2 * 1.5
-        assert apply_field("X", coarse, p) == pytest.approx(0.75 + 1.5e-2 ** 2, rel=1e-9)
-        assert derived_field("X", f).fd_step == FD_STEP_SECOND
+        assert apply_op("X", coarse, p) == pytest.approx(0.75 + 1.5e-2 ** 2, rel=1e-9)
+        assert apply_op("X", f, p, step=1e-2) == apply_op("X", coarse, p)
+        assert derived_op("X", f).fd_step == FD_STEP_SECOND
 
     def test_value_and_gradient_reads_joint_or_both(self):
         """value_and_gradient is (eval, *analytic_gradient) without a joint
@@ -196,7 +199,7 @@ class TestCommutators:
         rng = np.random.default_rng(5)
         f = random_cubic(rng)
         for p in random_points(rng, 50):
-            zf = apply_field("Z", f, p)
+            zf = apply_op("Z", f, p)
             assert commutator("X", "Y", f, p) == pytest.approx(zf, abs=1e-4)
             assert commutator("X", "Z", f, p) == pytest.approx(0.0, abs=1e-4)
             assert commutator("Y", "Z", f, p) == pytest.approx(0.0, abs=1e-4)
@@ -206,7 +209,7 @@ class TestCommutators:
         f_exact = random_cubic(rng)
         f = ScalarField(eval=f_exact.eval, name="fd-only")
         for p in random_points(rng, 10):
-            zf = apply_field("Z", f, p)
+            zf = apply_op("Z", f, p)
             assert commutator("X", "Y", f, p) == pytest.approx(zf, abs=1e-2)
 
     def test_right_invariant_fields_commute_with_left(self):
@@ -291,9 +294,9 @@ class TestGamma:
         fz = poly_field({(0, 0, 1): 1.0}, name="z")
         rng = np.random.default_rng(14)
         for p in random_points(rng, 10):
-            assert gamma(fx, fx, p) == pytest.approx(1.0, abs=1e-10)
+            assert gamma_fd(fx, fx, p) == pytest.approx(1.0, abs=1e-10)
             # Gamma(z, z) = (y^2 + x^2)/4
-            assert gamma(fz, fz, p) == pytest.approx(
+            assert gamma_fd(fz, fz, p) == pytest.approx(
                 (p.x * p.x + p.y * p.y) / 4.0, rel=1e-9, abs=1e-10
             )
 
@@ -302,8 +305,10 @@ class TestGamma:
         fz = poly_field({(0, 0, 1): 1.0}, name="z")
         rng = np.random.default_rng(15)
         for p in random_points(rng, 10):
-            assert gamma2(fx, p) == pytest.approx(0.0, abs=1e-6)
-        assert gamma2(fz, GroupElement(0, 0, 0)) == pytest.approx(0.5, abs=1e-6)
+            assert gamma2_fd(fx, p) == pytest.approx(0.0, abs=1e-6)
+            assert gamma2({(1, 0, 0): 1.0}, p) == 0.0
+        assert gamma2_fd(fz, GroupElement(0, 0, 0)) == pytest.approx(0.5, abs=1e-6)
+        assert gamma2({(0, 0, 1): 1.0}, GroupElement(0, 0, 0)) == 0.5
 
     def test_gamma2_defining_identity(self):
         # Gamma_2(f) = (L Gamma(f,f) - 2 Gamma(f, Lf)) / 2 for a random cubic
@@ -315,7 +320,7 @@ class TestGamma:
             eval=lambda x, y, z: _gamma_vec(f, x, y, z), name="Gamma(f,f)"
         )
         lf = ScalarField(eval=lambda x, y, z: _apply_L_vec(f, x, y, z), name="Lf")
-        lhs = gamma2(f, p)
+        lhs = gamma2_fd(f, p)
         rhs = 0.5 * (apply_L(gamma_f, p) - 2.0 * _gamma_pair(f, lf, p))
         assert lhs == pytest.approx(rhs, abs=1e-4)
 
@@ -325,7 +330,8 @@ class TestGamma:
         X, Y and Z are left-invariant, so g o tau_{a^-1} takes at a the
         values g takes at 0.  At 0 the frame's words reduce to partials
         (XY + YX = 2 d_xy there), so Gamma_2 = f_xx^2 + f_yy^2 + 2 f_xy^2
-        + f_z^2/2 + 2 (f_xz f_y - f_yz f_x)."""
+        + f_z^2/2 + 2 (f_xz f_y - f_yz f_x).  The library's exact gamma2
+        meets it at 0 to rounding, and g's centred differences at a."""
         rng = np.random.default_rng(19)
         origin = GroupElement(0.0, 0.0, 0.0)
         for _ in range(20):
@@ -335,10 +341,12 @@ class TestGamma:
             exact = ((2.0 * c[2, 0, 0]) ** 2 + (2.0 * c[0, 2, 0]) ** 2 + 2.0 * c[1, 1, 0] ** 2
                      + 0.5 * c[0, 0, 1] ** 2
                      + 2.0 * (c[1, 0, 1] * c[0, 1, 0] - c[0, 1, 1] * c[1, 0, 0]))
+            assert gamma2(c, origin) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+            assert gamma2(c, a) == pytest.approx(gamma2_fd(g, a), rel=1e-6)
             for f, p in ((g, origin), (left_translate(g, inverse(a)), a)):
-                assert gamma(f, f, p) == pytest.approx(c[1, 0, 0] ** 2 + c[0, 1, 0] ** 2,
-                                                        rel=1e-9)
-                assert gamma2(f, p) == pytest.approx(exact, rel=1e-6)
+                assert gamma_fd(f, f, p) == pytest.approx(c[1, 0, 0] ** 2 + c[0, 1, 0] ** 2,
+                                                           rel=1e-9)
+                assert gamma2_fd(f, p) == pytest.approx(exact, rel=1e-6)
 
 
 def _gamma_vec(f, x, y, z):
@@ -347,12 +355,7 @@ def _gamma_vec(f, x, y, z):
 
 
 def _gamma_pair(f, g, p):
-    xf = apply_field("X", f, p)
-    yf = apply_field("Y", f, p)
-    g = dataclasses.replace(g, fd_step=1e-3)
-    xg = apply_field("X", g, p)
-    yg = apply_field("Y", g, p)
-    return xf * xg + yf * yg
+    return gamma_fd(f, dataclasses.replace(g, fd_step=1e-3), p)
 
 
 class TestLeftTranslate:
@@ -363,8 +366,8 @@ class TestLeftTranslate:
         shifted = left_translate(f, a)
         for p in random_points(rng, 10):
             for op in ("X", "Y", "Z"):
-                lhs = apply_field(op, shifted, p)
-                rhs = apply_field(op, f, multiply(a, p))
+                lhs = apply_op(op, shifted, p)
+                rhs = apply_op(op, f, multiply(a, p))
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
 
     def test_translate_evaluates_shifted(self):

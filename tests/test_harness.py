@@ -17,7 +17,8 @@ the translated-gradient quadrature to the values measured before them.
 
 The Gamma_2 witness f = x + M yz at the origin and the Gaussian
 isoperimetric profile behind the Bobkov rows are checked against closed
-forms; a scaled group.gamma2 must fail the witness row.  Both sides of
+forms, the row's ratio exactly and the oracles' centred differences
+within their tolerance; a scaled group.gamma2 must fail the witness row.  Both sides of
 the commutation rows of the three default bumps are pinned at the
 default panel counts and against the converged (44, 24, 48) panel; every
 row passes, and a field with no known atom is refused.  The ray constant
@@ -59,7 +60,7 @@ import pytest
 from heisenkern import harness, kernel, numerics, semigroup
 from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
-from heisenkern.group import GroupElement, _mul_arrays, gamma, gamma2, poly_field
+from heisenkern.group import GroupElement, _mul_arrays, gamma2, poly_field
 from heisenkern.kernel import KernelRangeError
 from heisenkern.harness import (
     _C_POWER,
@@ -86,7 +87,7 @@ from heisenkern.harness import (
 )
 from heisenkern.semigroup import grad_Pt_at, grad_sums, heat_measure
 
-from oracles import digests_at_blas_threads, xhat_log_h_exact
+from oracles import digests_at_blas_threads, gamma2_fd, gamma_fd, xhat_log_h_exact
 
 A_PINNED = 4.740675880
 IDENTITY_TARGETS = {
@@ -1297,10 +1298,11 @@ def test_suite_result_unexpected_rows():
 
 
 def test_gamma2_search_reaches_target():
+    """The ratio is exact: -2M = -1200 to the bit."""
     rep = demonstrate_gamma2_unbounded()
     assert rep.passed, rep.note
     assert rep.lhs <= -1e3
-    assert rep.lhs == pytest.approx(-1200.0, rel=1e-3)
+    assert rep.lhs == -1200.0
     assert (rep.check, rep.function) == ("gamma2-unbounded", "gamma2-witness")
 
 
@@ -1308,19 +1310,22 @@ def test_gamma2_search_reaches_target():
 def test_gamma2_row_fails_on_wrong_gamma2(monkeypatch, scale):
     """The row's ratio comes from group.gamma2.  Halved, it misses the
     target; scaled by 1.1 it still reaches the target (-1320) but leaves
-    the closed form -2M, and the cross-check fails the row."""
-    true_gamma2 = harness.gamma2_at
-    monkeypatch.setattr(harness, "gamma2_at", lambda f, p: scale * true_gamma2(f, p))
+    the closed form -2M, and the equality check fails the row."""
+    true_gamma2 = harness.gamma2
+    monkeypatch.setattr(harness, "gamma2", lambda coeffs, p: scale * true_gamma2(coeffs, p))
     assert not demonstrate_gamma2_unbounded().passed
 
 
 @pytest.mark.parametrize("M", [1.0, 10.0, 1e3])
 def test_gamma2_witness_at_origin(M):
-    """f = x + M yz at 0: Xf = 1, Yf = 0, and group.gamma2 gives -2M."""
-    f = poly_field({(1, 0, 0): 1.0, (0, 1, 1): M})
+    """f = x + M yz at 0: Xf = 1, Yf = 0, and Gamma_2 = -2M, exactly by
+    group.gamma2 and within 1e-6 by the oracles' centred differences."""
+    coeffs = {(1, 0, 0): 1.0, (0, 1, 1): M}
+    f = poly_field(coeffs)
     origin = GroupElement(0.0, 0.0, 0.0)
-    assert gamma(f, f, origin) == pytest.approx(1.0, rel=1e-9)
-    assert gamma2(f, origin) == pytest.approx(-2.0 * M, rel=1e-6)
+    assert gamma_fd(f, f, origin) == pytest.approx(1.0, rel=1e-9)
+    assert gamma2_fd(f, origin) == pytest.approx(-2.0 * M, rel=1e-6)
+    assert gamma2(coeffs, origin) == -2.0 * M
 
 
 PHI_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)     # standard normal density at 1

@@ -34,10 +34,10 @@ from hypothesis import given, settings, strategies as st
 
 from heisenkern import kernel as K
 from heisenkern.geometry import cc_distance_many
-from heisenkern.group import GroupElement, ScalarField, apply_field, gamma
+from heisenkern.group import GroupElement, ScalarField
 
 import oracles as O
-from oracles import apply_L, apply_op, validate_gradient
+from oracles import apply_L, apply_op, gamma_fd, validate_gradient
 
 # p1(0,0) = (1/4pi^2) int_0^inf lam/sinh(lam) dlam = (1/4pi^2)(pi^2/4)
 P1_ORIGIN = 0.0625
@@ -397,10 +397,10 @@ def _shuffled_repeats():
     return r, z
 
 
-class TestPairedDistinct:
-    """p1_many and log_grad_many on paired (r, z) arrays whose radii and
-    heights repeat, so few of the points are distinct: each value in one
-    batch has the bits of the one-point ("naive") evaluation."""
+class TestBatchBits:
+    """p1_many and log_grad_many on (r, z) batches whose radii and heights
+    repeat, so few of the points are distinct: each value in one batch has
+    the bits of its one-point evaluation."""
 
     @pytest.mark.parametrize("make", [
         lambda: tuple(a[40_960:45_056] for a in _table_grid()),
@@ -408,7 +408,7 @@ class TestPairedDistinct:
         _shuffled_repeats,
         _ray_nodes,
     ], ids=["table-grid-two-chunks", "cell-masses-r-major", "shuffled-repeats", "ray-96"])
-    def test_bits_match_naive(self, make):
+    def test_batch_matches_points(self, make):
         """The whole set in one call, checked at up to 1,000 seeded points."""
         r, z = (a.ravel() for a in np.broadcast_arrays(*make()))
         got = np.array([K.p1_many(r, z), *K.log_grad_many(r, z)])
@@ -542,7 +542,7 @@ class TestLogDerivatives:
         for x, y, z in ((0.6, -0.4, 0.3), (1.2, 0.5, -0.9)):
             d = O.log_derivatives(math.hypot(x, y), z)
             expect = d.a**2 + 0.25 * (x * x + y * y) * d.b**2
-            got = gamma(lh, lh, GroupElement(x, y, z))
+            got = gamma_fd(lh, lh, GroupElement(x, y, z))
             assert math.isclose(got, expect, rel_tol=1e-8)
 
 
@@ -740,7 +740,7 @@ class TestLogHField:
 
     def test_z_log_h_vanishes_at_z0(self):
         lh = O.log_h_field()
-        val = apply_field("Z", lh, GroupElement(1.0, 0.0, 0.0))
+        val = apply_op("Z", lh, GroupElement(1.0, 0.0, 0.0))
         assert val == 0.0
 
     def test_theta_annihilates(self):
@@ -752,8 +752,8 @@ class TestLogHField:
         lh = O.log_h_field()
         stripped = dataclasses.replace(lh, analytic_gradient=None)
         origin = GroupElement(0.0, 0.0, 0.0)
-        assert abs(gamma(lh, lh, origin)) <= 1e-12
-        assert abs(gamma(stripped, stripped, origin)) <= 1e-8
+        assert abs(gamma_fd(lh, lh, origin)) <= 1e-12
+        assert abs(gamma_fd(stripped, stripped, origin)) <= 1e-8
 
     def test_invariant_measure_identity(self):
         # (L + D + 2) h = 0, in log form L f + Gamma(f) + D f + 2 = 0
@@ -765,7 +765,7 @@ class TestLogHField:
             pt = GroupElement(float(x), float(y), float(z))
             resid = (
                 apply_L(lh, pt)
-                + gamma(lh, lh, pt)
+                + gamma_fd(lh, lh, pt)
                 + apply_op("D", lh, pt)
                 + 2.0
             )
@@ -933,10 +933,10 @@ class TestComplexRoutes:
         rng = np.random.default_rng(5)
         for _ in range(5):
             pt = GroupElement(*rng.uniform(-1.5, 1.5, 3))
-            x_re = apply_field("X", re_f, pt)
-            y_re = apply_field("Y", re_f, pt)
-            x_im = apply_field("X", im_f, pt)
-            y_im = apply_field("Y", im_f, pt)
+            x_re = apply_op("X", re_f, pt)
+            y_re = apply_op("Y", re_f, pt)
+            x_im = apply_op("X", im_f, pt)
+            y_im = apply_op("Y", im_f, pt)
             # (X + iY)(re + i im) = 0: real and imaginary parts separately
             assert abs(x_re - y_im) <= 1e-6
             assert abs(x_im + y_re) <= 1e-6

@@ -1,7 +1,9 @@
 """Semigroup quadrature tests: P_t examples, three gradient routes at the
 origin (grad_Pt_at, the one routine every harness gradient row uses,
-against the fd and ibp routes of grad_Pt_origin), entropies, and the
-variance-from-interpolation identity.
+against grad_Pt_origin's ibp route and the oracles' centred differences
+of apply_Pt_many), entropies, and the variance-from-interpolation
+identity.  A field without an analytic gradient raises wherever P_t's
+gradient needs one.
 
 Every expected value is derived by hand from the generator L = X^2 + Y^2
 acting on polynomials (d/dt E[f] = E[Lf], so e.g. E[x^2] = 2t and
@@ -31,7 +33,6 @@ from heisenkern.group import GroupElement, ScalarField, poly_field
 from heisenkern.kernel import xhat_log_h_field
 from heisenkern.numerics import QuadratureSpec, gauss_legendre
 from heisenkern.semigroup import (
-    GRAD_ROUTES,
     MASS_DEFICIT_TOL,
     HeatOpConfig,
     MassDeficitError,
@@ -43,8 +44,8 @@ from heisenkern.semigroup import (
     variance,
 )
 
-from oracles import (ExactPoly, LambdaSlice, apply_Pt, entropy_phi, validate_gradient,
-                     xhat_log_h_exact)
+from oracles import (ExactPoly, LambdaSlice, apply_Pt, entropy_phi, grad_Pt_origin_fd,
+                     validate_gradient, xhat_log_h_exact)
 
 ORIGIN = GroupElement(0.0, 0.0, 0.0)
 CFG1 = HeatOpConfig(t=1.0)
@@ -528,7 +529,7 @@ def test_variance_nonnegative(c0, cx, cy, cz, cxy):
 # ------------------------------------------------------------- grad routes
 
 # grad_Pt_at at the origin, named for the right-invariant fields it
-# transfers, next to the library's two other routes
+# transfers, next to grad_Pt_origin's ibp route and the oracles' differences
 ROUTES = ("fd", "hat-transfer", "ibp")
 
 
@@ -536,6 +537,8 @@ def grad_origin(f, cfg, route):
     if route == "hat-transfer":
         gx, gy = grad_Pt_at(f, heat_measure(cfg), 0.0, 0.0, 0.0)
         return float(gx[0]), float(gy[0])
+    if route == "fd":
+        return grad_Pt_origin_fd(f, cfg)
     return grad_Pt_origin(f, cfg, route=route)
 
 
@@ -569,7 +572,9 @@ def test_grad_of_radial_even_function_vanishes(route):
 
 
 def test_grad_route_name_is_checked():
-    assert GRAD_ROUTES == ("fd", "ibp")
+    """ibp is the one route: the differences live in the oracles."""
+    with pytest.raises(ValueError):
+        grad_Pt_origin(ONE, CFG1, route="fd")
     with pytest.raises(ValueError):
         grad_Pt_origin(ONE, CFG1, route="adjoint")
     with pytest.raises(ValueError):
@@ -703,29 +708,26 @@ def test_grad_inner_at_independent_of_block_size(monkeypatch, name):
         assert gy.tobytes() == results[0][1].tobytes()
 
 
-def test_grad_inner_at_difference_fallback():
-    """A field without an analytic gradient goes through centered differences,
-    and so do the rotated and mirrored copies the orbit sum builds from it.
-    xz + x has rotation order 1 and no mirror parity, so its basis holds
-    all four copies."""
+def test_gradient_free_field_raises():
+    """P_t's gradient takes no differences: a field without an analytic
+    gradient raises ValueError naming it in grad_Pt_at and
+    interpolation_variance, and so does building the rotated and mirrored
+    copies of the orbit sum from it.  xz + x has rotation order 1 and no
+    mirror parity, so its analytic basis holds all four copies."""
     f = poly_field({(1, 0, 1): 1.0, (1, 0, 0): 1.0}, "xz+x")
-    fd = ScalarField(eval=f.eval)
+    bare = ScalarField(eval=f.eval, name="bare xz+x")
     outer, inner = _nested_pair()
-    want = grad_Pt_at(f, inner, outer.x, outer.y, outer.z)
-    got = grad_Pt_at(fd, inner, outer.x, outer.y, outer.z)
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
-    n, fd_fields, fd_weight = semigroup._orbit_basis(fd, outer.counts)
-    _, fields, weight = semigroup._orbit_basis(f, outer.counts)
-    assert (n, len(fd_fields), fd_weight) == (16 * 12, 4, weight)
-    assert all(g.analytic_gradient is None for g in fd_fields)
-    for g_fd, g in zip(fd_fields, fields):
-        got = grad_Pt_at(g_fd, inner, outer.x[:n], outer.y[:n], outer.z[:n])
-        want = grad_Pt_at(g, inner, outer.x[:n], outer.y[:n], outer.z[:n])
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
-    gamma_fd = semigroup._gamma_sum(fd, outer, inner)
-    assert gamma_fd == pytest.approx(semigroup._gamma_sum(f, outer, inner), rel=1e-6)
+    with pytest.raises(ValueError, match="bare xz"):
+        grad_Pt_at(bare, inner, outer.x, outer.y, outer.z)
+    with pytest.raises(ValueError, match="bare xz"):
+        semigroup._orbit_basis(bare, outer.counts)
+    with pytest.raises(ValueError, match="bare xz"):
+        interpolation_variance(bare, CFG1_NESTED)
+    with pytest.raises(ValueError, match="bare xz"):
+        interpolation_variance(_undeclared(bare), CFG1_NESTED)
+    n, fields, weight = semigroup._orbit_basis(f, outer.counts)
+    assert (n, len(fields), weight) == (16 * 12, 4, 0.5 * 8)
+    assert all(g.analytic_gradient is not None for g in fields)
 
 
 # --------------------------------------------- orbit sum over the outer nodes
