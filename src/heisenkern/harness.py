@@ -345,9 +345,9 @@ class _MemberCtx:
     b: float            # Y P_t f (0)
 
     def expect(self, arr, outside: float = 0.0) -> float:
-        # BLAS, not a row sum: np.add.reduce moves 17 pinned entropy lhs by up
-        # to 4.4e-11, and a 50-digit sum finds neither order closer on every row
-        return float(self.mu @ arr) + self.m_out * float(outside)
+        # a row sum, like every node sum in semigroup and harness: its bits
+        # depend on neither the BLAS thread count nor the batch it sits in
+        return float(np.add.reduce(self.mu * arr, axis=-1)) + self.m_out * float(outside)
 
 
 def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
@@ -434,9 +434,7 @@ def check_reverse_poincare(family: TestFunctionFamily) -> list:
     rows = []
     for ctx in _contexts(family):
         lhs = ctx.a * ctx.a + ctx.b * ctx.b
-        mean = ctx.expect(ctx.vals)
-        rhs = ctx.expect(ctx.vals * ctx.vals) - mean * mean
-        rows.append(_report("reverse-poincare", ctx.name, lhs, rhs, 1.0,
+        rows.append(_report("reverse-poincare", ctx.name, lhs, _variance(ctx, ctx.vals), 1.0,
                             budget=_check_budget(ctx)))
     return rows
 
@@ -565,22 +563,39 @@ def constants_estimate(family: TestFunctionFamily | None = None) -> ConstantEsti
 
 
 def _pos_shift(ctx: _MemberCtx) -> float:
-    """Shift making the member >= 0.1 everywhere the measure lives."""
+    """The member's least value where the measure lives, its outside atom's 0 included."""
     lo = float(np.min(ctx.vals))
     if ctx.compact:
         lo = min(lo, 0.0)    # the outside atom sees f = 0
     return lo
 
 
-def check_phi_suite(family: TestFunctionFamily, C1_working: float = SQRT2) -> list:
-    """Log-Sobolev, Beckner (p in {1.25, 1.5, 1.75}) and Poincare rows.
+def _variance(ctx: _MemberCtx, arr, outside: float = 0.0) -> float:
+    """E[(f - m)^2] over the member's measure, outside atom included: no difference of means."""
+    m = ctx.expect(arr, outside)
+    return ctx.expect((arr - m) ** 2, (outside - m) ** 2)
 
-    Members are shifted to min + 0.1 > 0 where the entropy needs a
-    positive range; the shift leaves gradients untouched.  Expectations
-    run against an exactly unit-mass measure (panel plus outside atom
-    for compact members) so Jensen holds and entropies cannot go
-    negative on rounding.  One extra row compares Beckner at
-    p = 2 - 1e-4 against Poincare on the first member (continuity in p).
+
+def _gap(d, log1p_d, p: float):
+    """g_p(d) = ((1 + d)^p - 1 - p d) / (p - 1), (1 + d) log(1 + d) - d at p = 1: the convex
+    phi_p(u) = u^p / (p - 1) (u log u at p = 1) above its tangent at u = 1, so >= 0."""
+    if p == 1.0:
+        return (1.0 + d) * log1p_d - d
+    return (np.expm1(p * log1p_d) - p * d) / (p - 1.0)
+
+
+def check_phi_suite(family: TestFunctionFamily, C1_working: float = SQRT2) -> list:
+    """Log-Sobolev (p = 1), Beckner (p in {1.25, 1.5, 1.75}) and Poincare rows.
+
+    Members are shifted to pos = f - min + 0.1 > 0; the shift leaves
+    gradients untouched.  Each lhs is a mean of non-negative terms over the
+    exactly unit-mass measure (panel plus outside atom for compact members),
+    not a difference of nearly equal means: with m = E[pos] and
+    d = pos / m - 1, E[phi_p(pos)] - phi_p(m) = m^p E[g_p(d)] (:func:`_gap`),
+    and Var = E[(f - m)^2].  Each is within 5e-13 of a 50-digit sum of the
+    same float terms.  At p = 1 the rhs p C^2 E[pos^(p-2) Gamma] is
+    C^2 E[Gamma / pos].  One extra row compares Beckner at p = 2 - 1e-4
+    against Poincare on the first member (continuity in p).
     """
     c1_sq = C1_working * C1_working
     rows = []
@@ -588,32 +603,27 @@ def check_phi_suite(family: TestFunctionFamily, C1_working: float = SQRT2) -> li
     for ctx in _contexts(family):
         budget = _check_budget(ctx)
         lo = _pos_shift(ctx)
-        pos = ctx.vals - lo + 0.1
-        p_out = 0.1 - lo
-        mean_pos = ctx.expect(pos, p_out)
+        pos, p_out = ctx.vals - lo + 0.1, 0.1 - lo
+        m = ctx.expect(pos, p_out)
+        d, d_out = pos / m - 1.0, p_out / m - 1.0
+        log1p_d, log1p_out = np.log1p(d), math.log1p(d_out)
 
-        lhs = ctx.expect(pos * np.log(pos), p_out * math.log(p_out))
-        lhs -= mean_pos * math.log(mean_pos)
-        rhs = c1_sq * ctx.expect(ctx.gam / pos)
-        rows.append(_report("lsi", ctx.name, lhs, rhs, C1_working, budget=budget))
+        def entropy(p):    # Ent_p(pos), and its row's rhs p C^2 E[pos^(p-2) Gamma]
+            lhs = m**p * ctx.expect(_gap(d, log1p_d, p), _gap(d_out, log1p_out, p))
+            return lhs, p * c1_sq * ctx.expect(pos ** (p - 2.0) * ctx.gam)
 
-        for pexp in (1.25, 1.5, 1.75):
-            lhs = (ctx.expect(pos**pexp, p_out**pexp) - mean_pos**pexp) / (pexp - 1.0)
-            rhs = pexp * c1_sq * ctx.expect(pos ** (pexp - 2.0) * ctx.gam)
-            rows.append(_report(f"beckner-{pexp}", ctx.name, lhs, rhs, C1_working,
-                                budget=budget))
+        for pexp in (1.0, 1.25, 1.5, 1.75):
+            rows.append(_report("lsi" if pexp == 1.0 else f"beckner-{pexp}", ctx.name,
+                                *entropy(pexp), C1_working, budget=budget))
 
-        mean = ctx.expect(ctx.vals)
-        var = ctx.expect(ctx.vals * ctx.vals) - mean * mean
         rhs_pi = 2.0 * c1_sq * ctx.expect(ctx.gam)
-        rows.append(_report("poincare", ctx.name, var, rhs_pi, C1_working,
-                            budget=budget))
+        rows.append(_report("poincare", ctx.name, _variance(ctx, ctx.vals), rhs_pi,
+                            C1_working, budget=budget))
 
         if consistency is None:
             pexp = 2.0 - 1e-4
-            lhs_b = (ctx.expect(pos**pexp, p_out**pexp) - mean_pos**pexp) / (pexp - 1.0)
-            rhs_b = pexp * c1_sq * ctx.expect(pos ** (pexp - 2.0) * ctx.gam)
-            var_pos = ctx.expect(pos * pos, p_out * p_out) - mean_pos * mean_pos
+            lhs_b, rhs_b = entropy(pexp)
+            var_pos = _variance(ctx, pos, p_out)
             dev = abs(lhs_b / var_pos - 1.0) if var_pos > 0 else 0.0
             dev = max(dev, abs(rhs_b / rhs_pi - 1.0) if rhs_pi > 0 else 0.0)
             consistency = _report("beckner-p2-consistency", ctx.name, dev, 1e-3,

@@ -16,8 +16,9 @@ P_t f, gradient and variance, exact rational polynomials with their
 finite heat flow e^{tL} f, the mpmath ray limit L(t) and ray ratio behind the
 stored values in test_harness.py, the mpmath p1(r, z + 2i) and the
 mpmath kernel with its five derivatives behind those in test_kernel.py,
-and the digests of a table's coefficients built in fresh processes at
-one and two BLAS threads.
+the 50-digit phi-entropies and variances over a member context's float
+terms behind the phi-suite referee in test_harness.py, and the digests
+of an array built in fresh processes at one and two BLAS threads.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
 tests that use them.
@@ -1082,6 +1083,63 @@ def ray_ratio_mp(u_abs: float, t: float, dps: int = 25, panels: int = 4):
 
         edges = mp.linspace(mp.mpf(t), mp.mpf(s_hi), panels + 1)
         return mp.quad(a_h, edges) / a_h(mp.mpf(t))
+
+
+def mean_mp(ctx, arr, outside: float = 0.0, phi=None):
+    """E[phi(f)] in mpmath at the working precision against a harness
+    member context's float weights mu and outside mass m_out, with f the
+    float node values ``arr`` and ``outside`` on the outside atom, each
+    taken exactly; phi defaults to the identity."""
+    import mpmath as mp
+
+    w = [mp.mpf(float(v)) for v in ctx.mu] + [mp.mpf(ctx.m_out)]
+    f = [mp.mpf(float(v)) for v in arr] + [mp.mpf(float(outside))]
+    return mp.fdot(w, f if phi is None else [phi(v) for v in f])
+
+
+def phi_entropy_mp(ctx, arr, outside: float, phi):
+    """E[phi(f)] - phi(E f) at the working precision (see :func:`mean_mp`)."""
+    return mean_mp(ctx, arr, outside, phi) - phi(mean_mp(ctx, arr, outside))
+
+
+def variance_mp(ctx, arr, outside: float = 0.0):
+    """E[(f - m)^2] at the working precision (see :func:`mean_mp`)."""
+    m = mean_mp(ctx, arr, outside)
+    return mean_mp(ctx, arr, outside, lambda u: (u - m) ** 2)
+
+
+def phi_suite_lhs_mp(family, dps: int = 50) -> dict:
+    """{check: {member: lhs}} of harness.check_phi_suite's lsi, Beckner and
+    Poincare rows and its beckner-p2-consistency row, at ``dps`` digits
+    over each member context's float terms: the shifted values
+    pos = f - min + 0.1 are the library's floats, as are the consistency
+    row's rhs integrands.  This generates PHI_LHS_MP in test_harness.py
+    (about 11 s at 50 digits on build_family(12)); the tests read the
+    stored values and do not import mpmath.
+    """
+    import mpmath as mp
+
+    rows = {}
+    with mp.workdps(dps):
+        for ctx in H._contexts(family):
+            lo = H._pos_shift(ctx)
+            pos, p_out = ctx.vals - lo + 0.1, 0.1 - lo
+
+            def ent(p):
+                phi = (lambda u: u * mp.log(u)) if p == 1 else (lambda u: u**p / (p - 1.0))
+                return phi_entropy_mp(ctx, pos, p_out, phi)
+
+            rows.setdefault("lsi", {})[ctx.name] = ent(1)
+            for p in (1.25, 1.5, 1.75):
+                rows.setdefault(f"beckner-{p}", {})[ctx.name] = ent(p)
+            rows.setdefault("poincare", {})[ctx.name] = variance_mp(ctx, ctx.vals)
+            if "beckner-p2-consistency" not in rows:
+                p = 2.0 - 1e-4
+                rhs_ratio = (p * mean_mp(ctx, pos ** (p - 2.0) * ctx.gam)
+                             / (2 * mean_mp(ctx, ctx.gam)))
+                rows["beckner-p2-consistency"] = {ctx.name: max(
+                    abs(ent(p) / variance_mp(ctx, pos, p_out) - 1), abs(rhs_ratio - 1))}
+    return rows
 
 
 def digests_at_blas_threads(build: str) -> list:

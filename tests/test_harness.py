@@ -7,6 +7,9 @@ family the Driver-Melcher and reverse-Poincare rows, the C_1 and C_2
 lower bounds, the Cheeger, correlation and Bobkov rows, the (1,1)
 Poincare survey on the unit ball and the uniform gradient bound
 |grad P_t f| <= sup|f| / sqrt(t) over the point grid are pinned too.
+Every log-Sobolev, Beckner and Poincare lhs is checked against a stored
+50-digit sum of the same float terms, and the family's rows keep their
+bytes at one and two BLAS threads.
 The C_1 lower bound ends at or above its iteration's starts, and its
 size-200 value is pinned at two family seeds; ConstantEstimate rejects
 non-finite or non-positive constants.
@@ -191,62 +194,64 @@ CHEEGER_BOBKOV = {
 }
 # (lhs, rhs) of the phi-entropy rows at C1_working = C1_LOWER_PINNED on the
 # 12-member family; the consistency row compares Beckner at p = 2 - 1e-4
-# with Poincare on the first member
+# with Poincare on the first member.  An entropy lhs that moved past the pin
+# takes PHI_LHS_MP's value; the consistency row's, |x - 1| for a ratio x
+# near 1, is the library's own, since one ulp of x is 1.5e-12 of it
 PHI_SUITE = {
     "lsi": {
         "bump-000": (0.011788384787876999, 0.3499709035923311),
         "bump-001": (0.02242939619866574, 0.7454435026181164),
-        "poly-000": (0.018661668909999207, 0.0730300956452355),
-        "poly-001": (0.04106362628408533, 0.17450382293631478),
+        "poly-000": (0.018661668910208075, 0.0730300956452355),
+        "poly-001": (0.04106362628442985, 0.17450382293631478),
         "trig-000": (0.002089740516315386, 0.2841978217484242),
-        "combo-000": (0.023985630041352124, 0.09835930927797569),
+        "combo-000": (0.023985630041528292, 0.09835930927797569),
         "combo-001": (0.028230609624642966, 0.118617934626924),
-        "combo-002": (0.041068374550377484, 0.1744299166702255),
-        "combo-003": (0.01784816398867406, 0.07402446606046828),
-        "combo-004": (0.031093570071334398, 0.12827629750301744),
-        "combo-005": (0.01603181725926106, 0.04905852712386869),
+        "combo-002": (0.04106837455090736, 0.1744299166702255),
+        "combo-003": (0.017848163988288864, 0.07402446606046828),
+        "combo-004": (0.031093570072198432, 0.12827629750301744),
+        "combo-005": (0.016031817259321342, 0.04905852712386869),
         "xhat_log_h[spline]": (0.09782058670501037, 0.23401991784685294),
     },
     "beckner-1.25": {
         "bump-000": (0.010171367152955357, 0.32274313659004544),
         "bump-001": (0.0194910611490956, 0.6884924905305332),
-        "poly-000": (0.09286050359241926, 0.36320189192008534),
-        "poly-001": (0.2612156355626212, 1.1094243741229672),
+        "poly-000": (0.09286050359256032, 0.36320189192008534),
+        "poly-001": (0.26121563555897936, 1.1094243741229672),
         "trig-000": (0.0024784072376831112, 0.32394498507805136),
         "combo-000": (0.13071987241710303, 0.5357507718145176),
-        "combo-001": (0.16250315935030812, 0.6824089581111473),
-        "combo-002": (0.26118033503553306, 1.1086767901546257),
-        "combo-003": (0.09094214836568426, 0.3769657945546834),
-        "combo-004": (0.18144573182325985, 0.7481322274960224),
-        "combo-005": (0.06301549943191276, 0.19275794850085157),
+        "combo-001": (0.16250315935125925, 0.6824089581111473),
+        "combo-002": (0.26118033503673943, 1.1086767901546257),
+        "combo-003": (0.09094214836626241, 0.3769657945546834),
+        "combo-004": (0.18144573182583484, 0.7481322274960224),
+        "combo-005": (0.06301549943163977, 0.19275794850085157),
         "xhat_log_h[spline]": (0.18359922057928202, 0.4369561002355018),
     },
     "beckner-1.5": {
         "bump-000": (0.008569986171298088, 0.2908536270986328),
         "bump-001": (0.0165297893621852, 0.6214363921253133),
-        "poly-000": (0.4436137106958995, 1.734327748259335),
-        "poly-001": (1.5952855578361778, 6.772268445652455),
+        "poly-000": (0.4436137106973963, 1.734327748259335),
+        "poly-001": (1.5952855578435048, 6.772268445652455),
         "trig-000": (0.0028392348776227205, 0.3596407320287878),
         "combo-000": (0.6839552513774834, 2.801888489499443),
-        "combo-001": (0.8980492736918677, 3.7694828188711416),
-        "combo-002": (1.5946699102132698, 6.766008874504063),
+        "combo-001": (0.8980492736904231, 3.7694828188711416),
+        "combo-002": (1.5946699102211201, 6.766008874504063),
         "combo-003": (0.4448698923224583, 1.8431904171879068),
-        "combo-004": (1.0165267501070048, 4.189397091231437),
-        "combo-005": (0.23779174468722886, 0.7271529415493964),
+        "combo-004": (1.0165267501119164, 4.189397091231437),
+        "combo-005": (0.2377917446868971, 0.7271529415493964),
         "xhat_log_h[spline]": (0.33112282994163067, 0.7847504078677277),
     },
     "beckner-1.75": {
         "bump-000": (0.007146269136628562, 0.2593859125030956),
         "bump-001": (0.013864879868914248, 0.5550858817291471),
-        "poly-000": (2.0604707315481696, 8.052761463310674),
+        "poly-000": (2.0604707315514044, 8.052761463310674),
         "poly-001": (9.47260142523252, 40.1983222012726),
         "trig-000": (0.003180251187859362, 0.39334599653954194),
-        "combo-000": (3.479393362509048, 14.24863649054247),
+        "combo-000": (3.4793933625008444, 14.24863649054247),
         "combo-001": (4.825357583613368, 20.246743767773832),
-        "combo-002": (9.466570218792185, 40.15109738459204),
-        "combo-003": (2.1158805246814154, 8.763422985441562),
-        "combo-004": (5.537081722548464, 22.811802418333393),
-        "combo-005": (0.8724191212986625, 2.6671587800209027),
+        "combo-002": (9.466570218843195, 40.15109738459204),
+        "combo-003": (2.1158805246775634, 8.763422985441562),
+        "combo-004": (5.537081722560163, 22.811802418333393),
+        "combo-005": (0.8724191212997581, 2.6671587800209027),
         "xhat_log_h[spline]": (0.5811298701746684, 1.372820417532428),
     },
     "poincare": {
@@ -264,7 +269,86 @@ PHI_SUITE = {
         "xhat_log_h[spline]": (0.9999925951218553, 2.3569442699221343),
     },
     "beckner-p2-consistency": {
-        "bump-000": (7.332701922191376e-05, 0.001),
+        "bump-000": (7.332701922146967e-05, 0.001),
+    },
+}
+# the lhs of the phi-entropy rows at 20 digits of oracles.phi_suite_lhs_mp, a
+# 50-digit mpmath sum of E[phi(f)] - phi(E f), and of E[(f - m)^2], over each
+# member context's float weights and terms (about 11 s); the consistency row's
+# is its deviation at the 50-digit Beckner, variance and rhs means
+PHI_LHS_MP = {
+    "lsi": {
+        "bump-000": 0.011788384787876977242,
+        "bump-001": 0.022429396198665777511,
+        "poly-000": 0.018661668910208076434,
+        "poly-001": 0.041063626284429847296,
+        "trig-000": 0.0020897405163153322547,
+        "combo-000": 0.023985630041528292934,
+        "combo-001": 0.028230609624633012134,
+        "combo-002": 0.041068374550907358343,
+        "combo-003": 0.017848163988288862761,
+        "combo-004": 0.031093570072198431522,
+        "combo-005": 0.016031817259321342458,
+        "xhat_log_h[spline]": 0.097820586705006168863,
+    },
+    "beckner-1.25": {
+        "bump-000": 0.010171367152955347778,
+        "bump-001": 0.019491061149095622431,
+        "poly-000": 0.09286050359256031478,
+        "poly-001": 0.26121563555897937057,
+        "trig-000": 0.0024784072376829199069,
+        "combo-000": 0.13071987241704840966,
+        "combo-001": 0.16250315935125925438,
+        "combo-002": 0.2611803350367394393,
+        "combo-003": 0.090942148366262409936,
+        "combo-004": 0.18144573182583483406,
+        "combo-005": 0.063015499431639767917,
+        "xhat_log_h[spline]": 0.18359922057926973577,
+    },
+    "beckner-1.5": {
+        "bump-000": 0.0085699861712980877859,
+        "bump-001": 0.016529789362185184767,
+        "poly-000": 0.44361371069739628339,
+        "poly-001": 1.5952855578435047118,
+        "trig-000": 0.0028392348776224949296,
+        "combo-000": 0.68395525137728043111,
+        "combo-001": 0.89804927369042307896,
+        "combo-002": 1.5946699102211201112,
+        "combo-003": 0.44486989232233405355,
+        "combo-004": 1.0165267501119163099,
+        "combo-005": 0.23779174468689710104,
+        "xhat_log_h[spline]": 0.33112282994161944959,
+    },
+    "beckner-1.75": {
+        "bump-000": 0.0071462691366285634756,
+        "bump-001": 0.013864879868914261539,
+        "poly-000": 2.0604707315514044828,
+        "poly-001": 9.4726014252328864118,
+        "trig-000": 0.003180251187859220793,
+        "combo-000": 3.4793933625008445772,
+        "combo-001": 4.8253575836164556422,
+        "combo-002": 9.4665702188431952091,
+        "combo-003": 2.1158805246775635416,
+        "combo-004": 5.5370817225601631695,
+        "combo-005": 0.87241912129975802356,
+        "xhat_log_h[spline]": 0.58112987017464156001,
+    },
+    "poincare": {
+        "bump-000": 0.005945194687993472835,
+        "bump-001": 0.011594735482022938973,
+        "poly-000": 9.3755124029005418703,
+        "poly-001": 55.10248070376139005,
+        "trig-000": 0.003507925784581243239,
+        "combo-000": 17.339981951386462524,
+        "combo-001": 25.39974235373404217,
+        "combo-002": 55.053577873668624404,
+        "combo-003": 9.8586871502763857873,
+        "combo-004": 29.546947424917936807,
+        "combo-005": 3.1355385888060501802,
+        "xhat_log_h[spline]": 0.99999259512181900364,
+    },
+    "beckner-p2-consistency": {
+        "bump-000": 0.000073327019221776437362,
     },
 }
 # (lhs, rhs, constant) of the c2-vs-c1sq row of the default suite on the
@@ -406,9 +490,7 @@ def test_fstar_chart_quantities_are_exact(family12, route):
         ctx = harness._member_ctx(family12, f)
     else:
         ctx = harness._build_member_ctx(xhat_log_h_exact(), ())
-    mean = ctx.expect(ctx.vals)
-    got = (ctx.a * ctx.a + ctx.b * ctx.b, ctx.expect(ctx.vals * ctx.vals) - mean * mean,
-           ctx.expect(ctx.gam))
+    got = (ctx.a * ctx.a + ctx.b * ctx.b, harness._variance(ctx, ctx.vals), ctx.expect(ctx.gam))
     for v, exact, err in zip(got, FSTAR_VALUES, FSTAR_ERRORS[route]):
         assert abs(v - exact) <= err <= harness.QUAD_BUDGET, (v, exact)
 
@@ -1078,6 +1160,31 @@ def test_phi_suite_rows_pinned(family12):
         for name, pair in pinned.items():
             assert got[name] == pytest.approx(pair, rel=1e-12), (check, name)
     assert all(r.passed for r in rows), [(r.check, r.function) for r in rows if not r.passed]
+
+
+def test_phi_suite_lhs_against_the_referee(family12):
+    """Every lsi, Beckner and Poincare lhs is within 5e-13 of the 50-digit
+    sum of the same float terms; as differences of nearly equal means they
+    erred by up to 2.8e-11.  The consistency row's |x - 1|, for a ratio x
+    just below 1, is within 4 ulps of x: 6.1e-12 of it."""
+    rows = check_phi_suite(family12, C1_working=C1_LOWER_PINNED)
+    got = {(r.check, r.function): r.lhs for r in rows}
+    assert set(got) == {(c, n) for c, refs in PHI_LHS_MP.items() for n in refs}
+    for check, refs in PHI_LHS_MP.items():
+        for name, ref in refs.items():
+            bound = 4 * 2.0**-53 / ref if check == "beckner-p2-consistency" else 5e-13
+            assert abs(got[check, name] / ref - 1.0) <= bound, (check, name)
+
+
+def test_family_rows_ignore_blas_threads():
+    """Built in fresh processes at one and two BLAS threads, the 12-member
+    family's phi-suite, reverse-Poincare and Cheeger-Bobkov rows have the
+    same bytes: each of their node sums is a row sum."""
+    rows = ("harness.np.array([(r.lhs, r.rhs) for check in (harness.check_phi_suite, "
+            "harness.check_reverse_poincare, harness.check_cheeger_bobkov) "
+            "for r in check(harness.build_family(12))])")
+    digests = digests_at_blas_threads(rows)
+    assert digests[0] == digests[1]
 
 
 def test_c2_vs_c1sq_row_pinned(family12):
