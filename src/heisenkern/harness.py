@@ -35,7 +35,7 @@ from .group import GroupElement, ScalarField, gamma2, poly_field
 from .kernel import (KernelRangeError, _contour_rows, log_grad_many, p1_many,  # noqa: F401
                      p1_star_shifted)
 from .mc import sample_kolmogorov
-from .numerics import BicubicTable, gauss_legendre, gauss_panels
+from .numerics import BicubicTable, _ndtri, gauss_legendre, gauss_panels
 from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, _translated_nodes, grad_sums,
                         heat_measure)
 
@@ -639,9 +639,7 @@ def check_phi_suite(family: TestFunctionFamily, C1_working: float = SQRT2) -> li
 
 def _gauss_isop(u):
     """I(u) = phi(Phi^{-1}(u)), the Gaussian isoperimetric profile."""
-    from scipy.special import ndtri
-
-    q = ndtri(np.asarray(u, dtype=float))
+    q = _ndtri(u)
     return np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
 
 
@@ -654,15 +652,17 @@ def _squash(vals, gam):
 
 
 def _tensorized_c1(rhs, lhs: float, c1: float) -> float:
-    """The root C > c1 of rhs(C) = lhs for the increasing tensorized Bobkov rhs."""
-    from scipy import optimize
-
+    """The root C > c1 of rhs(C) = lhs for the increasing tensorized Bobkov
+    rhs, by bisection to 1e-12: the bracket's upper end, where the row holds."""
     lo, hi = c1, 2.0 * c1
     while rhs(hi) < lhs:
         if hi > 1e6:
             raise ArithmeticError("the tensorized Bobkov rhs does not reach its lhs")
         lo, hi = hi, 2.0 * hi
-    return optimize.brentq(lambda c: rhs(c) - lhs, lo, hi, xtol=1e-12)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rhs(mid) < lhs else (lo, mid)
+    return hi
 
 
 def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) -> list:

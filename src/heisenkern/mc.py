@@ -88,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import p1_many
-from .numerics import _integral, gauss_panels
+from .numerics import _chi2_sf, _integral, gauss_panels
 
 __all__ = [
     "PathConfig",
@@ -372,10 +372,9 @@ def chi2_against_kernel(stats: BatchStats) -> Chi2Result:
     Cells whose expected count falls below 5 are merged with the
     out-of-grid remainder into one category, keeping the asymptotic
     chi-squared distribution honest.  The p-value is the chi-squared
-    survival function, scipy.special.chdtrc.
+    survival function at the integer dof, ``numerics._chi2_sf``, a finite
+    sum in the standard library's floats.
     """
-    from scipy.special import chdtrc
-
     masses = kernel_cell_masses(stats.r_edges, stats.z_edges, stats.t)
     expected = stats.n * masses
     observed = stats.hist
@@ -388,4 +387,4 @@ def chi2_against_kernel(stats: BatchStats) -> Chi2Result:
         stat += (rest_obs - rest_exp) ** 2 / rest_exp
         ncat += 1
     dof = ncat - 1
-    return Chi2Result(stat, dof, float(chdtrc(dof, stat)), ncat)
+    return Chi2Result(stat, dof, _chi2_sf(stat, dof), ncat)

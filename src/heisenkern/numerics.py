@@ -1,4 +1,5 @@
-"""The library's Gauss-Legendre rules and its one interpolation table.
+"""The library's Gauss-Legendre rules, its one interpolation table and
+its two special functions.
 
 :func:`gauss_legendre` maps the n-point rule to [lo, hi] for every
 fixed-order rule of the library.  :func:`gauss_panels` lays the rule on
@@ -13,10 +14,10 @@ decay rate that is not finite and > 0 raise ValueError.  Only the kernel's
 complex shift p1*(r, z + 2i) calls :func:`integrate_decaying`.
 :class:`QuadratureSpec` selects the semigroup's node tier.
 :class:`BicubicTable` holds the kernel's spline bundle and the harness's
-p1 window table.  The module
-needs numpy only, as does importing any heisenkern module; the
-harness's Gaussian quantile and tensorized C1 root load scipy inside
-the functions that use them.
+p1 window table.  :func:`_ndtri`, Phi^{-1} by Wichura's AS 241, gives the
+harness's Gaussian isoperimetric profile, and :func:`_chi2_sf`, the
+chi-squared survival function at an integer dof, the Monte Carlo
+p-value.  The module needs numpy only, as does every heisenkern module.
 """
 
 from __future__ import annotations
@@ -220,3 +221,91 @@ class BicubicTable:
             for ij in range(16):
                 acc += term[:, ij]
         return out
+
+
+# Wichura's AS 241 (PPND16), Applied Statistics 37 (1988) 477-484: Phi^{-1}
+# as three degree-7 rationals, (numerator, denominator) highest power first.
+# The central one is in r = 0.180625 - q^2, q = u - 1/2, |q| <= 0.425; the
+# tails in s = sqrt(-log min(u, 1 - u)), as s - 1.6 up to s = 5, else s - 5.
+_AS241 = (
+    ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+      4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+      1.3314166789178437745e2, 3.3871328727963666080e0),
+     (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+      2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+      4.2313330701600911252e1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+      4.63033784615654529590e0, 1.42343711074968357734e0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+      2.05319162663775882187e0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+      5.46378491116411436990e0, 6.65790464350110377720e0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)),
+)
+
+
+def _as241(branch: int, x, scale=1.0):
+    """scale * num(x) / den(x) in AS 241's order, each polynomial by Horner's
+    rule (in place on an array x, rebinding on a scalar)."""
+    polys = []
+    for coefs in _AS241[branch]:
+        y = x * coefs[0]
+        y += coefs[1]
+        for c in coefs[2:]:
+            y *= x
+            y += c
+        polys.append(y)
+    return scale * polys[0] / polys[1]
+
+
+def _ndtri(u):
+    """Phi^{-1}(u) for u in [0, 1] by AS 241, -inf and inf at the ends.
+
+    When every u is central (the harness's squashed Bobkov values all
+    are) one rational gives them all.
+    """
+    u = np.asarray(u, dtype=float)
+    q = u - 0.5
+    central = np.abs(q) <= 0.425
+    if central.all():
+        return _as241(0, 0.180625 - q * q, q)
+    out = np.empty_like(q)
+    out[central] = _as241(0, 0.180625 - q[central] ** 2, q[central])
+    tail = ~central
+    with np.errstate(divide="ignore"):    # s = inf at u = 0 and 1, kept as Phi^{-1}'s size
+        s = np.sqrt(-np.log(np.minimum(u, 1.0 - u)[tail]))
+    x, near, far = s.copy(), s <= 5.0, (s > 5.0) & (s < np.inf)
+    x[near] = _as241(1, s[near] - 1.6)
+    x[far] = _as241(2, s[far] - 5.0)
+    out[tail] = np.copysign(x, q[tail])
+    return out
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(chi^2_dof > x) for an integer dof >= 1 and a finite x >= 0.
+
+    A finite sum of positive terms in lam = x/2: e^-lam sum_{j < dof/2}
+    lam^j / j! for even dof, and erfc(sqrt(lam)) plus e^-lam
+    sum_{j < (dof-1)/2} lam^(j+1/2) / Gamma(j + 3/2) for odd dof.  e^-lam
+    enters as 2^k equal factors e^(-lam/2^k), lam/2^k < 512 (an exact
+    division), one applied each time the running term passes 1e200 and
+    the rest at the end, so no term overflows and none underflows early.
+    """
+    lam, odd = 0.5 * x, dof % 2
+    k = max(0, math.frexp(lam / 512.0)[1])
+    factor, left = math.exp(-math.ldexp(lam, -k)), 1 << k
+    term = 2.0 * math.sqrt(lam / math.pi) if odd else 1.0
+    total = 0.0
+    for j in range(dof // 2):
+        if term > 1e200 and left:
+            term, total, left = term * factor, total * factor, left - 1
+        total += term
+        term *= lam / (j + 1.0 + 0.5 * odd)
+    while left and total:
+        total, left = total * factor, left - 1
+    return (math.erfc(math.sqrt(lam)) if odd else 0.0) + total

@@ -17,7 +17,9 @@ finite heat flow e^{tL} f, the mpmath ray limit L(t) and ray ratio behind the
 stored values in test_harness.py, the mpmath p1(r, z + 2i) and the
 mpmath kernel with its five derivatives behind those in test_kernel.py,
 the 50-digit phi-entropies and variances over a member context's float
-terms behind the phi-suite referee in test_harness.py, and the digests
+terms behind the phi-suite referee in test_harness.py, the 50-digit
+Gaussian quantile and chi-squared survival function behind the stored
+values in test_harness.py and test_mc.py, and the digests
 of an array built in fresh processes at one and two BLAS threads.
 None of them is called by the library itself; they are built on its
 private pieces, so a change there that moves a value shows up in the
@@ -41,6 +43,7 @@ from heisenkern import group as G
 from heisenkern import harness as H
 from heisenkern import kernel as K
 from heisenkern import mc as MC
+from heisenkern import numerics as N
 from heisenkern import semigroup as S
 from heisenkern.group import GroupElement, ScalarField
 
@@ -1140,6 +1143,34 @@ def phi_suite_lhs_mp(family, dps: int = 50) -> dict:
                 rows["beckner-p2-consistency"] = {ctx.name: max(
                     abs(ent(p) / variance_mp(ctx, pos, p_out) - 1), abs(rhs_ratio - 1))}
     return rows
+
+
+def ndtri_mp(u: float, dps: int = 50):
+    """(Phi^{-1}(u), phi(Phi^{-1}(u))) at the float u in (0, 1) to ``dps``
+    digits, as strings: the root of Phi(x) = min(u, 1 - u) (exact in
+    mpmath) from the library's value, mirrored above 1/2.  This generates
+    the stored values behind test_harness.py's quantile checks; the tests
+    read them and do not import mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        low = min(mp.mpf(u), 1 - mp.mpf(u))
+        x = mp.findroot(lambda x: mp.ncdf(x) - low, mp.mpf(-abs(float(N._ndtri(u)))))
+        x = -x if u > 0.5 else x
+        return mp.nstr(x, dps), mp.nstr(mp.npdf(x), dps)
+
+
+def chi2_sf_mp(x: float, dof: int, dps: int = 50) -> str:
+    """P(chi^2_dof > x) at the float x to ``dps`` digits, as a string: the
+    regularised upper incomplete gamma Q(dof/2, x/2).  This generates the
+    stored values behind test_mc.py's chi-squared checks; the tests read
+    them and do not import mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return mp.nstr(mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2, mp.inf, regularized=True), dps)
 
 
 def digests_at_blas_threads(build: str) -> list:

@@ -1,8 +1,10 @@
 """Every name a heisenkern module lists in ``__all__`` resolves in it and
 is used by the library itself, unless it is one of the few entry points
-below; and importing the package loads no scipy: each scipy piece loads
-at its first use, so a fresh process that runs no scipy code never pays
-for it.  Code that only the tests call lives in tests/oracles.py."""
+below; and the library needs numpy alone at run time: no module names
+scipy, importing the package or running the nested path or the kernel
+tables loads none of it, and the checks and the Monte Carlo p-value run
+with scipy made unimportable.  The tests take scipy as an oracle only.
+Code that only the tests call lives in tests/oracles.py."""
 
 import ast
 import importlib
@@ -53,17 +55,23 @@ def test_all_names_resolve(name):
     assert not missing, (name, missing)
 
 
+def _trees(names) -> dict:
+    """Module name -> parsed source, for the named heisenkern modules."""
+    src = os.path.dirname(heisenkern.__file__)
+    trees = {}
+    for name in names:
+        with open(os.path.join(src, f"{name}.py")) as fh:
+            trees[name] = ast.parse(fh.read())
+    return trees
+
+
 def _unused_exports() -> set:
     """Names in a module's ``__all__`` that no heisenkern module uses.
 
     A name is used when its own module loads it outside its definition,
     or another module imports it with ``from .module import name``.
     """
-    src = os.path.dirname(heisenkern.__file__)
-    trees = {}
-    for name in MODULES:
-        with open(os.path.join(src, f"{name}.py")) as fh:
-            trees[name] = ast.parse(fh.read())
+    trees = _trees(MODULES)
     imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
     unused = set()
@@ -90,18 +98,57 @@ def test_every_export_is_used_or_an_entry_point():
     assert not entry - unused, f"entry points the library itself calls: {sorted(entry - unused)}"
 
 
-def _scipy_modules_after(code: str) -> list:
-    """Top-level scipy modules in sys.modules after ``code`` runs in a fresh interpreter."""
+def _last_line(code: str) -> str:
+    """The last line ``code`` prints when run in a fresh interpreter."""
     pkg_root = os.path.dirname(os.path.dirname(heisenkern.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    probe = code + (
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.splitlines()[-1]
+
+
+def _scipy_modules_after(code: str) -> list:
+    """Top-level scipy modules in sys.modules after ``code`` runs in a fresh interpreter."""
+    return ast.literal_eval(_last_line(code + (
         "\nimport sys\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )))
+
+
+def test_no_module_names_scipy():
+    """No import, name or module-name string in the package is scipy's."""
+    for module, tree in _trees(MODULES + ["__init__"]).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            assert all(n.split(".")[0] != "scipy" for n in names), (module, node.lineno)
+
+
+def test_checks_run_with_scipy_blocked():
+    """With scipy unimportable, the suite on the 12-member family (the
+    Bobkov rows' Gaussian quantile and tensorized root included), the
+    commutation and Kolmogorov checks and a small Monte Carlo batch with
+    its chi-squared p-value all run."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from heisenkern import family, harness, mc\n"
+        "harness.run_inequality_suite(family.build_family(12))\n"
+        "harness.check_commutation(harness.commutation_default_bumps()[0])\n"
+        "harness.check_kolmogorov_counterexample()\n"
+        "stats = mc.sample_batch(20_000, mc.PathConfig(1.0, 100, 7))\n"
+        "print(mc.chi2_against_kernel(stats).p_value)\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return ast.literal_eval(out.splitlines()[-1])
+    assert 0.0 < float(_last_line(code)) <= 1.0
 
 
 def test_import_loads_no_scipy():

@@ -21,7 +21,10 @@ the translated-gradient quadrature to the values measured before them.
 The Gamma_2 witness f = x + M yz at the origin and the Gaussian
 isoperimetric profile behind the Bobkov rows are checked against closed
 forms, the row's ratio exactly and the oracles' centred differences
-within their tolerance; a scaled group.gamma2 must fail the witness row.  Both sides of
+within their tolerance; a scaled group.gamma2 must fail the witness row.
+The profile's quantile, AS 241, is checked against stored 50-digit
+values on [0.1, 0.9] and in both tails, and the tensorized Bobkov row
+holds at the constant it implies.  Both sides of
 the commutation rows of the three default bumps are pinned at the
 default panel counts and against the converged (44, 24, 48) panel; every
 row passes, and a field with no known atom is refused.  The ray constant
@@ -65,6 +68,7 @@ from heisenkern.family import DEFAULT_FAMILY_SEED, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement, _mul_arrays, gamma2, poly_field
 from heisenkern.kernel import KernelRangeError
+from heisenkern.numerics import _ndtri
 from heisenkern.harness import (
     _C_POWER,
     ConstantEstimate,
@@ -1323,6 +1327,22 @@ def test_adaptive_c1_policy(family12, monkeypatch, c1_start):
     assert [r.check for r in result.violations] == ["c2-vs-c1sq"]
 
 
+def test_tensorized_c1_is_where_the_row_holds(family12):
+    """At C1_working = 1.0 only f*'s tensorized Bobkov row fails, and its
+    implied constant is the upper end of the root's 1e-12 bracket: the row
+    holds there, rhs >= lhs with no slack, and fails 1e-11 below it."""
+    def tensorized(c1):
+        return [r for r in check_cheeger_bobkov(family12, c1) if r.check == "bobkov-tensorized"]
+
+    bad = [r for r in tensorized(1.0) if not r.passed]
+    assert [r.function for r in bad] == ["xhat_log_h[spline]"]
+    implied = bad[0].implied_c1
+    at, below = (next(r for r in tensorized(c) if r.function == bad[0].function)
+                 for c in (implied, implied - 1e-11))
+    assert at.lhs == below.lhs == bad[0].lhs
+    assert at.rhs >= at.lhs > below.rhs
+
+
 def test_kolmogorov_forward_row_is_an_expected_violation():
     rows = check_kolmogorov_counterexample()
     assert [r.check for r in rows if r.expected_violation] == ["kolmogorov-forward-poincare"]
@@ -1446,6 +1466,72 @@ def test_gauss_isop_values():
     assert ends.tolist() == [0.0, 0.0]
     assert float(_gauss_isop(0.5)) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
     assert float(_gauss_isop(CDF_1)) == pytest.approx(PHI_1, abs=1e-10)
+
+
+# Phi^{-1}(u) and I(u) = phi(Phi^{-1}(u)) to 25 digits (oracles.ndtri_mp),
+# on [0.1, 0.9], where the squash puts every Bobkov value
+NDTRI_CENTRAL_MP = (
+    (0.1, "-1.281551565544600435334517", "0.1754983319324868137433772"),
+    (0.15, "-1.036433389493789603521549", "0.2331587752536822688115357"),
+    (0.2, "-0.8416212335729141655224906", "0.2799619204078083234175299"),
+    (0.25, "-0.674489750196081743202227", "0.3177765726841069339880964"),
+    (0.3, "-0.5244005127080408159694544", "0.3476926142000737573073671"),
+    (0.35, "-0.3853204664075676837581711", "0.370399004399165590927571"),
+    (0.4, "-0.2533471031357997413246887", "0.3863425334968604605082511"),
+    (0.45, "-0.1256613468550740061604284", "0.395804878487616739179114"),
+    (0.55, "0.1256613468550741464092082", "0.3958048784876167322035079"),
+    (0.6, "0.2533471031357997413246887", "0.3863425334968604605082511"),
+    (0.65, "0.3853204664075676837581711", "0.370399004399165590927571"),
+    (0.7, "0.5244005127080406563136292", "0.3476926142000737864174433"),
+    (0.75, "0.674489750196081743202227", "0.3177765726841069339880964"),
+    (0.8, "0.8416212335729143638035681", "0.2799619204078082766981664"),
+    (0.85, "1.036433389493789484480026", "0.2331587752536822975783411"),
+    (0.9, "1.281551565544600593487448", "0.1754983319324867781731758"),
+)
+# Phi^{-1}(u) in the lower tail, through both tail branches down to 1e-300
+NDTRI_LOW_MP = (
+    (0.075, "-1.439531470938455934949801"),
+    (0.01, "-2.326347874040841093075096"),
+    (0.001, "-3.090232306167813535358005"),
+    (1e-05, "-4.264890793922824610233749"),
+    (1e-08, "-5.612001244174788727930121"),
+    (1e-11, "-6.706023155495136296102194"),
+    (1e-12, "-7.034483825301131932614176"),
+    (1e-20, "-9.262340089798407579572095"),
+    (1e-50, "-14.93333753478848898065821"),
+    (1e-100, "-21.27345356096532429417952"),
+    (1e-200, "-30.20559417957964306312401"),
+    (1e-300, "-37.04709629936119923654704"),
+)
+# Phi^{-1}(1 - 2^-k): the upper tail's floats reach only 1 - 2^-53
+NDTRI_HIGH_MP = (
+    (4, "1.534120544352546311708399"),
+    (10, "3.09726907819878446236483"),
+    (20, "4.763001034267813956988554"),
+    (30, "6.009353565530743893180609"),
+    (40, "7.047700256664408725350992"),
+    (50, "7.956038125481530962217997"),
+    (53, "8.209536151601386855630769"),
+)
+
+
+def _rel(got, want: str) -> float:
+    return abs(float(got) - float(want)) / abs(float(want))
+
+
+def test_ndtri_against_mpmath():
+    """AS 241's Phi^{-1} against stored 50-digit values, at the measured
+    bounds: 3.5e-16 relative on [0.1, 0.9] (scipy's ndtri measured 4.3e-16
+    at the same points), I(u) there within 4.8e-16, and 3.4e-16 in both
+    tails.  One point at a time and in one mixed batch give the same bits."""
+    u, q, isop = (np.array([float(v) for v in col]) for col in zip(*NDTRI_CENTRAL_MP))
+    assert max(_rel(_ndtri(a), b) for a, b in zip(u, q)) <= 3.5e-16
+    assert max(_rel(_gauss_isop(a), b) for a, b in zip(u, isop)) <= 4.8e-16
+    tails = [(u, q) for u, q in NDTRI_LOW_MP] + [(1.0 - 2.0**-k, q) for k, q in NDTRI_HIGH_MP]
+    assert max(_rel(_ndtri(a), b) for a, b in tails) <= 3.4e-16
+    every = np.array([0.0, 0.5, 1.0] + [a for a, _ in tails] + u.tolist())
+    assert _ndtri(every).tolist() == [float(_ndtri(a)) for a in every]
+    assert _ndtri(every)[:3].tolist() == [-math.inf, 0.0, math.inf]
 
 
 def test_gauss_isop_ode():

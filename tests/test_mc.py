@@ -46,7 +46,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from heisenkern.group import GroupElement
 from heisenkern.mc import (
@@ -62,6 +61,7 @@ from heisenkern.mc import (
     _stream_generator,
 )
 from heisenkern import mc
+from heisenkern.numerics import _chi2_sf
 
 from oracles import (
     advance,
@@ -180,6 +180,11 @@ def test_cell_node_kernel_values_match_mpmath():
     assert np.all(np.abs(mc.p1_many(r, z) - want) <= 1e-15 * want)
 
 
+# P(chi^2_200 > the statistic below) to 50 digits (oracles.chi2_sf_mp);
+# it rounds to 0x1.eb67f8baa2830p-1
+CHI2_P_MP = "0.95977761533982247734499357850426241283446751225405"
+
+
 def test_histogram_matches_kernel_masses():
     """Pearson chi-squared of sampled cell counts against the quadrature
     masses of the same 200 cells; the two routes share nothing but the
@@ -188,10 +193,11 @@ def test_histogram_matches_kernel_masses():
     The histogram's bytes are pinned (SFC64 streams): the sample is fixed
     by the seed together with the stream split and the per-path draw
     layout, so a sampler change that moves the stream shows up here.  The
-    statistic (166.44581..., p = 0.960) and the p-value are pinned bit for
-    bit on the masses of the kernel values that
-    test_cell_node_kernel_values_match_mpmath checks, and the p-value must
-    equal scipy.stats' chi-squared survival function bit for bit.
+    statistic (166.44581..., p = 0.960) is pinned bit for bit on the
+    masses of the kernel values that
+    test_cell_node_kernel_values_match_mpmath checks.  The p-value is
+    pinned at its measured error, 4 ulp above the correctly rounded
+    50-digit value (5.2e-16 relative; scipy's chdtrc is 1 ulp below it).
     """
     s = sample_batch(200_000, PathConfig(t=1.0, n_steps=600, seed=4242))
     digest = hashlib.sha256(s.hist.tobytes()).hexdigest()
@@ -202,8 +208,40 @@ def test_histogram_matches_kernel_masses():
     assert res.dof == res.n_categories - 1 == 200
     assert res.p_value > 0.01
     assert res.statistic == float.fromhex("0x1.4ce440e1f9e50p+7")
-    assert res.p_value == float.fromhex("0x1.eb67f8baa282fp-1")
-    assert res.p_value == float(chi2.sf(res.statistic, res.dof))
+    assert float(CHI2_P_MP) == float.fromhex("0x1.eb67f8baa2830p-1")
+    assert res.p_value == float.fromhex("0x1.eb67f8baa2834p-1")
+
+
+# P(chi^2_dof > x) to 25 digits (oracles.chi2_sf_mp): even and odd dof, deep
+# tails, and dof and x past 1,024, where e^(-x/2) enters in several factors
+CHI2_SF_MP = (
+    (2, 3.0, "0.2231301601484298289332805"),
+    (10, 7.5, "0.6775476361045436588172014"),
+    (200, 250.0, "0.009379131668826096107215513"),
+    (400, 600.0, "3.371103255525884323675968e-10"),
+    (10, 1000.0, "1.870290720915949695839203e-208"),
+    (2000, 2000.0, "0.4957947558197844914962222"),
+    (1, 0.5, "0.4795001221869534623172533"),
+    (1, 600.0, "1.674167984691787762035184e-132"),
+    (3, 2.5, "0.475291083343020590158553"),
+    (201, 180.25, "0.8506643166561799448888725"),
+    (399, 420.0, "0.2253534357114192857746373"),
+    (2001, 2100.5, "0.05961702445197940278952394"),
+)
+
+
+def test_chi2_sf_against_mpmath():
+    """The survival function against stored 50-digit values, at the
+    measured bounds: 2.7e-15 relative (at dof 2,000), and x/2 * 2.2e-16
+    at dof 1, where erfc(sqrt(x/2)) alone is the answer and its rounded
+    argument is a one-ulp backward error in x (5.8e-14 at x = 600).  At
+    x = 0 every dof gives 1 exactly, and far out in the tail 0."""
+    for dof, x, want in CHI2_SF_MP:
+        bound = 0.5 * x * 2.2e-16 if dof == 1 else 2.7e-15
+        err = abs(_chi2_sf(x, dof) - float(want)) / float(want)
+        assert err <= bound, (dof, x, err)
+    assert [_chi2_sf(0.0, dof) for dof in (1, 2, 3, 200)] == [1.0] * 4
+    assert _chi2_sf(3000.0, 3) == _chi2_sf(1e6, 2000) == 0.0
 
 
 def test_doubling_halves_the_vertical_bias():
