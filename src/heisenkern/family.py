@@ -136,7 +136,11 @@ def support_radius_bound(center, width: float, vert: float) -> float:
     d(support) <= d(center) + w + 2 sqrt(pi v).
     """
     cx, cy, cz = center
-    dc = float(cc_distance_many(cx, cy, cz))
+    return _support_radius(float(cc_distance_many(cx, cy, cz)), width, vert)
+
+
+def _support_radius(dc: float, width: float, vert: float) -> float:
+    """:func:`support_radius_bound` from the centre's CC distance ``dc``."""
     return dc + float(width) + 2.0 * math.sqrt(math.pi * float(vert))
 
 
@@ -234,21 +238,22 @@ class TestFunctionFamily:
 
 
 def _draw_center(rng) -> tuple:
-    # rejection against the CC ball; the z window covers the whole
-    # reachable range |z| <= d^2/(4 pi) at this radius
+    # (center, its CC distance) by rejection against the CC ball; the z
+    # window covers the whole reachable range |z| <= d^2/(4 pi) at this radius
     while True:
         x, y = rng.uniform(-_CENTER_D_MAX, _CENTER_D_MAX, size=2)
         z = rng.uniform(-0.3, 0.3)
-        if float(cc_distance_many(x, y, z)) <= _CENTER_D_MAX:
-            return (float(x), float(y), float(z))
+        dc = float(cc_distance_many(x, y, z))
+        if dc <= _CENTER_D_MAX:
+            return (float(x), float(y), float(z)), dc
 
 
 def _draw_atom(rng) -> tuple:
     """(center, width, vert) of one mollifier frame, its support inside d <= 6."""
-    center = _draw_center(rng)
+    center, dc = _draw_center(rng)
     width = float(rng.uniform(_WIDTH_LO, _WIDTH_HI))
     vert = float(rng.uniform(_VERT_LO, _VERT_HI))
-    if support_radius_bound(center, width, vert) > _SUPPORT_D_MAX:
+    if _support_radius(dc, width, vert) > _SUPPORT_D_MAX:
         raise AssertionError("draw windows violate the support bound")
     return center, width, vert
 

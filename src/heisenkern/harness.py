@@ -257,7 +257,8 @@ def _pt_density(x, y, z):
 # atom where the member vanishes identically, so every expectation is
 # against an exactly unit-mass measure and Jensen-type steps in the
 # checks hold without rounding caveats.  Members of polynomial growth
-# use the global chart measure.
+# use the global chart measure.  A combo's context is built from its
+# parts' contexts with the bits of evaluating the combo field (_combo_ctx).
 
 # (n_sigma, n_latitude, n_longitude) per atom kind; trig modulation
 # needs the extra angular resolution
@@ -309,6 +310,37 @@ def _grad_grid():
 
 
 @cache
+def _grid_orbits(order, parity):
+    """(src, sign) with (X, Y) P_1 f(w_i) = sign[:, i] (X, Y) P_1 f(w_src[i]) on the
+    grid, src[i] the first point of i's orbit under the half-turn (x, y, z) ->
+    (-x, -y, z) if f declares its rotation ``order``, and the mirror (x, -y, -z)
+    if it declares its ``parity`` e.  Both fix the kernel and map the grid onto
+    itself; f o R_pi = (-1)^order f gives the signs -(-1)^order, f o M = e f the
+    signs (e, -e).  The sums keep them bit for bit: the chart's alpha + pi
+    rotations are exact negatives, its mirror an exact copy, and a row sum's
+    pairwise halves fall on those copies (the quarter turn is no symmetry of
+    the nodes).  An order not 0 or 1, or a parity not +-1, raises ValueError."""
+    if order not in (None, 0, 1) or parity not in (None, 1, -1):
+        raise ValueError(f"unknown rotation order {order!r} or mirror parity {parity!r}")
+    maps = [((1.0, 1.0, 1.0), (1.0, 1.0))]
+    if order is not None:
+        maps.append(((-1.0, -1.0, 1.0), (2.0 * order - 1.0,) * 2))
+    if parity is not None:
+        maps += [((p[0], -p[1], -p[2]), (s[0] * parity, -s[1] * parity)) for p, s in maps]
+    grid = _grad_grid()
+    where = {tuple(w): i for i, w in enumerate(grid)}
+    src, sign = np.full(len(grid), -1), np.ones((2, len(grid)))
+    for i, w in enumerate(grid):
+        if src[i] < 0:
+            for flip, s in maps:
+                j = where[tuple(np.multiply(flip, w))]
+                if src[j] < 0:
+                    src[j], sign[:, j] = i, s
+    src.flags.writeable = sign.flags.writeable = False
+    return src, sign
+
+
+@cache
 def _atom_weights(atom: tuple, counts: tuple, i: int) -> np.ndarray:
     """leb * p_1(w^{-1} u) over one atom's panel nodes u at grad-bound grid point w = grid[i].
 
@@ -357,15 +389,22 @@ def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
     contexts are freed with it.  The key holds the member's panels, each
     atom with the panel counts of its kind (a combo's atoms those of its
     parts), so patched ``_PANEL_COUNTS`` build afresh; a field that is
-    not the memoised context's member is rebuilt too.
+    not the memoised context's member is rebuilt too.  A combo's comes
+    from its parts' contexts (:func:`_combo_ctx`).
     """
-    parts = family.combo_index[f.name][0] if f.name in family.combo_index else (f.name,)
+    combo = family.combo_index.get(f.name)
+    parts = combo[0] if combo else (f.name,)
     panels = tuple((a, _PANEL_COUNTS[family.kinds[p]])
                    for a, p in zip(family.atoms.get(f.name) or (), parts))
     key = (f.name, panels)
     ctx = family._member_contexts.get(key)
     if ctx is None or ctx.f is not f:
-        ctx = family._member_contexts[key] = _build_member_ctx(f, panels)
+        if combo:
+            members = {m.name: m for m in family.members}
+            ctx = _combo_ctx(f, [_member_ctx(family, members[p]) for p in parts], combo[1])
+        else:
+            ctx = _build_member_ctx(f, panels)
+        family._member_contexts[key] = ctx
     return ctx
 
 
@@ -384,20 +423,47 @@ def _build_member_ctx(f: ScalarField, panels: tuple) -> _MemberCtx:
         # unit mass; _chart_span and the chart grad-bound rows keep the
         # raw mu, of mass 1 - 1.25e-10
         mu = m.mu / float(np.sum(m.mu))
-        m_out = 0.0
     else:
         nodes = [_atom_nodes(*p) for p in panels]
         x, y, z = (np.concatenate([n[k] for n in nodes]) for k in range(3))
         mu = np.concatenate([_atom_weights(*p, 0) for p in panels])
+    vals, gx, gy, gz = (np.broadcast_to(np.asarray(v, dtype=float), mu.shape)
+                        for v in f.value_and_gradient(x, y, z))
+    return _new_ctx(f, panels, x, y, z, mu, (vals, gx, gy, gz))
+
+
+def _combo_ctx(f: ScalarField, parts: list, coeffs: tuple) -> _MemberCtx:
+    """The context of the combo f = ca A + cb B from its parts' contexts,
+    with the bits of :func:`_build_member_ctx` on f: on the shared chart
+    nodes combine_fields' ca A + cb B, and on compact parts' disjoint
+    support boxes, where each is exactly 0.0 on the other's panel, ca A
+    on A's panel then cb B on B's, written into one buffer."""
+    (A, B), (ca, cb) = parts, coeffs
+    keys = ("vals", "gx", "gy", "gz")
+    if not A.compact:
+        arrays = [ca * getattr(A, k) + cb * getattr(B, k) for k in keys]
+        return _new_ctx(f, (), A.x, A.y, A.z, A.mu, arrays)
+    x, y, z, mu = (np.concatenate((getattr(A, k), getattr(B, k))) for k in ("x", "y", "z", "mu"))
+    arrays = [np.empty(mu.size) for _ in keys]
+    for out, k in zip(arrays, keys):
+        np.multiply(ca, getattr(A, k), out=out[:A.mu.size])
+        np.multiply(cb, getattr(B, k), out=out[A.mu.size:])
+    return _new_ctx(f, A.panels + B.panels, x, y, z, mu, arrays)
+
+
+def _new_ctx(f: ScalarField, panels: tuple, x, y, z, mu, arrays) -> _MemberCtx:
+    """The read-only context of f from its nodes, weights and ``arrays``,
+    (f, Xf, Yf, Zf) on them, with the outside mass, Gamma(f) and (a, b)."""
+    m_out = 0.0
+    if panels:
         m_out = 1.0 - float(np.sum(mu))
         if m_out < -1e-9:
             raise ArithmeticError(f"panel mass for {f.name!r} exceeds 1")
         m_out = max(m_out, 0.0)
-    vals, gx, gy, gz = (np.broadcast_to(np.asarray(v, dtype=float), mu.shape)
-                        for v in f.value_and_gradient(x, y, z))
+    vals, gx, gy, gz = arrays
     gam = gx * gx + gy * gy
     a, b = (float(v) for v in grad_sums(mu, (gx, gy, gz), x, y))
-    for arr in (x, y, z, mu, gam):
+    for arr in (x, y, z, mu, vals, gx, gy, gz, gam):
         arr.flags.writeable = False
     return _MemberCtx(f.name, f, bool(panels), panels, x, y, z, mu, m_out,
                       vals, gx, gy, gz, gam, a, b)
@@ -678,11 +744,13 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
     support.  Their kernel weights are :func:`_atom_weights`, read from
     the window table once per mollifier atom and grid point in the
     process, so combos that reuse the atoms of the bumps, and later calls
-    on a family with the same atoms, pay no kernel evaluations.  Chart
-    members evaluate f and its frame gradient once per translated node,
-    block by block (see :func:`_grid_grad`).  The member contexts are the
-    family's shared ones: after the constants and the phi suite, or on an
-    update pass, this call builds none.
+    on a family with the same atoms, pay no kernel evaluations.  The chart
+    members share one pass over the translated chart nodes, block by
+    block: a combo adds its parts' values there, and a member with
+    declared symmetries evaluates one grid point per orbit (see
+    :func:`_chart_grid_grads`).  The member contexts are the family's
+    shared ones: after the constants and the phi suite, or on an update
+    pass, this call builds none.
     """
     ctxs = list(_contexts(family))
     i_half = float(_gauss_isop(0.5))    # squash(0), the outside-atom level
@@ -732,8 +800,9 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
         rows.append(_report("correlation", f"{ci.name}|{cj.name}", abs(cov), rhs,
                             C1_working, budget=budget))
 
+    terms = _chart_grid_grads([ctx for ctx in ctxs if not ctx.compact], family.combo_index)
     for ctx in ctxs:
-        xv, yv, sup_f = _grid_grad(ctx)
+        xv, yv, sup_f = _grid_grad(ctx) if ctx.compact else terms[ctx.name]
         worst = float(np.max(np.hypot(xv, yv)))
         rows.append(_report("grad-bound", ctx.name, worst, sup_f, 1.0,
                             budget=_check_budget(ctx),
@@ -750,33 +819,73 @@ def _grid_grad(ctx: _MemberCtx):
     :func:`_atom_weights` rows, all read first (cold rows built between
     the block arrays fragment the heap: 1.4 MB of peak RSS at size 24),
     in blocks of grid rows (``_row_blocks``), each row copied once.  A
-    chart member's origin row reads the frame gradient its context holds
-    on the chart nodes; the other grid points stream the chart nodes
-    translated by them, each block giving f and its frame gradient from
-    one evaluation.
+    chart member takes :func:`_chart_grid_grads` alone.
     """
+    if not ctx.compact:
+        return _chart_grid_grads([ctx], {})[ctx.name]
     grid = _grad_grid()
     out = np.empty((2, len(grid)))
-    sup_f = float(np.max(np.abs(ctx.vals)))
-    if ctx.compact:
-        parts = [[_atom_weights(*p, i) for p in ctx.panels] for i in range(len(grid))]
-        # the panel covers the support, so the nodes stay put and
-        # w^{-1} u has planar part (x - w1, y - w2)
-        for rows in _row_blocks(len(grid), ctx.x.nbytes):
-            weights = np.empty((len(parts[rows]), ctx.x.size))
-            for w, part in zip(weights, parts[rows]):
-                np.concatenate(part, out=w)
-            out[:, rows] = grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz),
-                                     ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
-        return out[0], out[1], sup_f
-    chart = heat_measure(_CFG)
-    out[:, 0] = grad_sums(chart.mu, (ctx.gx, ctx.gy, ctx.gz), chart.x, chart.y)
-    rest = out[:, 1:]
-    for rows, qx, qy, qz in _translated_nodes(chart, *grid[1:].T):
-        vals, *grad = ctx.f.value_and_gradient(qx, qy, qz)
-        sup_f = max(sup_f, float(np.max(np.abs(vals))))
-        rest[:, rows] = grad_sums(chart.mu, grad, chart.x, chart.y)
-    return out[0], out[1], sup_f
+    parts = [[_atom_weights(*p, i) for p in ctx.panels] for i in range(len(grid))]
+    # the panel covers the support, so the nodes stay put and
+    # w^{-1} u has planar part (x - w1, y - w2)
+    for rows in _row_blocks(len(grid), ctx.x.nbytes):
+        weights = np.empty((len(parts[rows]), ctx.x.size))
+        for w, part in zip(weights, parts[rows]):
+            np.concatenate(part, out=w)
+        out[:, rows] = grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz),
+                                 ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
+    return out[0], out[1], float(np.max(np.abs(ctx.vals)))
+
+
+def _chart_grid_grads(ctxs: list, combo_index: dict) -> dict:
+    """Name -> :func:`_grid_grad` of each chart member context, from one
+    pass over the chart nodes translated by the grid points.
+
+    The origin row reads each context's frame gradient.  On a block of
+    translated nodes a combo of ``combo_index`` whose parts are in ``ctxs``
+    adds their (f, Xf, Yf, Zf) in combine_fields' order; every other
+    member evaluates them in one call, a part at every point and the rest
+    at the first point of each orbit of their declared symmetries
+    (:func:`_grid_orbits`), whose other points take signed copies of its
+    terms.  Their translated nodes are exact images of the first point's,
+    where |f| takes the same values, so sup |f| needs no more points.
+    """
+    names = {ctx.name for ctx in ctxs}
+    combos = {n: c for n, c in combo_index.items() if n in names and set(c[0]) <= names}
+    parts = {p for c in combos.values() for p in c[0]}
+    chart, grid = heat_measure(_CFG), _grad_grid()
+    orbits = [_grid_orbits(None, None) if ctx.name in parts or ctx.name in combos
+              else _grid_orbits(ctx.f.rotation_order, ctx.f.mirror_parity) for ctx in ctxs]
+    first = [src == np.arange(len(grid)) for src, _ in orbits]
+    out = np.empty((len(ctxs), 2, len(grid)))
+    sups = [float(np.max(np.abs(ctx.vals))) for ctx in ctxs]
+    for o, ctx in zip(out, ctxs):
+        o[:, 0] = grad_sums(chart.mu, (ctx.gx, ctx.gy, ctx.gz), chart.x, chart.y)
+    # the combos come last, so their parts' arrays are held when they are reached
+    order = sorted(range(len(ctxs)), key=lambda k: ctxs[k].name in combos)
+    points = np.flatnonzero(np.any(first, axis=0)[1:]) + 1
+    for rows, qx, qy, qz in _translated_nodes(chart, *grid[points].T):
+        block, held = points[rows], {}
+        for k in order:
+            ctx, sel = ctxs[k], first[k][block]
+            if ctx.name in combos:
+                (pa, pb), (ca, cb) = combos[ctx.name]
+                fields = [ca * a + cb * b for a, b in zip(held[pa], held[pb])]
+            elif sel.any():
+                q = (qx, qy, qz) if sel.all() else (qx[sel], qy[sel], qz[sel])
+                fields = ctx.f.value_and_gradient(*q)
+            else:
+                continue
+            if ctx.name in parts:
+                held[ctx.name] = fields
+            sups[k] = max(sups[k], float(np.max(np.abs(fields[0]))))
+            out[k][:, block[sel]] = grad_sums(chart.mu, fields[1:], chart.x, chart.y)
+    for o, (src, sign) in zip(out, orbits):
+        # a sum that cancels to zero is +0.0 at every point of its orbit,
+        # so adding 0.0 turns a negated copy of it back into +0.0
+        copy = src != np.arange(len(grid))
+        o[:, copy] = sign[:, copy] * o[:, src[copy]] + 0.0
+    return {ctx.name: (o[0], o[1], sup) for ctx, o, sup in zip(ctxs, out, sups)}
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ ENTRY_POINTS = (
     (("mc.sample_batch", "mc.chi2_against_kernel"), "the Monte Carlo check against the kernel"),
     (("group.multiply", "group.inverse"), "the group law on GroupElement"),
     (("geometry.cc_distance",), "one point's distance with its branch diagnostics"),
+    (("family.support_radius_bound",), "the support bound of an atom from its centre alone; "
+                                       "a draw reuses the centre's distance"),
     (("kernel.p1",), "the one-point kernel, the benchmark's yardstick for p1_many"),
     (("kernel.radial_row",), "the kernel with its five derivatives, the tests' derivative "
                              "oracle route and a traced benchmark site"),

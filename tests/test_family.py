@@ -2,7 +2,8 @@
 
 Every member's analytic frame gradient is checked against centered
 differences of its values, and every compact member must vanish exactly
-outside the CC ball d <= 6 that its draw windows promise.
+outside the CC ball d <= 6 that its draw windows promise.  A draw
+computes each accepted centre's CC distance once.
 """
 
 import math
@@ -10,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from heisenkern.family import DEFAULT_FAMILY_SEED, bump_field, build_family
+from heisenkern import family as family_mod
+from heisenkern.family import (DEFAULT_FAMILY_SEED, bump_field, build_family,
+                               support_radius_bound)
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement
 
@@ -54,6 +57,27 @@ def test_compact_members_vanish_beyond_support(family12):
     assert compact
     for f in compact:
         assert np.all(np.asarray(f.eval(x[far], y[far], z[far])) == 0.0), f.name
+
+
+def test_draw_measures_each_centre_once(monkeypatch):
+    """build_family(24) draws 7 atoms and makes 10 distance calls: one per
+    drawn centre, 3 of them rejected, and none again for the support
+    bound, which reads the accepted centre's distance.  The members are
+    those of an unpatched build, and support_radius_bound, which measures
+    the centre afresh, gives every atom a support inside d <= 6."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cc_distance_many(*args)
+
+    monkeypatch.setattr(family_mod, "cc_distance_many", counted)
+    family = build_family(24, DEFAULT_FAMILY_SEED)
+    monkeypatch.undo()
+    atoms = [a for frames in family.atoms.values() if frames for a in frames]
+    assert len(set(atoms)) == 7 and len(calls) == 10
+    assert family.atoms == build_family(24, DEFAULT_FAMILY_SEED).atoms
+    assert all(support_radius_bound(*a) <= 6.0 for a in set(atoms))
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_FAMILY_SEED, 0, 3, 17, 29])

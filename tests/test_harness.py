@@ -48,7 +48,10 @@ only.
 
 Each member's quadrature context is built once per family and shared by
 every check: the documented flow builds one per member, an update pass
-none, and the contexts are read-only and freed with their family.  The
+none, and the contexts are read-only and freed with their family.  A
+combo's context, built from its parts', has the bits of the one its own
+field gives, and the orbit table that spares the chart grad-bound rows
+evaluations maps the grid onto itself.  The
 compact members' kernel weights are read from the table once per
 distinct mollifier atom in the process, and a context's mu is their
 origin row.
@@ -1023,42 +1026,107 @@ def test_grad_bound_rows_ignore_member_order(family24, rows24):
 
 @pytest.fixture
 def built(monkeypatch):
-    """(name, compact) of every member context built from here on."""
+    """(name, compact, from parts) of every member context built from here
+    on: by evaluating the member's field, or a combo's from its parts'."""
     log = []
-    build = harness._build_member_ctx
+    build, combo = harness._build_member_ctx, harness._combo_ctx
 
     def spy(f, panels):
-        log.append((f.name, bool(panels)))
+        log.append((f.name, bool(panels), False))
         return build(f, panels)
 
+    def spy_combo(f, parts, coeffs):
+        ctx = combo(f, parts, coeffs)
+        log.append((f.name, ctx.compact, True))
+        return ctx
+
     monkeypatch.setattr(harness, "_build_member_ctx", spy)
+    monkeypatch.setattr(harness, "_combo_ctx", spy_combo)
     return log
 
 
 def test_suite_flow_builds_each_context_once(built):
     """constants_estimate then run_inequality_suite, the documented flow:
     the C_lower search builds the 7 chart contexts of its chart span, the
-    suite the 17 compact ones, and each of the 24 is built once."""
+    suite the 17 compact ones, and each of the 24 is built once.  The 11
+    members that are no combo evaluate their fields; the 13 combos, 3 on
+    the chart and 10 compact, are built from their parts' contexts."""
     family = build_family(24, DEFAULT_FAMILY_SEED)
     constants = harness.constants_estimate(family)
-    assert len(built) == 7 and not any(compact for _, compact in built)
+    assert len(built) == 7 and not any(compact for _, compact, _ in built)
     result = run_inequality_suite(family, constants=constants)
     assert result.update_passes == 0
-    names = [name for name, _ in built]
+    names = [name for name, _, _ in built]
     assert sorted(names) == sorted(f.name for f in family.members)
-    assert sum(compact for _, compact in built) == 17
+    assert sum(compact for _, compact, _ in built) == 17
+    combos = [(name, compact) for name, compact, combo in built if combo]
+    assert sorted(name for name, _ in combos) == sorted(family.combo_index)
+    assert (len(combos), sum(compact for _, compact in combos)) == (13, 10)
+
+
+@pytest.mark.parametrize("size", [12, 24])
+def test_combo_contexts_keep_the_field_routes_bits(size):
+    """Each combo's context, built from its parts', equals the one built by
+    evaluating the combo field on the same panels, array for array and
+    bit for bit: at size 12 the combos are on the chart, at size 24
+    most are compact, on their parts' disjoint panels."""
+    family = build_family(size, DEFAULT_FAMILY_SEED)
+    kinds = set()
+    for f in family.members:
+        if f.name not in family.combo_index:
+            continue
+        ctx = harness._member_ctx(family, f)
+        want = harness._build_member_ctx(f, ctx.panels)
+        kinds.add(ctx.compact)
+        for fld in dataclasses.fields(ctx):
+            got, ref = getattr(ctx, fld.name), getattr(want, fld.name)
+            if isinstance(got, np.ndarray):
+                assert_same_bits(got, ref, (f.name, fld.name))
+            elif isinstance(got, float):
+                assert got.hex() == ref.hex(), (f.name, fld.name)
+            else:
+                assert got == ref, (f.name, fld.name)
+    assert kinds == ({False} if size == 12 else {False, True})
+
+
+@pytest.mark.parametrize("order, parity", [(o, p) for o in (None, 0, 1) for p in (None, 1, -1)])
+def test_grid_orbits_map_the_grid_onto_itself(order, parity):
+    """The half-turn (when an order is declared) and the mirror (when a
+    parity is) permute the grad-bound grid; every point's source is the
+    first point of its orbit under them, and its signs are those of the
+    map that takes the source to it.  With both declared 10 of the 25
+    points are evaluated, the origin and 9 others; with one, 15."""
+    grid = harness._grad_grid()
+    src, sign = harness._grid_orbits(order, parity)
+    maps = {(1.0, 1.0, 1.0): (1.0, 1.0)}
+    if order is not None:
+        maps[(-1.0, -1.0, 1.0)] = (2.0 * order - 1.0,) * 2
+    if parity is not None:
+        maps.update({(f[0], -f[1], -f[2]): (s[0] * parity, -s[1] * parity)
+                     for f, s in list(maps.items())})
+    points = sorted(map(tuple, grid))
+    for flip in maps:
+        assert sorted(map(tuple, grid * flip)) == points, flip
+    for i, w in enumerate(grid):
+        assert src[src[i]] == src[i] <= i
+        signs = [s for f, s in maps.items() if np.array_equal(grid[src[i]] * f, w)]
+        assert tuple(sign[:, i]) in signs, i
+    assert np.count_nonzero(src == np.arange(25)) == {1: 25, 2: 15, 4: 10}[len(maps)]
+    with pytest.raises(ValueError):
+        harness._grid_orbits(2, None)
 
 
 def test_suite_flow_spline_bundle_points(monkeypatch):
     """The documented flow on a fresh 12-member family evaluates the
-    spline bundle of f* = Xhat log h on 176,000 points: once on the 7,040
-    chart nodes for its context and once on the 168,960 chart nodes
-    translated by the 24 grid points of its grad-bound row other than
-    the origin, f* and its frame gradient from the same bundle each
-    time.  The grad-bound row's origin term and the C_1 and C_2 searches
-    read f*'s frame gradient from the context; each evaluating it again
-    on the chart nodes would add 7,040, and a separate value or gradient
-    evaluation the point count of its set."""
+    spline bundle of f* = Xhat log h on 70,400 points: once on the 7,040
+    chart nodes for its context and once on the 63,360 chart nodes
+    translated by 9 grid points of its grad-bound row, one for each orbit
+    of the half-turn and the mirror other than the origin's, f* and its
+    frame gradient from the same bundle each time.  The grad-bound row's
+    origin term and the C_1 and C_2 searches read f*'s frame gradient from
+    the context; each evaluating it again on the chart nodes would add
+    7,040, and a separate value or gradient evaluation the point count of
+    its set."""
     points = []
     bundle = kernel.LogHSplineTables.bundle
 
@@ -1069,7 +1137,7 @@ def test_suite_flow_spline_bundle_points(monkeypatch):
     monkeypatch.setattr(kernel.LogHSplineTables, "bundle", spy)
     family = build_family(12, DEFAULT_FAMILY_SEED)
     run_inequality_suite(family, constants=harness.constants_estimate(family))
-    assert sum(points) == 7_040 + 24 * 7_040 == 176_000
+    assert sum(points) == 7_040 + 9 * 7_040 == 70_400
 
 
 def test_update_pass_builds_no_context(built, monkeypatch):

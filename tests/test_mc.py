@@ -231,15 +231,15 @@ CHI2_SF_MP = (
 
 
 def test_chi2_sf_against_mpmath():
-    """The survival function against stored 50-digit values, at the
-    measured bounds: 2.7e-15 relative (at dof 2,000), and x/2 * 2.2e-16
-    at dof 1, where erfc(sqrt(x/2)) alone is the answer and its rounded
-    argument is a one-ulp backward error in x (5.8e-14 at x = 600).  At
-    x = 0 every dof gives 1 exactly, and far out in the tail 0."""
+    """The survival function against stored 50-digit values within the
+    measured 2.7e-15 relative (at dof 2,000), dof 1 included: there
+    erfc(sqrt(x/2)) alone is the answer, and the correction for the rounded
+    root holds it to 1.9e-16 at x = 600, where the uncorrected root erred
+    by 5.8e-14.  At x = 0 every dof gives 1 exactly, and far out in the
+    tail 0."""
     for dof, x, want in CHI2_SF_MP:
-        bound = 0.5 * x * 2.2e-16 if dof == 1 else 2.7e-15
         err = abs(_chi2_sf(x, dof) - float(want)) / float(want)
-        assert err <= bound, (dof, x, err)
+        assert err <= 2.7e-15, (dof, x, err)
     assert [_chi2_sf(0.0, dof) for dof in (1, 2, 3, 200)] == [1.0] * 4
     assert _chi2_sf(3000.0, 3) == _chi2_sf(1e6, 2000) == 0.0
 
