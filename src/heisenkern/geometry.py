@@ -138,16 +138,18 @@ def _solve_half_angle(target):
     return phi, sin_phi
 
 
-def cc_distance_many(x, y, z):
-    """Vectorized CC distance from the origin (values only); a non-finite
-    coordinate raises ValueError."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
+_BRANCHES = ("planar", "axis", "generic")
+
+
+def _distance_branches(x, y, z):
+    """(d, phi, branch) of the CC distance from the origin, elementwise:
+    phi the half-angle (0 planar, pi on the axis) and branch an index
+    into _BRANCHES.  A non-finite coordinate raises ValueError."""
+    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
+    if not all(np.all(np.isfinite(a)) for a in (x, y, z)):
         raise ValueError("coordinates must be finite")
     shape = np.broadcast(x, y, z).shape
-    x, y, z = np.broadcast_to(x, shape), np.broadcast_to(y, shape), np.broadcast_to(z, shape)
+    x, y, z = (np.broadcast_to(a, shape) for a in (x, y, z))
     r = np.hypot(x, y)
     az = np.abs(z)
 
@@ -160,30 +162,31 @@ def cc_distance_many(x, y, z):
     generic = ~(planar | axis)
 
     d = np.zeros(shape)
+    phi = np.zeros(shape)
     d[planar] = r[planar]
     d[axis] = 2.0 * np.sqrt(math.pi * az[axis])
+    phi[axis] = math.pi
     if np.any(generic):
         rg = r[generic]
         tg = 4.0 * (az[generic] / rg) / rg
-        phi, sin_phi = _solve_half_angle(tg)
-        d[generic] = rg * phi / sin_phi
-    return d
+        phi_g, sin_phi = _solve_half_angle(tg)
+        d[generic] = rg * phi_g / sin_phi
+        phi[generic] = phi_g
+    return d, phi, np.where(planar, 0, np.where(axis, 1, 2))
+
+
+def cc_distance_many(x, y, z):
+    """Vectorized CC distance from the origin (values only); a non-finite
+    coordinate raises ValueError."""
+    return _distance_branches(x, y, z)[0]
 
 
 def cc_distance(p: GroupElement) -> DistanceResult:
-    """CC distance from the origin with branch and half-angle diagnostics;
-    a non-finite coordinate raises ValueError."""
-    if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z)):
-        raise ValueError("coordinates must be finite")
-    r = math.hypot(p.x, p.y)
-    az = abs(p.z)
-    if az == 0.0 or (r > 0.0 and az / r <= PLANAR_Z_FACTOR * r):
-        return DistanceResult(r, 0.0, "planar")
-    if r < AXIS_R_FACTOR * math.sqrt(az):
-        return DistanceResult(2.0 * math.sqrt(math.pi * az), math.pi, "axis")
-    target = 4.0 * (az / r) / r
-    phi, sin_phi = _solve_half_angle(np.asarray([target]))
-    return DistanceResult(r * float(phi[0]) / float(sin_phi[0]), float(phi[0]), "generic")
+    """CC distance from the origin with branch and half-angle diagnostics,
+    the one-point view of :func:`cc_distance_many`; a non-finite coordinate
+    raises ValueError."""
+    d, phi, branch = _distance_branches(p.x, p.y, p.z)
+    return DistanceResult(float(d), float(phi), _BRANCHES[int(branch)])
 
 
 def jacobian_A(u_abs: float, s):

@@ -36,7 +36,7 @@ from .kernel import (KernelRangeError, _contour_rows, log_grad_many, p1_many,  #
                      p1_star_shifted)
 from .mc import sample_kolmogorov
 from .numerics import BicubicTable, _ndtri, gauss_legendre, gauss_panels
-from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, _translated_nodes, grad_sums,
+from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, grad_Pt_at, grad_sums,
                         heat_measure)
 
 __all__ = [
@@ -604,7 +604,12 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
         raise ValueError("p must be 1 or 2")
     if family is None:
         family = build_family()
-    names, gx, gy, B, G, mu = _chart_span(family)
+    return _c_lower(p, _chart_span(family))
+
+
+def _c_lower(p: int, span) -> CLowerWitness:
+    """:func:`c_lower_detail` on the family's :func:`_chart_span`."""
+    names, gx, gy, B, G, mu = span
     if not names:
         return CLowerWitness(p, 0.0, (), ())
     best, c = _chart_p2(B, G)
@@ -615,12 +620,12 @@ def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWi
 
 
 def constants_estimate(family: TestFunctionFamily | None = None) -> ConstantEstimate:
-    """Bundle A with the C_1, C_2 lower bounds from one family pass."""
+    """Bundle A with the C_1, C_2 lower bounds, both read off one chart span."""
     if family is None:
         family = build_family()
     A = estimate_A()
-    c1 = c_lower_detail(1, family).value
-    c2 = c_lower_detail(2, family).value
+    span = _chart_span(family)
+    c1, c2 = (_c_lower(p, span).value for p in (1, 2))
     return ConstantEstimate(A=A, C1_lower=max(c1, 1.0), C2_lower=max(c2, 1.0))
 
 
@@ -739,18 +744,16 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
     source inequality; C1_working stands in and the row carries a note.
     Its rhs E sqrt(I^2 + 2 C^4 Gamma) is no power of C, so a failing row
     carries the exact C at which it would hold.  The gradient-bound sup
-    norm of f is taken over every point the lhs quadratures actually
-    visit, which for the compactly supported members covers their
-    support.  Their kernel weights are :func:`_atom_weights`, read from
-    the window table once per mollifier atom and grid point in the
-    process, so combos that reuse the atoms of the bumps, and later calls
-    on a family with the same atoms, pay no kernel evaluations.  The chart
-    members share one pass over the translated chart nodes, block by
-    block: a combo adds its parts' values there, and a member with
-    declared symmetries evaluates one grid point per orbit (see
-    :func:`_chart_grid_grads`).  The member contexts are the family's
-    shared ones: after the constants and the phi suite, or on an update
-    pass, this call builds none.
+    norm of f is max |f| over the member's own nodes, which for the
+    compactly supported members cover their support; on the chart it
+    does not grow with the grid's translations.  The lhs is
+    :func:`_grid_grad`.  The compact members' kernel weights are
+    :func:`_atom_weights`, read from the window table once per mollifier
+    atom and grid point in the process, so combos that reuse the atoms of
+    the bumps, and later calls on a family with the same atoms, pay no
+    kernel evaluations.  The member contexts are the family's shared
+    ones: after the constants and the phi suite, or on an update pass,
+    this call builds none.
     """
     ctxs = list(_contexts(family))
     i_half = float(_gauss_isop(0.5))    # squash(0), the outside-atom level
@@ -800,31 +803,41 @@ def check_cheeger_bobkov(family: TestFunctionFamily, C1_working: float = SQRT2) 
         rows.append(_report("correlation", f"{ci.name}|{cj.name}", abs(cov), rhs,
                             C1_working, budget=budget))
 
-    terms = _chart_grid_grads([ctx for ctx in ctxs if not ctx.compact], family.combo_index)
     for ctx in ctxs:
-        xv, yv, sup_f = _grid_grad(ctx) if ctx.compact else terms[ctx.name]
-        worst = float(np.max(np.hypot(xv, yv)))
-        rows.append(_report("grad-bound", ctx.name, worst, sup_f, 1.0,
+        worst = float(np.max(np.hypot(*_grid_grad(ctx))))
+        rows.append(_report("grad-bound", ctx.name, worst, float(np.max(np.abs(ctx.vals))), 1.0,
                             budget=_check_budget(ctx),
-                            note="sup norm taken over all visited points; a lower "
+                            note="sup norm taken over the member's nodes; a lower "
                                  "bound of the true sup, so passing is conservative"))
     return rows
 
 
 def _grid_grad(ctx: _MemberCtx):
-    """(X P_1 f, Y P_1 f) at each grad-bound grid point, and sup |f| over
-    the member's nodes and every point the sums visit.
+    """(X P_1 f, Y P_1 f) at each grad-bound grid point.
 
     A compact member sums its panel against its atoms' cached
     :func:`_atom_weights` rows, all read first (cold rows built between
     the block arrays fragment the heap: 1.4 MB of peak RSS at size 24),
     in blocks of grid rows (``_row_blocks``), each row copied once.  A
-    chart member takes :func:`_chart_grid_grads` alone.
+    chart member, combos included, takes :func:`grad_Pt_at` at the first
+    point of each orbit of its declared symmetries (:func:`_grid_orbits`)
+    but the origin, whose term reads the context's frame gradient on the
+    untranslated chart nodes; the orbits' other points take signed copies.
     """
-    if not ctx.compact:
-        return _chart_grid_grads([ctx], {})[ctx.name]
     grid = _grad_grid()
     out = np.empty((2, len(grid)))
+    if not ctx.compact:
+        chart = heat_measure(_CFG)
+        src, sign = _grid_orbits(ctx.f.rotation_order, ctx.f.mirror_parity)
+        out[:, 0] = grad_sums(chart.mu, (ctx.gx, ctx.gy, ctx.gz), chart.x, chart.y)
+        own = src == np.arange(len(grid))
+        first = np.flatnonzero(own)[1:]
+        out[:, first] = grad_Pt_at(ctx.f, chart, *grid[first].T)
+        # a sum that cancels to zero is +0.0 at every point of its orbit,
+        # so adding 0.0 turns a negated copy of it back into +0.0
+        copy = ~own
+        out[:, copy] = sign[:, copy] * out[:, src[copy]] + 0.0
+        return out[0], out[1]
     parts = [[_atom_weights(*p, i) for p in ctx.panels] for i in range(len(grid))]
     # the panel covers the support, so the nodes stay put and
     # w^{-1} u has planar part (x - w1, y - w2)
@@ -834,58 +847,7 @@ def _grid_grad(ctx: _MemberCtx):
             np.concatenate(part, out=w)
         out[:, rows] = grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz),
                                  ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
-    return out[0], out[1], float(np.max(np.abs(ctx.vals)))
-
-
-def _chart_grid_grads(ctxs: list, combo_index: dict) -> dict:
-    """Name -> :func:`_grid_grad` of each chart member context, from one
-    pass over the chart nodes translated by the grid points.
-
-    The origin row reads each context's frame gradient.  On a block of
-    translated nodes a combo of ``combo_index`` whose parts are in ``ctxs``
-    adds their (f, Xf, Yf, Zf) in combine_fields' order; every other
-    member evaluates them in one call, a part at every point and the rest
-    at the first point of each orbit of their declared symmetries
-    (:func:`_grid_orbits`), whose other points take signed copies of its
-    terms.  Their translated nodes are exact images of the first point's,
-    where |f| takes the same values, so sup |f| needs no more points.
-    """
-    names = {ctx.name for ctx in ctxs}
-    combos = {n: c for n, c in combo_index.items() if n in names and set(c[0]) <= names}
-    parts = {p for c in combos.values() for p in c[0]}
-    chart, grid = heat_measure(_CFG), _grad_grid()
-    orbits = [_grid_orbits(None, None) if ctx.name in parts or ctx.name in combos
-              else _grid_orbits(ctx.f.rotation_order, ctx.f.mirror_parity) for ctx in ctxs]
-    first = [src == np.arange(len(grid)) for src, _ in orbits]
-    out = np.empty((len(ctxs), 2, len(grid)))
-    sups = [float(np.max(np.abs(ctx.vals))) for ctx in ctxs]
-    for o, ctx in zip(out, ctxs):
-        o[:, 0] = grad_sums(chart.mu, (ctx.gx, ctx.gy, ctx.gz), chart.x, chart.y)
-    # the combos come last, so their parts' arrays are held when they are reached
-    order = sorted(range(len(ctxs)), key=lambda k: ctxs[k].name in combos)
-    points = np.flatnonzero(np.any(first, axis=0)[1:]) + 1
-    for rows, qx, qy, qz in _translated_nodes(chart, *grid[points].T):
-        block, held = points[rows], {}
-        for k in order:
-            ctx, sel = ctxs[k], first[k][block]
-            if ctx.name in combos:
-                (pa, pb), (ca, cb) = combos[ctx.name]
-                fields = [ca * a + cb * b for a, b in zip(held[pa], held[pb])]
-            elif sel.any():
-                q = (qx, qy, qz) if sel.all() else (qx[sel], qy[sel], qz[sel])
-                fields = ctx.f.value_and_gradient(*q)
-            else:
-                continue
-            if ctx.name in parts:
-                held[ctx.name] = fields
-            sups[k] = max(sups[k], float(np.max(np.abs(fields[0]))))
-            out[k][:, block[sel]] = grad_sums(chart.mu, fields[1:], chart.x, chart.y)
-    for o, (src, sign) in zip(out, orbits):
-        # a sum that cancels to zero is +0.0 at every point of its orbit,
-        # so adding 0.0 turns a negated copy of it back into +0.0
-        copy = src != np.arange(len(grid))
-        o[:, copy] = sign[:, copy] * o[:, src[copy]] + 0.0
-    return {ctx.name: (o[0], o[1], sup) for ctx, o, sup in zip(ctxs, out, sups)}
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

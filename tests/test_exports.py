@@ -26,12 +26,12 @@ ENTRY_POINTS = (
       "harness.check_local_11_poincare", "harness.check_commutation",
       "harness.demonstrate_gamma2_unbounded", "harness.check_kolmogorov_counterexample",
       "harness.run_inequality_suite"), "the paper's checks, the harness's API for its callers"),
+    (("harness.c_lower_detail",), "one C_lower bound with its witness; constants_estimate "
+                                  "reads both bounds off one chart span"),
     (("semigroup.apply_Pt_many",), "P_t f at many points, the semigroup itself and the "
                                    "tests' difference route to its gradient"),
     (("semigroup.variance", "semigroup.interpolation_variance"),
      "the two sides of the variance identity, the nested workload"),
-    (("semigroup.grad_Pt_at",), "P_t's gradient at translated points, the reference route "
-                                "for the harness's grid rows"),
     (("semigroup.grad_Pt_origin",), "P_t's gradient at the origin by the ibp route, the "
                                     "tests' cross-check and the benchmark's tracer test"),
     (("mc.sample_batch", "mc.chi2_against_kernel"), "the Monte Carlo check against the kernel"),

@@ -127,6 +127,25 @@ class TestCcDistance:
             one = cc_distance(GroupElement(xs[i], ys[i], zs[i])).d
             assert batch[i] == pytest.approx(one, rel=1e-13, abs=1e-13)
 
+    def test_scalar_is_the_vectorized_routes_point(self):
+        """cc_distance is one point of cc_distance_many, bit for bit, on
+        every branch and at scales from 1e-8 to 1e6; its phi is 0
+        on the planar branch and pi on the axis."""
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([rng.normal(size=(3, 200)) * s for s in (1e-8, 1.0, 1e6)]
+                             + [[[0.0, 3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0],
+                                 [0.0, 0.0, 1.0, 0.7]]], axis=1)
+        batch = cc_distance_many(*pts)
+        for (x, y, z), d in zip(pts.T, batch):
+            res = cc_distance(GroupElement(x, y, z))
+            assert res.d.hex() == d.hex(), (x, y, z)
+            if res.branch == "generic":
+                assert 0.0 < res.phi < math.pi
+            else:
+                assert res.phi == {"planar": 0.0, "axis": math.pi}[res.branch]
+        assert [cc_distance(GroupElement(*p)).branch for p in pts[:, -4:].T] == [
+            "planar", "planar", "axis", "generic"]
+
     def test_subnormal_radius_without_warning(self):
         """az/r overflows at a subnormal r; the axis value comes out
         with no RuntimeWarning, equal to the scalar route's."""
