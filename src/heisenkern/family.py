@@ -34,7 +34,6 @@ __all__ = [
     "bump_field",
     "combine_fields",
     "build_family",
-    "support_radius_bound",
     "boxes_disjoint",
 ]
 
@@ -128,19 +127,11 @@ def support_box(center, width: float, vert: float) -> tuple:
     return (cx - width, cx + width, cy - width, cy + width, cz - zh, cz + zh)
 
 
-def support_radius_bound(center, width: float, vert: float) -> float:
-    """Upper bound for the CC distance of the bump's support from 0.
-
-    A horizontal segment reaches (g1, g2, 0) at cost |g_h| <= w and a
-    vertical displacement costs 2 sqrt(pi |g3|) with |g3| <= v, so
-    d(support) <= d(center) + w + 2 sqrt(pi v).
-    """
-    cx, cy, cz = center
-    return _support_radius(float(cc_distance_many(cx, cy, cz)), width, vert)
-
-
 def _support_radius(dc: float, width: float, vert: float) -> float:
-    """:func:`support_radius_bound` from the centre's CC distance ``dc``."""
+    """Upper bound for the CC distance of a bump's support from 0, from its
+    centre's distance ``dc``: a horizontal segment reaches (g1, g2, 0) at
+    cost |g_h| <= w and a vertical displacement costs 2 sqrt(pi |g3|) with
+    |g3| <= v, so d(support) <= dc + w + 2 sqrt(pi v)."""
     return dc + float(width) + 2.0 * math.sqrt(math.pi * float(vert))
 
 

@@ -25,16 +25,12 @@ against Cartesian integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement
 from .numerics import gauss_legendre
 
 __all__ = [
-    "DistanceResult",
-    "cc_distance",
     "cc_distance_many",
     "jacobian_A",
     "chart_ball_nodes",
@@ -43,13 +39,6 @@ __all__ = [
 # branch thresholds: relative, dimensionally consistent under dilations
 PLANAR_Z_FACTOR = 1e-12  # |z| < factor * r^2  -> planar
 AXIS_R_FACTOR = 1e-12  # r < factor * sqrt(|z|) -> axis
-
-
-@dataclass(frozen=True)
-class DistanceResult:
-    d: float
-    phi: float
-    branch: str  # "planar", "axis", or "generic"
 
 
 def _phi_minus_sin(phi):
@@ -96,6 +85,17 @@ def _nu_arrays(delta):
 _MU_SPLIT = float(_mu_arrays(_PHI_CAP))
 
 
+def _bisect(step, t, hi):
+    """90 halvings of [1e-300, hi] elementwise over t, lo rising where step(mid)."""
+    lo, hi = np.full(t.shape, 1e-300), np.full(t.shape, hi)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        up = step(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def _solve_half_angle(target):
     """Solve mu(phi) = target on (0, pi) elementwise.
 
@@ -104,47 +104,24 @@ def _solve_half_angle(target):
     pi - delta would cap the relative accuracy at eps/delta.
     """
     target = np.asarray(target, dtype=float)
-    phi = np.empty(target.shape)
-    sin_phi = np.empty(target.shape)
-
+    phi, sin_phi = np.empty(target.shape), np.empty(target.shape)
     low = target < _MU_SPLIT
+    high = ~low
     if np.any(low):
         t = target[low]
-        lo = np.full(t.shape, 1e-300)
-        hi = np.full(t.shape, _PHI_CAP)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            below = _mu_arrays(mid) < t
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        mid = 0.5 * (lo + hi)
-        phi[low] = mid
+        phi[low] = mid = _bisect(lambda m: _mu_arrays(m) < t, t, _PHI_CAP)
         sin_phi[low] = np.sin(mid)
-
-    high = ~low
-    if np.any(high):
+    if np.any(high):  # in delta = pi - phi, where nu -> inf as delta -> 0
         t = target[high]
-        lo = np.full(t.shape, 1e-300)  # nu -> inf as delta -> 0
-        hi = np.full(t.shape, math.pi - _PHI_CAP)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            above = _nu_arrays(mid) >= t
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        mid = 0.5 * (lo + hi)
+        mid = _bisect(lambda m: _nu_arrays(m) >= t, t, math.pi - _PHI_CAP)
         phi[high] = math.pi - mid
         sin_phi[high] = np.sin(mid)
-
     return phi, sin_phi
 
 
-_BRANCHES = ("planar", "axis", "generic")
-
-
-def _distance_branches(x, y, z):
-    """(d, phi, branch) of the CC distance from the origin, elementwise:
-    phi the half-angle (0 planar, pi on the axis) and branch an index
-    into _BRANCHES.  A non-finite coordinate raises ValueError."""
+def cc_distance_many(x, y, z):
+    """Vectorized CC distance from the origin over the broadcast (x, y, z);
+    a non-finite coordinate raises ValueError."""
     x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
     if not all(np.all(np.isfinite(a)) for a in (x, y, z)):
         raise ValueError("coordinates must be finite")
@@ -161,32 +138,13 @@ def _distance_branches(x, y, z):
     axis = ~planar & (r < AXIS_R_FACTOR * np.sqrt(az))
     generic = ~(planar | axis)
 
-    d = np.zeros(shape)
-    phi = np.zeros(shape)
-    d[planar] = r[planar]
+    d = np.where(planar, r, 0.0)
     d[axis] = 2.0 * np.sqrt(math.pi * az[axis])
-    phi[axis] = math.pi
     if np.any(generic):
         rg = r[generic]
-        tg = 4.0 * (az[generic] / rg) / rg
-        phi_g, sin_phi = _solve_half_angle(tg)
+        phi_g, sin_phi = _solve_half_angle(4.0 * (az[generic] / rg) / rg)
         d[generic] = rg * phi_g / sin_phi
-        phi[generic] = phi_g
-    return d, phi, np.where(planar, 0, np.where(axis, 1, 2))
-
-
-def cc_distance_many(x, y, z):
-    """Vectorized CC distance from the origin (values only); a non-finite
-    coordinate raises ValueError."""
-    return _distance_branches(x, y, z)[0]
-
-
-def cc_distance(p: GroupElement) -> DistanceResult:
-    """CC distance from the origin with branch and half-angle diagnostics,
-    the one-point view of :func:`cc_distance_many`; a non-finite coordinate
-    raises ValueError."""
-    d, phi, branch = _distance_branches(p.x, p.y, p.z)
-    return DistanceResult(float(d), float(phi), _BRANCHES[int(branch)])
+    return d
 
 
 def jacobian_A(u_abs: float, s):

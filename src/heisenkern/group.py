@@ -12,7 +12,8 @@ anisotropic dilations (x, y, z) -> (lx, ly, l^2 z), and homogeneous norm
 satisfy [X, Y] = Z, the only nonzero bracket.  They are the fields the
 library differentiates along; the right-invariant partners, the rotation
 and the dilation generator, which only checks of the calculus use, live
-with the tests.
+with the tests, and so does the group law on :class:`GroupElement`: the
+library multiplies coordinate arrays.
 
 The library differentiates exactly: a :class:`ScalarField` through its
 analytic gradient, and a polynomial given by its coefficients through
@@ -30,8 +31,6 @@ import numpy as np
 __all__ = [
     "GroupElement",
     "ScalarField",
-    "multiply",
-    "inverse",
     "gamma2",
     "poly_field",
 ]
@@ -54,16 +53,6 @@ def _mul_arrays(ax, ay, az, bx, by, bz):
         ay + by,
         az + bz + 0.5 * (ax * by - ay * bx),
     )
-
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    x, y, z = _mul_arrays(a.x, a.y, a.z, b.x, b.y, b.z)
-    return GroupElement(float(x), float(y), float(z))
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    # exponential coordinates: inversion is negation
-    return GroupElement(-a.x, -a.y, -a.z)
 
 
 @dataclass

@@ -46,12 +46,10 @@ __all__ = [
     "ABS_FLOOR",
     "InequalityReport",
     "ConstantEstimate",
-    "CLowerWitness",
     "RaySurvey",
     "estimate_A",
     "check_kernel_identities",
     "check_driver_melcher",
-    "c_lower_detail",
     "check_reverse_poincare",
     "check_phi_suite",
     "check_cheeger_bobkov",
@@ -509,14 +507,6 @@ def check_reverse_poincare(family: TestFunctionFamily) -> list:
 # lower bounds for C_1 and C_2
 
 
-@dataclass(frozen=True)
-class CLowerWitness:
-    p: int
-    value: float
-    names: tuple
-    coeffs: tuple
-
-
 def _kept_span(G: np.ndarray):
     lam, U = np.linalg.eigh(G)
     keep = lam > max(lam[-1], 0.0) * 1e-10
@@ -582,41 +572,25 @@ def _chart_span(family: TestFunctionFamily):
     return [c.name for c in ctxs], gx, gy, B, G, m.mu
 
 
-def c_lower_detail(p: int, family: TestFunctionFamily | None = None) -> CLowerWitness:
-    """Best ratio |grad P_t f|^p(0) / P_t(|grad f|^p)(0) with its witness.
+def _c_lower(p: int, span) -> float:
+    """Best ratio |grad P_t f|^p(0) / P_t(|grad f|^p)(0), p = 1 or 2, over
+    the combinations of the chart members in ``span`` (see _chart_span).
 
-    The candidates are the combinations of the polynomial-growth members,
-    which share the chart measure (see _chart_span).  Every family that
-    build_family returns ends with f* = Xhat log h, whose own ratios
-    (1.5172 at p = 1, 2.0000060 at p = 2) bound the value below; the
-    compactly supported members' single ratios stay far under them, so
-    they are not searched.  A family without a chart member gives 0.
-
-    p = 2 is a generalized Rayleigh quotient: with B the n x 2 matrix of
-    member gradients at 0 and G the Gram matrix of P_t(Gamma(f_i, f_j))(0),
-    the sup over combinations is the top eigenvalue of B' G^+ B, no search
-    needed.  p = 1 is a reweighted least-squares fixed point on the whole
-    span (see _chart_p1), started from the better of the p = 2 witness and
-    the best single.  The witness names the six members with the largest
-    coefficients.
+    f* = Xhat log h ends every family build_family returns; its own ratios
+    (1.5172 at p = 1, 2.0000060 at p = 2) bound the value below, and the
+    compact members' single ratios stay far under them, so they are not
+    searched.  An empty span gives 0.  p = 2 is the top eigenvalue of
+    B' G^+ B, with B the n x 2 member gradients at 0 and G the Gram matrix
+    of P_t(Gamma(f_i, f_j))(0); p = 1 is _chart_p1's fixed point, started
+    from the better of the p = 2 witness and the best single.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    if family is None:
-        family = build_family()
-    return _c_lower(p, _chart_span(family))
-
-
-def _c_lower(p: int, span) -> CLowerWitness:
-    """:func:`c_lower_detail` on the family's :func:`_chart_span`."""
     names, gx, gy, B, G, mu = span
     if not names:
-        return CLowerWitness(p, 0.0, (), ())
+        return 0.0
     best, c = _chart_p2(B, G)
     if p == 1:
-        best, c = _chart_p1(B, gx, gy, mu, [c, *np.eye(len(c))])
-    idx = np.argsort(-np.abs(c))[:6]
-    return CLowerWitness(p, best, tuple(names[i] for i in idx), tuple(float(c[i]) for i in idx))
+        best, _ = _chart_p1(B, gx, gy, mu, [c, *np.eye(len(c))])
+    return best
 
 
 def constants_estimate(family: TestFunctionFamily | None = None) -> ConstantEstimate:
@@ -625,7 +599,7 @@ def constants_estimate(family: TestFunctionFamily | None = None) -> ConstantEsti
         family = build_family()
     A = estimate_A()
     span = _chart_span(family)
-    c1, c2 = (_c_lower(p, span).value for p in (1, 2))
+    c1, c2 = (_c_lower(p, span) for p in (1, 2))
     return ConstantEstimate(A=A, C1_lower=max(c1, 1.0), C2_lower=max(c2, 1.0))
 
 

@@ -487,8 +487,10 @@ def p1_star_shifted(r, z):
     ComplexKernelValue; arrays (broadcast together) a complex array, each
     distinct point integrated once, with the bits of its own call.
     """
-    _check_batch(r, z, "p1_star_shifted")
     r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+    if r.size == 0:
+        return np.empty(r.shape, dtype=complex)
+    _check_batch(r, z, "p1_star_shifted")
     if not np.all(r > 0.0):
         raise ValueError("regularized route needs r > 0")
     # each distinct (r, z), bit for bit, is integrated once

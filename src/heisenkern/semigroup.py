@@ -34,7 +34,6 @@ __all__ = [
     "MassDeficitError",
     "HeatMeasure",
     "heat_measure",
-    "apply_Pt_many",
     "variance",
     "grad_sums",
     "grad_Pt_at",
@@ -220,21 +219,6 @@ def _translated_nodes(measure: HeatMeasure, x, y, z):
                                   measure.x, measure.y, measure.z))
 
 
-def apply_Pt_many(f: ScalarField, cfg: HeatOpConfig, xs) -> np.ndarray:
-    """P_t f at many points (rows of ``xs``) against one cached measure.
-
-    Each point's row is summed by np.add.reduce, whose order is fixed by
-    the row alone, so a value does not depend on its batch.
-    """
-    measure = heat_measure(cfg)
-    xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-    out = np.empty(xs.shape[0])
-    for rows, qx, qy, qz in _translated_nodes(measure, *xs.T):
-        vals = np.broadcast_to(np.asarray(f.eval(qx, qy, qz), dtype=float), qx.shape)
-        out[rows] = np.add.reduce(measure.mu * vals, axis=-1)
-    return out
-
-
 def variance(f: ScalarField, cfg: HeatOpConfig, x: GroupElement = _ORIGIN) -> float:
     """P_t(f^2)(x) - (P_t f(x))^2, as a true probability-measure variance.
 
@@ -255,8 +239,8 @@ def grad_Pt_origin(f: ScalarField, cfg: HeatOpConfig, route: str):
     The one route, ``"ibp"``, moves the derivative onto the kernel:
     -sum mu_k f(y_k) (Xhat log p_t)(y_k), likewise Yhat, so it reads no
     gradient of f.  Any other route raises ValueError.  No library code
-    calls it: the tests cross-check it against grad_Pt_at and against
-    differences of apply_Pt_many, and the benchmark's tracer test runs it.
+    calls it: the tests check it against grad_Pt_at and differences of
+    oracles.apply_Pt_many, and the benchmark's tracer test runs it.
     """
     if route != "ibp":
         raise ValueError(f"unknown route {route!r}; the one route is 'ibp'")

@@ -4,12 +4,15 @@ Each helper here is a second way to a quantity the library computes, or
 a convenience only the tests need: per-point kernel derivatives and the
 exact (quadrature per point) fields log h and f* = Xhat log h, an
 adaptive Gauss-panel integrator with the direct shifted integral
-p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, the one-point P_t,
-its gradient at the origin by differences and a phi-entropy, the one
+p1(r, z + 2i) and an adaptive p1*(r, z + 2i) on it, P_t at many points
+and at one, its gradient at the origin by differences and a phi-entropy,
+the group law multiply and inverse on GroupElement, the one
 centred-difference calculus (the frame X, Y, Z, the fields Xhat, Yhat,
 Theta and D, Gamma, Gamma_2, the sub-Laplacian by difference stencils
 and frame-gradient validation), the chart function mu, the
-geodesic chart map and its inverse, single-path Monte Carlo draws, the
+geodesic chart map and its inverse, one point's CC distance with its
+half-angle and branch, an atom's support bound from its centre alone,
+the C_lower bound with its witness, single-path Monte Carlo draws, the
 stepwise midpoint-rule sampler with the exact E[cos(mu z)] of its
 n-step law, the lambda-slice f = cos(lam z) e^{-a r^2} with its exact
 P_t f, gradient and variance, exact rational polynomials with their
@@ -38,6 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from heisenkern import family as Fam
 from heisenkern import geometry as Geo
 from heisenkern import group as G
 from heisenkern import harness as H
@@ -426,15 +430,30 @@ def removed_pole_shifted(r: float, z: float) -> complex:
 # semigroup
 
 
+def apply_Pt_many(f: ScalarField, cfg: S.HeatOpConfig, xs) -> np.ndarray:
+    """P_t f at many points (rows of ``xs``) against one cached measure.
+
+    Each point's row is summed by np.add.reduce, whose order is fixed by
+    the row alone, so a value does not depend on its batch.
+    """
+    measure = S.heat_measure(cfg)
+    xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+    out = np.empty(xs.shape[0])
+    for rows, qx, qy, qz in S._translated_nodes(measure, *xs.T):
+        vals = np.broadcast_to(np.asarray(f.eval(qx, qy, qz), dtype=float), qx.shape)
+        out[rows] = np.add.reduce(measure.mu * vals, axis=-1)
+    return out
+
+
 def apply_Pt(f: ScalarField, cfg: S.HeatOpConfig, x: GroupElement = S._ORIGIN) -> float:
-    """P_t f(x) = sum mu_k f(x . y_k): semigroup.apply_Pt_many at one point."""
-    return float(S.apply_Pt_many(f, cfg, [x.x, x.y, x.z])[0])
+    """P_t f(x) = sum mu_k f(x . y_k): apply_Pt_many at one point."""
+    return float(apply_Pt_many(f, cfg, [x.x, x.y, x.z])[0])
 
 
 def grad_Pt_origin_fd(f: ScalarField, cfg: S.HeatOpConfig, h: float = G.FD_STEP_FIRST):
     """(X P_t f, Y P_t f) at 0 by centred differences of apply_Pt_many along
     the X and Y integral curves through 0."""
-    v = S.apply_Pt_many(f, cfg, [[h, 0.0, 0.0], [-h, 0.0, 0.0], [0.0, h, 0.0], [0.0, -h, 0.0]])
+    v = apply_Pt_many(f, cfg, [[h, 0.0, 0.0], [-h, 0.0, 0.0], [0.0, h, 0.0], [0.0, -h, 0.0]])
     return (v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / (2.0 * h)
 
 
@@ -621,6 +640,17 @@ class CylPoint:
         return GroupElement(self.r * math.cos(self.theta), self.r * math.sin(self.theta), self.z)
 
 
+def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
+    """The group law a * b, group._mul_arrays on one pair."""
+    x, y, z = G._mul_arrays(a.x, a.y, a.z, b.x, b.y, b.z)
+    return GroupElement(float(x), float(y), float(z))
+
+
+def inverse(a: GroupElement) -> GroupElement:
+    # exponential coordinates: inversion is negation
+    return GroupElement(-a.x, -a.y, -a.z)
+
+
 def dilate(a: GroupElement, lam: float) -> GroupElement:
     return GroupElement(lam * a.x, lam * a.y, lam * lam * a.z)
 
@@ -801,7 +831,8 @@ def validate_gradient(f: ScalarField, points, rtol: float = 1e-6, atol: float = 
 
 
 # ---------------------------------------------------------------------------
-# geometry: the chart function mu, the geodesic chart map and its inverse
+# geometry: the chart function mu, the geodesic chart map and its inverse,
+# and one point's distance with its branch
 
 
 class ChartDegenerateError(ValueError):
@@ -887,6 +918,70 @@ def polar_from_cartesian(q: GroupElement) -> GeodesicChart:
     # 1 - e^{2 i phi} = 2 sin(phi) e^{i(phi - pi/2)}, with sin via the solver
     u = w * complex(sin_phi, math.cos(phi)) / (2.0 * sin_phi)
     return GeodesicChart(u=u, s=2.0 * rho * phi, mirror=mirror)
+
+
+@dataclass(frozen=True)
+class DistanceResult:
+    d: float
+    phi: float
+    branch: str  # "planar", "axis" or "generic"
+
+
+def cc_distance(p: GroupElement) -> DistanceResult:
+    """CC distance from the origin with its half-angle phi (0 planar, pi on
+    the axis) and branch.  The branch tests are its own, on float64
+    scalars, with geometry's two branch factors and half-angle solve; the
+    tests check its d against cc_distance_many bit for bit.  A non-finite
+    coordinate raises ValueError."""
+    x, y, z = (np.float64(c) for c in (p.x, p.y, p.z))
+    if not all(np.isfinite(c) for c in (x, y, z)):
+        raise ValueError("coordinates must be finite")
+    r, az = np.hypot(x, y), abs(z)
+    # az/r overflows to inf at a subnormal r, which the planar test reads correctly
+    with np.errstate(over="ignore"):
+        planar = az == 0.0 or az / (r if r > 0.0 else 1.0) <= Geo.PLANAR_Z_FACTOR * r
+    if planar:
+        return DistanceResult(float(r), 0.0, "planar")
+    if r < Geo.AXIS_R_FACTOR * np.sqrt(az):
+        return DistanceResult(float(2.0 * np.sqrt(math.pi * az)), math.pi, "axis")
+    phi, sin_phi = (v[0] for v in Geo._solve_half_angle(np.array([4.0 * (az / r) / r])))
+    return DistanceResult(float(r * phi / sin_phi), float(phi), "generic")
+
+
+# ---------------------------------------------------------------------------
+# family and harness: an atom's support bound from its centre alone, and a
+# C_lower bound with its witness
+
+
+def support_radius_bound(center, width: float, vert: float) -> float:
+    """family._support_radius with the centre's distance measured afresh."""
+    cx, cy, cz = center
+    return Fam._support_radius(float(Geo.cc_distance_many(cx, cy, cz)), width, vert)
+
+
+@dataclass(frozen=True)
+class CLowerWitness:
+    p: int
+    value: float
+    names: tuple
+    coeffs: tuple
+
+
+def c_lower_detail(p: int, family=None) -> CLowerWitness:
+    """harness._c_lower on the family's chart span (the default family when
+    None), with its witness: the six members with the largest coefficients
+    in the combination that attains it.  The steps are _c_lower's, through
+    harness._chart_p2 and _chart_p1, so the value has its bits."""
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    names, gx, gy, B, gram, mu = H._chart_span(Fam.build_family() if family is None else family)
+    if not names:
+        return CLowerWitness(p, 0.0, (), ())
+    best, c = H._chart_p2(B, gram)
+    if p == 1:
+        best, c = H._chart_p1(B, gx, gy, mu, [c, *np.eye(len(c))])
+    idx = np.argsort(-np.abs(c))[:6]
+    return CLowerWitness(p, best, tuple(names[i] for i in idx), tuple(float(c[i]) for i in idx))
 
 
 # ---------------------------------------------------------------------------

@@ -26,22 +26,15 @@ ENTRY_POINTS = (
       "harness.check_local_11_poincare", "harness.check_commutation",
       "harness.demonstrate_gamma2_unbounded", "harness.check_kolmogorov_counterexample",
       "harness.run_inequality_suite"), "the paper's checks, the harness's API for its callers"),
-    (("harness.c_lower_detail",), "one C_lower bound with its witness; constants_estimate "
-                                  "reads both bounds off one chart span"),
-    (("semigroup.apply_Pt_many",), "P_t f at many points, the semigroup itself and the "
-                                   "tests' difference route to its gradient"),
     (("semigroup.variance", "semigroup.interpolation_variance"),
      "the two sides of the variance identity, the nested workload"),
-    (("semigroup.grad_Pt_origin",), "P_t's gradient at the origin by the ibp route, the "
-                                    "tests' cross-check and the benchmark's tracer test"),
+    (("semigroup.grad_Pt_origin",), "P_t's gradient at the origin by the ibp route, which "
+                                    "the benchmark's test_trace.mini_pass runs"),
     (("mc.sample_batch", "mc.chi2_against_kernel"), "the Monte Carlo check against the kernel"),
-    (("group.multiply", "group.inverse"), "the group law on GroupElement"),
-    (("geometry.cc_distance",), "one point's distance with its branch diagnostics"),
-    (("family.support_radius_bound",), "the support bound of an atom from its centre alone; "
-                                       "a draw reuses the centre's distance"),
-    (("kernel.p1",), "the one-point kernel, the benchmark's yardstick for p1_many"),
-    (("kernel.radial_row",), "the kernel with its five derivatives, the tests' derivative "
-                             "oracle route and a traced benchmark site"),
+    (("kernel.p1",), "the one-point kernel, the benchmark's yardstick for p1_many in "
+                     "workloads.scalar_p1_error"),
+    (("kernel.radial_row",), "the kernel with its five derivatives, a traced site in the "
+                             "benchmark's tracer.library_sites"),
 )
 
 

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from heisenkern import family as family_mod
-from heisenkern.family import (DEFAULT_FAMILY_SEED, bump_field, build_family,
-                               support_radius_bound)
+from heisenkern.family import DEFAULT_FAMILY_SEED, bump_field, build_family
 from heisenkern.geometry import cc_distance_many
 from heisenkern.group import GroupElement
 
-from oracles import validate_gradient
+from oracles import support_radius_bound, validate_gradient
 
 
 @pytest.fixture(scope="module")

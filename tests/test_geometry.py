@@ -2,9 +2,11 @@
 
 The chart algebra is self-checking: the chart map geodesic_point and
 its inverse polar_from_cartesian (oracles in oracles.py) and the
-library's cc_distance are independent code paths (forward map vs root
-solve), so the unit-speed identity d(geodesic_point(u, s)) = s
-exercises both.  The Jacobian is pinned twice, against
+library's cc_distance_many are independent code paths (forward map vs
+root solve), so the unit-speed identity d(geodesic_point(u, s)) = s
+exercises both.  The one-point cc_distance, with its half-angle and
+branch, is the oracles'; at every point a test here sends it, its d is
+cc_distance_many's bit for bit.  The Jacobian is pinned twice, against
 finite-difference determinants of the chart map and against Cartesian
 integrals with closed-form values.
 """
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisenkern.geometry import cc_distance, cc_distance_many, chart_ball_nodes, jacobian_A
+from heisenkern.geometry import cc_distance_many, chart_ball_nodes, jacobian_A
 from heisenkern.group import GroupElement, ScalarField
 
+import oracles
 from oracles import (
     ChartDegenerateError,
     GeodesicChart,
@@ -45,6 +48,17 @@ A_AT_1_PI = 4.0
 F1_INTEGRAL = math.pi**2 / 2.0
 # same with an (x^2+y^2) factor: sqrt(pi) * 2 pi * (1/4) = pi^{3/2}/2
 F2_INTEGRAL = math.pi**1.5 / 2.0
+
+
+
+def cc_distance(p: GroupElement) -> oracles.DistanceResult:
+    """The oracles' one-point distance, whose d must equal cc_distance_many's
+    bit for bit at every point a test here sends it: the oracle's branch
+    masks cannot drift from the library's."""
+    res = oracles.cc_distance(p)
+    assert res.d.hex() == float(cc_distance_many(p.x, p.y, p.z)).hex(), p
+    return res
+
 
 finite_coord = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -145,6 +159,26 @@ class TestCcDistance:
                 assert res.phi == {"planar": 0.0, "axis": math.pi}[res.branch]
         assert [cc_distance(GroupElement(*p)).branch for p in pts[:, -4:].T] == [
             "planar", "planar", "axis", "generic"]
+
+    def test_oracle_branches_at_the_thresholds(self):
+        """On both sides of the planar and the axis threshold, at unit scale,
+        at 1e-150 and at subnormal radii, the oracle's branch is the one its
+        d and phi show and its d is cc_distance_many's bit for bit."""
+        pts = []
+        for s in (1.0, 1e-150, 1e150):
+            for f in (0.5, 0.999999, 1.0, 1.000001, 2.0):
+                pts.append((s, 0.0, f * 1e-12 * s * s))           # planar threshold
+                pts.append((f * 1e-12 * s, 0.0, s * s))           # axis threshold
+        pts += [(5e-324, 0.0, 1.0), (1e-320, 0.0, 0.0), (1e-160, 0.0, 1e-300)]
+        for x, y, z in pts:
+            res = cc_distance(GroupElement(x, y, z))
+            r = math.hypot(x, y)
+            want = {"planar": (r, 0.0), "axis": (2.0 * math.sqrt(math.pi * abs(z)), math.pi)}
+            if res.branch == "generic":
+                assert 0.0 < res.phi < math.pi
+            else:
+                assert (res.d, res.phi) == pytest.approx(want[res.branch], rel=1e-15)
+        assert {cc_distance(GroupElement(*p)).branch for p in pts} == {"planar", "axis", "generic"}
 
     def test_subnormal_radius_without_warning(self):
         """az/r overflows at a subnormal r; the axis value comes out

@@ -1,5 +1,8 @@
 """Group law, frame fields, carre du champ, and Gamma_2 tests.
 
+The group law on GroupElement, multiply and inverse, is the oracles':
+the library multiplies coordinate arrays (group._mul_arrays).
+
 The library's Gamma_2 is exact on polynomial coefficients; the
 centred-difference calculus it is checked against, and which checks the
 frame fields, Gamma and L, is the oracles' one copy."""
@@ -17,8 +20,6 @@ from heisenkern.group import (
     GroupElement,
     ScalarField,
     gamma2,
-    inverse,
-    multiply,
     poly_field,
 )
 
@@ -32,7 +33,9 @@ from oracles import (
     gamma2_fd,
     gamma_fd,
     homogeneous_norm,
+    inverse,
     left_translate,
+    multiply,
     validate_gradient,
 )
 

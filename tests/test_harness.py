@@ -82,7 +82,6 @@ from heisenkern.harness import (
     _implied_c1,
     _report,
     _squash,
-    c_lower_detail,
     check_cheeger_bobkov,
     check_commutation,
     check_driver_melcher,
@@ -99,7 +98,7 @@ from heisenkern.harness import (
 )
 from heisenkern.semigroup import grad_Pt_at, grad_sums, heat_measure
 
-from oracles import digests_at_blas_threads, gamma2_fd, gamma_fd, xhat_log_h_exact
+from oracles import c_lower_detail, digests_at_blas_threads, gamma2_fd, gamma_fd, xhat_log_h_exact
 
 A_PINNED = 4.740675880
 IDENTITY_TARGETS = {
@@ -525,6 +524,20 @@ def test_c_lower_pinned(family12, p, pinned):
     assert c_lower_detail(p, family12).value == pytest.approx(pinned, rel=1e-12)
 
 
+@pytest.mark.parametrize("size", [12, 24])
+def test_c_lower_witness_shares_the_librarys_path(size):
+    """The oracles' witness route gives harness._c_lower's value bit for bit
+    at p = 1, 2, and so constants_estimate's C_1 and C_2 lower bounds
+    wherever they are above its 1.0 floor."""
+    family = build_family(size)
+    span = harness._chart_span(family)
+    values = [c_lower_detail(p, family).value for p in (1, 2)]
+    assert [v.hex() for v in values] == [harness._c_lower(p, span).hex() for p in (1, 2)]
+    est = harness.constants_estimate(family)
+    assert min(values) > 1.0
+    assert [est.C1_lower.hex(), est.C2_lower.hex()] == [v.hex() for v in values]
+
+
 def chart_ratio1(family, c):
     """|cB| / E|c.grad f| over the chart measure, from the chart span."""
     _, gx, gy, B, _, mu = harness._chart_span(family)
@@ -582,7 +595,7 @@ def test_c_lower_of_a_compact_only_family_is_zero(p):
 
 def test_compact_singles_stay_below_fstar():
     """On the default-size family no compactly supported member's own
-    ratio reaches f*'s, at either p: c_lower_detail searches the chart
+    ratio reaches f*'s, at either p: harness._c_lower searches the chart
     span alone on that premise.  A change to the family's draws that
     breaks this needs the compact members searched again."""
     fstar = [c_lower_detail(p, build_family(2)).value for p in (1, 2)]

@@ -892,6 +892,13 @@ class TestComplexRoutes:
         for part in (mixed[:R.size], mixed[R.size:2 * R.size]):
             assert np.array_equal(part.view(np.int64), alone.ravel().view(np.int64))
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_star_empty_batch(self, shape):
+        """An empty batch gives an empty complex array of the broadcast
+        shape, as p1_many and radial_row do."""
+        out = K.p1_star_shifted(np.empty(shape), 0.5)
+        assert out.shape == shape and out.dtype == complex
+
     def test_star_finite_at_interior_point(self):
         v = K.p1_star_shifted(1.0, 0.0)
         assert math.isclose(v.re, STAR_AT_1_0_RE, rel_tol=1e-12)

@@ -1,7 +1,7 @@
 """Semigroup quadrature tests: P_t examples, three gradient routes at the
 origin (grad_Pt_at, the one routine every harness gradient row uses,
-against grad_Pt_origin's ibp route and the oracles' centred differences
-of apply_Pt_many), entropies, and the variance-from-interpolation
+against grad_Pt_origin's ibp route and centred differences of
+oracles.apply_Pt_many), entropies, and the variance-from-interpolation
 identity.  A field without an analytic gradient raises wherever P_t's
 gradient needs one.
 
@@ -36,7 +36,6 @@ from heisenkern.semigroup import (
     MASS_DEFICIT_TOL,
     HeatOpConfig,
     MassDeficitError,
-    apply_Pt_many,
     grad_Pt_at,
     grad_Pt_origin,
     heat_measure,
@@ -44,8 +43,8 @@ from heisenkern.semigroup import (
     variance,
 )
 
-from oracles import (ExactPoly, LambdaSlice, apply_Pt, entropy_phi, grad_Pt_origin_fd,
-                     validate_gradient, xhat_log_h_exact)
+from oracles import (ExactPoly, LambdaSlice, apply_Pt, apply_Pt_many, entropy_phi,
+                     grad_Pt_origin_fd, validate_gradient, xhat_log_h_exact)
 
 ORIGIN = GroupElement(0.0, 0.0, 0.0)
 CFG1 = HeatOpConfig(t=1.0)
