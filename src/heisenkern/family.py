@@ -27,6 +27,7 @@ import numpy as np
 from .geometry import cc_distance_many
 from .group import ScalarField, poly_field
 from .kernel import xhat_log_h_field
+from .numerics import _integral
 
 __all__ = [
     "DEFAULT_FAMILY_SEED",
@@ -284,9 +285,7 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
     polynomials; seen at sizes 3-10 over seeds 0-39), the family is drawn
     again from the same seed with those slots as bumps.
     """
-    if size < 2:
-        raise ValueError("family needs at least a bump and f*")
-    n_free = size - 1
+    n_free = _integral(size, "size", 2) - 1
     n_bump = max(1, round(n_free * 40 / 199))
     n_poly = round(n_free * 30 / 199)
     n_trig = round(n_free * 20 / 199)

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .numerics import gauss_legendre
+from .numerics import _integral, gauss_legendre
 
 __all__ = [
     "cc_distance_many",
@@ -178,6 +178,7 @@ def chart_ball_nodes(radius: float, n_s: int = 48, n_phi: int = 32, n_alpha: int
     """
     if not (0.0 < radius < math.inf):
         raise ValueError("radius must be finite and > 0")
+    n_alpha = _integral(n_alpha, "n_alpha", 1)
     s_nodes, s_w = gauss_legendre(0.0, radius, n_s)
     p_nodes, p_w = gauss_legendre(0.0, math.pi, n_phi)
     alpha = (np.arange(n_alpha) + 0.5) * (2.0 * math.pi / n_alpha)

@@ -17,7 +17,8 @@ library multiplies coordinate arrays.
 
 The library differentiates exactly: a :class:`ScalarField` through its
 analytic gradient, and a polynomial given by its coefficients through
-the frame's action on monomials (:func:`gamma2`).  Nothing here takes a
+the frame's action on them (``_frame``), which gives both
+:func:`poly_field`'s gradient and :func:`gamma2`.  Nothing here takes a
 difference; the one difference calculus is the tests' oracle.
 """
 
@@ -128,19 +129,24 @@ def _monomial(c: float, x, i: int, y, j: int, z, k: int):
     return 1.0 if out is None else out
 
 
-def _add(total, term):
-    return term if total is None else total + term
-
-
-def _shaped(v, shape):
-    """``v`` as a read-only view of ``shape``, no copy; None is the empty sum."""
-    return np.broadcast_to(0.0 if v is None else v, shape)
+def _evaluate(items, x, y, z):
+    """sum c x^i y^j z^k over ``items``' ((i, j, k), c) in their order, with
+    no zero accumulator; the empty sum is 0.0."""
+    total = None
+    for (i, j, k), c in items:
+        term = _monomial(c, x, i, y, j, z, k)
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
 
 
 def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
     """Polynomial sum c * x^i y^j z^k from ``{(i, j, k): c}`` with exact frame gradient.
 
     Terms are summed in the order of ``coeffs``, with no zero accumulator.
+    The gradient (Xf, Yf, Zf) is :func:`_frame` on the coefficients, taken
+    once here, and evaluated the same way; a term whose coefficient
+    cancels to 0.0 is dropped, so a component that vanishes identically
+    is +0.0 everywhere.
     The rotation order is 0 when every term has i = j = 0, 1 when every
     term has i + j = 1, and undeclared otherwise.  The mirror parity is
     -1 when every term has j + k odd, +1 when every term has it even,
@@ -152,36 +158,20 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
         if not all(float(e).is_integer() and e >= 0 for e in key):
             raise ValueError(f"exponents must be non-negative integers, got {key}")
     items = [((int(i), int(j), int(k)), float(c)) for (i, j, k), c in coeffs.items()]
+    frame = [[(m, c) for m, c in _frame(op, dict(items)).items() if c != 0.0] for op in "XYZ"]
+
+    def at(terms, x, y, z):
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        z = np.asarray(z, float)
+        # a read-only view of the broadcast shape, no copy
+        return np.broadcast_to(_evaluate(terms, x, y, z), np.broadcast(x, y, z).shape)
 
     def ev(x, y, z):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        total = None
-        for (i, j, k), c in items:
-            total = _add(total, _monomial(c, x, i, y, j, z, k))
-        return _shaped(total, np.broadcast(x, y, z).shape)
+        return at(items, x, y, z)
 
     def grad(x, y, z):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        px = py = pz = None
-        for (i, j, k), c in items:
-            if i:
-                px = _add(px, _monomial(c * i, x, i - 1, y, j, z, k))
-            if j:
-                py = _add(py, _monomial(c * j, x, i, y, j - 1, z, k))
-            if k:
-                pz = _add(pz, _monomial(c * k, x, i, y, j, z, k - 1))
-        # X = d_x - (y/2) d_z, Y = d_y + (x/2) d_z; an absent partial is zero
-        if pz is not None:
-            hx = 0.5 * y * pz
-            hy = 0.5 * x * pz
-            px = -hx if px is None else px - hx
-            py = hy if py is None else py + hy
-        shape = np.broadcast(x, y, z).shape
-        return tuple(_shaped(g, shape) for g in (px, py, pz))
+        return tuple(at(terms, x, y, z) for terms in frame)
 
     planar = {i + j for (i, j, _), _ in items}
     if planar <= {0}:
@@ -232,7 +222,7 @@ def gamma2(coeffs: dict, p: GroupElement) -> float:
         g = coeffs
         for op in reversed(word):
             g = _frame(op, g)
-        return sum(_monomial(c, p.x, i, p.y, j, p.z, k) for (i, j, k), c in g.items())
+        return _evaluate(g.items(), p.x, p.y, p.z)
 
     xf, yf, zf, xxf, yyf, xyf, yxf, xzf, yzf = map(at, ("X", "Y", "Z", "XX", "YY", "XY", "YX",
                                                        "XZ", "YZ"))

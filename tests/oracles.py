@@ -601,9 +601,23 @@ class ExactPoly:
         return total
 
     def __call__(self, x, y, z):
-        """The exact value at the float point (x, y, z), as a Fraction."""
-        x, y, z = (Fraction(float(v)) for v in (x, y, z))
-        return sum((c * x**i * y**j * z**k for (i, j, k), c in self.terms.items()), Fraction(0))
+        """The exact value at the float point (x, y, z), as a Fraction.
+
+        Each coordinate is an integer over a power of two, so each term is
+        an integer over the coefficients' common denominator times a power
+        of two, and the sum is taken in integers.
+        """
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        point = [float(v).as_integer_ratio() for v in (x, y, z)]
+        parts = []
+        for exponents, c in self.terms.items():
+            n, shift = c.numerator * (den // c.denominator), 0
+            for (num, pow2), e in zip(point, exponents):
+                n *= num**e
+                shift += (pow2.bit_length() - 1) * e
+            parts.append((n, shift))
+        top = max((shift for _, shift in parts), default=0)
+        return Fraction(sum(n << (top - shift) for n, shift in parts), den << top)
 
     def field(self) -> ScalarField:
         return G.poly_field({m: float(c) for m, c in self.terms.items()},

@@ -97,6 +97,21 @@ def test_every_size_builds_its_members(seed):
             assert (family.atoms[name] is None) == (not compact[0]), name
 
 
+def test_integral_float_size_builds_the_same_family():
+    """A size is validated as sample_batch's counts are: 24.0 builds
+    build_family(24), member for member at the same values, and a
+    non-integral size or one below 2 (no room for a bump and f*) raises."""
+    want, got = build_family(24), build_family(24.0)
+    assert [f.name for f in got.members] == [f.name for f in want.members]
+    assert (got.kinds, got.atoms, got.combo_index) == (want.kinds, want.atoms, want.combo_index)
+    x, y, z = np.random.default_rng(7).uniform(-2.0, 2.0, (3, 50))
+    for f, g in zip(got.members, want.members):
+        assert np.asarray(f.eval(x, y, z)).tobytes() == np.asarray(g.eval(x, y, z)).tobytes()
+    for size in (24.5, 1):
+        with pytest.raises(ValueError, match="size must be an integer >= 2"):
+            build_family(size)
+
+
 def test_pairless_small_family_is_redrawn_with_bumps():
     """build_family(5) at the default seed: one bump, one polynomial and two
     combination slots leave nothing to pair, so the family holds three

@@ -463,6 +463,18 @@ class TestChartBallNodes:
         with pytest.raises(ValueError):
             chart_ball_nodes(0.0)
 
+    @pytest.mark.parametrize("n_alpha", [0, 2.5, -1])
+    def test_bad_alpha_count(self, n_alpha):
+        """0 would divide by zero and 2.5 is no array length; both raise as
+        n_s and n_phi do."""
+        with pytest.raises(ValueError, match="n_alpha must be an integer >= 1"):
+            chart_ball_nodes(1.0, n_alpha=n_alpha)
+
+    def test_integral_float_alpha_count(self):
+        got = chart_ball_nodes(1.0, n_s=6, n_phi=5, n_alpha=6.0)
+        want = chart_ball_nodes(1.0, n_s=6, n_phi=5, n_alpha=6)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_non_finite_radius(self, radius):
         with pytest.raises(ValueError, match="finite"):

@@ -10,15 +10,18 @@ frame fields, Gamma and L, is the oracles' one copy."""
 import dataclasses
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenkern import family, geometry
 from heisenkern.group import (
     GroupElement,
     ScalarField,
+    _frame,
     gamma2,
     poly_field,
 )
@@ -26,6 +29,7 @@ from heisenkern.group import (
 from oracles import (
     FD_STEP_SECOND,
     CylPoint,
+    ExactPoly,
     apply_L,
     apply_op,
     derived_op,
@@ -384,18 +388,17 @@ class TestLeftTranslate:
 
 
 def _naive_poly(coeffs, x, y, z):
-    """Value and frame gradient of sum c x^i y^j z^k, term by term into zero accumulators."""
+    """Value of sum c x^i y^j z^k and its frame gradient, the naive
+    evaluation of ``coeffs`` and of group._frame's X, Y and Z dicts of
+    them, each term by term into a zero accumulator."""
     shape = np.broadcast(x, y, z).shape
-    val, px, py, pz = (np.zeros(shape) for _ in range(4))
-    for (i, j, k), c in coeffs.items():
-        val += c * x**i * y**j * z**k
-        if i:
-            px += c * i * x ** (i - 1) * y**j * z**k
-        if j:
-            py += c * j * x**i * y ** (j - 1) * z**k
-        if k:
-            pz += c * k * x**i * y**j * z ** (k - 1)
-    return val, (px - 0.5 * y * pz, py + 0.5 * x * pz, pz)
+    sums = []
+    for terms in (coeffs, *(_frame(op, coeffs) for op in "XYZ")):
+        total = np.zeros(shape)
+        for (i, j, k), c in terms.items():
+            total += c * x**i * y**j * z**k
+        sums.append(total)
+    return sums[0], sums[1:]
 
 
 @pytest.mark.parametrize("exponents", [(1.5, 0, 0), (0, -1, 0), (0, 0, math.nan),
@@ -413,15 +416,14 @@ def test_poly_field_accepts_integral_floats():
     assert f.eval(x, y, z).tobytes() == g.eval(x, y, z).tobytes()
 
 
-def test_poly_field_matches_naive_formula_bitwise():
-    """poly_field skips zero accumulators, x**0 and factors of 1.0 without
-    changing a bit: 300 random polynomials of degree <= 3 per variable,
-    some with a constant term, some with unit coefficients.  The value
-    and gradient are read-only arrays of the inputs' broadcast shape."""
+def _random_polys():
+    """The test points and 300 random polynomials of degree <= 3 per
+    variable, some with a constant term, some with unit coefficients."""
     rng = np.random.default_rng(20071017)
     # no coordinate is 0, so no term is +-0 and the sign of zero cannot differ
     points = [rng.normal(size=(3, 64)) * 2.0,
               (rng.normal(size=(4, 1)), rng.normal(size=(1, 5)), np.float64(0.7))]
+    polys = []
     for _ in range(300):
         coeffs = {}
         for _ in range(rng.integers(1, 5)):
@@ -429,6 +431,18 @@ def test_poly_field_matches_naive_formula_bitwise():
             coeffs[tuple(int(e) for e in rng.integers(0, 4, 3))] = c
         if rng.random() < 0.3:
             coeffs[(0, 0, 0)] = float(rng.normal())
+        polys.append(coeffs)
+    return points, polys
+
+
+def test_poly_field_matches_naive_formula_bitwise():
+    """poly_field skips zero accumulators, x**0 and factors of 1.0 without
+    changing a bit, on _random_polys: its value is the naive sum of the
+    terms, and its gradient the naive sum of group._frame's X, Y and Z
+    terms.  The value and gradient are read-only arrays of the inputs'
+    broadcast shape."""
+    points, polys = _random_polys()
+    for coeffs in polys:
         f = poly_field(coeffs)
         for x, y, z in points:
             want_val, want_grad = _naive_poly(coeffs, x, y, z)
@@ -438,3 +452,67 @@ def test_poly_field_matches_naive_formula_bitwise():
             for got, want in zip(f.analytic_gradient(x, y, z), want_grad):
                 assert got.shape == want.shape and not got.flags.writeable
                 assert got.tobytes() == want.tobytes(), coeffs
+
+
+def _gradient_error_multiple(coeffs, points) -> float:
+    """max |g - exact| / (eps * sum|terms|) over ``points`` and the three
+    frame components g of poly_field(coeffs), where ExactPoly gives the
+    exact X, Y and d_z polynomials and the sum runs over their terms."""
+    exact = ExactPoly(coeffs)
+    worst = 0.0
+    for x, y, z in points:
+        grads = poly_field(coeffs).analytic_gradient(x, y, z)
+        x, y, z, *grads = (a.ravel() for a in np.broadcast_arrays(x, y, z, *grads))
+        for got, want in zip(grads, (exact.X(), exact.Y(), exact._d(2))):
+            size = sum(abs(float(c)) * np.abs(x)**i * np.abs(y)**j * np.abs(z)**k
+                       for (i, j, k), c in want.terms.items()) * np.finfo(float).eps
+            for g, s, p in zip(got, np.broadcast_to(size, got.shape), zip(x, y, z)):
+                err = float(abs(Fraction(float(g)) - want(*p)))
+                if err:
+                    worst = max(worst, err / s)
+    return worst
+
+
+def _family_polys():
+    """The coefficients of build_family(200)'s polynomial members."""
+    drawn = []
+
+    def record(coeffs, name="poly"):
+        drawn.append(coeffs)
+        return poly_field(coeffs, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(family, "poly_field", record)
+        family.build_family(200)
+    return drawn
+
+
+def test_poly_field_gradient_within_measured_error():
+    """poly_field's frame gradient against ExactPoly's exact X, Y and d_z,
+    as multiples of eps * sum|terms| of the exact component, worst case:
+
+    - _random_polys at its 84 points: 2.197 (the partial-derivative
+      route, d_x f - (y/2) d_z f from separately summed partials: 19.16);
+    - build_family(200)'s 30 polynomials on 400 chart nodes of d <= 10:
+      1.292 (partials: 2.310).
+
+    The partial-derivative route leaves the cancellation between d_x f and
+    (y/2) d_z f to two evaluated sums; _frame cancels the coefficients,
+    where a monomial's scaled coefficient is exact for exponents 1 and 2
+    and the sum of two is rounded once."""
+    points, polys = _random_polys()
+    assert max(_gradient_error_multiple(c, points) for c in polys) <= 2.2
+    nodes = [geometry.chart_ball_nodes(10.0, n_s=5, n_phi=5, n_alpha=8)[:3]]
+    assert max(_gradient_error_multiple(c, nodes) for c in _family_polys()) <= 1.3
+
+
+def test_poly_field_vanishing_component_is_exact_zero():
+    """X(xy + 2z) = y - y vanishes identically: its coefficient cancels to
+    0.0 in _frame and the term is dropped, so Xf is +0.0 at negative y and
+    at infinite coordinates, where y - y would be nan."""
+    f = poly_field({(1, 1, 0): 1.0, (0, 0, 1): 2.0})
+    x = np.array([0.3, math.inf, -2.0, 0.5])
+    y = np.array([-1.5, -0.7, math.inf, -math.inf])
+    gx, gy, gz = f.analytic_gradient(x, y, 0.25)
+    assert gx.tobytes() == np.zeros(4).tobytes()
+    assert gy.tobytes() == (2.0 * x).tobytes() and gz.tobytes() == np.full(4, 2.0).tobytes()
