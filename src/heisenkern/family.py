@@ -77,14 +77,16 @@ def bump_field(center, width: float, vert: Optional[float] = None,
     half-width v (default w/3).  Since the frame fields are
     left-invariant, the frame gradient at p equals the frame gradient
     of the profile at g, available in closed form; no numerical
-    differentiation anywhere.  A width or v that is not finite and > 0
-    raises ValueError.
+    differentiation anywhere.  A width or v that is not finite and > 0,
+    or a centre coordinate that is not finite, raises ValueError.
     """
     cx, cy, cz = (float(c) for c in center)
     w = float(width)
     v = float(vert) if vert is not None else w / 3.0
     if not (0.0 < w < math.inf and 0.0 < v < math.inf):
         raise ValueError(f"width and vert must be finite and > 0, got {width}, {vert}")
+    if not all(map(math.isfinite, (cx, cy, cz))):
+        raise ValueError(f"the centre must be finite, got {center}")
     w2 = w ** 2
     v2 = v * v
 
@@ -168,11 +170,12 @@ def _modulated_bump(center, width: float, vert: float, k, phase: float,
 
 
 def combine_fields(parts: Sequence[ScalarField], coeffs, name: str) -> ScalarField:
-    """Linear combination sum c_i f_i; gradients add (all parts carry them)."""
+    """Linear combination sum c_i f_i; gradients add (all parts carry them).
+    A non-finite coefficient raises ValueError."""
     parts = list(parts)
     coeffs = [float(c) for c in coeffs]
-    if len(parts) != len(coeffs) or not parts:
-        raise ValueError("parts and coeffs must be matching nonempty sequences")
+    if len(parts) != len(coeffs) or not parts or not all(map(math.isfinite, coeffs)):
+        raise ValueError("parts and coeffs must be matching nonempty sequences, coeffs finite")
     for f in parts:
         if f.analytic_gradient is None:
             raise ValueError(f"part {f.name!r} lacks an analytic gradient")
@@ -283,8 +286,10 @@ def build_family(size: int = 200, seed: int = DEFAULT_FAMILY_SEED) -> TestFuncti
     When the draws leave combination slots but nothing to pair (no two
     compact members on disjoint support boxes and fewer than two
     polynomials; seen at sizes 3-10 over seeds 0-39), the family is drawn
-    again from the same seed with those slots as bumps.
+    again from the same seed with those slots as bumps.  A size or seed is
+    validated as sample_batch's counts are; an integral float counts.
     """
+    seed = _integral(seed, "seed", 0)
     n_free = _integral(size, "size", 2) - 1
     n_bump = max(1, round(n_free * 40 / 199))
     n_poly = round(n_free * 30 / 199)

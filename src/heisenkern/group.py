@@ -152,12 +152,15 @@ def poly_field(coeffs: dict, name: str = "poly") -> ScalarField:
     -1 when every term has j + k odd, +1 when every term has it even,
     and undeclared otherwise.  The value and gradient are read-only
     arrays of the inputs' broadcast shape, and may share memory with the
-    inputs.  An exponent that is not a non-negative integer raises ValueError.
+    inputs.  An exponent that is not a non-negative integer, or a
+    coefficient that is not finite, raises ValueError.
     """
     for key in coeffs:
         if not all(float(e).is_integer() and e >= 0 for e in key):
             raise ValueError(f"exponents must be non-negative integers, got {key}")
     items = [((int(i), int(j), int(k)), float(c)) for (i, j, k), c in coeffs.items()]
+    if not np.all(np.isfinite([c for _, c in items])):
+        raise ValueError(f"coefficients must be finite, got {coeffs}")
     frame = [[(m, c) for m, c in _frame(op, dict(items)).items() if c != 0.0] for op in "XYZ"]
 
     def at(terms, x, y, z):

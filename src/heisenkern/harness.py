@@ -32,12 +32,10 @@ from .family import TestFunctionFamily, build_family
 from .geometry import cc_distance_many, chart_ball_nodes, jacobian_A  # noqa: F401
 from .group import GroupElement, ScalarField, gamma2, poly_field
 # log_grad_many stays importable here: the benchmark tracer wraps it in this module
-from .kernel import (KernelRangeError, _contour_rows, log_grad_many, p1_many,  # noqa: F401
-                     p1_star_shifted)
+from .kernel import _pt_density, log_grad_many, p1_many, p1_star_shifted  # noqa: F401
 from .mc import sample_kolmogorov
-from .numerics import BicubicTable, _ndtri, gauss_legendre, gauss_panels
-from .semigroup import (COARSE_TIER, HeatOpConfig, _row_blocks, grad_Pt_at, grad_sums,
-                        heat_measure)
+from .numerics import _ndtri, gauss_legendre, gauss_panels
+from .semigroup import COARSE_TIER, HeatOpConfig, grad_Pt_at, grad_sums, heat_measure
 
 __all__ = [
     "SLACK_BASE",
@@ -195,54 +193,6 @@ def check_kernel_identities() -> list:
         rows.append(_report(check, "log h", abs(value - target), QUAD_BUDGET,
                             target, budget=0.0, note=f"measured {value:.8f}"))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# fast kernel evaluation on a fixed window
-#
-# The family quadratures need p_1 at millions of scattered points; the
-# panel-by-panel integrals would be dominated by kernel cost with the
-# direct oscillatory route.  log p1 is smooth on the window r <= 8,
-# |z| <= 9, which holds every panel and translated-panel point of the
-# checks (r <= 5.1 and |z| <= 4.9 on the default families), so a
-# one-time bicubic table serves the values, read once per mollifier atom
-# and grid point in the process (_atom_weights).  Its 321 rows of 361
-# heights are kernel._contour_rows of p alone, within 2.5e-15 relative of
-# the 40-digit grid at its 35 points in the window.  Off its nodes the
-# table is within 3.2e-7 relative of contour rows where p1 > 1e-6 and
-# within 6.5e-7 in the checks' region, where p1 >= 9.3e-8 (4,000 seeded
-# points); the error peaks at the axes r = 0 and z = 0, where the fit has
-# no mirrored rows.  The table's nodes, multiples of 0.025, are
-# interpolated exactly, so a grid of such points cannot see this error.
-# A point outside the window raises KernelRangeError.  The build takes
-# about 0.13 s on one core of a 2-core AMD EPYC, and its bytes do not
-# depend on the BLAS thread count.
-
-_P1TAB_R = 8.0
-_P1TAB_Z = 9.0
-_P1TAB_STEP = 0.025
-
-
-@cache
-def _p1_table():
-    """The bicubic table of log p_1 on the window's (r, z >= 0) grid."""
-    rg = np.arange(0.0, _P1TAB_R + _P1TAB_STEP, _P1TAB_STEP)
-    zg = np.arange(0.0, _P1TAB_Z + _P1TAB_STEP, _P1TAB_STEP)
-    rows = [_contour_rows(r, _P1TAB_STEP, zg.size, p_only=True)[0] for r in rg]
-    return BicubicTable(rg, zg, np.log(rows)[:, :, None])
-
-
-def _pt_density(x, y, z):
-    """Heat kernel density p_1 at the flat lab points (x, y, z) from the window table.
-
-    On one core of a 2-core AMD EPYC the table takes about 50 ns a point,
-    its intervals guessed from the grid step (FITPACK's walk from the first
-    knot took 78-327 ns), and the radius (hypot) about 13 ns.
-    """
-    r, z = np.hypot(x, y), np.abs(np.asarray(z, dtype=float))
-    if not (np.all(r <= _P1TAB_R) and np.all(z <= _P1TAB_Z)):
-        raise KernelRangeError(f"p1 table covers r <= {_P1TAB_R}, |z| <= {_P1TAB_Z}")
-    return np.exp(_p1_table()(r, z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,58 +356,41 @@ def _member_ctx(family: TestFunctionFamily, f: ScalarField) -> _MemberCtx:
     return ctx
 
 
-def _build_member_ctx(f: ScalarField, panels: tuple) -> _MemberCtx:
+@cache
+def _chart_mu() -> np.ndarray:
+    """The chart measure's mu over its sum, of unit mass and read-only: the
+    weights of every chart member's context.  _chart_span and the chart
+    grad-bound rows keep the raw mu, of mass 1 - 1.25e-10."""
+    mu = heat_measure(_CFG).mu
+    mu = mu / float(np.sum(mu))
+    mu.flags.writeable = False
+    return mu
+
+
+def _build_member_ctx(f: ScalarField, panels: tuple, arrays=None) -> _MemberCtx:
     """f, its frame gradient and Gamma(f) on the member's nodes, with (a, b).
 
-    Chart members (no ``panels``) take the chart measure; compact ones
-    their panels, (atom, counts) for each atom.  Every array is
-    read-only, since the context is shared by all checks of the family.
+    Chart members (no ``panels``) take the chart nodes and :func:`_chart_mu`,
+    compact ones their panels, (atom, counts) for each atom.  ``arrays`` is
+    (f, Xf, Yf, Zf) on those nodes, or None to evaluate f there.  Every array
+    is read-only, since the context is shared by all checks of the family.
     """
     if f.analytic_gradient is None:
         raise ValueError(f"family member {f.name!r} lacks an analytic gradient")
     if not panels:
         m = heat_measure(_CFG)
-        x, y, z = m.x, m.y, m.z
-        # unit mass; _chart_span and the chart grad-bound rows keep the
-        # raw mu, of mass 1 - 1.25e-10
-        mu = m.mu / float(np.sum(m.mu))
+        x, y, z, mu, m_out = m.x, m.y, m.z, _chart_mu(), 0.0
     else:
         nodes = [_atom_nodes(*p) for p in panels]
         x, y, z = (np.concatenate([n[k] for n in nodes]) for k in range(3))
         mu = np.concatenate([_atom_weights(*p, 0) for p in panels])
-    vals, gx, gy, gz = (np.broadcast_to(np.asarray(v, dtype=float), mu.shape)
-                        for v in f.value_and_gradient(x, y, z))
-    return _new_ctx(f, panels, x, y, z, mu, (vals, gx, gy, gz))
-
-
-def _combo_ctx(f: ScalarField, parts: list, coeffs: tuple) -> _MemberCtx:
-    """The context of the combo f = ca A + cb B from its parts' contexts,
-    with the bits of :func:`_build_member_ctx` on f: on the shared chart
-    nodes combine_fields' ca A + cb B, and on compact parts' disjoint
-    support boxes, where each is exactly 0.0 on the other's panel, ca A
-    on A's panel then cb B on B's, written into one buffer."""
-    (A, B), (ca, cb) = parts, coeffs
-    keys = ("vals", "gx", "gy", "gz")
-    if not A.compact:
-        arrays = [ca * getattr(A, k) + cb * getattr(B, k) for k in keys]
-        return _new_ctx(f, (), A.x, A.y, A.z, A.mu, arrays)
-    x, y, z, mu = (np.concatenate((getattr(A, k), getattr(B, k))) for k in ("x", "y", "z", "mu"))
-    arrays = [np.empty(mu.size) for _ in keys]
-    for out, k in zip(arrays, keys):
-        np.multiply(ca, getattr(A, k), out=out[:A.mu.size])
-        np.multiply(cb, getattr(B, k), out=out[A.mu.size:])
-    return _new_ctx(f, A.panels + B.panels, x, y, z, mu, arrays)
-
-
-def _new_ctx(f: ScalarField, panels: tuple, x, y, z, mu, arrays) -> _MemberCtx:
-    """The read-only context of f from its nodes, weights and ``arrays``,
-    (f, Xf, Yf, Zf) on them, with the outside mass, Gamma(f) and (a, b)."""
-    m_out = 0.0
-    if panels:
         m_out = 1.0 - float(np.sum(mu))
         if m_out < -1e-9:
             raise ArithmeticError(f"panel mass for {f.name!r} exceeds 1")
         m_out = max(m_out, 0.0)
+    if arrays is None:
+        arrays = (np.broadcast_to(np.asarray(v, dtype=float), mu.shape)
+                  for v in f.value_and_gradient(x, y, z))
     vals, gx, gy, gz = arrays
     gam = gx * gx + gy * gy
     a, b = (float(v) for v in grad_sums(mu, (gx, gy, gz), x, y))
@@ -465,6 +398,23 @@ def _new_ctx(f: ScalarField, panels: tuple, x, y, z, mu, arrays) -> _MemberCtx:
         arr.flags.writeable = False
     return _MemberCtx(f.name, f, bool(panels), panels, x, y, z, mu, m_out,
                       vals, gx, gy, gz, gam, a, b)
+
+
+def _combo_ctx(f: ScalarField, parts: list, coeffs: tuple) -> _MemberCtx:
+    """The combo f = ca A + cb B's context from its parts', with the bits of
+    :func:`_build_member_ctx` evaluating f: combine_fields' ca A + cb B on the
+    shared chart nodes, and on compact parts' disjoint support boxes, where
+    each is 0.0 on the other's panel, ca A then cb B into one buffer."""
+    (A, B), (ca, cb) = parts, coeffs
+    keys = ("vals", "gx", "gy", "gz")
+    if not A.compact:
+        arrays = [ca * getattr(A, k) + cb * getattr(B, k) for k in keys]
+    else:
+        arrays = [np.empty(A.mu.size + B.mu.size) for _ in keys]
+        for out, k in zip(arrays, keys):
+            np.multiply(ca, getattr(A, k), out=out[:A.mu.size])
+            np.multiply(cb, getattr(B, k), out=out[A.mu.size:])
+    return _build_member_ctx(f, A.panels + B.panels, arrays)
 
 
 def _contexts(family: TestFunctionFamily):
@@ -561,7 +511,7 @@ def _chart_span(family: TestFunctionFamily):
     """Gradient rows on the chart measure for polynomial-growth members.
 
     The frame gradients are the member contexts'; B and G weight them
-    with the raw chart mu (see _build_member_ctx).
+    with the raw chart mu (see _chart_mu).
     """
     ctxs = [_member_ctx(family, f) for f in family.members if family.atoms.get(f.name) is None]
     m = heat_measure(_CFG)
@@ -572,34 +522,26 @@ def _chart_span(family: TestFunctionFamily):
     return [c.name for c in ctxs], gx, gy, B, G, m.mu
 
 
-def _c_lower(p: int, span) -> float:
-    """Best ratio |grad P_t f|^p(0) / P_t(|grad f|^p)(0), p = 1 or 2, over
-    the combinations of the chart members in ``span`` (see _chart_span).
+def constants_estimate(family: TestFunctionFamily | None = None) -> ConstantEstimate:
+    """A with the C_1 and C_2 lower bounds, each floored at 1: the best ratio
+    |grad P_t f|^p(0) / P_t(|grad f|^p)(0), p = 1 and 2, over the
+    combinations of the chart members in one chart span (see _chart_span).
 
     f* = Xhat log h ends every family build_family returns; its own ratios
-    (1.5172 at p = 1, 2.0000060 at p = 2) bound the value below, and the
+    (1.5172 at p = 1, 2.0000060 at p = 2) bound the values below, and the
     compact members' single ratios stay far under them, so they are not
-    searched.  An empty span gives 0.  p = 2 is the top eigenvalue of
-    B' G^+ B, with B the n x 2 member gradients at 0 and G the Gram matrix
-    of P_t(Gamma(f_i, f_j))(0); p = 1 is _chart_p1's fixed point, started
-    from the better of the p = 2 witness and the best single.
-    """
-    names, gx, gy, B, G, mu = span
-    if not names:
-        return 0.0
-    best, c = _chart_p2(B, G)
-    if p == 1:
-        best, _ = _chart_p1(B, gx, gy, mu, [c, *np.eye(len(c))])
-    return best
-
-
-def constants_estimate(family: TestFunctionFamily | None = None) -> ConstantEstimate:
-    """Bundle A with the C_1, C_2 lower bounds, both read off one chart span."""
+    searched; an empty span gives 0.  p = 2 is the top eigenvalue of B' G^+ B,
+    B the n x 2 member gradients at 0 and G the Gram matrix of
+    P_t(Gamma(f_i, f_j))(0); p = 1 is _chart_p1's fixed point, started
+    from the better of the p = 2 witness and the best single."""
     if family is None:
         family = build_family()
     A = estimate_A()
-    span = _chart_span(family)
-    c1, c2 = (_c_lower(p, span) for p in (1, 2))
+    names, gx, gy, B, G, mu = _chart_span(family)
+    c1 = c2 = 0.0
+    if names:
+        c2, c = _chart_p2(B, G)
+        c1, _ = _chart_p1(B, gx, gy, mu, [c, *np.eye(len(c))])
     return ConstantEstimate(A=A, C1_lower=max(c1, 1.0), C2_lower=max(c2, 1.0))
 
 
@@ -791,8 +733,8 @@ def _grid_grad(ctx: _MemberCtx):
 
     A compact member sums its panel against its atoms' cached
     :func:`_atom_weights` rows, all read first (cold rows built between
-    the block arrays fragment the heap: 1.4 MB of peak RSS at size 24),
-    in blocks of grid rows (``_row_blocks``), each row copied once.  A
+    the row sums fragment the heap: 1.4 MB of peak RSS at size 24), one
+    grid row at a time, each row copied once into one reused buffer.  A
     chart member, combos included, takes :func:`grad_Pt_at` at the first
     point of each orbit of its declared symmetries (:func:`_grid_orbits`)
     but the origin, whose term reads the context's frame gradient on the
@@ -815,12 +757,10 @@ def _grid_grad(ctx: _MemberCtx):
     parts = [[_atom_weights(*p, i) for p in ctx.panels] for i in range(len(grid))]
     # the panel covers the support, so the nodes stay put and
     # w^{-1} u has planar part (x - w1, y - w2)
-    for rows in _row_blocks(len(grid), ctx.x.nbytes):
-        weights = np.empty((len(parts[rows]), ctx.x.size))
-        for w, part in zip(weights, parts[rows]):
-            np.concatenate(part, out=w)
-        out[:, rows] = grad_sums(weights, (ctx.gx, ctx.gy, ctx.gz),
-                                 ctx.x - grid[rows, :1], ctx.y - grid[rows, 1:2])
+    weights = np.empty(ctx.x.size)
+    for i, part in enumerate(parts):
+        out[:, i] = grad_sums(np.concatenate(part, out=weights), (ctx.gx, ctx.gy, ctx.gz),
+                              ctx.x - grid[i, 0], ctx.y - grid[i, 1])
     return out[0], out[1]
 
 

@@ -198,12 +198,6 @@ def _values_at(f: ScalarField, measure: HeatMeasure, x: GroupElement) -> np.ndar
     return np.broadcast_to(vals, measure.mu.shape)
 
 
-def _row_blocks(n: int, row_bytes: int):
-    """Slices cutting n rows of ``row_bytes`` each into blocks of about _BLOCK_BYTES."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    return (slice(lo, lo + step) for lo in range(0, n, step))
-
-
 def _translated_nodes(measure: HeatMeasure, x, y, z):
     """The measure's nodes left-translated by the points (x, y, z), in blocks.
 
@@ -214,7 +208,8 @@ def _translated_nodes(measure: HeatMeasure, x, y, z):
     """
     x, y, z = (np.asarray(a, dtype=float).reshape(-1) for a in (x, y, z))
     _check_points(x, y, z)
-    for rows in _row_blocks(x.size, measure.x.nbytes):
+    step = max(1, _BLOCK_BYTES // measure.x.nbytes)
+    for rows in (slice(lo, lo + step) for lo in range(0, x.size, step)):
         yield (rows, *_mul_arrays(x[rows, None], y[rows, None], z[rows, None],
                                   measure.x, measure.y, measure.z))
 

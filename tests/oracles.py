@@ -982,10 +982,11 @@ class CLowerWitness:
 
 
 def c_lower_detail(p: int, family=None) -> CLowerWitness:
-    """harness._c_lower on the family's chart span (the default family when
-    None), with its witness: the six members with the largest coefficients
-    in the combination that attains it.  The steps are _c_lower's, through
-    harness._chart_p2 and _chart_p1, so the value has its bits."""
+    """The C_p lower bound of harness.constants_estimate, before its 1.0
+    floor, on the family's chart span (the default family when None), with
+    its witness: the six members with the largest coefficients in the
+    combination that attains it.  The steps are constants_estimate's,
+    through harness._chart_p2 and _chart_p1, so the value has its bits."""
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     names, gx, gy, B, gram, mu = H._chart_span(Fam.build_family() if family is None else family)

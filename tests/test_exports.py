@@ -166,14 +166,13 @@ def test_nested_path_loads_no_scipy():
 
 
 def test_kernel_tables_load_no_scipy_interpolate():
-    """Both bicubic tables, the spline bundle's and the harness's p1 window
-    table, are filled, fitted and read with numpy alone: no scipy module
-    loads."""
+    """Both bicubic tables, the spline bundle's and the p1 window table,
+    are filled, fitted and read with numpy alone: no scipy module loads."""
     code = (
         "import numpy as np\n"
-        "from heisenkern import harness, kernel\n"
+        "from heisenkern import kernel\n"
         "kernel.get_spline_tables().bundle(np.array([0.5, 3.0]), np.array([-1.0, 2.0]))\n"
-        "harness._pt_density(np.array([0.5, 3.0]), 0.0, np.array([-1.0, 2.0]))\n"
+        "kernel._pt_density(np.array([0.5, 3.0]), 0.0, np.array([-1.0, 2.0]))\n"
     )
     assert _scipy_modules_after(code) == []
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from heisenkern import family as family_mod
-from heisenkern.family import DEFAULT_FAMILY_SEED, bump_field, build_family
+from heisenkern.family import DEFAULT_FAMILY_SEED, bump_field, build_family, combine_fields
 from heisenkern.geometry import cc_distance_many
-from heisenkern.group import GroupElement
+from heisenkern.group import GroupElement, poly_field
 
 from oracles import support_radius_bound, validate_gradient
 
@@ -112,6 +112,21 @@ def test_integral_float_size_builds_the_same_family():
             build_family(size)
 
 
+def test_seed_is_validated_like_the_size():
+    """A non-integral seed raises rather than building seed 1's family from
+    1.5, and so does a string rather than building seed 7's from "7"; 7.0
+    builds seed 7's members, value for value, and records the int 7."""
+    for seed in (1.5, "7", -1):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            build_family(12, seed)
+    want, got = build_family(12, 7), build_family(12, 7.0)
+    assert type(got.seed) is int and got.seed == 7
+    assert (got.kinds, got.atoms, got.combo_index) == (want.kinds, want.atoms, want.combo_index)
+    x, y, z = np.random.default_rng(7).uniform(-2.0, 2.0, (3, 50))
+    for f, g in zip(got.members, want.members):
+        assert np.asarray(f.eval(x, y, z)).tobytes() == np.asarray(g.eval(x, y, z)).tobytes()
+
+
 def test_pairless_small_family_is_redrawn_with_bumps():
     """build_family(5) at the default seed: one bump, one polynomial and two
     combination slots leave nothing to pair, so the family holds three
@@ -130,3 +145,20 @@ def test_bump_field_refuses_bad_widths(width, vert):
     or vertical half-width no bump at all."""
     with pytest.raises(ValueError, match="finite and > 0"):
         bump_field((0.0, 0.0, 0.0), width, vert)
+
+
+@pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                    (0.0, 0.0, -math.inf)])
+def test_bump_field_refuses_a_non_finite_centre(center):
+    """With a NaN centre every q < 1 test is False, so the bump would be 0.0
+    everywhere; an infinite centre gives no bump either."""
+    with pytest.raises(ValueError, match="centre must be finite"):
+        bump_field(center, 1.0)
+
+
+@pytest.mark.parametrize("coeffs", [[math.inf, 1.0], [1.0, math.nan], [-math.inf, 0.5]])
+def test_combine_fields_refuses_non_finite_coefficients(coeffs):
+    """inf x + y would be NaN wherever x = 0, and a NaN coefficient NaN everywhere."""
+    x, y = poly_field({(1, 0, 0): 1.0}, name="x"), poly_field({(0, 1, 0): 1.0}, name="y")
+    with pytest.raises(ValueError, match="coeffs finite"):
+        combine_fields([x, y], coeffs, "c")

@@ -410,6 +410,14 @@ def test_poly_field_refuses_bad_exponents(exponents):
         poly_field({(1, 0, 0): 1.0, exponents: 2.0})
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_poly_field_refuses_non_finite_coefficients(c):
+    """A NaN coefficient would make the field NaN everywhere, an infinite
+    one inf or NaN; both raise instead."""
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        poly_field({(0, 0, 0): 1.0, (1, 0, 0): c})
+
+
 def test_poly_field_accepts_integral_floats():
     f, g = poly_field({(2.0, 0, 1.0): 1.5}), poly_field({(2, 0, 1): 1.5})
     x, y, z = np.array([0.3, -1.2]), np.array([2.0, 0.5]), np.array([-0.7, 1.1])

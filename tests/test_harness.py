@@ -526,13 +526,10 @@ def test_c_lower_pinned(family12, p, pinned):
 
 @pytest.mark.parametrize("size", [12, 24])
 def test_c_lower_witness_shares_the_librarys_path(size):
-    """The oracles' witness route gives harness._c_lower's value bit for bit
-    at p = 1, 2, and so constants_estimate's C_1 and C_2 lower bounds
-    wherever they are above its 1.0 floor."""
+    """The oracles' witness route gives constants_estimate's C_1 and C_2
+    lower bounds bit for bit at p = 1, 2, where they are above its 1.0 floor."""
     family = build_family(size)
-    span = harness._chart_span(family)
     values = [c_lower_detail(p, family).value for p in (1, 2)]
-    assert [v.hex() for v in values] == [harness._c_lower(p, span).hex() for p in (1, 2)]
     est = harness.constants_estimate(family)
     assert min(values) > 1.0
     assert [est.C1_lower.hex(), est.C2_lower.hex()] == [v.hex() for v in values]
@@ -595,8 +592,8 @@ def test_c_lower_of_a_compact_only_family_is_zero(p):
 
 def test_compact_singles_stay_below_fstar():
     """On the default-size family no compactly supported member's own
-    ratio reaches f*'s, at either p: harness._c_lower searches the chart
-    span alone on that premise.  A change to the family's draws that
+    ratio reaches f*'s, at either p: harness.constants_estimate searches
+    the chart span alone on that premise.  A change to the family's draws that
     breaks this needs the compact members searched again."""
     fstar = [c_lower_detail(p, build_family(2)).value for p in (1, 2)]
     assert fstar == pytest.approx([1.517177790929422, 2.000006], rel=1e-6)
@@ -671,11 +668,10 @@ def table_fits():
             super().__init__(xg, yg, values)
             fits.append((np.asarray(xg), np.asarray(yg), np.asarray(values), self))
 
-    harness._p1_table.cache_clear()
+    kernel._p1_table.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "BicubicTable", Recorded)
         mp.setattr(kernel, "BicubicTable", Recorded)
-        harness._p1_table()
+        kernel._p1_table()
         kernel.LogHSplineTables()
     assert [f[2].shape[-1] for f in fits] == [1, 6]
     return fits
@@ -718,7 +714,7 @@ def test_table_bits_on_checked_points(table_fits, monkeypatch):
     family = build_family(12, DEFAULT_FAMILY_SEED)
     harness.constants_estimate(family)
     check_cheeger_bobkov(family)
-    tables = (harness._p1_table(), kernel.get_spline_tables()._table)
+    tables = (kernel._p1_table(), kernel.get_spline_tables()._table)
     assert {id(t) for t, _, _ in seen} == {id(t) for t in tables}
     for table in tables:
         points = [(x, y) for t, x, y in seen if t is table]
@@ -815,8 +811,8 @@ def test_table_accuracy_off_its_nodes():
     |z| <= 4.9 (measured 6.45e-7).  The table's nodes are interpolated
     exactly, so only off-node points see this error."""
     rng = np.random.default_rng(3)
-    r = rng.uniform(0.0, harness._P1TAB_R, 4_000)
-    z = rng.uniform(-harness._P1TAB_Z, harness._P1TAB_Z, 4_000)
+    r = rng.uniform(0.0, kernel._P1TAB_R, 4_000)
+    z = rng.uniform(-kernel._P1TAB_Z, kernel._P1TAB_Z, 4_000)
     exact = np.array([contour_p1(a, b) for a, b in zip(r, z)])
     err = np.abs(harness._pt_density(r, 0.0, z) - exact) / exact
     assert err[exact > 1e-6].max() <= 3.2e-7
@@ -829,7 +825,7 @@ def test_table_coefficients_ignore_blas_threads():
     """Built in fresh processes at one and two BLAS threads, the window
     table's coefficients have the same bytes: its rows are FFTs, not BLAS
     contractions (test_kernel checks the spline table's)."""
-    digests = digests_at_blas_threads("harness._p1_table()._rows")
+    digests = digests_at_blas_threads("kernel._p1_table()._rows")
     assert digests[0] == digests[1]
 
 
@@ -943,9 +939,10 @@ def assert_same_bits(got, want, what):
 
 @pytest.mark.parametrize("block", [1, 5, 7, 25])
 def test_grid_grad_keeps_the_full_routes_bits(family24, rows24, monkeypatch, block):
-    """Each member's grad-bound terms, bit for bit, in blocks of 1, 5, 7 or
-    all 25 grid rows: a chart member's (X, Y) P_1 f at the grid points is
-    grad_Pt_at over the chart, combos included, a compact member's the
+    """Each member's grad-bound terms, bit for bit: a chart member's (X, Y)
+    P_1 f at the grid points is grad_Pt_at over the chart, combos included,
+    in blocks of 1, 5, 7 or all 25 grid rows (a compact member's route sums
+    one grid row at a time, whatever the block), and a compact member's the
     full-matrix route compact_grid_grad.  The rows read their lhs off
     these terms and their rhs, sup |f|, off the member's nodes."""
     grid = harness._grad_grid()
@@ -1048,6 +1045,25 @@ def test_member_gradient_matches_the_row_routes(family12):
         assert gap <= 1e-14 * math.hypot(*want), (f.name, (ctx.a, ctx.b), want)
 
 
+def test_correlation_row_with_a_chart_host_pair(family24):
+    """A pair of a chart member and a compact one puts the product on the
+    compact member's panel whichever comes first: the two-member families
+    (bump-000, poly-000) and (poly-000, bump-000) drawn from the size-24
+    family give the same correlation lhs bit for bit, and rhs values within
+    1 ulp, which the product's association order sets."""
+    members = {f.name: f for f in family24.members}
+    rows = []
+    for names in (("bump-000", "poly-000"), ("poly-000", "bump-000")):
+        family = dataclasses.replace(family24, members=tuple(members[n] for n in names),
+                                     combo_index={}, kinds={n: family24.kinds[n] for n in names},
+                                     atoms={n: family24.atoms[n] for n in names})
+        (row,) = [r for r in check_cheeger_bobkov(family) if r.check == "correlation"]
+        assert row.function == "|".join(names) and row.error_budget == harness.FAMILY_QUAD_BUDGET
+        rows.append(row)
+    assert rows[0].lhs > 0.0 and rows[0].lhs.hex() == rows[1].lhs.hex()
+    assert abs(rows[0].rhs - rows[1].rhs) <= math.ulp(rows[0].rhs)
+
+
 def test_grad_bound_rows_ignore_member_order(family24, rows24):
     reverse = dataclasses.replace(family24, members=family24.members[::-1])
 
@@ -1064,9 +1080,10 @@ def built(monkeypatch):
     log = []
     build, combo = harness._build_member_ctx, harness._combo_ctx
 
-    def spy(f, panels):
-        log.append((f.name, bool(panels), False))
-        return build(f, panels)
+    def spy(f, panels, arrays=None):
+        if arrays is None:
+            log.append((f.name, bool(panels), False))
+        return build(f, panels, arrays)
 
     def spy_combo(f, parts, coeffs):
         ctx = combo(f, parts, coeffs)
@@ -1221,13 +1238,15 @@ def test_replaced_family_starts_with_an_empty_memo(family12):
 
 
 def test_member_contexts_are_freed_with_their_family():
+    """A bump's mu and both members' per-family arrays go with the family;
+    f*'s mu is the process-lifetime unit-mass chart mu every chart context shares."""
     family = build_family(12, DEFAULT_FAMILY_SEED)
-    refs = []
-    for f in (family.members[0], family.members[-1]):     # a bump and f*
-        ctx = harness._member_ctx(family, f)
-        refs += [weakref.ref(ctx.mu), weakref.ref(ctx.gam)]
+    bump, fstar = (harness._member_ctx(family, f) for f in (family.members[0], family.members[-1]))
+    assert fstar.mu is harness._chart_mu()
+    refs = [weakref.ref(bump.mu)] + [weakref.ref(getattr(c, k))
+                                     for c in (bump, fstar) for k in ("vals", "gam")]
     assert all(r() is not None for r in refs)
-    del ctx, family
+    del bump, fstar, family
     gc.collect()
     assert all(r() is None for r in refs)
 

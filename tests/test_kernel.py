@@ -579,14 +579,12 @@ class TestContourRows:
         the grid holds, within 1e-14 relative: measured 3.91e-15 at (1, 12)
         on the spline table's (all 41 points) and 2.47e-15 at (8, 3) on the
         window's (35 points, r <= 8, |z| <= 9)."""
-        from heisenkern import harness
-
         dz, dr, nz, r_max = {
             "spline": (K._TABLE_DZ, K._TABLE_DR,
                        int(round(K._TABLE_Z_MAX / K._TABLE_DZ)) + 1 + K._PAD_TOP,
                        K._TABLE_R_MAX + K._PAD_TOP * K._TABLE_DR),
-            "window": (harness._P1TAB_STEP, harness._P1TAB_STEP,
-                       int(round(harness._P1TAB_Z / harness._P1TAB_STEP)) + 1, harness._P1TAB_R),
+            "window": (K._P1TAB_STEP, K._P1TAB_STEP,
+                       int(round(K._P1TAB_Z / K._P1TAB_STEP)) + 1, K._P1TAB_R),
         }[table]
         r, z, ref = load_reference()
         on_grid = [i for i in range(r.size) if r[i] <= r_max and abs(z[i]) <= (nz - 1) * dz
